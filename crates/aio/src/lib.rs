@@ -31,8 +31,10 @@
 //!
 //! [`BlockOn`] closes the loop: it adapts a natively-async backend back
 //! into the sync family and advertises the async interior through
-//! [`ae_api::BlockSource::as_async`], which is how the archive's
-//! degraded reads and scrubs discover that pipelining is available.
+//! [`ae_api::BlockSource::as_async`], which is how the archive discovers
+//! that its batches — the writes of `put`, `seal` and `checkpoint`, the
+//! probes of `open`, the reads of `get` and `scrub` — can move through
+//! the window instead of paying one round trip per call.
 //!
 //! # Determinism contract
 //!
@@ -55,6 +57,34 @@
 //! Under the contract, a pipelined repair is byte-identical to its
 //! serial counterpart and every simulated timestamp replays exactly;
 //! with a real clock the same code measures genuine wall time.
+//!
+//! ## Writes
+//!
+//! The contract covers the write side the same way, with one asymmetry
+//! the latency model introduces: reads sample the backend at *issue*,
+//! writes and removes apply to it at *completion* (a write to a dead
+//! remote is swallowed, not teleported past the network).
+//!
+//! * **Issue order** is the order of the batch handed to the window —
+//!   the order a serial loop would have made the calls in — and alone
+//!   fixes every plan and jitter draw, as for reads.
+//! * **Completion order** within a batch is whatever the link makes it:
+//!   under jitter, writes land on the backend out of order, and with a
+//!   window of `w` up to `w` of them are in flight when a crash cuts the
+//!   stream. A batch may therefore only hold calls whose *relative*
+//!   order does not matter to recovery.
+//! * **Barriers** carry the order that does matter. Driving a batch to
+//!   completion ([`ae_api::AsyncHandle::run`] returning) acknowledges
+//!   every call in it, so whatever is issued next is ordered after all
+//!   of it. The archive relies on exactly three: a put's blocks before
+//!   its journal record; every checkpoint part (each journal record a
+//!   batch of its own) before the pointer; the pointer before any GC
+//!   remove.
+//!
+//! With window 1 (the `serial-aio` feature, or `AE_AIO_WINDOW=1`) issue
+//! order *is* completion order and every batch degenerates to the serial
+//! loop: that configuration is the reference the parity suites and the
+//! round-trip budget (`tests/wan_rtt_budget.rs`) compare against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -77,6 +77,17 @@ impl<'a> Recorder<'a> {
     fn miss(&self, op: Op, id: BlockId) {
         self.misses.lock().insert((op, id));
     }
+
+    /// Whether every answer this pass has consumed so far came from the
+    /// backend — no miss has been recorded, so nothing it has seen is a
+    /// provisional "absent". Callers gate expensive fallbacks on this: a
+    /// failure observed while unfaithful may be an artefact of an answer
+    /// that the next pass will have, so escalating on it (say, from a
+    /// single-tuple repair to a whole-archive planner run) would demand
+    /// reads the faithful pass never makes.
+    pub fn is_faithful(&self) -> bool {
+        self.misses.lock().is_empty()
+    }
 }
 
 impl std::fmt::Debug for Recorder<'_> {
@@ -189,6 +200,66 @@ impl<'h> Replay<'h> {
         self.answers.read.insert(id, Err(StoreError::NotFound(id)));
     }
 
+    /// Whether a `fetch` of `id` is already answered, and if so whether
+    /// the block was there — what a structural repair plan consults
+    /// before deciding which survivors still have to be prefetched.
+    pub fn fetched(&self, id: BlockId) -> Option<bool> {
+        self.answers.fetch.get(&id).map(Option::is_some)
+    }
+
+    /// Resolves `fetch` for every id not yet answered, through the
+    /// window, in the given order — a planned read set moved in one
+    /// batch ahead of the pass that consumes it.
+    pub fn prefetch(&mut self, ids: impl IntoIterator<Item = BlockId>) {
+        let unknown = ids
+            .into_iter()
+            .filter(|id| !self.answers.fetch.contains_key(id))
+            .map(|id| (Op::Fetch, id))
+            .collect();
+        self.resolve(unknown);
+    }
+
+    /// Asks the backend every question in `misses` through the window,
+    /// in order, and files the answers.
+    fn resolve(&mut self, misses: Vec<(Op, BlockId)>) {
+        if misses.is_empty() {
+            return;
+        }
+        let repo = self.handle.repo;
+        let resolved = self.handle.run(Box::pin(windowed_map(
+            misses.clone(),
+            self.window,
+            move |(op, id)| match op {
+                Op::Fetch => {
+                    let fut = repo.fetch_async(id);
+                    Box::pin(async move { AnswerVal::Fetch(fut.await) })
+                }
+                Op::Has => {
+                    let fut = repo.has_async(id);
+                    Box::pin(async move { AnswerVal::Has(fut.await) })
+                }
+                Op::Read => {
+                    let fut = repo.read_async(id);
+                    Box::pin(async move { AnswerVal::Read(fut.await) })
+                }
+            },
+        )));
+        for ((op, id), val) in misses.into_iter().zip(resolved) {
+            match (op, val) {
+                (Op::Fetch, AnswerVal::Fetch(v)) => {
+                    self.answers.fetch.insert(id, v);
+                }
+                (Op::Has, AnswerVal::Has(v)) => {
+                    self.answers.has.insert(id, v);
+                }
+                (Op::Read, AnswerVal::Read(v)) => {
+                    self.answers.read.insert(id, v);
+                }
+                _ => unreachable!("answer kind matches its op by construction"),
+            }
+        }
+    }
+
     /// Runs `f` against a fresh [`Recorder`] until a pass records no
     /// misses (resolving each round's misses through the window in
     /// sorted order), then returns the faithful pass's result and its
@@ -204,39 +275,7 @@ impl<'h> Replay<'h> {
             if misses.is_empty() {
                 return (result, std::mem::take(&mut *recorder.writes.lock()));
             }
-            let repo = self.handle.repo;
-            let resolved = self.handle.run(Box::pin(windowed_map(
-                misses.clone(),
-                self.window,
-                move |(op, id)| match op {
-                    Op::Fetch => {
-                        let fut = repo.fetch_async(id);
-                        Box::pin(async move { AnswerVal::Fetch(fut.await) })
-                    }
-                    Op::Has => {
-                        let fut = repo.has_async(id);
-                        Box::pin(async move { AnswerVal::Has(fut.await) })
-                    }
-                    Op::Read => {
-                        let fut = repo.read_async(id);
-                        Box::pin(async move { AnswerVal::Read(fut.await) })
-                    }
-                },
-            )));
-            for ((op, id), val) in misses.into_iter().zip(resolved) {
-                match (op, val) {
-                    (Op::Fetch, AnswerVal::Fetch(v)) => {
-                        self.answers.fetch.insert(id, v);
-                    }
-                    (Op::Has, AnswerVal::Has(v)) => {
-                        self.answers.has.insert(id, v);
-                    }
-                    (Op::Read, AnswerVal::Read(v)) => {
-                        self.answers.read.insert(id, v);
-                    }
-                    _ => unreachable!("answer kind matches its op by construction"),
-                }
-            }
+            self.resolve(misses);
         }
     }
 

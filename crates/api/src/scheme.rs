@@ -229,6 +229,17 @@ pub trait RedundancyScheme: Send + Sync {
         })
     }
 
+    /// The ids [`RedundancyScheme::restore_frontier`] will fetch for
+    /// `snapshot`, in fetch order — the read set a caller may move in one
+    /// batch before restoring, instead of paying one round trip per
+    /// frontier block. Purely a prefetch hint: the empty default (and a
+    /// wrapper that does not forward the method) leaves every fetch to
+    /// the restore itself, and a snapshot that does not parse answers
+    /// empty so the restore reports the typed error.
+    fn frontier_reads(&self, _snapshot: &[u8]) -> Vec<BlockId> {
+        Vec::new()
+    }
+
     /// Repairs a single block from currently available blocks.
     /// `data_blocks` bounds the written extent (repair coordinators often
     /// know it without owning the encoder).

@@ -232,6 +232,21 @@ impl RedundancyScheme for ReedSolomon {
         Ok(())
     }
 
+    fn frontier_reads(&self, snapshot: &[u8]) -> Vec<BlockId> {
+        let parsed = SnapshotReader::new(snapshot, 1, "").and_then(|mut r| {
+            let written = r.u64()?;
+            Ok((written, u64::from(r.u32()?)))
+        });
+        match parsed {
+            Ok((written, pending)) if pending < self.k() as u64 && pending <= written => {
+                (written - pending + 1..=written)
+                    .map(|i| BlockId::Data(NodeId(i)))
+                    .collect()
+            }
+            _ => Vec::new(),
+        }
+    }
+
     fn repair_block(
         &self,
         source: &dyn BlockSource,

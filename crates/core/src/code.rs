@@ -117,6 +117,26 @@ impl Code {
     }
 }
 
+impl Code {
+    /// Parses and validates a frontier snapshot: the write counter.
+    fn parse_frontier(&self, snapshot: &[u8]) -> Result<u64, AeError> {
+        let name = self.scheme_name();
+        let mut r = SnapshotReader::new(snapshot, 1, &name)?;
+        let counter = r.u64()?;
+        let block_size = r.u64()?;
+        r.finish()?;
+        if block_size != self.block_size() as u64 {
+            return Err(AeError::CorruptFrontier {
+                detail: format!(
+                    "{name}: snapshot encodes {block_size}-byte blocks, this code {}",
+                    self.block_size()
+                ),
+            });
+        }
+        Ok(counter)
+    }
+}
+
 impl RedundancyScheme for Code {
     fn scheme_name(&self) -> String {
         self.config().name()
@@ -155,19 +175,7 @@ impl RedundancyScheme for Code {
     }
 
     fn restore_frontier(&self, snapshot: &[u8], source: &dyn BlockSource) -> Result<(), AeError> {
-        let name = self.scheme_name();
-        let mut r = SnapshotReader::new(snapshot, 1, &name)?;
-        let counter = r.u64()?;
-        let block_size = r.u64()?;
-        r.finish()?;
-        if block_size != self.block_size() as u64 {
-            return Err(AeError::CorruptFrontier {
-                detail: format!(
-                    "{name}: snapshot encodes {block_size}-byte blocks, this code {}",
-                    self.block_size()
-                ),
-            });
-        }
+        let counter = self.parse_frontier(snapshot)?;
         let restored = Entangler::restore(self.cfg, self.block_size(), counter, |e| {
             source.fetch(BlockId::Parity(e))
         })
@@ -176,6 +184,16 @@ impl RedundancyScheme for Code {
         })?;
         *self.entangler.lock() = restored;
         Ok(())
+    }
+
+    fn frontier_reads(&self, snapshot: &[u8]) -> Vec<BlockId> {
+        let Ok(counter) = self.parse_frontier(snapshot) else {
+            return Vec::new();
+        };
+        Entangler::in_flight_edges(self.config(), counter)
+            .into_iter()
+            .map(|(_, e)| BlockId::Parity(e))
+            .collect()
     }
 
     fn repair_block(

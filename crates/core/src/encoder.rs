@@ -196,21 +196,30 @@ impl Entangler {
     ) -> Result<Self, EdgeId> {
         let mut enc = Entangler::new(cfg, block_size);
         enc.counter = counter;
-        // In-flight edges: produced by a node ≤ counter but consumed by a
-        // node > counter. Producers lie within one maximal forward span of
-        // the counter, so scan that window.
+        for (c, e) in Self::in_flight_edges(&cfg, counter) {
+            let block = fetch(e).ok_or(e)?;
+            let slot = enc.tables[c].slot_of(e.left.0);
+            enc.frontier[c][slot] = Some(block);
+        }
+        Ok(enc)
+    }
+
+    /// The strand-frontier edges at write position `counter`, each with
+    /// its class index, in the order [`Entangler::restore`] fetches them:
+    /// produced by a node ≤ counter but consumed by a node > counter.
+    /// Producers lie within one maximal forward span of the counter, so
+    /// that window is scanned.
+    pub fn in_flight_edges(cfg: &Config, counter: u64) -> Vec<(usize, EdgeId)> {
         let span = (cfg.s() as i64 * cfg.p().max(1) as i64 + cfg.s() as i64 + 2).max(4);
+        let mut edges = Vec::new();
         for (c, &class) in cfg.classes().iter().enumerate() {
             for h in ((counter as i64 - span).max(1))..=(counter as i64) {
-                if rules::output_target(&cfg, class, h) > counter as i64 {
-                    let e = EdgeId::new(class, NodeId(h as u64));
-                    let block = fetch(e).ok_or(e)?;
-                    let slot = enc.tables[c].slot_of(h as u64);
-                    enc.frontier[c][slot] = Some(block);
+                if rules::output_target(cfg, class, h) > counter as i64 {
+                    edges.push((c, EdgeId::new(class, NodeId(h as u64))));
                 }
             }
         }
-        Ok(enc)
+        edges
     }
 
     /// Produces the α parities of position `i` for `data`, updating the

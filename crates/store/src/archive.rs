@@ -10,11 +10,12 @@
 //!   entanglement, Reed-Solomon, replication, the §IV.B entangled chain, a
 //!   namespaced geo lattice. `put` goes through the batch-first
 //!   [`RedundancyScheme::encode_batch`], degraded `get` through the
-//!   error-typed [`RedundancyScheme::repair_block`] fast path and, for
-//!   chained reconstructions, the round-based planners into a read-side
-//!   [`Overlay`]; `scrub`/`verify_all` use the same generic machinery — so
-//!   an unreadable file reports *which* blocks were unavailable,
-//!   whatever the code.
+//!   error-typed [`RedundancyScheme::repair_block`] fast path — which
+//!   reads only the missing block's tuple members, however large the
+//!   archive — and, for chained reconstructions, the round-based
+//!   planners into a read-side [`Overlay`]; `scrub`/`verify_all` use the
+//!   same generic machinery — so an unreadable file reports *which*
+//!   blocks were unavailable, whatever the code.
 //! * **over the backend** — any [`BlockRepo`] of the unified `ae_api`
 //!   family: a local [`crate::MemStore`], a [`crate::DistributedStore`]
 //!   with failing locations, a two-tier [`crate::TieredStore`], a
@@ -55,19 +56,57 @@
 //! snapshot — so `open` replays checkpoint + suffix in O(checkpoint)
 //! time however old the archive is, and the superseded prefix is
 //! garbage-collected only after the checkpoint is durably committed.
+//!
+//! # Batched backend I/O
+//!
+//! Every phase that issues *independent* backend calls — a put's data
+//! and redundancy blocks, a record's copy set, a checkpoint's pointer
+//! cells, GC, the probes and refetches of `open`, the sweeps of `scrub`,
+//! a file's blocks in `get` — goes through one private helper (`batch`,
+//! behind `store_all` / `remove_all` / `read_all` / `fetch_all` /
+//! `has_all`). Over a backend with a native async interior
+//! ([`BlockSource::as_async`]) the batch moves through the bounded
+//! in-flight window, so an operation a network away costs **window
+//! rounds, not block counts**: a 16-block AE(3,2,5) `put` is
+//! ⌈64 / 8⌉ + 1 = 9 sequential round trips at the default window, not
+//! 67. Over a plain backend the helper is the same calls in the same
+//! order as a loop — there is one `put`/`seal`/`open` path, in which a
+//! plain backend is simply window-agnostic. `tests/wan_rtt_budget.rs`
+//! pins the round-trip count of every operation under the virtual clock.
+//!
+//! Crash ordering is kept by **barriers**, not by serial issue: a batch
+//! returns only once every call in it is acknowledged, whatever order
+//! the completions arrived in, and
+//!
+//! 1. no journal record is issued before every block of its `put` (or
+//!    `seal`) is acknowledged;
+//! 2. no pointer cell is issued before every checkpoint part — and
+//!    journal records, parts included, go one copy set at a time,
+//!    because replay reads a missing record with survivors beyond it as
+//!    mid-journal damage, not as a torn tail;
+//! 3. no GC remove is issued before every pointer copy, and record 1
+//!    leaves ahead of the rest (how `open` tells a rotted pointer from a
+//!    torn one).
+//!
+//! Final backend state, manifest and error typing are byte-identical at
+//! every window and to the plain-backend run (`tests/aio_parity.rs`), and
+//! a power cut at any backend write under out-of-order completion still
+//! reopens to a prefix of the uninterrupted run
+//! (`tests/archive_recovery.rs`).
 
 use crate::meta::{
     meta_copy_id, pointer_id, CheckpointPayload, MetaConfig, MetaRecord, RecordError,
 };
 use ae_aio::{in_flight_window, windowed_map, Replay};
 use ae_api::{
-    AeError, AsyncHandle, BlockRepo, BlockSource, Overlay, RedundancyScheme, RepairError,
-    StoreError,
+    AeError, AsyncBlockRepo, BlockRepo, BlockSink, BlockSource, BoxFuture, Overlay,
+    RedundancyScheme, RepairError, StoreError,
 };
-use ae_blocks::{crc32, Block, BlockId, MetaId};
+use ae_blocks::{crc32, Block, BlockId, Crc32, MetaId};
 use ae_core::Code;
 use ae_lattice::Config;
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -270,6 +309,123 @@ impl BlockSource for MaskOne<'_> {
     }
 }
 
+/// Runs one batch of **independent** backend calls and returns their
+/// results in issue order — the one place archive I/O meets the backend
+/// in bulk. Over a backend with a native async interior
+/// ([`BlockSource::as_async`]) the calls move through the bounded
+/// in-flight window, so a batch costs `⌈n / window⌉` round trips, not
+/// `n`; over a plain backend it is the same calls in the same order as
+/// a loop. Returning is the **barrier**: every call of the batch has
+/// been acknowledged, whatever order the completions arrived in.
+fn batch<'s, B, T, U>(
+    store: &'s B,
+    items: impl IntoIterator<Item = T>,
+    call: impl Fn(&B, T) -> U,
+    issue: impl Fn(&'s dyn AsyncBlockRepo, T) -> BoxFuture<'s, U> + Send + Sync + 's,
+) -> Vec<U>
+where
+    B: BlockRepo + ?Sized,
+    T: Send + 's,
+    U: Send,
+{
+    match store.as_async() {
+        Some(handle) => {
+            let repo = handle.repo;
+            let items = items.into_iter().collect();
+            handle.run(Box::pin(windowed_map(
+                items,
+                in_flight_window(),
+                move |item| issue(repo, item),
+            )))
+        }
+        None => items.into_iter().map(|item| call(store, item)).collect(),
+    }
+}
+
+fn store_all<B: BlockRepo + ?Sized>(store: &B, writes: impl IntoIterator<Item = (BlockId, Block)>) {
+    batch(
+        store,
+        writes,
+        |s, (id, block)| s.store(id, block),
+        |r, (id, block)| r.store_async(id, block),
+    );
+}
+
+fn remove_all<B: BlockRepo + ?Sized>(store: &B, ids: impl IntoIterator<Item = BlockId>) {
+    batch(store, ids, |s, id| s.remove(id), |r, id| r.remove_async(id));
+}
+
+fn read_all<B: BlockRepo + ?Sized>(store: &B, ids: &[BlockId]) -> Vec<Result<Block, StoreError>> {
+    let ids = ids.iter().copied();
+    batch(store, ids, |s, id| s.read(id), |r, id| r.read_async(id))
+}
+
+fn fetch_all<B: BlockRepo + ?Sized>(
+    store: &B,
+    ids: impl IntoIterator<Item = BlockId>,
+) -> Vec<Option<Block>> {
+    batch(store, ids, |s, id| s.fetch(id), |r, id| r.fetch_async(id))
+}
+
+fn has_all<B: BlockRepo + ?Sized>(store: &B, ids: impl IntoIterator<Item = BlockId>) -> Vec<bool> {
+    batch(store, ids, |s, id| s.has(id), |r, id| r.has_async(id))
+}
+
+/// An order-preserving collecting sink: a scheme's write phase lands here
+/// when the backend is a network away, and leaves as one batch.
+#[derive(Default)]
+struct Collect(RefCell<Vec<(BlockId, Block)>>);
+
+impl BlockSink for Collect {
+    fn store(&self, id: BlockId, block: Block) {
+        self.0.borrow_mut().push((id, block));
+    }
+}
+
+/// One record's fetched copy set, validated: the first copy that decodes
+/// (and, for a pointer cell, is a pointer record) wins; every copy's
+/// state is kept for the damage report.
+struct CopySet {
+    valid: Option<(MetaRecord, Block)>,
+    /// Per copy, in copy order: `None` = validates, otherwise `"missing"`
+    /// or the first check that failed.
+    states: Vec<Option<RecordError>>,
+}
+
+impl CopySet {
+    fn validate(seq: u64, pointer: bool, copies: Vec<Option<Block>>) -> Self {
+        let mut valid = None;
+        let states = copies
+            .into_iter()
+            .map(|copy| {
+                let Some(block) = copy else {
+                    return Some("missing".to_string());
+                };
+                match MetaRecord::decode(seq, block.as_slice()) {
+                    Ok(record) if pointer && !matches!(record, MetaRecord::Pointer { .. }) => {
+                        Some("not a pointer record".to_string())
+                    }
+                    Ok(record) => {
+                        valid.get_or_insert((record, block));
+                        None
+                    }
+                    Err(detail) => Some(detail),
+                }
+            })
+            .collect();
+        CopySet { valid, states }
+    }
+
+    /// The first failed check of a copy that holds bytes, if any.
+    fn first_damage(&self) -> Option<RecordError> {
+        self.states
+            .iter()
+            .flatten()
+            .find(|d| d.as_str() != "missing")
+            .cloned()
+    }
+}
+
 /// An append-only archive over any scheme and any backend.
 ///
 /// # Examples
@@ -401,8 +557,9 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     ) -> Self {
         assert_eq!(scheme.data_written(), 0, "archive schemes must start fresh");
         assert!(block_size > 0, "blocks must be non-empty");
+        let genesis_ids = (0..MetaId::MAX_COPIES).map(|c| meta_copy_id(0, c));
         assert!(
-            (0..MetaId::MAX_COPIES).all(|c| store.fetch(meta_copy_id(0, c)).is_none()),
+            fetch_all(&*store, genesis_ids).iter().all(Option::is_none),
             "backend already holds an archive; reopen it with Archive::open"
         );
         let meta = MetaConfig {
@@ -487,31 +644,12 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         );
         // Genesis: probe the widest possible copy set (the true width is
         // *inside* the record); first copy that validates wins.
-        let mut genesis: Option<(MetaRecord, Block)> = None;
-        let mut copy_state: Vec<Option<RecordError>> = Vec::new();
-        for copy in 0..MetaId::MAX_COPIES {
-            match store.fetch(meta_copy_id(0, copy)) {
-                None => copy_state.push(Some("missing".to_string())),
-                Some(block) => match MetaRecord::decode(0, block.as_slice()) {
-                    Ok(record) => {
-                        if genesis.is_none() {
-                            genesis = Some((record, block));
-                        }
-                        copy_state.push(None);
-                    }
-                    Err(detail) => copy_state.push(Some(detail)),
-                },
-            }
-        }
-        let Some((record, genesis_block)) = genesis else {
+        let genesis_ids = (0..MetaId::MAX_COPIES).map(|c| meta_copy_id(0, c));
+        let genesis = CopySet::validate(0, false, fetch_all(&*store, genesis_ids));
+        let Some((record, genesis_block)) = genesis.valid else {
             // No valid genesis copy: corrupt if any bytes exist at all,
             // otherwise there is simply no archive here.
-            let detail = copy_state
-                .iter()
-                .flatten()
-                .find(|d| d.as_str() != "missing")
-                .cloned();
-            return Err(match detail {
+            return Err(match genesis.first_damage() {
                 Some(detail) => RecoveryError::CorruptRecord { seq: 0, detail },
                 None => RecoveryError::NoArchive,
             });
@@ -560,17 +698,9 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             meta_damage: Vec::new(),
             replayed: 0,
         };
-        for (copy, state) in copy_state.iter().enumerate().take(ar.meta.copies as usize) {
-            if let Some(detail) = state {
-                ar.meta_damage.push(MetaDamage {
-                    id: meta_copy_id(0, copy as u16),
-                    seq: 0,
-                    pointer: false,
-                    copy: copy as u16,
-                    detail: detail.clone(),
-                });
-            }
-        }
+        let mut states = genesis.states;
+        states.truncate(ar.meta.copies as usize);
+        ar.report_damage(0, false, states);
         ar.journal.insert(0, genesis_block);
 
         // Checkpoint discovery: read the pointer cells, try candidates
@@ -625,25 +755,31 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         if let Some(slot) = poisoned_slot {
             // The survivable flavour (torn mid-commit): report it so
             // scrub can clean the cell up.
-            for copy in 0..ar.meta.copies {
-                if ar.store.has(pointer_id(slot, copy)) {
-                    ar.meta_damage.push(MetaDamage {
-                        id: pointer_id(slot, copy),
-                        seq: slot,
-                        pointer: true,
-                        copy,
-                        detail: "no valid copy (uncommitted pointer write)".into(),
-                    });
-                }
-            }
+            let present = has_all(&*ar.store, ar.pointer_ids(slot));
+            let states = present
+                .into_iter()
+                .map(|has| has.then(|| "no valid copy (uncommitted pointer write)".to_string()));
+            ar.report_damage(slot, true, states);
         }
         let frontier = frontier.or(checkpoint_frontier);
         if let Some(snapshot) = frontier {
             let store: &B = &ar.store;
             let base: &dyn BlockSource = &store;
+            // The frontier refetch as one batch, overlaid on the backend:
+            // the restore reads its in-flight blocks from the answers,
+            // and anything the scheme did not announce (or that is gone)
+            // still goes to the backend one call at a time.
+            let ids = ar.scheme.frontier_reads(&snapshot);
+            let found = fetch_all(store, ids.iter().copied());
+            let prefetched = Overlay::new(base);
+            for (&id, block) in ids.iter().zip(found) {
+                if let Some(block) = block {
+                    prefetched.patch.insert(id, block);
+                }
+            }
             let repairing = RepairingSource {
                 scheme: &*ar.scheme,
-                base,
+                base: &prefetched,
                 written: ar.data_ids.len() as u64,
             };
             ar.scheme
@@ -653,101 +789,84 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         Ok(ar)
     }
 
-    /// Reads record `seq`'s copy set, falling through to the first copy
-    /// that validates. Copies skipped on the way to a valid one are
-    /// recorded in [`Archive::meta_damage`].
-    fn fetch_record(&mut self, seq: u64) -> CopyRead {
-        let mut valid: Option<(MetaRecord, Block)> = None;
-        let mut states: Vec<(u16, Option<RecordError>)> = Vec::new();
-        for copy in 0..self.meta.copies {
-            match self.store.fetch(meta_copy_id(seq, copy)) {
-                None => states.push((copy, Some("missing".to_string()))),
-                Some(block) => match MetaRecord::decode(seq, block.as_slice()) {
-                    Ok(record) => {
-                        if valid.is_none() {
-                            valid = Some((record, block));
-                        }
-                        states.push((copy, None));
-                    }
-                    Err(detail) => states.push((copy, Some(detail))),
-                },
-            }
-        }
-        match valid {
-            Some((record, block)) => {
-                for (copy, state) in states {
-                    if let Some(detail) = state {
-                        self.meta_damage.push(MetaDamage {
-                            id: meta_copy_id(seq, copy),
-                            seq,
-                            pointer: false,
-                            copy,
-                            detail,
-                        });
-                    }
-                }
-                CopyRead::Valid(record, block)
-            }
-            None => {
-                let detail = states
-                    .iter()
-                    .filter_map(|(_, s)| s.clone())
-                    .find(|d| d != "missing");
-                match detail {
-                    Some(detail) => CopyRead::Invalid(detail),
-                    None => CopyRead::Absent,
-                }
+    /// Every copy id of journal record `seq`, in copy order.
+    fn record_ids(&self, seq: u64) -> impl Iterator<Item = BlockId> {
+        (0..self.meta.copies).map(move |copy| meta_copy_id(seq, copy))
+    }
+
+    /// Every copy id of pointer cell `slot`, in copy order.
+    fn pointer_ids(&self, slot: u64) -> impl Iterator<Item = BlockId> {
+        (0..self.meta.copies).map(move |copy| pointer_id(slot, copy))
+    }
+
+    /// Files one [`MetaDamage`] per damaged copy of record (or pointer
+    /// cell) `seq`; `states` is in copy order, `None` = healthy.
+    fn report_damage(
+        &mut self,
+        seq: u64,
+        pointer: bool,
+        states: impl IntoIterator<Item = Option<RecordError>>,
+    ) {
+        for (copy, state) in (0u16..).zip(states) {
+            if let Some(detail) = state {
+                let id = if pointer {
+                    pointer_id(seq, copy)
+                } else {
+                    meta_copy_id(seq, copy)
+                };
+                self.meta_damage.push(MetaDamage {
+                    id,
+                    seq,
+                    pointer,
+                    copy,
+                    detail,
+                });
             }
         }
     }
 
-    /// Reads both checkpoint-pointer cells. Returns the distinct valid
-    /// `(slot, checkpoint seq, parts)` candidates sorted newest-first,
-    /// and the slot of a cell that holds bytes but no valid copy (all
-    /// copies of a written pointer destroyed), if any.
+    /// Reads record `seq`'s copy set as one batch, falling through to the
+    /// first copy that validates.
+    fn fetch_record(&mut self, seq: u64) -> CopyRead {
+        let copies = fetch_all(&*self.store, self.record_ids(seq));
+        self.classify(seq, copies)
+    }
+
+    /// Judges record `seq`'s fetched copy set. Copies skipped on the way
+    /// to a valid one are recorded in [`Archive::meta_damage`].
+    fn classify(&mut self, seq: u64, copies: Vec<Option<Block>>) -> CopyRead {
+        let set = CopySet::validate(seq, false, copies);
+        match (set.first_damage(), set.valid) {
+            (_, Some((record, block))) => {
+                self.report_damage(seq, false, set.states);
+                CopyRead::Valid(record, block)
+            }
+            (Some(detail), None) => CopyRead::Invalid(detail),
+            (None, None) => CopyRead::Absent,
+        }
+    }
+
+    /// Reads both checkpoint-pointer cells as one batch. Returns the
+    /// distinct valid `(slot, checkpoint seq, parts)` candidates sorted
+    /// newest-first, and the slot of a cell that holds bytes but no valid
+    /// copy (all copies of a written pointer destroyed), if any.
     fn read_pointers(&mut self) -> (Vec<(u64, u64, u32)>, Option<u64>) {
         let mut candidates: Vec<(u64, u64, u32)> = Vec::new();
         let mut poisoned = None;
+        let ids = (0..2u64).flat_map(|slot| self.pointer_ids(slot));
+        let mut found = fetch_all(&*self.store, ids).into_iter();
         for slot in 0..2u64 {
-            let mut best: Option<(u64, u32)> = None;
-            let mut states: Vec<(u16, Option<RecordError>)> = Vec::new();
-            let mut any_bytes = false;
-            for copy in 0..self.meta.copies {
-                match self.store.fetch(pointer_id(slot, copy)) {
-                    None => states.push((copy, Some("missing".to_string()))),
-                    Some(block) => {
-                        any_bytes = true;
-                        match MetaRecord::decode(slot, block.as_slice()) {
-                            Ok(MetaRecord::Pointer { checkpoint, parts }) => {
-                                if best.is_none() {
-                                    best = Some((checkpoint, parts));
-                                    self.pointers.entry(slot).or_insert(block);
-                                }
-                                states.push((copy, None));
-                            }
-                            Ok(_) => states.push((copy, Some("not a pointer record".into()))),
-                            Err(detail) => states.push((copy, Some(detail))),
-                        }
-                    }
-                }
-            }
-            match best {
-                Some((checkpoint, parts)) => {
-                    for (copy, state) in states {
-                        if let Some(detail) = state {
-                            self.meta_damage.push(MetaDamage {
-                                id: pointer_id(slot, copy),
-                                seq: slot,
-                                pointer: true,
-                                copy,
-                                detail,
-                            });
-                        }
-                    }
+            let copies: Vec<_> = found.by_ref().take(self.meta.copies as usize).collect();
+            let any_bytes = copies.iter().any(Option::is_some);
+            let set = CopySet::validate(slot, true, copies);
+            match set.valid {
+                Some((MetaRecord::Pointer { checkpoint, parts }, block)) => {
+                    self.pointers.entry(slot).or_insert(block);
+                    self.report_damage(slot, true, set.states);
                     candidates.push((slot, checkpoint, parts));
                 }
-                None if any_bytes => poisoned = poisoned.or(Some(slot)),
-                None => {}
+                _ if any_bytes => poisoned = poisoned.or(Some(slot)),
+                _ => {}
             }
         }
         // Newest checkpoint first; mixed-generation copy sets are
@@ -768,25 +887,36 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         }
         let mut bytes = Vec::new();
         let mut blocks = Vec::new();
-        for i in 0..parts {
-            let seq = cseq + i as u64;
-            match self.fetch_record(seq) {
-                CopyRead::Valid(
-                    MetaRecord::Checkpoint {
-                        part,
-                        parts: p,
-                        chunk,
-                    },
-                    block,
-                ) if part == i && p == parts => {
-                    bytes.extend_from_slice(&chunk);
-                    blocks.push((seq, block));
+        // Parts move in batches of a probe window's worth of records, so
+        // the part count a pointer claims never sizes an allocation.
+        let end = cseq.saturating_add(u64::from(parts));
+        let mut next = cseq;
+        while next < end {
+            let group = next..end.min(next + Self::REPLAY_PROBE_WINDOW);
+            next = group.end;
+            let ids = group.clone().flat_map(|seq| self.record_ids(seq));
+            let mut found = fetch_all(&*self.store, ids).into_iter();
+            for seq in group {
+                let i = (seq - cseq) as u32;
+                let copies = found.by_ref().take(self.meta.copies as usize).collect();
+                match self.classify(seq, copies) {
+                    CopyRead::Valid(
+                        MetaRecord::Checkpoint {
+                            part,
+                            parts: p,
+                            chunk,
+                        },
+                        block,
+                    ) if part == i && p == parts => {
+                        bytes.extend_from_slice(&chunk);
+                        blocks.push((seq, block));
+                    }
+                    CopyRead::Valid(..) => {
+                        return Err(format!("meta#{seq} is not checkpoint part {i}"));
+                    }
+                    CopyRead::Invalid(detail) => return Err(format!("meta#{seq}: {detail}")),
+                    CopyRead::Absent => return Err(format!("meta#{seq}: missing")),
                 }
-                CopyRead::Valid(..) => {
-                    return Err(format!("meta#{seq} is not checkpoint part {i}"));
-                }
-                CopyRead::Invalid(detail) => return Err(format!("meta#{seq}: {detail}")),
-                CopyRead::Absent => return Err(format!("meta#{seq}: missing")),
             }
         }
         let payload = CheckpointPayload::decode(&bytes)?;
@@ -845,8 +975,8 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// window after `seq` — i.e. `seq` failing is mid-journal damage,
     /// not the tail.
     fn journal_continues(&self, seq: u64) -> bool {
-        (seq + 1..=seq + Self::REPLAY_PROBE_WINDOW)
-            .any(|s| (0..self.meta.copies).any(|c| self.store.has(meta_copy_id(s, c))))
+        let probe = (seq + 1..=seq + Self::REPLAY_PROBE_WINDOW).flat_map(|s| self.record_ids(s));
+        has_all(&*self.store, probe).contains(&true)
     }
 
     /// Replays journal records from `next_meta` on — the suffix past the
@@ -1039,20 +1169,21 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// used by replay to physically truncate torn, unacknowledged tail
     /// records (plain WAL truncation, applied to the copy set).
     fn erase_record(&self, seq: u64) {
-        for copy in 0..self.meta.copies {
-            self.store.remove(meta_copy_id(seq, copy));
-        }
+        remove_all(&*self.store, self.record_ids(seq));
     }
 
     /// Appends a record to the on-backend metadata journal — every copy
-    /// of its set — keeping the encoded block so [`Archive::scrub`] can
-    /// re-materialize copies the backend loses.
+    /// of its set, as one batch — keeping the encoded block so
+    /// [`Archive::scrub`] can re-materialize copies the backend loses.
+    /// A record is the unit of journal ordering: the next one is not
+    /// issued before every copy of this one is acknowledged, because
+    /// replay reads a missing record with survivors beyond it as damage,
+    /// not as a torn tail.
     fn append_meta(&mut self, record: MetaRecord) {
         let seq = self.next_meta;
         let block = Block::from_vec(record.encode(seq));
-        for copy in 0..self.meta.copies {
-            self.store.store(meta_copy_id(seq, copy), block.clone());
-        }
+        let copies = self.record_ids(seq).map(|id| (id, block.clone()));
+        store_all(&*self.store, copies);
         if matches!(record, MetaRecord::Put { .. } | MetaRecord::Seal { .. }) {
             self.records_since_checkpoint += 1;
         }
@@ -1110,20 +1241,21 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             }
             .encode(slot),
         );
-        for copy in 0..self.meta.copies {
-            self.store.store(pointer_id(slot, copy), pointer.clone());
-        }
+        let cells = self.pointer_ids(slot).map(|id| (id, pointer.clone()));
+        store_all(&*self.store, cells);
         self.pointers.insert(slot, pointer);
         self.next_pointer_slot = 1 - slot;
         // Only now is the prefix garbage: every record between genesis
-        // and part 0, previous checkpoints included.
+        // and part 0, previous checkpoints included. Record 1 goes in a
+        // batch of its own, ahead of the rest: `open` tells a rotted
+        // pointer from a torn one by GC having removed record 1 first.
         let dead: Vec<u64> = self.journal.range(1..cseq).map(|(&s, _)| s).collect();
-        for s in dead {
-            for copy in 0..self.meta.copies {
-                self.store.remove(meta_copy_id(s, copy));
-            }
-            self.journal.remove(&s);
+        let (first, rest) = dead.split_at(usize::from(dead.first() == Some(&1)));
+        for group in [first, rest] {
+            let ids = group.iter().flat_map(|&s| self.record_ids(s));
+            remove_all(&*self.store, ids);
         }
+        self.journal.retain(|&s, _| s == 0 || s >= cseq);
         self.checkpoint = Some((cseq, parts));
         self.records_since_checkpoint = 0;
         cseq
@@ -1183,18 +1315,12 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// drills pick metadata victims from this list; [`Archive::scrub`]
     /// heals against it.
     pub fn live_meta_ids(&self) -> Vec<BlockId> {
-        let mut ids = Vec::new();
-        for &seq in self.journal.keys() {
-            for copy in 0..self.meta.copies {
-                ids.push(meta_copy_id(seq, copy));
-            }
-        }
-        for &slot in self.pointers.keys() {
-            for copy in 0..self.meta.copies {
-                ids.push(pointer_id(slot, copy));
-            }
-        }
-        ids
+        let records = self.journal.keys().flat_map(|&seq| self.record_ids(seq));
+        let cells = self
+            .pointers
+            .keys()
+            .flat_map(|&slot| self.pointer_ids(slot));
+        records.chain(cells).collect()
     }
 
     /// The metadata durability policy in effect: the genesis-pinned
@@ -1267,9 +1393,21 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         &self.data_ids
     }
 
-    /// Id of the data block at write-order index `k`.
-    fn data_id(&self, k: u64) -> BlockId {
-        self.data_ids[k as usize]
+    /// Runs one scheme write phase (`encode_batch`, `seal`). A plain
+    /// backend is handed to the scheme directly; one a network away gets
+    /// an order-preserving collecting sink whose contents then leave as
+    /// one batch — same writes, same order, `⌈n / window⌉` round trips
+    /// (and whatever the scheme stored before an error is flushed too,
+    /// as the direct path would have left it).
+    fn write_through<R>(&self, phase: impl FnOnce(&dyn BlockSink) -> R) -> R {
+        let store: &B = &self.store;
+        if store.as_async().is_none() {
+            return phase(&self.store);
+        }
+        let sink = Collect::default();
+        let out = phase(&sink);
+        store_all(store, sink.0.into_inner());
+        out
     }
 
     /// Archives a file: chunks, encodes the whole file as one batch
@@ -1288,13 +1426,17 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             return Err(ArchiveError::DuplicateName(name.to_string()));
         }
         let bs = self.block_size;
-        // Even empty files occupy one (zero) block so they have an extent.
+        // The file checksum streams over each chunk as it is cut, so
+        // every payload byte is read once. Even empty files occupy one
+        // (zero) block so they have an extent.
+        let mut crc = Crc32::new();
         let blocks: Vec<Block> = if contents.is_empty() {
             vec![Block::zero(bs)]
         } else {
             contents
                 .chunks(bs)
                 .map(|chunk| {
+                    crc.update(chunk);
                     let mut bytes = chunk.to_vec();
                     bytes.resize(bs, 0);
                     Block::from_vec(bytes)
@@ -1303,18 +1445,18 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         };
         let first_block = self.data_ids.len() as u64;
         let report = self
-            .scheme
-            .encode_batch(&blocks, &self.store)
+            .write_through(|sink| self.scheme.encode_batch(&blocks, sink))
             .map_err(ArchiveError::Encode)?;
         let entry = Entry {
             first_block,
             block_count: blocks.len() as u64,
             byte_len: contents.len(),
-            crc: crc32(contents),
+            crc: crc.finalize(),
         };
         // Journal the mutation before acknowledging it: a crash after the
         // record lands replays the put; a crash before leaves only orphan
-        // blocks that the resumed encoder overwrites.
+        // blocks that the resumed encoder overwrites. `write_through`
+        // returned, so every block of the put is acknowledged.
         self.append_meta(MetaRecord::Put {
             name: name.to_string(),
             byte_len: entry.byte_len as u64,
@@ -1352,8 +1494,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             return Ok(Vec::new());
         }
         let flushed = self
-            .scheme
-            .seal(&self.store)
+            .write_through(|sink| self.scheme.seal(sink))
             .map_err(ArchiveError::Encode)?;
         self.append_meta(MetaRecord::Seal {
             ids: flushed.clone(),
@@ -1375,61 +1516,107 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     ///
     /// When the backend advertises a native async interior
     /// ([`BlockSource::as_async`] — e.g. `ae_aio::BlockOn` around a
-    /// latency-wrapped store), the read runs **pipelined**: the file's
-    /// blocks and any repair traffic move through a bounded in-flight
-    /// window (`ae_aio::in_flight_window`) instead of paying one round
-    /// trip per block, with results and error typing byte-identical to
-    /// the serial path.
+    /// latency-wrapped store), the file's blocks are read as one batch
+    /// and any repair traffic moves through the bounded in-flight window
+    /// too (`ae_aio::in_flight_window`) instead of paying one round trip
+    /// per block, with results and error typing byte-identical to the
+    /// serial path — and, like it, reading only the file's blocks and the
+    /// tuple members of the missing ones, however large the archive.
     pub fn get(&self, name: &str) -> Result<Vec<u8>, ArchiveError> {
-        let store: &B = &self.store;
-        match store.as_async() {
-            Some(handle) => self.get_pipelined(handle, name),
-            None => self.get_serial(name),
-        }
-    }
-
-    fn get_serial(&self, name: &str) -> Result<Vec<u8>, ArchiveError> {
         let entry = self.manifest_entry(name)?;
+        let first = entry.first_block as usize;
+        let ids = &self.data_ids[first..first + entry.block_count as usize];
+        let store: &B = &self.store;
         let mut out = Vec::with_capacity(entry.byte_len);
-        for k in entry.first_block..entry.first_block + entry.block_count {
-            let block = self.fetch_or_repair(self.data_id(k))?;
-            out.extend_from_slice(block.as_slice());
+        match store.as_async() {
+            // A plain backend answers at call time: read, repair and
+            // append block by block, holding nothing.
+            None => {
+                let base: &dyn BlockSource = &store;
+                for &id in ids {
+                    let block = self
+                        .repair_fast(store.read(id), base, id)
+                        .or_else(|err| self.repair_slow(base, id, err))?;
+                    out.extend_from_slice(block.as_slice());
+                }
+            }
+            Some(handle) => {
+                let reads = read_all(store, ids);
+                let blocks: Vec<Block> = if reads.iter().all(Result::is_ok) {
+                    reads.into_iter().flatten().collect()
+                } else {
+                    let replay = Replay::new(handle, in_flight_window());
+                    self.repair_pipelined(replay, ids, reads)?
+                };
+                for block in &blocks {
+                    out.extend_from_slice(block.as_slice());
+                }
+            }
         }
         Self::finish_read(name, entry, out)
     }
 
-    /// The pipelined degraded read: prefetch the file's data blocks
-    /// through the window, then replay the serial read logic against the
-    /// recorded answers, resolving any repair traffic it demands through
-    /// the window too (see `ae_aio::Replay` for the byte-equivalence
-    /// argument).
-    fn get_pipelined(&self, handle: AsyncHandle<'_>, name: &str) -> Result<Vec<u8>, ArchiveError> {
-        let entry = self.manifest_entry(name)?;
-        let ids: Vec<BlockId> = (entry.first_block..entry.first_block + entry.block_count)
-            .map(|k| self.data_id(k))
-            .collect();
-        let window = in_flight_window();
-        let repo = handle.repo;
-        let mut replay = Replay::new(handle, window);
-        let reads = handle.run(Box::pin(windowed_map(ids.clone(), window, move |id| {
-            repo.read_async(id)
-        })));
+    /// The pipelined degraded read: plan the fast-path repairs
+    /// structurally and prefetch their read sets through the window, then
+    /// replay the serial read logic against the recorded answers,
+    /// resolving anything further it demands through the window too (see
+    /// `ae_aio::Replay` for the byte-equivalence argument).
+    fn repair_pipelined(
+        &self,
+        mut replay: Replay<'_>,
+        ids: &[BlockId],
+        reads: Vec<Result<Block, StoreError>>,
+    ) -> Result<Vec<Block>, ArchiveError> {
+        let mut failed = Vec::new();
         for (&id, read) in ids.iter().zip(reads) {
+            if read.is_err() {
+                failed.push(id);
+            }
             replay.seed_read(id, read);
         }
-        let (result, writes) = replay.run(|src| {
-            let mut out = Vec::with_capacity(entry.byte_len);
-            for &id in &ids {
-                let block = self.repair_from(src.read(id), src, id)?;
-                out.extend_from_slice(block.as_slice());
+        // Plan → fetch(window): `is_repairable` asks about exactly the
+        // survivors a single-block repair reads, so answering "present"
+        // for everything not yet known names the next read set. One
+        // batch per round; a round that consulted nothing unknown ends
+        // the plan. Only a prefetch — what it misses, the replay
+        // resolves.
+        let written = self.scheme.data_written();
+        loop {
+            let unknown = RefCell::new(BTreeSet::new());
+            for &target in &failed {
+                self.scheme.is_repairable(target, written, &|id| {
+                    id != target
+                        && replay.fetched(id).unwrap_or_else(|| {
+                            unknown.borrow_mut().insert(id);
+                            true
+                        })
+                });
             }
-            Ok(out)
+            let unknown = unknown.into_inner();
+            if unknown.is_empty() {
+                break;
+            }
+            replay.prefetch(unknown);
+        }
+        let (result, writes) = replay.run(|src| {
+            let mut blocks = Vec::with_capacity(ids.len());
+            for &id in ids {
+                match self.repair_fast(src.read(id), src, id) {
+                    Ok(block) => blocks.push(block),
+                    // The fast path failed on provisional answers: the
+                    // pass is rerun once they are resolved, so never
+                    // escalate to the whole-archive planner on them.
+                    Err(_) if !src.is_faithful() => {}
+                    Err(err) => blocks.push(self.repair_slow(src, id, err)?),
+                }
+            }
+            Ok(blocks)
         });
         debug_assert!(
             writes.is_empty(),
             "degraded reads never write to the backend"
         );
-        Self::finish_read(name, entry, result?)
+        result
     }
 
     fn manifest_entry(&self, name: &str) -> Result<&Entry, ArchiveError> {
@@ -1474,206 +1661,131 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// repair planners rebuild them from surviving redundancy. Returns
     /// how many blocks were restored (data, redundancy and metadata
     /// copies); clears the [`Archive::meta_damage`] report.
+    ///
+    /// Four stages: (1) a read sweep of everything the backend should
+    /// hold, quarantining corrupt blocks; (2) round-based repair;
+    /// (3) metadata compare-and-heal; (4) stale pointer-cell clearing.
     /// When the backend advertises a native async interior
-    /// ([`BlockSource::as_async`]), the scrub runs **pipelined**: the
-    /// integrity sweep, repair traffic, write-back, metadata compare and
-    /// heal all move through the bounded in-flight window, restoring the
-    /// byte-identical final backend state the serial scrub would.
+    /// ([`BlockSource::as_async`]) every stage is a batch through the
+    /// bounded in-flight window and stage 2 replays the planners against
+    /// the sweep's answers, committing their write log in deterministic
+    /// order — restoring the byte-identical final backend state.
     pub fn scrub(&mut self) -> u64 {
-        let store = Arc::clone(&self.store);
-        let probe: &B = &store;
-        let restored = match probe.as_async() {
-            Some(handle) => self.scrub_pipelined(handle),
-            None => self.scrub_serial(),
+        let store: &B = &self.store;
+        // Stages 1 and 2: integrity sweep + quarantine — a block whose
+        // read fails its integrity check is worse than a missing one
+        // (planners would trust its bytes), so drop it and let repair
+        // re-materialize it — then round-based repair of everything
+        // missing.
+        let corrupted =
+            |read: &Result<Block, StoreError>| matches!(read, Err(StoreError::Corrupted(_)));
+        let written = self.scheme.data_written();
+        let summary = match store.as_async() {
+            // A plain backend answers at call time: sweep block by block,
+            // holding nothing, and let the planners at it directly.
+            None => {
+                for &id in &self.stored_ids {
+                    if corrupted(&store.read(id)) {
+                        store.remove(id);
+                    }
+                }
+                let repo: &dyn BlockRepo = &store;
+                self.scheme.repair_missing(repo, &self.stored_ids, written)
+            }
+            // Over the network the sweep is one batch whose answers —
+            // they describe the post-quarantine backend, so the planners
+            // see exactly what the serial path's would — seed the replay.
+            Some(handle) => {
+                let reads = read_all(store, &self.stored_ids);
+                let sweep = self.stored_ids.iter().zip(&reads);
+                let quarantine = sweep.filter(|(_, read)| corrupted(read));
+                remove_all(store, quarantine.map(|(&id, _)| id));
+                let mut replay = Replay::new(handle, in_flight_window());
+                for (&id, read) in self.stored_ids.iter().zip(reads) {
+                    if corrupted(&read) {
+                        replay.seed_absent(id);
+                    } else {
+                        replay.seed_read(id, read);
+                    }
+                }
+                let (summary, writes) = replay.run(|src| {
+                    let repo: &dyn BlockRepo = src;
+                    self.scheme.repair_missing(repo, &self.stored_ids, written)
+                });
+                replay.commit(writes);
+                summary
+            }
         };
+        // Stage 3: heal the metadata plane copy by copy — byte-compare
+        // against the canonical in-memory journal (by sequence, then
+        // pointers by slot, copies innermost), so silently-garbled
+        // copies are rewritten too, not just missing ones.
+        let records = self.journal.iter();
+        let records = records.flat_map(|(&seq, b)| self.record_ids(seq).map(move |id| (id, b)));
+        let cells = self.pointers.iter();
+        let cells = cells.flat_map(|(&slot, b)| self.pointer_ids(slot).map(move |id| (id, b)));
+        let canon: Vec<(BlockId, &Block)> = records.chain(cells).collect();
+        let found = fetch_all(store, canon.iter().map(|&(id, _)| id));
+        let unhealthy: Vec<(BlockId, Block)> = canon
+            .into_iter()
+            .zip(found)
+            .filter(|((_, canon), found)| {
+                found
+                    .as_ref()
+                    .is_none_or(|b| b.as_slice() != canon.as_slice())
+            })
+            .map(|((id, canon), _)| (id, canon.clone()))
+            .collect();
+        let restored = summary.total_repaired() as u64 + unhealthy.len() as u64;
+        store_all(store, unhealthy);
+        // Stage 4: pointer cells the archive does not own (uncommitted
+        // writes a crash tore mid-commit, survived by open) are garbage:
+        // clear the bytes so future opens see a clean cell.
+        let stale = (0..2u64).filter(|slot| !self.pointers.contains_key(slot));
+        remove_all(store, stale.flat_map(|slot| self.pointer_ids(slot)));
         self.meta_damage.clear();
         restored
     }
 
-    fn scrub_serial(&self) -> u64 {
-        // Quarantine corrupt scheme blocks: a block whose read fails its
-        // integrity check is worse than a missing one (planners would
-        // trust its bytes), so drop it and let repair re-materialize it.
-        for &id in &self.stored_ids {
-            if matches!(self.store.read(id), Err(StoreError::Corrupted(_))) {
-                self.store.remove(id);
-            }
-        }
-        let store: &B = &self.store;
-        let repo: &dyn BlockRepo = &store;
-        let summary =
-            self.scheme
-                .repair_missing(repo, &self.stored_ids, self.scheme.data_written());
-        let mut restored = summary.total_repaired() as u64;
-        // Heal the metadata plane copy by copy: byte-compare against the
-        // canonical in-memory journal, so silently-garbled copies are
-        // rewritten too, not just missing ones.
-        let records = self
-            .journal
-            .iter()
-            .map(|(&seq, block)| (false, seq, block.clone()))
-            .chain(
-                self.pointers
-                    .iter()
-                    .map(|(&slot, block)| (true, slot, block.clone())),
-            )
-            .collect::<Vec<_>>();
-        for (pointer, seq, block) in records {
-            for copy in 0..self.meta.copies {
-                let id = if pointer {
-                    pointer_id(seq, copy)
-                } else {
-                    meta_copy_id(seq, copy)
-                };
-                let healthy = self
-                    .store
-                    .fetch(id)
-                    .is_some_and(|found| found.as_slice() == block.as_slice());
-                if !healthy {
-                    self.store.store(id, block.clone());
-                    restored += 1;
-                }
-            }
-        }
-        // Pointer cells the archive does not own (uncommitted writes a
-        // crash tore mid-commit, survived by open) are garbage: clear
-        // the bytes so future opens see a clean cell.
-        for slot in 0..2u64 {
-            if !self.pointers.contains_key(&slot) {
-                for copy in 0..self.meta.copies {
-                    self.store.remove(pointer_id(slot, copy));
-                }
-            }
-        }
-        restored
-    }
-
-    /// The pipelined scrub: same four stages as [`Self::scrub_serial`],
-    /// each moved through the bounded in-flight window — (1) one read
-    /// sweep of everything the backend should hold, quarantining corrupt
-    /// blocks; (2) round-based repair replayed against the sweep's
-    /// answers with its write log committed in deterministic order;
-    /// (3) metadata compare-and-heal; (4) stale pointer-cell clearing.
-    fn scrub_pipelined(&self, handle: AsyncHandle<'_>) -> u64 {
-        let window = in_flight_window();
-        let repo = handle.repo;
-        // Stage 1: integrity sweep + quarantine.
-        let sweep: Vec<BlockId> = self.stored_ids.clone();
-        let reads = handle.run(Box::pin(windowed_map(sweep.clone(), window, move |id| {
-            repo.read_async(id)
-        })));
-        let corrupt: Vec<BlockId> = sweep
-            .iter()
-            .zip(&reads)
-            .filter(|(_, r)| matches!(r, Err(StoreError::Corrupted(_))))
-            .map(|(&id, _)| id)
-            .collect();
-        handle.run(Box::pin(windowed_map(corrupt.clone(), window, move |id| {
-            repo.remove_async(id)
-        })));
-        // Stage 2: replayed repair. The sweep's answers describe the
-        // post-quarantine backend, so the planners see exactly what the
-        // serial path's would.
-        let mut replay = Replay::new(handle, window);
-        let corrupt_set: std::collections::HashSet<BlockId> = corrupt.into_iter().collect();
-        for (&id, read) in sweep.iter().zip(reads) {
-            if corrupt_set.contains(&id) {
-                replay.seed_absent(id);
-            } else {
-                replay.seed_read(id, read);
-            }
-        }
-        let written = self.scheme.data_written();
-        let (summary, writes) = replay.run(|src| {
-            let repo: &dyn BlockRepo = src;
-            self.scheme.repair_missing(repo, &self.stored_ids, written)
-        });
-        replay.commit(writes);
-        let mut restored = summary.total_repaired() as u64;
-        // Stage 3: metadata compare-and-heal, in the serial path's record
-        // order (journal by sequence, then pointers by slot, copies
-        // innermost).
-        let mut meta: Vec<(BlockId, Block)> = Vec::new();
-        for (&seq, block) in &self.journal {
-            for copy in 0..self.meta.copies {
-                meta.push((meta_copy_id(seq, copy), block.clone()));
-            }
-        }
-        for (&slot, block) in &self.pointers {
-            for copy in 0..self.meta.copies {
-                meta.push((pointer_id(slot, copy), block.clone()));
-            }
-        }
-        let meta_ids: Vec<BlockId> = meta.iter().map(|(id, _)| *id).collect();
-        let found = handle.run(Box::pin(windowed_map(meta_ids, window, move |id| {
-            repo.fetch_async(id)
-        })));
-        let unhealthy: Vec<(BlockId, Block)> = meta
-            .into_iter()
-            .zip(found)
-            .filter(|((_, canon), f)| f.as_ref().is_none_or(|b| b.as_slice() != canon.as_slice()))
-            .map(|(rec, _)| rec)
-            .collect();
-        restored += unhealthy.len() as u64;
-        handle.run(Box::pin(windowed_map(
-            unhealthy,
-            window,
-            move |(id, block)| repo.store_async(id, block),
-        )));
-        // Stage 4: clear pointer cells the archive does not own.
-        let mut clears: Vec<BlockId> = Vec::new();
-        for slot in 0..2u64 {
-            if !self.pointers.contains_key(&slot) {
-                for copy in 0..self.meta.copies {
-                    clears.push(pointer_id(slot, copy));
-                }
-            }
-        }
-        handle.run(Box::pin(windowed_map(clears, window, move |id| {
-            repo.remove_async(id)
-        })));
-        restored
-    }
-
-    fn fetch_or_repair(&self, id: BlockId) -> Result<Block, ArchiveError> {
-        let store: &B = &self.store;
-        let base: &dyn BlockSource = &store;
-        self.repair_from(self.store.read(id), base, id)
-    }
-
-    /// The degraded-read core, factored over its block source so the
-    /// serial path (the backend itself) and the pipelined path (the
+    /// The degraded-read fast path, factored over its block source so
+    /// the serial path (the backend itself) and the pipelined path (the
     /// replay recorder) run it verbatim: take the already-probed read
-    /// result and, on failure, rebuild from redundancy reachable through
-    /// `base` with the target id masked.
-    fn repair_from(
+    /// result and, on failure, rebuild from a single repair option among
+    /// the blocks reachable through `base` (one XOR for entanglements,
+    /// one stripe decode for RS).
+    fn repair_fast(
         &self,
         read: Result<Block, StoreError>,
         base: &dyn BlockSource,
         id: BlockId,
-    ) -> Result<Block, ArchiveError> {
+    ) -> Result<Block, RepairError> {
         // `read`, not `fetch`: a backend that verifies checksums reports
         // tampered bytes as `Corrupted`, which to a decoder means the
         // same as missing — rebuild from redundancy. Mask the id from
         // the repair source so the garbled bytes cannot leak back in.
-        if let Ok(b) = read {
-            return Ok(b);
-        }
+        read.or_else(|_| {
+            let masked = MaskOne { base, masked: id };
+            self.scheme
+                .repair_block(&masked, id, self.scheme.data_written())
+        })
+    }
+
+    /// The degraded-read slow path: round-based repair into a read-side
+    /// overlay, so chained reconstructions work without mutating the
+    /// backend (degraded reads stay read-only). It consults the whole
+    /// archive, so callers reach for it only once the fast path has
+    /// failed on faithful answers; `fast_err` is what that failure
+    /// reported.
+    fn repair_slow(
+        &self,
+        base: &dyn BlockSource,
+        id: BlockId,
+        fast_err: RepairError,
+    ) -> Result<Block, ArchiveError> {
         let masked = MaskOne { base, masked: id };
-        let source: &dyn BlockSource = &masked;
-        let written = self.scheme.data_written();
-        // Fast path: a single repair option from currently available
-        // blocks (one XOR for entanglements, one stripe decode for RS).
-        let fast_err = match self.scheme.repair_block(source, id, written) {
-            Ok(b) => return Ok(b),
-            Err(e) => e,
-        };
-        // Slow path: round-based repair into a read-side overlay, so
-        // chained reconstructions work without mutating the backend
-        // (degraded reads stay read-only).
-        let overlay = Overlay::new(source);
+        let overlay = Overlay::new(&masked);
         self.scheme
-            .repair_missing(&overlay, &self.stored_ids, written);
+            .repair_missing(&overlay, &self.stored_ids, self.scheme.data_written());
         overlay
             .patch
             .remove(&id)

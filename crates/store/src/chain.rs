@@ -161,6 +161,35 @@ impl EntangledChain {
     }
 }
 
+impl EntangledChain {
+    /// Parses and validates a frontier snapshot: `(written, sealed)`.
+    fn parse_frontier(&self, snapshot: &[u8]) -> Result<(u64, bool), AeError> {
+        let name = self.scheme_name();
+        let mut r = SnapshotReader::new(snapshot, 1, &name)?;
+        let written = r.u64()?;
+        let sealed = match r.u8()? {
+            0 => false,
+            1 => true,
+            other => {
+                return Err(AeError::CorruptFrontier {
+                    detail: format!("{name}: sealed flag is {other}"),
+                })
+            }
+        };
+        let block_size = r.u64()?;
+        r.finish()?;
+        if block_size != self.block_size as u64 {
+            return Err(AeError::CorruptFrontier {
+                detail: format!(
+                    "{name}: snapshot encodes {block_size}-byte blocks, this chain {}",
+                    self.block_size
+                ),
+            });
+        }
+        Ok((written, sealed))
+    }
+}
+
 impl RedundancyScheme for EntangledChain {
     fn scheme_name(&self) -> String {
         format!("chain({})", self.mode)
@@ -253,28 +282,7 @@ impl RedundancyScheme for EntangledChain {
     }
 
     fn restore_frontier(&self, snapshot: &[u8], source: &dyn BlockSource) -> Result<(), AeError> {
-        let name = self.scheme_name();
-        let mut r = SnapshotReader::new(snapshot, 1, &name)?;
-        let written = r.u64()?;
-        let sealed = match r.u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(AeError::CorruptFrontier {
-                    detail: format!("{name}: sealed flag is {other}"),
-                })
-            }
-        };
-        let block_size = r.u64()?;
-        r.finish()?;
-        if block_size != self.block_size as u64 {
-            return Err(AeError::CorruptFrontier {
-                detail: format!(
-                    "{name}: snapshot encodes {block_size}-byte blocks, this chain {}",
-                    self.block_size
-                ),
-            });
-        }
+        let (written, sealed) = self.parse_frontier(snapshot)?;
         let fetch = |id: BlockId| source.fetch(id).ok_or(AeError::FrontierBlockMissing { id });
         // A sealed chain never encodes again; an unsealed one needs its
         // frontier parity, and a closed ring additionally d_1 to tangle
@@ -292,6 +300,19 @@ impl RedundancyScheme for EntangledChain {
         }
         *self.enc.lock() = state;
         Ok(())
+    }
+
+    fn frontier_reads(&self, snapshot: &[u8]) -> Vec<BlockId> {
+        match self.parse_frontier(snapshot) {
+            Ok((written, false)) if written > 0 => {
+                let mut ids = vec![parity_id(written)];
+                if self.mode == ChainMode::Closed {
+                    ids.push(BlockId::Data(NodeId(1)));
+                }
+                ids
+            }
+            _ => Vec::new(),
+        }
     }
 
     fn repair_block(

@@ -227,6 +227,11 @@ impl RedundancyScheme for GeoLattice {
             })
     }
 
+    fn frontier_reads(&self, snapshot: &[u8]) -> Vec<BlockId> {
+        let local = self.code.frontier_reads(snapshot);
+        local.into_iter().map(|id| self.ns(id)).collect()
+    }
+
     fn repair_block(
         &self,
         source: &dyn BlockSource,

@@ -10,18 +10,43 @@
 //! the virtual-clock executor panics on a hung future, so mere completion
 //! is the no-hang proof), and a `FaultyStore` composition proves the
 //! latency wrapper stacks cleanly on fault injection.
+//!
+//! The write side gets the same treatment: `put`, `seal` and
+//! `checkpoint` batch their backend calls through the window, so for
+//! every roster scheme the archive built over the network at window 1, 8
+//! and 32 must be block-for-block and journal-for-journal the `MemStore`
+//! archive, reopen to the same manifest, and — with the remote tier dead
+//! mid-build — leave the backend exactly as the window-1 run leaves it.
 
-use aecodes::aio::{BlockOn, Clock, LatencyStore, LinkSpec, RetryPolicy, Runtime, Tier};
+use aecodes::aio::{
+    in_flight_window, BlockOn, Clock, LatencyStore, LinkSpec, RetryPolicy, Runtime, Tier, Tiering,
+};
 use aecodes::api::{BlockRepo, BlockSink, BlockSource, RedundancyScheme, StoreError};
 use aecodes::blocks::BlockId;
 use aecodes::sim::Scheme;
 use aecodes::store::archive::{Archive, ArchiveError};
 use aecodes::store::{FaultyStore, MemStore};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const BLOCK: usize = 32;
+
+/// Serializes the tests that set `AE_AIO_WINDOW` (the other tests only
+/// read it, and their outcomes are window-independent by the very
+/// property this file proves).
+static WINDOW_ENV: Mutex<()> = Mutex::new(());
+
+/// Runs `f` once per in-flight window of 1, 8 and 32 (all three collapse
+/// to 1 under the `serial-aio` feature, which ignores the variable).
+fn at_each_window(mut f: impl FnMut(usize)) {
+    let _guard = WINDOW_ENV.lock().unwrap_or_else(|e| e.into_inner());
+    for window in [1usize, 8, 32] {
+        std::env::set_var("AE_AIO_WINDOW", window.to_string());
+        f(in_flight_window());
+    }
+    std::env::remove_var("AE_AIO_WINDOW");
+}
 
 /// A few files of awkward sizes (empty, sub-block, exact multiple, large)
 /// — the same roster `archive_matrix.rs` uses.
@@ -125,6 +150,103 @@ fn every_roster_scheme_reads_and_scrubs_identically_over_the_network() {
         assert_same_state(&plain, &inner, &format!("{name}: after scrub"));
         assert_eq!(piped.scrub(), 0, "{name}: pipelined scrub is idempotent");
         assert!(piped.verify_all().is_empty(), "{name}");
+    }
+}
+
+/// The write side: `put` + `seal` (and the checkpoint `seal` commits)
+/// over the network, at every window, leave the backend block-for-block
+/// and journal-for-journal what the plain `MemStore` run leaves — and a
+/// crash right there reopens to the same manifest.
+#[test]
+fn every_roster_scheme_builds_the_identical_archive_at_every_window() {
+    for s in Scheme::extended_lineup() {
+        let plain = Arc::new(MemStore::new());
+        let reference = filled_archive(&s, Arc::clone(&plain));
+        let name = reference.scheme().scheme_name();
+        at_each_window(|window| {
+            let ctx = format!("{name} at window {window}");
+            let inner = Arc::new(MemStore::new());
+            let net = wrap(Arc::clone(&inner), 0xB17D);
+            let piped = filled_archive(&s, Arc::clone(&net));
+            assert_eq!(reference.stored_ids(), piped.stored_ids(), "{ctx}");
+            assert_eq!(reference.live_meta_ids(), piped.live_meta_ids(), "{ctx}");
+            // `ids()` spans every namespace, so this compares the scheme
+            // blocks *and* every journal, checkpoint and pointer copy.
+            assert_same_state(&plain, &inner, &ctx);
+            drop(piped);
+            let scheme: Arc<dyn RedundancyScheme> = Arc::from(s.build(BLOCK));
+            let reopened = Archive::open(scheme, net).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert!(reopened.manifest().eq(reference.manifest()), "{ctx}");
+            assert!(reopened.meta_damage().is_empty(), "{ctx}");
+            assert_same_state(&plain, &inner, &format!("{ctx}: open is read-only"));
+        });
+    }
+}
+
+/// A remote tier that dies mid-build: the redundancy and journal writes
+/// of the puts that follow are swallowed after bounded retries (the
+/// virtual-clock executor would panic on a hang), the data tier keeps
+/// landing, and the backend ends up exactly as the strictly serial
+/// window-1 schedule leaves it.
+#[test]
+fn a_dead_remote_tier_during_put_swallows_the_same_writes_at_every_window() {
+    let link = LinkSpec {
+        rtt: Duration::from_millis(1),
+        jitter: Duration::from_micros(50),
+        bytes_per_sec: None,
+    };
+    for s in Scheme::extended_lineup() {
+        let mut serial: Option<Arc<MemStore>> = None;
+        at_each_window(|window| {
+            let inner = Arc::new(MemStore::new());
+            let rt = Runtime::new(Clock::virtual_time());
+            let tiering = Tiering::DataLocal {
+                local: link,
+                remote: link,
+            };
+            let net = Arc::new(
+                LatencyStore::new(Arc::clone(&inner), rt, tiering, 0xDEAD)
+                    .with_retry(RetryPolicy {
+                        attempts: 2,
+                        timeout: Duration::from_millis(5),
+                        backoff: Duration::from_millis(2),
+                        multiplier: 2,
+                    })
+                    .into_sync(),
+            );
+            let scheme: Arc<dyn RedundancyScheme> = Arc::from(s.build(BLOCK));
+            let mut ar = Archive::with_scheme(scheme, BLOCK, Arc::clone(&net));
+            let name = ar.scheme().scheme_name();
+            let files = files();
+            for (file, contents) in &files[..2] {
+                ar.put(file, contents).expect("fresh name");
+            }
+            let remote = |store: &MemStore| store.ids().iter().filter(|id| !id.is_data()).count();
+            let remote_at_death = remote(&inner);
+            net.inner().set_dead(Tier::Remote, true);
+            for (file, contents) in &files[2..] {
+                ar.put(file, contents)
+                    .expect("a dead remote is not an error");
+            }
+            ar.seal().expect("seal over a dead remote");
+            let data_landed = inner.ids().iter().filter(|id| id.is_data()).count();
+            assert_eq!(
+                data_landed as u64,
+                ar.blocks_written(),
+                "{name}: the data tier keeps landing"
+            );
+            assert_eq!(
+                remote(&inner),
+                remote_at_death,
+                "{name}: remote writes after the death are swallowed"
+            );
+            match &serial {
+                None => serial = Some(inner),
+                Some(first) => {
+                    assert_same_state(first, &inner, &format!("{name} at window {window}"))
+                }
+            }
+        });
     }
 }
 

@@ -541,6 +541,111 @@ fn power_cut_at_every_position_recovers_over_faulty() {
     }
 }
 
+/// The composite drill (slow **and** crashing): the same power cut, but
+/// *beneath* the latency model — virtual clock, 1 ms RTT, jitter as large
+/// as the RTT, default in-flight window — so `put`, `seal` and
+/// `checkpoint` issue their writes in batches that complete **out of
+/// order** and the fuse burns in completion order. Whatever the cut, the
+/// backend must reopen to a *prefix* of the uninterrupted run (the first
+/// k files, their entries and the id log they imply), read every file it
+/// acknowledges, heal, and — resumed with the remaining files — end up
+/// block-for-block the uninterrupted archive: the batches' barriers
+/// (blocks → journal record → checkpoint parts → pointer → GC) keep the
+/// crash ordering that serial issue used to.
+fn power_cut_under_latency(s: &Scheme, every: u64) {
+    use aecodes::aio::{Clock, LatencyStore, LinkSpec, Runtime};
+    use std::time::Duration;
+
+    let ref_store = Arc::new(MemStore::new());
+    let mut reference =
+        Archive::with_scheme_meta(build(s), BLOCK, Arc::clone(&ref_store), sweep_cfg());
+    for (name, contents) in files() {
+        reference.put(name, &contents).unwrap();
+    }
+    reference.seal().unwrap();
+
+    let lifetime = |cut: u64| {
+        let inner = Arc::new(MemStore::new());
+        let pc = Arc::new(PowerCut::new(Arc::clone(&inner), cut));
+        let link = LinkSpec {
+            rtt: Duration::from_millis(1),
+            jitter: Duration::from_millis(1),
+            bytes_per_sec: None,
+        };
+        let rt = Runtime::new(Clock::virtual_time());
+        let net = LatencyStore::uniform(Arc::clone(&pc), rt, link, cut ^ 0xC0DE);
+        run_lifetime(s, &Arc::new(net.into_sync()));
+        (inner, pc.attempted())
+    };
+    let (_, total) = lifetime(u64::MAX);
+
+    for cut in (0..=total + 1).step_by(every as usize) {
+        let (inner, _) = lifetime(cut);
+        let mut ar = match Archive::open_with_meta(build(s), Arc::clone(&inner), sweep_cfg()) {
+            Ok(ar) => ar,
+            Err(RecoveryError::NoArchive) => continue, // cut inside the genesis batch
+            Err(RecoveryError::CorruptRecord { seq: 0, .. }) => continue,
+            Err(other) => panic!("{s} cut {cut}/{total}: unexpected {other}"),
+        };
+        // A prefix of the uninterrupted run: as many files as survived,
+        // and they are the first ones, entry for entry.
+        let kept = ar.file_count();
+        for (name, _) in files().iter().take(kept) {
+            assert!(ar.entry(name).is_some(), "{s} cut {cut}: {name} is missing");
+            assert_eq!(
+                ar.entry(name),
+                reference.entry(name),
+                "{s} cut {cut}: {name}"
+            );
+        }
+        assert!(
+            reference.stored_ids().starts_with(ar.stored_ids()),
+            "{s} cut {cut}: id log is not a prefix"
+        );
+        assert!(
+            ar.verify_all().is_empty(),
+            "{s} cut {cut}/{total}: every acknowledged file must read"
+        );
+        ar.scrub();
+        // Resume what the crash interrupted; the result must be the
+        // uninterrupted archive, block for block.
+        for (name, contents) in files().iter().skip(kept) {
+            ar.put(name, contents).unwrap();
+        }
+        ar.seal().unwrap();
+        assert_block_identical(s, &ar, &inner, &reference, &ref_store);
+        drop(ar);
+        let ar = Archive::open_with_meta(build(s), Arc::clone(&inner), sweep_cfg())
+            .unwrap_or_else(|e| panic!("{s} cut {cut}: reopen after resume: {e}"));
+        assert!(
+            ar.meta_damage().is_empty(),
+            "{s} cut {cut}: healed, got {:?}",
+            ar.meta_damage()
+        );
+    }
+}
+
+/// Every single write position for the three benchmark schemes.
+#[test]
+fn power_cut_at_every_write_beneath_the_latency_wrapper() {
+    use aecodes::lattice::Config;
+    for s in [
+        Scheme::Ae(Config::new(3, 2, 5).unwrap()),
+        Scheme::Rs { k: 10, m: 4 },
+        Scheme::Replication { n: 3 },
+    ] {
+        power_cut_under_latency(&s, 1);
+    }
+}
+
+/// The whole roster, every seventh position.
+#[test]
+fn power_cut_beneath_the_latency_wrapper_across_the_roster() {
+    for s in Scheme::extended_lineup() {
+        power_cut_under_latency(&s, 7);
+    }
+}
+
 /// How metadata victims die in the copy-loss matrix.
 #[derive(Clone, Copy, Debug)]
 enum MetaHarm {

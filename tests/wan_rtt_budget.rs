@@ -1,0 +1,238 @@
+//! The WAN round-trip budget, measured on the virtual clock.
+//!
+//! Over a 1 ms, jitter-free, uncapped link every backend call costs one
+//! round trip and a batch of `n` independent calls costs `⌈n / window⌉`,
+//! so the virtual time an archive operation takes *is* its count of
+//! sequential round trips — an exact integer with no wall-clock noise.
+//! The table below (AE(3,2,5), RS(10,4), 3-way replication × in-flight
+//! window 1, 8, 32 × put, seal, get, degraded get, scrub, open) is diffed
+//! against `tests/golden/wan_rtts.csv` byte for byte: the `sweeps` job's
+//! golden pattern applied to time. A change that makes an operation pay
+//! more sequential round trips — or fewer — fails here until the golden
+//! is re-recorded on purpose (the table of the run is left in
+//! `target/tmp/wan_rtts.csv`; copy it over the golden).
+//!
+//! The second test pins the code-locality claim the budget rests on: a
+//! degraded read fetches the file's blocks plus the tuple members of the
+//! missing ones, whatever the size of the archive around it.
+
+use aecodes::aio::{in_flight_window, BlockOn, Clock, LatencyStore, LinkSpec, Runtime};
+use aecodes::api::{BlockSink, BlockSource, RedundancyScheme, StoreError};
+use aecodes::blocks::{Block, BlockId};
+use aecodes::lattice::Config;
+use aecodes::sim::Scheme;
+use aecodes::store::archive::Archive;
+use aecodes::store::MemStore;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+const BLOCK: usize = 64;
+const BLOCKS_PER_FILE: usize = 16;
+const RTT: Duration = Duration::from_millis(1);
+const RTT_NS: u64 = 1_000_000;
+
+/// Both tests read the in-flight window; only one may set it at a time.
+static WINDOW_ENV: Mutex<()> = Mutex::new(());
+
+fn roster() -> [Scheme; 3] {
+    [
+        Scheme::Ae(Config::new(3, 2, 5).expect("AE(3,2,5) is a valid configuration")),
+        Scheme::Rs { k: 10, m: 4 },
+        Scheme::Replication { n: 3 },
+    ]
+}
+
+fn build(s: &Scheme) -> Arc<dyn RedundancyScheme> {
+    Arc::from(s.build(BLOCK))
+}
+
+fn payload(file: usize) -> Vec<u8> {
+    (0..BLOCK * BLOCKS_PER_FILE)
+        .map(|i| (i * 31 + file * 7) as u8)
+        .collect()
+}
+
+fn name(file: usize) -> String {
+    format!("f{file:03}")
+}
+
+/// A backend wrapper that counts the read-side calls reaching it — put
+/// *beneath* the latency model, so it sees exactly what crosses the link.
+struct Counting<S> {
+    reads: AtomicU64,
+    inner: S,
+}
+
+impl<S: BlockSource> BlockSource for Counting<S> {
+    fn fetch(&self, id: BlockId) -> Option<Block> {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.fetch(id)
+    }
+
+    fn has(&self, id: BlockId) -> bool {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.has(id)
+    }
+
+    fn read(&self, id: BlockId) -> Result<Block, StoreError> {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.read(id)
+    }
+}
+
+impl<S: BlockSink> BlockSink for Counting<S> {
+    fn store(&self, id: BlockId, block: Block) {
+        self.inner.store(id, block)
+    }
+
+    fn remove(&self, id: BlockId) -> bool {
+        self.inner.remove(id)
+    }
+}
+
+type Net = BlockOn<LatencyStore<Counting<MemStore>>>;
+
+fn network() -> Arc<Net> {
+    let inner = Arc::new(Counting {
+        reads: AtomicU64::new(0),
+        inner: MemStore::new(),
+    });
+    let rt = Runtime::new(Clock::virtual_time());
+    Arc::new(LatencyStore::uniform(inner, rt, LinkSpec::rtt(RTT), 0).into_sync())
+}
+
+fn mem(net: &Net) -> &MemStore {
+    &net.inner().inner().inner
+}
+
+/// Whole round trips `f` takes on `net`'s virtual clock.
+fn rtts<T>(net: &Net, f: impl FnOnce() -> T) -> (T, u64) {
+    let start = net.runtime().now();
+    let out = f();
+    let elapsed = net.runtime().now() - start;
+    assert_eq!(elapsed % RTT_NS, 0, "a jitter-free link costs whole RTTs");
+    (out, elapsed / RTT_NS)
+}
+
+/// One row of the budget: the ae_wan cycle (8 files of 16 blocks) with
+/// every op class summed. One victim per 23 stored positions — coprime
+/// to every scheme's stride, so data and redundancy both take hits.
+fn budget_row(s: &Scheme) -> [u64; 6] {
+    let net = network();
+    let mut ar = Archive::with_scheme(build(s), BLOCK, Arc::clone(&net));
+    let files = 8;
+    let [mut put, mut get, mut degraded] = [0u64; 3];
+    for f in 0..files {
+        put += rtts(&net, || ar.put(&name(f), &payload(f)).expect("fresh name")).1;
+    }
+    let (_, seal) = rtts(&net, || ar.seal().expect("seal"));
+    for f in 0..files {
+        let (bytes, t) = rtts(&net, || ar.get(&name(f)).expect("healthy read"));
+        assert_eq!(bytes, payload(f));
+        get += t;
+    }
+    let victims: Vec<BlockId> = ar
+        .stored_ids()
+        .iter()
+        .copied()
+        .skip(7)
+        .step_by(23)
+        .collect();
+    for v in &victims {
+        assert!(mem(&net).remove(*v));
+    }
+    for f in 0..files {
+        let (bytes, t) = rtts(&net, || ar.get(&name(f)).expect("degraded read"));
+        assert_eq!(bytes, payload(f));
+        degraded += t;
+    }
+    let (restored, scrub) = rtts(&net, || ar.scrub());
+    assert_eq!(restored as usize, victims.len());
+    let before: Vec<_> = ar
+        .manifest()
+        .map(|(n, e)| (n.to_string(), e.clone()))
+        .collect();
+    drop(ar);
+    let (reopened, open) = rtts(&net, || Archive::open(build(s), Arc::clone(&net)));
+    let reopened = reopened.expect("journal replays");
+    assert!(reopened
+        .manifest()
+        .eq(before.iter().map(|(n, e)| (n.as_str(), e))));
+    [put, seal, get, degraded, scrub, open]
+}
+
+#[test]
+fn sequential_round_trips_per_op_match_the_golden_budget() {
+    let _guard = WINDOW_ENV.lock().unwrap_or_else(|e| e.into_inner());
+    let mut table = String::from("scheme,window,put,seal,get,degraded_get,scrub,open\n");
+    let mut serial_pinned = false;
+    for s in roster() {
+        for window in [1usize, 8, 32] {
+            std::env::set_var("AE_AIO_WINDOW", window.to_string());
+            // `serial-aio` pins the window to 1 whatever the variable
+            // says: every row is then the window-1 reference row.
+            serial_pinned |= in_flight_window() != window;
+            let row = budget_row(&s).map(|v| v.to_string()).join(",");
+            table.push_str(&format!("\"{s}\",{},{row}\n", in_flight_window()));
+        }
+    }
+    std::env::remove_var("AE_AIO_WINDOW");
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("wan_rtts.csv");
+    std::fs::write(&out, &table).expect("the test's own tmp dir is writable");
+    let golden = include_str!("golden/wan_rtts.csv");
+    if serial_pinned {
+        let reference: Vec<&str> = golden.lines().filter(|l| l.contains("\",1,")).collect();
+        for line in table.lines().skip(1) {
+            assert!(
+                reference.contains(&line),
+                "not a window-1 golden row: {line}"
+            );
+        }
+    } else {
+        assert_eq!(table, golden, "re-record from {}", out.display());
+    }
+}
+
+/// Degraded-read reads on a `files`-file archive whose file 3 lost a data
+/// block and one of that block's parities.
+fn degraded_read_fetches(s: &Scheme, files: usize) -> u64 {
+    let net = network();
+    let mut ar = Archive::with_scheme(build(s), BLOCK, Arc::clone(&net));
+    for f in 0..files {
+        ar.put(&name(f), &payload(f)).expect("fresh name");
+    }
+    ar.seal().expect("seal");
+    // File 3's fifth data block and the id stored right after it (its
+    // first parity, shard or replica): the fast path has to fall through
+    // to a second repair option, and every id involved sits at the same
+    // write position in both archives.
+    let first = ar.entry(&name(3)).expect("archived").first_block as usize;
+    let victim = ar.data_ids()[first + 4];
+    let at = ar
+        .stored_ids()
+        .iter()
+        .position(|&id| id == victim)
+        .expect("stored");
+    for id in &ar.stored_ids()[at..at + 2] {
+        assert!(mem(&net).remove(*id));
+    }
+    let counter = &net.inner().inner().reads;
+    let before = counter.load(Ordering::Relaxed);
+    assert_eq!(ar.get(&name(3)).expect("degraded read"), payload(3));
+    counter.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn degraded_read_fetch_count_does_not_grow_with_the_archive() {
+    let _guard = WINDOW_ENV.lock().unwrap_or_else(|e| e.into_inner());
+    for s in roster() {
+        let small = degraded_read_fetches(&s, 8);
+        let large = degraded_read_fetches(&s, 64);
+        assert_eq!(small, large, "{s}: reads must not depend on archive size");
+        assert!(
+            small <= (BLOCKS_PER_FILE + 16) as u64,
+            "{s}: {small} reads for a {BLOCKS_PER_FILE}-block file"
+        );
+    }
+}
