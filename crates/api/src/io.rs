@@ -36,9 +36,11 @@
 //! default.
 
 use crate::error::StoreError;
+use crate::placement::mix64;
 use ae_blocks::{Block, BlockId};
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Something blocks can be read from.
@@ -164,6 +166,45 @@ impl<S: BlockSink + ?Sized> BlockSink for Arc<S> {
     }
 }
 
+/// The hasher of [`BlockMap`]: a multiply-fold over the words a
+/// [`BlockId`] hashes to (variant tag, strand class, position), finished
+/// with one [`mix64`] avalanche.
+///
+/// Block ids are scheme arithmetic and tenant tags — dense runs of small
+/// integers, never attacker-chosen strings — so the map needs spread, not
+/// the flooding resistance `RandomState`'s SipHash pays for on every
+/// lookup. The fold is a bijection of each word given the state before
+/// it, so ids that differ in one field never collide ahead of the final
+/// mix. Unseeded: iteration order is the same in every process.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u16(&mut self, x: u16) {
+        self.write_u64(x.into());
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(26) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        mix64(self.0, 0)
+    }
+}
+
 /// The in-memory backend: block id → contents behind a reader-writer lock.
 /// Presence in the map *is* availability.
 ///
@@ -175,7 +216,7 @@ impl<S: BlockSink + ?Sized> BlockSink for Arc<S> {
 /// the lock guard.
 #[derive(Debug, Default)]
 pub struct BlockMap {
-    inner: RwLock<HashMap<BlockId, Block>>,
+    inner: RwLock<HashMap<BlockId, Block, BuildHasherDefault<IdHasher>>>,
 }
 
 impl BlockMap {
@@ -343,6 +384,56 @@ mod tests {
         assert_eq!(map.read(id(2)), Err(StoreError::NotFound(id(2))));
         assert!(BlockSink::remove(&map, id(1)));
         assert!(!BlockSink::remove(&map, id(1)));
+    }
+
+    /// The ids an archive actually stores — dense positions across every
+    /// variant — must spread over both ends of the hash: the low bits pick
+    /// the bucket, the top seven the control byte.
+    #[test]
+    fn id_hasher_spreads_dense_ids_and_is_unseeded() {
+        use ae_blocks::{EdgeId, ReplicaId, ShardId, StrandClass};
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let hash = |id: BlockId| BuildHasherDefault::<IdHasher>::default().hash_one(id);
+        let ids = (1..=20_000u64).flat_map(|i| {
+            let parity = |class| BlockId::Parity(EdgeId::new(class, NodeId(i)));
+            [
+                id(i),
+                parity(StrandClass::Horizontal),
+                parity(StrandClass::RightHanded),
+                parity(StrandClass::LeftHanded),
+                BlockId::Shard(ShardId {
+                    stripe: i / 10,
+                    index: (i % 10) as u16,
+                }),
+                BlockId::Replica(ReplicaId {
+                    node: NodeId(i),
+                    copy: 1 + (i % 2) as u16,
+                }),
+            ]
+        });
+        let (mut low, mut high) = ([0u32; 256], [0u32; 128]);
+        let mut seen = std::collections::HashSet::new();
+        for id in ids {
+            let h = hash(id);
+            assert!(seen.insert(h), "{id} collides on the full 64 bits");
+            low[(h & 0xFF) as usize] += 1;
+            high[(h >> 57) as usize] += 1;
+        }
+        // 120 000 ids: mean 469 per low bucket, 938 per control byte.
+        let spread =
+            |counts: &[u32]| (*counts.iter().min().unwrap(), *counts.iter().max().unwrap());
+        let ((low_min, low_max), (high_min, high_max)) = (spread(&low), spread(&high));
+        assert!(
+            low_min > 350 && low_max < 600,
+            "low bits {low_min}..{low_max}"
+        );
+        assert!(
+            high_min > 750 && high_max < 1150,
+            "top bits {high_min}..{high_max}"
+        );
+        // No per-process seed: the same id hashes the same everywhere.
+        assert_eq!(hash(id(7)), hash(id(7)));
+        assert_ne!(hash(id(7)), hash(id(8)));
     }
 
     #[test]

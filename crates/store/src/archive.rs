@@ -36,15 +36,15 @@
 //! Archives are **crash-recoverable end to end**: every mutation appends
 //! a versioned, checksummed record to an on-backend metadata journal (the
 //! reserved [`BlockId::Meta`] namespace — see [`crate::meta`] for the
-//! format) carrying the manifest entry, the ids written, and the scheme's
-//! encoder-frontier snapshot. After a crash, [`Archive::open`] replays
-//! the journal, restores the encoder frontier through
-//! [`RedundancyScheme::restore_frontier`] (refetching in-flight blocks
-//! from the backend, repairing them on the fly if the crash also took
-//! hardware with it), and resumes `put`/`seal`/`scrub` exactly where the
-//! crashed process stopped — a torn final journal record is detected and
-//! truncated ([`Archive::torn_tail`]), while damaged metadata surfaces as
-//! a typed [`RecoveryError`] naming what was lost.
+//! format) carrying the manifest entry, how many blocks it stored, and
+//! the scheme's encoder-frontier snapshot. After a crash,
+//! [`Archive::open`] replays the journal, restores the encoder frontier
+//! through [`RedundancyScheme::restore_frontier`] (refetching in-flight
+//! blocks from the backend, repairing them on the fly if the crash also
+//! took hardware with it), and resumes `put`/`seal`/`scrub` exactly where
+//! the crashed process stopped — a torn final journal record is detected
+//! and truncated ([`Archive::torn_tail`]), while damaged metadata
+//! surfaces as a typed [`RecoveryError`] naming what was lost.
 //!
 //! The metadata plane itself is **self-protecting** (see [`crate::meta`]
 //! and [`MetaConfig`]): every journal record is written as an n-way copy
@@ -52,10 +52,31 @@
 //! with per-copy CRC validation (surviving copies degrade a read instead
 //! of failing it, reported via [`Archive::meta_damage`]), and past a
 //! configurable threshold the journal is folded into a **checkpoint** —
-//! manifest, write-order id log, sealed flag and encoder frontier in one
+//! manifest, block counters, sealed flag and encoder frontier in one
 //! snapshot — so `open` replays checkpoint + suffix in O(checkpoint)
 //! time however old the archive is, and the superseded prefix is
 //! garbage-collected only after the checkpoint is durably committed.
+//!
+//! # Position-first
+//!
+//! The archive holds **no per-block state**. Every roster scheme answers
+//! [`RedundancyScheme::block_at`] in O(1), so "which blocks did this
+//! archive store" is two counters — data blocks and stored blocks — and
+//! the `k`-th stored block *is* `block_at(k, data)`: `put` verifies each
+//! id the scheme reports against that arithmetic as it goes (and that
+//! data block `j` is `Data(base + j)`, the shared data-id space of the
+//! trait), the journal records counts, `get` computes its extent's ids,
+//! `open` rebuilds nothing per block, and a checkpoint is the manifest
+//! streamed once from where it lives. The only materialised id list is
+//! the one [`Archive::stored_ids`] hands out by reference, built on first
+//! call — drills, `scrub` and the chained-repair slow path use it; `put`,
+//! `get` and `open` never do. A scheme without the authoritative
+//! bijection (or one whose report ever disagrees with it) takes the same
+//! code path with an explicit id log behind it and explicit-id records
+//! in front (see [`crate::meta`]). Positions are `u32`
+//! ([`RedundancyScheme::block_at`]), so a `put` or `seal` that could take
+//! the stored count past `u32::MAX` is refused with
+//! [`ArchiveError::TooLarge`] before anything is encoded.
 //!
 //! # Batched backend I/O
 //!
@@ -95,26 +116,28 @@
 //! (`tests/archive_recovery.rs`).
 
 use crate::meta::{
-    meta_copy_id, pointer_id, CheckpointPayload, MetaConfig, MetaRecord, RecordError,
+    encode_checkpoint_part, encode_checkpoint_payload, meta_copy_id, pointer_id, CheckpointPayload,
+    MetaConfig, MetaRecord, RecordError, StoredIds, StoredParts,
 };
 use ae_aio::{in_flight_window, windowed_map, Replay};
 use ae_api::{
     AeError, AsyncBlockRepo, BlockRepo, BlockSink, BlockSource, BoxFuture, Overlay,
     RedundancyScheme, RepairError, StoreError,
 };
-use ae_blocks::{crc32, Block, BlockId, Crc32, MetaId};
+use ae_blocks::{crc32, Block, BlockId, Crc32, MetaId, NodeId};
 use ae_core::Code;
 use ae_lattice::Config;
 use std::cell::RefCell;
+use std::collections::btree_map::Entry as MapEntry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Manifest entry for one archived file: the file's **dense data extent**
 /// — its index range in the archive's data-block write order, which every
-/// scheme shares — plus length and checksum. The extent indexes into the
-/// archive's write-order id log, so entries stay scheme-agnostic even for
-/// schemes with namespaced ids (the geo lattice).
+/// scheme shares — plus length and checksum. The extent counts data
+/// blocks, not ids, so entries stay scheme-agnostic even for schemes with
+/// namespaced ids (the geo lattice).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
     /// 0-based index of the file's first data block in write order.
@@ -157,6 +180,12 @@ pub enum ArchiveError {
     /// The scheme rejected the encode (e.g. a block-size change against a
     /// buffered partial stripe).
     Encode(AeError),
+    /// The operation could take the archive past the `u32` position space
+    /// of [`RedundancyScheme::block_at`]; nothing was encoded or stored.
+    TooLarge {
+        /// Blocks the archive could hold after the operation.
+        blocks: u64,
+    },
 }
 
 impl fmt::Display for ArchiveError {
@@ -175,6 +204,11 @@ impl fmt::Display for ArchiveError {
                 write!(f, "archive is sealed; cannot archive {n:?}")
             }
             ArchiveError::Encode(e) => write!(f, "encode failed: {e}"),
+            ArchiveError::TooLarge { blocks } => write!(
+                f,
+                "archive would hold {blocks} blocks, past the {} block positions can name",
+                u32::MAX
+            ),
         }
     }
 }
@@ -426,6 +460,228 @@ impl CopySet {
     }
 }
 
+/// The position-first block log: stored block `k` is
+/// `scheme.block_at(k, data)` and data block `j` is `Data(base + j)`,
+/// every id verified as it was stored — two counters, whatever the
+/// archive's size.
+#[derive(Default)]
+struct Positions {
+    /// Data blocks written.
+    data: u64,
+    /// Blocks stored (data + redundancy + sealed).
+    stored: u64,
+    /// Node number of the first data block (meaningless while
+    /// `data == 0`).
+    base: u64,
+    /// What [`Archive::stored_ids`] hands out by reference: built on
+    /// first call, kept current afterwards.
+    listed: OnceLock<Vec<BlockId>>,
+}
+
+/// Positions are `u32` ([`RedundancyScheme::block_at`]): the most blocks
+/// a position-first archive can hold.
+const POSITION_CEILING: u64 = u32::MAX as u64;
+
+impl Positions {
+    /// The node number of data block 0 in an archive grown to
+    /// `data_after` data blocks: known already, or read off position 0 —
+    /// `None` if that is not a data block.
+    fn base_at(&self, scheme: &dyn RedundancyScheme, data_after: u64) -> Option<u64> {
+        if self.data > 0 || data_after == 0 {
+            return Some(self.base);
+        }
+        match scheme.block_at(0, data_after)? {
+            BlockId::Data(NodeId(first)) => Some(first),
+            _ => None,
+        }
+    }
+
+    /// Checks the `ids` a mutation stored, taking the archive to
+    /// `data_after` data blocks, against the scheme's arithmetic: id `i`
+    /// must be `block_at(stored + i, data_after)`, and the data blocks
+    /// among them `Data(base + data)`, `Data(base + data + 1)`, … up to
+    /// `data_after`. Answers the base when they are.
+    fn agrees(
+        &self,
+        scheme: &dyn RedundancyScheme,
+        data_after: u64,
+        ids: &[BlockId],
+    ) -> Option<u64> {
+        if self.stored + ids.len() as u64 > POSITION_CEILING {
+            return None;
+        }
+        let base = self.base_at(scheme, data_after)?;
+        let mut next_data = self.data;
+        for (k, &id) in (self.stored..).zip(ids) {
+            if scheme.block_at(k as u32, data_after) != Some(id) {
+                return None;
+            }
+            if id.is_data() {
+                if id != BlockId::Data(NodeId(base + next_data)) {
+                    return None;
+                }
+                next_data += 1;
+            }
+        }
+        (next_data == data_after).then_some(base)
+    }
+
+    /// Replays a positional record: `count` more stored blocks, taking
+    /// the archive to `data_after` data blocks. Nothing is resolved per
+    /// block; the counters are checked against the position space and the
+    /// scheme's universe instead.
+    fn advance(
+        &mut self,
+        scheme: &dyn RedundancyScheme,
+        data_after: u64,
+        count: u32,
+    ) -> Result<(), RecordError> {
+        let added = data_after.checked_sub(self.data);
+        if added.is_none_or(|added| added > u64::from(count)) {
+            return Err(format!(
+                "{count} stored blocks cannot take {} data blocks to {data_after}",
+                self.data
+            ));
+        }
+        // `data <= stored` held before, so now `data_after <= end`: the
+        // universe is asked about a count the ceiling already bounds.
+        let end = self.stored + u64::from(count);
+        if end > POSITION_CEILING || end > scheme.universe_len(data_after) {
+            return Err(format!(
+                "{end} stored blocks exceed the universe of {data_after} data blocks"
+            ));
+        }
+        let Some(base) = self.base_at(scheme, data_after) else {
+            return Err("position 0 is not a data block".into());
+        };
+        *self = Positions {
+            data: data_after,
+            stored: end,
+            base,
+            listed: OnceLock::new(),
+        };
+        Ok(())
+    }
+
+    /// Every stored id in write order, materialised on first use.
+    fn list(&self, scheme: &dyn RedundancyScheme) -> &[BlockId] {
+        self.listed.get_or_init(|| {
+            let at = |k| scheme.block_at(k, self.data);
+            (0..self.stored as u32)
+                .map(|k| at(k).expect("stored positions lie inside the universe"))
+                .collect()
+        })
+    }
+}
+
+/// Which scheme blocks the archive has stored, in write order — the
+/// scrub/repair target universe, and what the manifest extents count
+/// into. Exactly what the backend should hold, honouring buffered
+/// redundancy.
+enum IdLog {
+    /// By position: no per-block state.
+    Positions(Positions),
+    /// The explicit logs, for a scheme without an authoritative
+    /// `block_at` or whose report once disagreed with it.
+    Listed {
+        /// Data-block ids in write order.
+        data: Vec<BlockId>,
+        /// Every stored id in write order.
+        stored: Vec<BlockId>,
+    },
+}
+
+impl IdLog {
+    fn new(scheme: &dyn RedundancyScheme) -> Self {
+        if scheme.supports_dense_index() {
+            IdLog::Positions(Positions::default())
+        } else {
+            IdLog::Listed {
+                data: Vec::new(),
+                stored: Vec::new(),
+            }
+        }
+    }
+
+    fn data_len(&self) -> u64 {
+        match self {
+            IdLog::Positions(at) => at.data,
+            IdLog::Listed { data, .. } => data.len() as u64,
+        }
+    }
+
+    /// The stored-block count and, when the log is explicit, the ids —
+    /// the form a checkpoint encodes.
+    fn parts(&self) -> StoredParts<'_> {
+        match self {
+            IdLog::Positions(at) => (at.stored as u32, None),
+            IdLog::Listed { stored, .. } => (stored.len() as u32, Some(stored)),
+        }
+    }
+
+    /// Every stored id in write order.
+    fn stored(&self, scheme: &dyn RedundancyScheme) -> &[BlockId] {
+        match self {
+            IdLog::Positions(at) => at.list(scheme),
+            IdLog::Listed { stored, .. } => stored,
+        }
+    }
+
+    /// The ids of data blocks `range` (0-based, write order).
+    fn data(&self, range: std::ops::Range<u64>) -> impl Iterator<Item = BlockId> + '_ {
+        range.map(move |j| match self {
+            IdLog::Positions(at) => BlockId::Data(NodeId(at.base + j)),
+            IdLog::Listed { data, .. } => data[j as usize],
+        })
+    }
+
+    /// Logs the `ids` one mutation stored, taking the archive to
+    /// `data_after` data blocks, and answers the shape its record
+    /// carries: a count when every id is where the scheme's arithmetic
+    /// says — checked here, id by id — and the list otherwise, which
+    /// turns the whole log explicit.
+    fn push(
+        &mut self,
+        scheme: &dyn RedundancyScheme,
+        data_after: u64,
+        ids: Vec<BlockId>,
+    ) -> StoredIds {
+        if let IdLog::Positions(at) = self {
+            if let Some(base) = at.agrees(scheme, data_after, &ids) {
+                (at.data, at.base) = (data_after, base);
+                at.stored += ids.len() as u64;
+                if let Some(list) = at.listed.get_mut() {
+                    list.extend_from_slice(&ids);
+                }
+                return StoredIds::Count(ids.len() as u32);
+            }
+            let stored = at.list(scheme).to_vec();
+            let data = stored.iter().copied().filter(|id| id.is_data()).collect();
+            *self = IdLog::Listed { data, stored };
+        }
+        let IdLog::Listed { data, stored } = self else {
+            unreachable!("a disagreeing log was just made explicit");
+        };
+        data.extend(ids.iter().copied().filter(|id| id.is_data()));
+        stored.extend_from_slice(&ids);
+        StoredIds::Listed(ids)
+    }
+
+    /// Replays a positional record (see [`Positions::advance`]); an
+    /// explicit log has no positions to count.
+    fn advance(
+        &mut self,
+        scheme: &dyn RedundancyScheme,
+        data_after: u64,
+        count: u32,
+    ) -> Result<(), RecordError> {
+        match self {
+            IdLog::Positions(at) => at.advance(scheme, data_after, count),
+            IdLog::Listed { .. } => Err("positional block count in an explicit id log".into()),
+        }
+    }
+}
+
 /// An append-only archive over any scheme and any backend.
 ///
 /// # Examples
@@ -463,13 +719,8 @@ pub struct Archive<B: BlockRepo + ?Sized = dyn BlockRepo> {
     store: Arc<B>,
     block_size: usize,
     manifest: BTreeMap<String, Entry>,
-    /// Write-order log of data-block ids (the manifest extents index into
-    /// it); schemes with namespaced ids stay opaque to the archive.
-    data_ids: Vec<BlockId>,
-    /// Every id written through this archive (data + redundancy + sealed),
-    /// in write order — the scrub/repair target universe. Exactly what the
-    /// backend should hold, honouring buffered redundancy.
-    stored_ids: Vec<BlockId>,
+    /// Every block written through this archive, by position.
+    ids: IdLog,
     sealed: bool,
     /// Sequence number of the next metadata journal record.
     next_meta: u64,
@@ -567,12 +818,11 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             ..meta
         };
         let mut ar = Archive {
+            ids: IdLog::new(&*scheme),
             scheme,
             store,
             block_size,
             manifest: BTreeMap::new(),
-            data_ids: Vec::new(),
-            stored_ids: Vec::new(),
             sealed: false,
             next_meta: 0,
             meta,
@@ -585,18 +835,20 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             meta_damage: Vec::new(),
             replayed: 0,
         };
-        ar.append_meta(MetaRecord::Genesis {
+        let genesis = MetaRecord::Genesis {
             scheme: ar.scheme.scheme_name(),
             block_size: block_size as u64,
             copies: ar.meta.copies,
-        });
+        };
+        ar.append_record(genesis.encode(0));
         ar
     }
 
     /// Reopens an archive previously created over `store`, replaying the
-    /// on-backend metadata journal: the manifest, the write-order id log
-    /// and the sealed state are reconstructed record by record (each
-    /// record CRC-verified), the scheme's encoder frontier is restored
+    /// on-backend metadata journal: the manifest, the block counters and
+    /// the sealed state are reconstructed record by record (each record
+    /// CRC-verified, its counters checked against the scheme's universe
+    /// — no block is resolved), the scheme's encoder frontier is restored
     /// through [`RedundancyScheme::restore_frontier`] — refetching
     /// in-flight blocks from the backend and falling back to single-block
     /// repair if the crash also lost hardware — and the archive resumes
@@ -680,12 +932,11 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             ..meta
         };
         let mut ar = Archive {
+            ids: IdLog::new(&*scheme),
             scheme,
             store,
             block_size: block_size as usize,
             manifest: BTreeMap::new(),
-            data_ids: Vec::new(),
-            stored_ids: Vec::new(),
             sealed: false,
             next_meta: 1,
             meta,
@@ -780,11 +1031,24 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             let repairing = RepairingSource {
                 scheme: &*ar.scheme,
                 base: &prefetched,
-                written: ar.data_ids.len() as u64,
+                written: ar.ids.data_len(),
             };
             ar.scheme
                 .restore_frontier(&snapshot, &repairing)
                 .map_err(RecoveryError::Frontier)?;
+        }
+        // Positions are only as good as the counters under them: the
+        // encoder the journal restored must have written exactly the
+        // data blocks the journal counted.
+        if ar.scheme.data_written() != ar.ids.data_len() {
+            return Err(RecoveryError::CorruptRecord {
+                seq: ar.next_meta - 1,
+                detail: format!(
+                    "journal counts {} data blocks, its encoder frontier {}",
+                    ar.ids.data_len(),
+                    ar.scheme.data_written()
+                ),
+            });
         }
         Ok(ar)
     }
@@ -880,7 +1144,12 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// journal seq `cseq`, validating every part's framing. On success
     /// the parts' canonical blocks join the live journal.
     fn load_checkpoint(&mut self, cseq: u64, parts: u32) -> Result<CheckpointPayload, RecordError> {
-        if parts == 0 || cseq == 0 {
+        // Replay probes a window past the checkpoint: all of it must be
+        // nameable, or a pointer cell could aim `open` at ids that do not
+        // exist.
+        let end = cseq.saturating_add(u64::from(parts));
+        let nameable = end.saturating_add(Self::REPLAY_PROBE_WINDOW) < 1 << MetaId::SEQ_BITS;
+        if parts == 0 || cseq == 0 || !nameable {
             return Err(format!(
                 "pointer names impossible checkpoint {cseq}+{parts}"
             ));
@@ -889,7 +1158,6 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         let mut blocks = Vec::new();
         // Parts move in batches of a probe window's worth of records, so
         // the part count a pointer claims never sizes an allocation.
-        let end = cseq.saturating_add(u64::from(parts));
         let mut next = cseq;
         while next < end {
             let group = next..end.min(next + Self::REPLAY_PROBE_WINDOW);
@@ -924,45 +1192,73 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         Ok(payload)
     }
 
-    /// Installs a checkpoint's state (manifest, id logs, sealed flag),
-    /// returning its frontier snapshot. Structural damage is a typed
-    /// error naming the checkpoint.
+    /// Installs a checkpoint's state (block counters, manifest, sealed
+    /// flag), returning its frontier snapshot. Structural damage is a
+    /// typed error naming the checkpoint.
     fn apply_checkpoint(
         &mut self,
         cseq: u64,
         payload: CheckpointPayload,
     ) -> Result<Vec<u8>, RecoveryError> {
         let corrupt = |detail: String| RecoveryError::CorruptRecord { seq: cseq, detail };
-        self.data_ids = payload
-            .stored_ids
-            .iter()
-            .copied()
-            .filter(|id| id.is_data())
-            .collect();
-        for (name, byte_len, crc, first_block, block_count) in payload.manifest {
-            if first_block + block_count > self.data_ids.len() as u64 {
-                return Err(corrupt(format!(
-                    "checkpoint entry {name:?} extent exceeds its id log"
-                )));
-            }
-            let entry = Entry {
-                first_block,
-                block_count,
-                byte_len: byte_len as usize,
-                crc,
-            };
-            match self.manifest.entry(name) {
-                std::collections::btree_map::Entry::Occupied(e) => {
-                    return Err(corrupt(format!("duplicate checkpoint entry {:?}", e.key())));
-                }
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(entry);
+        match payload.stored {
+            StoredIds::Count(count) => self
+                .ids
+                .advance(&*self.scheme, payload.data, count)
+                .map_err(corrupt)?,
+            StoredIds::Listed(ids) => {
+                self.ids.push(&*self.scheme, payload.data, ids);
+                if self.ids.data_len() != payload.data {
+                    return Err(corrupt(format!(
+                        "checkpoint counts {} data blocks, its id list holds {}",
+                        payload.data,
+                        self.ids.data_len()
+                    )));
                 }
             }
         }
-        self.stored_ids = payload.stored_ids;
+        // The decoder vouched for strictly ascending names, so the rows
+        // are the map, built in one pass.
+        let rows = payload.manifest.into_iter();
+        self.manifest = rows
+            .map(|(name, byte_len, crc, first_block, block_count)| {
+                self.checked_entry(byte_len, crc, first_block, block_count)
+                    .map_err(|why| corrupt(format!("checkpoint entry {name:?} {why}")))
+                    .map(|entry| (name, entry))
+            })
+            .collect::<Result<_, _>>()?;
         self.sealed = payload.sealed;
         Ok(payload.frontier)
+    }
+
+    /// A journaled manifest entry, refused unless its extent lies inside
+    /// the data blocks replayed so far and its byte length inside its
+    /// extent — `get` sizes its buffer by the one and indexes by the
+    /// other.
+    fn checked_entry(
+        &self,
+        byte_len: u64,
+        crc: u32,
+        first_block: u64,
+        block_count: u64,
+    ) -> Result<Entry, RecordError> {
+        let end = first_block.checked_add(block_count);
+        if end.is_none_or(|end| end > self.ids.data_len()) {
+            return Err(format!(
+                "extent {first_block}+{block_count} exceeds the {} data blocks written",
+                self.ids.data_len()
+            ));
+        }
+        let capacity = block_count.checked_mul(self.block_size as u64);
+        if capacity.is_none_or(|capacity| byte_len > capacity) {
+            return Err(format!("claims {byte_len} bytes in {block_count} blocks"));
+        }
+        Ok(Entry {
+            first_block,
+            block_count,
+            byte_len: byte_len as usize,
+            crc,
+        })
     }
 
     /// How far past an invalid or missing record the replay looks for
@@ -1058,39 +1354,40 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
                     ids,
                     frontier: snap,
                 } => {
-                    if first_block != self.data_ids.len() as u64 {
-                        return Err(RecoveryError::CorruptRecord {
-                            seq,
-                            detail: format!(
-                                "extent starts at {first_block} but {} data blocks were replayed",
-                                self.data_ids.len()
-                            ),
-                        });
+                    let corrupt = |detail: String| RecoveryError::CorruptRecord { seq, detail };
+                    if first_block != self.ids.data_len() {
+                        return Err(corrupt(format!(
+                            "extent starts at {first_block} but {} data blocks were replayed",
+                            self.ids.data_len()
+                        )));
                     }
-                    let data_added = ids.iter().filter(|id| id.is_data()).count() as u64;
-                    if data_added != block_count {
-                        return Err(RecoveryError::CorruptRecord {
-                            seq,
-                            detail: format!(
-                                "entry claims {block_count} data blocks, record stores {data_added}"
-                            ),
-                        });
+                    // (An extent that overflows is refused below, whichever
+                    // shape the record has.)
+                    let data_after = first_block.saturating_add(block_count);
+                    match ids {
+                        StoredIds::Count(count) => self
+                            .ids
+                            .advance(&*self.scheme, data_after, count)
+                            .map_err(corrupt)?,
+                        StoredIds::Listed(ids) => {
+                            let data_added = ids.iter().filter(|id| id.is_data()).count() as u64;
+                            if data_added != block_count {
+                                return Err(corrupt(format!(
+                                    "entry claims {block_count} data blocks, record stores {data_added}"
+                                )));
+                            }
+                            self.ids.push(&*self.scheme, data_after, ids);
+                        }
                     }
-                    let entry = Entry {
-                        first_block,
-                        block_count,
-                        byte_len: byte_len as usize,
-                        crc,
+                    let entry = self
+                        .checked_entry(byte_len, crc, first_block, block_count)
+                        .map_err(|why| corrupt(format!("entry {name:?} {why}")))?;
+                    match self.manifest.entry(name) {
+                        MapEntry::Occupied(e) => {
+                            return Err(corrupt(format!("duplicate manifest entry {:?}", e.key())));
+                        }
+                        MapEntry::Vacant(v) => v.insert(entry),
                     };
-                    if self.manifest.insert(name.clone(), entry).is_some() {
-                        return Err(RecoveryError::CorruptRecord {
-                            seq,
-                            detail: format!("duplicate manifest entry {name:?}"),
-                        });
-                    }
-                    self.data_ids
-                        .extend(ids.iter().copied().filter(|id| id.is_data()));
-                    self.stored_ids.extend(ids);
                     frontier = Some(snap);
                     self.records_since_checkpoint += 1;
                 }
@@ -1098,13 +1395,23 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
                     ids,
                     frontier: snap,
                 } => {
+                    let corrupt = |detail: String| RecoveryError::CorruptRecord { seq, detail };
                     if self.sealed {
-                        return Err(RecoveryError::CorruptRecord {
-                            seq,
-                            detail: "second seal record".into(),
-                        });
+                        return Err(corrupt("second seal record".into()));
                     }
-                    self.stored_ids.extend(ids);
+                    let data = self.ids.data_len();
+                    match ids {
+                        StoredIds::Count(count) => self
+                            .ids
+                            .advance(&*self.scheme, data, count)
+                            .map_err(corrupt)?,
+                        StoredIds::Listed(ids) => {
+                            if ids.iter().any(|id| id.is_data()) {
+                                return Err(corrupt("seal record stores data blocks".into()));
+                            }
+                            self.ids.push(&*self.scheme, data, ids);
+                        }
+                    }
                     self.sealed = true;
                     frontier = Some(snap);
                     self.records_since_checkpoint += 1;
@@ -1172,21 +1479,18 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         remove_all(&*self.store, self.record_ids(seq));
     }
 
-    /// Appends a record to the on-backend metadata journal — every copy
-    /// of its set, as one batch — keeping the encoded block so
+    /// Appends an encoded record to the on-backend metadata journal —
+    /// every copy of its set, as one batch — keeping the block so
     /// [`Archive::scrub`] can re-materialize copies the backend loses.
     /// A record is the unit of journal ordering: the next one is not
     /// issued before every copy of this one is acknowledged, because
     /// replay reads a missing record with survivors beyond it as damage,
     /// not as a torn tail.
-    fn append_meta(&mut self, record: MetaRecord) {
+    fn append_record(&mut self, encoded: Vec<u8>) {
         let seq = self.next_meta;
-        let block = Block::from_vec(record.encode(seq));
+        let block = Block::from_vec(encoded);
         let copies = self.record_ids(seq).map(|id| (id, block.clone()));
         store_all(&*self.store, copies);
-        if matches!(record, MetaRecord::Put { .. } | MetaRecord::Seal { .. }) {
-            self.records_since_checkpoint += 1;
-        }
         self.journal.insert(seq, block);
         self.next_meta += 1;
     }
@@ -1198,38 +1502,31 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// either the previous checkpoint reachable or this one committed.
     /// Returns the journal seq of the checkpoint's part 0.
     ///
+    /// The snapshot is one streaming pass over the manifest where it
+    /// lives, two counters and the frontier: O(files), nothing per block,
+    /// nothing cloned.
+    ///
     /// Called automatically past [`MetaConfig::checkpoint_every`] and on
     /// [`Archive::seal`]; public so callers with their own policy can
     /// checkpoint explicitly.
     pub fn checkpoint(&mut self) -> u64 {
-        let payload = CheckpointPayload {
-            manifest: self
-                .manifest
-                .iter()
-                .map(|(name, e)| {
-                    (
-                        name.clone(),
-                        e.byte_len as u64,
-                        e.crc,
-                        e.first_block,
-                        e.block_count,
-                    )
-                })
-                .collect(),
-            stored_ids: self.stored_ids.clone(),
-            sealed: self.sealed,
-            frontier: self.scheme.frontier_snapshot(),
-        }
-        .encode();
+        let rows = self.manifest.iter();
+        let rows = rows.map(|(name, e)| {
+            let byte_len = e.byte_len as u64;
+            (name.as_str(), byte_len, e.crc, e.first_block, e.block_count)
+        });
+        let payload = encode_checkpoint_payload(
+            rows,
+            self.ids.data_len(),
+            self.ids.parts(),
+            self.sealed,
+            &self.scheme.frontier_snapshot(),
+        );
         let cseq = self.next_meta;
         let seg = self.meta.segment_bytes.max(1);
-        let parts = payload.chunks(seg).count() as u32;
-        for (i, chunk) in payload.chunks(seg).enumerate() {
-            self.append_meta(MetaRecord::Checkpoint {
-                part: i as u32,
-                parts,
-                chunk: chunk.to_vec(),
-            });
+        let parts = payload.len().div_ceil(seg) as u32;
+        for (part, chunk) in (0u32..).zip(payload.chunks(seg)) {
+            self.append_record(encode_checkpoint_part(self.next_meta, part, parts, chunk));
         }
         // The pointer commit: all parts are durable, flip the ping-pong
         // cell to them.
@@ -1287,7 +1584,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
 
     /// Data blocks written so far (all files).
     pub fn blocks_written(&self) -> u64 {
-        self.data_ids.len() as u64
+        self.ids.data_len()
     }
 
     /// Whether [`Archive::seal`] has been called.
@@ -1382,15 +1679,18 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// Every id written through this archive (data + redundancy + sealed),
     /// in write order — exactly what the backend should hold right now.
     /// Disaster drills pick victims from this list; [`Archive::scrub`]
-    /// repairs against it.
+    /// repairs against it. The archive works by position and holds no
+    /// such list: the first call materialises it (O(stored blocks) of
+    /// [`RedundancyScheme::block_at`] arithmetic), later calls and later
+    /// `put`s keep it current.
     pub fn stored_ids(&self) -> &[BlockId] {
-        &self.stored_ids
+        self.ids.stored(&*self.scheme)
     }
 
-    /// The write-order log of data-block ids; manifest extents
-    /// ([`Entry::first_block`]) index into it.
-    pub fn data_ids(&self) -> &[BlockId] {
-        &self.data_ids
+    /// The ids of the data blocks in write order, computed as it goes;
+    /// manifest extents ([`Entry::first_block`]) count into it.
+    pub fn data_ids(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.ids.data(0..self.ids.data_len())
     }
 
     /// Runs one scheme write phase (`encode_batch`, `seal`). A plain
@@ -1426,9 +1726,13 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             return Err(ArchiveError::DuplicateName(name.to_string()));
         }
         let bs = self.block_size;
+        // Even empty files occupy one (zero) block so they have an extent.
+        let block_count = contents.len().div_ceil(bs).max(1) as u64;
+        let first_block = self.ids.data_len();
+        let data_after = first_block + block_count;
+        self.check_ceiling(data_after)?;
         // The file checksum streams over each chunk as it is cut, so
-        // every payload byte is read once. Even empty files occupy one
-        // (zero) block so they have an extent.
+        // every payload byte is read once.
         let mut crc = Crc32::new();
         let blocks: Vec<Block> = if contents.is_empty() {
             vec![Block::zero(bs)]
@@ -1443,13 +1747,12 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
                 })
                 .collect()
         };
-        let first_block = self.data_ids.len() as u64;
         let report = self
             .write_through(|sink| self.scheme.encode_batch(&blocks, sink))
             .map_err(ArchiveError::Encode)?;
         let entry = Entry {
             first_block,
-            block_count: blocks.len() as u64,
+            block_count,
             byte_len: contents.len(),
             crc: crc.finalize(),
         };
@@ -1457,23 +1760,36 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         // record lands replays the put; a crash before leaves only orphan
         // blocks that the resumed encoder overwrites. `write_through`
         // returned, so every block of the put is acknowledged.
-        self.append_meta(MetaRecord::Put {
+        let record = MetaRecord::Put {
             name: name.to_string(),
             byte_len: entry.byte_len as u64,
             crc: entry.crc,
             first_block,
-            block_count: entry.block_count,
-            ids: report.ids.clone(),
+            block_count,
+            ids: self.ids.push(&*self.scheme, data_after, report.ids),
             frontier: self.scheme.frontier_snapshot(),
-        });
-        self.data_ids
-            .extend(report.ids.iter().copied().filter(|id| id.is_data()));
-        self.stored_ids.extend(report.ids);
+        };
+        self.append_record(record.encode(self.next_meta));
+        self.records_since_checkpoint += 1;
         self.manifest.insert(name.to_string(), entry.clone());
         // Only after the archive state reflects the put may it be folded
         // into a checkpoint.
         self.maybe_checkpoint();
         Ok(entry)
+    }
+
+    /// Refuses an operation that could take a position-first archive of
+    /// `data_after` data blocks past what `u32` positions can name (an
+    /// explicit id log names its blocks itself).
+    fn check_ceiling(&self, data_after: u64) -> Result<(), ArchiveError> {
+        let blocks = match self.ids {
+            IdLog::Positions(_) => self.scheme.universe_len(data_after),
+            IdLog::Listed { .. } => 0,
+        };
+        if blocks > POSITION_CEILING {
+            return Err(ArchiveError::TooLarge { blocks });
+        }
+        Ok(())
     }
 
     /// Flushes any buffered redundancy (a partial Reed-Solomon stripe, a
@@ -1493,14 +1809,17 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         if self.sealed {
             return Ok(Vec::new());
         }
+        let data = self.ids.data_len();
+        self.check_ceiling(data)?;
         let flushed = self
             .write_through(|sink| self.scheme.seal(sink))
             .map_err(ArchiveError::Encode)?;
-        self.append_meta(MetaRecord::Seal {
-            ids: flushed.clone(),
+        let record = MetaRecord::Seal {
+            ids: self.ids.push(&*self.scheme, data, flushed.clone()),
             frontier: self.scheme.frontier_snapshot(),
-        });
-        self.stored_ids.extend(flushed.iter().copied());
+        };
+        self.append_record(record.encode(self.next_meta));
+        self.records_since_checkpoint += 1;
         self.sealed = true;
         // A sealed archive never grows again: checkpoint it so every
         // future open is O(checkpoint) regardless of its history.
@@ -1524,8 +1843,9 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// tuple members of the missing ones, however large the archive.
     pub fn get(&self, name: &str) -> Result<Vec<u8>, ArchiveError> {
         let entry = self.manifest_entry(name)?;
-        let first = entry.first_block as usize;
-        let ids = &self.data_ids[first..first + entry.block_count as usize];
+        let ids = self
+            .ids
+            .data(entry.first_block..entry.first_block + entry.block_count);
         let store: &B = &self.store;
         let mut out = Vec::with_capacity(entry.byte_len);
         match store.as_async() {
@@ -1533,7 +1853,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             // append block by block, holding nothing.
             None => {
                 let base: &dyn BlockSource = &store;
-                for &id in ids {
+                for id in ids {
                     let block = self
                         .repair_fast(store.read(id), base, id)
                         .or_else(|err| self.repair_slow(base, id, err))?;
@@ -1541,12 +1861,13 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
                 }
             }
             Some(handle) => {
-                let reads = read_all(store, ids);
+                let ids: Vec<BlockId> = ids.collect();
+                let reads = read_all(store, &ids);
                 let blocks: Vec<Block> = if reads.iter().all(Result::is_ok) {
                     reads.into_iter().flatten().collect()
                 } else {
                     let replay = Replay::new(handle, in_flight_window());
-                    self.repair_pipelined(replay, ids, reads)?
+                    self.repair_pipelined(replay, &ids, reads)?
                 };
                 for block in &blocks {
                     out.extend_from_slice(block.as_slice());
@@ -1672,6 +1993,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// order — restoring the byte-identical final backend state.
     pub fn scrub(&mut self) -> u64 {
         let store: &B = &self.store;
+        let stored = self.stored_ids();
         // Stages 1 and 2: integrity sweep + quarantine — a block whose
         // read fails its integrity check is worse than a missing one
         // (planners would trust its bytes), so drop it and let repair
@@ -1684,24 +2006,24 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             // A plain backend answers at call time: sweep block by block,
             // holding nothing, and let the planners at it directly.
             None => {
-                for &id in &self.stored_ids {
+                for &id in stored {
                     if corrupted(&store.read(id)) {
                         store.remove(id);
                     }
                 }
                 let repo: &dyn BlockRepo = &store;
-                self.scheme.repair_missing(repo, &self.stored_ids, written)
+                self.scheme.repair_missing(repo, stored, written)
             }
             // Over the network the sweep is one batch whose answers —
             // they describe the post-quarantine backend, so the planners
             // see exactly what the serial path's would — seed the replay.
             Some(handle) => {
-                let reads = read_all(store, &self.stored_ids);
-                let sweep = self.stored_ids.iter().zip(&reads);
+                let reads = read_all(store, stored);
+                let sweep = stored.iter().zip(&reads);
                 let quarantine = sweep.filter(|(_, read)| corrupted(read));
                 remove_all(store, quarantine.map(|(&id, _)| id));
                 let mut replay = Replay::new(handle, in_flight_window());
-                for (&id, read) in self.stored_ids.iter().zip(reads) {
+                for (&id, read) in stored.iter().zip(reads) {
                     if corrupted(&read) {
                         replay.seed_absent(id);
                     } else {
@@ -1710,7 +2032,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
                 }
                 let (summary, writes) = replay.run(|src| {
                     let repo: &dyn BlockRepo = src;
-                    self.scheme.repair_missing(repo, &self.stored_ids, written)
+                    self.scheme.repair_missing(repo, stored, written)
                 });
                 replay.commit(writes);
                 summary
@@ -1785,7 +2107,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         let masked = MaskOne { base, masked: id };
         let overlay = Overlay::new(&masked);
         self.scheme
-            .repair_missing(&overlay, &self.stored_ids, self.scheme.data_written());
+            .repair_missing(&overlay, self.stored_ids(), self.scheme.data_written());
         overlay
             .patch
             .remove(&id)
@@ -1799,9 +2121,8 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meta::meta_id;
+    use crate::meta::{meta_id, FORMAT_VERSION};
     use crate::store::MemStore;
-    use ae_blocks::NodeId;
 
     fn data_id(i: u64) -> BlockId {
         BlockId::Data(NodeId(i))
@@ -2486,5 +2807,443 @@ mod tests {
             Archive::open(ae_scheme(), Arc::clone(&store)),
             Err(RecoveryError::CorruptRecord { .. })
         ));
+    }
+    // --- position-first journal -----------------------------------------
+
+    use crate::meta::v2;
+    use ae_api::SnapshotWriter;
+    use ae_baselines::{ReedSolomon, Replication};
+
+    fn repl3() -> Arc<dyn RedundancyScheme> {
+        Arc::new(Replication::new(3))
+    }
+
+    /// Every `Meta` block `store` holds.
+    fn meta_blocks(store: &MemStore) -> Vec<(BlockId, Block)> {
+        let ids = store.ids().into_iter().filter(|id| id.is_meta());
+        ids.map(|id| (id, store.get(id).unwrap())).collect()
+    }
+
+    fn copy_of(store: &MemStore) -> Arc<MemStore> {
+        let copy = MemStore::new();
+        for id in store.ids() {
+            copy.put(id, store.get(id).unwrap());
+        }
+        Arc::new(copy)
+    }
+
+    /// A backend holding genesis, a one-part committed checkpoint of
+    /// `payload` at seq 1 and the `suffix` records after it — written by
+    /// hand, so the counters can claim what no test could afford to store.
+    fn crafted(
+        scheme: &dyn RedundancyScheme,
+        payload: &CheckpointPayload,
+        suffix: &[MetaRecord],
+    ) -> Arc<MemStore> {
+        let store = MemStore::new();
+        let genesis = MetaRecord::Genesis {
+            scheme: scheme.scheme_name(),
+            block_size: 64,
+            copies: 3,
+        };
+        let pointer = MetaRecord::Pointer {
+            checkpoint: 1,
+            parts: 1,
+        };
+        let mut records = vec![
+            genesis.encode(0),
+            encode_checkpoint_part(1, 0, 1, &payload.encode()),
+        ];
+        records.extend((2u64..).zip(suffix).map(|(seq, r)| r.encode(seq)));
+        for copy in 0..3 {
+            for (seq, bytes) in (0u64..).zip(&records) {
+                store.put(meta_copy_id(seq, copy), Block::from_vec(bytes.clone()));
+            }
+            store.put(pointer_id(0, copy), Block::from_vec(pointer.encode(0)));
+        }
+        Arc::new(store)
+    }
+
+    /// A 3-way-replication checkpoint claiming `data` data blocks and
+    /// `stored` stored ones, its encoder frontier in step.
+    fn claimed(data: u64, stored: u32) -> CheckpointPayload {
+        CheckpointPayload {
+            manifest: Vec::new(),
+            data,
+            stored: StoredIds::Count(stored),
+            sealed: false,
+            frontier: SnapshotWriter::new(1).u64(data).finish(),
+        }
+    }
+
+    #[test]
+    fn the_position_ceiling_is_a_typed_refusal() {
+        // 3-way replication stores 3 blocks per data block, and
+        // u32::MAX = 3 × 1 431 655 765: that many data blocks fill the
+        // position space exactly.
+        let full = u64::from(u32::MAX) / 3;
+        let store = crafted(&*repl3(), &claimed(full, u32::MAX - 2), &[]);
+        let mut ar = Archive::open(repl3(), Arc::clone(&store)).unwrap();
+        assert_eq!(ar.blocks_written(), full);
+        let held = store.len();
+        assert_eq!(
+            ar.put("one-more", b"x"),
+            Err(ArchiveError::TooLarge {
+                blocks: 3 * (full + 1)
+            })
+        );
+        assert_eq!(store.len(), held, "nothing encoded, nothing journaled");
+        assert_eq!(ar.scheme().data_written(), full, "the encoder never ran");
+        assert_eq!(ar.file_count(), 0);
+        assert_eq!(ar.seal(), Ok(Vec::new()), "the flush still fits");
+
+        // One data block further the universe itself is past the ceiling
+        // (the stored count, buffered redundancy pending, is not): even
+        // the flush is refused.
+        let store = crafted(&*repl3(), &claimed(full + 1, u32::MAX - 2), &[]);
+        let mut ar = Archive::open(repl3(), Arc::clone(&store)).unwrap();
+        let refused = ArchiveError::TooLarge {
+            blocks: 3 * (full + 1),
+        };
+        assert_eq!(ar.seal(), Err(refused.clone()));
+        assert!(!ar.is_sealed());
+        assert!(refused.to_string().contains("4294967298"), "{refused}");
+    }
+
+    #[test]
+    fn counters_beyond_the_universe_are_corrupt_records() {
+        let open = |payload: &CheckpointPayload, suffix: &[MetaRecord]| {
+            Archive::open(repl3(), crafted(&*repl3(), payload, suffix)).map(|_| ())
+        };
+        let corrupt_at = |result: Result<(), RecoveryError>, at: u64, what: &str| match result {
+            Err(RecoveryError::CorruptRecord { seq, detail }) => {
+                assert_eq!(seq, at, "{detail}");
+                assert!(detail.contains(what), "{detail}");
+            }
+            other => panic!("expected a corrupt record at {at}, got {other:?}"),
+        };
+        assert_eq!(open(&claimed(10, 30), &[]), Ok(()));
+        // More stored blocks than 10 data blocks can have.
+        corrupt_at(open(&claimed(10, 31), &[]), 1, "exceed the universe");
+        // More data blocks than stored blocks.
+        corrupt_at(open(&claimed(10, 9), &[]), 1, "cannot take");
+        // A put record whose count runs past the position space.
+        let full = u64::from(u32::MAX) / 3;
+        let put = |count| MetaRecord::Put {
+            name: "f".into(),
+            byte_len: 1,
+            crc: 0,
+            first_block: full - 1,
+            block_count: 1,
+            ids: StoredIds::Count(count),
+            frontier: SnapshotWriter::new(1).u64(full).finish(),
+        };
+        let nearly = claimed(full - 1, u32::MAX - 3);
+        assert_eq!(open(&nearly, &[put(3)]), Ok(()));
+        corrupt_at(open(&nearly, &[put(4)]), 2, "exceed the universe");
+        // A put record that stores fewer blocks than it adds data blocks.
+        corrupt_at(open(&nearly, &[put(0)]), 2, "cannot take");
+        // Manifest rows outside the data counter, or longer than their
+        // extent: `get` would index and allocate by them.
+        let with_row = |row| CheckpointPayload {
+            manifest: vec![row],
+            ..claimed(10, 30)
+        };
+        assert_eq!(open(&with_row(("f".into(), 640, 0, 0, 10)), &[]), Ok(()));
+        corrupt_at(open(&with_row(("f".into(), 1, 0, 0, 11)), &[]), 1, "extent");
+        corrupt_at(
+            open(&with_row(("f".into(), 1, 0, u64::MAX, 2)), &[]),
+            1,
+            "extent",
+        );
+        corrupt_at(
+            open(&with_row(("f".into(), 641, 0, 0, 10)), &[]),
+            1,
+            "claims",
+        );
+        corrupt_at(
+            open(&with_row(("f".into(), u64::MAX, 0, 0, 10)), &[]),
+            1,
+            "claims",
+        );
+        // Counters the restored encoder does not agree with.
+        let skewed = CheckpointPayload {
+            frontier: SnapshotWriter::new(1).u64(9).finish(),
+            ..claimed(10, 30)
+        };
+        corrupt_at(open(&skewed, &[]), 1, "encoder frontier");
+    }
+
+    /// `ar`'s journal and blocks as the build before position-first
+    /// journals would have left them: format-2 records with their ids
+    /// listed and — when asked — a committed multi-part version-1
+    /// checkpoint after record `checkpoint_after`, its prefix collected.
+    /// `ar` must never have checkpointed (its journal is then one record
+    /// per mutation, in order).
+    fn as_version_2(ar: &Archive<MemStore>, checkpoint_after: Option<u64>) -> Arc<MemStore> {
+        assert_eq!(ar.checkpoint_seq(), None);
+        let out = MemStore::new();
+        for id in ar.store.ids().into_iter().filter(|id| !id.is_meta()) {
+            out.put(id, ar.store.get(id).unwrap());
+        }
+        let write = |seq: u64, bytes: Vec<u8>| {
+            for copy in 0..3 {
+                out.put(meta_copy_id(seq, copy), Block::from_vec(bytes.clone()));
+            }
+        };
+        let all = ar.stored_ids();
+        let mut folded = CheckpointPayload {
+            manifest: Vec::new(),
+            data: 0,
+            stored: StoredIds::Listed(Vec::new()),
+            sealed: false,
+            frontier: Vec::new(),
+        };
+        let mut at = 0;
+        let mut seq = 0;
+        for (&live_seq, block) in &ar.journal {
+            let mut record = MetaRecord::decode(live_seq, block.as_slice()).unwrap();
+            let mut list = |ids: &mut StoredIds| {
+                let StoredIds::Count(count) = *ids else {
+                    panic!("a roster scheme journals counts");
+                };
+                let listed = all[at..at + count as usize].to_vec();
+                at += count as usize;
+                *ids = StoredIds::Listed(listed);
+            };
+            match &mut record {
+                MetaRecord::Put {
+                    name,
+                    byte_len,
+                    crc,
+                    first_block,
+                    block_count,
+                    ids,
+                    frontier,
+                } => {
+                    list(ids);
+                    let row = (name.clone(), *byte_len, *crc, *first_block, *block_count);
+                    folded.manifest.push(row);
+                    folded.frontier = frontier.clone();
+                }
+                MetaRecord::Seal { ids, frontier } => {
+                    list(ids);
+                    folded.sealed = true;
+                    folded.frontier = frontier.clone();
+                }
+                _ => {}
+            }
+            write(seq, v2::encode_record(&record, seq));
+            seq += 1;
+            if checkpoint_after == Some(live_seq) {
+                folded.manifest.sort();
+                folded.stored = StoredIds::Listed(all[..at].to_vec());
+                let payload = v2::encode_payload(&folded);
+                let (cseq, parts) = (seq, payload.len().div_ceil(100) as u32);
+                for (part, chunk) in (0u32..).zip(payload.chunks(100)) {
+                    let record = MetaRecord::Checkpoint {
+                        part,
+                        parts,
+                        chunk: chunk.to_vec(),
+                    };
+                    write(seq, v2::encode_record(&record, seq));
+                    seq += 1;
+                }
+                let pointer = MetaRecord::Pointer {
+                    checkpoint: cseq,
+                    parts,
+                };
+                for copy in 0..3 {
+                    let cell = Block::from_vec(v2::encode_record(&pointer, 0));
+                    out.put(pointer_id(0, copy), cell);
+                    for dead in 1..cseq {
+                        out.remove(meta_copy_id(dead, copy));
+                    }
+                }
+            }
+        }
+        Arc::new(out)
+    }
+
+    #[test]
+    fn version_2_journals_open_unchanged_and_checkpoint_into_version_3() {
+        type Build = fn() -> Arc<dyn RedundancyScheme>;
+        let roster: [Build; 3] = [
+            ae_scheme,
+            || Arc::new(ReedSolomon::new(10, 4).unwrap()),
+            repl3,
+        ];
+        let file = |i: u8| (format!("f{i}"), payload(40 + 97 * i as usize, i));
+        let version =
+            |block: &Block| u16::from_le_bytes([block.as_slice()[4], block.as_slice()[5]]);
+        for build in roster {
+            for checkpoint_after in [None, Some(4)] {
+                // What this build journals for seven files (the last RS
+                // stripe left buffered), and the same history as the
+                // previous build stored it.
+                let no_checkpoints = meta_cfg(3, None);
+                let mut reference = Archive::with_scheme_meta(
+                    build(),
+                    64,
+                    Arc::new(MemStore::new()),
+                    no_checkpoints,
+                );
+                for i in 0..7 {
+                    let (name, contents) = file(i);
+                    reference.put(&name, &contents).unwrap();
+                }
+                let name = reference.scheme().scheme_name();
+                let ctx = format!("{name}, checkpoint after {checkpoint_after:?}");
+                let store = as_version_2(&reference, checkpoint_after);
+                assert!(
+                    meta_blocks(&store).iter().all(|(_, b)| version(b) == 2),
+                    "{ctx}"
+                );
+
+                let scheme = build();
+                let mut ar = Archive::open(Arc::clone(&scheme), Arc::clone(&store)).expect(&ctx);
+                assert!(ar.manifest().eq(reference.manifest()), "{ctx}");
+                assert_eq!(ar.stored_ids(), reference.stored_ids(), "{ctx}");
+                assert_eq!(
+                    scheme.frontier_snapshot(),
+                    reference.scheme().frontier_snapshot(),
+                    "{ctx}"
+                );
+                assert_eq!(ar.checkpoint_seq().is_some(), checkpoint_after.is_some());
+                assert!(
+                    ar.meta_damage().is_empty() && ar.torn_tail().is_none(),
+                    "{ctx}"
+                );
+                assert!(
+                    matches!(ar.ids, IdLog::Positions(_)),
+                    "{ctx}: listed ids that agree with block_at replay by position"
+                );
+                for i in 0..7 {
+                    let (name, contents) = file(i);
+                    assert_eq!(ar.get(&name).unwrap(), contents, "{ctx}");
+                }
+
+                // It resumes block for block, and its next checkpoint
+                // supersedes every version-2 record: what is left is
+                // genesis (the one record GC keeps; same layout in both
+                // formats) and a pure version-3 journal of counts.
+                let (late, contents) = file(7);
+                assert_eq!(
+                    ar.put(&late, &contents).unwrap(),
+                    reference.put(&late, &contents).unwrap()
+                );
+                let cseq = ar.checkpoint();
+                for (id, block) in meta_blocks(&store) {
+                    let BlockId::Meta(meta) = id else {
+                        unreachable!()
+                    };
+                    // (The ping-pong slot this checkpoint did not write
+                    // still holds the superseded pointer.)
+                    let superseded = meta.is_pointer()
+                        && MetaRecord::decode(meta.seq(), block.as_slice())
+                            != Ok(MetaRecord::Pointer {
+                                checkpoint: cseq,
+                                parts: 1,
+                            });
+                    let genesis = !meta.is_pointer() && meta.seq() == 0;
+                    if !genesis && !superseded {
+                        assert_eq!(version(&block), FORMAT_VERSION, "{ctx}: {id}");
+                    }
+                }
+                let part0 = store.get(meta_copy_id(cseq, 0)).unwrap();
+                let Ok(MetaRecord::Checkpoint {
+                    parts: 1, chunk, ..
+                }) = MetaRecord::decode(cseq, part0.as_slice())
+                else {
+                    panic!("{ctx}: one-part checkpoint expected");
+                };
+                let folded = CheckpointPayload::decode(&chunk).unwrap();
+                assert_eq!(
+                    folded.stored,
+                    StoredIds::Count(reference.stored_ids().len() as u32)
+                );
+                assert_eq!(folded.data, reference.blocks_written());
+                drop(ar);
+                let mut ar = Archive::open(build(), Arc::clone(&store)).expect(&ctx);
+                assert_eq!(ar.replayed_records(), 0, "{ctx}");
+                assert_eq!(ar.stored_ids(), reference.stored_ids(), "{ctx}");
+                assert_eq!(ar.seal().unwrap(), reference.seal().unwrap(), "{ctx}");
+                for &id in reference.stored_ids() {
+                    assert_eq!(store.get(id), reference.store.get(id), "{ctx}: {id}");
+                }
+            }
+        }
+    }
+
+    /// Hostile bytes at the archive level: every byte of every live record
+    /// of a real journal (multi-part checkpoint, pointer, suffix), set to
+    /// four other values with the checksum re-sealed so the mutation gets
+    /// past the CRC and into replay. `open` must answer `Ok` or a typed
+    /// error — and whatever opens must serve reads without panicking.
+    #[test]
+    fn one_mutated_byte_in_a_real_journal_never_panics_open() {
+        let store = Arc::new(MemStore::new());
+        let cfg = MetaConfig {
+            copies: 3,
+            checkpoint_every: Some(3),
+            segment_bytes: 60,
+        };
+        let mut ar = Archive::with_scheme_meta(ae_scheme(), 64, Arc::clone(&store), cfg);
+        for i in 0..5u8 {
+            ar.put(&format!("f{i}"), &payload(70 * i as usize, i))
+                .unwrap();
+        }
+        assert!(ar.checkpoint_seq().is_some() && ar.live_meta_records() > 4);
+        drop(ar);
+        let mut records: Vec<(MetaId, Block)> = meta_blocks(&store)
+            .into_iter()
+            .filter_map(|(id, block)| match id {
+                BlockId::Meta(meta) if meta.copy() == 0 => Some((meta, block)),
+                _ => None,
+            })
+            .collect();
+        records.sort_by_key(|(meta, _)| *meta);
+        let (mut opened, mut refused) = (0, 0);
+        for (meta, block) in records {
+            let body = block.len() - 4;
+            for at in 0..body {
+                for flip in [0x01, 0x80, 0xFF, block.as_slice()[at]] {
+                    // (the last one zeroes the byte)
+                    let mut bytes = block.as_slice().to_vec();
+                    bytes[at] ^= flip;
+                    if bytes[at] == block.as_slice()[at] {
+                        continue;
+                    }
+                    let crc = crc32(&bytes[..body]);
+                    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+                    let hostile = copy_of(&store);
+                    for copy in 0..3 {
+                        let id = if meta.is_pointer() {
+                            pointer_id(meta.seq(), copy)
+                        } else {
+                            meta_copy_id(meta.seq(), copy)
+                        };
+                        hostile.put(id, Block::from_vec(bytes.clone()));
+                    }
+                    match Archive::open(ae_scheme(), hostile) {
+                        Ok(ar) => {
+                            opened += 1;
+                            for name in ar.names() {
+                                let _ = ar.get(name);
+                            }
+                            assert!(ar.stored_ids().len() <= 4 * ar.blocks_written() as usize);
+                        }
+                        Err(err) => {
+                            refused += 1;
+                            assert!(!err.to_string().is_empty());
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            opened > 0 && refused > opened,
+            "{opened} opened, {refused} refused"
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! The archive's **on-backend metadata journal**: the persistent form of
-//! the manifest, the write-order id log and the encoder frontier —
+//! the manifest, the stored-block counters and the encoder frontier —
 //! checkpointed, and as redundant as the data it describes.
 //!
 //! [`crate::Archive`] keeps its metadata as a sequence of records stored
@@ -23,14 +23,31 @@
 //!   `open` replays *checkpoint + suffix* instead of the whole history:
 //!   O(checkpoint) open time, independent of archive age.
 //!
-//! # Record layout (format version 2)
+//! # Position-first: counts, not id lists
+//!
+//! The paper's broker keeps "the last p-block of its 15 strands" and
+//! nothing else (§IV.A), because every block's identity is lattice
+//! arithmetic (§III). The journal follows: the `k`-th block an archive
+//! stored is [`ae_api::RedundancyScheme::block_at`]`(k, data)`, so a
+//! record says *how many* blocks its mutation stored and never which —
+//! the ids are `block_at(stored_before + i, data_after)` — and a
+//! checkpoint carries two counters where format version 2 carried the
+//! whole write-order id log. The archive verifies every id a scheme
+//! reports against `block_at` when it writes the record (O(ids)
+//! arithmetic); a scheme without the authoritative bijection
+//! ([`ae_api::RedundancyScheme::supports_dense_index`] `false`), or whose
+//! report ever disagrees with it, gets the **explicit** shape of the same
+//! field instead: the id list itself, as version 2 wrote it. One field,
+//! one reader, two shapes ([`StoredIds`]).
+//!
+//! # Record layout (format version 3)
 //!
 //! Every record is one block whose bytes are:
 //!
 //! | offset | size | field |
 //! |-------:|-----:|-------|
 //! | 0      | 4    | magic `b"AEMJ"` |
-//! | 4      | 2    | format version, little-endian (`2`; `1` still decodes) |
+//! | 4      | 2    | format version, little-endian (`3`; `1` and `2` still decode) |
 //! | 6      | 2    | record kind, little-endian (below) |
 //! | 8      | 8    | sequence number, little-endian — must equal the [`MetaId::seq`] of the id the record is stored under (the pointer **slot** for pointer records) |
 //! | 16     | 4    | payload length `L`, little-endian |
@@ -42,20 +59,20 @@
 //!
 //! * **Genesis** (`kind 0`, written once at archive creation, copies of
 //!   journal seq 0): scheme display name (string), block size (`u64`),
-//!   and — version 2 — the copy-set width (`u16`), which pins
+//!   and — since version 2 — the copy-set width (`u16`), which pins
 //!   [`MetaConfig::copies`] for the archive's whole life. Version-1
 //!   genesis records have no width field and decode as one copy.
 //!   [`crate::Archive::open`] refuses to replay a journal whose scheme
 //!   name differs from the scheme it was given.
 //! * **Put** (`kind 1`, one per [`crate::Archive::put`]): file name
 //!   (string), byte length (`u64`), content CRC32 (`u32`), dense extent
-//!   (`first_block u64`, `block_count u64`), the block ids this put stored
-//!   (`u32` count, then ids, write order, redundancy included), and the
-//!   post-put encoder-frontier snapshot (`u32` length + bytes, see
+//!   (`first_block u64`, `block_count u64`), the **stored blocks** of
+//!   this put (below; redundancy included), and the post-put
+//!   encoder-frontier snapshot (`u32` length + bytes, see
 //!   [`ae_api::RedundancyScheme::frontier_snapshot`]).
 //! * **Seal** (`kind 2`, at most one, written by
-//!   [`crate::Archive::seal`]): the ids the flush stored (`u32` count +
-//!   ids) and the post-seal frontier snapshot (`u32` length + bytes).
+//!   [`crate::Archive::seal`]): the stored blocks of the flush and the
+//!   post-seal frontier snapshot (`u32` length + bytes).
 //! * **Checkpoint** (`kind 3`): one *part* of a [`CheckpointPayload`]
 //!   snapshot — part index (`u32`), part count (`u32`), chunk bytes
 //!   (`u32` length + bytes). A snapshot larger than
@@ -68,6 +85,53 @@
 //!   cells are the journal's only **rewritable** blocks: two slots
 //!   alternate (ping-pong), so a crash mid-overwrite always leaves the
 //!   other slot's previous pointer intact.
+//!
+//! The **stored blocks** field ([`StoredIds`]) is a shape byte, then a
+//! `u32` count: shape `0` — nothing follows, the blocks are the next
+//! `count` positions of the scheme's arithmetic; shape `1` — `count`
+//! tagged block ids follow, in write order. Version-1 and -2 records have
+//! no shape byte and always carry the ids.
+//!
+//! # Checkpoint payload (payload version 2)
+//!
+//! | field | encoding |
+//! |-------|----------|
+//! | payload version | `u8` (`2`; `1` still decodes) |
+//! | manifest | `u32` row count, then rows in strictly ascending name order: name (string), byte length (`u64`), CRC32 (`u32`), `first_block` (`u64`), `block_count` (`u64`) |
+//! | data blocks written | `u64` |
+//! | stored blocks | as in a record: shape byte, `u32` count, ids only in the explicit shape |
+//! | sealed | `u8`, `0` or `1` |
+//! | frontier snapshot | `u32` length + bytes |
+//!
+//! Payload version 1 (written with record format 2) has no data counter
+//! and no shape byte: its stored blocks are always the full id list, and
+//! the data counter is the number of data ids in it.
+//!
+//! # Count validation
+//!
+//! A count read from a record is never trusted ahead of the bytes that
+//! back it. At this layer, a count that sizes an allocation or bounds a
+//! loop — manifest rows, listed ids — is first checked against what the
+//! rest of the payload could hold at the field's minimum encoded size;
+//! string, chunk and snapshot lengths are bounds-checked slices of the
+//! payload. A *positional* stored count sizes nothing here: it is a
+//! number, and [`crate::Archive::open`] checks it before use — a record
+//! or checkpoint whose counters exceed the `u32` position space of
+//! `block_at`, claim more data blocks than stored blocks, or exceed
+//! [`ae_api::RedundancyScheme::universe_len`]`(data)` is
+//! [`crate::archive::RecoveryError::CorruptRecord`], as is a manifest row
+//! whose extent leaves the data counter or whose byte length exceeds its
+//! extent. Every failure is a typed error; no input panics a decoder.
+//!
+//! # Version compatibility
+//!
+//! This build writes format 3 only. Format-2 (and -1) records and
+//! version-1 checkpoint payloads still **decode**, so an archive written
+//! by an earlier build opens unchanged: replay verifies the listed ids
+//! against `block_at` exactly as a live `put` would and carries on by
+//! position, and the next checkpoint — which garbage-collects every
+//! record before it — leaves a pure format-3 journal behind. There is no
+//! version-2 writer outside the tests.
 //!
 //! # Checkpoint commit and GC rules
 //!
@@ -132,9 +196,10 @@ use ae_blocks::{crc32, BlockId, EdgeId, MetaId, NodeId, ReplicaId, ShardId, Stra
 /// Magic prefix of every journal record: "AE Meta Journal".
 pub const MAGIC: [u8; 4] = *b"AEMJ";
 
-/// Journal format version written by this build. Version-1 records (no
+/// Journal format version written by this build. Version-2 records
+/// (stored blocks always listed) and version-1 records (additionally no
 /// copy-set width in genesis, no checkpoint/pointer kinds) still decode.
-pub const FORMAT_VERSION: u16 = 2;
+pub const FORMAT_VERSION: u16 = 3;
 
 /// The id of copy 0 of journal record `seq` — the id the whole record
 /// had before copy sets existed.
@@ -200,6 +265,31 @@ impl MetaConfig {
     }
 }
 
+/// The blocks a mutation stored — or, in a checkpoint, every block the
+/// archive stored — as the journal carries them (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StoredIds {
+    /// That many blocks at the next positions of the scheme's arithmetic:
+    /// block `i` is `block_at(stored_before + i, data_after)`.
+    Count(u32),
+    /// The ids themselves, in write order: what a scheme without an
+    /// authoritative `block_at` gets, and what format version 2 wrote.
+    Listed(Vec<BlockId>),
+}
+
+/// A stored-blocks field as the encoders take it, borrowed: the count,
+/// and the ids in the explicit shape.
+pub(crate) type StoredParts<'a> = (u32, Option<&'a [BlockId]>);
+
+impl StoredIds {
+    fn parts(&self) -> StoredParts<'_> {
+        match self {
+            StoredIds::Count(count) => (*count, None),
+            StoredIds::Listed(ids) => (ids.len() as u32, Some(ids)),
+        }
+    }
+}
+
 /// One decoded journal record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MetaRecord {
@@ -225,15 +315,15 @@ pub enum MetaRecord {
         first_block: u64,
         /// Number of data blocks.
         block_count: u64,
-        /// Every id this put stored (data + redundancy), in write order.
-        ids: Vec<BlockId>,
+        /// The blocks this put stored (data + redundancy), in write order.
+        ids: StoredIds,
         /// Post-put encoder-frontier snapshot.
         frontier: Vec<u8>,
     },
     /// The archive was sealed.
     Seal {
-        /// Ids the redundancy flush stored.
-        ids: Vec<BlockId>,
+        /// The blocks the redundancy flush stored.
+        ids: StoredIds,
         /// Post-seal encoder-frontier snapshot.
         frontier: Vec<u8>,
     },
@@ -256,42 +346,75 @@ pub enum MetaRecord {
     },
 }
 
+/// One manifest row of a checkpoint: `(name, byte_len, crc, first_block,
+/// block_count)` — the fields of [`crate::archive::Entry`].
+pub type ManifestRow = (String, u64, u32, u64, u64);
+
 /// The state a checkpoint folds into one snapshot: everything
 /// [`crate::Archive::open`] otherwise reconstructs record by record —
-/// the manifest, the full write-order id log, the sealed flag and the
-/// encoder-frontier snapshot. Encoded with a leading payload-version
+/// the manifest, the data and stored-block counters, the sealed flag and
+/// the encoder-frontier snapshot. Encoded with a leading payload-version
 /// byte, chunked into [`MetaRecord::Checkpoint`] parts for storage.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointPayload {
-    /// Manifest rows in name order: `(name, byte_len, crc, first_block,
-    /// block_count)` — the fields of [`crate::archive::Entry`].
-    pub manifest: Vec<(String, u64, u32, u64, u64)>,
-    /// Every id written through the archive, in write order.
-    pub stored_ids: Vec<BlockId>,
+    /// Manifest rows in strictly ascending name order.
+    pub manifest: Vec<ManifestRow>,
+    /// Data blocks written through the archive.
+    pub data: u64,
+    /// Every block written through the archive, in write order.
+    pub stored: StoredIds,
     /// Whether the archive was sealed.
     pub sealed: bool,
     /// Encoder-frontier snapshot at checkpoint time.
     pub frontier: Vec<u8>,
 }
 
-const PAYLOAD_VERSION: u8 = 1;
+/// Checkpoint payload version written by this build.
+const PAYLOAD_VERSION: u8 = 2;
+
+/// Smallest encoded manifest row: an empty name and the four integers.
+const MIN_ROW_BYTES: usize = 2 + 8 + 4 + 8 + 8;
+
+/// Smallest tagged block id: the tag and one `u64`.
+const MIN_ID_BYTES: usize = 1 + 8;
+
+/// Serializes a checkpoint snapshot straight from borrowed archive state
+/// — one pass over the manifest, no intermediate rows.
+pub(crate) fn encode_checkpoint_payload<'a>(
+    rows: impl ExactSizeIterator<Item = (&'a str, u64, u32, u64, u64)>,
+    data: u64,
+    stored: StoredParts<'_>,
+    sealed: bool,
+    frontier: &[u8],
+) -> Vec<u8> {
+    let listed = stored.1.map_or(0, <[BlockId]>::len);
+    let mut buf =
+        Vec::with_capacity(32 + rows.len() * (MIN_ROW_BYTES + 16) + listed * 11 + frontier.len());
+    buf.push(PAYLOAD_VERSION);
+    put_rows(&mut buf, rows);
+    buf.extend_from_slice(&data.to_le_bytes());
+    put_stored(&mut buf, stored, true);
+    buf.push(sealed as u8);
+    put_bytes(&mut buf, frontier);
+    buf
+}
 
 impl CheckpointPayload {
     /// Serializes the snapshot (version byte + fields, little-endian).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = vec![PAYLOAD_VERSION];
-        buf.extend_from_slice(&(self.manifest.len() as u32).to_le_bytes());
-        for (name, byte_len, crc, first_block, block_count) in &self.manifest {
-            put_str(&mut buf, name);
-            buf.extend_from_slice(&byte_len.to_le_bytes());
-            buf.extend_from_slice(&crc.to_le_bytes());
-            buf.extend_from_slice(&first_block.to_le_bytes());
-            buf.extend_from_slice(&block_count.to_le_bytes());
-        }
-        put_ids(&mut buf, &self.stored_ids);
-        buf.push(self.sealed as u8);
-        put_bytes(&mut buf, &self.frontier);
-        buf
+        encode_checkpoint_payload(
+            self.rows(),
+            self.data,
+            self.stored.parts(),
+            self.sealed,
+            &self.frontier,
+        )
+    }
+
+    fn rows(&self) -> impl ExactSizeIterator<Item = (&str, u64, u32, u64, u64)> {
+        self.manifest
+            .iter()
+            .map(|(name, len, crc, first, count)| (name.as_str(), *len, *crc, *first, *count))
     }
 
     /// Parses a snapshot reassembled from checkpoint parts.
@@ -302,15 +425,25 @@ impl CheckpointPayload {
     pub fn decode(bytes: &[u8]) -> Result<Self, RecordError> {
         let mut r = Reader { buf: bytes, pos: 0 };
         let version = r.u8()?;
-        if version != PAYLOAD_VERSION {
+        if version == 0 || version > PAYLOAD_VERSION {
             return Err(format!("checkpoint payload version {version}"));
         }
-        let rows = r.u32()? as usize;
-        let mut manifest = Vec::with_capacity(rows.min(1 << 16));
+        let rows = r.count(MIN_ROW_BYTES, "manifest row")?;
+        let mut manifest: Vec<ManifestRow> = Vec::with_capacity(rows);
         for _ in 0..rows {
-            manifest.push((r.string()?, r.u64()?, r.u32()?, r.u64()?, r.u64()?));
+            let row = (r.string()?, r.u64()?, r.u32()?, r.u64()?, r.u64()?);
+            if manifest.last().is_some_and(|prev| prev.0 >= row.0) {
+                return Err(format!("manifest row {:?} out of name order", row.0));
+            }
+            manifest.push(row);
         }
-        let stored_ids = r.ids()?;
+        let (data, stored) = if version >= 2 {
+            (r.u64()?, r.stored(true)?)
+        } else {
+            let ids = r.ids()?;
+            let data = ids.iter().filter(|id| id.is_data()).count() as u64;
+            (data, StoredIds::Listed(ids))
+        };
         let sealed = match r.u8()? {
             0 => false,
             1 => true,
@@ -320,7 +453,8 @@ impl CheckpointPayload {
         r.finish()?;
         Ok(CheckpointPayload {
             manifest,
-            stored_ids,
+            data,
+            stored,
             sealed,
             frontier,
         })
@@ -338,9 +472,28 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(bytes);
 }
 
-fn put_ids(buf: &mut Vec<u8>, ids: &[BlockId]) {
-    buf.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-    for &id in ids {
+fn put_rows<'a>(
+    buf: &mut Vec<u8>,
+    rows: impl ExactSizeIterator<Item = (&'a str, u64, u32, u64, u64)>,
+) {
+    buf.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    for (name, byte_len, crc, first_block, block_count) in rows {
+        put_str(buf, name);
+        buf.extend_from_slice(&byte_len.to_le_bytes());
+        buf.extend_from_slice(&crc.to_le_bytes());
+        buf.extend_from_slice(&first_block.to_le_bytes());
+        buf.extend_from_slice(&block_count.to_le_bytes());
+    }
+}
+
+/// Appends a stored-blocks field: the shape byte when the format has one
+/// (`shaped`), the count, and the ids in the explicit shape.
+fn put_stored(buf: &mut Vec<u8>, (count, listed): StoredParts<'_>, shaped: bool) {
+    if shaped {
+        buf.push(listed.is_some() as u8);
+    }
+    buf.extend_from_slice(&count.to_le_bytes());
+    for &id in listed.unwrap_or_default() {
         encode_block_id(buf, id);
     }
 }
@@ -417,6 +570,17 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
+    /// A `u32` element count, refused unless the rest of the payload
+    /// could hold that many elements of at least `min_bytes` each — so
+    /// the count may size an allocation and bound a loop.
+    fn count(&mut self, min_bytes: usize, what: &str) -> Result<usize, RecordError> {
+        let count = self.u32()? as usize;
+        if count > (self.buf.len() - self.pos) / min_bytes {
+            return Err(format!("{what} count {count} exceeds the payload"));
+        }
+        Ok(count)
+    }
+
     fn string(&mut self) -> Result<String, RecordError> {
         let len = self.u16()? as usize;
         String::from_utf8(self.take(len)?.to_vec()).map_err(|_| "non-UTF-8 string".to_string())
@@ -448,12 +612,28 @@ impl<'a> Reader<'a> {
     }
 
     fn ids(&mut self) -> Result<Vec<BlockId>, RecordError> {
-        let count = self.u32()? as usize;
-        let mut out = Vec::with_capacity(count.min(1 << 16));
+        let count = self.count(MIN_ID_BYTES, "block id")?;
+        let mut out = Vec::with_capacity(count);
         for _ in 0..count {
             out.push(self.block_id()?);
         }
         Ok(out)
+    }
+
+    /// A stored-blocks field; `shaped` formats lead with the shape byte,
+    /// older ones always list the ids.
+    fn stored(&mut self, shaped: bool) -> Result<StoredIds, RecordError> {
+        let listed = !shaped
+            || match self.u8()? {
+                0 => false,
+                1 => true,
+                b => return Err(format!("bad stored-blocks shape {b}")),
+            };
+        if listed {
+            Ok(StoredIds::Listed(self.ids()?))
+        } else {
+            Ok(StoredIds::Count(self.u32()?))
+        }
     }
 
     fn bytes(&mut self) -> Result<Vec<u8>, RecordError> {
@@ -473,13 +653,59 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Frames one record for storage at `Meta(seq)`: header, the payload
+/// `body` appends, the back-patched payload length and the trailing
+/// CRC32, as documented at module level — written in place, no
+/// intermediate payload buffer. `hint` is the expected payload size.
+fn frame(
+    version: u16,
+    kind: u16,
+    seq: u64,
+    hint: usize,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(24 + hint);
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&kind.to_le_bytes());
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
+    body(&mut out);
+    let payload_len = (out.len() - 20) as u32;
+    out[16..20].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+const KIND_CHECKPOINT: u16 = 3;
+
+fn put_part(buf: &mut Vec<u8>, part: u32, parts: u32, chunk: &[u8]) {
+    buf.extend_from_slice(&part.to_le_bytes());
+    buf.extend_from_slice(&parts.to_le_bytes());
+    put_bytes(buf, chunk);
+}
+
+/// Encodes checkpoint part `part` of `parts` around a borrowed slice of
+/// the payload: the bytes of the [`MetaRecord::Checkpoint`] it decodes
+/// to, without owning the chunk first.
+pub(crate) fn encode_checkpoint_part(seq: u64, part: u32, parts: u32, chunk: &[u8]) -> Vec<u8> {
+    frame(
+        FORMAT_VERSION,
+        KIND_CHECKPOINT,
+        seq,
+        12 + chunk.len(),
+        |out| put_part(out, part, parts, chunk),
+    )
+}
+
 impl MetaRecord {
     fn kind(&self) -> u16 {
         match self {
             MetaRecord::Genesis { .. } => 0,
             MetaRecord::Put { .. } => 1,
             MetaRecord::Seal { .. } => 2,
-            MetaRecord::Checkpoint { .. } => 3,
+            MetaRecord::Checkpoint { .. } => KIND_CHECKPOINT,
             MetaRecord::Pointer { .. } => 4,
         }
     }
@@ -487,16 +713,26 @@ impl MetaRecord {
     /// Encodes the record for storage at `Meta(seq)`: header, payload and
     /// trailing CRC32 as documented at module level.
     pub fn encode(&self, seq: u64) -> Vec<u8> {
-        let mut payload = Vec::new();
-        match self {
+        self.encode_as(FORMAT_VERSION, seq)
+    }
+
+    /// [`MetaRecord::encode`] under an explicit format version; only the
+    /// compatibility tests pass anything but [`FORMAT_VERSION`].
+    fn encode_as(&self, version: u16, seq: u64) -> Vec<u8> {
+        let shaped = version >= 3;
+        let hint = match self {
+            MetaRecord::Checkpoint { chunk, .. } => 12 + chunk.len(),
+            _ => 96,
+        };
+        frame(version, self.kind(), seq, hint, |out| match self {
             MetaRecord::Genesis {
                 scheme,
                 block_size,
                 copies,
             } => {
-                put_str(&mut payload, scheme);
-                payload.extend_from_slice(&block_size.to_le_bytes());
-                payload.extend_from_slice(&copies.to_le_bytes());
+                put_str(out, scheme);
+                out.extend_from_slice(&block_size.to_le_bytes());
+                out.extend_from_slice(&copies.to_le_bytes());
             }
             MetaRecord::Put {
                 name,
@@ -507,38 +743,24 @@ impl MetaRecord {
                 ids,
                 frontier,
             } => {
-                put_str(&mut payload, name);
-                payload.extend_from_slice(&byte_len.to_le_bytes());
-                payload.extend_from_slice(&crc.to_le_bytes());
-                payload.extend_from_slice(&first_block.to_le_bytes());
-                payload.extend_from_slice(&block_count.to_le_bytes());
-                put_ids(&mut payload, ids);
-                put_bytes(&mut payload, frontier);
+                put_str(out, name);
+                out.extend_from_slice(&byte_len.to_le_bytes());
+                out.extend_from_slice(&crc.to_le_bytes());
+                out.extend_from_slice(&first_block.to_le_bytes());
+                out.extend_from_slice(&block_count.to_le_bytes());
+                put_stored(out, ids.parts(), shaped);
+                put_bytes(out, frontier);
             }
             MetaRecord::Seal { ids, frontier } => {
-                put_ids(&mut payload, ids);
-                put_bytes(&mut payload, frontier);
+                put_stored(out, ids.parts(), shaped);
+                put_bytes(out, frontier);
             }
-            MetaRecord::Checkpoint { part, parts, chunk } => {
-                payload.extend_from_slice(&part.to_le_bytes());
-                payload.extend_from_slice(&parts.to_le_bytes());
-                put_bytes(&mut payload, chunk);
-            }
+            MetaRecord::Checkpoint { part, parts, chunk } => put_part(out, *part, *parts, chunk),
             MetaRecord::Pointer { checkpoint, parts } => {
-                payload.extend_from_slice(&checkpoint.to_le_bytes());
-                payload.extend_from_slice(&parts.to_le_bytes());
+                out.extend_from_slice(&checkpoint.to_le_bytes());
+                out.extend_from_slice(&parts.to_le_bytes());
             }
-        }
-        let mut out = Vec::with_capacity(24 + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.kind().to_le_bytes());
-        out.extend_from_slice(&seq.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        })
     }
 
     /// Decodes the record stored at `Meta(seq)`, verifying magic, version,
@@ -568,6 +790,7 @@ impl MetaRecord {
                 "format version {version}, expected 1..={FORMAT_VERSION}"
             ));
         }
+        let shaped = version >= 3;
         let kind = r.u16()?;
         let stored_seq = r.u64()?;
         if stored_seq != seq {
@@ -593,14 +816,14 @@ impl MetaRecord {
                 crc: r.u32()?,
                 first_block: r.u64()?,
                 block_count: r.u64()?,
-                ids: r.ids()?,
+                ids: r.stored(shaped)?,
                 frontier: r.bytes()?,
             },
             2 => MetaRecord::Seal {
-                ids: r.ids()?,
+                ids: r.stored(shaped)?,
                 frontier: r.bytes()?,
             },
-            3 => MetaRecord::Checkpoint {
+            KIND_CHECKPOINT => MetaRecord::Checkpoint {
                 part: r.u32()?,
                 parts: r.u32()?,
                 chunk: r.bytes()?,
@@ -616,9 +839,40 @@ impl MetaRecord {
     }
 }
 
+/// The format-version-2 writer, kept for the compatibility tests only:
+/// what the build before position-first journals stored.
+#[cfg(test)]
+pub(crate) mod v2 {
+    use super::*;
+
+    /// `record` as a format-2 record (stored blocks must be listed).
+    pub(crate) fn encode_record(record: &MetaRecord, seq: u64) -> Vec<u8> {
+        if let MetaRecord::Put { ids, .. } | MetaRecord::Seal { ids, .. } = record {
+            assert!(matches!(ids, StoredIds::Listed(_)), "format 2 lists ids");
+        }
+        record.encode_as(2, seq)
+    }
+
+    /// `payload` as a version-1 checkpoint payload: manifest, the full id
+    /// list, sealed flag, frontier.
+    pub(crate) fn encode_payload(payload: &CheckpointPayload) -> Vec<u8> {
+        assert!(
+            matches!(payload.stored, StoredIds::Listed(_)),
+            "payload version 1 lists ids"
+        );
+        let mut buf = vec![1];
+        put_rows(&mut buf, payload.rows());
+        put_stored(&mut buf, payload.stored.parts(), false);
+        buf.push(payload.sealed as u8);
+        put_bytes(&mut buf, &payload.frontier);
+        buf
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_ids() -> Vec<BlockId> {
         vec![
@@ -636,26 +890,34 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn records_roundtrip() {
-        let records = [
+    fn put_record(ids: StoredIds) -> MetaRecord {
+        MetaRecord::Put {
+            name: "report.pdf".into(),
+            byte_len: 2000,
+            crc: 0xDEAD_BEEF,
+            first_block: 5,
+            block_count: 32,
+            ids,
+            frontier: vec![1, 2, 3],
+        }
+    }
+
+    fn sample_records() -> Vec<MetaRecord> {
+        vec![
             MetaRecord::Genesis {
                 scheme: "AE(3,2,5)".into(),
                 block_size: 64,
                 copies: 3,
             },
-            MetaRecord::Put {
-                name: "report.pdf".into(),
-                byte_len: 2000,
-                crc: 0xDEAD_BEEF,
-                first_block: 5,
-                block_count: 32,
-                ids: sample_ids(),
-                frontier: vec![1, 2, 3],
+            put_record(StoredIds::Count(128)),
+            put_record(StoredIds::Listed(sample_ids())),
+            MetaRecord::Seal {
+                ids: StoredIds::Count(0),
+                frontier: vec![],
             },
             MetaRecord::Seal {
-                ids: sample_ids(),
-                frontier: vec![],
+                ids: StoredIds::Listed(sample_ids()),
+                frontier: vec![9],
             },
             MetaRecord::Checkpoint {
                 part: 1,
@@ -666,34 +928,64 @@ mod tests {
                 checkpoint: 41,
                 parts: 3,
             },
-        ];
-        for (seq, record) in records.iter().enumerate() {
-            let bytes = record.encode(seq as u64);
-            assert_eq!(
-                MetaRecord::decode(seq as u64, &bytes).as_ref(),
-                Ok(record),
-                "seq {seq}"
-            );
+        ]
+    }
+
+    fn sample_payload(stored: StoredIds) -> CheckpointPayload {
+        CheckpointPayload {
+            manifest: vec![
+                ("a.txt".into(), 1000, 0xAB, 0, 16),
+                ("b.txt".into(), 64, 0xCD, 16, 1),
+            ],
+            data: 17,
+            stored,
+            sealed: true,
+            frontier: vec![7; 33],
         }
     }
 
     #[test]
-    fn every_truncation_is_detected() {
-        let bytes = MetaRecord::Put {
-            name: "f".into(),
-            byte_len: 10,
-            crc: 1,
-            first_block: 0,
-            block_count: 1,
-            ids: sample_ids(),
-            frontier: vec![9; 17],
+    fn records_roundtrip() {
+        for (seq, record) in (0u64..).zip(sample_records()) {
+            let bytes = record.encode(seq);
+            assert_eq!(MetaRecord::decode(seq, &bytes), Ok(record), "seq {seq}");
         }
-        .encode(3);
-        for cut in 0..bytes.len() {
-            assert!(
-                MetaRecord::decode(3, &bytes[..cut]).is_err(),
-                "cut at {cut} must not parse"
-            );
+    }
+
+    #[test]
+    fn a_positional_put_record_does_not_grow_with_the_put() {
+        let small = put_record(StoredIds::Count(4)).encode(1).len();
+        let large = put_record(StoredIds::Count(4_000_000)).encode(1).len();
+        assert_eq!(small, large);
+        // Header 20 + name 2+10 + four integers 28 + shape and count 5 +
+        // frontier 4+3 + CRC 4.
+        assert_eq!(small, 76);
+    }
+
+    #[test]
+    fn the_borrowed_part_encoder_is_the_checkpoint_record() {
+        let chunk = vec![0x5A; 300];
+        let owned = MetaRecord::Checkpoint {
+            part: 2,
+            parts: 5,
+            chunk: chunk.clone(),
+        };
+        assert_eq!(encode_checkpoint_part(9, 2, 5, &chunk), owned.encode(9));
+    }
+
+    #[test]
+    fn every_truncation_is_detected() {
+        for record in [
+            put_record(StoredIds::Count(20)),
+            put_record(StoredIds::Listed(sample_ids())),
+        ] {
+            let bytes = record.encode(3);
+            for cut in 0..bytes.len() {
+                assert!(
+                    MetaRecord::decode(3, &bytes[..cut]).is_err(),
+                    "cut at {cut} must not parse"
+                );
+            }
         }
     }
 
@@ -719,18 +1011,10 @@ mod tests {
     #[test]
     fn version_1_genesis_decodes_as_one_copy() {
         // Hand-build a v1 record: same framing, version 1, no width field.
-        let mut payload = Vec::new();
-        put_str(&mut payload, "AE(3,2,5)");
-        payload.extend_from_slice(&64u64.to_le_bytes());
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&1u16.to_le_bytes());
-        bytes.extend_from_slice(&0u16.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
+        let bytes = frame(1, 0, 0, 0, |out| {
+            put_str(out, "AE(3,2,5)");
+            out.extend_from_slice(&64u64.to_le_bytes());
+        });
         assert_eq!(
             MetaRecord::decode(0, &bytes),
             Ok(MetaRecord::Genesis {
@@ -740,47 +1024,205 @@ mod tests {
             })
         );
         // Versions from the future are rejected, version 0 too.
-        let mut future = bytes.clone();
-        future[4] = 9;
-        assert!(MetaRecord::decode(0, &future).is_err());
+        for version in [0u16, FORMAT_VERSION + 1, 9] {
+            let other = frame(version, 0, 0, 0, |out| {
+                put_str(out, "AE(3,2,5)");
+                out.extend_from_slice(&64u64.to_le_bytes());
+            });
+            assert!(MetaRecord::decode(0, &other).is_err(), "version {version}");
+        }
+    }
+
+    /// Format 2 is the format 3 explicit shape minus the shape byte: the
+    /// kept writer's records decode to the same values, and its bytes are
+    /// the bytes the previous build stored (pinned from a real journal).
+    #[test]
+    fn version_2_records_and_payloads_still_decode() {
+        for (seq, record) in (0u64..).zip(sample_records()) {
+            if let MetaRecord::Put { ids, .. } | MetaRecord::Seal { ids, .. } = &record {
+                if matches!(ids, StoredIds::Count(_)) {
+                    continue;
+                }
+            }
+            let old = v2::encode_record(&record, seq);
+            assert_eq!(&old[4..6], &2u16.to_le_bytes());
+            assert_eq!(MetaRecord::decode(seq, &old), Ok(record), "seq {seq}");
+        }
+        let payload = CheckpointPayload {
+            data: 1,
+            ..sample_payload(StoredIds::Listed(sample_ids()))
+        };
+        let old = v2::encode_payload(&payload);
+        assert_eq!(old[0], 1);
+        assert_eq!(CheckpointPayload::decode(&old), Ok(payload));
+
+        // `Archive::put("f", &[7; 40])` over AE(3,2,5), 32-byte blocks,
+        // as the build before this format journaled it at seq 1.
+        let parent = "41454d4a020001000100000000000000860000000100662800000000000000e4140c99\
+                      0000000000000000020000000000000008000000000100000000000000010001000000\
+                      0000000001010100000000000000010201000000000000000002000000000000000100\
+                      0200000000000000010102000000000000000102020000000000000011000000010200\
+                      0000000000002000000000000000c4c4a696";
+        let parent: Vec<u8> = (0..parent.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&parent[i..i + 2], 16).unwrap())
+            .collect();
+        let decoded = MetaRecord::decode(1, &parent).expect("a real version-2 record");
+        assert!(matches!(
+            &decoded,
+            MetaRecord::Put { name, block_count: 2, ids: StoredIds::Listed(ids), .. }
+                if name == "f" && ids.len() == 8
+        ));
+        assert_eq!(v2::encode_record(&decoded, 1), parent);
     }
 
     #[test]
     fn checkpoint_payload_roundtrips_and_rejects_damage() {
-        let payload = CheckpointPayload {
-            manifest: vec![
-                ("a.txt".into(), 1000, 0xAB, 0, 16),
-                ("b.txt".into(), 64, 0xCD, 16, 1),
-            ],
-            stored_ids: sample_ids(),
-            sealed: true,
-            frontier: vec![7; 33],
-        };
-        let bytes = payload.encode();
-        assert_eq!(CheckpointPayload::decode(&bytes), Ok(payload.clone()));
-        // Chunked through checkpoint part records and reassembled.
-        let parts: Vec<&[u8]> = bytes.chunks(10).collect();
-        let mut reassembled = Vec::new();
-        for (i, chunk) in parts.iter().enumerate() {
-            let rec = MetaRecord::Checkpoint {
-                part: i as u32,
-                parts: parts.len() as u32,
-                chunk: chunk.to_vec(),
+        for stored in [StoredIds::Count(68), StoredIds::Listed(sample_ids())] {
+            let payload = CheckpointPayload {
+                data: if matches!(stored, StoredIds::Count(_)) {
+                    17
+                } else {
+                    1
+                },
+                ..sample_payload(stored)
             };
-            let seq = 40 + i as u64;
-            match MetaRecord::decode(seq, &rec.encode(seq)).unwrap() {
-                MetaRecord::Checkpoint { chunk, .. } => reassembled.extend_from_slice(&chunk),
-                other => panic!("{other:?}"),
+            let bytes = payload.encode();
+            assert_eq!(CheckpointPayload::decode(&bytes), Ok(payload.clone()));
+            // Chunked through checkpoint part records and reassembled.
+            let parts: Vec<&[u8]> = bytes.chunks(10).collect();
+            let mut reassembled = Vec::new();
+            for (i, chunk) in parts.iter().enumerate() {
+                let seq = 40 + i as u64;
+                let rec = encode_checkpoint_part(seq, i as u32, parts.len() as u32, chunk);
+                match MetaRecord::decode(seq, &rec).unwrap() {
+                    MetaRecord::Checkpoint { chunk, .. } => reassembled.extend_from_slice(&chunk),
+                    other => panic!("{other:?}"),
+                }
+            }
+            assert_eq!(CheckpointPayload::decode(&reassembled), Ok(payload));
+            // Truncations and trailing garbage are typed errors.
+            for cut in 0..bytes.len() {
+                assert!(CheckpointPayload::decode(&bytes[..cut]).is_err(), "{cut}");
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            assert!(CheckpointPayload::decode(&long).is_err());
+        }
+    }
+
+    #[test]
+    fn a_positional_checkpoint_is_its_manifest_and_two_counters() {
+        let few = sample_payload(StoredIds::Count(68)).encode().len();
+        let many = sample_payload(StoredIds::Count(u32::MAX)).encode().len();
+        assert_eq!(few, many, "the stored count is a number, not a list");
+        // Version 1 + row count 4 + rows (2+5+28)*2 + data 8 + shape and
+        // count 5 + sealed 1 + frontier 4+33.
+        assert_eq!(few, 126);
+    }
+
+    #[test]
+    fn manifest_rows_must_ascend_by_name() {
+        let mut payload = sample_payload(StoredIds::Count(68));
+        payload.manifest.swap(0, 1);
+        let err = CheckpointPayload::decode(&payload.encode()).unwrap_err();
+        assert!(err.contains("out of name order"), "{err}");
+        payload.manifest[1] = payload.manifest[0].clone();
+        let err = CheckpointPayload::decode(&payload.encode()).unwrap_err();
+        assert!(err.contains("out of name order"), "duplicate: {err}");
+    }
+
+    /// A count far beyond the bytes that could back it is refused before
+    /// it sizes anything — these would otherwise ask for gigabytes.
+    #[test]
+    fn hostile_counts_are_refused_before_they_size_anything() {
+        // A checkpoint claiming u32::MAX manifest rows.
+        let mut rows = vec![PAYLOAD_VERSION];
+        rows.extend_from_slice(&u32::MAX.to_le_bytes());
+        rows.extend_from_slice(&[0; 64]);
+        let err = CheckpointPayload::decode(&rows).unwrap_err();
+        assert!(err.contains("manifest row count"), "{err}");
+        // A checkpoint and a put record claiming u32::MAX listed ids.
+        let mut listed = vec![PAYLOAD_VERSION];
+        listed.extend_from_slice(&0u32.to_le_bytes());
+        listed.extend_from_slice(&0u64.to_le_bytes());
+        listed.push(1);
+        listed.extend_from_slice(&u32::MAX.to_le_bytes());
+        listed.extend_from_slice(&[0; 64]);
+        let err = CheckpointPayload::decode(&listed).unwrap_err();
+        assert!(err.contains("block id count"), "{err}");
+        for version in [2, FORMAT_VERSION] {
+            let put = frame(version, 1, 5, 0, |out| {
+                put_str(out, "f");
+                out.extend_from_slice(&[0; 28]);
+                if version >= 3 {
+                    out.push(1);
+                }
+                out.extend_from_slice(&u32::MAX.to_le_bytes());
+                out.extend_from_slice(&[0; 64]);
+            });
+            let err = MetaRecord::decode(5, &put).unwrap_err();
+            assert!(err.contains("block id count"), "v{version}: {err}");
+        }
+        // A positional count is only a number here, however large.
+        let counted = put_record(StoredIds::Count(u32::MAX));
+        assert_eq!(MetaRecord::decode(2, &counted.encode(2)), Ok(counted));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes — raw, and as the payload of a correctly framed
+        /// and checksummed record of every kind and version, so the field
+        /// parsers are actually reached — never panic a decoder.
+        #[test]
+        fn arbitrary_input_is_a_typed_error_or_a_record(
+            bytes in proptest::collection::vec(any::<u8>(), 0..200),
+            kind in 0u16..6,
+            version in 0u16..5,
+            seq in 0u64..4,
+        ) {
+            let _ = MetaRecord::decode(seq, &bytes);
+            let _ = CheckpointPayload::decode(&bytes);
+            let framed = frame(version, kind, seq, 0, |out| out.extend_from_slice(&bytes));
+            if let Ok(record) = MetaRecord::decode(seq, &framed) {
+                // Whatever parsed re-encodes to something that parses back.
+                prop_assert_eq!(MetaRecord::decode(seq, &record.encode(seq)), Ok(record));
+            }
+            for payload_version in 0u8..4 {
+                let mut payload = vec![payload_version];
+                payload.extend_from_slice(&bytes);
+                if let Ok(decoded) = CheckpointPayload::decode(&payload) {
+                    prop_assert_eq!(CheckpointPayload::decode(&decoded.encode()), Ok(decoded));
+                }
             }
         }
-        assert_eq!(CheckpointPayload::decode(&reassembled), Ok(payload));
-        // Truncations and trailing garbage are typed errors.
-        for cut in 0..bytes.len() {
-            assert!(CheckpointPayload::decode(&bytes[..cut]).is_err(), "{cut}");
+
+        /// One mutated byte inside a real record's payload, checksum
+        /// re-sealed so the mutation reaches the parser: a typed error or
+        /// a well-formed record, never a panic.
+        #[test]
+        fn one_mutated_byte_never_panics_a_decoder(
+            pick in 0usize..7,
+            at in 0usize..200,
+            to in any::<u8>(),
+        ) {
+            let record = &sample_records()[pick];
+            let mut bytes = record.encode(6);
+            let body = bytes.len() - 4;
+            let at = at % body;
+            bytes[at] = to;
+            let crc = crc32(&bytes[..body]);
+            bytes[body..].copy_from_slice(&crc.to_le_bytes());
+            let _ = MetaRecord::decode(6, &bytes);
+
+            for stored in [StoredIds::Count(68), StoredIds::Listed(sample_ids())] {
+                let mut payload = sample_payload(stored).encode();
+                let at = at % payload.len();
+                payload[at] = to;
+                let _ = CheckpointPayload::decode(&payload);
+            }
         }
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(CheckpointPayload::decode(&long).is_err());
     }
 
     #[test]

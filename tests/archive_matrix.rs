@@ -113,7 +113,7 @@ fn every_roster_scheme_survives_fast_tier_damage_when_tiered() {
         let name = ar.scheme().scheme_name();
 
         // Lose every 20th *data* block off the fast tier.
-        let victims: Vec<BlockId> = ar.data_ids().iter().copied().step_by(20).collect();
+        let victims: Vec<BlockId> = ar.data_ids().step_by(20).collect();
         for v in &victims {
             assert!(tiered.fast().remove(*v), "{name}: {v} was on the fast tier");
         }

@@ -153,7 +153,7 @@ fn every_roster_scheme_recovers_from_a_crash_over_tiered() {
         let mut ar = crash_and_resume(&s, &tiered, 2);
         assert_block_identical(&s, &ar, &tiered, &reference, &ref_store);
 
-        let victims: Vec<BlockId> = ar.data_ids().iter().copied().step_by(20).collect();
+        let victims: Vec<BlockId> = ar.data_ids().step_by(20).collect();
         for v in &victims {
             assert!(tiered.fast().remove(*v), "{s}: {v} was on the fast tier");
         }

@@ -1,0 +1,378 @@
+//! The invariant the journal format stands on.
+//!
+//! Format-3 `Put`/`Seal` records and checkpoints carry *counts*: the
+//! `k`-th block an archive stored is `scheme.block_at(k, data)`. That
+//! only works if, for every scheme the archive journals by position,
+//! the blocks it reports storing are exactly the next positions — across
+//! one-block files, empty files, partial and exact Reed-Solomon stripes,
+//! stripes completed by a later put, and the seal's flush — and stay
+//! where they were as the archive grows. So: for all 13 roster schemes
+//! and proptest-drawn put sizes followed by `seal`, after **every** op
+//!
+//! * `stored_ids() == (0..stored).map(|k| block_at(k, data))`, and the
+//!   backend holds exactly those scheme blocks;
+//! * every record journaled so far is the count shape, and replaying them
+//!   (`Archive::open` on a copy of the backend, checkpoint + suffix)
+//!   yields the same list, manifest and data counter.
+//!
+//! Two wrapper schemes cover the other side of the contract: one that
+//! does not forward the dense-index hooks (`supports_dense_index()` stays
+//! `false`), and one that claims the bijection and then breaks it
+//! mid-life. Both must get the explicit-id shape — journaled, replayed,
+//! checkpointed — and round-trip block for block.
+
+use aecodes::api::{
+    AeError, BlockSink, BlockSource, EncodeReport, RedundancyScheme, RepairCost, RepairError,
+};
+use aecodes::blocks::{Block, BlockId};
+use aecodes::lattice::Config;
+use aecodes::sim::Scheme;
+use aecodes::store::archive::Archive;
+use aecodes::store::meta::{CheckpointPayload, MetaConfig, MetaRecord, StoredIds};
+use aecodes::store::MemStore;
+use proptest::prelude::*;
+use std::sync::Arc;
+
+const BLOCK: usize = 32;
+
+/// Checkpoints every third record, in parts of 64 bytes: replay always
+/// crosses a multi-part checkpoint and a suffix.
+fn cadence() -> MetaConfig {
+    MetaConfig {
+        copies: 3,
+        checkpoint_every: Some(3),
+        segment_bytes: 64,
+    }
+}
+
+fn contents(blocks: usize, ragged: bool, seed: usize) -> Vec<u8> {
+    let len = (blocks * BLOCK).saturating_sub(usize::from(ragged) * 7);
+    (0..len).map(|i| (i * 31 + seed * 7) as u8).collect()
+}
+
+fn copy_of(store: &MemStore) -> Arc<MemStore> {
+    let copy = MemStore::new();
+    for id in store.ids() {
+        copy.put(id, store.get(id).expect("listed a moment ago"));
+    }
+    Arc::new(copy)
+}
+
+/// The journaled `Put`/`Seal` records and the committed checkpoint
+/// `store` currently holds, decoded from copy 0.
+fn journaled(store: &MemStore) -> (Vec<StoredIds>, Option<CheckpointPayload>) {
+    let mut records: Vec<(u64, MetaRecord)> = store
+        .ids()
+        .into_iter()
+        .filter_map(|id| match id {
+            BlockId::Meta(meta) if meta.copy() == 0 && !meta.is_pointer() => {
+                let bytes = store.get(id).expect("listed a moment ago");
+                let record = MetaRecord::decode(meta.seq(), bytes.as_slice());
+                Some((meta.seq(), record.expect("a live record decodes")))
+            }
+            _ => None,
+        })
+        .collect();
+    records.sort_by_key(|(seq, _)| *seq);
+    let mut shapes = Vec::new();
+    let mut payload = Vec::new();
+    for (_, record) in records {
+        match record {
+            MetaRecord::Put { ids, .. } | MetaRecord::Seal { ids, .. } => shapes.push(ids),
+            MetaRecord::Checkpoint { chunk, .. } => payload.extend_from_slice(&chunk),
+            _ => {}
+        }
+    }
+    let checkpoint =
+        (!payload.is_empty()).then(|| CheckpointPayload::decode(&payload).expect("live parts"));
+    (shapes, checkpoint)
+}
+
+/// Everything the invariant says about `ar` right now.
+fn assert_positional(s: &Scheme, ar: &Archive<MemStore>, store: &Arc<MemStore>, op: &str) {
+    let scheme = ar.scheme();
+    let data = ar.blocks_written();
+    let stored = ar.stored_ids().to_vec();
+    let positions: Vec<BlockId> = (0..stored.len() as u32)
+        .map(|k| scheme.block_at(k, data).expect("inside the universe"))
+        .collect();
+    assert_eq!(stored, positions, "{s} after {op}: ids are positions");
+    assert!(
+        stored.len() as u64 <= scheme.universe_len(data),
+        "{s} after {op}"
+    );
+    let data_ids: Vec<BlockId> = stored.iter().copied().filter(|id| id.is_data()).collect();
+    assert_eq!(
+        ar.data_ids().collect::<Vec<_>>(),
+        data_ids,
+        "{s} after {op}"
+    );
+
+    let mut held: Vec<BlockId> = store.ids().into_iter().filter(|id| !id.is_meta()).collect();
+    held.sort();
+    let mut expected = stored.clone();
+    expected.sort();
+    assert_eq!(held, expected, "{s} after {op}: the backend holds them");
+
+    let (shapes, checkpoint) = journaled(store);
+    for shape in shapes {
+        assert!(
+            matches!(shape, StoredIds::Count(_)),
+            "{s} after {op}: {shape:?}"
+        );
+    }
+    if let Some(payload) = checkpoint {
+        assert!(
+            matches!(payload.stored, StoredIds::Count(_)),
+            "{s} after {op}"
+        );
+    }
+    let reopened = Archive::open(Arc::from(s.build(BLOCK)), copy_of(store))
+        .unwrap_or_else(|err| panic!("{s} after {op}: {err}"));
+    assert_eq!(reopened.stored_ids(), stored, "{s} after {op}: replay");
+    assert_eq!(reopened.blocks_written(), data, "{s} after {op}: replay");
+    assert!(
+        reopened.manifest().eq(ar.manifest()),
+        "{s} after {op}: replay"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn stored_ids_are_positions_after_every_op(
+        pick in 0usize..13,
+        puts in proptest::collection::vec((0usize..9, any::<bool>()), 1..8),
+    ) {
+        // Empty file, one block, and counts that leave RS(4,12), RS(5,5),
+        // RS(8,2) and RS(10,4) stripes partial, exactly full, and
+        // completed by the next put.
+        const BLOCKS: [usize; 9] = [0, 1, 1, 3, 4, 5, 8, 10, 13];
+        let s = Scheme::extended_lineup()[pick];
+        let store = Arc::new(MemStore::new());
+        let scheme: Arc<dyn RedundancyScheme> = Arc::from(s.build(BLOCK));
+        let mut ar = Archive::with_scheme_meta(scheme, BLOCK, Arc::clone(&store), cadence());
+        assert_positional(&s, &ar, &store, "creation");
+        for (n, &(size, ragged)) in puts.iter().enumerate() {
+            let bytes = contents(BLOCKS[size], ragged, n);
+            ar.put(&format!("f{n}"), &bytes).expect("fresh name");
+            assert_positional(&s, &ar, &store, &format!("put {n} of {puts:?}"));
+        }
+        ar.seal().expect("seal");
+        assert_positional(&s, &ar, &store, &format!("seal of {puts:?}"));
+        prop_assert_eq!(
+            ar.stored_ids().len() as u64,
+            ar.scheme().universe_len(ar.blocks_written()),
+            "{}: a sealed archive holds its whole universe", s
+        );
+        for (n, &(size, ragged)) in puts.iter().enumerate() {
+            prop_assert_eq!(ar.get(&format!("f{n}")).expect("readable"), contents(BLOCKS[size], ragged, n));
+        }
+    }
+}
+
+/// A scheme wrapper: the byte plane and the required availability hooks
+/// forwarded, the dense-index hooks as the wrapper decides.
+struct Wrapped {
+    inner: Box<dyn RedundancyScheme>,
+    /// `None`: the hooks keep their trait defaults
+    /// (`supports_dense_index()` is `false`). `Some(n)`: the hooks are
+    /// forwarded and claimed authoritative, but `block_at` is off by one
+    /// from position `n` on.
+    honest_below: Option<u32>,
+}
+
+impl RedundancyScheme for Wrapped {
+    fn scheme_name(&self) -> String {
+        self.inner.scheme_name()
+    }
+
+    fn data_written(&self) -> u64 {
+        self.inner.data_written()
+    }
+
+    fn repair_cost(&self) -> RepairCost {
+        self.inner.repair_cost()
+    }
+
+    fn encode_batch(
+        &self,
+        blocks: &[Block],
+        sink: &dyn BlockSink,
+    ) -> Result<EncodeReport, AeError> {
+        self.inner.encode_batch(blocks, sink)
+    }
+
+    fn seal(&self, sink: &dyn BlockSink) -> Result<Vec<BlockId>, AeError> {
+        self.inner.seal(sink)
+    }
+
+    fn frontier_snapshot(&self) -> Vec<u8> {
+        self.inner.frontier_snapshot()
+    }
+
+    fn restore_frontier(&self, snapshot: &[u8], source: &dyn BlockSource) -> Result<(), AeError> {
+        self.inner.restore_frontier(snapshot, source)
+    }
+
+    fn repair_block(
+        &self,
+        source: &dyn BlockSource,
+        id: BlockId,
+        data_blocks: u64,
+    ) -> Result<Block, RepairError> {
+        self.inner.repair_block(source, id, data_blocks)
+    }
+
+    fn block_ids(&self, data_blocks: u64) -> Vec<BlockId> {
+        self.inner.block_ids(data_blocks)
+    }
+
+    fn is_repairable(
+        &self,
+        id: BlockId,
+        data_blocks: u64,
+        avail: &dyn Fn(BlockId) -> bool,
+    ) -> bool {
+        self.inner.is_repairable(id, data_blocks, avail)
+    }
+
+    fn universe_len(&self, data_blocks: u64) -> u64 {
+        match self.honest_below {
+            Some(_) => self.inner.universe_len(data_blocks),
+            None => self.block_ids(data_blocks).len() as u64,
+        }
+    }
+
+    fn dense_index(&self, id: &BlockId, data_blocks: u64) -> Option<u32> {
+        self.honest_below
+            .and_then(|_| self.inner.dense_index(id, data_blocks))
+    }
+
+    fn block_at(&self, k: u32, data_blocks: u64) -> Option<BlockId> {
+        match self.honest_below {
+            Some(n) => self.inner.block_at(k + u32::from(k >= n), data_blocks),
+            None => self.block_ids(data_blocks).get(k as usize).copied(),
+        }
+    }
+
+    fn supports_dense_index(&self) -> bool {
+        self.honest_below.is_some()
+    }
+}
+
+/// Runs the same lifetime — four puts, crash, reopen, two more, a forced
+/// checkpoint, damage, scrub, seal — through `wrap`ped and plain
+/// instances of `s`; the wrapped archive must match the plain one block
+/// for block, and the shapes it journaled are handed to `check`.
+fn lifetime(
+    s: &Scheme,
+    honest_below: Option<u32>,
+    check: impl Fn(&[StoredIds], &CheckpointPayload),
+) {
+    let wrap = || -> Arc<dyn RedundancyScheme> {
+        Arc::new(Wrapped {
+            inner: s.build(BLOCK),
+            honest_below,
+        })
+    };
+    let file = |n: usize| (format!("f{n}"), contents(1 + 3 * n, n % 2 == 1, n));
+    let plain_store = Arc::new(MemStore::new());
+    let mut plain =
+        Archive::with_scheme(Arc::from(s.build(BLOCK)), BLOCK, Arc::clone(&plain_store));
+    let store = Arc::new(MemStore::new());
+    let mut ar = Archive::with_scheme(wrap(), BLOCK, Arc::clone(&store));
+    for n in 0..4 {
+        let (name, bytes) = file(n);
+        assert_eq!(ar.put(&name, &bytes), plain.put(&name, &bytes), "{s}");
+    }
+    drop(ar); // crash
+    let mut ar = Archive::open(wrap(), Arc::clone(&store)).expect("explicit records replay");
+    assert_eq!(ar.stored_ids(), plain.stored_ids(), "{s}: replayed id log");
+    for n in 4..6 {
+        let (name, bytes) = file(n);
+        assert_eq!(ar.put(&name, &bytes), plain.put(&name, &bytes), "{s}");
+    }
+    let (shapes, _) = journaled(&store);
+    ar.checkpoint();
+    let (_, checkpoint) = journaled(&store);
+    check(&shapes, &checkpoint.expect("just committed"));
+    drop(ar);
+    let mut ar = Archive::open(wrap(), Arc::clone(&store)).expect("explicit checkpoint loads");
+    assert_eq!(ar.replayed_records(), 0);
+    assert_eq!(
+        ar.stored_ids(),
+        plain.stored_ids(),
+        "{s}: checkpointed id log"
+    );
+
+    let victims: Vec<BlockId> = ar.stored_ids().iter().copied().step_by(9).collect();
+    for v in &victims {
+        assert!(store.remove(*v), "{s}: {v}");
+    }
+    for n in 0..6 {
+        let (name, bytes) = file(n);
+        assert_eq!(ar.get(&name).expect("degraded read"), bytes, "{s}");
+    }
+    assert_eq!(ar.scrub() as usize, victims.len(), "{s}");
+    assert_eq!(ar.seal(), plain.seal(), "{s}");
+    assert_eq!(ar.stored_ids(), plain.stored_ids(), "{s}: sealed id log");
+    for &id in plain.stored_ids() {
+        assert_eq!(store.get(id), plain_store.get(id), "{s}: {id}");
+    }
+}
+
+fn three_schemes() -> [Scheme; 3] {
+    [
+        Scheme::Ae(Config::new(3, 2, 5).expect("AE(3,2,5) is a valid configuration")),
+        Scheme::Rs { k: 4, m: 12 },
+        Scheme::Replication { n: 3 },
+    ]
+}
+
+#[test]
+fn a_scheme_without_the_bijection_journals_explicit_ids_and_round_trips() {
+    for s in three_schemes() {
+        lifetime(&s, None, |shapes, checkpoint| {
+            assert_eq!(shapes.len(), 6);
+            for shape in shapes {
+                assert!(matches!(shape, StoredIds::Listed(_)), "{s}: {shape:?}");
+            }
+            let StoredIds::Listed(ids) = &checkpoint.stored else {
+                panic!("{s}: an explicit id log checkpoints its ids");
+            };
+            let data = ids.iter().filter(|id| id.is_data()).count() as u64;
+            assert_eq!(data, checkpoint.data, "{s}");
+        });
+    }
+}
+
+#[test]
+fn a_report_that_disagrees_with_block_at_turns_the_log_explicit() {
+    for s in three_schemes() {
+        // Honest for the first puts, off by one from position 30 on: the
+        // put that crosses it — and everything after — lists its ids.
+        lifetime(&s, Some(30), |shapes, checkpoint| {
+            let first_listed = shapes
+                .iter()
+                .position(|shape| matches!(shape, StoredIds::Listed(_)))
+                .expect("the lie was noticed");
+            assert!(first_listed > 0, "{s}: the honest prefix journals counts");
+            let mut before = 0u64;
+            for (n, shape) in shapes.iter().enumerate() {
+                match shape {
+                    StoredIds::Count(count) => {
+                        assert!(n < first_listed, "{s}: no way back to counts");
+                        before += u64::from(*count);
+                    }
+                    StoredIds::Listed(ids) if n == first_listed => {
+                        assert!(before <= 30 && before + ids.len() as u64 > 30, "{s}");
+                    }
+                    StoredIds::Listed(_) => {}
+                }
+            }
+            assert!(matches!(checkpoint.stored, StoredIds::Listed(_)), "{s}");
+        });
+    }
+}

@@ -208,7 +208,7 @@ fn degraded_read_fetches(s: &Scheme, files: usize) -> u64 {
     // to a second repair option, and every id involved sits at the same
     // write position in both archives.
     let first = ar.entry(&name(3)).expect("archived").first_block as usize;
-    let victim = ar.data_ids()[first + 4];
+    let victim = ar.data_ids().nth(first + 4).expect("a 16-block file");
     let at = ar
         .stored_ids()
         .iter()
