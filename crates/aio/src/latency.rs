@@ -24,7 +24,7 @@
 use crate::exec::Runtime;
 use ae_api::{
     AsyncBlockRepo, AsyncBlockSink, AsyncBlockSource, AsyncHandle, BlockRepo, BlockSink,
-    BlockSource, BoxFuture, StoreError,
+    BlockSource, BoxFuture, SplitMix64, StoreError,
 };
 use ae_blocks::{Block, BlockId};
 use parking_lot::Mutex;
@@ -112,21 +112,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// SplitMix64 — the de-facto standard seeding generator; tiny, full
-/// period, and exactly reproducible from its seed.
-#[derive(Debug)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
 /// One link's mutable state: its spec (adjustable mid-run, so benchmarks
 /// can build an archive at zero RTT and then raise it before measuring)
 /// and its dead flag.
@@ -195,7 +180,7 @@ impl<S: BlockRepo + Send + ?Sized> LatencyStore<S> {
             data_local: links.len() == 2,
             links,
             state: Mutex::new(NetState {
-                prng: SplitMix64(seed),
+                prng: SplitMix64::new(seed),
                 free,
             }),
             inner,
@@ -294,7 +279,7 @@ impl<S: BlockRepo + Send + ?Sized> LatencyStore<S> {
         st.free[li] = slot + transfer;
         let jitters = (0..self.retry.attempts.max(1))
             .map(|_| {
-                let draw = st.prng.next();
+                let draw = st.prng.next_u64();
                 if jitter == 0 {
                     0
                 } else {

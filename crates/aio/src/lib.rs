@@ -81,10 +81,10 @@
 //!   batch of its own) before the pointer; the pointer before any GC
 //!   remove.
 //!
-//! With window 1 (the `serial-aio` feature, or `AE_AIO_WINDOW=1`) issue
-//! order *is* completion order and every batch degenerates to the serial
-//! loop: that configuration is the reference the parity suites and the
-//! round-trip budget (`tests/wan_rtt_budget.rs`) compare against.
+//! With window 1 (`AE_AIO_WINDOW=1`) issue order *is* completion order
+//! and every batch degenerates to the serial loop: that configuration is
+//! the reference the parity suites and the round-trip budget
+//! (`tests/wan_rtt_budget.rs`) compare against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -104,13 +104,10 @@ pub use time::{Clock, Sleep};
 /// The bounded in-flight window for pipelined block operations.
 ///
 /// Defaults to 8; overridden by the `AE_AIO_WINDOW` environment variable
-/// (read on every call, so benchmarks can vary it per case), and pinned
-/// to 1 by the `serial-aio` feature — the CI leg proving the pipelined
-/// and serial paths agree (the env var is ignored under the feature).
+/// (read on every call, so benchmarks can vary it per case).
+/// `AE_AIO_WINDOW=1` is the serial reference: CI's second leg runs the
+/// whole suite under it to prove the pipelined and serial paths agree.
 pub fn in_flight_window() -> usize {
-    if cfg!(feature = "serial-aio") {
-        return 1;
-    }
     std::env::var("AE_AIO_WINDOW")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
@@ -124,19 +121,20 @@ mod tests {
 
     #[test]
     fn window_default_env_and_feature_pinning() {
-        if cfg!(feature = "serial-aio") {
-            assert_eq!(in_flight_window(), 1);
-        } else {
-            // Serialize env mutation against other tests via a lock.
-            static ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
-            let _guard = ENV.lock().unwrap();
-            std::env::remove_var("AE_AIO_WINDOW");
-            assert_eq!(in_flight_window(), 8);
-            std::env::set_var("AE_AIO_WINDOW", "32");
-            assert_eq!(in_flight_window(), 32, "env var read per call");
-            std::env::set_var("AE_AIO_WINDOW", "0");
-            assert_eq!(in_flight_window(), 8, "zero falls back to default");
-            std::env::remove_var("AE_AIO_WINDOW");
+        // Serialize env mutation against other tests via a lock.
+        static ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = ENV.lock().unwrap();
+        let before = std::env::var_os("AE_AIO_WINDOW");
+        std::env::remove_var("AE_AIO_WINDOW");
+        assert_eq!(in_flight_window(), 8);
+        std::env::set_var("AE_AIO_WINDOW", "32");
+        assert_eq!(in_flight_window(), 32, "env var read per call");
+        std::env::set_var("AE_AIO_WINDOW", "0");
+        assert_eq!(in_flight_window(), 8, "zero falls back to default");
+        // Hand the rest of this test binary the window the run asked for.
+        match before {
+            Some(v) => std::env::set_var("AE_AIO_WINDOW", v),
+            None => std::env::remove_var("AE_AIO_WINDOW"),
         }
     }
 }

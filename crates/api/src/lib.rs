@@ -63,5 +63,5 @@ pub use frontier::{SnapshotReader, SnapshotWriter};
 pub use hist::LogHistogram;
 pub use io::{BlockMap, BlockRepo, BlockSink, BlockSource, Overlay};
 pub use par::repair_threads;
-pub use placement::{mix64, Placement};
+pub use placement::{mix64, Placement, SplitMix64};
 pub use scheme::{EncodeReport, RedundancyScheme, RepairCost, RepairSummary, RoundStats};

@@ -13,18 +13,14 @@ use std::sync::OnceLock;
 ///
 /// Resolution order:
 ///
-/// 1. with the `serial-repair` feature enabled, always 1 (the escape
-///    hatch CI uses to prove the parallel and serial planners agree);
-/// 2. the `AE_REPAIR_THREADS` environment variable, if it parses to a
+/// 1. the `AE_REPAIR_THREADS` environment variable, if it parses to a
 ///    positive integer (read once per process);
-/// 3. [`std::thread::available_parallelism`].
+/// 2. [`std::thread::available_parallelism`].
 ///
 /// Planners treat 1 as "plan inline, spawn nothing", so single-core hosts
-/// and the feature-gated escape hatch take the exact sequential code path.
+/// and `AE_REPAIR_THREADS=1` — the reference configuration CI's second
+/// leg runs the whole suite under — take the exact sequential code path.
 pub fn repair_threads() -> usize {
-    if cfg!(feature = "serial-repair") {
-        return 1;
-    }
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
         std::env::var("AE_REPAIR_THREADS")
@@ -102,7 +98,5 @@ mod tests {
         let n = repair_threads();
         assert!(n >= 1);
         assert_eq!(n, repair_threads(), "memoized");
-        #[cfg(feature = "serial-repair")]
-        assert_eq!(n, 1, "serial-repair forces one planner thread");
     }
 }

@@ -81,6 +81,46 @@ pub fn mix64(x: u64, seed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// SplitMix64 as a stream: the workspace's one seeded generator, the
+/// [`mix64`] finalizer applied to a state advancing by the golden-ratio
+/// increment. Tiny, splittable by construction — and above all *pinned*,
+/// so a `(seed, config)` pair names one exact sequence forever,
+/// independent of any external RNG crate's evolution.
+#[derive(Debug, Clone)]
+pub struct SplitMix64(u64);
+
+impl SplitMix64 {
+    /// A generator starting from `seed`.
+    pub fn new(seed: u64) -> Self {
+        SplitMix64(seed)
+    }
+
+    /// The next 64 uniformly distributed bits.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        let out = mix64(self.0, 0);
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        out
+    }
+
+    /// A uniform draw in `0..bound` (`bound` of 0 is treated as 1).
+    pub fn below(&mut self, bound: u64) -> u64 {
+        self.next_u64() % bound.max(1)
+    }
+
+    /// A uniform draw in `[0, 1)` with 53 bits of precision.
+    pub fn unit_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// An independent generator split off this one's stream — used to give
+    /// each concern (tenant choice, file choice, payload bytes) its own
+    /// stream so adding draws to one never perturbs the others.
+    pub fn split(&mut self) -> SplitMix64 {
+        SplitMix64(self.next_u64())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -75,7 +75,9 @@ impl RepairCost {
     }
 }
 
-/// Statistics of one repair round.
+/// Statistics of one repair round, on the byte plane
+/// ([`RedundancyScheme::repair_missing`]) and the availability plane
+/// (`ae_sim::SchemePlane`) alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundStats {
     /// Blocks repaired this round (data + redundancy).
@@ -87,6 +89,13 @@ pub struct RoundStats {
     /// per-round traffic, so callers can report repair-cost distributions
     /// instead of a bare total.
     pub blocks_read: u64,
+}
+
+impl RoundStats {
+    /// Blocks written this round (every repair writes its block back).
+    pub fn writes(&self) -> u64 {
+        self.repaired as u64
+    }
 }
 
 /// Outcome of a round-based [`RedundancyScheme::repair_missing`].
@@ -270,28 +279,22 @@ pub trait RedundancyScheme: Send + Sync {
     /// its named-missing members comes back. Rounds, per-round statistics,
     /// traffic and unrecovered targets are bit-identical to
     /// [`RedundancyScheme::repair_missing_serial`] (proved by the parity
-    /// suites, which compare both planners in one process; the
-    /// `serial-repair` feature additionally routes this method to the
-    /// serial path outright); multi-failure disasters just plan each
-    /// round in parallel and skip provably-futile re-attempts.
+    /// suites, which compare both planners in one process);
+    /// multi-failure disasters just plan each round in parallel and skip
+    /// provably-futile re-attempts.
     fn repair_missing(
         &self,
         repo: &dyn BlockRepo,
         targets: &[BlockId],
         data_blocks: u64,
     ) -> RepairSummary {
-        if cfg!(feature = "serial-repair") {
-            return self.repair_missing_serial(repo, targets, data_blocks);
-        }
         repair_missing_worklist(self, repo, targets, data_blocks)
     }
 
     /// The reference single-threaded round loop behind
     /// [`RedundancyScheme::repair_missing`]: every round re-attempts every
     /// still-missing target against the round-start state. Kept public as
-    /// the escape hatch (the `serial-repair` feature routes
-    /// `repair_missing` here) and as the oracle the parallel planner is
-    /// tested against.
+    /// the oracle the worklist planner is tested against.
     fn repair_missing_serial(
         &self,
         repo: &dyn BlockRepo,

@@ -4,7 +4,6 @@
 
 use crate::decoder;
 use crate::encoder::Entangler;
-use crate::repair::RepairEngine;
 use ae_api::{
     AeError, BlockSink, BlockSource, EncodeReport, RedundancyScheme, RepairCost, RepairError,
     SnapshotReader, SnapshotWriter,
@@ -24,7 +23,7 @@ pub type BlockMap = ae_api::BlockMap;
 ///
 /// `Code` owns the streaming encoder state behind a lock, so one value is
 /// both the encoder ([`Code::encode_batch`] via [`RedundancyScheme`]) and
-/// the decoder ([`Code::repair_block`], [`Code::repair_engine`]) — and can
+/// the decoder ([`Code::repair_block`], `repair_missing`) — and can
 /// be shared (`Arc<Code>`, `Arc<dyn RedundancyScheme>`) between an
 /// archive, a plane and repair workers. See the crate-level example for
 /// end-to-end usage.
@@ -96,12 +95,6 @@ impl Code {
     ) -> Result<Block, RepairError> {
         let mut lookup = |id: BlockId| source.fetch(id);
         decoder::repair_block(self.config(), id, max_node, &self.zero, &mut lookup).map(|r| r.block)
-    }
-
-    /// A round-based global repair engine for disasters affecting many
-    /// blocks at once.
-    pub fn repair_engine(&self, max_node: u64) -> RepairEngine<'_> {
-        RepairEngine::new(self.config(), max_node, &self.zero)
     }
 
     /// Whether the input parity of node `i` on `class` is available

@@ -17,9 +17,10 @@
 //!   pp-tuple (two parities, one XOR), a parity block from either dp-tuple.
 //!   Failures return [`ae_api::RepairError::NoCompleteTuple`] naming the
 //!   missing tuple members.
-//! * [`repair::RepairEngine`] — the round-based global decoder used after
-//!   disasters: each round repairs every block that has a complete tuple,
-//!   newly repaired blocks enable further repairs next round (§V.C.4).
+//!   The round-based global decoder used after disasters (§V.C.4: each
+//!   round repairs every block that has a complete tuple, newly repaired
+//!   blocks enable further repairs next round) is the scheme-generic
+//!   [`ae_api::RedundancyScheme::repair_missing`] over these repairs.
 //! * [`writer::WriteScheduler`] — the Fig 10 write-performance model:
 //!   full-writes vs deferred buckets as a function of s and p.
 //! * [`puncture`] — the storage-overhead reduction sketched in §III
@@ -70,7 +71,8 @@ pub mod code;
 pub mod decoder;
 pub mod encoder;
 pub mod puncture;
-pub mod repair;
+#[cfg(test)]
+mod repair;
 pub mod tamper;
 pub mod upgrade;
 pub mod writer;
@@ -81,7 +83,6 @@ pub use ae_api::{
 };
 pub use code::{BlockMap, Code};
 pub use encoder::{EntangleOutput, Entangler};
-pub use repair::{RepairEngine, RepairReport};
 pub use writer::{WriteReport, WriteScheduler};
 
 use ae_blocks::{BlockId, NodeId};

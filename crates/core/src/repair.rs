@@ -1,133 +1,19 @@
-//! Round-based global repair.
+//! Round-based global repair of the lattice, on real bytes.
 //!
 //! After a disaster, many blocks are missing at once. "At each round, our AE
 //! decoder computes 1 XOR between two available blocks for any data and
 //! parity blocks that is repaired. When data blocks cannot be repaired at
 //! the first round, the decoder will do it at the second round if other
-//! required data or parity block becomes available" (§V.C.4). Repairs
-//! within one round read only blocks available at the start of the round,
-//! so a round models one parallel wave of distributed repairs; the number
-//! of rounds to fixpoint is the paper's Table VI metric.
+//! required data or parity block becomes available" (§V.C.4). The round
+//! loop is scheme-generic ([`ae_api::RedundancyScheme::repair_missing`]);
+//! what the lattice adds — clustered failures that need several rounds,
+//! minimal erasure patterns that never repair — is pinned here.
 
-use crate::decoder;
-use ae_api::{BlockSink, BlockSource};
-use ae_blocks::{Block, BlockId};
-use ae_lattice::Config;
-
-/// Statistics of one repair round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundStats {
-    /// Blocks repaired this round (data + parity).
-    pub repaired: usize,
-    /// Of which data blocks.
-    pub data_repaired: usize,
-}
-
-/// Outcome of a global repair.
-#[derive(Debug, Clone)]
-pub struct RepairReport {
-    /// Per-round statistics, in order.
-    pub rounds: Vec<RoundStats>,
-    /// Targets the decoder could not reconstruct (a dead pattern remains).
-    pub unrecovered: Vec<BlockId>,
-}
-
-impl RepairReport {
-    /// Number of rounds that made progress.
-    pub fn round_count(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// Total blocks repaired.
-    pub fn total_repaired(&self) -> usize {
-        self.rounds.iter().map(|r| r.repaired).sum()
-    }
-
-    /// Total data blocks repaired.
-    pub fn total_data_repaired(&self) -> usize {
-        self.rounds.iter().map(|r| r.data_repaired).sum()
-    }
-
-    /// Data blocks repaired in round 1 — the paper's *single failures*: one
-    /// XOR of two available blocks with no dependency on other repairs
-    /// (§V.C.3, Fig 13).
-    pub fn single_failure_data_repairs(&self) -> usize {
-        self.rounds.first().map_or(0, |r| r.data_repaired)
-    }
-
-    /// Whether every target was reconstructed.
-    pub fn fully_recovered(&self) -> bool {
-        self.unrecovered.is_empty()
-    }
-}
-
-/// Round-based repair engine over an in-memory block map.
-#[derive(Debug)]
-pub struct RepairEngine<'a> {
-    cfg: &'a Config,
-    max_node: u64,
-    zero: &'a Block,
-}
-
-impl<'a> RepairEngine<'a> {
-    /// Creates an engine for a lattice with nodes `1..=max_node`; `zero` is
-    /// the all-zero block of the lattice's block size.
-    pub fn new(cfg: &'a Config, max_node: u64, zero: &'a Block) -> Self {
-        RepairEngine {
-            cfg,
-            max_node,
-            zero,
-        }
-    }
-
-    /// Repairs `targets` in rounds until fixpoint. Repaired blocks are
-    /// inserted into `store` (any [`BlockSource`] + [`BlockSink`], e.g. the
-    /// in-memory [`crate::BlockMap`] or an `ae-store` store); each round
-    /// only reads blocks present at the round's start.
-    pub fn repair_all(
-        &self,
-        store: &(impl BlockSource + BlockSink + ?Sized),
-        targets: impl IntoIterator<Item = BlockId>,
-    ) -> RepairReport {
-        let mut missing: Vec<BlockId> = targets.into_iter().filter(|&id| !store.has(id)).collect();
-        let mut rounds = Vec::new();
-        while !missing.is_empty() {
-            // Plan all repairs against the round-start snapshot…
-            let mut planned: Vec<(BlockId, Block)> = Vec::new();
-            let mut still_missing = Vec::new();
-            for &id in &missing {
-                let mut lookup = |q: BlockId| store.fetch(q);
-                match decoder::repair_block(self.cfg, id, self.max_node, self.zero, &mut lookup) {
-                    Ok(r) => planned.push((id, r.block)),
-                    Err(_) => still_missing.push(id),
-                }
-            }
-            if planned.is_empty() {
-                break; // fixpoint: a dead pattern remains
-            }
-            // …then commit them together, making them visible next round.
-            let stats = RoundStats {
-                repaired: planned.len(),
-                data_repaired: planned.iter().filter(|(id, _)| id.is_data()).count(),
-            };
-            for (id, block) in planned {
-                store.store(id, block);
-            }
-            rounds.push(stats);
-            missing = still_missing;
-        }
-        RepairReport {
-            rounds,
-            unrecovered: missing,
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
     use crate::code::{BlockMap, Code};
-    use ae_blocks::{EdgeId, NodeId, StrandClass};
+    use ae_api::RedundancyScheme;
+    use ae_blocks::{Block, BlockId, EdgeId, NodeId, StrandClass};
+    use ae_lattice::Config;
 
     fn build(cfg: Config, n: u64, len: usize) -> (Code, BlockMap) {
         let code = Code::new(cfg, len);
@@ -155,7 +41,7 @@ mod tests {
         for v in &victims {
             store.remove(v);
         }
-        let report = code.repair_engine(300).repair_all(&store, victims.clone());
+        let report = code.repair_missing(&store, &victims, 300);
         assert!(report.fully_recovered());
         assert_eq!(report.round_count(), 1);
         assert_eq!(report.total_repaired(), 3);
@@ -187,7 +73,7 @@ mod tests {
         for v in &victims {
             store.remove(v);
         }
-        let report = code.repair_engine(400).repair_all(&store, victims.clone());
+        let report = code.repair_missing(&store, &victims, 400);
         assert!(
             report.fully_recovered(),
             "unrecovered: {:?}",
@@ -199,8 +85,8 @@ mod tests {
         }
     }
 
-    /// A minimal erasure pattern is genuinely irrecoverable; the engine
-    /// reports it rather than looping.
+    /// A minimal erasure pattern is genuinely irrecoverable; the round
+    /// loop reports it rather than looping.
     #[test]
     fn dead_pattern_reported_unrecovered() {
         let cfg = Config::new(2, 1, 1).unwrap();
@@ -215,7 +101,7 @@ mod tests {
         for v in &victims {
             store.remove(v);
         }
-        let report = code.repair_engine(100).repair_all(&store, victims.clone());
+        let report = code.repair_missing(&store, &victims, 100);
         assert!(!report.fully_recovered());
         assert_eq!(report.unrecovered.len(), 4);
         assert_eq!(report.round_count(), 0);
@@ -242,7 +128,7 @@ mod tests {
         for v in &victims {
             store.remove(v);
         }
-        let report = code.repair_engine(100).repair_all(&store, victims);
+        let report = code.repair_missing(&store, &victims, 100);
         assert_eq!(report.unrecovered.len(), 4);
         assert_eq!(report.total_repaired(), 2);
     }
@@ -251,9 +137,7 @@ mod tests {
     fn already_present_targets_are_skipped() {
         let cfg = Config::single();
         let (code, store) = build(cfg, 20, 8);
-        let report = code
-            .repair_engine(20)
-            .repair_all(&store, vec![BlockId::Data(NodeId(5))]);
+        let report = code.repair_missing(&store, &[BlockId::Data(NodeId(5))], 20);
         assert_eq!(report.round_count(), 0);
         assert!(report.fully_recovered());
     }

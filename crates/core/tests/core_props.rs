@@ -2,7 +2,7 @@
 //! engine.
 
 use ae_blocks::{Block, BlockId, EdgeId, NodeId};
-use ae_core::{upgrade, BlockMap, Code, Entangler, WriteScheduler};
+use ae_core::{upgrade, BlockMap, Code, Entangler, RedundancyScheme, WriteScheduler};
 use ae_lattice::Config;
 use proptest::prelude::*;
 
@@ -76,7 +76,7 @@ proptest! {
         for v in &victims {
             store.remove(v);
         }
-        let report = code.repair_engine(n).repair_all(&store, victims.clone());
+        let report = code.repair_missing(&store, &victims, n);
         prop_assert!(report.fully_recovered());
         for v in &victims {
             prop_assert_eq!(store.get(v), full.get(v));

@@ -21,20 +21,19 @@
 //! `is_x86_feature_detected!` / `is_aarch64_feature_detected!`; the
 //! chosen [`Kernels`] set of plain function pointers is cached for the
 //! life of the process ([`active`]). Selection override order is
-//! **environment > cargo feature > auto-detection**:
+//! **environment > auto-detection**:
 //!
 //! 1. `AE_KERNEL=scalar|sse2|avx2|neon|auto` picks a tier at runtime.
 //!    A tier the host CPU does not support (or an unknown value) falls
 //!    back to `auto`.
-//! 2. The `force-scalar` cargo feature pins the default to the scalar
-//!    reference kernels (CI runs the whole test suite under it).
-//! 3. Otherwise the best tier the CPU supports wins.
+//! 2. Otherwise the best tier the CPU supports wins.
 //!
 //! Every vectorized kernel is pinned byte-identical to the scalar
 //! reference by exhaustive proptests (all 256 GF constants, lengths
-//! straddling every vector width, unaligned sub-slice views); the
-//! `force-scalar` CI leg plus a dispatched-vs-scalar parity step keep
-//! that contract enforced on whatever ISA CI runs.
+//! straddling every vector width, unaligned sub-slice views); CI's
+//! reference leg (the whole suite under `AE_KERNEL=scalar`) plus a
+//! dispatched-vs-scalar parity step keep that contract enforced on
+//! whatever ISA CI runs.
 
 #![warn(missing_docs)]
 
@@ -283,13 +282,10 @@ fn by_name(name: &str) -> Option<Kernels> {
 fn select() -> Kernels {
     if let Ok(requested) = std::env::var("AE_KERNEL") {
         if !requested.is_empty() {
-            // Env wins over the feature; an unsupported or unknown tier
-            // falls back to auto-detection (documented contract).
+            // An unsupported or unknown tier falls back to
+            // auto-detection (documented contract).
             return by_name(&requested).unwrap_or_else(auto_set);
         }
-    }
-    if cfg!(feature = "force-scalar") {
-        return SCALAR_SET;
     }
     auto_set()
 }

@@ -1,8 +1,8 @@
 //! Portable scalar reference kernels.
 //!
 //! These are the byte-for-byte ground truth the SIMD paths are pinned
-//! against (and the bodies behind the `force-scalar` feature and
-//! `AE_KERNEL=scalar`). They are not naive: XOR moves 32 bytes per step
+//! against (and the bodies behind `AE_KERNEL=scalar`). They are not
+//! naive: XOR moves 32 bytes per step
 //! through `u64` lanes the compiler autovectorizes, the GF(2^8) multiply
 //! is a branch-free two-level nibble lookup (no per-byte `d != 0`
 //! mispredict, no log/exp dependency chain), and CRC32 is slice-by-16.

@@ -34,9 +34,9 @@
 //!   and tenants' id spaces are disjoint, so the final backend state is
 //!   independent of cross-tenant interleaving.
 //!
-//! The `serial-service` cargo feature (mirroring `serial-repair`) pins
-//! the whole service to one in-line worker — the reference execution the
-//! parity suite compares the sharded pool against.
+//! [`ServiceConfig::serial`] runs the whole service as one in-line
+//! worker — the reference execution the parity suite compares the sharded
+//! pool against.
 //!
 //! ```
 //! use ae_service::{ArchiveService, ServiceConfig, Workload, WorkloadConfig};

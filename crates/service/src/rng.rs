@@ -1,51 +1,8 @@
-//! Seeded randomness for the workload engine: SplitMix64 plus a Zipf
+//! Seeded randomness for the workload engine: the workspace's
+//! [`SplitMix64`] stream (defined next to `ae_api::mix64`) plus a Zipf
 //! sampler built on it.
-//!
-//! The engine follows the workspace's no-`StdRng` convention (cf. the
-//! crash-recovery soak): SplitMix64 is tiny, fast, splittable by
-//! construction — and above all *pinned*, so a `(seed, config)` pair names
-//! one exact operation sequence forever, independent of any external RNG
-//! crate's evolution.
 
-/// SplitMix64: the workspace's seeded stream of choice.
-///
-/// Every call advances the state by the golden-ratio increment and mixes
-/// it; two generators with the same seed produce the same stream.
-#[derive(Debug, Clone)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// A generator starting from `seed`.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    /// The next 64 uniformly distributed bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    /// A uniform draw in `0..bound` (`bound` of 0 is treated as 1).
-    pub fn below(&mut self, bound: u64) -> u64 {
-        self.next_u64() % bound.max(1)
-    }
-
-    /// A uniform draw in `[0, 1)` with 53 bits of precision.
-    pub fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// An independent generator split off this one's stream — used to give
-    /// each concern (tenant choice, file choice, payload bytes) its own
-    /// stream so adding draws to one never perturbs the others.
-    pub fn split(&mut self) -> SplitMix64 {
-        SplitMix64(self.next_u64())
-    }
-}
+pub use ae_api::SplitMix64;
 
 /// A Zipf(θ) sampler over ranks `0..n`: rank `r` is drawn with weight
 /// `1 / (r + 1)^θ`, so rank 0 is the most popular. θ = 0 degenerates to

@@ -39,7 +39,7 @@
 //! and backend state after a run is **byte-identical** to executing every
 //! tenant's subsequence serially — the property the parity suite pins by
 //! replaying seeded workloads with [`crate::Workload::replay`] against the
-//! `serial-service` in-line path.
+//! in-line path ([`ServiceConfig::serial`]).
 
 use crate::stats::{OpKind, ServiceReport, ShardStats};
 use crate::tenant::{SharedBackend, TenantId, TenantStore};
@@ -65,8 +65,7 @@ pub struct ServiceConfig {
     /// with [`ServiceError::Saturated`].
     pub queue_depth: usize,
     /// Execute every operation on the submitting thread instead of a
-    /// worker pool — the reference serial path. Forced on by the
-    /// `serial-service` cargo feature.
+    /// worker pool — the reference serial path.
     pub inline: bool,
     /// Default metadata durability policy for new tenants: copy-set width,
     /// checkpoint cadence, checkpoint segment size. Per-tenant overrides
@@ -497,10 +496,9 @@ impl ArchiveService {
         }
     }
 
-    /// Whether operations execute in-line on the submitting thread (the
-    /// `serial-service` feature forces this on).
+    /// Whether operations execute in-line on the submitting thread.
     pub fn is_inline(&self) -> bool {
-        cfg!(feature = "serial-service") || self.config.inline
+        self.config.inline
     }
 
     /// Worker shards a run will raise (1 in in-line mode).
@@ -646,9 +644,8 @@ impl ArchiveService {
     /// every submitted operation completes before `run` does. Returns the
     /// closure's result and the run's [`ServiceReport`].
     ///
-    /// In in-line mode (the `serial-service` feature, or
-    /// [`ServiceConfig::serial`]) no threads are raised: operations
-    /// execute on the submitting thread in submission order.
+    /// In in-line mode ([`ServiceConfig::serial`]) no threads are raised:
+    /// operations execute on the submitting thread in submission order.
     pub fn run<R>(&mut self, f: impl FnOnce(&ServiceClient<'_>) -> R) -> (R, ServiceReport) {
         let start = Instant::now();
         let saturated = AtomicU64::new(0);
@@ -806,7 +803,7 @@ mod tests {
             }
         });
         assert_eq!(report.completed(), 28);
-        // One stats row per shard (a single row under serial-service).
+        // One stats row per shard.
         assert_eq!(report.shard_completed.len(), svc.shard_count());
         assert!(report.latency(OpKind::Put).count() == 28);
         // Every tenant's files read back through idle access too.

@@ -1,123 +1,34 @@
-//! Availability-plane simulation of an entangled storage system — a thin
-//! adapter over the generic [`crate::scheme_plane`], with `ae_core::Code`
-//! as the driving [`ae_api::RedundancyScheme`].
-//!
-//! Blocks are availability flags plus a location, exactly the schema of the
-//! paper's Table V (block id, type/strand, location, available, repaired).
-//! Two repair regimes:
-//!
-//! * [`AeSimulation::repair_full`] — the round-based global decoder: each
-//!   round repairs every data and parity block that has a complete tuple
-//!   among the blocks available at the round's start (§V.C.4; Fig 11,
-//!   Fig 13, Table VI).
-//! * [`AeSimulation::repair_minimal`] — *minimal maintenance* (§V.C.2):
-//!   data blocks are repaired, but a missing parity is repaired only when
-//!   it belongs to a repair tuple of a currently-missing data block. What
-//!   remains is used for the Fig 12 metric: data blocks left without a
-//!   single complete pp-tuple.
+//! The AE family (`Scheme::Ae`) on the availability plane: the paper
+//! shapes of Fig 11–13 and Table VI under the round-based global decoder
+//! (`repair_full`, §V.C.4) and minimal maintenance (`repair_minimal`,
+//! §V.C.2).
 
-use crate::scheme_plane::SchemePlane;
-use ae_blocks::BlockId;
-use ae_core::puncture::PuncturePlan;
-use ae_core::Code;
-use ae_lattice::Config;
-
-pub use crate::scheme_plane::{
-    failed_locations, FullRepairOutcome, MinimalRepairOutcome, RoundStats, SimPlacement,
-};
-
-/// An AE(α, s, p) lattice over `n` data blocks distributed across
-/// locations, driven through the scheme-agnostic plane.
-pub struct AeSimulation {
-    cfg: Config,
-    plane: SchemePlane,
-}
-
-impl AeSimulation {
-    /// Builds the lattice state: `n` data blocks and `α·n` parities, each
-    /// assigned a uniform random location (the paper's random placement).
-    pub fn new(cfg: Config, n: u64, locations: u32, placement_seed: u64) -> Self {
-        Self::with_options(
-            cfg,
-            n,
-            locations,
-            SimPlacement::Random {
-                seed: placement_seed,
-            },
-            PuncturePlan::none(),
-        )
-    }
-
-    /// Builds the lattice state with an explicit placement policy and
-    /// puncture plan. Punctured parities start out missing (never stored);
-    /// the decoder may still reconstruct them transiently as stepping
-    /// stones during repairs.
-    pub fn with_options(
-        cfg: Config,
-        n: u64,
-        locations: u32,
-        placement: SimPlacement,
-        puncture: PuncturePlan,
-    ) -> Self {
-        // Block size 0: the availability plane never touches bytes.
-        let code = Code::new(cfg, 0);
-        let plane = SchemePlane::with_missing(
-            Box::new(code),
-            n,
-            locations,
-            placement,
-            |id| matches!(id, BlockId::Parity(e) if !puncture.is_stored(e)),
-        );
-        AeSimulation { cfg, plane }
-    }
-
-    /// The code configuration.
-    pub fn config(&self) -> &Config {
-        &self.cfg
-    }
-
-    /// Data blocks in the lattice.
-    pub fn data_blocks(&self) -> u64 {
-        self.plane.data_blocks()
-    }
-
-    /// Resets all stored blocks to available.
-    pub fn heal_all(&mut self) {
-        self.plane.heal_all();
-    }
-
-    /// Fails `fraction` of the locations (chosen uniformly by
-    /// `disaster_seed`) and marks every block stored there unavailable.
-    /// Returns `(missing data, missing parity)` counts.
-    pub fn inject_disaster(&mut self, fraction: f64, disaster_seed: u64) -> (u64, u64) {
-        self.plane.inject_disaster(fraction, disaster_seed)
-    }
-
-    /// Round-based repair of everything until fixpoint.
-    pub fn repair_full(&mut self) -> FullRepairOutcome {
-        self.plane.repair_full()
-    }
-
-    /// Minimal-maintenance repair: rounds repair missing data blocks, plus
-    /// missing parities that belong to a pp-tuple of a currently-missing
-    /// data block ("some parities are repaired if they are part of the same
-    /// stripe of an unavailable data block", §V.C.2).
-    pub fn repair_minimal(&mut self) -> MinimalRepairOutcome {
-        self.plane.repair_minimal()
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::{plane, plane_with, Env};
+    use crate::scheme_plane::{SchemePlane, SimPlacement};
+    use crate::Scheme;
+    use ae_core::puncture::PuncturePlan;
+    use ae_lattice::Config;
 
-    fn sim(cfg: Config, n: u64) -> AeSimulation {
-        AeSimulation::new(cfg, n, 100, 42)
+    fn env(n: u64) -> Env {
+        Env {
+            data_blocks: n,
+            placement_seed: 42,
+            ..Env::paper()
+        }
+    }
+
+    fn sim(cfg: Config, n: u64) -> SchemePlane {
+        plane(Scheme::Ae(cfg), &env(n))
+    }
+
+    fn ae325() -> Config {
+        Config::new(3, 2, 5).unwrap()
     }
 
     #[test]
     fn disaster_marks_expected_fraction() {
-        let mut s = sim(Config::new(3, 2, 5).unwrap(), 50_000);
+        let mut s = sim(ae325(), 50_000);
         let (md, mp) = s.inject_disaster(0.2, 7);
         // ~20% of 50k data and of 150k parities.
         assert!((8_000..12_000).contains(&md), "missing data {md}");
@@ -135,7 +46,7 @@ mod tests {
 
     #[test]
     fn small_disaster_fully_repairs_triple_entanglement() {
-        let mut s = sim(Config::new(3, 2, 5).unwrap(), 50_000);
+        let mut s = sim(ae325(), 50_000);
         s.inject_disaster(0.10, 3);
         let out = s.repair_full();
         assert_eq!(out.data_lost, 0, "AE(3,2,5) shrugs off a 10% disaster");
@@ -148,11 +59,7 @@ mod tests {
     fn fault_tolerance_ordering_alpha() {
         // At a heavy disaster, data loss must decrease with alpha.
         let mut losses = Vec::new();
-        for cfg in [
-            Config::single(),
-            Config::new(2, 2, 5).unwrap(),
-            Config::new(3, 2, 5).unwrap(),
-        ] {
+        for cfg in [Config::single(), Config::new(2, 2, 5).unwrap(), ae325()] {
             let mut s = sim(cfg, 50_000);
             s.inject_disaster(0.4, 11);
             losses.push(s.repair_full().data_lost);
@@ -169,17 +76,6 @@ mod tests {
     }
 
     #[test]
-    fn repair_is_deterministic() {
-        let run = || {
-            let mut s = sim(Config::new(2, 2, 5).unwrap(), 20_000);
-            s.inject_disaster(0.3, 5);
-            let o = s.repair_full();
-            (o.data_lost, o.round_count(), o.data_repaired())
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
     fn minimal_maintenance_leaves_vulnerable_data() {
         let mut s = sim(Config::single(), 50_000);
         s.inject_disaster(0.3, 9);
@@ -193,15 +89,13 @@ mod tests {
 
     #[test]
     fn minimal_repairs_fewer_parities_than_full() {
-        let (mut a, mut b) = (
-            sim(Config::new(3, 2, 5).unwrap(), 30_000),
-            sim(Config::new(3, 2, 5).unwrap(), 30_000),
-        );
-        a.inject_disaster(0.3, 13);
-        b.inject_disaster(0.3, 13);
-        let full = a.repair_full();
-        let minimal = b.repair_minimal();
-        let full_parity: u64 = full.rounds.iter().map(|r| r.parity).sum();
+        let mut s = sim(ae325(), 30_000);
+        s.inject_disaster(0.3, 13);
+        let full = s.repair_full();
+        s.heal_all();
+        s.inject_disaster(0.3, 13);
+        let minimal = s.repair_minimal();
+        let full_parity = full.blocks_written() - full.data_repaired();
         assert!(
             minimal.parity_repaired < full_parity,
             "minimal {} < full {full_parity}",
@@ -220,7 +114,7 @@ mod tests {
     #[test]
     fn higher_alpha_reduces_vulnerability() {
         let mut v = Vec::new();
-        for cfg in [Config::single(), Config::new(3, 2, 5).unwrap()] {
+        for cfg in [Config::single(), ae325()] {
             let mut s = sim(cfg, 30_000);
             s.inject_disaster(0.3, 21);
             v.push(s.repair_minimal().vulnerable_data);
@@ -237,16 +131,23 @@ mod tests {
         assert_eq!(out.round_count(), 0);
     }
 
+    /// Data lost by `cfg` at a 40% disaster under `placement` / `puncture`.
+    fn loss_at_40(cfg: Config, placement: SimPlacement, puncture: PuncturePlan) -> u64 {
+        let mut s = plane_with(Scheme::Ae(cfg), &env(40_000), placement, puncture);
+        s.inject_disaster(0.4, 3);
+        s.repair_full().data_lost
+    }
+
     #[test]
     fn round_robin_placement_beats_random() {
         // §V.C: round-robin keeps lattice neighbours in distinct failure
         // domains, so recovery can only improve.
-        let cfg = Config::new(2, 2, 5).unwrap();
         let run = |placement| {
-            let mut s =
-                AeSimulation::with_options(cfg, 40_000, 100, placement, PuncturePlan::none());
-            s.inject_disaster(0.4, 3);
-            s.repair_full().data_lost
+            loss_at_40(
+                Config::new(2, 2, 5).unwrap(),
+                placement,
+                PuncturePlan::none(),
+            )
         };
         let random = run(SimPlacement::Random { seed: 42 });
         let rr = run(SimPlacement::RoundRobin);
@@ -255,18 +156,7 @@ mod tests {
 
     #[test]
     fn punctured_lattice_loses_more() {
-        let cfg = Config::new(3, 2, 5).unwrap();
-        let run = |plan| {
-            let mut s = AeSimulation::with_options(
-                cfg,
-                40_000,
-                100,
-                SimPlacement::Random { seed: 42 },
-                plan,
-            );
-            s.inject_disaster(0.4, 3);
-            s.repair_full().data_lost
-        };
+        let run = |plan| loss_at_40(ae325(), SimPlacement::Random { seed: 42 }, plan);
         let full = run(PuncturePlan::none());
         let half = run(PuncturePlan::every(2));
         assert!(
@@ -281,11 +171,14 @@ mod tests {
 
     #[test]
     fn puncture_marks_parities_missing_without_disaster() {
-        let cfg = Config::new(2, 2, 2).unwrap();
-        let mut s = AeSimulation::with_options(
-            cfg,
-            1_000,
-            10,
+        let small = Env {
+            data_blocks: 1_000,
+            locations: 10,
+            ..Env::paper()
+        };
+        let mut s = plane_with(
+            Scheme::Ae(Config::new(2, 2, 2).unwrap()),
+            &small,
             SimPlacement::Random { seed: 1 },
             PuncturePlan::every(2),
         );
@@ -293,16 +186,19 @@ mod tests {
         // the punctured parities themselves (they are ordinary repairs).
         let out = s.repair_full();
         assert_eq!(out.data_lost, 0);
-        assert!(out.rounds[0].parity > 0, "punctured parities get rebuilt");
+        let first = out.rounds[0];
+        assert!(
+            first.repaired > first.data_repaired,
+            "punctured parities get rebuilt"
+        );
     }
 
     #[test]
     fn blocks_read_is_twice_repairs() {
-        let mut s = sim(Config::new(3, 2, 5).unwrap(), 30_000);
+        let mut s = sim(ae325(), 30_000);
         s.inject_disaster(0.2, 5);
         let out = s.repair_full();
-        let total: u64 = out.rounds.iter().map(|r| r.data + r.parity).sum();
-        assert_eq!(out.blocks_read(), 2 * total);
+        assert_eq!(out.blocks_read(), 2 * out.blocks_written());
         assert!(out.blocks_read() > 0);
     }
 }

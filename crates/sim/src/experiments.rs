@@ -4,12 +4,17 @@
 //! a table and CSV. All drivers take an [`Env`] describing the simulation
 //! environment; [`Env::paper`] is the paper's (1M data blocks, 100
 //! locations), and smaller environments are used by tests and quick runs.
+//!
+//! Every availability figure goes through one driver: a [`Scheme`] becomes
+//! one [`SchemePlane`], which is healed and hit again for each disaster
+//! size (`per_disaster`); what differs between figures is only which
+//! schemes are swept and which number is read off the repaired plane.
 
-use crate::ae_plane::AeSimulation;
-use crate::repl_plane::ReplicationSimulation;
 use crate::report::{Series, Sweep};
-use crate::rs_plane::RsSimulation;
+use crate::scheme_plane::{SchemePlane, SimPlacement};
 use crate::schemes::Scheme;
+use ae_blocks::{BlockId, NodeId, ReplicaId};
+use ae_core::puncture::PuncturePlan;
 use ae_core::WriteScheduler;
 use ae_lattice::{Config, MeSearch};
 
@@ -49,6 +54,13 @@ impl Env {
         }
     }
 
+    /// The paper's placement: every block on a uniform random location.
+    fn random_placement(&self) -> SimPlacement {
+        SimPlacement::Random {
+            seed: self.placement_seed,
+        }
+    }
+
     /// Overrides the block count, keeping it stripe-aligned for every
     /// RS(k, m) in the paper lineup (multiples of 40 cover k ∈ {4, 5, 8, 10}).
     pub fn with_blocks(mut self, blocks: u64) -> Self {
@@ -57,201 +69,141 @@ impl Env {
     }
 }
 
-/// Runs one AE scheme over all disaster sizes, returning
-/// (data-loss, single-failure-share, rounds, vulnerable) series.
-struct AeSweepRow {
-    loss: Vec<(f64, Option<f64>)>,
-    single_share: Vec<(f64, Option<f64>)>,
-    rounds: Vec<(f64, Option<f64>)>,
-    vulnerable_pct: Vec<(f64, Option<f64>)>,
+/// The plane of `scheme` in `env` under `placement`, with the parities
+/// `puncture` drops never stored.
+pub(crate) fn plane_with(
+    scheme: Scheme,
+    env: &Env,
+    placement: SimPlacement,
+    puncture: PuncturePlan,
+) -> SchemePlane {
+    SchemePlane::with_missing(
+        scheme.build(0),
+        env.data_blocks,
+        env.locations,
+        placement,
+        |id| matches!(id, BlockId::Parity(e) if !puncture.is_stored(e)),
+    )
 }
 
-fn run_ae(cfg: Config, env: &Env) -> AeSweepRow {
-    let mut row = AeSweepRow {
-        loss: Vec::new(),
-        single_share: Vec::new(),
-        rounds: Vec::new(),
-        vulnerable_pct: Vec::new(),
+/// The plane of `scheme` in `env` as the paper sets it up: random
+/// placement, every block stored.
+pub(crate) fn plane(scheme: Scheme, env: &Env) -> SchemePlane {
+    plane_with(scheme, env, env.random_placement(), PuncturePlan::none())
+}
+
+/// Heals `plane`, injects each of the env's disasters in turn and reads
+/// `measure` off it: one point per disaster size.
+fn per_disaster(
+    env: &Env,
+    plane: &mut SchemePlane,
+    measure: impl Fn(&mut SchemePlane) -> Option<f64>,
+) -> Vec<(f64, Option<f64>)> {
+    let point = |&size: &f64| {
+        plane.heal_all();
+        plane.inject_disaster(size, env.disaster_seed);
+        (size * 100.0, measure(plane))
     };
-    for &size in &env.disaster_sizes {
-        let x = size * 100.0;
-        // Full repair for Fig 11 / Fig 13 / Table VI.
-        let mut sim = AeSimulation::new(cfg, env.data_blocks, env.locations, env.placement_seed);
-        sim.inject_disaster(size, env.disaster_seed);
-        let full = sim.repair_full();
-        row.loss.push((x, Some(full.data_lost as f64)));
-        row.single_share
-            .push((x, full.single_failure_share().map(|s| s * 100.0)));
-        row.rounds.push((x, Some(full.round_count() as f64)));
-        // Minimal maintenance for Fig 12 (fresh state, same disaster).
-        let mut sim = AeSimulation::new(cfg, env.data_blocks, env.locations, env.placement_seed);
-        sim.inject_disaster(size, env.disaster_seed);
-        let minimal = sim.repair_minimal();
-        row.vulnerable_pct.push((
-            x,
-            Some(minimal.vulnerable_data as f64 / env.data_blocks as f64 * 100.0),
-        ));
+    env.disaster_sizes.iter().map(point).collect()
+}
+
+/// One series per scheme, labelled with the scheme's paper name.
+fn scheme_series(
+    env: &Env,
+    schemes: &[Scheme],
+    measure: impl Fn(&Scheme, &mut SchemePlane) -> Option<f64>,
+) -> Vec<Series> {
+    let series = |scheme: &Scheme| Series {
+        label: scheme.name(),
+        points: per_disaster(env, &mut plane(*scheme, env), |p| measure(scheme, p)),
+    };
+    schemes.iter().map(series).collect()
+}
+
+/// Data blocks still missing after the round-based decoder ran to
+/// fixpoint (the Fig 11 metric).
+fn data_lost(plane: &mut SchemePlane) -> Option<f64> {
+    Some(plane.repair_full().data_lost as f64)
+}
+
+/// The AE schemes of the paper lineup.
+fn ae_lineup() -> Vec<Scheme> {
+    let mut lineup = Scheme::paper_lineup();
+    lineup.retain(|s| matches!(s, Scheme::Ae(_)));
+    lineup
+}
+
+/// Replication as the paper counts it, *before* any repair: of the blocks
+/// in a disaster-struck `copies`-way plane, how many are down to "exactly
+/// one copy" (§V.C.2 — the Fig 12 metric) and how many lost some but not
+/// all copies (each is re-copied from a survivor: one read). The plane's
+/// own metrics are taken after repair and cannot see either.
+pub(crate) fn replica_census(plane: &SchemePlane, copies: u32) -> (u64, u64) {
+    let (mut one_survivor, mut recopied) = (0, 0);
+    for i in 1..=plane.data_blocks() {
+        let node = NodeId(i);
+        let replicas = (1..copies as u16).map(|copy| BlockId::Replica(ReplicaId { node, copy }));
+        let alive = std::iter::once(BlockId::Data(node))
+            .chain(replicas)
+            .filter(|&id| plane.is_available(id))
+            .count() as u32;
+        one_survivor += u64::from(alive == 1);
+        recopied += u64::from(alive > 0 && alive < copies);
     }
-    row
-}
-
-fn ae_configs() -> Vec<Config> {
-    vec![
-        Config::single(),
-        Config::new(2, 2, 5).expect("paper setting"),
-        Config::new(3, 2, 5).expect("paper setting"),
-    ]
-}
-
-fn rs_settings() -> Vec<(u32, u32)> {
-    vec![(10, 4), (8, 2), (5, 5), (4, 12)]
+    (one_survivor, recopied)
 }
 
 /// Fig 11: data blocks the decoder failed to repair, per scheme and
 /// disaster size.
 pub fn fig11_data_loss(env: &Env) -> Sweep {
-    let mut series = Vec::new();
-    for (k, m) in rs_settings() {
-        let sim = RsSimulation::new(k, m, env.data_blocks, env.locations, env.placement_seed);
-        let pts = env
-            .disaster_sizes
-            .iter()
-            .map(|&size| {
-                let out = sim.run_disaster(size, env.disaster_seed);
-                (size * 100.0, out.data_lost as f64)
-            })
-            .collect();
-        series.push(Series::new(format!("RS({k},{m})"), pts));
-    }
-    for cfg in ae_configs() {
-        let row = run_ae(cfg, env);
-        series.push(Series {
-            label: cfg.name(),
-            points: row.loss,
-        });
-    }
-    for n in [2u32, 3, 4] {
-        let sim = ReplicationSimulation::new(n, env.data_blocks, env.locations, env.placement_seed);
-        let pts = env
-            .disaster_sizes
-            .iter()
-            .map(|&size| {
-                let out = sim.run_disaster(size, env.disaster_seed);
-                (size * 100.0, out.data_lost as f64)
-            })
-            .collect();
-        series.push(Series::new(format!("{n}-way replic."), pts));
-    }
     Sweep {
         title: "Fig 11: data blocks that the decoder failed to repair".into(),
         x_label: "disaster %".into(),
         y_label: "data loss AFTER repairs (# of data blocks)".into(),
-        series,
+        series: scheme_series(env, &Scheme::paper_lineup(), |_, p| data_lost(p)),
     }
 }
 
 /// Fig 12: data blocks left without redundancy under minimal maintenance.
 pub fn fig12_vulnerable(env: &Env) -> Sweep {
-    let mut series = Vec::new();
-    for (k, m) in rs_settings() {
-        let sim = RsSimulation::new(k, m, env.data_blocks, env.locations, env.placement_seed);
-        let pts = env
-            .disaster_sizes
-            .iter()
-            .map(|&size| {
-                let out = sim.run_disaster(size, env.disaster_seed);
-                (
-                    size * 100.0,
-                    out.vulnerable_data as f64 / env.data_blocks as f64 * 100.0,
-                )
-            })
-            .collect();
-        series.push(Series::new(format!("RS({k},{m})"), pts));
-    }
-    for cfg in ae_configs() {
-        let row = run_ae(cfg, env);
-        series.push(Series {
-            label: cfg.name(),
-            points: row.vulnerable_pct,
-        });
-    }
-    for n in [2u32, 3, 4] {
-        let sim = ReplicationSimulation::new(n, env.data_blocks, env.locations, env.placement_seed);
-        let pts = env
-            .disaster_sizes
-            .iter()
-            .map(|&size| {
-                let out = sim.run_disaster(size, env.disaster_seed);
-                (
-                    size * 100.0,
-                    out.vulnerable_data as f64 / env.data_blocks as f64 * 100.0,
-                )
-            })
-            .collect();
-        series.push(Series::new(format!("{n}-way replic."), pts));
-    }
+    let vulnerable = |scheme: &Scheme, p: &mut SchemePlane| match *scheme {
+        Scheme::Replication { n } => replica_census(p, n).0,
+        _ => p.repair_minimal().vulnerable_data,
+    };
     Sweep {
         title: "Fig 12: data blocks without redundancy (minimal maintenance)".into(),
         x_label: "disaster %".into(),
         y_label: "blocks without redundancy (% of data blocks)".into(),
-        series,
+        series: scheme_series(env, &Scheme::paper_lineup(), |s, p| {
+            Some(vulnerable(s, p) as f64 / env.data_blocks as f64 * 100.0)
+        }),
     }
 }
 
 /// Fig 13: share of repairs that are single failures (one tuple, round 1),
 /// for RS(4,12) and the AE schemes.
 pub fn fig13_single_failures(env: &Env) -> Sweep {
-    let mut series = Vec::new();
-    let sim = RsSimulation::new(4, 12, env.data_blocks, env.locations, env.placement_seed);
-    let pts = env
-        .disaster_sizes
-        .iter()
-        .map(|&size| {
-            let out = sim.run_disaster(size, env.disaster_seed);
-            let share = if out.data_repaired > 0 {
-                Some(out.single_failure_repairs as f64 / out.data_repaired as f64 * 100.0)
-            } else {
-                None
-            };
-            (size * 100.0, share)
-        })
-        .collect();
-    series.push(Series {
-        label: "RS(4,12)".into(),
-        points: pts,
-    });
-    for cfg in ae_configs() {
-        let row = run_ae(cfg, env);
-        series.push(Series {
-            label: cfg.name(),
-            points: row.single_share,
-        });
-    }
+    let mut schemes = vec![Scheme::Rs { k: 4, m: 12 }];
+    schemes.extend(ae_lineup());
     Sweep {
         title: "Fig 13: what part of repairs are single-failure repairs?".into(),
         x_label: "disaster %".into(),
         y_label: "single failures (% single/total repaired)".into(),
-        series,
+        series: scheme_series(env, &schemes, |_, p| {
+            p.repair_full().single_failure_share().map(|s| s * 100.0)
+        }),
     }
 }
 
 /// Table VI: repair rounds to fixpoint for the AE schemes.
 pub fn table6_rounds(env: &Env) -> Sweep {
-    let series = ae_configs()
-        .into_iter()
-        .map(|cfg| {
-            let row = run_ae(cfg, env);
-            Series {
-                label: cfg.name(),
-                points: row.rounds,
-            }
-        })
-        .collect();
     Sweep {
         title: "Table VI: number of repair rounds".into(),
         x_label: "disaster %".into(),
         y_label: "rounds to fixpoint".into(),
-        series,
+        series: scheme_series(env, &ae_lineup(), |_, p| {
+            Some(p.repair_full().round_count() as f64)
+        }),
     }
 }
 
@@ -346,16 +298,26 @@ pub fn fig10_writes() -> Sweep {
     }
 }
 
+/// A 20k-block environment: small enough for debug-build tests.
+#[cfg(test)]
+fn tiny() -> Env {
+    Env {
+        data_blocks: 20_000,
+        ..Env::paper()
+    }
+}
+
+/// The y values of the series labelled `label`.
+#[cfg(test)]
+fn ys(sweep: &Sweep, label: &str) -> Vec<f64> {
+    let series = sweep.series.iter().find(|s| s.label == label);
+    let points = &series.unwrap_or_else(|| panic!("{label} missing")).points;
+    points.iter().map(|p| p.1.expect("a value")).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny() -> Env {
-        Env {
-            data_blocks: 20_000,
-            ..Env::paper()
-        }
-    }
 
     #[test]
     fn fig11_has_all_ten_series() {
@@ -375,26 +337,11 @@ mod tests {
         // The paper's headline: AE(3,2,5) outperforms RS(4,12) at equal
         // storage overhead in large disasters.
         let sweep = fig11_data_loss(&tiny());
-        let get = |label: &str| {
-            sweep
-                .series
-                .iter()
-                .find(|s| s.label == label)
-                .unwrap_or_else(|| panic!("{label} missing"))
-                .points
-                .clone()
-        };
-        let ae = get("AE(3,2,5)");
-        let rs = get("RS(4,12)");
+        let ae = ys(&sweep, "AE(3,2,5)");
+        let rs = ys(&sweep, "RS(4,12)");
         // At 40% and 50% disasters AE(3,2,5) must lose no more than RS(4,12).
         for i in [3, 4] {
-            assert!(
-                ae[i].1.unwrap() <= rs[i].1.unwrap(),
-                "at {}%: AE {} vs RS {}",
-                ae[i].0,
-                ae[i].1.unwrap(),
-                rs[i].1.unwrap()
-            );
+            assert!(ae[i] <= rs[i], "size {i}: AE {} vs RS {}", ae[i], rs[i]);
         }
     }
 
@@ -412,17 +359,12 @@ mod tests {
     #[test]
     fn fig13_ae_mostly_single_failures() {
         let sweep = fig13_single_failures(&tiny());
-        let ae = sweep
-            .series
-            .iter()
-            .find(|s| s.label == "AE(3,2,5)")
-            .unwrap();
-        for (x, y) in &ae.points {
-            let y = y.expect("disasters repaired something");
-            assert!(y > 50.0, "AE(3,2,5) at {x}%: {y}% single failures");
+        let ae = ys(&sweep, "AE(3,2,5)");
+        for y in &ae {
+            assert!(*y > 50.0, "AE(3,2,5): {y}% single failures");
         }
         // Small disasters are almost entirely single failures (Fig 13).
-        assert!(ae.points[0].1.unwrap() > 80.0);
+        assert!(ae[0] > 80.0);
     }
 
     #[test]
@@ -476,33 +418,18 @@ mod tests {
 /// different failure domains; the paper asks whether random placement hurts
 /// recovery.
 pub fn ablation_placement(env: &Env) -> Sweep {
-    use crate::ae_plane::SimPlacement;
-    use ae_core::puncture::PuncturePlan;
+    let policies = [
+        ("random", env.random_placement()),
+        ("round-robin", SimPlacement::RoundRobin),
+    ];
     let mut series = Vec::new();
-    for cfg in ae_configs() {
-        for placement in [
-            SimPlacement::Random {
-                seed: env.placement_seed,
-            },
-            SimPlacement::RoundRobin,
-        ] {
-            let mut pts = Vec::new();
-            for &size in &env.disaster_sizes {
-                let mut sim = AeSimulation::with_options(
-                    cfg,
-                    env.data_blocks,
-                    env.locations,
-                    placement,
-                    PuncturePlan::none(),
-                );
-                sim.inject_disaster(size, env.disaster_seed);
-                pts.push((size * 100.0, Some(sim.repair_full().data_lost as f64)));
-            }
-            let label = match placement {
-                SimPlacement::Random { .. } => format!("{} random", cfg.name()),
-                SimPlacement::RoundRobin => format!("{} round-robin", cfg.name()),
-            };
-            series.push(Series { label, points: pts });
+    for scheme in ae_lineup() {
+        for (policy, placement) in policies {
+            let mut plane = plane_with(scheme, env, placement, PuncturePlan::none());
+            series.push(Series {
+                label: format!("{scheme} {policy}"),
+                points: per_disaster(env, &mut plane, data_lost),
+            });
         }
     }
     Sweep {
@@ -516,42 +443,25 @@ pub fn ablation_placement(env: &Env) -> Sweep {
 /// Puncturing ablation (§III "Reducing Storage Overhead"): data loss when a
 /// fraction of parities is never stored.
 pub fn ablation_puncture(env: &Env) -> Sweep {
-    use ae_core::puncture::PuncturePlan;
-    let cfg = Config::new(3, 2, 5).expect("paper setting");
-    let plans: [(String, PuncturePlan); 4] = [
-        ("no puncturing (300%)".into(), PuncturePlan::none()),
-        ("drop 1/8 (262%)".into(), PuncturePlan::every(8)),
-        ("drop 1/4 (225%)".into(), PuncturePlan::every(4)),
-        ("drop 1/2 (150%)".into(), PuncturePlan::every(2)),
+    let scheme = Scheme::Ae(Config::new(3, 2, 5).expect("paper setting"));
+    let plans = [
+        ("no puncturing (300%)", PuncturePlan::none()),
+        ("drop 1/8 (262%)", PuncturePlan::every(8)),
+        ("drop 1/4 (225%)", PuncturePlan::every(4)),
+        ("drop 1/2 (150%)", PuncturePlan::every(2)),
     ];
-    let series = plans
-        .into_iter()
-        .map(|(label, plan)| {
-            let pts = env
-                .disaster_sizes
-                .iter()
-                .map(|&size| {
-                    let mut sim = AeSimulation::with_options(
-                        cfg,
-                        env.data_blocks,
-                        env.locations,
-                        crate::ae_plane::SimPlacement::Random {
-                            seed: env.placement_seed,
-                        },
-                        plan,
-                    );
-                    sim.inject_disaster(size, env.disaster_seed);
-                    (size * 100.0, Some(sim.repair_full().data_lost as f64))
-                })
-                .collect();
-            Series { label, points: pts }
-        })
-        .collect();
+    let series = plans.map(|(label, plan)| {
+        let mut plane = plane_with(scheme, env, env.random_placement(), plan);
+        Series {
+            label: label.into(),
+            points: per_disaster(env, &mut plane, data_lost),
+        }
+    });
     Sweep {
         title: "Ablation: puncturing AE(3,2,5) (data loss after repairs)".into(),
         x_label: "disaster %".into(),
         y_label: "data loss (# of data blocks)".into(),
-        series,
+        series: series.into(),
     }
 }
 
@@ -559,58 +469,17 @@ pub fn ablation_puncture(env: &Env) -> Sweep {
 /// AE reads exactly 2 blocks per repaired block; RS reads k per decoded
 /// stripe; replication reads 1 per re-copied block.
 pub fn ablation_repair_traffic(env: &Env) -> Sweep {
-    let mut series = Vec::new();
-    for (k, m) in rs_settings() {
-        let sim = RsSimulation::new(k, m, env.data_blocks, env.locations, env.placement_seed);
-        let pts = env
-            .disaster_sizes
-            .iter()
-            .map(|&size| {
-                let out = sim.run_disaster(size, env.disaster_seed);
-                (size * 100.0, Some(out.blocks_read as f64))
-            })
-            .collect();
-        series.push(Series {
-            label: format!("RS({k},{m})"),
-            points: pts,
-        });
-    }
-    for cfg in ae_configs() {
-        let pts = env
-            .disaster_sizes
-            .iter()
-            .map(|&size| {
-                let mut sim =
-                    AeSimulation::new(cfg, env.data_blocks, env.locations, env.placement_seed);
-                sim.inject_disaster(size, env.disaster_seed);
-                (size * 100.0, Some(sim.repair_full().blocks_read() as f64))
-            })
-            .collect();
-        series.push(Series {
-            label: cfg.name(),
-            points: pts,
-        });
-    }
-    for n in [2u32, 3, 4] {
-        let sim = ReplicationSimulation::new(n, env.data_blocks, env.locations, env.placement_seed);
-        let pts = env
-            .disaster_sizes
-            .iter()
-            .map(|&size| {
-                let out = sim.run_disaster(size, env.disaster_seed);
-                (size * 100.0, Some(out.blocks_read as f64))
-            })
-            .collect();
-        series.push(Series {
-            label: format!("{n}-way replic."),
-            points: pts,
-        });
-    }
+    let blocks_read = |scheme: &Scheme, p: &mut SchemePlane| match *scheme {
+        Scheme::Replication { n } => replica_census(p, n).1,
+        _ => p.repair_full().blocks_read(),
+    };
     Sweep {
         title: "Ablation: repair traffic (blocks read to finish all repairs)".into(),
         x_label: "disaster %".into(),
         y_label: "blocks read".into(),
-        series,
+        series: scheme_series(env, &Scheme::paper_lineup(), |s, p| {
+            Some(blocks_read(s, p) as f64)
+        }),
     }
 }
 
@@ -648,13 +517,6 @@ pub fn ablation_chains(drives: usize, trials: u64, seed: u64) -> Sweep {
 #[cfg(test)]
 mod ablation_tests {
     use super::*;
-
-    fn tiny() -> Env {
-        Env {
-            data_blocks: 20_000,
-            ..Env::paper()
-        }
-    }
 
     #[test]
     fn placement_ablation_has_paired_series() {
@@ -696,21 +558,12 @@ mod ablation_tests {
     #[test]
     fn repair_traffic_rs_pays_k_per_stripe() {
         let sweep = ablation_repair_traffic(&tiny());
-        let get = |label: &str| {
-            sweep
-                .series
-                .iter()
-                .find(|s| s.label == label)
-                .unwrap()
-                .points[1] // 20% disaster
-                .1
-                .unwrap()
-        };
+        let at_20_pct = |label: &str| ys(&sweep, label)[1];
         // Replication reads least, AE twice its repairs, RS the most per
         // repaired block; at 20% RS(10,4) reads far more than AE(3,2,5)
         // repairs the same environment.
-        assert!(get("2-way replic.") < get("AE(1,-,-)"));
-        assert!(get("RS(10,4)") > 0.0);
+        assert!(at_20_pct("2-way replic.") < at_20_pct("AE(1,-,-)"));
+        assert!(at_20_pct("RS(10,4)") > 0.0);
     }
 
     #[test]

@@ -18,36 +18,37 @@
 //!   authoritative `dense_index`/`block_at` bijection the plane holds no
 //!   per-block id state at all (no materialized universe, no hash index,
 //!   no location table — pure arithmetic).
-//! * [`ae_plane`], [`rs_plane`], [`repl_plane`] — thin per-scheme adapters
-//!   over [`scheme_plane`] keeping the familiar per-code entry points
-//!   (Fig 11, Fig 12, Fig 13, Table VI metrics).
 //! * [`mirror`] — the entangled-mirror reliability Monte Carlo (§IV.B.1:
 //!   mirroring vs open/closed chains).
 //! * [`experiments`] — the sweep drivers behind each figure and table
 //!   binary (`fig11_data_loss`, `table6_rounds`, …) and the ablations
-//!   (placement policy, puncturing, repair traffic).
+//!   (placement policy, puncturing, repair traffic): one [`Scheme`] →
+//!   one [`SchemePlane`] per series, healed between disaster sizes.
 //! * [`report`] — plain-text table and CSV rendering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ae_plane;
 pub mod bitset;
 pub mod cli;
 pub mod experiments;
 pub mod mirror;
-pub mod repl_plane;
 pub mod report;
-pub mod rs_plane;
 pub mod scheme_plane;
 pub mod schemes;
 
-pub use ae_plane::AeSimulation;
+// The paper-shape suites of the three scheme families (§V.C), as cases
+// over `Scheme` on the one plane; the module names are their test ids.
+#[cfg(test)]
+mod ae_plane;
+#[cfg(test)]
+mod repl_plane;
+#[cfg(test)]
+mod rs_plane;
+
 pub use bitset::BitSet;
-pub use repl_plane::ReplicationSimulation;
-pub use rs_plane::RsSimulation;
 pub use scheme_plane::{
     failed_location_groups, failed_locations, upgrade_wave, FullRepairOutcome, IndexMode,
-    MinimalRepairOutcome, RoundStats, SchemePlane, SimPlacement,
+    MinimalRepairOutcome, SchemePlane, SimPlacement,
 };
 pub use schemes::Scheme;

@@ -1,108 +1,32 @@
-//! Availability-plane simulation of n-way replication — a thin adapter
-//! over the generic [`crate::scheme_plane`], with
-//! `ae_baselines::Replication` as the driving [`ae_api::RedundancyScheme`].
-//!
-//! Every data block has `n` copies at independently chosen random
-//! locations. A block is lost when all copies sit on failed locations;
-//! vulnerable when exactly one copy survives ("not protected by any other
-//! redundant block").
+//! n-way replication (`Scheme::Replication`) on the availability plane:
+//! a block is lost when all copies sit on failed locations, vulnerable
+//! when exactly one survives ("not protected by any other redundant
+//! block").
 
-use crate::scheme_plane::{SchemePlane, SimPlacement};
-use ae_baselines::Replication;
-use ae_blocks::{BlockId, NodeId, ReplicaId};
-
-/// Result of a replication disaster analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicationOutcome {
-    /// Blocks with zero surviving copies (Fig 11).
-    pub data_lost: u64,
-    /// Blocks that lost at least one copy but survived (repaired by copying
-    /// a survivor — one read each).
-    pub data_repaired: u64,
-    /// Blocks with exactly one surviving copy (Fig 12).
-    pub vulnerable_data: u64,
-    /// Blocks read during repairs: one read per block that lost copies.
-    pub blocks_read: u64,
-}
-
-/// An n-way replicated deployment.
-pub struct ReplicationSimulation {
-    n_copies: u32,
-    blocks: u64,
-    locations: u32,
-    placement_seed: u64,
-}
-
-impl ReplicationSimulation {
-    /// Builds a deployment of `blocks` data blocks with `n_copies` copies
-    /// each.
-    ///
-    /// # Panics
-    ///
-    /// Panics for fewer than 2 copies.
-    pub fn new(n_copies: u32, blocks: u64, locations: u32, placement_seed: u64) -> Self {
-        assert!(n_copies >= 2, "replication needs at least 2 copies");
-        ReplicationSimulation {
-            n_copies,
-            blocks,
-            locations,
-            placement_seed,
-        }
-    }
-
-    /// Applies a disaster and classifies every block.
-    pub fn run_disaster(&self, fraction: f64, disaster_seed: u64) -> ReplicationOutcome {
-        let scheme = Replication::new(self.n_copies as usize);
-        let mut plane = SchemePlane::new(
-            Box::new(scheme),
-            self.blocks,
-            self.locations,
-            SimPlacement::Random {
-                seed: self.placement_seed,
-            },
-        );
-        plane.inject_disaster(fraction, disaster_seed);
-        let n = self.n_copies as usize;
-        let mut out = ReplicationOutcome {
-            data_lost: 0,
-            data_repaired: 0,
-            vulnerable_data: 0,
-            blocks_read: 0,
-        };
-        for i in 1..=self.blocks {
-            let node = NodeId(i);
-            let alive = std::iter::once(BlockId::Data(node))
-                .chain((1..n as u16).map(|copy| BlockId::Replica(ReplicaId { node, copy })))
-                .filter(|&id| plane.is_available(id))
-                .count();
-            if alive == 0 {
-                out.data_lost += 1;
-            } else {
-                if alive < n {
-                    out.data_repaired += 1;
-                    out.blocks_read += 1;
-                }
-                if alive == 1 {
-                    out.vulnerable_data += 1;
-                }
-            }
-        }
-        out
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::{plane, replica_census, Env};
+    use crate::scheme_plane::SchemePlane;
+    use crate::Scheme;
+
+    /// An `n`-way plane of `blocks` blocks, already hit by the disaster.
+    fn struck(n: u32, blocks: u64, placement_seed: u64, fraction: f64, seed: u64) -> SchemePlane {
+        let env = Env {
+            data_blocks: blocks,
+            placement_seed,
+            ..Env::paper()
+        };
+        let mut plane = plane(Scheme::Replication { n }, &env);
+        plane.inject_disaster(fraction, seed);
+        plane
+    }
 
     #[test]
     fn loss_scales_with_copy_count() {
         let blocks = 200_000;
-        let mut losses = Vec::new();
-        for n in [2, 3, 4] {
-            let s = ReplicationSimulation::new(n, blocks, 100, 5);
-            losses.push(s.run_disaster(0.3, 9).data_lost);
-        }
+        let losses: Vec<u64> = [2, 3, 4]
+            .into_iter()
+            .map(|n| struck(n, blocks, 5, 0.3, 9).repair_full().data_lost)
+            .collect();
         assert!(losses[0] > losses[1] && losses[1] > losses[2], "{losses:?}");
         // 2-way at 30%: expect ≈ 0.3² = 9% of blocks.
         let frac = losses[0] as f64 / blocks as f64;
@@ -112,37 +36,32 @@ mod tests {
     #[test]
     fn vulnerable_matches_binomial_expectation() {
         let blocks = 200_000u64;
-        let s = ReplicationSimulation::new(2, blocks, 100, 7);
-        let out = s.run_disaster(0.3, 3);
+        let (one_survivor, _) = replica_census(&struck(2, blocks, 7, 0.3, 3), 2);
         // Exactly one of two copies failed: 2·0.3·0.7 = 42%.
-        let frac = out.vulnerable_data as f64 / blocks as f64;
+        let frac = one_survivor as f64 / blocks as f64;
         assert!((0.38..0.46).contains(&frac), "vulnerable fraction {frac}");
     }
 
     #[test]
     fn no_disaster_all_healthy() {
-        let s = ReplicationSimulation::new(3, 10_000, 100, 1);
-        let out = s.run_disaster(0.0, 1);
-        assert_eq!(
-            out,
-            ReplicationOutcome {
-                data_lost: 0,
-                data_repaired: 0,
-                vulnerable_data: 0,
-                blocks_read: 0
-            }
-        );
+        let mut plane = struck(3, 10_000, 1, 0.0, 1);
+        assert_eq!(replica_census(&plane, 3), (0, 0));
+        let out = plane.repair_full();
+        assert_eq!((out.data_lost, out.round_count()), (0, 0));
     }
 
     #[test]
     fn deterministic() {
-        let s = ReplicationSimulation::new(4, 50_000, 100, 2);
-        assert_eq!(s.run_disaster(0.2, 8), s.run_disaster(0.2, 8));
+        let run = || {
+            let mut plane = struck(4, 50_000, 2, 0.2, 8);
+            (replica_census(&plane, 4), plane.repair_full())
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
     #[should_panic(expected = "at least 2")]
     fn rejects_single_copy() {
-        ReplicationSimulation::new(1, 10, 10, 0);
+        Scheme::Replication { n: 1 }.build(0);
     }
 }

@@ -1,193 +1,83 @@
-//! Availability-plane simulation of Reed-Solomon stripes — a thin adapter
-//! over the generic [`crate::scheme_plane`], with
-//! `ae_baselines::ReedSolomon` as the driving [`ae_api::RedundancyScheme`].
-//!
-//! One million data blocks become `1M / k` stripes of `k + m` blocks each;
-//! blocks land on uniform random locations; a disaster fails a fraction of
-//! the locations. A stripe with more than `m` unavailable blocks is
-//! *damaged*: its unavailable data blocks are lost ("other available data
-//! blocks that belong to damaged stripes are not counted as lost",
-//! §V.C.1).
+//! Reed-Solomon stripes (`Scheme::Rs`) on the availability plane: 100k
+//! data blocks in `100k / k` stripes of `k + m`. A stripe with more than
+//! `m` unavailable blocks is *damaged* and its unavailable data blocks are
+//! lost ("other available data blocks that belong to damaged stripes are
+//! not counted as lost", §V.C.1).
 
-use crate::scheme_plane::{SchemePlane, SimPlacement};
-use ae_baselines::ReedSolomon;
-use ae_blocks::BlockId;
-use std::collections::BTreeSet;
-use std::sync::Mutex;
-
-/// Result of analysing all stripes after a disaster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RsOutcome {
-    /// Data blocks on failed locations in damaged stripes (Fig 11).
-    pub data_lost: u64,
-    /// Data blocks repaired (in recoverable stripes).
-    pub data_repaired: u64,
-    /// Repaired data blocks that were the *only* missing block of their
-    /// stripe — the single failures of Fig 13.
-    pub single_failure_repairs: u64,
-    /// Data blocks left vulnerable after minimal maintenance (Fig 12): the
-    /// stripe could not afford to lose them (fewer than k available other
-    /// blocks), counting repaired data but unrepaired parities.
-    pub vulnerable_data: u64,
-    /// Stripes damaged beyond recovery.
-    pub damaged_stripes: u64,
-    /// Blocks read during repairs: every stripe decode reads k surviving
-    /// shards (Table IV's "SF" cost, aggregated).
-    pub blocks_read: u64,
-}
-
-/// An RS(k, m) deployment over `stripes` stripes.
-pub struct RsSimulation {
-    k: u32,
-    m: u32,
-    stripes: u64,
-    data_blocks: u64,
-    locations: u32,
-    /// One plane per deployment: the universe, index and placement are
-    /// built once and reset between disasters via `heal_all`.
-    plane: Mutex<SchemePlane>,
-}
-
-impl RsSimulation {
-    /// Builds an RS deployment holding `data_blocks` data blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `data_blocks` is divisible by `k` (the paper's counts
-    /// all are) and the parameters form a valid RS code.
-    pub fn new(k: u32, m: u32, data_blocks: u64, locations: u32, placement_seed: u64) -> Self {
-        assert!(k >= 1 && m >= 1);
-        assert_eq!(
-            data_blocks % k as u64,
-            0,
-            "data blocks must fill whole stripes"
-        );
-        let scheme = ReedSolomon::new(k as usize, m as usize).expect("valid RS parameters");
-        let plane = SchemePlane::new(
-            Box::new(scheme),
-            data_blocks,
-            locations,
-            SimPlacement::Random {
-                seed: placement_seed,
-            },
-        );
-        RsSimulation {
-            k,
-            m,
-            stripes: data_blocks / k as u64,
-            data_blocks,
-            locations,
-            plane: Mutex::new(plane),
-        }
-    }
-
-    /// Stripes in the deployment.
-    pub fn stripes(&self) -> u64 {
-        self.stripes
-    }
-
-    /// Distribution quality diagnostic: how many stripes have all `k + m`
-    /// blocks on distinct locations (the paper reports 38,429 of 100,000
-    /// for RS(10,4) at n = 100, §V.C "Block Placements").
-    pub fn stripes_fully_spread(&self) -> u64 {
-        let plane = self.plane.lock().expect("plane lock");
-        let members = plane.scheme().block_ids(self.data_blocks);
-        let mut count = 0;
-        let mut seen = vec![false; self.locations as usize];
-        for t in 0..self.stripes {
-            // Members of stripe t occupy a contiguous run of the universe.
-            let width = (self.k + self.m) as usize;
-            let run = &members[t as usize * width..(t as usize + 1) * width];
-            let mut distinct = true;
-            for &id in run {
-                let l = plane.location_of(id).expect("universe block") as usize;
-                if seen[l] {
-                    distinct = false;
-                    break;
-                }
-                seen[l] = true;
-            }
-            for &id in run {
-                if let Some(l) = plane.location_of(id) {
-                    seen[l as usize] = false;
-                }
-            }
-            if distinct {
-                count += 1;
-            }
-        }
-        count
-    }
-
-    /// Applies a disaster (shared location set, see
-    /// [`crate::scheme_plane::failed_locations`]) and analyses every
-    /// stripe through the generic plane.
-    pub fn run_disaster(&self, fraction: f64, disaster_seed: u64) -> RsOutcome {
-        // Full repair for loss/repair/traffic metrics.
-        let mut plane = self.plane.lock().expect("plane lock");
-        plane.heal_all();
-        plane.inject_disaster(fraction, disaster_seed);
-        let full = plane.repair_full();
-        // Damaged stripes: the ones that kept unrecovered members.
-        let damaged = {
-            let mut stripes: BTreeSet<u64> = BTreeSet::new();
-            for t in 0..self.stripes {
-                let base = t * self.k as u64;
-                for i in base + 1..=base + self.k as u64 {
-                    if !plane.is_available(BlockId::Data(ae_blocks::NodeId(i))) {
-                        stripes.insert(t);
-                        break;
-                    }
-                }
-            }
-            stripes.len() as u64
-        };
-        // Minimal maintenance on a re-injected plane for the Fig 12 metric.
-        plane.heal_all();
-        plane.inject_disaster(fraction, disaster_seed);
-        let minimal = plane.repair_minimal();
-        RsOutcome {
-            data_lost: full.data_lost,
-            data_repaired: full.data_repaired(),
-            single_failure_repairs: full.single_failure_data,
-            vulnerable_data: minimal.vulnerable_data,
-            damaged_stripes: damaged,
-            blocks_read: full.blocks_read(),
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::{plane, Env};
+    use crate::scheme_plane::{FullRepairOutcome, SchemePlane};
+    use crate::Scheme;
 
-    fn sim(k: u32, m: u32) -> RsSimulation {
-        RsSimulation::new(k, m, 100_000, 100, 42)
+    fn sim_at(k: u32, m: u32, locations: u32) -> SchemePlane {
+        let env = Env {
+            data_blocks: 100_000,
+            locations,
+            placement_seed: 42,
+            ..Env::paper()
+        };
+        plane(Scheme::Rs { k, m }, &env)
+    }
+
+    fn sim(k: u32, m: u32) -> SchemePlane {
+        sim_at(k, m, 100)
+    }
+
+    /// A fresh disaster on `plane`, repaired to fixpoint.
+    fn run_disaster(plane: &mut SchemePlane, fraction: f64, seed: u64) -> FullRepairOutcome {
+        plane.heal_all();
+        plane.inject_disaster(fraction, seed);
+        plane.repair_full()
+    }
+
+    /// The same disaster under minimal maintenance: the Fig 12 metric.
+    fn vulnerable_after(plane: &mut SchemePlane, fraction: f64, seed: u64) -> u64 {
+        plane.heal_all();
+        plane.inject_disaster(fraction, seed);
+        plane.repair_minimal().vulnerable_data
+    }
+
+    /// Distribution quality diagnostic: the share of stripes with all
+    /// `width` blocks on distinct locations (the paper reports 38,429 of
+    /// 100,000 for RS(10,4) at n = 100, §V.C "Block Placements").
+    fn fully_spread_share(plane: &SchemePlane, width: usize) -> f64 {
+        // Members of a stripe occupy a contiguous run of the universe.
+        let members = plane.scheme().block_ids(plane.data_blocks());
+        let spread = |stripe: &&[ae_blocks::BlockId]| {
+            let mut seen = std::collections::HashSet::new();
+            stripe
+                .iter()
+                .all(|&id| seen.insert(plane.location_of(id).expect("universe block")))
+        };
+        let stripes = members.chunks(width);
+        let total = stripes.len();
+        stripes.filter(spread).count() as f64 / total as f64
     }
 
     #[test]
     fn no_disaster_no_loss() {
-        let out = sim(10, 4).run_disaster(0.0, 1);
+        let mut s = sim(10, 4);
+        let out = run_disaster(&mut s, 0.0, 1);
         assert_eq!(out.data_lost, 0);
-        assert_eq!(out.data_repaired, 0);
-        assert_eq!(out.vulnerable_data, 0);
-        assert_eq!(out.damaged_stripes, 0);
+        assert_eq!(out.data_repaired(), 0);
+        assert_eq!(s.missing_counts(), (0, 0));
+        assert_eq!(vulnerable_after(&mut s, 0.0, 1), 0);
     }
 
     #[test]
     fn stripe_counts_match_paper_shapes() {
-        assert_eq!(sim(10, 4).stripes(), 10_000);
-        assert_eq!(sim(8, 2).stripes(), 12_500);
-        assert_eq!(sim(5, 5).stripes(), 20_000);
-        assert_eq!(sim(4, 12).stripes(), 25_000);
+        let stripes = |k, m| sim(k, m).total_blocks() / u64::from(k + m);
+        assert_eq!(stripes(10, 4), 10_000);
+        assert_eq!(stripes(8, 2), 12_500);
+        assert_eq!(stripes(5, 5), 20_000);
+        assert_eq!(stripes(4, 12), 25_000);
     }
 
     #[test]
     fn fully_spread_fraction_is_partial_at_n100() {
         // The paper: at n = 100 only ~38% of RS(10,4) stripes have all 14
         // blocks on distinct locations.
-        let s = sim(10, 4);
-        let frac = s.stripes_fully_spread() as f64 / s.stripes() as f64;
+        let frac = fully_spread_share(&sim(10, 4), 14);
         assert!((0.3..0.5).contains(&frac), "fraction {frac}");
     }
 
@@ -196,61 +86,40 @@ mod tests {
     /// Π(1 − i/1000) ≈ 0.913), versus ~38% at n = 100.
     #[test]
     fn spread_fraction_improves_with_more_locations() {
-        let s = RsSimulation::new(10, 4, 100_000, 1_000, 42);
-        let frac = s.stripes_fully_spread() as f64 / s.stripes() as f64;
+        let frac = fully_spread_share(&sim_at(10, 4, 1_000), 14);
         assert!((0.89..0.94).contains(&frac), "fraction {frac}");
     }
 
     #[test]
     fn bigger_disasters_lose_more() {
-        let s = sim(8, 2);
-        let small = s.run_disaster(0.1, 7).data_lost;
-        let large = s.run_disaster(0.4, 7).data_lost;
+        let mut s = sim(8, 2);
+        let small = run_disaster(&mut s, 0.1, 7).data_lost;
+        let large = run_disaster(&mut s, 0.4, 7).data_lost;
         assert!(large > small);
     }
 
     #[test]
-    fn rs_4_12_survives_heavy_disasters() {
-        // 12 parities tolerate a lot; RS(4,12) should lose (almost) nothing
-        // at 30%.
-        // A stripe only dies when 13+ of its 16 blocks are unreachable;
-        // with random placement a handful of collision-heavy stripes can
-        // still die, but loss stays near zero.
-        let out = sim(4, 12).run_disaster(0.3, 3).data_lost;
-        assert!(out < 20, "RS(4,12) at 30%: {out}");
-        // While RS(8,2) bleeds.
-        assert!(sim(8, 2).run_disaster(0.3, 3).data_lost > 1_000);
-    }
-
-    #[test]
     fn single_failure_share_drops_with_disaster_size() {
-        let s = sim(4, 12);
-        let small = s.run_disaster(0.1, 5);
-        let large = s.run_disaster(0.5, 5);
-        let share = |o: RsOutcome| o.single_failure_repairs as f64 / o.data_repaired.max(1) as f64;
+        let mut s = sim(4, 12);
+        let small = run_disaster(&mut s, 0.1, 5).single_failure_share();
+        let large = run_disaster(&mut s, 0.5, 5).single_failure_share();
         assert!(
-            share(small) > share(large),
+            small > large,
             "single-failure share decreases for larger disasters (Fig 13)"
         );
     }
 
     #[test]
     fn vulnerable_data_grows_with_disaster() {
-        let s = sim(10, 4);
-        let v10 = s.run_disaster(0.1, 9).vulnerable_data;
-        let v40 = s.run_disaster(0.4, 9).vulnerable_data;
+        let mut s = sim(10, 4);
+        let v10 = vulnerable_after(&mut s, 0.1, 9);
+        let v40 = vulnerable_after(&mut s, 0.4, 9);
         assert!(v40 > v10);
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let s = sim(5, 5);
-        assert_eq!(s.run_disaster(0.3, 11), s.run_disaster(0.3, 11));
-    }
-
-    #[test]
-    #[should_panic(expected = "whole stripes")]
-    fn rejects_partial_stripes() {
-        RsSimulation::new(7, 2, 100, 10, 1);
+        let mut s = sim(5, 5);
+        assert_eq!(run_disaster(&mut s, 0.3, 11), run_disaster(&mut s, 0.3, 11));
     }
 }

@@ -1,17 +1,20 @@
-//! The generic availability-plane simulation, driven by any
+//! The availability-plane simulation, driven by any
 //! [`RedundancyScheme`].
 //!
-//! One engine replaces the three hand-rolled planes the workspace used to
-//! carry (`ae_plane`, `rs_plane`, `repl_plane`): the scheme describes its
-//! structure through the trait's availability hooks
-//! ([`RedundancyScheme::block_ids`], [`RedundancyScheme::is_repairable`],
+//! One engine for every scheme, as the paper evaluates them in one
+//! environment (one block table — Table V — one disaster, one round-based
+//! decoder): the scheme describes its structure through the trait's
+//! availability hooks ([`RedundancyScheme::block_ids`],
+//! [`RedundancyScheme::is_repairable`],
 //! [`RedundancyScheme::is_single_failure`],
 //! [`RedundancyScheme::maintenance_targets`]) and the plane does
 //! everything else — placement, disaster injection, round-based repair to
 //! fixpoint (§V.C.4), minimal maintenance (§V.C.2) and the Fig 11–13 /
 //! Table VI metrics. Blocks are availability flags, not bytes, exactly as
 //! in the paper's evaluation: every §V.C metric depends only on which
-//! blocks are reachable.
+//! blocks are reachable. There are no per-scheme planes: the figure
+//! drivers in [`crate::experiments`] build one plane per
+//! [`crate::Scheme`].
 //!
 //! # The zero-materialization fast path
 //!
@@ -26,7 +29,7 @@
 //! summaries). No `Vec<BlockId>` universe, no `HashMap<BlockId, u32>`, no
 //! per-position location table — the availability oracle is pure
 //! arithmetic. Schemes without the hook (and callers forcing
-//! [`IndexMode::Map`], which benchmarks use as the baseline) fall back to
+//! [`IndexMode::Map`], the oracle of the parity tests) fall back to
 //! a materialized universe plus a hash index built by enumeration.
 //!
 //! # Parallel repair rounds
@@ -36,11 +39,11 @@
 //! the `is_repairable` scan over still-missing blocks — fans out across
 //! [`ae_api::repair_threads`] scoped threads in contiguous chunks.
 //! Chunk-order merging keeps the planned set (and every metric derived
-//! from it) bit-identical to a sequential scan; the `serial-repair`
-//! feature pins the thread count to 1 as an escape hatch.
+//! from it) bit-identical to a sequential scan; `AE_REPAIR_THREADS=1`
+//! is that sequential scan.
 
 use crate::bitset::BitSet;
-use ae_api::RedundancyScheme;
+use ae_api::{RedundancyScheme, RoundStats};
 use ae_blocks::BlockId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,7 +63,7 @@ pub enum IndexMode {
     /// it is authoritative, a materialized universe + `HashMap` otherwise.
     Auto,
     /// Always materialize the universe and build the `HashMap` index — the
-    /// memory/time baseline the benchmarks compare the dense path against.
+    /// oracle the parity tests compare the dense path against.
     Map,
 }
 
@@ -75,27 +78,6 @@ enum PlaneIndex {
         universe: Vec<BlockId>,
         index: HashMap<BlockId, u32>,
     },
-}
-
-/// Statistics of one repair round (availability plane).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundStats {
-    /// Data blocks repaired this round.
-    pub data: u64,
-    /// Redundancy blocks repaired this round.
-    pub parity: u64,
-    /// Blocks read to execute this round's repairs (the scheme's
-    /// [`ae_api::RedundancyScheme::repair_traffic`] over the round's
-    /// commit set) — per-round traffic, so sweeps can report repair-cost
-    /// distributions instead of a bare total.
-    pub reads: u64,
-}
-
-impl RoundStats {
-    /// Blocks written this round (every repair writes its block back).
-    pub fn writes(&self) -> u64 {
-        self.data + self.parity
-    }
 }
 
 /// Outcome of a full round-based repair.
@@ -134,7 +116,7 @@ impl FullRepairOutcome {
 
     /// Total data blocks repaired.
     pub fn data_repaired(&self) -> u64 {
-        self.rounds.iter().map(|r| r.data).sum()
+        self.rounds.iter().map(|r| r.data_repaired as u64).sum()
     }
 
     /// Share of repaired data blocks that were single failures (Fig 13).
@@ -215,8 +197,8 @@ impl SchemePlane {
     }
 
     /// Full-control constructor: [`SchemePlane::with_missing`] plus an
-    /// explicit [`IndexMode`] (benchmarks and parity tests force
-    /// [`IndexMode::Map`] to compare against the materialized baseline).
+    /// explicit [`IndexMode`] (parity tests force [`IndexMode::Map`] to
+    /// compare against the materialized baseline).
     pub fn with_index_mode(
         scheme: Box<dyn RedundancyScheme>,
         data_blocks: u64,
@@ -323,7 +305,7 @@ impl SchemePlane {
 
     /// Approximate heap bytes held by the id → position hash index: zero
     /// on the dense path, the hash table's footprint otherwise. The
-    /// benchmarks report this next to resident-memory measurements.
+    /// examples report this next to the dense path's zero.
     pub fn index_bytes(&self) -> usize {
         match &self.index {
             PlaneIndex::Dense => 0,
@@ -347,7 +329,8 @@ impl SchemePlane {
     }
 
     /// Whether `id` is currently available (false for blocks outside the
-    /// universe).
+    /// universe) — also the oracle handed to the scheme's structural hooks.
+    #[inline]
     pub fn is_available(&self, id: BlockId) -> bool {
         self.index_of(id)
             .is_some_and(|k| self.avail.get(k as usize))
@@ -484,14 +467,6 @@ impl SchemePlane {
         (rotten_data, rotten_redundancy)
     }
 
-    /// Whether `id` is available in the current state (the oracle handed
-    /// to the scheme's structural hooks).
-    #[inline]
-    fn block_available(&self, id: BlockId) -> bool {
-        self.index_of(id)
-            .is_some_and(|k| self.avail.get(k as usize))
-    }
-
     /// Indices of currently missing blocks, optionally data only.
     fn missing_indices(&self, data_only: bool) -> Vec<u32> {
         self.avail
@@ -521,7 +496,7 @@ impl SchemePlane {
     /// against the current snapshot.
     fn plan_repairable(&self, candidates: &[u32]) -> Vec<u32> {
         self.par_filter(candidates, |k| {
-            let avail = |id: BlockId| self.block_available(id);
+            let avail = |id: BlockId| self.is_available(id);
             self.scheme
                 .is_repairable(self.id_at(k), self.data_blocks, &avail)
         })
@@ -570,7 +545,7 @@ impl SchemePlane {
                 if !id.is_data() {
                     return false;
                 }
-                let avail = |id: BlockId| self.block_available(id);
+                let avail = |id: BlockId| self.is_available(id);
                 self.scheme.is_single_failure(id, self.data_blocks, &avail)
             });
             let mut set = BitSet::zeros(self.universe_len as usize);
@@ -595,7 +570,7 @@ impl SchemePlane {
             let fixed_ids: Vec<BlockId> = fix.iter().map(|&k| self.id_at(k)).collect();
             let round_reads = self.scheme.repair_traffic(&fixed_ids);
             traffic += round_reads;
-            let data = fixed_ids.iter().filter(|id| id.is_data()).count() as u64;
+            let data_repaired = fixed_ids.iter().filter(|id| id.is_data()).count();
             if rounds.is_empty() {
                 repaired_singles = fix
                     .iter()
@@ -606,9 +581,9 @@ impl SchemePlane {
                 self.avail.set(k as usize, true);
             }
             rounds.push(RoundStats {
-                data,
-                parity: fixed_ids.len() as u64 - data,
-                reads: round_reads,
+                repaired: fixed_ids.len(),
+                data_repaired,
+                blocks_read: round_reads,
             });
             missing.retain(|&k| !self.avail.get(k as usize));
         }
@@ -664,7 +639,7 @@ impl SchemePlane {
                 .filter(|&k| self.avail.get(k as usize) && self.id_at(k).is_data())
                 .collect();
             self.par_filter(&candidates, |k| {
-                let avail = |id: BlockId| self.block_available(id);
+                let avail = |id: BlockId| self.is_available(id);
                 !self
                     .scheme
                     .is_repairable(self.id_at(k), self.data_blocks, &avail)
@@ -996,8 +971,9 @@ mod tests {
         let repaired: u64 = out.rounds.iter().map(|r| r.writes()).sum();
         assert_eq!(fd + fp, repaired + md + mp);
         // Per-round reads sum to the outcome's traffic total.
-        assert_eq!(out.traffic, out.rounds.iter().map(|r| r.reads).sum::<u64>());
-        assert!(out.rounds.iter().all(|r| r.reads >= r.writes()));
+        let reads = out.rounds.iter().map(|r| r.blocks_read).sum::<u64>();
+        assert_eq!(out.traffic, reads);
+        assert!(out.rounds.iter().all(|r| r.blocks_read >= r.writes()));
     }
 
     #[test]

@@ -593,9 +593,8 @@ impl Community {
     /// deterministic-chunk-order-merge pattern as the repair planners —
     /// sound because each user's lattice occupies a disjoint namespaced id
     /// range of the shared tier, and re-homing probes depend only on
-    /// cluster availability, never on the other users' writes. The
-    /// `serial-repair` feature (via `repair_threads() == 1`) pins it to the
-    /// sequential walk, and `AE_REPAIR_THREADS` overrides the width.
+    /// cluster availability, never on the other users' writes.
+    /// `AE_REPAIR_THREADS` overrides the width; 1 is the sequential walk.
     pub fn maintain_all(&self) -> u64 {
         let threads = ae_api::repair_threads().min(self.users.len());
         ae_api::par::par_chunks(&self.users, threads, 2, |chunk| {

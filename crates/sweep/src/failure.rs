@@ -9,9 +9,9 @@
 //! docs' seeding contract).
 
 use crate::config::SweepError;
-use ae_api::mix64;
+use ae_api::{mix64, RoundStats};
 use ae_sim::scheme_plane::upgrade_wave;
-use ae_sim::{FullRepairOutcome, RoundStats, SchemePlane};
+use ae_sim::{FullRepairOutcome, SchemePlane};
 use std::fmt;
 
 /// One failure model: a deterministic scenario of failure injections and

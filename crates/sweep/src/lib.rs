@@ -8,8 +8,8 @@
 //! simulations, emitting one [`CellResult`] per cell. The
 //! CSV serialization ([`SweepResult::to_csv`]) is the CI contract: the
 //! `sweeps` job replays a pinned smoke grid and diffs the bytes against a
-//! checked-in golden file, on both the parallel and `serial-repair`
-//! planners.
+//! checked-in golden file, planned in parallel and under
+//! `AE_REPAIR_THREADS=1`.
 //!
 //! # CSV schema
 //!
@@ -52,8 +52,9 @@
 //!   ignore the scenario seed by design.
 //! * Repair planning fans out over [`ae_api::repair_threads`] scoped
 //!   threads, but chunk-order merging keeps the planned sets — and every
-//!   number derived from them — bit-identical to the `serial-repair`
-//!   reference planner, so the CSV is byte-stable across thread counts.
+//!   number derived from them — bit-identical to a sequential plan
+//!   (`AE_REPAIR_THREADS=1`), so the CSV is byte-stable across thread
+//!   counts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -138,10 +138,10 @@ fn run_cell(config: &SweepConfig, scheme: Scheme, failure: &FailureSpec, seed: u
     let mut blocks_read = 0;
     let mut blocks_written = 0;
     for round in &tally.rounds {
-        blocks_read += round.reads;
+        blocks_read += round.blocks_read;
         let written = round.writes();
         blocks_written += written;
-        if let Some(cost) = round.reads.checked_div(written) {
+        if let Some(cost) = round.blocks_read.checked_div(written) {
             read_cost.record_n(cost, written);
         }
     }

@@ -26,7 +26,7 @@
 //! AE_SOAK_ITERS=100 cargo run --release --example crash_recovery
 //! ```
 
-use aecodes::api::{BlockRepo, BlockSink, BlockSource, RedundancyScheme};
+use aecodes::api::{BlockRepo, BlockSink, BlockSource, RedundancyScheme, SplitMix64 as Rng};
 use aecodes::blocks::{Block, BlockId};
 use aecodes::sim::Scheme;
 use aecodes::store::archive::Archive;
@@ -38,26 +38,9 @@ use std::sync::Arc;
 const BLOCK: usize = 64;
 const FILES: usize = 8;
 
-/// SplitMix64: the workspace's seeded stream of choice.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
-}
-
 fn file_contents(rng: &mut Rng) -> Vec<u8> {
     let len = rng.below(4 * BLOCK as u64 * 8) as usize; // 0..=2 KiB
-    (0..len).map(|_| rng.next() as u8).collect()
+    (0..len).map(|_| rng.next_u64() as u8).collect()
 }
 
 /// A randomized-but-seeded metadata policy: 2–3 copies per record, a
@@ -105,7 +88,7 @@ fn meta_disaster<B: BlockRepo + ?Sized>(rng: &mut Rng, ar: &Archive<B>, store: &
             if rng.below(2) == 0 {
                 store.remove(id);
             } else {
-                let garbage: Vec<u8> = (0..48).map(|_| rng.next() as u8).collect();
+                let garbage: Vec<u8> = (0..48).map(|_| rng.next_u64() as u8).collect();
                 store.store(id, Block::from_vec(garbage));
             }
             harmed += 1;
@@ -116,7 +99,7 @@ fn meta_disaster<B: BlockRepo + ?Sized>(rng: &mut Rng, ar: &Archive<B>, store: &
 
 /// One seeded lifetime over one backend. Returns (files, repaired).
 fn soak<B: BlockRepo + ?Sized>(scheme: &Scheme, store: Arc<B>, seed: u64) -> (usize, u64) {
-    let mut rng = Rng(seed);
+    let mut rng = Rng::new(seed);
     let files: Vec<(String, Vec<u8>)> = (0..FILES)
         .map(|k| (format!("file-{k}.bin"), file_contents(&mut rng)))
         .collect();

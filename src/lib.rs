@@ -11,7 +11,7 @@
 //! * [`blocks`] — block primitives, XOR kernels, CRC32.
 //! * [`gf`] — GF(2^8) arithmetic for the Reed-Solomon baseline.
 //! * [`lattice`] — the helical lattice and minimal-erasure analysis.
-//! * [`core`] — the AE(α, s, p) encoder, decoder and repair engine.
+//! * [`core`] — the AE(α, s, p) encoder and decoder.
 //! * [`baselines`] — Reed-Solomon and replication comparison codes.
 //! * [`store`] — the simulated distributed storage substrate.
 //! * [`service`] — the multi-tenant archive serving layer and its

@@ -37,15 +37,19 @@ const BLOCK: usize = 32;
 /// property this file proves).
 static WINDOW_ENV: Mutex<()> = Mutex::new(());
 
-/// Runs `f` once per in-flight window of 1, 8 and 32 (all three collapse
-/// to 1 under the `serial-aio` feature, which ignores the variable).
+/// Runs `f` once per in-flight window of 1, 8 and 32, then puts back the
+/// window the run was started with (CI's reference leg sets 1).
 fn at_each_window(mut f: impl FnMut(usize)) {
     let _guard = WINDOW_ENV.lock().unwrap_or_else(|e| e.into_inner());
+    let before = std::env::var_os("AE_AIO_WINDOW");
     for window in [1usize, 8, 32] {
         std::env::set_var("AE_AIO_WINDOW", window.to_string());
         f(in_flight_window());
     }
-    std::env::remove_var("AE_AIO_WINDOW");
+    match before {
+        Some(v) => std::env::set_var("AE_AIO_WINDOW", v),
+        None => std::env::remove_var("AE_AIO_WINDOW"),
+    }
 }
 
 /// A few files of awkward sizes (empty, sub-block, exact multiple, large)

@@ -79,7 +79,7 @@ fn disaster_then_full_recovery_byte_identical() {
         .collect();
     assert!(!missing.is_empty(), "the disaster must hit something");
 
-    let report = code.repair_engine(n).repair_all(&view, missing);
+    let report = code.repair_missing(&view, &missing, n);
     assert!(
         report.fully_recovered(),
         "unrecovered after 30% location loss: {:?}",
@@ -122,7 +122,7 @@ fn weaker_codes_lose_data_in_the_same_disaster() {
         .map(|i| BlockId::Data(NodeId(i)))
         .filter(|id| !view.contains_key(id))
         .collect();
-    let report = code.repair_engine(n).repair_all(&view, missing);
+    let report = code.repair_missing(&view, &missing, n);
     assert!(
         !report.fully_recovered(),
         "a single chain should not survive a 30% location outage unscathed"

@@ -19,7 +19,6 @@ use aecodes::lattice::Config;
 fn threaded_planner_matches_serial_on_a_large_disaster() {
     // Read before any repair call in this process memoizes the default.
     std::env::set_var("AE_REPAIR_THREADS", "4");
-    #[cfg(not(feature = "serial-repair"))]
     assert_eq!(aecodes::api::repair_threads(), 4);
 
     let n = 400u64;

@@ -2,7 +2,7 @@
 
 use aecodes::baselines::ReedSolomon;
 use aecodes::blocks::{Block, BlockId, EdgeId, NodeId};
-use aecodes::core::{BlockMap, Code};
+use aecodes::core::{BlockMap, Code, RedundancyScheme};
 use aecodes::gf::Gf256;
 use aecodes::lattice::{me, Config, LatticeBlock, MeSearch};
 use proptest::prelude::*;
@@ -185,7 +185,7 @@ proptest! {
                 store.remove(&id);
             }
         }
-        let report = code.repair_engine(n).repair_all(&store, ids);
+        let report = code.repair_missing(&store, &ids, n);
         let lattice_rest = me::decode_fixpoint(&cfg, &lattice_erased);
         let byte_rest: BTreeSet<LatticeBlock> = report
             .unrecovered

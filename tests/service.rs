@@ -12,12 +12,9 @@
 //!    fault-induced repair work during a scrub) cannot starve tenants on
 //!    other shards.
 
-#[cfg(not(feature = "serial-service"))]
 use aecodes::api::{BlockSink, BlockSource, StoreError};
 use aecodes::baselines::{ReedSolomon, Replication};
-#[cfg(not(feature = "serial-service"))]
-use aecodes::blocks::Block;
-use aecodes::blocks::BlockId;
+use aecodes::blocks::{Block, BlockId};
 use aecodes::core::Code;
 use aecodes::lattice::Config;
 use aecodes::service::{
@@ -26,14 +23,9 @@ use aecodes::service::{
 };
 use aecodes::store::{FaultyStore, MemStore};
 use std::collections::BTreeMap;
-#[cfg(not(feature = "serial-service"))]
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-#[cfg(not(feature = "serial-service"))]
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
-#[cfg(not(feature = "serial-service"))]
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// A mixed-scheme tenant roster over `backend`.
 fn roster(backend: SharedBackend, config: ServiceConfig, tenants: u16) -> ArchiveService {
@@ -136,7 +128,7 @@ fn sharded_runs_leave_byte_identical_state_to_serial_replay() {
 #[test]
 fn workload_generation_is_identical_under_any_build() {
     // The parity above compares executions; this pins the generated
-    // schedule itself so serial-service builds drive the same ops.
+    // schedule itself so every configuration drives the same ops.
     let a = parity_workload();
     let b = parity_workload();
     assert_eq!(a.ops.len(), b.ops.len());
@@ -148,9 +140,8 @@ fn workload_generation_is_identical_under_any_build() {
 
 /// A backend whose writes to a chosen tenant's namespace block until the
 /// gate opens — a deterministic way to wedge exactly one shard's worker.
-/// Only the sharded tests use it: a serial-service build runs ops in-line
-/// on the driver thread, so wedging a write would deadlock the test.
-#[cfg(not(feature = "serial-service"))]
+/// Only the sharded tests use it: an in-line service runs ops on the
+/// driver thread, so wedging a write would deadlock the test.
 struct GateStore {
     inner: MemStore,
     /// Tenant tag (high 16 bits) whose writes are gated.
@@ -160,7 +151,6 @@ struct GateStore {
     waiting: AtomicUsize,
 }
 
-#[cfg(not(feature = "serial-service"))]
 fn tenant_bits(id: BlockId) -> u64 {
     use aecodes::blocks::{EdgeId, MetaId, NodeId, ReplicaId, ShardId};
     let raw = match id {
@@ -173,7 +163,6 @@ fn tenant_bits(id: BlockId) -> u64 {
     raw >> 48
 }
 
-#[cfg(not(feature = "serial-service"))]
 impl GateStore {
     /// Starts **open** so tenant-creation journal writes pass; tests
     /// close it once the roster is built.
@@ -211,7 +200,6 @@ impl GateStore {
     }
 }
 
-#[cfg(not(feature = "serial-service"))]
 impl BlockSource for GateStore {
     fn fetch(&self, id: BlockId) -> Option<Block> {
         self.inner.fetch(id)
@@ -224,7 +212,6 @@ impl BlockSource for GateStore {
     }
 }
 
-#[cfg(not(feature = "serial-service"))]
 impl BlockSink for GateStore {
     fn store(&self, id: BlockId, block: Block) {
         if tenant_bits(id) == self.gated_tenant {
@@ -237,7 +224,6 @@ impl BlockSink for GateStore {
     }
 }
 
-#[cfg(not(feature = "serial-service"))]
 #[test]
 fn full_queue_answers_saturated_without_blocking() {
     let gate = Arc::new(GateStore::new(0)); // wedge tenant 0's writes
@@ -292,7 +278,6 @@ fn full_queue_answers_saturated_without_blocking() {
     assert!(svc.verify_all().is_empty());
 }
 
-#[cfg(not(feature = "serial-service"))]
 #[test]
 fn wedged_shard_does_not_starve_other_shards() {
     let gate = Arc::new(GateStore::new(0)); // only tenant 0 wedges
@@ -339,7 +324,6 @@ fn wedged_shard_does_not_starve_other_shards() {
     assert!(svc.verify_all().is_empty());
 }
 
-#[cfg(not(feature = "serial-service"))]
 #[test]
 fn repair_heavy_tenant_does_not_starve_other_shards() {
     // The "slow tenant" here is realistic service work, not a test gate:

@@ -75,8 +75,7 @@ fn invalid_grids_rejected_with_typed_errors() {
 
 /// The pinned smoke grid reproduces the checked-in golden CSV byte for
 /// byte (the same comparison the CI `sweeps` job makes against the
-/// example's file output, on both the parallel and serial-repair
-/// planners).
+/// example's file output, planned in parallel and with one thread).
 #[test]
 fn smoke_grid_matches_the_golden_csv() {
     let golden = include_str!("golden/frontier_smoke.csv");

@@ -166,32 +166,22 @@ fn budget_row(s: &Scheme) -> [u64; 6] {
 fn sequential_round_trips_per_op_match_the_golden_budget() {
     let _guard = WINDOW_ENV.lock().unwrap_or_else(|e| e.into_inner());
     let mut table = String::from("scheme,window,put,seal,get,degraded_get,scrub,open\n");
-    let mut serial_pinned = false;
+    let before = std::env::var_os("AE_AIO_WINDOW");
     for s in roster() {
         for window in [1usize, 8, 32] {
             std::env::set_var("AE_AIO_WINDOW", window.to_string());
-            // `serial-aio` pins the window to 1 whatever the variable
-            // says: every row is then the window-1 reference row.
-            serial_pinned |= in_flight_window() != window;
             let row = budget_row(&s).map(|v| v.to_string()).join(",");
             table.push_str(&format!("\"{s}\",{},{row}\n", in_flight_window()));
         }
     }
-    std::env::remove_var("AE_AIO_WINDOW");
+    match before {
+        Some(v) => std::env::set_var("AE_AIO_WINDOW", v),
+        None => std::env::remove_var("AE_AIO_WINDOW"),
+    }
     let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("wan_rtts.csv");
     std::fs::write(&out, &table).expect("the test's own tmp dir is writable");
     let golden = include_str!("golden/wan_rtts.csv");
-    if serial_pinned {
-        let reference: Vec<&str> = golden.lines().filter(|l| l.contains("\",1,")).collect();
-        for line in table.lines().skip(1) {
-            assert!(
-                reference.contains(&line),
-                "not a window-1 golden row: {line}"
-            );
-        }
-    } else {
-        assert_eq!(table, golden, "re-record from {}", out.display());
-    }
+    assert_eq!(table, golden, "re-record from {}", out.display());
 }
 
 /// Degraded-read reads on a `files`-file archive whose file 3 lost a data
