@@ -5,7 +5,7 @@
 //! measures entanglement repair against backends that are a network away
 //! — but the sync [`ae_api::BlockSource`] family completes every
 //! operation at call time, so a naive port pays `blocks × RTT` for any
-//! multi-block operation. This crate supplies the missing layer in four
+//! multi-block operation. This crate supplies the missing layer in three
 //! pieces, all vendored (zero external dependencies beyond the
 //! workspace):
 //!
@@ -24,17 +24,17 @@
 //! * **Bounded-in-flight pipelining** ([`windowed`], [`windowed_map`],
 //!   [`OrderedWindow`]): at most [`in_flight_window`] operations in
 //!   flight, results collected in issue order.
-//! * **Phase replay** ([`Replay`], [`Recorder`]): runs the unmodified
-//!   sync repair algorithms against an async backend by recording their
-//!   block demands, resolving them through the window, and rerunning to
-//!   a fixed point — provably byte-identical to the serial path.
 //!
 //! [`BlockOn`] closes the loop: it adapts a natively-async backend back
 //! into the sync family and advertises the async interior through
 //! [`ae_api::BlockSource::as_async`], which is how the archive discovers
 //! that its batches — the writes of `put`, `seal` and `checkpoint`, the
 //! probes of `open`, the reads of `get` and `scrub` — can move through
-//! the window instead of paying one round trip per call.
+//! the window instead of paying one round trip per call. The unmodified
+//! sync repair algorithms run against such a backend as plan →
+//! fetch(window) → apply: the archive names a read set, moves it through
+//! the window, and hands the scheme the answers (`ae_store::archive`,
+//! "Dependent reads").
 //!
 //! # Determinism contract
 //!
@@ -50,9 +50,9 @@
 //! 3. **Eager planning** (the latency model): every operation's queueing,
 //!    transfer and per-attempt jitter draws are fixed at *future
 //!    creation* from the seeded generator, so issue order alone pins the
-//!    random stream; replay resolves misses in sorted-id order so even
-//!    the parallel repair planner's thread interleaving cannot perturb
-//!    issue order.
+//!    random stream; planned read sets are issued in sorted-id order and
+//!    planners only ever see memory, so even the parallel repair
+//!    planner's thread interleaving cannot perturb issue order.
 //!
 //! Under the contract, a pipelined repair is byte-identical to its
 //! serial counterpart and every simulated timestamp replays exactly;
@@ -92,13 +92,11 @@
 mod exec;
 mod latency;
 mod pipeline;
-mod replay;
 mod time;
 
 pub use exec::{JoinHandle, Runtime};
 pub use latency::{BlockOn, LatencyStore, LinkSpec, RetryPolicy, Tier, Tiering};
 pub use pipeline::{windowed, windowed_map, OpFactory, OrderedWindow};
-pub use replay::{Recorder, Replay};
 pub use time::{Clock, Sleep};
 
 /// The bounded in-flight window for pipelined block operations.

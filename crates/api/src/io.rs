@@ -77,8 +77,8 @@ pub trait BlockSource: Sync {
     /// wrapper around a natively-async backend (an executor-owning
     /// adapter such as `ae_aio::BlockOn`) overrides this to expose the
     /// async repo plus a driver for its futures, and latency-aware
-    /// callers — the archive's degraded `get` and `scrub` — switch to a
-    /// pipelined, bounded-in-flight fetch path when the hook answers
+    /// callers — every batch of independent calls the archive issues —
+    /// move through a bounded in-flight window when the hook answers
     /// `Some` (byte-identical outcomes, collapsed wall-clock).
     fn as_async(&self) -> Option<crate::aio::AsyncHandle<'_>> {
         None

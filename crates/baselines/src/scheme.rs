@@ -208,8 +208,9 @@ impl RedundancyScheme for ReedSolomon {
             });
         }
         let mut blocks: Vec<Block> = Vec::with_capacity(pending as usize);
-        for i in written - pending + 1..=written {
-            let id = BlockId::Data(NodeId(i));
+        // (`i + 1 <= written`: no counter a snapshot holds overflows it.)
+        for i in written - pending..written {
+            let id = BlockId::Data(NodeId(i + 1));
             let block = source
                 .fetch(id)
                 .ok_or(AeError::FrontierBlockMissing { id })?;
@@ -239,8 +240,8 @@ impl RedundancyScheme for ReedSolomon {
         });
         match parsed {
             Ok((written, pending)) if pending < self.k() as u64 && pending <= written => {
-                (written - pending + 1..=written)
-                    .map(|i| BlockId::Data(NodeId(i)))
+                (written - pending..written)
+                    .map(|i| BlockId::Data(NodeId(i + 1)))
                     .collect()
             }
             _ => Vec::new(),

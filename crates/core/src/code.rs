@@ -118,6 +118,13 @@ impl Code {
         let counter = r.u64()?;
         let block_size = r.u64()?;
         r.finish()?;
+        // Lattice arithmetic is `i64` and looks a strand span past the
+        // counter: one this large overflows it before any cross-check.
+        if counter > i64::MAX as u64 / 2 {
+            return Err(AeError::CorruptFrontier {
+                detail: format!("{name}: write counter {counter} is past any lattice"),
+            });
+        }
         if block_size != self.block_size() as u64 {
             return Err(AeError::CorruptFrontier {
                 detail: format!(
@@ -396,6 +403,15 @@ mod tests {
         // Garbage snapshots are typed, never a panic.
         assert!(matches!(
             broken.restore_frontier(&[9, 9], &store),
+            Err(AeError::CorruptFrontier { .. })
+        ));
+        // So is a well-formed one whose counter overflows the lattice's
+        // `i64` arithmetic — refused before `frontier_reads` scans from it.
+        let mut hostile = snap.clone();
+        hostile[1..9].copy_from_slice(&i64::MAX.to_le_bytes());
+        assert!(broken.frontier_reads(&hostile).is_empty());
+        assert!(matches!(
+            broken.restore_frontier(&hostile, &store),
             Err(AeError::CorruptFrontier { .. })
         ));
     }

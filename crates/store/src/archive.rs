@@ -84,11 +84,11 @@
 //! and redundancy blocks, a record's copy set, a checkpoint's pointer
 //! cells, GC, the probes and refetches of `open`, the sweeps of `scrub`,
 //! a file's blocks in `get` — goes through one private helper (`batch`,
-//! behind `store_all` / `remove_all` / `read_all` / `fetch_all` /
-//! `has_all`). Over a backend with a native async interior
-//! ([`BlockSource::as_async`]) the batch moves through the bounded
-//! in-flight window, so an operation a network away costs **window
-//! rounds, not block counts**: a 16-block AE(3,2,5) `put` is
+//! behind `store_all` / `remove_all` / `fetch_all` / `has_all` and the
+//! read sweep of `Prefetched`). Over a backend with a native async
+//! interior ([`BlockSource::as_async`]) the batch moves through the
+//! bounded in-flight window, so an operation a network away costs
+//! **window rounds, not block counts**: a 16-block AE(3,2,5) `put` is
 //! ⌈64 / 8⌉ + 1 = 9 sequential round trips at the default window, not
 //! 67. Over a plain backend the helper is the same calls in the same
 //! order as a loop — there is one `put`/`seal`/`open` path, in which a
@@ -114,12 +114,31 @@
 //! a power cut at any backend write under out-of-order completion still
 //! reopens to a prefix of the uninterrupted run
 //! (`tests/archive_recovery.rs`).
+//!
+//! # Dependent reads
+//!
+//! Repair reads depend on what earlier reads found, so they cannot be
+//! one batch. They are **plan → fetch(window) → apply** instead: name
+//! the read set, fetch it as a batch into a `Prefetched` — the answers,
+//! absences included, over the backend — and run the unchanged scheme
+//! logic against that. `open` plans with
+//! [`RedundancyScheme::frontier_reads`], a degraded `get` with
+//! [`RedundancyScheme::is_repairable`] asked optimistically, round by
+//! round; whatever a plan misses reads through, one call at a time. (A
+//! backend that answers at call time is its own memory: nothing is
+//! planned or kept, every read goes through.) Whole-archive planners (`scrub`'s repair stage, a chained
+//! reconstruction in `get`) read the backend itself when it answers at
+//! call time, and a network away a *closed* `Prefetched` holding one
+//! windowed sweep of every stored block — an archive owns its id
+//! namespace, so what the sweep did not return is absent — so planner
+//! threads only ever see memory and their number never shows in the
+//! order, or the timing, of what crosses the link.
 
 use crate::meta::{
     encode_checkpoint_part, encode_checkpoint_payload, meta_copy_id, pointer_id, CheckpointPayload,
     MetaConfig, MetaRecord, RecordError, StoredIds, StoredParts,
 };
-use ae_aio::{in_flight_window, windowed_map, Replay};
+use ae_aio::{in_flight_window, windowed_map};
 use ae_api::{
     AeError, AsyncBlockRepo, BlockRepo, BlockSink, BlockSource, BoxFuture, Overlay,
     RedundancyScheme, RepairError, StoreError,
@@ -129,7 +148,7 @@ use ae_core::Code;
 use ae_lattice::Config;
 use std::cell::RefCell;
 use std::collections::btree_map::Entry as MapEntry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -343,20 +362,23 @@ impl BlockSource for MaskOne<'_> {
     }
 }
 
-/// Runs one batch of **independent** backend calls and returns their
-/// results in issue order — the one place archive I/O meets the backend
-/// in bulk. Over a backend with a native async interior
-/// ([`BlockSource::as_async`]) the calls move through the bounded
-/// in-flight window, so a batch costs `⌈n / window⌉` round trips, not
-/// `n`; over a plain backend it is the same calls in the same order as
-/// a loop. Returning is the **barrier**: every call of the batch has
-/// been acknowledged, whatever order the completions arrived in.
-fn batch<'s, B, T, U>(
+/// Runs one batch of **independent** backend calls, hands their results
+/// to `then` in issue order and returns what it made of them — the one
+/// place archive I/O meets the backend in bulk. Over a backend with a
+/// native async interior ([`BlockSource::as_async`]) the calls move
+/// through the bounded in-flight window, so a batch costs
+/// `⌈n / window⌉` round trips, not `n`; over a plain backend it is the
+/// same calls in the same order as a loop, each result consumed before
+/// the next call is made. Returning is the **barrier**: every call of
+/// the batch has been acknowledged, whatever order the completions
+/// arrived in.
+fn batch<'s, B, T, U, V>(
     store: &'s B,
     items: impl IntoIterator<Item = T>,
     call: impl Fn(&B, T) -> U,
     issue: impl Fn(&'s dyn AsyncBlockRepo, T) -> BoxFuture<'s, U> + Send + Sync + 's,
-) -> Vec<U>
+    mut then: impl FnMut(U) -> V,
+) -> Vec<V>
 where
     B: BlockRepo + ?Sized,
     T: Send + 's,
@@ -366,43 +388,58 @@ where
         Some(handle) => {
             let repo = handle.repo;
             let items = items.into_iter().collect();
-            handle.run(Box::pin(windowed_map(
-                items,
-                in_flight_window(),
-                move |item| issue(repo, item),
-            )))
+            let window = windowed_map(items, in_flight_window(), move |item| issue(repo, item));
+            handle.run(Box::pin(window)).into_iter().map(then).collect()
         }
-        None => items.into_iter().map(|item| call(store, item)).collect(),
+        None => items
+            .into_iter()
+            .map(|item| then(call(store, item)))
+            .collect(),
     }
 }
 
 fn store_all<B: BlockRepo + ?Sized>(store: &B, writes: impl IntoIterator<Item = (BlockId, Block)>) {
+    let call = |s: &B, (id, block)| s.store(id, block);
     batch(
         store,
         writes,
-        |s, (id, block)| s.store(id, block),
+        call,
         |r, (id, block)| r.store_async(id, block),
+        drop,
     );
 }
 
 fn remove_all<B: BlockRepo + ?Sized>(store: &B, ids: impl IntoIterator<Item = BlockId>) {
-    batch(store, ids, |s, id| s.remove(id), |r, id| r.remove_async(id));
-}
-
-fn read_all<B: BlockRepo + ?Sized>(store: &B, ids: &[BlockId]) -> Vec<Result<Block, StoreError>> {
-    let ids = ids.iter().copied();
-    batch(store, ids, |s, id| s.read(id), |r, id| r.read_async(id))
+    batch(
+        store,
+        ids,
+        |s, id| s.remove(id),
+        |r, id| r.remove_async(id),
+        drop,
+    );
 }
 
 fn fetch_all<B: BlockRepo + ?Sized>(
     store: &B,
     ids: impl IntoIterator<Item = BlockId>,
 ) -> Vec<Option<Block>> {
-    batch(store, ids, |s, id| s.fetch(id), |r, id| r.fetch_async(id))
+    batch(
+        store,
+        ids,
+        |s, id| s.fetch(id),
+        |r, id| r.fetch_async(id),
+        |found| found,
+    )
 }
 
 fn has_all<B: BlockRepo + ?Sized>(store: &B, ids: impl IntoIterator<Item = BlockId>) -> Vec<bool> {
-    batch(store, ids, |s, id| s.has(id), |r, id| r.has_async(id))
+    batch(
+        store,
+        ids,
+        |s, id| s.has(id),
+        |r, id| r.has_async(id),
+        |has| has,
+    )
 }
 
 /// An order-preserving collecting sink: a scheme's write phase lands here
@@ -413,6 +450,80 @@ struct Collect(RefCell<Vec<(BlockId, Block)>>);
 impl BlockSink for Collect {
     fn store(&self, id: BlockId, block: Block) {
         self.0.borrow_mut().push((id, block));
+    }
+}
+
+/// What is known of a backend's blocks — answers already fetched,
+/// negative ones included — over the backend itself: the one source
+/// dependent reads run against (see the module docs). An id it answers
+/// never reaches the backend again; any other reads through, or, once the
+/// view is **closed**, is absent. Filled only through `batch`, a window at
+/// a time.
+struct Prefetched<'a, B: ?Sized> {
+    store: &'a B,
+    /// Whether the backend is a network away: a read then costs a round
+    /// trip, so what was read is kept, repair reads are planned, and
+    /// whole-archive planners — whose threads would read in an order
+    /// their interleaving picks — run on a closed view. With `batch` and
+    /// `write_through`, the one place that asks which kind of backend
+    /// this is.
+    remote: bool,
+    answers: HashMap<BlockId, Option<Block>>,
+    closed: bool,
+}
+
+impl<'a, B: BlockRepo + ?Sized> Prefetched<'a, B> {
+    /// An empty view of `store`.
+    fn new(store: &'a B, closed: bool) -> Self {
+        Prefetched {
+            store,
+            remote: store.as_async().is_some(),
+            answers: HashMap::new(),
+            closed,
+        }
+    }
+
+    /// Fetches, as one batch in the given order, every id of `ids` not
+    /// answered yet.
+    fn fill(&mut self, ids: impl IntoIterator<Item = BlockId>) {
+        let unknown = ids.into_iter().filter(|id| !self.answers.contains_key(id));
+        let unknown: Vec<BlockId> = unknown.collect();
+        let found = fetch_all(self.store, unknown.iter().copied());
+        self.answers.extend(unknown.into_iter().zip(found));
+    }
+
+    /// Reads `ids` as one batch — `read`, not `fetch`: a backend that
+    /// verifies checksums reports tampered bytes as `Corrupted` — and
+    /// shows `each` the results in order. A network away they stay as
+    /// answers: a block as itself, `NotFound` as absent, and nothing for
+    /// an unreadable block, which still `fetch`es, as tampered bytes.
+    fn sweep(
+        &mut self,
+        ids: impl Iterator<Item = BlockId> + Clone,
+        mut each: impl FnMut(BlockId, &Result<Block, StoreError>),
+    ) {
+        let (mut asked, keep) = (ids.clone(), self.remote);
+        let consume = |read| {
+            let id = asked.next().expect("one read per id");
+            each(id, &read);
+            match read {
+                Ok(block) if keep => self.answers.insert(id, Some(block)),
+                Err(StoreError::NotFound(_)) if keep => self.answers.insert(id, None),
+                _ => None,
+            };
+        };
+        let issue = |r: &'a dyn AsyncBlockRepo, id| r.read_async(id);
+        batch(self.store, ids, |s, id| s.read(id), issue, consume);
+    }
+}
+
+impl<B: BlockRepo + ?Sized> BlockSource for Prefetched<'_, B> {
+    fn fetch(&self, id: BlockId) -> Option<Block> {
+        match self.answers.get(&id) {
+            Some(answer) => answer.clone(),
+            None if self.closed => None,
+            None => self.store.fetch(id),
+        }
     }
 }
 
@@ -628,7 +739,7 @@ impl IdLog {
     }
 
     /// The ids of data blocks `range` (0-based, write order).
-    fn data(&self, range: std::ops::Range<u64>) -> impl Iterator<Item = BlockId> + '_ {
+    fn data(&self, range: std::ops::Range<u64>) -> impl Iterator<Item = BlockId> + Clone + '_ {
         range.map(move |j| match self {
             IdLog::Positions(at) => BlockId::Data(NodeId(at.base + j)),
             IdLog::Listed { data, .. } => data[j as usize],
@@ -1015,22 +1126,16 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         let frontier = frontier.or(checkpoint_frontier);
         if let Some(snapshot) = frontier {
             let store: &B = &ar.store;
-            let base: &dyn BlockSource = &store;
-            // The frontier refetch as one batch, overlaid on the backend:
-            // the restore reads its in-flight blocks from the answers,
-            // and anything the scheme did not announce (or that is gone)
-            // still goes to the backend one call at a time.
-            let ids = ar.scheme.frontier_reads(&snapshot);
-            let found = fetch_all(store, ids.iter().copied());
-            let prefetched = Overlay::new(base);
-            for (&id, block) in ids.iter().zip(found) {
-                if let Some(block) = block {
-                    prefetched.patch.insert(id, block);
-                }
-            }
+            // The frontier refetch as one batch: the restore reads its
+            // in-flight blocks from the answers — a lost one is known
+            // lost, and goes straight to repair — and anything the scheme
+            // did not announce still goes to the backend one call at a
+            // time.
+            let mut known = Prefetched::new(store, false);
+            known.fill(ar.scheme.frontier_reads(&snapshot));
             let repairing = RepairingSource {
                 scheme: &*ar.scheme,
-                base: &prefetched,
+                base: &known,
                 written: ar.ids.data_len(),
             };
             ar.scheme
@@ -1833,122 +1938,44 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// read; repaired blocks are **not** written back — use
     /// [`Self::scrub`]), and verifying the manifest checksum.
     ///
-    /// When the backend advertises a native async interior
-    /// ([`BlockSource::as_async`] — e.g. `ae_aio::BlockOn` around a
-    /// latency-wrapped store), the file's blocks are read as one batch
-    /// and any repair traffic moves through the bounded in-flight window
-    /// too (`ae_aio::in_flight_window`) instead of paying one round trip
-    /// per block, with results and error typing byte-identical to the
-    /// serial path — and, like it, reading only the file's blocks and the
-    /// tuple members of the missing ones, however large the archive.
+    /// The file's blocks are read as one batch. If any read fails, the
+    /// survivors the single-block repairs will consult are planned and
+    /// fetched as batches too, and the repairs then run against those
+    /// answers (see "Dependent reads" in the module docs) — reading only
+    /// the file's blocks and the tuple members of the missing ones,
+    /// however large the archive. Only a chained reconstruction, which no
+    /// single repair option serves, consults the whole archive.
     pub fn get(&self, name: &str) -> Result<Vec<u8>, ArchiveError> {
-        let entry = self.manifest_entry(name)?;
-        let ids = self
-            .ids
-            .data(entry.first_block..entry.first_block + entry.block_count);
-        let store: &B = &self.store;
+        let unknown = || ArchiveError::UnknownFile(name.to_string());
+        let entry = self.manifest.get(name).ok_or_else(unknown)?;
+        let extent = entry.first_block..entry.first_block + entry.block_count;
+        let (store, bs): (&B, usize) = (&self.store, self.block_size);
+        // Each block is appended as its read is consumed; a failed one
+        // leaves a hole for its repair to fill.
+        let mut known = Prefetched::new(store, false);
         let mut out = Vec::with_capacity(entry.byte_len);
-        match store.as_async() {
-            // A plain backend answers at call time: read, repair and
-            // append block by block, holding nothing.
-            None => {
-                let base: &dyn BlockSource = &store;
-                for id in ids {
-                    let block = self
-                        .repair_fast(store.read(id), base, id)
-                        .or_else(|err| self.repair_slow(base, id, err))?;
-                    out.extend_from_slice(block.as_slice());
-                }
+        let mut holes = Vec::new();
+        known.sweep(self.ids.data(extent), |id, read| match read {
+            Ok(block) => out.extend_from_slice(block.as_slice()),
+            Err(_) => {
+                holes.push((id, out.len()));
+                out.resize(out.len() + bs, 0);
             }
-            Some(handle) => {
-                let ids: Vec<BlockId> = ids.collect();
-                let reads = read_all(store, &ids);
-                let blocks: Vec<Block> = if reads.iter().all(Result::is_ok) {
-                    reads.into_iter().flatten().collect()
-                } else {
-                    let replay = Replay::new(handle, in_flight_window());
-                    self.repair_pipelined(replay, &ids, reads)?
-                };
-                for block in &blocks {
-                    out.extend_from_slice(block.as_slice());
-                }
-            }
-        }
-        Self::finish_read(name, entry, out)
-    }
-
-    /// The pipelined degraded read: plan the fast-path repairs
-    /// structurally and prefetch their read sets through the window, then
-    /// replay the serial read logic against the recorded answers,
-    /// resolving anything further it demands through the window too (see
-    /// `ae_aio::Replay` for the byte-equivalence argument).
-    fn repair_pipelined(
-        &self,
-        mut replay: Replay<'_>,
-        ids: &[BlockId],
-        reads: Vec<Result<Block, StoreError>>,
-    ) -> Result<Vec<Block>, ArchiveError> {
-        let mut failed = Vec::new();
-        for (&id, read) in ids.iter().zip(reads) {
-            if read.is_err() {
-                failed.push(id);
-            }
-            replay.seed_read(id, read);
-        }
-        // Plan → fetch(window): `is_repairable` asks about exactly the
-        // survivors a single-block repair reads, so answering "present"
-        // for everything not yet known names the next read set. One
-        // batch per round; a round that consulted nothing unknown ends
-        // the plan. Only a prefetch — what it misses, the replay
-        // resolves.
-        let written = self.scheme.data_written();
-        loop {
-            let unknown = RefCell::new(BTreeSet::new());
-            for &target in &failed {
-                self.scheme.is_repairable(target, written, &|id| {
-                    id != target
-                        && replay.fetched(id).unwrap_or_else(|| {
-                            unknown.borrow_mut().insert(id);
-                            true
-                        })
-                });
-            }
-            let unknown = unknown.into_inner();
-            if unknown.is_empty() {
-                break;
-            }
-            replay.prefetch(unknown);
-        }
-        let (result, writes) = replay.run(|src| {
-            let mut blocks = Vec::with_capacity(ids.len());
-            for &id in ids {
-                match self.repair_fast(src.read(id), src, id) {
-                    Ok(block) => blocks.push(block),
-                    // The fast path failed on provisional answers: the
-                    // pass is rerun once they are resolved, so never
-                    // escalate to the whole-archive planner on them.
-                    Err(_) if !src.is_faithful() => {}
-                    Err(err) => blocks.push(self.repair_slow(src, id, err)?),
-                }
-            }
-            Ok(blocks)
         });
-        debug_assert!(
-            writes.is_empty(),
-            "degraded reads never write to the backend"
-        );
-        result
-    }
-
-    fn manifest_entry(&self, name: &str) -> Result<&Entry, ArchiveError> {
-        self.manifest
-            .get(name)
-            .ok_or_else(|| ArchiveError::UnknownFile(name.to_string()))
-    }
-
-    /// Shared tail of both read paths: truncate the padded tail block and
-    /// verify the manifest checksum.
-    fn finish_read(name: &str, entry: &Entry, mut out: Vec<u8>) -> Result<Vec<u8>, ArchiveError> {
+        if known.remote {
+            self.prefetch_repairs(&mut known, &holes);
+        }
+        for (id, at) in holes {
+            let block = self
+                .repair_fast(&known, id)
+                .or_else(|err| self.repair_slow(&mut known, id, err))?;
+            // (A block of any other size cannot be this file's: the hole
+            // stays zero and the checksum below says so.)
+            if block.len() == bs {
+                out[at..at + bs].copy_from_slice(block.as_slice());
+            }
+        }
+        // Truncate the padded tail block and verify the manifest checksum.
         out.truncate(entry.byte_len);
         let actual = crc32(&out);
         if actual != entry.crc {
@@ -1959,6 +1986,34 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             });
         }
         Ok(out)
+    }
+
+    /// Plan → fetch(window) for a degraded read: fetches into `known` the
+    /// survivors the fast-path repairs of the `failed` blocks will read.
+    /// `is_repairable` asks about exactly the blocks a single-block
+    /// repair consults, so answering "present" for everything not yet
+    /// known names the next read set: one batch per round, in sorted id
+    /// order, until a round consults nothing unknown. Only a prefetch —
+    /// what it misses, `known` reads through to the backend.
+    fn prefetch_repairs(&self, known: &mut Prefetched<'_, B>, failed: &[(BlockId, usize)]) {
+        let written = self.scheme.data_written();
+        loop {
+            let unknown = RefCell::new(BTreeSet::new());
+            for &(target, _) in failed {
+                self.scheme.is_repairable(target, written, &|id| {
+                    let answer = known.answers.get(&id);
+                    if id != target && answer.is_none() {
+                        unknown.borrow_mut().insert(id);
+                    }
+                    id != target && answer.is_none_or(Option::is_some)
+                });
+            }
+            let unknown = unknown.into_inner();
+            if unknown.is_empty() {
+                break;
+            }
+            known.fill(unknown);
+        }
     }
 
     /// Verifies every archived file end to end; returns the names that
@@ -1983,60 +2038,44 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// how many blocks were restored (data, redundancy and metadata
     /// copies); clears the [`Archive::meta_damage`] report.
     ///
-    /// Four stages: (1) a read sweep of everything the backend should
-    /// hold, quarantining corrupt blocks; (2) round-based repair;
-    /// (3) metadata compare-and-heal; (4) stale pointer-cell clearing.
-    /// When the backend advertises a native async interior
-    /// ([`BlockSource::as_async`]) every stage is a batch through the
-    /// bounded in-flight window and stage 2 replays the planners against
-    /// the sweep's answers, committing their write log in deterministic
-    /// order — restoring the byte-identical final backend state.
+    /// Four stages, each a batch: (1) a read sweep of everything the
+    /// backend should hold, quarantining corrupt blocks; (2) round-based
+    /// repair of the blocks whose read failed; (3) metadata
+    /// compare-and-heal; (4) stale pointer-cell clearing.
     pub fn scrub(&mut self) -> u64 {
         let store: &B = &self.store;
         let stored = self.stored_ids();
-        // Stages 1 and 2: integrity sweep + quarantine — a block whose
-        // read fails its integrity check is worse than a missing one
-        // (planners would trust its bytes), so drop it and let repair
-        // re-materialize it — then round-based repair of everything
-        // missing.
-        let corrupted =
-            |read: &Result<Block, StoreError>| matches!(read, Err(StoreError::Corrupted(_)));
+        // Stage 1: integrity sweep + quarantine — a block whose read
+        // fails its integrity check is worse than a missing one (planners
+        // would trust its bytes), so drop it and let repair re-materialize
+        // it. A plain backend answers again at call time, so nothing is
+        // held; a network away the blocks are the snapshot stage 2 plans
+        // on, closed: what the sweep did not return is absent.
+        let mut known = Prefetched::new(store, true);
+        let (mut failed, mut quarantine) = (Vec::new(), Vec::new());
+        known.sweep(stored.iter().copied(), |id, read| {
+            if let Err(err) = read {
+                failed.push(id);
+                if matches!(err, StoreError::Corrupted(_)) {
+                    quarantine.push(id);
+                }
+            }
+        });
+        remove_all(store, quarantine);
+        // Stage 2: round-based repair of what the sweep did not find, in
+        // stored order. Planners a network away write into an overlay,
+        // committed as one batch.
         let written = self.scheme.data_written();
-        let summary = match store.as_async() {
-            // A plain backend answers at call time: sweep block by block,
-            // holding nothing, and let the planners at it directly.
-            None => {
-                for &id in stored {
-                    if corrupted(&store.read(id)) {
-                        store.remove(id);
-                    }
-                }
-                let repo: &dyn BlockRepo = &store;
-                self.scheme.repair_missing(repo, stored, written)
-            }
-            // Over the network the sweep is one batch whose answers —
-            // they describe the post-quarantine backend, so the planners
-            // see exactly what the serial path's would — seed the replay.
-            Some(handle) => {
-                let reads = read_all(store, stored);
-                let sweep = stored.iter().zip(&reads);
-                let quarantine = sweep.filter(|(_, read)| corrupted(read));
-                remove_all(store, quarantine.map(|(&id, _)| id));
-                let mut replay = Replay::new(handle, in_flight_window());
-                for (&id, read) in stored.iter().zip(reads) {
-                    if corrupted(&read) {
-                        replay.seed_absent(id);
-                    } else {
-                        replay.seed_read(id, read);
-                    }
-                }
-                let (summary, writes) = replay.run(|src| {
-                    let repo: &dyn BlockRepo = src;
-                    self.scheme.repair_missing(repo, stored, written)
-                });
-                replay.commit(writes);
-                summary
-            }
+        let summary = if known.remote {
+            let overlay = Overlay::new(&known);
+            let summary = self.scheme.repair_missing(&overlay, &failed, written);
+            let patch = failed
+                .iter()
+                .filter_map(|&id| Some((id, overlay.patch.remove(&id)?)));
+            store_all(store, patch);
+            summary
+        } else {
+            self.scheme.repair_missing(&store, &failed, written)
         };
         // Stage 3: heal the metadata plane copy by copy — byte-compare
         // against the canonical in-memory journal (by sequence, then
@@ -2069,41 +2108,35 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         restored
     }
 
-    /// The degraded-read fast path, factored over its block source so
-    /// the serial path (the backend itself) and the pipelined path (the
-    /// replay recorder) run it verbatim: take the already-probed read
-    /// result and, on failure, rebuild from a single repair option among
-    /// the blocks reachable through `base` (one XOR for entanglements,
-    /// one stripe decode for RS).
-    fn repair_fast(
-        &self,
-        read: Result<Block, StoreError>,
-        base: &dyn BlockSource,
-        id: BlockId,
-    ) -> Result<Block, RepairError> {
-        // `read`, not `fetch`: a backend that verifies checksums reports
-        // tampered bytes as `Corrupted`, which to a decoder means the
-        // same as missing — rebuild from redundancy. Mask the id from
-        // the repair source so the garbled bytes cannot leak back in.
-        read.or_else(|_| {
-            let masked = MaskOne { base, masked: id };
-            self.scheme
-                .repair_block(&masked, id, self.scheme.data_written())
-        })
+    /// The degraded-read fast path: rebuild `id` from a single repair
+    /// option among the blocks reachable through `base` (one XOR for
+    /// entanglements, one stripe decode for RS). The id is masked from
+    /// the repair source so the garbled bytes of a corrupted block cannot
+    /// leak back in.
+    fn repair_fast(&self, base: &dyn BlockSource, id: BlockId) -> Result<Block, RepairError> {
+        let masked = MaskOne { base, masked: id };
+        self.scheme
+            .repair_block(&masked, id, self.scheme.data_written())
     }
 
     /// The degraded-read slow path: round-based repair into a read-side
     /// overlay, so chained reconstructions work without mutating the
     /// backend (degraded reads stay read-only). It consults the whole
-    /// archive, so callers reach for it only once the fast path has
-    /// failed on faithful answers; `fast_err` is what that failure
-    /// reported.
+    /// archive, so `get` reaches for it only once the fast path has
+    /// failed; `fast_err` is what that failure reported.
     fn repair_slow(
         &self,
-        base: &dyn BlockSource,
+        known: &mut Prefetched<'_, B>,
         id: BlockId,
         fast_err: RepairError,
     ) -> Result<Block, ArchiveError> {
+        if known.remote {
+            // One windowed sweep of what is not known yet, then closed:
+            // planner threads see memory, never the link.
+            known.fill(self.stored_ids().iter().copied());
+            known.closed = true;
+        }
+        let base: &dyn BlockSource = known;
         let masked = MaskOne { base, masked: id };
         let overlay = Overlay::new(&masked);
         self.scheme
@@ -3245,5 +3278,45 @@ mod tests {
             opened > 0 && refused > opened,
             "{opened} opened, {refused} refused"
         );
+    }
+
+    /// What is prefetched costs nothing to ask again — an absence no less
+    /// than a block — and a closed view never reaches the backend at all.
+    #[test]
+    fn prefetched_answers_cost_no_round_trips_negative_ones_included() {
+        use ae_aio::{Clock, LatencyStore, LinkSpec, Runtime};
+        let link = LinkSpec::rtt(std::time::Duration::from_millis(1));
+        let inner = Arc::new(MemStore::new());
+        inner.put(data_id(1), Block::from_vec(vec![9]));
+        inner.put(data_id(3), Block::from_vec(vec![7]));
+        let net = LatencyStore::uniform(inner, Runtime::new(Clock::virtual_time()), link, 1);
+        let net = net.into_sync();
+        let now = || net.runtime().now();
+        let mut known = Prefetched::new(&net, false);
+        known.fill([data_id(1)]);
+        // A network away, what a sweep read stays too.
+        known.sweep([data_id(2)].into_iter(), |_, read| assert!(read.is_err()));
+        let filled = now();
+        assert!(filled > 0, "the batches themselves crossed the link");
+        assert_eq!(known.fetch(data_id(1)).unwrap().as_slice(), &[9]);
+        assert_eq!(
+            known.read(data_id(2)),
+            Err(StoreError::NotFound(data_id(2)))
+        );
+        assert!(known.has(data_id(1)) && !known.has(data_id(2)));
+        known.fill([data_id(2), data_id(1)]);
+        assert_eq!(
+            now(),
+            filled,
+            "answers — the absent one too — are not re-asked"
+        );
+        // Anything else reads through, one round trip a call…
+        assert_eq!(known.fetch(data_id(3)).unwrap().as_slice(), &[7]);
+        assert!(now() > filled);
+        // …until the view is closed: what it does not hold is absent.
+        known.closed = true;
+        let closed = now();
+        assert!(known.fetch(data_id(3)).is_none());
+        assert_eq!(now(), closed);
     }
 }

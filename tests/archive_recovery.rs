@@ -226,6 +226,45 @@ fn any_roster_index() -> impl Strategy<Value = usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// Hostile frontier bytes, scheme side: arbitrary bytes, and a real
+    /// snapshot with each word in turn overwritten by an extreme counter,
+    /// go through `frontier_reads` and `restore_frontier` of every roster
+    /// scheme — what `open` does with a re-checksummed record — without a
+    /// panic, and a counter never sizes the read set.
+    #[test]
+    fn hostile_frontier_snapshots_are_typed_errors_never_panics(
+        noise in proptest::collection::vec(any::<u8>(), 0..40),
+        raw: u64,
+    ) {
+        // Fresh and mid-stripe: an empty RS buffer and a partial one.
+        for (s, written) in Scheme::extended_lineup().iter().flat_map(|s| [(s, 0u8), (s, 23)]) {
+            let store = MemStore::new();
+            let writer = build(s);
+            let blocks: Vec<Block> = (0..written).map(|i| Block::from_vec(vec![i; BLOCK])).collect();
+            writer.encode_batch(&blocks, &store).unwrap();
+            let real = writer.frontier_snapshot();
+            let mut hostile = vec![noise.clone()];
+            for at in 1..real.len() {
+                for word in [u64::MAX, i64::MAX as u64, i64::MAX as u64 - 1, 1 << 32, raw] {
+                    let mut mutated = real.clone();
+                    for (byte, v) in mutated[at..].iter_mut().zip(word.to_le_bytes()) {
+                        *byte = v;
+                    }
+                    hostile.push(mutated);
+                }
+            }
+            for snapshot in hostile {
+                let fresh = build(s);
+                let reads = fresh.frontier_reads(&snapshot);
+                prop_assert!(reads.len() <= 64, "{}: {} frontier reads", s, reads.len());
+                // Any outcome but a panic: most mutations are refused
+                // typed, some only move the counter to blocks the store
+                // lacks.
+                let _ = fresh.restore_frontier(&snapshot, &store);
+            }
+        }
+    }
+
     /// A torn final journal record — the crash cut the write short at any
     /// byte — is detected, truncated and reported: the archive reopens at
     /// the last durable state, the un-acknowledged file reads as unknown

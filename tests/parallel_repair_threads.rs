@@ -9,11 +9,23 @@
 //! This lives in its own integration-test binary: the planner thread
 //! count is memoized per process, so the env override must be set before
 //! anything else calls into repair.
+//!
+//! For the same reason the second test reruns this binary as a child
+//! process per thread count: a `scrub` a network away must end at the
+//! same virtual timestamp and backend state however many planner threads
+//! there are, because planners only ever see memory — the closed snapshot
+//! of the sweep — and every batch is issued in an order the code fixes.
 
+use aecodes::aio::{Clock, LatencyStore, LinkSpec, Runtime};
 use aecodes::api::RedundancyScheme;
 use aecodes::blocks::{Block, BlockId};
 use aecodes::core::{BlockMap, Code};
 use aecodes::lattice::Config;
+use aecodes::store::archive::Archive;
+use aecodes::store::MemStore;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+use std::time::Duration;
 
 #[test]
 fn threaded_planner_matches_serial_on_a_large_disaster() {
@@ -60,4 +72,56 @@ fn threaded_planner_matches_serial_on_a_large_disaster() {
     assert!(parallel.total_repaired() > 0);
     assert_eq!(store_a.len(), store_b.len());
     assert_eq!(store_a, store_b);
+}
+
+/// One `scrub` of a third of an AE(3,2,5) archive over a jittered 1 ms
+/// link; prints where the virtual clock and the backend ended up.
+#[test]
+#[ignore = "the child-process half of the test below"]
+fn scrub_timeline_probe() {
+    let inner = Arc::new(MemStore::new());
+    let link = LinkSpec {
+        jitter: Duration::from_micros(50),
+        ..LinkSpec::rtt(Duration::from_millis(1))
+    };
+    let rt = Runtime::new(Clock::virtual_time());
+    let net = Arc::new(LatencyStore::uniform(Arc::clone(&inner), rt, link, 0x5EED).into_sync());
+    let mut ar = Archive::new(Config::new(3, 2, 5).unwrap(), 32, Arc::clone(&net));
+    for f in 0..10u8 {
+        ar.put(&format!("f{f}"), &[f; 32 * 30]).expect("fresh name");
+    }
+    let victims: Vec<BlockId> = ar.stored_ids().iter().copied().step_by(3).collect();
+    assert!(victims.len() >= 300, "must cross the fan-out threshold");
+    for v in &victims {
+        assert!(inner.remove(*v));
+    }
+    assert!(ar.scrub() > 0);
+    let mut state = std::collections::hash_map::DefaultHasher::new();
+    let mut ids = inner.ids();
+    ids.sort();
+    for id in ids {
+        (id, inner.get(id).expect("listed")).hash(&mut state);
+    }
+    println!("timeline {} {:016x}", net.runtime().now(), state.finish());
+}
+
+#[test]
+fn a_scrub_a_network_away_ends_identically_at_one_planner_thread_and_four() {
+    let timeline = |threads: &str| {
+        let probe = std::process::Command::new(std::env::current_exe().expect("this binary"))
+            .args([
+                "--exact",
+                "scrub_timeline_probe",
+                "--ignored",
+                "--nocapture",
+            ])
+            .env("AE_REPAIR_THREADS", threads)
+            .output()
+            .expect("the test binary reruns itself");
+        assert!(probe.status.success(), "{threads} planner thread(s)");
+        let stdout = String::from_utf8(probe.stdout).expect("utf-8");
+        let (_, line) = stdout.split_once("timeline ").expect("the probe prints");
+        line.lines().next().expect("one line").to_string()
+    };
+    assert_eq!(timeline("1"), timeline("4"));
 }

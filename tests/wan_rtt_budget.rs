@@ -5,23 +5,25 @@
 //! so the virtual time an archive operation takes *is* its count of
 //! sequential round trips — an exact integer with no wall-clock noise.
 //! The table below (AE(3,2,5), RS(10,4), 3-way replication × in-flight
-//! window 1, 8, 32 × put, seal, get, degraded get, scrub, open) is diffed
-//! against `tests/golden/wan_rtts.csv` byte for byte: the `sweeps` job's
-//! golden pattern applied to time. A change that makes an operation pay
-//! more sequential round trips — or fewer — fails here until the golden
-//! is re-recorded on purpose (the table of the run is left in
-//! `target/tmp/wan_rtts.csv`; copy it over the golden).
+//! window 1, 8, 32 × put, seal, get, degraded get, scrub, open, chained
+//! get) is diffed against `tests/golden/wan_rtts.csv` byte for byte: the
+//! `sweeps` job's golden pattern applied to time. A change that makes an
+//! operation pay more sequential round trips — or fewer — fails here
+//! until the golden is re-recorded on purpose (the table of the run is
+//! left in `target/tmp/wan_rtts.csv`; copy it over the golden).
 //!
 //! The second test pins the code-locality claim the budget rests on: a
 //! degraded read fetches the file's blocks plus the tuple members of the
-//! missing ones, whatever the size of the archive around it.
+//! missing ones, whatever the size of the archive around it. The third
+//! pins what a lost frontier block costs `open`: its repair's reads, and
+//! no second ask for the block itself.
 
 use aecodes::aio::{in_flight_window, BlockOn, Clock, LatencyStore, LinkSpec, Runtime};
-use aecodes::api::{BlockSink, BlockSource, RedundancyScheme, StoreError};
+use aecodes::api::{BlockRepo, BlockSink, BlockSource, RedundancyScheme, StoreError};
 use aecodes::blocks::{Block, BlockId};
 use aecodes::lattice::Config;
 use aecodes::sim::Scheme;
-use aecodes::store::archive::Archive;
+use aecodes::store::archive::{Archive, ArchiveError};
 use aecodes::store::MemStore;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -41,6 +43,20 @@ fn roster() -> [Scheme; 3] {
         Scheme::Rs { k: 10, m: 4 },
         Scheme::Replication { n: 3 },
     ]
+}
+
+/// How many consecutive stored blocks, from a data block on, the chained
+/// read loses. AE(3,2,5): the block and its three output parities — no
+/// pp-tuple is complete, but each parity still has its right dp-tuple, so
+/// the round-based slow path rebuilds the parities, then the block.
+/// RS(10,4) and 3-way replication: five shards of one stripe, every copy
+/// — past what the code tolerates, so the read is `BlockUnavailable`.
+fn chained_loss(s: &Scheme) -> usize {
+    match s {
+        Scheme::Ae(_) => 4,
+        Scheme::Rs { .. } => 5,
+        _ => 3,
+    }
 }
 
 fn build(s: &Scheme) -> Arc<dyn RedundancyScheme> {
@@ -115,18 +131,49 @@ fn rtts<T>(net: &Net, f: impl FnOnce() -> T) -> (T, u64) {
     (out, elapsed / RTT_NS)
 }
 
+/// Reads file 3 with its fifth data block and the `chained_loss` blocks
+/// stored from it on gone from `mem` — a read the single-tuple fast path
+/// cannot serve — then puts the blocks back.
+fn chained_get<B: BlockRepo + ?Sized>(
+    s: &Scheme,
+    ar: &Archive<B>,
+    mem: &MemStore,
+) -> Result<Vec<u8>, ArchiveError> {
+    let first = ar.entry(&name(3)).expect("archived").first_block as usize;
+    let victim = ar.data_ids().nth(first + 4).expect("a 16-block file");
+    let stored = ar.stored_ids();
+    let at = stored.iter().position(|&id| id == victim).expect("stored");
+    let lost = &stored[at..at + chained_loss(s)];
+    let kept: Vec<Block> = lost
+        .iter()
+        .map(|&id| mem.get(id).expect("healthy"))
+        .collect();
+    for &id in lost {
+        assert!(mem.remove(id));
+    }
+    let read = ar.get(&name(3));
+    for (&id, block) in lost.iter().zip(kept) {
+        mem.put(id, block);
+    }
+    read
+}
+
 /// One row of the budget: the ae_wan cycle (8 files of 16 blocks) with
 /// every op class summed. One victim per 23 stored positions — coprime
 /// to every scheme's stride, so data and redundancy both take hits.
-fn budget_row(s: &Scheme) -> [u64; 6] {
+fn budget_row(s: &Scheme) -> [u64; 7] {
     let net = network();
     let mut ar = Archive::with_scheme(build(s), BLOCK, Arc::clone(&net));
+    let plain_store = Arc::new(MemStore::new());
+    let mut plain = Archive::with_scheme(build(s), BLOCK, Arc::clone(&plain_store));
     let files = 8;
     let [mut put, mut get, mut degraded] = [0u64; 3];
     for f in 0..files {
         put += rtts(&net, || ar.put(&name(f), &payload(f)).expect("fresh name")).1;
+        plain.put(&name(f), &payload(f)).expect("fresh name");
     }
     let (_, seal) = rtts(&net, || ar.seal().expect("seal"));
+    plain.seal().expect("seal");
     for f in 0..files {
         let (bytes, t) = rtts(&net, || ar.get(&name(f)).expect("healthy read"));
         assert_eq!(bytes, payload(f));
@@ -149,6 +196,11 @@ fn budget_row(s: &Scheme) -> [u64; 6] {
     }
     let (restored, scrub) = rtts(&net, || ar.scrub());
     assert_eq!(restored as usize, victims.len());
+    // The one op whose repair traffic is *dependent* reads: result and
+    // error typing are the plain-backend run's.
+    let (read, chained) = rtts(&net, || chained_get(s, &ar, mem(&net)));
+    assert_eq!(read, chained_get(s, &plain, &plain_store), "{s}");
+    assert_eq!(read.is_ok(), matches!(s, Scheme::Ae(_)), "{s}: {read:?}");
     let before: Vec<_> = ar
         .manifest()
         .map(|(n, e)| (n.to_string(), e.clone()))
@@ -159,13 +211,14 @@ fn budget_row(s: &Scheme) -> [u64; 6] {
     assert!(reopened
         .manifest()
         .eq(before.iter().map(|(n, e)| (n.as_str(), e))));
-    [put, seal, get, degraded, scrub, open]
+    [put, seal, get, degraded, scrub, open, chained]
 }
 
 #[test]
 fn sequential_round_trips_per_op_match_the_golden_budget() {
     let _guard = WINDOW_ENV.lock().unwrap_or_else(|e| e.into_inner());
-    let mut table = String::from("scheme,window,put,seal,get,degraded_get,scrub,open\n");
+    let mut table =
+        String::from("scheme,window,put,seal,get,degraded_get,scrub,open,chained_get\n");
     let before = std::env::var_os("AE_AIO_WINDOW");
     for s in roster() {
         for window in [1usize, 8, 32] {
@@ -225,4 +278,42 @@ fn degraded_read_fetch_count_does_not_grow_with_the_archive() {
             "{s}: {small} reads for a {BLOCKS_PER_FILE}-block file"
         );
     }
+}
+
+/// A crash that also loses an in-flight parity: `open`'s frontier batch
+/// reports it absent, and the restore goes straight to rebuilding it from
+/// its dp-tuple — two dependent reads, not a third to ask for it again —
+/// into the same frontier a clean open restores.
+#[test]
+fn a_lost_frontier_block_costs_open_its_repair_reads_and_no_more() {
+    let _guard = WINDOW_ENV.lock().unwrap_or_else(|e| e.into_inner());
+    let s = &roster()[0];
+    let crash = |lose: bool| {
+        let net = network();
+        let mut ar = Archive::with_scheme(build(s), BLOCK, Arc::clone(&net));
+        for f in 0..3 {
+            ar.put(&name(f), &payload(f)).expect("fresh name");
+        }
+        let in_flight = ar.scheme().frontier_reads(&ar.scheme().frontier_snapshot());
+        let stored = ar.stored_ids().len();
+        drop(ar);
+        if lose {
+            assert!(mem(&net).remove(in_flight[0]));
+        }
+        let (reopened, open) = rtts(&net, || Archive::open(build(s), Arc::clone(&net)));
+        let mut reopened = reopened.expect("the lost parity is repairable");
+        reopened.put(&name(3), &payload(3)).expect("resumes");
+        let resumed = reopened.stored_ids()[stored..].iter();
+        let blocks: Vec<Block> = resumed
+            .map(|&id| mem(&net).get(id).expect("stored"))
+            .collect();
+        (open, blocks)
+    };
+    let (clean_open, clean) = crash(false);
+    let (lossy_open, lossy) = crash(true);
+    assert_eq!(
+        lossy, clean,
+        "same frontier: the next put entangles identically"
+    );
+    assert_eq!(lossy_open, clean_open + 2);
 }
