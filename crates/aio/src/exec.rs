@@ -1,31 +1,29 @@
-//! The vendored executor: [`Runtime`] — `block_on`, `spawn`, optional
-//! worker threads — over the [`crate::time`] clock and timer wheel.
+//! The vendored executor: [`Runtime`] — `block_on` and `spawn` on the
+//! calling thread — over the [`crate::time`] clock and timer wheel.
 //!
 //! # Determinism contract
 //!
-//! With a **virtual clock** and **single-threaded driving** (no worker
-//! threads; everything runs inside one `block_on`), execution is fully
-//! deterministic: the only source of time is the timer wheel, the clock
-//! advances exactly to the next registered deadline whenever nothing is
-//! runnable, and if the driven future is pending with no timers and no
-//! queued tasks the runtime **panics** (a deadlock would otherwise hang a
-//! test forever). This is the configuration the latency-model parity
-//! tests run under — seeded jitter + virtual time + one driver thread
-//! means every run replays the identical schedule.
+//! Everything runs inside `block_on`, on the thread that called it. With
+//! a **virtual clock** execution is fully deterministic: the only source
+//! of time is the timer wheel, the clock advances exactly to the next
+//! registered deadline whenever nothing is runnable, and if the driven
+//! future is pending with no timers and no queued tasks the runtime
+//! **panics** (a deadlock would otherwise hang a test forever). This is
+//! the configuration the latency-model parity tests run under — seeded
+//! jitter + virtual time + one driver thread means every run replays the
+//! identical schedule.
 //!
 //! With a **real clock** the same `block_on` parks the driving thread
 //! until the next deadline (or until a waker from another thread unparks
-//! it), so benchmarks measure genuine wall-clock. Worker threads
-//! ([`Runtime::with_workers`]) service `spawn`ed tasks concurrently;
-//! timers are still fired by whichever thread is inside `block_on`, which
-//! is also the only thread that advances a virtual clock.
+//! it), so benchmarks measure genuine wall-clock.
 
 use crate::time::{Clock, Sleep, Timers};
 use ae_api::{BlockOnDriver, BoxFuture};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
 use std::time::Duration;
@@ -36,30 +34,24 @@ struct Core {
     clock: Arc<Clock>,
     timers: Arc<Timers>,
     queue: Mutex<VecDeque<Arc<Task>>>,
-    /// Signalled when a task is queued (workers wait here).
-    available: Condvar,
     /// The thread currently inside `block_on`, to unpark on wakes.
     driver: Mutex<Option<Thread>>,
-    shutdown: AtomicBool,
-    /// Worker threads, joined by [`Runtime::shutdown`].
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Core {
     fn enqueue(&self, task: Arc<Task>) {
-        self.queue.lock().unwrap().push_back(task);
-        self.available.notify_one();
-        if let Some(t) = self.driver.lock().unwrap().as_ref() {
+        self.queue.lock().push_back(task);
+        if let Some(t) = self.driver.lock().as_ref() {
             t.unpark();
         }
     }
 
     fn pop_task(&self) -> Option<Arc<Task>> {
-        self.queue.lock().unwrap().pop_front()
+        self.queue.lock().pop_front()
     }
 
     fn has_tasks(&self) -> bool {
-        !self.queue.lock().unwrap().is_empty()
+        !self.queue.lock().is_empty()
     }
 }
 
@@ -75,13 +67,13 @@ impl Task {
     /// Polls the task's future once, with the task itself as the waker.
     fn run(self: &Arc<Self>) {
         self.queued.store(false, Ordering::Release);
-        let Some(mut fut) = self.future.lock().unwrap().take() else {
+        let Some(mut fut) = self.future.lock().take() else {
             return; // already completed
         };
         let waker = Waker::from(Arc::clone(self));
         let mut cx = Context::from_waker(&waker);
         if fut.as_mut().poll(&mut cx).is_pending() {
-            *self.future.lock().unwrap() = Some(fut);
+            *self.future.lock() = Some(fut);
         }
     }
 }
@@ -133,7 +125,7 @@ pub struct JoinHandle<T> {
 impl<T> JoinHandle<T> {
     /// Whether the task has finished (its output may already be taken).
     pub fn is_finished(&self) -> bool {
-        self.shared.slot.lock().unwrap().is_some() || Arc::strong_count(&self.shared) == 1
+        self.shared.slot.lock().is_some() || Arc::strong_count(&self.shared) == 1
     }
 }
 
@@ -141,13 +133,13 @@ impl<T> Future for JoinHandle<T> {
     type Output = T;
 
     fn poll(self: std::pin::Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        if let Some(v) = self.shared.slot.lock().unwrap().take() {
+        if let Some(v) = self.shared.slot.lock().take() {
             return Poll::Ready(v);
         }
-        *self.shared.waker.lock().unwrap() = Some(cx.waker().clone());
+        *self.shared.waker.lock() = Some(cx.waker().clone());
         // Re-check to close the race with a completion between the first
         // check and the waker registration.
-        match self.shared.slot.lock().unwrap().take() {
+        match self.shared.slot.lock().take() {
             Some(v) => Poll::Ready(v),
             None => Poll::Pending,
         }
@@ -171,46 +163,9 @@ impl Runtime {
                 clock: Arc::new(clock),
                 timers: Arc::new(Timers::new()),
                 queue: Mutex::new(VecDeque::new()),
-                available: Condvar::new(),
                 driver: Mutex::new(None),
-                shutdown: AtomicBool::new(false),
-                workers: Mutex::new(Vec::new()),
             }),
         }
-    }
-
-    /// A runtime with `n` worker threads servicing spawned tasks.
-    /// Workers never fire timers or advance a virtual clock — that stays
-    /// with the `block_on` driver — so keep virtual-clock determinism
-    /// work on [`Runtime::new`]. Call [`Runtime::shutdown`] to join the
-    /// workers.
-    pub fn with_workers(clock: Clock, n: usize) -> Self {
-        let rt = Runtime::new(clock);
-        let mut workers = rt.core.workers.lock().unwrap();
-        for k in 0..n {
-            let core = Arc::clone(&rt.core);
-            let handle = std::thread::Builder::new()
-                .name(format!("ae-aio-worker-{k}"))
-                .spawn(move || loop {
-                    let task = {
-                        let mut q = core.queue.lock().unwrap();
-                        loop {
-                            if core.shutdown.load(Ordering::Acquire) {
-                                return;
-                            }
-                            if let Some(t) = q.pop_front() {
-                                break t;
-                            }
-                            q = core.available.wait(q).unwrap();
-                        }
-                    };
-                    task.run();
-                })
-                .expect("spawning ae-aio worker thread");
-            workers.push(handle);
-        }
-        drop(workers);
-        rt
     }
 
     /// The runtime's clock.
@@ -238,8 +193,8 @@ impl Runtime {
         self.sleep_until(self.now().saturating_add(d.as_nanos() as u64))
     }
 
-    /// Spawns a task onto the runtime; it runs during any `block_on` (and
-    /// on worker threads, if any). Await the handle for the output.
+    /// Spawns a task onto the runtime; it runs during any `block_on`.
+    /// Await the handle for the output.
     pub fn spawn<F>(&self, fut: F) -> JoinHandle<F::Output>
     where
         F: Future + Send + 'static,
@@ -253,8 +208,8 @@ impl Runtime {
         let task = Arc::new(Task {
             future: Mutex::new(Some(Box::pin(async move {
                 let v = fut.await;
-                *out.slot.lock().unwrap() = Some(v);
-                if let Some(w) = out.waker.lock().unwrap().take() {
+                *out.slot.lock() = Some(v);
+                if let Some(w) = out.waker.lock().take() {
                     w.wake();
                 }
             }))),
@@ -268,9 +223,9 @@ impl Runtime {
     /// Drives `fut` to completion on the calling thread, running queued
     /// tasks and firing timers while it is pending. On a virtual clock,
     /// idleness advances time to the next deadline; a pending future with
-    /// no timers, no tasks and no workers panics (deterministic deadlock
-    /// detection). On a real clock, idleness parks until the next
-    /// deadline or an external wake.
+    /// no timers and no tasks panics (deterministic deadlock detection).
+    /// On a real clock, idleness parks until the next deadline or an
+    /// external wake.
     pub fn block_on<F: Future>(&self, fut: F) -> F::Output {
         let mut fut = Box::pin(fut);
         let signal = Arc::new(RootSignal {
@@ -279,12 +234,7 @@ impl Runtime {
         });
         let waker = Waker::from(Arc::clone(&signal));
         let mut cx = Context::from_waker(&waker);
-        let prev_driver = self
-            .core
-            .driver
-            .lock()
-            .unwrap()
-            .replace(std::thread::current());
+        let prev_driver = self.core.driver.lock().replace(std::thread::current());
         let out = loop {
             // Run everything currently runnable.
             while let Some(task) = self.core.pop_task() {
@@ -313,8 +263,7 @@ impl Runtime {
                     }
                 }
                 None => {
-                    let workers = !self.core.workers.lock().unwrap().is_empty();
-                    if self.core.clock.is_virtual() && !workers {
+                    if self.core.clock.is_virtual() {
                         // Re-check the signal: a wake may have landed
                         // between the swap above and here.
                         if signal.woken.load(Ordering::Acquire) {
@@ -322,7 +271,7 @@ impl Runtime {
                         }
                         panic!(
                             "ae-aio executor stalled: the driven future is pending \
-                             with no timers, no queued tasks and no worker threads \
+                             with no timers and no queued tasks \
                              (deterministic deadlock detection on the virtual clock)"
                         );
                     }
@@ -330,19 +279,8 @@ impl Runtime {
                 }
             }
         };
-        *self.core.driver.lock().unwrap() = prev_driver;
+        *self.core.driver.lock() = prev_driver;
         out
-    }
-
-    /// Signals worker threads (if any) to exit and joins them. Idempotent;
-    /// a runtime without workers is a no-op.
-    pub fn shutdown(&self) {
-        self.core.shutdown.store(true, Ordering::Release);
-        self.core.available.notify_all();
-        let handles: Vec<_> = self.core.workers.lock().unwrap().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
     }
 }
 
@@ -382,33 +320,18 @@ mod tests {
         let rt2 = rt.clone();
         let h1 = rt.spawn(async move {
             rt1.sleep(Duration::from_millis(5)).await;
-            o1.lock().unwrap().push("late");
+            o1.lock().push("late");
         });
         let h2 = rt.spawn(async move {
             rt2.sleep(Duration::from_millis(2)).await;
-            o2.lock().unwrap().push("early");
+            o2.lock().push("early");
         });
         rt.block_on(async {
             h1.await;
             h2.await;
         });
-        assert_eq!(*order.lock().unwrap(), vec!["early", "late"]);
+        assert_eq!(*order.lock(), vec!["early", "late"]);
         assert_eq!(rt.now(), 5_000_000);
-    }
-
-    #[test]
-    fn spawn_runs_on_worker_threads_with_a_real_clock() {
-        let rt = Runtime::with_workers(Clock::real(), 2);
-        let handles: Vec<_> = (0..8)
-            .map(|k: u64| rt.spawn(async move { k * k }))
-            .collect();
-        let mut total = 0;
-        for h in handles {
-            total += rt.block_on(h);
-        }
-        assert_eq!(total, (0..8).map(|k| k * k).sum::<u64>());
-        rt.shutdown();
-        rt.shutdown(); // idempotent
     }
 
     #[test]

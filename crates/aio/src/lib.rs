@@ -44,9 +44,9 @@
 //! 1. **Virtual clock** ([`Clock::virtual_time`]): time is a counter the
 //!    executor advances to exact timer deadlines; wall-clock never leaks
 //!    in.
-//! 2. **Single-threaded driving** ([`Runtime::new`], not
-//!    [`Runtime::with_workers`]): one thread interleaves all futures, so
-//!    polling order is a pure function of deadlines and issue order.
+//! 2. **Single-threaded driving** ([`Runtime`] has no other mode): the
+//!    thread inside `block_on` interleaves all futures, so polling order
+//!    is a pure function of deadlines and issue order.
 //! 3. **Eager planning** (the latency model): every operation's queueing,
 //!    transfer and per-attempt jitter draws are fixed at *future
 //!    creation* from the seeded generator, so issue order alone pins the

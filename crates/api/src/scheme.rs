@@ -401,8 +401,8 @@ pub trait RedundancyScheme: Send + Sync {
     ///
     /// Authoritative only when [`RedundancyScheme::supports_dense_index`]
     /// is `true`; the default (for schemes without arithmetic structure)
-    /// knows nothing and answers `None` for every id, and callers such as
-    /// `SchemePlane` fall back to a hash index built by enumeration.
+    /// knows nothing and answers `None` for every id, and `SchemePlane`
+    /// refuses such a scheme at construction.
     fn dense_index(&self, _id: &BlockId, _data_blocks: u64) -> Option<u32> {
         None
     }
@@ -421,8 +421,7 @@ pub trait RedundancyScheme: Send + Sync {
     /// the edges (repair commits, summaries).
     ///
     /// The default falls back to enumerating the universe — O(universe)
-    /// per call, acceptable only for tests and for schemes that callers
-    /// materialize anyway.
+    /// per call, acceptable only for tests and small universes.
     fn block_at(&self, k: u32, data_blocks: u64) -> Option<BlockId> {
         self.block_ids(data_blocks).get(k as usize).copied()
     }
@@ -430,8 +429,9 @@ pub trait RedundancyScheme: Send + Sync {
     /// Whether [`RedundancyScheme::dense_index`] /
     /// [`RedundancyScheme::block_at`] form an authoritative O(1) bijection
     /// over the whole universe (AE, RS, replication and the store-backed
-    /// chain/geo schemes all do; custom schemes keep the `false` default
-    /// and pay a materialized universe plus a `HashMap`).
+    /// chain/geo schemes all do; custom schemes keep the `false` default,
+    /// run on the enumeration defaults above and cannot be placed on a
+    /// `SchemePlane`).
     fn supports_dense_index(&self) -> bool {
         false
     }

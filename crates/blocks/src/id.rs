@@ -9,7 +9,6 @@
 //! so that a block referenced by the lattice, the repair engine and a store
 //! is unambiguously the same block.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Position of a data block (lattice node), starting at 1.
@@ -17,7 +16,7 @@ use std::fmt;
 /// The paper writes nodes `d_i` with `i` the position in the sequential write
 /// order; position 0 is reserved for "before the lattice" (virtual zero
 /// blocks at strand heads).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u64);
 
 impl NodeId {
@@ -44,7 +43,7 @@ impl fmt::Display for NodeId {
 /// A lattice has `s` horizontal strands and, per helical class present,
 /// `p` strands: double entanglements (α = 2) add the right-handed class,
 /// triple entanglements (α = 3) add the left-handed class as well (§III.B).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StrandClass {
     /// Horizontal strand: connects `d_i` to `d_{i+s}`.
     Horizontal,
@@ -117,7 +116,7 @@ impl fmt::Display for StrandClass {
 /// The paper writes edges `p_{i,j}`; since `j` is a function of `(class, i)`
 /// and the code parameters, `(class, i)` is the canonical form. Use
 /// [`ae_lattice`-level helpers](https://docs.rs/ae-lattice) to recover `j`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId {
     /// Strand class the parity belongs to (each edge belongs to exactly one
     /// strand).
@@ -151,7 +150,7 @@ impl fmt::Display for EdgeId {
 /// Data shards of a stripe are ordinary [`BlockId::Data`] blocks — all
 /// redundancy schemes share the data id space, so a scheme-agnostic store
 /// or simulation can compare them block for block.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShardId {
     /// 0-based stripe number in write order.
     pub stripe: u64,
@@ -173,7 +172,7 @@ impl fmt::Display for ShardId {
 
 /// Identifier of a replica: copy `copy` (1-based; copy 0 is the original
 /// [`BlockId::Data`] block) of data block `node`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReplicaId {
     /// The replicated data block.
     pub node: NodeId,
@@ -218,7 +217,7 @@ impl fmt::Display for ReplicaId {
 /// Copy 0 of record `seq` is the raw value `seq` itself, so journals
 /// written before metadata redundancy existed read back as a one-copy
 /// copy set unchanged.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MetaId(pub u64);
 
 impl MetaId {
@@ -296,7 +295,7 @@ impl fmt::Display for MetaId {
 /// but stores and simulations handle all of them uniformly. The
 /// [`BlockId::Meta`] namespace is reserved for archive metadata records
 /// (see [`MetaId`]) and belongs to no scheme.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BlockId {
     /// A data block `d_i`.
     Data(NodeId),

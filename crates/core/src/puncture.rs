@@ -9,10 +9,9 @@
 
 use ae_blocks::{EdgeId, StrandClass};
 use ae_lattice::Config;
-use serde::{Deserialize, Serialize};
 
 /// A deterministic puncturing plan: which parities are actually stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PuncturePlan {
     /// Restrict puncturing to one strand class (`None` punctures all
     /// classes uniformly).

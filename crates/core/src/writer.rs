@@ -21,10 +21,9 @@
 //! written buckets.
 
 use ae_lattice::{rules, Config};
-use serde::Serialize;
 
 /// Result of simulating a batch of column writes.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WriteReport {
     /// Data blocks simulated.
     pub total: u64,

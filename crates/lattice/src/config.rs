@@ -1,7 +1,6 @@
 //! Validated AE(α, s, p) code parameters.
 
 use ae_blocks::StrandClass;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors from invalid code parameters.
@@ -69,7 +68,7 @@ impl std::error::Error for ConfigError {}
 ///
 /// assert!(Config::new(2, 5, 3).is_err());        // p < s: deformed lattice
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Config {
     alpha: u8,
     s: u16,

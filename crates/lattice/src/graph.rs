@@ -17,7 +17,6 @@
 use crate::config::Config;
 use crate::rules;
 use ae_blocks::StrandClass;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A block of the lattice identified by position: a node `d_i` or the edge
@@ -26,7 +25,7 @@ use std::fmt;
 /// This is the `i64` analysis-plane counterpart of
 /// [`ae_blocks::BlockId`]; positions ≤ 0 are virtual and never appear in a
 /// `LatticeBlock` (they are omitted instead).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LatticeBlock {
     /// Data block `d_i`.
     Node(i64),

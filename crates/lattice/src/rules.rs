@@ -24,11 +24,10 @@
 
 use crate::config::Config;
 use ae_blocks::StrandClass;
-use serde::{Deserialize, Serialize};
 
 /// Category of a node in the helical lattice, determining which row of the
 /// rules tables applies (§III.B "Code Specification").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeCategory {
     /// First row of a column: `i ≡ 1 (mod s)`.
     Top,

@@ -14,10 +14,11 @@
 //!   [`schemes::Scheme::build`].
 //! * [`scheme_plane`] — the one generic availability-plane engine, driven
 //!   by any [`ae_api::RedundancyScheme`]: placement, disasters,
-//!   round-based repair to fixpoint and minimal maintenance. With an
-//!   authoritative `dense_index`/`block_at` bijection the plane holds no
-//!   per-block id state at all (no materialized universe, no hash index,
-//!   no location table — pure arithmetic).
+//!   round-based repair to fixpoint and minimal maintenance. The
+//!   scheme's authoritative `dense_index`/`block_at` bijection is the
+//!   only id ⇄ position path, so the plane holds no per-block id state at
+//!   all (no materialized universe, no hash index, no location table —
+//!   pure arithmetic); a scheme without one is refused at construction.
 //! * [`mirror`] — the entangled-mirror reliability Monte Carlo (§IV.B.1:
 //!   mirroring vs open/closed chains).
 //! * [`experiments`] — the sweep drivers behind each figure and table
@@ -48,7 +49,7 @@ mod rs_plane;
 
 pub use bitset::BitSet;
 pub use scheme_plane::{
-    failed_location_groups, failed_locations, upgrade_wave, FullRepairOutcome, IndexMode,
+    failed_location_groups, failed_locations, upgrade_wave, FullRepairOutcome,
     MinimalRepairOutcome, SchemePlane, SimPlacement,
 };
 pub use schemes::Scheme;

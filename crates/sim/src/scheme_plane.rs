@@ -16,21 +16,21 @@
 //! drivers in [`crate::experiments`] build one plane per
 //! [`crate::Scheme`].
 //!
-//! # The zero-materialization fast path
+//! # Zero materialization
 //!
 //! At the paper's scale (1M data blocks, up to 4M stored blocks) the plane
-//! state is the hot data structure. When
-//! [`RedundancyScheme::supports_dense_index`] marks the scheme's
-//! `dense_index` ⇄ `block_at` bijection authoritative, the plane holds
-//! **no per-block id state at all**: availability and the punctured-block
+//! state is the hot data structure, and the plane holds **no per-block id
+//! state at all**: the scheme's `dense_index` ⇄ `block_at` bijection is
+//! the only id ⇄ position path, availability and the punctured-block
 //! mask live in flat [`BitSet`]s keyed by dense position, placement is the
 //! arithmetic [`SimPlacement::place_dense`] of the position, and ids are
 //! recomputed from positions only at the edges (repair planning callbacks,
-//! summaries). No `Vec<BlockId>` universe, no `HashMap<BlockId, u32>`, no
+//! summaries). No `Vec<BlockId>` universe, no id → position hash index, no
 //! per-position location table — the availability oracle is pure
-//! arithmetic. Schemes without the hook (and callers forcing
-//! [`IndexMode::Map`], the oracle of the parity tests) fall back to
-//! a materialized universe plus a hash index built by enumeration.
+//! arithmetic. A scheme must mark its bijection authoritative
+//! ([`RedundancyScheme::supports_dense_index`]) to be placed on a plane;
+//! one that does not is refused at construction rather than run through
+//! the trait's O(universe)-per-lookup enumeration defaults.
 //!
 //! # Parallel repair rounds
 //!
@@ -43,11 +43,8 @@
 //! is that sequential scan.
 
 use crate::bitset::BitSet;
-use ae_api::{RedundancyScheme, RoundStats};
+use ae_api::{RedundancyScheme, RoundStats, SplitMix64};
 use ae_blocks::BlockId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// How blocks are mapped to locations in the availability simulation: the
 /// canonical [`ae_api::Placement`] keyed by dense universe position, so
@@ -55,30 +52,6 @@ use std::collections::HashMap;
 /// distinct keys. Shared with the store layer, which keys the same policy
 /// by block id instead.
 pub use ae_api::Placement as SimPlacement;
-
-/// How the plane maps block ids to dense positions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexMode {
-    /// Use the scheme's arithmetic `dense_index`/`block_at` bijection when
-    /// it is authoritative, a materialized universe + `HashMap` otherwise.
-    Auto,
-    /// Always materialize the universe and build the `HashMap` index — the
-    /// oracle the parity tests compare the dense path against.
-    Map,
-}
-
-/// The id ⇄ dense-position mapping behind one plane.
-enum PlaneIndex {
-    /// The scheme's arithmetic bijection is authoritative; no storage at
-    /// all — ids are recomputed from positions on demand.
-    Dense,
-    /// Materialized universe (position → id) plus a hash index (id →
-    /// position) built by enumeration.
-    Map {
-        universe: Vec<BlockId>,
-        index: HashMap<BlockId, u32>,
-    },
-}
 
 /// Outcome of a full round-based repair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,8 +128,6 @@ pub struct SchemePlane {
     placement: SimPlacement,
     /// Number of blocks in the placement universe.
     universe_len: u32,
-    /// id ⇄ dense position (arithmetic, or materialized + hashed).
-    index: PlaneIndex,
     /// Availability of universe block `k`.
     avail: BitSet,
     /// Blocks that start out missing (punctured parities): they are never
@@ -186,71 +157,41 @@ impl SchemePlane {
         placement: SimPlacement,
         never_stored: impl Fn(BlockId) -> bool,
     ) -> Self {
-        Self::with_index_mode(
-            scheme,
-            data_blocks,
-            locations,
-            placement,
-            never_stored,
-            IndexMode::Auto,
-        )
-    }
-
-    /// Full-control constructor: [`SchemePlane::with_missing`] plus an
-    /// explicit [`IndexMode`] (parity tests force [`IndexMode::Map`] to
-    /// compare against the materialized baseline).
-    pub fn with_index_mode(
-        scheme: Box<dyn RedundancyScheme>,
-        data_blocks: u64,
-        locations: u32,
-        placement: SimPlacement,
-        never_stored: impl Fn(BlockId) -> bool,
-        mode: IndexMode,
-    ) -> Self {
         assert!(data_blocks > 0 && locations > 0);
-        let index = if mode == IndexMode::Auto && scheme.supports_dense_index() {
-            // The arithmetic bijection must agree with the enumeration it
-            // replaces; verify exhaustively in debug builds (the universe
-            // is materialized transiently here, release builds never do).
-            #[cfg(debug_assertions)]
-            {
-                let universe = scheme.block_ids(data_blocks);
-                assert_eq!(scheme.universe_len(data_blocks), universe.len() as u64);
-                for (k, id) in universe.iter().enumerate() {
-                    assert_eq!(
-                        scheme.dense_index(id, data_blocks),
-                        Some(k as u32),
-                        "dense index disagrees with block_ids at {id}"
-                    );
-                    assert_eq!(
-                        scheme.block_at(k as u32, data_blocks),
-                        Some(*id),
-                        "block_at disagrees with block_ids at {k}"
-                    );
-                }
-            }
-            PlaneIndex::Dense
-        } else {
+        assert!(
+            scheme.supports_dense_index(),
+            "{} does not mark its dense_index/block_at bijection authoritative \
+             (supports_dense_index): the plane has no materialized fallback",
+            scheme.scheme_name()
+        );
+        // The arithmetic bijection must agree with the enumeration it
+        // replaces; verify exhaustively in debug builds (the universe
+        // is materialized transiently here, release builds never do).
+        #[cfg(debug_assertions)]
+        {
             let universe = scheme.block_ids(data_blocks);
-            let index = universe
-                .iter()
-                .enumerate()
-                .map(|(k, &id)| (id, k as u32))
-                .collect();
-            PlaneIndex::Map { universe, index }
-        };
+            assert_eq!(scheme.universe_len(data_blocks), universe.len() as u64);
+            for (k, id) in universe.iter().enumerate() {
+                assert_eq!(
+                    scheme.dense_index(id, data_blocks),
+                    Some(k as u32),
+                    "dense index disagrees with block_ids at {id}"
+                );
+                assert_eq!(
+                    scheme.block_at(k as u32, data_blocks),
+                    Some(*id),
+                    "block_at disagrees with block_ids at {k}"
+                );
+            }
+        }
         let universe_len = u32::try_from(scheme.universe_len(data_blocks))
             .expect("plane universe exceeds u32 positions");
-        if let PlaneIndex::Map { universe, .. } = &index {
-            assert_eq!(universe.len() as u32, universe_len);
-        }
         let mut plane = SchemePlane {
             scheme,
             data_blocks,
             locations,
             placement,
             universe_len,
-            index,
             avail: BitSet::zeros(universe_len as usize),
             initially_missing: BitSet::zeros(universe_len as usize),
         };
@@ -268,26 +209,18 @@ impl SchemePlane {
         self.scheme.as_ref()
     }
 
-    /// The id at dense position `k` — arithmetic on the fast path, a table
-    /// read on the materialized one.
+    /// The id at dense position `k`: the scheme's `block_at` arithmetic.
     #[inline]
     fn id_at(&self, k: u32) -> BlockId {
-        match &self.index {
-            PlaneIndex::Dense => self
-                .scheme
-                .block_at(k, self.data_blocks)
-                .expect("position within universe"),
-            PlaneIndex::Map { universe, .. } => universe[k as usize],
-        }
+        self.scheme
+            .block_at(k, self.data_blocks)
+            .expect("position within universe")
     }
 
     /// Dense position of `id`, or `None` outside the universe.
     #[inline]
-    fn index_of(&self, id: BlockId) -> Option<u32> {
-        match &self.index {
-            PlaneIndex::Dense => self.scheme.dense_index(&id, self.data_blocks),
-            PlaneIndex::Map { index, .. } => index.get(&id).copied(),
-        }
+    fn index_of(&self, id: &BlockId) -> Option<u32> {
+        self.scheme.dense_index(id, self.data_blocks)
     }
 
     /// The location of dense position `k`: pure placement arithmetic, no
@@ -297,41 +230,20 @@ impl SchemePlane {
         self.placement.place_dense(u64::from(k), self.locations)
     }
 
-    /// Whether the plane resolves ids arithmetically (no materialized
-    /// universe, no hash index).
-    pub fn uses_dense_index(&self) -> bool {
-        matches!(self.index, PlaneIndex::Dense)
-    }
-
-    /// Approximate heap bytes held by the id → position hash index: zero
-    /// on the dense path, the hash table's footprint otherwise. The
-    /// examples report this next to the dense path's zero.
-    pub fn index_bytes(&self) -> usize {
-        match &self.index {
-            PlaneIndex::Dense => 0,
-            // Key + value per bucket plus hashbrown's one control byte.
-            PlaneIndex::Map { index, .. } => {
-                index.capacity() * (std::mem::size_of::<(BlockId, u32)>() + 1)
-            }
-        }
-    }
-
-    /// Approximate heap bytes of all per-block id state — the materialized
-    /// `Vec<BlockId>` universe plus the hash index. Zero on the dense
-    /// path: the bijection is arithmetic, nothing is materialized.
-    pub fn materialized_bytes(&self) -> usize {
-        match &self.index {
-            PlaneIndex::Dense => 0,
-            PlaneIndex::Map { universe, .. } => {
-                universe.capacity() * std::mem::size_of::<BlockId>() + self.index_bytes()
-            }
-        }
-    }
-
     /// Whether `id` is currently available (false for blocks outside the
-    /// universe) — also the oracle handed to the scheme's structural hooks.
+    /// universe).
     #[inline]
     pub fn is_available(&self, id: BlockId) -> bool {
+        self.available(&id)
+    }
+
+    /// [`SchemePlane::is_available`] by reference: the oracle handed to the
+    /// scheme's structural hooks, which take `&` of their own parameter.
+    /// Handing the 24-byte id on by value instead copies it through the
+    /// stack in front of every `dense_index` call — a store-forwarding
+    /// stall measured at ~20 % of the benchmark's `sim_sweep`.
+    #[inline]
+    fn available(&self, id: &BlockId) -> bool {
         self.index_of(id)
             .is_some_and(|k| self.avail.get(k as usize))
     }
@@ -371,7 +283,7 @@ impl SchemePlane {
     /// The location a block was placed on, or `None` for ids outside the
     /// universe.
     pub fn location_of(&self, id: BlockId) -> Option<u32> {
-        self.index_of(id).map(|k| self.loc_at(k))
+        self.index_of(&id).map(|k| self.loc_at(k))
     }
 
     /// Resets every stored block to available (punctured blocks stay out).
@@ -496,7 +408,7 @@ impl SchemePlane {
     /// against the current snapshot.
     fn plan_repairable(&self, candidates: &[u32]) -> Vec<u32> {
         self.par_filter(candidates, |k| {
-            let avail = |id: BlockId| self.is_available(id);
+            let avail = |id: BlockId| self.available(&id);
             self.scheme
                 .is_repairable(self.id_at(k), self.data_blocks, &avail)
         })
@@ -545,7 +457,7 @@ impl SchemePlane {
                 if !id.is_data() {
                     return false;
                 }
-                let avail = |id: BlockId| self.is_available(id);
+                let avail = |id: BlockId| self.available(&id);
                 self.scheme.is_single_failure(id, self.data_blocks, &avail)
             });
             let mut set = BitSet::zeros(self.universe_len as usize);
@@ -612,7 +524,7 @@ impl SchemePlane {
                 .scheme
                 .maintenance_targets(&missing_data_ids, self.data_blocks)
                 .into_iter()
-                .filter_map(|id| self.index_of(id))
+                .filter_map(|id| self.index_of(&id))
                 .filter(|&k| !self.avail.get(k as usize))
                 .collect();
             let fix_data = self.plan_repairable(&missing_data);
@@ -639,7 +551,7 @@ impl SchemePlane {
                 .filter(|&k| self.avail.get(k as usize) && self.id_at(k).is_data())
                 .collect();
             self.par_filter(&candidates, |k| {
-                let avail = |id: BlockId| self.is_available(id);
+                let avail = |id: BlockId| self.available(&id);
                 !self
                     .scheme
                     .is_repairable(self.id_at(k), self.data_blocks, &avail)
@@ -660,12 +572,12 @@ impl SchemePlane {
 /// location set everywhere.
 pub fn failed_locations(locations: u32, fraction: f64, seed: u64) -> Vec<bool> {
     assert!((0.0..=1.0).contains(&fraction), "fraction in [0,1]");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let count = (locations as f64 * fraction).floor() as usize;
     let mut ids: Vec<u32> = (0..locations).collect();
     // Fisher-Yates prefix shuffle.
     for k in 0..count.min(locations as usize) {
-        let pick = rng.random_range(k..locations as usize);
+        let pick = k + rng.below((locations as usize - k) as u64) as usize;
         ids.swap(k, pick);
     }
     let mut failed = vec![false; locations as usize];
@@ -760,9 +672,6 @@ mod tests {
                 100,
                 SimPlacement::Random { seed: 42 },
             );
-            assert!(plane.uses_dense_index(), "{name} has the arithmetic hook");
-            assert_eq!(plane.index_bytes(), 0, "{name}");
-            assert_eq!(plane.materialized_bytes(), 0, "{name}");
             let (md, mp) = plane.inject_disaster(0.1, 7);
             assert!(md > 0 && mp > 0, "{name}");
             let out = plane.repair_full();
@@ -794,45 +703,6 @@ mod tests {
             (o.data_lost, o.round_count(), o.data_repaired())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn dense_and_map_paths_agree_end_to_end() {
-        // The same seeded disaster through both index paths must produce
-        // identical outcomes (the root plane_parity test sweeps this
-        // property over random schemes and disasters).
-        let run = |mode| {
-            let code = ae(Config::new(3, 2, 5).unwrap());
-            let mut p = SchemePlane::with_index_mode(
-                Box::new(code),
-                10_000,
-                100,
-                SimPlacement::Random { seed: 5 },
-                |_| false,
-                mode,
-            );
-            p.inject_disaster(0.35, 9);
-            p.repair_full()
-        };
-        let dense = run(IndexMode::Auto);
-        let map = run(IndexMode::Map);
-        assert_eq!(dense, map);
-    }
-
-    #[test]
-    fn map_mode_is_forced_and_accounted() {
-        let code = ae(Config::new(2, 2, 5).unwrap());
-        let p = SchemePlane::with_index_mode(
-            Box::new(code),
-            1_000,
-            10,
-            SimPlacement::RoundRobin,
-            |_| false,
-            IndexMode::Map,
-        );
-        assert!(!p.uses_dense_index());
-        assert!(p.index_bytes() > 0);
-        assert!(p.materialized_bytes() > p.index_bytes(), "universe counted");
     }
 
     #[test]

@@ -26,16 +26,15 @@ use crate::chain::EntangledChain;
 use crate::store::{MemStore, StoreError};
 use ae_api::RedundancyScheme;
 use ae_blocks::{Block, BlockId, EdgeId, NodeId};
-use serde::{Deserialize, Serialize};
 
 pub use crate::chain::{ChainMode, ExtremityWarning};
 
 /// Physical drive index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DriveId(pub u32);
 
 /// Data layout across drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
     /// Fill one drive before moving to the next (`blocks_per_drive` each).
     FullPartition {

@@ -29,11 +29,10 @@ use ae_api::{
 };
 use ae_blocks::{Block, BlockId, EdgeId, NodeId, StrandClass};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Chain shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChainMode {
     /// Plain open chain.
     Open,

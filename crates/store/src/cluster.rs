@@ -6,13 +6,11 @@
 //! repair the missing data blocks" (§V.C); this module provides exactly
 //! that state and the injection helpers.
 
-use rand::seq::SliceRandom;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use ae_api::SplitMix64;
 use std::fmt;
 
 /// Identifier of a storage location (failure domain), dense from 0.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LocationId(pub u32);
 
 impl fmt::Debug for LocationId {
@@ -28,7 +26,7 @@ impl fmt::Display for LocationId {
 }
 
 /// A set of locations with availability state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cluster {
     available: Vec<bool>,
 }
@@ -101,18 +99,17 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics unless `0.0 <= fraction <= 1.0`.
-    pub fn inject_disaster<R: Rng + ?Sized>(
-        &mut self,
-        fraction: f64,
-        rng: &mut R,
-    ) -> Vec<LocationId> {
+    pub fn inject_disaster(&mut self, fraction: f64, rng: &mut SplitMix64) -> Vec<LocationId> {
         assert!(
             (0.0..=1.0).contains(&fraction),
             "disaster fraction must be in [0, 1], got {fraction}"
         );
         let count = (self.available.len() as f64 * fraction).floor() as usize;
         let mut all: Vec<u32> = (0..self.len()).collect();
-        all.shuffle(rng);
+        // Fisher–Yates.
+        for i in (1..all.len()).rev() {
+            all.swap(i, rng.below(i as u64 + 1) as usize);
+        }
         let mut failed = Vec::with_capacity(count);
         for &loc in all.iter().take(count) {
             self.available[loc as usize] = false;
@@ -123,14 +120,10 @@ impl Cluster {
 
     /// Fails each location independently with probability `prob` — the
     /// uncorrelated-failure model, for contrast with massed disasters.
-    pub fn inject_independent<R: Rng + ?Sized>(
-        &mut self,
-        prob: f64,
-        rng: &mut R,
-    ) -> Vec<LocationId> {
+    pub fn inject_independent(&mut self, prob: f64, rng: &mut SplitMix64) -> Vec<LocationId> {
         let mut failed = Vec::new();
         for i in 0..self.available.len() {
-            if self.available[i] && rng.random_bool(prob) {
+            if self.available[i] && rng.unit_f64() < prob {
                 self.available[i] = false;
                 failed.push(LocationId(i as u32));
             }
@@ -142,8 +135,6 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn fail_and_restore() {
@@ -160,7 +151,7 @@ mod tests {
 
     #[test]
     fn disaster_fails_exact_fraction() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SplitMix64::new(7);
         let mut c = Cluster::new(100);
         let failed = c.inject_disaster(0.3, &mut rng);
         assert_eq!(failed.len(), 30);
@@ -176,14 +167,14 @@ mod tests {
     fn disaster_is_deterministic_per_seed() {
         let mut a = Cluster::new(50);
         let mut b = Cluster::new(50);
-        let fa = a.inject_disaster(0.2, &mut StdRng::seed_from_u64(42));
-        let fb = b.inject_disaster(0.2, &mut StdRng::seed_from_u64(42));
+        let fa = a.inject_disaster(0.2, &mut SplitMix64::new(42));
+        let fb = b.inject_disaster(0.2, &mut SplitMix64::new(42));
         assert_eq!(fa, fb);
     }
 
     #[test]
     fn independent_failures_roughly_match_probability() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::new(1);
         let mut c = Cluster::new(10_000);
         let failed = c.inject_independent(0.1, &mut rng);
         assert!((800..1200).contains(&failed.len()), "got {}", failed.len());
@@ -192,7 +183,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "fraction")]
     fn rejects_bad_fraction() {
-        Cluster::new(10).inject_disaster(1.5, &mut StdRng::seed_from_u64(0));
+        Cluster::new(10).inject_disaster(1.5, &mut SplitMix64::new(0));
     }
 
     #[test]

@@ -27,12 +27,6 @@ fn main() {
     for mode in [ChainMode::Open, ChainMode::Closed] {
         let scheme = Scheme::Chain { mode };
         let mut plane = SchemePlane::new(scheme.build(0), 100_000, 16, SimPlacement::RoundRobin);
-        assert!(plane.uses_dense_index());
-        assert_eq!(
-            plane.materialized_bytes(),
-            0,
-            "the plane holds no per-block id state"
-        );
         let (md, mp) = plane.inject_disaster(0.25, 7);
         let out = plane.repair_full();
         println!(
@@ -95,7 +89,6 @@ fn main() {
         100,
         SimPlacement::Random { seed: 42 },
     );
-    assert_eq!(plane.materialized_bytes(), 0);
     plane.inject_disaster(0.3, 11);
     let out = plane.repair_full();
     println!(

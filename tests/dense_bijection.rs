@@ -1,10 +1,10 @@
-//! The id ⇄ position bijection and the zero-materialization plane.
+//! The id ⇄ position bijection behind the zero-materialization plane.
 //!
 //! Every scheme with `supports_dense_index()` promises that `dense_index`
 //! and `block_at` form an authoritative O(1) bijection over the whole
 //! universe. `SchemePlane` builds on that promise to hold *no* per-block
-//! id state at all, so these properties are what keeps the
-//! zero-materialization fast path honest:
+//! id state at all — the bijection is its only id ⇄ position path — so
+//! these properties are what keeps the plane honest:
 //!
 //! * `block_at(k) == block_ids(n)[k]` and `dense_index(block_ids(n)[k])
 //!   == k` for every position — both directions against the enumeration
@@ -12,12 +12,13 @@
 //!   chain and geo schemes included) and over RS deployments with partial
 //!   final stripes;
 //! * round-trips `block_at(dense_index(id)) == id` and
-//!   `dense_index(block_at(k)) == k`;
-//! * a hook-driven (nothing materialized) plane and a fully materialized
-//!   plane produce identical disaster outcomes.
+//!   `dense_index(block_at(k)) == k`.
+//!
+//! Enumeration (`block_ids`) is the oracle; `SchemePlane`'s constructor
+//! repeats the first check exhaustively in debug builds.
 
 use aecodes::blocks::{BlockId, NodeId, ShardId};
-use aecodes::sim::{IndexMode, Scheme, SchemePlane, SimPlacement};
+use aecodes::sim::Scheme;
 use proptest::prelude::*;
 
 /// Every scheme in the roster, by index (proptest picks the index).
@@ -98,55 +99,5 @@ fn rs_partial_final_stripes_invert_exactly() {
             }
             assert_eq!(scheme.block_at(ids.len() as u32, n), None);
         }
-    }
-}
-
-/// A plane that never materializes the universe and a fully materialized
-/// plane must produce identical disaster outcomes for every roster scheme
-/// — full repair and minimal maintenance both.
-#[test]
-fn hook_driven_and_materialized_planes_agree() {
-    for s in roster() {
-        let name = s.name();
-        let run = |mode: IndexMode| {
-            let mut plane = SchemePlane::with_index_mode(
-                s.build(0),
-                4_000,
-                50,
-                SimPlacement::Random { seed: 17 },
-                |_| false,
-                mode,
-            );
-            let injected = plane.inject_disaster(0.3, 23);
-            let full = plane.repair_full();
-            plane.heal_all();
-            plane.inject_disaster(0.3, 24);
-            let minimal = plane.repair_minimal();
-            (injected, full, minimal)
-        };
-        let hook = run(IndexMode::Auto);
-        let materialized = run(IndexMode::Map);
-        assert_eq!(hook, materialized, "{name}");
-
-        // The hook path really holds no id state; the baseline really does.
-        let plane = SchemePlane::with_index_mode(
-            s.build(0),
-            4_000,
-            50,
-            SimPlacement::Random { seed: 17 },
-            |_| false,
-            IndexMode::Auto,
-        );
-        assert!(plane.uses_dense_index(), "{name}");
-        assert_eq!(plane.materialized_bytes(), 0, "{name}");
-        let baseline = SchemePlane::with_index_mode(
-            s.build(0),
-            4_000,
-            50,
-            SimPlacement::Random { seed: 17 },
-            |_| false,
-            IndexMode::Map,
-        );
-        assert!(baseline.materialized_bytes() > 0, "{name}");
     }
 }

@@ -1,21 +1,15 @@
-//! Index-path and planner parity.
+//! Planner parity.
 //!
-//! The dense arithmetic index and the parallel round planners are pure
-//! performance work: they must never change a single outcome. Two
-//! properties pin that down:
-//!
-//! * the same seeded disaster driven through both `SchemePlane` index
-//!   paths (dense vs `HashMap`) produces identical `FullRepairOutcome`s
-//!   and `MinimalRepairOutcome`s for AE, RS and replication;
-//! * the byte-plane `repair_missing` worklist planner produces summaries
-//!   bit-identical to the reference sequential planner.
+//! The parallel round planner is pure performance work: it must never
+//! change a single outcome. The byte-plane `repair_missing` worklist
+//! planner produces summaries bit-identical to the reference sequential
+//! planner.
 
 use aecodes::api::RedundancyScheme;
 use aecodes::baselines::{ReedSolomon, Replication};
 use aecodes::blocks::{Block, BlockId};
 use aecodes::core::{BlockMap, Code};
 use aecodes::lattice::Config;
-use aecodes::sim::{IndexMode, SchemePlane, SimPlacement};
 use aecodes::store::{ChainMode, EntangledChain, GeoLattice};
 use proptest::prelude::*;
 
@@ -53,38 +47,6 @@ fn payload(n: u64, seed: u64) -> Vec<Block> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Dense-index and HashMap-index planes agree on every metric of a
-    /// full disaster-repair cycle, and on minimal maintenance after a
-    /// second disaster.
-    #[test]
-    fn dense_and_map_index_paths_agree(
-        pick in 0u8..10,
-        placement_seed: u64,
-        disaster_seed: u64,
-        fraction_pct in 5u32..50,
-    ) {
-        let fraction = fraction_pct as f64 / 100.0;
-        let run = |mode: IndexMode| {
-            let mut plane = SchemePlane::with_index_mode(
-                scheme_for(pick),
-                5_000,
-                50,
-                SimPlacement::Random { seed: placement_seed },
-                |_| false,
-                mode,
-            );
-            let injected = plane.inject_disaster(fraction, disaster_seed);
-            let full = plane.repair_full();
-            plane.heal_all();
-            plane.inject_disaster(fraction, disaster_seed.wrapping_add(1));
-            let minimal = plane.repair_minimal();
-            (injected, full, minimal)
-        };
-        let dense = run(IndexMode::Auto);
-        let map = run(IndexMode::Map);
-        prop_assert_eq!(dense, map);
-    }
 
     /// The parallel worklist planner and the reference sequential planner
     /// produce identical repair summaries and identical stores on random

@@ -20,13 +20,14 @@
 //! `false`), and one that claims the bijection and then breaks it
 //! mid-life. Both must get the explicit-id shape — journaled, replayed,
 //! checkpointed — and round-trip block for block.
+//! `SchemePlane`, which has only the bijection, must refuse the first.
 
 use aecodes::api::{
     AeError, BlockSink, BlockSource, EncodeReport, RedundancyScheme, RepairCost, RepairError,
 };
 use aecodes::blocks::{Block, BlockId};
 use aecodes::lattice::Config;
-use aecodes::sim::Scheme;
+use aecodes::sim::{Scheme, SchemePlane, SimPlacement};
 use aecodes::store::archive::Archive;
 use aecodes::store::meta::{CheckpointPayload, MetaConfig, MetaRecord, StoredIds};
 use aecodes::store::MemStore;
@@ -346,6 +347,18 @@ fn a_scheme_without_the_bijection_journals_explicit_ids_and_round_trips() {
             assert_eq!(data, checkpoint.data, "{s}");
         });
     }
+}
+
+/// The availability plane has no enumeration fallback: the hook-less
+/// wrapper the archive journals by id is refused there, by name.
+#[test]
+#[should_panic(expected = "no materialized fallback")]
+fn a_scheme_without_the_bijection_is_refused_by_the_plane() {
+    let hookless = Wrapped {
+        inner: three_schemes()[0].build(BLOCK),
+        honest_below: None,
+    };
+    SchemePlane::new(Box::new(hookless), 1_000, 10, SimPlacement::RoundRobin);
 }
 
 #[test]
