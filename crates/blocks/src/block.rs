@@ -2,11 +2,17 @@
 //!
 //! Data and parity blocks in an entanglement lattice always have identical
 //! sizes ("The encoder constructs a helical lattice using data and parity
-//! blocks with identical size", §III.B). `Block` wraps [`bytes::Bytes`] so
-//! that the many components holding references to the same block — encoder
-//! frontier, store, repair engine — share one allocation.
+//! blocks with identical size", §III.B). `Block` wraps [`bytes::Bytes`], a
+//! view of a reference-counted buffer, so the many components holding the
+//! same block — encoder frontier, store, repair engine — share one
+//! allocation, and so do the blocks made together: [`Block::cut`] and
+//! [`Block::xor_slab`] carve the blocks of a write out of *slabs*, one
+//! allocation per 64 KiB of blocks instead of two per block. A view pins
+//! its slab: a block that outlives its slab-mates keeps at most 64 KiB
+//! alive, and a dropped block's bytes are freed when the last of its
+//! slab-mates goes.
 
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_zeros};
 use crate::xor;
 use bytes::Bytes;
 use std::fmt;
@@ -49,6 +55,45 @@ impl fmt::Display for BlockError {
 
 impl std::error::Error for BlockError {}
 
+/// The most bytes of blocks cut from one allocation. Not a knob, a
+/// measurement (`ae_bulk`: AE(3,2,5), 4 KiB blocks, 256 KiB files, 12 s
+/// runs): slabs of 32, 64 and 96 KiB all read `cycle_ms` 160–164, while
+/// one slab per put — 768 KiB of parities, 256 KiB of data — crosses
+/// glibc's 128 KiB `M_MMAP_THRESHOLD`, so every put maps and unmaps its
+/// slabs: system time 0.3 s → 3.5 s per run and `cycle_ms` 206–212,
+/// worse than the 188–192 of one allocation per block. A block larger
+/// than this is a slab of its own.
+const SLAB_BYTES: usize = 64 * 1024;
+
+/// How many `block_size` blocks one slab holds.
+fn blocks_per_slab(block_size: usize) -> usize {
+    (SLAB_BYTES / block_size.max(1)).max(1)
+}
+
+/// Freezes a filled slab — `crcs.len()` blocks of `block_size` bytes,
+/// back to back — and appends its blocks, each a view of `slab`.
+fn freeze(slab: Vec<u8>, crcs: Vec<u32>, block_size: usize, out: &mut Vec<Block>) {
+    debug_assert_eq!(slab.len(), crcs.len() * block_size);
+    let slab = Bytes::from(slab);
+    out.extend(crcs.into_iter().enumerate().map(|(k, crc)| Block {
+        bytes: slab.slice(k * block_size..(k + 1) * block_size),
+        crc,
+    }));
+}
+
+/// What [`Block::xor_slab`] XORs an output's first operand with.
+#[derive(Debug, Clone)]
+pub enum XorWith {
+    /// Nothing — the virtual zero parity at a strand head: the output is
+    /// a copy of the first operand.
+    Zero,
+    /// A block made earlier.
+    Block(Block),
+    /// The output at this index of the same call, which must precede the
+    /// one being described.
+    Output(usize),
+}
+
 /// An immutable, fixed-size byte block with a cached CRC32 checksum.
 ///
 /// Cloning is O(1) (reference-counted). Equality compares contents.
@@ -83,6 +128,71 @@ impl Block {
     /// Copies a slice into a new block.
     pub fn copy_from_slice(bytes: &[u8]) -> Self {
         Self::from_vec(bytes.to_vec())
+    }
+
+    /// Cuts `contents` into `block_size`-byte blocks, the last one
+    /// zero-padded — none for empty `contents`. Every byte is copied once
+    /// and checksummed once, and the blocks are views of the copy, which
+    /// is one allocation per slab rather than one per block.
+    ///
+    /// # Panics
+    ///
+    /// Panics for `block_size = 0`.
+    pub fn cut(contents: &[u8], block_size: usize) -> Vec<Block> {
+        assert!(block_size > 0, "blocks to cut need a size");
+        let mut out = Vec::with_capacity(contents.len().div_ceil(block_size));
+        for part in contents.chunks(blocks_per_slab(block_size) * block_size) {
+            let padded = part.len().div_ceil(block_size) * block_size;
+            let mut slab = Vec::with_capacity(padded);
+            slab.extend_from_slice(part);
+            slab.resize(padded, 0);
+            let crcs = slab.chunks(block_size).map(crc32).collect();
+            freeze(slab, crcs, block_size, &mut out);
+        }
+        out
+    }
+
+    /// Computes `first XOR with` for every `(first, with)` of `ops`, in
+    /// order, writing each output in place into a zero-filled slab and
+    /// returning the outputs as views of their slabs: one allocation per
+    /// slab instead of two per block. An output may be XORed with an
+    /// earlier output of the same call ([`XorWith::Output`]) — a strand
+    /// that passes through a batch twice — whether or not the two share a
+    /// slab. Checksums come from the operands' by CRC32 linearity, as in
+    /// [`Block::xor`], with the zero term looked up once per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand is not `block_size` bytes long, or an
+    /// [`XorWith::Output`] does not name an earlier output.
+    pub fn xor_slab(block_size: usize, ops: &[(&Block, XorWith)]) -> Vec<Block> {
+        let zero_crc = crc32_zeros(block_size);
+        let mut out: Vec<Block> = Vec::with_capacity(ops.len());
+        for group in ops.chunks(blocks_per_slab(block_size)) {
+            let base = out.len();
+            let mut slab = vec![0u8; group.len() * block_size];
+            let mut crcs = Vec::with_capacity(group.len());
+            for (k, (first, with)) in group.iter().enumerate() {
+                let (earlier, rest) = slab.split_at_mut(k * block_size);
+                let dst = &mut rest[..block_size];
+                let (second, second_crc) = match with {
+                    XorWith::Zero => {
+                        dst.copy_from_slice(first.as_slice());
+                        crcs.push(first.crc);
+                        continue;
+                    }
+                    XorWith::Block(b) => (b.as_slice(), b.crc),
+                    XorWith::Output(j) => match j.checked_sub(base) {
+                        Some(j) => (&earlier[j * block_size..][..block_size], crcs[j]),
+                        None => (out[*j].as_slice(), out[*j].crc),
+                    },
+                };
+                ae_kernels::xor3(dst, first.as_slice(), second);
+                crcs.push(first.crc ^ second_crc ^ zero_crc);
+            }
+            freeze(slab, crcs, block_size, &mut out);
+        }
+        out
     }
 
     /// The all-zero block of `len` bytes.
@@ -230,6 +340,108 @@ mod tests {
         let b = a.clone();
         assert_eq!(a, b);
         assert_eq!(a.as_slice().as_ptr(), b.as_slice().as_ptr());
+    }
+
+    fn hash_of(b: &Block) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        b.hash(&mut h);
+        h.finish()
+    }
+
+    /// A slab-cut block is its `from_vec` twin in every observable way.
+    #[test]
+    fn cut_blocks_equal_their_from_vec_twins() {
+        let bs = 4096;
+        let per_slab = blocks_per_slab(bs);
+        // Empty, a partial block, exact blocks, and lengths that fill one
+        // slab exactly, spill one byte into the next, and span three.
+        for len in [
+            0,
+            1,
+            bs - 1,
+            bs,
+            bs + 1,
+            per_slab * bs,
+            per_slab * bs + 1,
+            2 * per_slab * bs + 3 * bs + 123,
+        ] {
+            let contents: Vec<u8> = (0..len).map(|i| (i * 7 + (i >> 9)) as u8).collect();
+            let cut = Block::cut(&contents, bs);
+            assert_eq!(cut.len(), len.div_ceil(bs), "len {len}");
+            for (k, (got, chunk)) in cut.iter().zip(contents.chunks(bs)).enumerate() {
+                let mut padded = chunk.to_vec();
+                padded.resize(bs, 0);
+                let twin = Block::from_vec(padded);
+                assert_eq!(got, &twin, "len {len}, block {k}");
+                assert_eq!(got.crc(), twin.crc(), "len {len}, block {k}");
+                assert_eq!(hash_of(got), hash_of(&twin), "len {len}, block {k}");
+                got.verify().unwrap();
+            }
+            // Slab-mates share one allocation; a slab never exceeds the bound.
+            for slab in cut.chunks(per_slab) {
+                let base = slab[0].as_slice().as_ptr();
+                for (k, b) in slab.iter().enumerate() {
+                    assert_eq!(b.as_slice().as_ptr(), base.wrapping_add(k * bs));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_corrupt_view_fails_verify_like_an_owned_block() {
+        let cut = Block::cut(&[5u8; 300], 100);
+        let forged = Block {
+            bytes: cut[1].bytes.clone(),
+            crc: cut[1].crc ^ 1,
+        };
+        assert!(matches!(
+            forged.verify(),
+            Err(BlockError::ChecksumMismatch { .. })
+        ));
+        assert_ne!(forged, cut[1]);
+    }
+
+    #[test]
+    fn xor_slab_matches_block_xor_across_slab_boundaries() {
+        let bs = 4096;
+        let n = 2 * blocks_per_slab(bs) + 3;
+        let firsts: Vec<Block> = (0..n)
+            .map(|k| Block::from_vec((0..bs).map(|i| (i * 13 + k * 29) as u8).collect()))
+            .collect();
+        let outside = Block::from_vec(vec![0xA5; bs]);
+        // Output k chains onto output k − 1 (same slab or the one before),
+        // except a head, an outside operand and a reach two slabs back.
+        let with = |k: usize| match k {
+            0 => XorWith::Zero,
+            7 => XorWith::Block(outside.clone()),
+            k if k == n - 1 => XorWith::Output(3),
+            k => XorWith::Output(k - 1),
+        };
+        let ops: Vec<_> = firsts.iter().zip((0..n).map(with)).collect();
+        let got = Block::xor_slab(bs, &ops);
+        let mut want: Vec<Block> = Vec::new();
+        for (k, first) in firsts.iter().enumerate() {
+            want.push(match with(k) {
+                XorWith::Zero => first.clone(),
+                XorWith::Block(b) => first.xor(&b).unwrap(),
+                XorWith::Output(j) => first.xor(&want[j]).unwrap(),
+            });
+        }
+        assert_eq!(got.len(), n);
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "output {k}");
+            assert_eq!(g.crc(), w.crc(), "output {k}");
+            g.verify().unwrap();
+        }
+        assert!(Block::xor_slab(bs, &[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "equal-length")]
+    fn xor_slab_rejects_a_wrong_size_operand() {
+        let (a, b) = (Block::zero(8), Block::zero(9));
+        Block::xor_slab(8, &[(&a, XorWith::Block(b))]);
     }
 
     #[test]

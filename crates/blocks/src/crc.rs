@@ -10,8 +10,10 @@
 //! The state update is [`ae_kernels::crc32_update`]: PCLMULQDQ folding on
 //! x86-64, the ARMv8 CRC32 instructions on AArch64, slice-by-16 tables
 //! otherwise. This module keeps the protocol pieces — init/final inversion,
-//! streaming, and the XOR-linearity identity behind [`crc32_of_xor`] that
-//! lets `Block::xor` derive the parity checksum in O(1).
+//! streaming, the XOR-linearity identity behind [`crc32_of_xor`] that lets
+//! `Block::xor` derive the parity checksum in O(1), and *combination*
+//! ([`Crc32Append`]): the checksum of a concatenation from the checksums
+//! of its parts, so a file cut into blocks is CRC'd once, block by block.
 
 /// A streaming CRC32 hasher.
 ///
@@ -34,6 +36,15 @@ impl Crc32 {
     /// Creates a hasher in the initial state.
     pub fn new() -> Self {
         Crc32 { state: 0xFFFF_FFFF }
+    }
+
+    /// A hasher that has already been fed the bytes `crc` is the
+    /// checksum of: feeding it `tail` and finalizing yields the checksum
+    /// of those bytes followed by `tail`.
+    pub fn resume(crc: u32) -> Self {
+        Crc32 {
+            state: crc ^ 0xFFFF_FFFF,
+        }
     }
 
     /// Feeds `data` into the hasher.
@@ -62,6 +73,88 @@ pub fn crc32(data: &[u8]) -> u32 {
     let mut h = Crc32::new();
     h.update(data);
     h.finalize()
+}
+
+/// The "append `len` zero bytes" operator of CRC32, for one fixed `len`.
+///
+/// Appending a zero byte to a message is a linear map of its checksum
+/// over GF(2) (the init and final inversions cancel), so appending `len`
+/// of them is that 32×32 bit matrix raised to the `len`-th power — built
+/// here once, by squaring, and applied in 32 steps. With it the checksum
+/// of a concatenation follows from the parts' checksums alone:
+/// `crc(a ‖ b) = shift(crc(a), |b|) ⊕ crc(b)` (zlib's `crc32_combine`).
+/// Build one per block size; a right part of any other length continues
+/// from a [`Crc32::resume`]d hasher instead.
+///
+/// # Examples
+///
+/// ```
+/// use ae_blocks::{crc32, Crc32Append};
+///
+/// let append5 = Crc32Append::new(5);
+/// assert_eq!(
+///     append5.combine(crc32(b"hello "), crc32(b"world")),
+///     crc32(b"hello world")
+/// );
+/// ```
+#[derive(Clone, Debug)]
+pub struct Crc32Append {
+    /// Column `n` is the image of checksum bit `n`.
+    columns: [u32; 32],
+}
+
+impl Crc32Append {
+    /// Builds the operator for right-hand parts of `len` bytes.
+    pub fn new(len: usize) -> Self {
+        // One zero *bit*: a right shift of the reflected register, the
+        // polynomial folded in when a one falls off.
+        let mut power: [u32; 32] = std::array::from_fn(|n| match n {
+            0 => 0xEDB8_8320,
+            _ => 1 << (n - 1),
+        });
+        for _ in 0..3 {
+            power = compose(&power, &power);
+        }
+        // `power` is now one zero byte; square-and-multiply up to `len`.
+        let mut columns: [u32; 32] = std::array::from_fn(|n| 1 << n);
+        let mut left = len;
+        while left != 0 {
+            if left & 1 != 0 {
+                columns = compose(&power, &columns);
+            }
+            left >>= 1;
+            if left != 0 {
+                power = compose(&power, &power);
+            }
+        }
+        Crc32Append { columns }
+    }
+
+    /// The checksum of `a ‖ b` from `left = crc32(a)` and `right =
+    /// crc32(b)`, where `b` is `len` bytes long. `combine(0, c)` is `c`:
+    /// the empty message's checksum is 0.
+    pub fn combine(&self, left: u32, right: u32) -> u32 {
+        apply(&self.columns, left) ^ right
+    }
+}
+
+/// `matrix · vector` over GF(2).
+fn apply(columns: &[u32; 32], mut vector: u32) -> u32 {
+    let mut sum = 0;
+    let mut n = 0;
+    while vector != 0 {
+        if vector & 1 != 0 {
+            sum ^= columns[n];
+        }
+        vector >>= 1;
+        n += 1;
+    }
+    sum
+}
+
+/// The operator "`second`, then `first`".
+fn compose(first: &[u32; 32], second: &[u32; 32]) -> [u32; 32] {
+    std::array::from_fn(|n| apply(first, second[n]))
 }
 
 /// CRC32 of `len` zero bytes, cached per length.
@@ -194,6 +287,25 @@ mod tests {
                 "len {len}"
             );
         }
+    }
+
+    #[test]
+    fn append_operator_combines_known_vectors() {
+        let whole = b"The quick brown fox jumps over the lazy dog";
+        for split in [0, 1, 9, 42, whole.len()] {
+            let (a, b) = whole.split_at(split);
+            let op = Crc32Append::new(b.len());
+            assert_eq!(op.combine(crc32(a), crc32(b)), 0x414F_A339, "split {split}");
+            let mut resumed = Crc32::resume(crc32(a));
+            resumed.update(b);
+            assert_eq!(resumed.finalize(), 0x414F_A339, "split {split}");
+        }
+        // Appending zero bytes to the empty message is `crc32_zeros`.
+        assert_eq!(Crc32Append::new(4096).combine(0, 0), 0);
+        assert_eq!(
+            Crc32Append::new(4096).combine(crc32(&[]), crc32_zeros(4096)),
+            crc32_zeros(4096)
+        );
     }
 
     #[test]

@@ -10,8 +10,11 @@
 //! implementation the host supports at first use (AVX2/SSE2 on x86-64, NEON
 //! on AArch64, an autovectorized portable loop elsewhere or under
 //! `AE_KERNEL=scalar`). This module contributes the block-level contracts:
-//! equal-length validation, the zero-block identity of [`xor_all`], and the
-//! allocation discipline of [`xor_of`]/[`xor_of_owned`].
+//! equal-length validation and the zero-block identity of [`xor_all`]. Its
+//! functions return fresh vectors, which is what a repair wants: one block
+//! rebuilt, owned by whoever asked. The encoder does not come through here
+//! — it writes a batch's parities in place into slabs
+//! ([`Block::xor_slab`](crate::Block::xor_slab)).
 
 /// XORs `src` into `dst` in place: `dst[i] ^= src[i]`.
 ///
@@ -35,11 +38,11 @@ pub fn xor_into(dst: &mut [u8], src: &[u8]) {
 
 /// Returns the XOR of two equal-length slices as a fresh vector.
 ///
-/// This is the exact cost of a single-failure repair in an entangled storage
-/// system: `SF = 2` block reads plus one `xor_of` (§V.C.3, Table IV). The
-/// output is produced in one fused pass ([`ae_kernels::xor3`]) rather than
-/// copy-then-XOR, so each operand byte is read once and each output byte
-/// written once.
+/// The repair path: this is the exact cost of a single-failure repair in
+/// an entangled storage system, `SF = 2` block reads plus one `xor_of`
+/// (§V.C.3, Table IV). The output is produced in one fused pass
+/// ([`ae_kernels::xor3`]) rather than copy-then-XOR, so each operand byte
+/// is read once and each output byte written once.
 ///
 /// # Panics
 ///
@@ -49,25 +52,6 @@ pub fn xor_of(a: &[u8], b: &[u8]) -> Vec<u8> {
     let mut out = vec![0u8; a.len()];
     ae_kernels::xor3(&mut out, a, b);
     out
-}
-
-/// Returns `a XOR b`, consuming `a` as the output buffer.
-///
-/// When the caller already owns one operand — the encoder's pad cache hands
-/// over an owned block on the entanglement hot path — the XOR happens in
-/// place and no new allocation or copy is made at all.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn xor_of_owned(mut a: Vec<u8>, b: &[u8]) -> Vec<u8> {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "xor_of_owned requires equal-length blocks"
-    );
-    ae_kernels::xor_into(&mut a, b);
-    a
 }
 
 /// XORs all `srcs` together into a fresh vector of `len` bytes.

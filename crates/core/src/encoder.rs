@@ -19,10 +19,12 @@
 //! `s·p` positions) — no hashing on the hot path. The batch entry point
 //! [`Entangler::entangle_batch`] is the preferred producer: it validates
 //! once, skips the per-block output scaffolding and streams data plus
-//! parities straight into a [`BlockSink`].
+//! parities straight into a [`BlockSink`]. Either way the parities are
+//! written in place into slabs ([`Block::xor_slab`]: one XOR per parity,
+//! one allocation per 64 KiB of them), and the frontier holds views.
 
 use ae_api::{AeError, BlockSink, EncodeReport};
-use ae_blocks::{Block, BlockError, BlockId, EdgeId, NodeId};
+use ae_blocks::{Block, BlockError, BlockId, EdgeId, NodeId, XorWith};
 use ae_lattice::{rules, Config};
 
 /// The result of entangling one data block: the node it became and the α
@@ -108,6 +110,18 @@ impl StrandTable {
     }
 }
 
+/// The head of one strand, as the frontier holds it.
+#[derive(Debug, Clone)]
+enum Head {
+    /// No node of the strand has been written yet.
+    Unstarted,
+    /// The strand's last parity.
+    Stored(Block),
+    /// Inside a tangle step only: the strand's last parity is output
+    /// `.0` of the [`Block::xor_slab`] call being assembled.
+    Pending(usize),
+}
+
 /// Streaming encoder for one entanglement lattice.
 ///
 /// # Examples
@@ -132,9 +146,8 @@ pub struct Entangler {
     counter: u64,
     /// Per-class strand tables (class order).
     tables: Vec<StrandTable>,
-    /// Strand frontier: the last parity of each live strand, flat per
-    /// class. `None` before the strand has started.
-    frontier: Vec<Vec<Option<Block>>>,
+    /// Strand frontier: the head of each strand, flat per class.
+    frontier: Vec<Vec<Head>>,
 }
 
 impl Entangler {
@@ -147,7 +160,7 @@ impl Entangler {
             .collect();
         let frontier = tables
             .iter()
-            .map(|t| vec![None; t.strands as usize])
+            .map(|t| vec![Head::Unstarted; t.strands as usize])
             .collect();
         Entangler {
             cfg,
@@ -174,7 +187,7 @@ impl Entangler {
         self.frontier
             .iter()
             .flatten()
-            .filter(|s| s.is_some())
+            .filter(|head| matches!(head, Head::Stored(_)))
             .count()
     }
 
@@ -199,7 +212,7 @@ impl Entangler {
         for (c, e) in Self::in_flight_edges(&cfg, counter) {
             let block = fetch(e).ok_or(e)?;
             let slot = enc.tables[c].slot_of(e.left.0);
-            enc.frontier[c][slot] = Some(block);
+            enc.frontier[c][slot] = Head::Stored(block);
         }
         Ok(enc)
     }
@@ -222,34 +235,52 @@ impl Entangler {
         edges
     }
 
-    /// Produces the α parities of position `i` for `data`, updating the
-    /// frontier, and hands each `(edge, parity)` to `emit`.
-    #[inline]
-    fn tangle_one(&mut self, i: u64, data: &Block, mut emit: impl FnMut(EdgeId, &Block)) {
-        for (c, &class) in self.cfg.classes().iter().enumerate() {
-            let h = rules::input_source(&self.cfg, class, i as i64);
-            let slot = self.tables[c].slot_of(i);
-            let parity = if h >= 1 {
+    /// The one tangle step, behind [`Entangler::entangle`] and
+    /// [`Entangler::entangle_batch`] alike: the α parities of each of
+    /// `blocks` (sizes validated by the caller), node by node in class
+    /// order, for positions `counter + 1 …`; advances the counter and
+    /// leaves the frontier holding the new strand heads. All the XORs run
+    /// as one [`Block::xor_slab`] call, so the parities — and the
+    /// frontier's views of them — are cut from slabs.
+    fn tangle(&mut self, blocks: &[Block]) -> Vec<Block> {
+        let classes = self.cfg.classes();
+        let mut ops = Vec::with_capacity(blocks.len() * classes.len());
+        for (data, i) in blocks.iter().zip(self.counter + 1..) {
+            for (c, &class) in classes.iter().enumerate() {
+                let head = &mut self.frontier[c][self.tables[c].slot_of(i)];
                 // Consume: each parity is input to exactly one entanglement.
-                let input = self.frontier[c][slot]
-                    .take()
-                    .expect("frontier holds the last parity of every live strand");
-                data.xor(&input).expect("sizes validated on entry")
-            } else {
-                // Strand head: XOR with the virtual zero parity.
-                data.clone()
-            };
-            let out_edge = EdgeId::new(class, NodeId(i));
-            emit(out_edge, &parity);
-            self.frontier[c][slot] = Some(parity);
+                let input = std::mem::replace(head, Head::Pending(ops.len()));
+                let with = if rules::input_source(&self.cfg, class, i as i64) < 1 {
+                    // Strand head: XOR with the virtual zero parity.
+                    XorWith::Zero
+                } else {
+                    match input {
+                        Head::Stored(parity) => XorWith::Block(parity),
+                        Head::Pending(k) => XorWith::Output(k),
+                        Head::Unstarted => {
+                            panic!("frontier holds the last parity of every live strand")
+                        }
+                    }
+                };
+                ops.push((data, with));
+            }
         }
+        let parities = Block::xor_slab(self.block_size, &ops);
+        for head in self.frontier.iter_mut().flatten() {
+            if let Head::Pending(k) = *head {
+                *head = Head::Stored(parities[k].clone());
+            }
+        }
+        self.counter += blocks.len() as u64;
+        parities
     }
 
     /// Entangles the next data block, assigning it position `counter + 1`
     /// and producing α parities.
     ///
     /// Prefer [`Entangler::entangle_batch`] when blocks arrive in groups;
-    /// it amortises validation and skips the per-block output scaffolding.
+    /// it validates once and cuts the whole batch's parities from shared
+    /// slabs.
     ///
     /// # Errors
     ///
@@ -262,26 +293,25 @@ impl Entangler {
                 actual: data.len(),
             });
         }
-        let i = self.counter + 1;
-        let mut parities = Vec::with_capacity(self.cfg.alpha() as usize);
-        self.tangle_one(i, &data, |edge, parity| {
-            parities.push((edge, parity.clone()))
-        });
-        self.counter = i;
+        let parities = self.tangle(std::slice::from_ref(&data));
+        let node = NodeId(self.counter);
+        let edges = self.cfg.classes().iter().map(|&c| EdgeId::new(c, node));
         Ok(EntangleOutput {
-            node: NodeId(i),
+            node,
             data,
-            parities,
+            parities: edges.zip(parities).collect(),
         })
     }
 
     /// Entangles a batch of data blocks, writing data and parities straight
     /// into `sink` — the hot path used by the archive, the simulations and
-    /// the benches.
+    /// the benchmark.
     ///
     /// Equivalent to calling [`Entangler::entangle`] once per block and
-    /// inserting every output, but validates the whole slice up front and
-    /// allocates no per-block scaffolding.
+    /// inserting every output — the sink sees `D_i, P_i,1 … P_i,α` node by
+    /// node, the same calls in the same order — but validates the whole
+    /// slice up front and computes the batch's parities first, in place in
+    /// slabs, before the first store.
     ///
     /// # Errors
     ///
@@ -301,16 +331,18 @@ impl Entangler {
             }
         }
         let first_node = self.counter + 1;
-        let mut ids = Vec::with_capacity(blocks.len() * (1 + self.cfg.alpha() as usize));
-        for data in blocks {
-            let i = self.counter + 1;
-            sink.store(BlockId::Data(NodeId(i)), data.clone());
-            ids.push(BlockId::Data(NodeId(i)));
-            self.tangle_one(i, data, |edge, parity| {
-                sink.store(BlockId::Parity(edge), parity.clone());
-                ids.push(BlockId::Parity(edge));
-            });
-            self.counter = i;
+        let classes = self.cfg.classes();
+        let mut ids = Vec::with_capacity(blocks.len() * (1 + classes.len()));
+        let mut parities = self.tangle(blocks).into_iter();
+        for (data, i) in blocks.iter().zip(first_node..) {
+            let node = NodeId(i);
+            sink.store(BlockId::Data(node), data.clone());
+            ids.push(BlockId::Data(node));
+            for (&class, parity) in classes.iter().zip(&mut parities) {
+                let id = BlockId::Parity(EdgeId::new(class, node));
+                sink.store(id, parity);
+                ids.push(id);
+            }
         }
         Ok(EncodeReport { first_node, ids })
     }
@@ -431,6 +463,75 @@ mod tests {
             assert_eq!(batched.len(), streamed.len(), "{cfg}");
             for (id, block) in &streamed {
                 assert_eq!(batched.get(id).as_ref(), Some(block), "{cfg}: {id}");
+            }
+        }
+    }
+
+    /// Records every `store` call in the order it arrives.
+    #[derive(Default)]
+    struct Recording(std::cell::RefCell<Vec<(BlockId, Block)>>);
+
+    impl BlockSink for Recording {
+        fn store(&self, id: BlockId, block: Block) {
+            self.0.borrow_mut().push((id, block));
+        }
+    }
+
+    /// `entangle_batch` hands a sink exactly what the concatenated
+    /// `entangle` outputs hold — ids, bytes, checksums and **call order**
+    /// (`D_i, P_i,1 … P_i,α` per node) — at 4 KiB blocks with batch
+    /// lengths on both sides of any grouping of a batch's parities
+    /// (16 / 17 nodes is 64 KiB of parity at α = 1; 5 / 6 at α = 3), and
+    /// from a batch that starts mid-lattice on a restored frontier.
+    #[test]
+    fn batch_stores_what_streaming_emits_in_the_same_order() {
+        const BS: usize = 4096;
+        let block = |k: usize| {
+            let bytes = (0..BS).map(|b| (b * 31 + k * 131 + (b >> 8)) as u8);
+            Block::from_vec(bytes.collect())
+        };
+        for (a, s, p) in [(1u8, 1u16, 0u16), (2, 1, 2), (3, 2, 5), (3, 5, 5)] {
+            let cfg = Config::new(a, s, p).unwrap();
+            let lens = [1usize, 2, 5, 6, 16, 17, 64, 200];
+            let blocks: Vec<Block> = (0..lens.iter().sum()).map(block).collect();
+
+            let mut streaming = Entangler::new(cfg, BS);
+            let streamed = Recording::default();
+            for b in &blocks {
+                streaming
+                    .entangle(b.clone())
+                    .unwrap()
+                    .insert_into(&streamed);
+            }
+            let streamed = streamed.0.into_inner();
+
+            let mut enc = Entangler::new(cfg, BS);
+            let batched = Recording::default();
+            let (mut at, mut reported) = (0, Vec::new());
+            for (round, len) in lens.into_iter().enumerate() {
+                if round == 4 {
+                    // Resume from the stored parities alone, mid-lattice.
+                    let stored = batched.0.borrow();
+                    enc = Entangler::restore(cfg, BS, at as u64, |e| {
+                        let hit = stored.iter().find(|(id, _)| *id == BlockId::Parity(e));
+                        hit.map(|(_, b)| b.clone())
+                    })
+                    .unwrap();
+                }
+                let report = enc.entangle_batch(&blocks[at..at + len], &batched).unwrap();
+                assert_eq!(report.first_node, at as u64 + 1, "{cfg}");
+                reported.extend(report.ids);
+                at += len;
+            }
+            let batched = batched.0.into_inner();
+
+            assert_eq!(batched.len(), streamed.len(), "{cfg}");
+            for (k, (got, want)) in batched.iter().zip(&streamed).enumerate() {
+                assert_eq!(got.0, want.0, "{cfg}: id of store call {k}");
+                assert_eq!(reported[k], want.0, "{cfg}: reported id {k}");
+                assert_eq!(got.1.as_slice(), want.1.as_slice(), "{cfg}: {}", want.0);
+                assert_eq!(got.1.crc(), want.1.crc(), "{cfg}: {}", want.0);
+                got.1.verify().unwrap();
             }
         }
     }

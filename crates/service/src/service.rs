@@ -31,6 +31,15 @@
 //! to retry, shed or slow down. Queue-depth highwater and the number of
 //! saturation rejections are part of the run's report.
 //!
+//! # Panics
+//!
+//! An operation that panics — a scheme bug, a backend bug — takes down
+//! neither its worker nor the run: the panic is caught around the
+//! operation, its [`Ticket`] resolves to a typed
+//! [`ServiceError::TenantPoisoned`], and the tenant, whose archive the
+//! panic may have left half-mutated, answers that same error to every
+//! later operation. The other tenants of the shard keep completing.
+//!
 //! # Determinism
 //!
 //! Because sharding is tenant-affine and queues are FIFO, each tenant's
@@ -49,6 +58,7 @@ use ae_store::archive::{Archive, ArchiveError, Entry, RecoveryError};
 use ae_store::meta::MetaConfig;
 use parking_lot::Mutex;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -120,6 +130,15 @@ pub enum ServiceError {
     /// The archive operation itself failed; the wrapped error names
     /// exactly what went wrong (missing tuple members, checksum, seal).
     Archive(ArchiveError),
+    /// An operation on this tenant panicked — this one, or an earlier
+    /// one: the panic may have left the archive half-mutated, so the
+    /// service runs nothing more on it.
+    TenantPoisoned {
+        /// The poisoned tenant.
+        tenant: TenantId,
+        /// The message of the panic that poisoned it.
+        panic: String,
+    },
 }
 
 impl fmt::Display for ServiceError {
@@ -131,6 +150,12 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::Shutdown => write!(f, "service worker pool has shut down"),
             ServiceError::Archive(e) => write!(f, "archive operation failed: {e}"),
+            ServiceError::TenantPoisoned { tenant, panic } => {
+                write!(
+                    f,
+                    "tenant {tenant} is poisoned: an operation panicked: {panic}"
+                )
+            }
         }
     }
 }
@@ -150,22 +175,18 @@ impl std::error::Error for ServiceError {
 /// an unwanted ticket is fine (the result is discarded).
 #[derive(Debug)]
 pub struct Ticket<T> {
-    rx: Receiver<Result<T, ArchiveError>>,
+    rx: Receiver<Result<T, ServiceError>>,
 }
 
 impl<T> Ticket<T> {
-    fn new() -> (SyncSender<Result<T, ArchiveError>>, Self) {
+    fn new() -> (SyncSender<Result<T, ServiceError>>, Self) {
         let (tx, rx) = mpsc::sync_channel(1);
         (tx, Ticket { rx })
     }
 
     /// Blocks until the operation completes.
     pub fn wait(self) -> Result<T, ServiceError> {
-        match self.rx.recv() {
-            Ok(Ok(v)) => Ok(v),
-            Ok(Err(e)) => Err(ServiceError::Archive(e)),
-            Err(_) => Err(ServiceError::Shutdown),
-        }
+        self.rx.recv().unwrap_or(Err(ServiceError::Shutdown))
     }
 
     /// Waits up to `timeout`; on timeout the ticket comes back unresolved
@@ -173,8 +194,7 @@ impl<T> Ticket<T> {
     /// prove one shard's progress while another is wedged.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Result<T, ServiceError>, Ticket<T>> {
         match self.rx.recv_timeout(timeout) {
-            Ok(Ok(v)) => Ok(Ok(v)),
-            Ok(Err(e)) => Ok(Err(ServiceError::Archive(e))),
+            Ok(res) => Ok(res),
             Err(RecvTimeoutError::Timeout) => Err(self),
             Err(RecvTimeoutError::Disconnected) => Ok(Err(ServiceError::Shutdown)),
         }
@@ -188,28 +208,68 @@ enum Request {
         name: String,
         contents: Vec<u8>,
         submitted: Instant,
-        reply: SyncSender<Result<Entry, ArchiveError>>,
+        reply: SyncSender<Result<Entry, ServiceError>>,
     },
     Get {
         local: usize,
         name: String,
         submitted: Instant,
-        reply: SyncSender<Result<Vec<u8>, ArchiveError>>,
+        reply: SyncSender<Result<Vec<u8>, ServiceError>>,
     },
     Scrub {
         local: usize,
         submitted: Instant,
-        reply: SyncSender<Result<u64, ArchiveError>>,
+        reply: SyncSender<Result<u64, ServiceError>>,
     },
     Seal {
         local: usize,
         submitted: Instant,
-        reply: SyncSender<Result<Vec<BlockId>, ArchiveError>>,
+        reply: SyncSender<Result<Vec<BlockId>, ServiceError>>,
     },
 }
 
-/// A tenant archive paired with its service-wide tenant index.
-type Slot = (usize, Archive<TenantStore>);
+/// A tenant's archive and, once an operation on it has panicked, the
+/// message of that panic.
+struct Tenant {
+    archive: Archive<TenantStore>,
+    poisoned: Option<String>,
+}
+
+/// A tenant paired with its service-wide tenant index.
+type Slot = (usize, Tenant);
+
+/// Runs one operation on a tenant's archive, on whichever thread executes
+/// operations. A panic inside `op` is caught here, around the operation
+/// rather than around the worker, and poisons the tenant; a poisoned
+/// tenant runs nothing.
+fn run_op<T>(
+    (index, tenant): &mut Slot,
+    op: impl FnOnce(&mut Archive<TenantStore>) -> Result<T, ArchiveError>,
+) -> Result<T, ServiceError> {
+    let poisoned = |panic: &String| ServiceError::TenantPoisoned {
+        tenant: TenantId(*index as u16),
+        panic: panic.clone(),
+    };
+    if let Some(panic) = &tenant.poisoned {
+        return Err(poisoned(panic));
+    }
+    let archive = &mut tenant.archive;
+    // Unwind safety: a panic may leave the archive half-mutated, which is
+    // why nothing runs on it again. The schemes' and backends' locks
+    // (vendored `parking_lot`) do not poison, so nothing is left behind for
+    // the other tenants.
+    match catch_unwind(AssertUnwindSafe(|| op(archive))) {
+        Ok(res) => res.map_err(ServiceError::Archive),
+        Err(payload) => {
+            let text = payload.downcast_ref::<String>().map(String::as_str);
+            let text = text.or_else(|| payload.downcast_ref::<&str>().copied());
+            let panic = tenant
+                .poisoned
+                .insert(text.unwrap_or("(no message)").into());
+            Err(poisoned(panic))
+        }
+    }
+}
 
 fn execute(archives: &mut [Slot], req: Request, stats: &mut ShardStats) {
     match req {
@@ -220,7 +280,7 @@ fn execute(archives: &mut [Slot], req: Request, stats: &mut ShardStats) {
             submitted,
             reply,
         } => {
-            let res = archives[local].1.put(&name, &contents);
+            let res = run_op(&mut archives[local], |ar| ar.put(&name, &contents));
             stats.record(OpKind::Put, submitted.elapsed());
             let _ = reply.send(res);
         }
@@ -230,7 +290,7 @@ fn execute(archives: &mut [Slot], req: Request, stats: &mut ShardStats) {
             submitted,
             reply,
         } => {
-            let res = archives[local].1.get(&name);
+            let res = run_op(&mut archives[local], |ar| ar.get(&name));
             stats.record(OpKind::Get, submitted.elapsed());
             let _ = reply.send(res);
         }
@@ -239,16 +299,16 @@ fn execute(archives: &mut [Slot], req: Request, stats: &mut ShardStats) {
             submitted,
             reply,
         } => {
-            let repaired = archives[local].1.scrub();
+            let res = run_op(&mut archives[local], |ar| Ok(ar.scrub()));
             stats.record(OpKind::Scrub, submitted.elapsed());
-            let _ = reply.send(Ok(repaired));
+            let _ = reply.send(res);
         }
         Request::Seal {
             local,
             submitted,
             reply,
         } => {
-            let res = archives[local].1.seal();
+            let res = run_op(&mut archives[local], |ar| ar.seal());
             stats.record(OpKind::Seal, submitted.elapsed());
             let _ = reply.send(res);
         }
@@ -340,14 +400,14 @@ impl ServiceClient<'_> {
 
     fn inline_run<T>(
         state: &Mutex<InlineState>,
-        reply: SyncSender<Result<T, ArchiveError>>,
+        reply: SyncSender<Result<T, ServiceError>>,
         kind: OpKind,
         op: impl FnOnce(&mut Archive<TenantStore>) -> Result<T, ArchiveError>,
         local: usize,
     ) {
         let mut st = state.lock();
         let submitted = Instant::now();
-        let res = op(&mut st.archives[local].1);
+        let res = run_op(&mut st.archives[local], op);
         st.stats.record(kind, submitted.elapsed());
         let _ = reply.send(res);
     }
@@ -480,9 +540,9 @@ impl ServiceClient<'_> {
 /// ```
 pub struct ArchiveService {
     backend: SharedBackend,
-    /// Tenant archives by id; `None` only while a run has them out on
-    /// loan to the worker pool (unobservable: `run` takes `&mut self`).
-    tenants: Vec<Option<Archive<TenantStore>>>,
+    /// Tenants by id; `None` only while a run has them out on loan to
+    /// the worker pool (unobservable: `run` takes `&mut self`).
+    tenants: Vec<Option<Tenant>>,
     config: ServiceConfig,
 }
 
@@ -543,9 +603,10 @@ impl ArchiveService {
         assert!(self.tenants.len() < u16::MAX as usize, "tenant roster full");
         let id = TenantId(self.tenants.len() as u16);
         let view = Arc::new(TenantStore::new(Arc::clone(&self.backend), id));
-        self.tenants.push(Some(Archive::with_scheme_meta(
-            scheme, block_size, view, meta,
-        )));
+        self.tenants.push(Some(Tenant {
+            archive: Archive::with_scheme_meta(scheme, block_size, view, meta),
+            poisoned: None,
+        }));
         id
     }
 
@@ -584,7 +645,10 @@ impl ArchiveService {
         let view = Arc::new(TenantStore::new(Arc::clone(&self.backend), previous));
         let ar = Archive::open_with_meta(scheme, view, self.config.meta.clone())?;
         let id = TenantId(self.tenants.len() as u16);
-        self.tenants.push(Some(ar));
+        self.tenants.push(Some(Tenant {
+            archive: ar,
+            poisoned: None,
+        }));
         Ok(id)
     }
 
@@ -610,9 +674,10 @@ impl ArchiveService {
     ///
     /// Panics on an unknown tenant.
     pub fn archive(&self, tenant: TenantId) -> &Archive<TenantStore> {
-        self.tenants[tenant.0 as usize]
+        &self.tenants[tenant.0 as usize]
             .as_ref()
             .expect("tenant archives are home between runs")
+            .archive
     }
 
     /// Mutable idle access to a tenant's archive — the serial-replay path
@@ -623,9 +688,10 @@ impl ArchiveService {
     ///
     /// Panics on an unknown tenant.
     pub fn archive_mut(&mut self, tenant: TenantId) -> &mut Archive<TenantStore> {
-        self.tenants[tenant.0 as usize]
+        &mut self.tenants[tenant.0 as usize]
             .as_mut()
             .expect("tenant archives are home between runs")
+            .archive
     }
 
     /// Verifies every tenant end to end; returns the tenants with failing

@@ -143,7 +143,7 @@ use ae_api::{
     AeError, AsyncBlockRepo, BlockRepo, BlockSink, BlockSource, BoxFuture, Overlay,
     RedundancyScheme, RepairError, StoreError,
 };
-use ae_blocks::{crc32, Block, BlockId, Crc32, MetaId, NodeId};
+use ae_blocks::{crc32, Block, BlockId, Crc32, Crc32Append, MetaId, NodeId};
 use ae_core::Code;
 use ae_lattice::Config;
 use std::cell::RefCell;
@@ -829,6 +829,9 @@ pub struct Archive<B: BlockRepo + ?Sized = dyn BlockRepo> {
     scheme: Arc<dyn RedundancyScheme>,
     store: Arc<B>,
     block_size: usize,
+    /// CRC32's "append one block" operator, built once per archive:
+    /// `put` composes a file's checksum from its blocks' with it.
+    append_block: Crc32Append,
     manifest: BTreeMap<String, Entry>,
     /// Every block written through this archive, by position.
     ids: IdLog,
@@ -933,6 +936,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             scheme,
             store,
             block_size,
+            append_block: Crc32Append::new(block_size),
             manifest: BTreeMap::new(),
             sealed: false,
             next_meta: 0,
@@ -1047,6 +1051,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             scheme,
             store,
             block_size: block_size as usize,
+            append_block: Crc32Append::new(block_size as usize),
             manifest: BTreeMap::new(),
             sealed: false,
             next_meta: 1,
@@ -1836,22 +1841,20 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         let first_block = self.ids.data_len();
         let data_after = first_block + block_count;
         self.check_ceiling(data_after)?;
-        // The file checksum streams over each chunk as it is cut, so
-        // every payload byte is read once.
-        let mut crc = Crc32::new();
-        let blocks: Vec<Block> = if contents.is_empty() {
-            vec![Block::zero(bs)]
-        } else {
-            contents
-                .chunks(bs)
-                .map(|chunk| {
-                    crc.update(chunk);
-                    let mut bytes = chunk.to_vec();
-                    bytes.resize(bs, 0);
-                    Block::from_vec(bytes)
-                })
-                .collect()
+        // Every payload byte is copied once and CRC'd once, as part of its
+        // block; the file checksum is composed from the block checksums.
+        // Only a partial last chunk is read again: its block's checksum
+        // covers the padding, the file's does not.
+        let blocks = match contents.len() {
+            0 => vec![Block::zero(bs)],
+            _ => Block::cut(contents, bs),
         };
+        let whole = contents.len() / bs;
+        let crc = blocks[..whole]
+            .iter()
+            .fold(0, |crc, block| self.append_block.combine(crc, block.crc()));
+        let mut crc = Crc32::resume(crc);
+        crc.update(&contents[whole * bs..]);
         let report = self
             .write_through(|sink| self.scheme.encode_batch(&blocks, sink))
             .map_err(ArchiveError::Encode)?;
@@ -2196,6 +2199,36 @@ mod tests {
         ar.put("empty", b"").unwrap();
         assert_eq!(ar.get("empty").unwrap(), Vec::<u8>::new());
         assert_eq!(ar.entry("empty").unwrap().block_count, 1);
+    }
+
+    /// `put` composes `Entry::crc` from the block checksums it computed
+    /// while cutting; it must be the checksum of the contents at every
+    /// length around a block edge and a slab edge (16 blocks of 4 KiB),
+    /// whichever scheme stores the blocks.
+    #[test]
+    fn entry_crc_is_the_crc_of_the_contents() {
+        use ae_baselines::{ReedSolomon, Replication};
+        let bs = 4096;
+        let schemes: [fn(usize) -> Arc<dyn RedundancyScheme>; 3] = [
+            |bs| Arc::new(Code::new(Config::new(3, 2, 5).unwrap(), bs)),
+            |_| Arc::new(ReedSolomon::new(10, 4).unwrap()),
+            |_| Arc::new(Replication::new(3)),
+        ];
+        for scheme in schemes {
+            let mut ar = Archive::with_scheme(scheme(bs), bs, Arc::new(MemStore::new()));
+            let lens = [0, 1, bs - 1, bs, bs + 1, 63 * bs + 123, 64 * bs];
+            for (k, len) in lens.into_iter().enumerate() {
+                let contents = payload(len, 2 * k as u8 + 5);
+                let entry = ar.put(&format!("f{k}"), &contents).unwrap();
+                assert_eq!(entry.crc, crc32(&contents), "len {len}");
+                assert_eq!(entry.block_count as usize, len.div_ceil(bs).max(1));
+            }
+            ar.seal().unwrap();
+            for (k, len) in lens.into_iter().enumerate() {
+                let got = ar.get(&format!("f{k}")).unwrap();
+                assert_eq!(got, payload(len, 2 * k as u8 + 5), "len {len}");
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! A *location* models one failure domain — a disk, a machine, a rack or a
 //! peer. The paper's disaster framework "simulates disasters by changing
 //! the availability of a certain number of locations (10–50%) and trying to
-//! repair the missing data blocks" (§V.C); this module provides exactly
-//! that state and the injection helpers.
+//! repair the missing data blocks" (§V.C); this module holds exactly that
+//! state. Seeded disasters are injected on the availability plane
+//! (`ae_sim::SchemePlane::inject_disaster`).
 
-use ae_api::SplitMix64;
 use std::fmt;
 
 /// Identifier of a storage location (failure domain), dense from 0.
@@ -92,44 +92,6 @@ impl Cluster {
     pub fn available_count(&self) -> u32 {
         self.available.iter().filter(|&&ok| ok).count() as u32
     }
-
-    /// Injects a disaster: fails `fraction` of all locations (rounded down),
-    /// chosen uniformly at random. Returns the failed locations.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= fraction <= 1.0`.
-    pub fn inject_disaster(&mut self, fraction: f64, rng: &mut SplitMix64) -> Vec<LocationId> {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "disaster fraction must be in [0, 1], got {fraction}"
-        );
-        let count = (self.available.len() as f64 * fraction).floor() as usize;
-        let mut all: Vec<u32> = (0..self.len()).collect();
-        // Fisher–Yates.
-        for i in (1..all.len()).rev() {
-            all.swap(i, rng.below(i as u64 + 1) as usize);
-        }
-        let mut failed = Vec::with_capacity(count);
-        for &loc in all.iter().take(count) {
-            self.available[loc as usize] = false;
-            failed.push(LocationId(loc));
-        }
-        failed
-    }
-
-    /// Fails each location independently with probability `prob` — the
-    /// uncorrelated-failure model, for contrast with massed disasters.
-    pub fn inject_independent(&mut self, prob: f64, rng: &mut SplitMix64) -> Vec<LocationId> {
-        let mut failed = Vec::new();
-        for i in 0..self.available.len() {
-            if self.available[i] && rng.unit_f64() < prob {
-                self.available[i] = false;
-                failed.push(LocationId(i as u32));
-            }
-        }
-        failed
-    }
 }
 
 #[cfg(test)]
@@ -147,43 +109,11 @@ mod tests {
         assert_eq!(c.failed_locations(), vec![LocationId(3)]);
         c.restore(LocationId(3));
         assert_eq!(c.available_count(), 10);
-    }
-
-    #[test]
-    fn disaster_fails_exact_fraction() {
-        let mut rng = SplitMix64::new(7);
-        let mut c = Cluster::new(100);
-        let failed = c.inject_disaster(0.3, &mut rng);
-        assert_eq!(failed.len(), 30);
-        assert_eq!(c.available_count(), 70);
-        // No duplicates.
-        let set: std::collections::HashSet<_> = failed.iter().collect();
-        assert_eq!(set.len(), 30);
+        c.fail(LocationId(0));
+        c.fail(LocationId(9));
+        assert_eq!(c.available_count(), 8);
         c.restore_all();
-        assert_eq!(c.available_count(), 100);
-    }
-
-    #[test]
-    fn disaster_is_deterministic_per_seed() {
-        let mut a = Cluster::new(50);
-        let mut b = Cluster::new(50);
-        let fa = a.inject_disaster(0.2, &mut SplitMix64::new(42));
-        let fb = b.inject_disaster(0.2, &mut SplitMix64::new(42));
-        assert_eq!(fa, fb);
-    }
-
-    #[test]
-    fn independent_failures_roughly_match_probability() {
-        let mut rng = SplitMix64::new(1);
-        let mut c = Cluster::new(10_000);
-        let failed = c.inject_independent(0.1, &mut rng);
-        assert!((800..1200).contains(&failed.len()), "got {}", failed.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction")]
-    fn rejects_bad_fraction() {
-        Cluster::new(10).inject_disaster(1.5, &mut SplitMix64::new(0));
+        assert_eq!(c.available_count(), 10);
     }
 
     #[test]

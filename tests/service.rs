@@ -11,8 +11,13 @@
 //! 3. **Fairness** — a slow tenant (a wedged backend write, or
 //!    fault-induced repair work during a scrub) cannot starve tenants on
 //!    other shards.
+//! 4. **Containment** — an operation that panics poisons its tenant,
+//!    typed, and nothing else: not its shard, not the run.
 
-use aecodes::api::{BlockSink, BlockSource, StoreError};
+use aecodes::api::{
+    AeError, BlockSink, BlockSource, EncodeReport, RedundancyScheme, RepairCost, RepairError,
+    StoreError,
+};
 use aecodes::baselines::{ReedSolomon, Replication};
 use aecodes::blocks::{Block, BlockId};
 use aecodes::core::Code;
@@ -23,7 +28,7 @@ use aecodes::service::{
 };
 use aecodes::store::{FaultyStore, MemStore};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -477,4 +482,100 @@ fn faults_during_traffic_are_healed_and_state_matches_serial() {
         phase.replay(&mut reference).expect("clean replay");
     }
     assert_eq!(snapshot(faulty.inner()), snapshot(&ref_mem));
+}
+
+/// 3-way replication whose `encode_batch` panics while `armed`.
+struct PanicOnDemand {
+    inner: Replication,
+    armed: AtomicBool,
+}
+
+impl RedundancyScheme for PanicOnDemand {
+    fn scheme_name(&self) -> String {
+        self.inner.scheme_name()
+    }
+
+    fn data_written(&self) -> u64 {
+        self.inner.data_written()
+    }
+
+    fn repair_cost(&self) -> RepairCost {
+        self.inner.repair_cost()
+    }
+
+    fn encode_batch(
+        &self,
+        blocks: &[Block],
+        sink: &dyn BlockSink,
+    ) -> Result<EncodeReport, AeError> {
+        assert!(!self.armed.load(Ordering::SeqCst), "panic on demand");
+        self.inner.encode_batch(blocks, sink)
+    }
+
+    fn repair_block(
+        &self,
+        source: &dyn BlockSource,
+        id: BlockId,
+        data_blocks: u64,
+    ) -> Result<Block, RepairError> {
+        self.inner.repair_block(source, id, data_blocks)
+    }
+
+    fn block_ids(&self, data_blocks: u64) -> Vec<BlockId> {
+        self.inner.block_ids(data_blocks)
+    }
+
+    fn is_repairable(
+        &self,
+        id: BlockId,
+        data_blocks: u64,
+        avail: &dyn Fn(BlockId) -> bool,
+    ) -> bool {
+        self.inner.is_repairable(id, data_blocks, avail)
+    }
+}
+
+/// A panic inside an operation resolves that operation's ticket to a
+/// typed error and poisons its tenant — every later operation on it, of
+/// any kind, in this run or the next, answers the same error — while the
+/// tenant sharing its shard keeps completing and the run returns its
+/// report. Sharded and in-line alike: the catch is around the operation.
+#[test]
+fn a_panicking_op_poisons_its_tenant_and_nothing_else() {
+    for config in [ServiceConfig::with_shards(1), ServiceConfig::serial()] {
+        let mut svc = ArchiveService::new(Arc::new(MemStore::new()), config);
+        let scheme = Arc::new(PanicOnDemand {
+            inner: Replication::new(3),
+            armed: AtomicBool::new(false),
+        });
+        let a = svc.add_tenant(scheme.clone(), 64);
+        let b = svc.add_tenant(Arc::new(Code::new(Config::new(3, 2, 5).unwrap(), 64)), 64);
+        let (poison, report) = svc.run(|client| {
+            client.put(a, "before", b"fine").unwrap().wait().unwrap();
+            client.put(b, "b0", &[7; 300]).unwrap().wait().unwrap();
+            scheme.armed.store(true, Ordering::SeqCst);
+            let poison = client.put(a, "boom", b"x").unwrap().wait().unwrap_err();
+            assert!(
+                matches!(&poison, ServiceError::TenantPoisoned { tenant, panic }
+                    if *tenant == a && panic.contains("panic on demand")),
+                "{poison:?}"
+            );
+            // The scheme would behave again; the tenant stays poisoned.
+            scheme.armed.store(false, Ordering::SeqCst);
+            let get = client.get(a, "before").unwrap().wait().unwrap_err();
+            let put = client.put(a, "after", b"y").unwrap().wait().unwrap_err();
+            let scrub = client.scrub(a).unwrap().wait().unwrap_err();
+            let seal = client.seal(a).unwrap().wait().unwrap_err();
+            assert_eq!([&get, &put, &scrub, &seal], [&poison; 4]);
+            // Its shard-mate never notices.
+            client.put(b, "b1", &[9; 100]).unwrap().wait().unwrap();
+            assert_eq!(client.get(b, "b0").unwrap().wait().unwrap(), [7; 300]);
+            assert_eq!(client.scrub(b).unwrap().wait().unwrap(), 0);
+            poison
+        });
+        assert_eq!(report.completed(), 10, "every ticket resolved");
+        let (again, _) = svc.run(|client| client.get(a, "before").unwrap().wait().unwrap_err());
+        assert_eq!(again, poison, "the poison outlives the run");
+        assert_eq!(svc.archive(b).get("b1").unwrap(), [9; 100]);
+    }
 }
