@@ -685,6 +685,139 @@ fn power_cut_beneath_the_latency_wrapper_across_the_roster() {
     }
 }
 
+/// A finished lifetime, then the damage a scrub has to heal all at once:
+/// scattered data and redundancy blocks gone (one victim per 23 stored
+/// positions — coprime to every scheme's stride), and of the live
+/// metadata copies, pointer cells included, one in five gone and one in
+/// five garbled — never all three copies of a record.
+fn damaged_lifetime(s: &Scheme) -> Arc<MemStore> {
+    let store = Arc::new(MemStore::new());
+    run_lifetime(s, &store);
+    let ar = Archive::open_with_meta(build(s), Arc::clone(&store), sweep_cfg()).expect("pristine");
+    let victims = ar.stored_ids().iter().skip(3).step_by(23);
+    let victims: Vec<BlockId> = victims.copied().collect();
+    assert!(
+        victims.iter().any(|id| id.is_data()) && victims.iter().any(|id| !id.is_data()),
+        "{s}: data and redundancy both take hits"
+    );
+    for v in victims {
+        assert!(store.remove(v), "{s}: victim {v} was stored");
+    }
+    let mut cells = 0;
+    for (i, id) in ar.live_meta_ids().into_iter().enumerate() {
+        match i % 5 {
+            0 => assert!(store.remove(id), "{s}: {id} was live"),
+            3 => store.put(id, Block::from_vec(vec![0xA7; 21])),
+            _ => continue,
+        }
+        let BlockId::Meta(meta) = id else {
+            unreachable!()
+        };
+        cells += u64::from(meta.is_pointer());
+    }
+    assert!(cells > 0, "{s}: a pointer cell takes a hit too");
+    store
+}
+
+/// A power cut at every `every`-th backend write **during `scrub`** —
+/// repairs, quarantine, metadata heal — over whatever `wrap` puts above
+/// the cut. A scrub journals nothing, so a cut scrub is simply a shorter
+/// one: reopened from what reached the backend and scrubbed to
+/// completion, the stored blocks *and* the live metadata plane must be
+/// block for block what one uncut scrub leaves.
+fn power_cut_during_scrub<B: BlockRepo + ?Sized>(
+    s: &Scheme,
+    every: u64,
+    wrap: impl Fn(Arc<PowerCut<MemStore>>, u64) -> Arc<B>,
+) {
+    let reference = damaged_lifetime(s);
+    let mut ar = Archive::open_with_meta(build(s), Arc::clone(&reference), sweep_cfg())
+        .unwrap_or_else(|e| panic!("{s}: must degrade, not escalate: {e}"));
+    assert!(!ar.meta_damage().is_empty(), "{s}: the harm is seen");
+    let restored = ar.scrub();
+    let stored = ar.stored_ids().iter().copied();
+    let healed: Vec<BlockId> = stored.chain(ar.live_meta_ids()).collect();
+    drop(ar);
+
+    let scrub_under = |cut: u64| {
+        let inner = damaged_lifetime(s);
+        let pc = Arc::new(PowerCut::new(Arc::clone(&inner), cut));
+        let store = wrap(Arc::clone(&pc), cut);
+        let mut ar = Archive::open_with_meta(build(s), store, sweep_cfg())
+            .unwrap_or_else(|e| panic!("{s}: must degrade, not escalate: {e}"));
+        assert_eq!(pc.attempted(), 0, "{s}: this open writes nothing");
+        ar.scrub();
+        (inner, pc.attempted())
+    };
+    let (_, total) = scrub_under(u64::MAX);
+    assert!(total >= restored, "{s}: every restored block is a write");
+
+    for cut in (0..=total + 1).step_by(every as usize) {
+        let (inner, _) = scrub_under(cut);
+        let mut ar = Archive::open_with_meta(build(s), Arc::clone(&inner), sweep_cfg())
+            .unwrap_or_else(|e| panic!("{s} cut {cut}/{total}: reopen after a cut scrub: {e}"));
+        assert!(
+            ar.verify_all().is_empty(),
+            "{s} cut {cut}/{total}: half a scrub leaves every file readable"
+        );
+        ar.scrub();
+        for &id in &healed {
+            assert_eq!(
+                inner.fetch(id),
+                reference.fetch(id),
+                "{s} cut {cut}/{total}: {id}"
+            );
+        }
+        let (mut held, mut expected) = (inner.ids(), reference.ids());
+        held.sort();
+        expected.sort();
+        assert_eq!(held, expected, "{s} cut {cut}/{total}: nothing else left");
+        assert!(ar.verify_all().is_empty(), "{s} cut {cut}/{total}");
+        drop(ar);
+        let ar = Archive::open_with_meta(build(s), Arc::clone(&inner), sweep_cfg())
+            .unwrap_or_else(|e| panic!("{s} cut {cut}: reopen after the second scrub: {e}"));
+        assert!(
+            ar.meta_damage().is_empty(),
+            "{s} cut {cut}: healed, got {:?}",
+            ar.meta_damage()
+        );
+    }
+}
+
+/// Every write position of a scrub, across the roster, over a plain
+/// backend.
+#[test]
+fn power_cut_at_every_write_during_scrub_over_mem() {
+    for s in Scheme::extended_lineup() {
+        power_cut_during_scrub(&s, 1, |cut, _| cut);
+    }
+}
+
+/// The same beneath the latency model — virtual clock, jitter as large
+/// as the RTT, so a scrub's batches complete out of order and the fuse
+/// burns in completion order — for the three benchmark schemes.
+#[test]
+fn power_cut_at_every_write_during_scrub_beneath_the_latency_wrapper() {
+    use aecodes::aio::{Clock, LatencyStore, LinkSpec, Runtime};
+    use aecodes::lattice::Config;
+    use std::time::Duration;
+    for s in [
+        Scheme::Ae(Config::new(3, 2, 5).unwrap()),
+        Scheme::Rs { k: 10, m: 4 },
+        Scheme::Replication { n: 3 },
+    ] {
+        power_cut_during_scrub(&s, 1, |cut, seed| {
+            let link = LinkSpec {
+                rtt: Duration::from_millis(1),
+                jitter: Duration::from_millis(1),
+                bytes_per_sec: None,
+            };
+            let rt = Runtime::new(Clock::virtual_time());
+            Arc::new(LatencyStore::uniform(cut, rt, link, seed ^ 0xC0DE).into_sync())
+        });
+    }
+}
+
 /// How metadata victims die in the copy-loss matrix.
 #[derive(Clone, Copy, Debug)]
 enum MetaHarm {

@@ -17,13 +17,25 @@
 //! missing ones, whatever the size of the archive around it. The third
 //! pins what a lost frontier block costs `open`: its repair's reads, and
 //! no second ask for the block itself.
+//!
+//! The last test pins what neither that table nor `journal_bytes.csv`
+//! can: **which call, in which order**. The same wrapper that counts
+//! reads folds every call that reaches the backend — an op tag, the id's
+//! wire form and, for a store, the block's CRC — into a running CRC32
+//! per phase of one archive lifetime, over a plain backend and over the
+//! network at window 1 and 8, and the table is diffed against
+//! `tests/golden/archive_io_trace.csv` (the run's table is left in
+//! `target/tmp/archive_io_trace.csv`). A refactor the backend cannot
+//! tell from its parent leaves every digest alone; a reordered barrier, a
+//! regrouped batch or one probe more moves one.
 
 use aecodes::aio::{in_flight_window, BlockOn, Clock, LatencyStore, LinkSpec, Runtime};
 use aecodes::api::{BlockRepo, BlockSink, BlockSource, RedundancyScheme, StoreError};
-use aecodes::blocks::{Block, BlockId};
+use aecodes::blocks::{Block, BlockId, Crc32};
 use aecodes::lattice::Config;
 use aecodes::sim::Scheme;
 use aecodes::store::archive::{Archive, ArchiveError};
+use aecodes::store::meta::{encode_block_id, meta_copy_id, MetaConfig};
 use aecodes::store::MemStore;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -73,49 +85,99 @@ fn name(file: usize) -> String {
     format!("f{file:03}")
 }
 
-/// A backend wrapper that counts the read-side calls reaching it — put
-/// *beneath* the latency model, so it sees exactly what crosses the link.
+/// Every call that reached a [`Counting`] backend since the trace was
+/// last taken: how many, how many of them stores and removes, and a
+/// CRC32 over the calls in arrival order.
+#[derive(Default)]
+struct Trace {
+    calls: u64,
+    stores: u64,
+    removes: u64,
+    digest: Crc32,
+}
+
+/// A backend wrapper that counts the read-side calls reaching it and
+/// traces every call — put *beneath* the latency model, so it sees
+/// exactly what crosses the link.
 struct Counting<S> {
     reads: AtomicU64,
+    trace: Mutex<Trace>,
     inner: S,
+}
+
+impl<S> Counting<S> {
+    fn new(inner: S) -> Self {
+        Counting {
+            reads: AtomicU64::new(0),
+            trace: Mutex::new(Trace::default()),
+            inner,
+        }
+    }
+
+    /// Folds one call into the trace: the op's tag, the id as the journal
+    /// would write it and, for a store, the checksum of what was stored.
+    fn fold(&self, op: u8, id: BlockId, stored: Option<&Block>) {
+        let mut call = vec![op];
+        encode_block_id(&mut call, id);
+        if let Some(block) = stored {
+            call.extend_from_slice(&block.crc().to_le_bytes());
+        }
+        let mut trace = self.trace.lock().unwrap_or_else(|e| e.into_inner());
+        trace.calls += 1;
+        trace.stores += u64::from(op == b's');
+        trace.removes += u64::from(op == b'x');
+        trace.digest.update(&call);
+    }
+
+    /// The trace since the last call of this, which starts a new one.
+    fn take_trace(&self) -> Trace {
+        std::mem::take(&mut *self.trace.lock().unwrap_or_else(|e| e.into_inner()))
+    }
 }
 
 impl<S: BlockSource> BlockSource for Counting<S> {
     fn fetch(&self, id: BlockId) -> Option<Block> {
         self.reads.fetch_add(1, Ordering::Relaxed);
+        self.fold(b'f', id, None);
         self.inner.fetch(id)
     }
 
     fn has(&self, id: BlockId) -> bool {
         self.reads.fetch_add(1, Ordering::Relaxed);
+        self.fold(b'h', id, None);
         self.inner.has(id)
     }
 
     fn read(&self, id: BlockId) -> Result<Block, StoreError> {
         self.reads.fetch_add(1, Ordering::Relaxed);
+        self.fold(b'r', id, None);
         self.inner.read(id)
     }
 }
 
 impl<S: BlockSink> BlockSink for Counting<S> {
     fn store(&self, id: BlockId, block: Block) {
+        self.fold(b's', id, Some(&block));
         self.inner.store(id, block)
     }
 
     fn remove(&self, id: BlockId) -> bool {
+        self.fold(b'x', id, None);
         self.inner.remove(id)
     }
 }
 
 type Net = BlockOn<LatencyStore<Counting<MemStore>>>;
 
-fn network() -> Arc<Net> {
-    let inner = Arc::new(Counting {
-        reads: AtomicU64::new(0),
-        inner: MemStore::new(),
-    });
+/// The jitter-free 1 ms link over a counted `mem`.
+fn network_over(mem: MemStore) -> Arc<Net> {
+    let inner = Arc::new(Counting::new(mem));
     let rt = Runtime::new(Clock::virtual_time());
     Arc::new(LatencyStore::uniform(inner, rt, LinkSpec::rtt(RTT), 0).into_sync())
+}
+
+fn network() -> Arc<Net> {
+    network_over(MemStore::new())
 }
 
 fn mem(net: &Net) -> &MemStore {
@@ -316,4 +378,197 @@ fn a_lost_frontier_block_costs_open_its_repair_reads_and_no_more() {
         "same frontier: the next put entangles identically"
     );
     assert_eq!(lossy_open, clean_open + 2);
+}
+
+/// Checkpoints every third record, in parts of 64 bytes: eight puts cross
+/// two multi-part checkpoints and leave a two-record suffix.
+fn trace_cadence() -> MetaConfig {
+    MetaConfig {
+        copies: 3,
+        checkpoint_every: Some(3),
+        segment_bytes: 64,
+    }
+}
+
+fn copy_of(mem: &MemStore) -> MemStore {
+    let copy = MemStore::new();
+    for id in mem.ids() {
+        copy.put(id, mem.get(id).expect("listed a moment ago"));
+    }
+    copy
+}
+
+/// The phases of one lifetime, each with what it made the backend do.
+type Phases = Vec<(&'static str, Trace)>;
+
+/// Runs `op` and files what it made the backend behind `counted` do
+/// under `phase`.
+fn traced<T>(
+    rows: &mut Phases,
+    counted: &Counting<MemStore>,
+    phase: &'static str,
+    op: impl FnOnce() -> T,
+) -> T {
+    counted.take_trace();
+    let out = op();
+    rows.push((phase, counted.take_trace()));
+    out
+}
+
+/// One archive lifetime over the kind of backend `make` wraps a
+/// `MemStore` in, phase by phase: the trace of each, and what the chained
+/// read answered. `counted` finds the wrapper that sees the calls.
+fn trace_lifetime<B: BlockRepo + ?Sized>(
+    s: &Scheme,
+    make: impl Fn(MemStore) -> Arc<B>,
+    counted: impl Fn(&B) -> &Counting<MemStore>,
+) -> (Phases, Result<Vec<u8>, ArchiveError>) {
+    let mut rows = Vec::new();
+    let store = make(MemStore::new());
+    let calls = counted(&store);
+    let mem = &calls.inner;
+    let mut ar = traced(&mut rows, calls, "create", || {
+        Archive::with_scheme_meta(build(s), BLOCK, Arc::clone(&store), trace_cadence())
+    });
+    traced(&mut rows, calls, "put_x8", || {
+        for f in 0..8 {
+            ar.put(&name(f), &payload(f)).expect("fresh name");
+        }
+    });
+    let last = ar.meta_len() - 1;
+    // (Parts, then the records of puts 7 and 8.)
+    let parts = last - 1 - ar.checkpoint_seq().expect("two checkpoints so far");
+    assert!(parts >= 2, "{s}: a multi-part checkpoint");
+    let live = ar.live_meta_ids();
+    let unsealed = copy_of(mem);
+    traced(&mut rows, calls, "seal", || ar.seal().expect("seal"));
+
+    // Reopens of the unsealed archive — multi-part checkpoint, two-record
+    // suffix — each over a backend of its own holding what `harm` left.
+    let mut open = |phase, harm: &dyn Fn(&MemStore)| {
+        let crashed = copy_of(&unsealed);
+        harm(&crashed);
+        let store = make(crashed);
+        let opened = traced(&mut rows, counted(&store), phase, || {
+            Archive::open_with_meta(build(s), Arc::clone(&store), trace_cadence())
+        });
+        opened.unwrap_or_else(|err| panic!("{s} {phase}: {err}"))
+    };
+    let clean = open("open", &|_| {});
+    assert_eq!(clean.replayed_records(), 2, "{s}");
+    assert!(clean.meta_damage().is_empty() && clean.torn_tail().is_none());
+    let lossy = open("open_lost_copies", &|mem| {
+        for &id in &live {
+            let BlockId::Meta(meta) = id else {
+                unreachable!("live metadata lives under Meta ids")
+            };
+            if u64::from(meta.copy()) == meta.seq() % 3 {
+                assert!(mem.remove(id), "{s}: {id} was live");
+            }
+        }
+    });
+    assert_eq!(lossy.meta_damage().len(), live.len() / 3, "{s}");
+    let torn = open("open_torn_record", &|mem| {
+        for copy in 0..3 {
+            let id = meta_copy_id(last, copy);
+            let whole = mem.get(id).expect("the last put's record");
+            mem.put(
+                id,
+                Block::copy_from_slice(&whole.as_slice()[..whole.len() / 2]),
+            );
+        }
+    });
+    assert_eq!(torn.torn_tail(), Some(last), "{s}");
+    // A checkpoint whose parts all landed and whose pointer never did:
+    // let an archive commit one, then put back everything the commit
+    // overwrote or collected.
+    let uncommitted = |mem: &MemStore| {
+        let scratch = Arc::new(copy_of(mem));
+        Archive::open_with_meta(build(s), Arc::clone(&scratch), trace_cadence())
+            .expect("clean")
+            .checkpoint();
+        for id in scratch.ids().into_iter().filter(|id| !mem.contains(*id)) {
+            mem.put(id, scratch.get(id).expect("listed a moment ago"));
+        }
+    };
+    let skipped = open("open_uncommitted_group", &uncommitted);
+    assert_eq!(skipped.checkpoint_seq(), clean.checkpoint_seq(), "{s}");
+    assert!(skipped.torn_tail().is_none() && skipped.meta_len() > last + 2);
+    let group_end = skipped.meta_len() - 1;
+    let truncated = open("open_torn_group", &|mem| {
+        uncommitted(mem);
+        for copy in 0..3 {
+            assert!(mem.remove(meta_copy_id(group_end, copy)), "{s}: last part");
+        }
+    });
+    assert_eq!(truncated.torn_tail(), Some(last + 1), "{s}");
+    assert_eq!(truncated.meta_len(), last + 1, "{s}");
+
+    // Back on the sealed archive: damage, degraded reads, a scrub that
+    // also finds lost and garbled metadata copies, the chained read.
+    let victims: Vec<BlockId> = ar
+        .stored_ids()
+        .iter()
+        .copied()
+        .skip(7)
+        .step_by(23)
+        .collect();
+    assert!(victims.iter().any(|id| id.is_data()) && victims.iter().any(|id| !id.is_data()));
+    for v in &victims {
+        assert!(mem.remove(*v));
+    }
+    traced(&mut rows, calls, "degraded_get_x8", || {
+        for f in 0..8 {
+            assert_eq!(ar.get(&name(f)).expect("degraded read"), payload(f));
+        }
+    });
+    let mut harmed = 0;
+    for (i, id) in ar.live_meta_ids().into_iter().enumerate() {
+        match i % 4 {
+            0 => assert!(mem.remove(id)),
+            2 => mem.put(id, Block::from_vec(vec![0xA7; 21])),
+            _ => continue,
+        }
+        harmed += 1;
+    }
+    let restored = traced(&mut rows, calls, "scrub", || ar.scrub());
+    assert_eq!(restored as usize, victims.len() + harmed, "{s}");
+    let chained = traced(&mut rows, calls, "chained_get", || chained_get(s, &ar, mem));
+    (rows, chained)
+}
+
+#[test]
+fn every_backend_call_in_order_matches_the_golden_trace() {
+    let _guard = WINDOW_ENV.lock().unwrap_or_else(|e| e.into_inner());
+    let before = std::env::var_os("AE_AIO_WINDOW");
+    let mut table = String::from("scheme,backend,phase,calls,stores,removes,digest\n");
+    for s in roster() {
+        let plain = trace_lifetime(&s, |mem| Arc::new(Counting::new(mem)), |store| store);
+        let mut lifetimes = vec![("mem".to_string(), plain)];
+        for window in [1usize, 8] {
+            std::env::set_var("AE_AIO_WINDOW", window.to_string());
+            let net = trace_lifetime(&s, network_over, |net: &Net| &**net.inner().inner());
+            lifetimes.push((format!("net_w{}", in_flight_window()), net));
+        }
+        for (backend, (rows, chained)) in &lifetimes {
+            assert_eq!(chained, &lifetimes[0].1 .1, "{s} over {backend}");
+            for (phase, t) in rows {
+                table.push_str(&format!(
+                    "\"{s}\",{backend},{phase},{},{},{},{:08x}\n",
+                    t.calls,
+                    t.stores,
+                    t.removes,
+                    t.digest.finalize()
+                ));
+            }
+        }
+    }
+    match before {
+        Some(v) => std::env::set_var("AE_AIO_WINDOW", v),
+        None => std::env::remove_var("AE_AIO_WINDOW"),
+    }
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("archive_io_trace.csv");
+    std::fs::write(&out, &table).expect("the test's own tmp dir is writable");
+    let golden = include_str!("golden/archive_io_trace.csv");
+    assert_eq!(table, golden, "re-record from {}", out.display());
 }
