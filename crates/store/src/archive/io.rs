@@ -1,0 +1,257 @@
+//! How archive I/O meets the backend: independent calls in batches,
+//! dependent reads against what a batch already fetched.
+//!
+//! # Batched backend I/O
+//!
+//! Every phase that issues *independent* backend calls — a put's data
+//! and redundancy blocks, a record's copy set, a checkpoint's pointer
+//! cells, GC, the probes and refetches of `open`, the sweeps of `scrub`,
+//! a file's blocks in `get` — goes through one private helper (`batch`,
+//! behind `store_all` / `remove_all` / `fetch_all` / `has_all` and the
+//! read sweep of `Prefetched`). Over a backend with a native async
+//! interior ([`BlockSource::as_async`]) the batch moves through the
+//! bounded in-flight window, so an operation a network away costs
+//! **window rounds, not block counts**: a 16-block AE(3,2,5) `put` is
+//! ⌈64 / 8⌉ + 1 = 9 sequential round trips at the default window, not
+//! 67. Over a plain backend the helper is the same calls in the same
+//! order as a loop — there is one `put`/`seal`/`open` path, in which a
+//! plain backend is simply window-agnostic. `tests/wan_rtt_budget.rs`
+//! pins the round-trip count of every operation under the virtual clock,
+//! and which call is made in which order. Returning from a batch is a
+//! **barrier**; the crash-ordering rules built on it are the journal's
+//! (`journal.rs`).
+//!
+//! # Dependent reads
+//!
+//! Repair reads depend on what earlier reads found, so they cannot be
+//! one batch. They are **plan → fetch(window) → apply** instead: name
+//! the read set, fetch it as a batch into a `Prefetched` — the answers,
+//! absences included, over the backend — and run the unchanged scheme
+//! logic against that. `open` plans with
+//! [`RedundancyScheme::frontier_reads`], a degraded `get` with
+//! [`RedundancyScheme::is_repairable`] asked optimistically, round by
+//! round; whatever a plan misses reads through, one call at a time. (A
+//! backend that answers at call time is its own memory: nothing is
+//! planned or kept, every read goes through.) Whole-archive planners
+//! (`scrub`'s repair stage, a chained reconstruction in `get`) read the
+//! backend itself when it answers at call time, and a network away a
+//! *closed* `Prefetched` holding one windowed sweep of every stored block
+//! — an archive owns its id namespace, so what the sweep did not return
+//! is absent — so planner threads only ever see memory and their number
+//! never shows in the order, or the timing, of what crosses the link.
+
+use ae_aio::{in_flight_window, windowed_map};
+use ae_api::{
+    AsyncBlockRepo, BlockRepo, BlockSink, BlockSource, BoxFuture, RedundancyScheme, StoreError,
+};
+use ae_blocks::{Block, BlockId};
+use std::cell::RefCell;
+use std::collections::HashMap;
+
+/// A read-only view that falls back to the scheme's single-block repair
+/// when the backend no longer holds a block — so restoring the encoder
+/// frontier survives a crash that *also* lost the frontier blocks, as
+/// long as they are repairable from surviving redundancy. Nothing is
+/// written back; [`super::Archive::scrub`] heals the backend afterwards.
+pub(super) struct RepairingSource<'a> {
+    pub(super) scheme: &'a dyn RedundancyScheme,
+    pub(super) base: &'a dyn BlockSource,
+    pub(super) written: u64,
+}
+
+impl BlockSource for RepairingSource<'_> {
+    fn fetch(&self, id: BlockId) -> Option<Block> {
+        self.base
+            .fetch(id)
+            .or_else(|| self.scheme.repair_block(self.base, id, self.written).ok())
+    }
+}
+
+/// Hides one id from a base source. Used to rebuild a block the backend
+/// still *returns* bytes for but reports as corrupted: the scheme must
+/// reconstruct it from redundancy, never echo the garbled bytes back.
+pub(super) struct MaskOne<'a> {
+    pub(super) base: &'a dyn BlockSource,
+    pub(super) masked: BlockId,
+}
+
+impl BlockSource for MaskOne<'_> {
+    fn fetch(&self, id: BlockId) -> Option<Block> {
+        if id == self.masked {
+            None
+        } else {
+            self.base.fetch(id)
+        }
+    }
+}
+
+/// Runs one batch of **independent** backend calls, hands their results
+/// to `then` in issue order and returns what it made of them — the one
+/// place archive I/O meets the backend in bulk. Over a backend with a
+/// native async interior ([`BlockSource::as_async`]) the calls move
+/// through the bounded in-flight window, so a batch costs
+/// `⌈n / window⌉` round trips, not `n`; over a plain backend it is the
+/// same calls in the same order as a loop, each result consumed before
+/// the next call is made. Returning is the **barrier**: every call of
+/// the batch has been acknowledged, whatever order the completions
+/// arrived in.
+fn batch<'s, B, T, U, V>(
+    store: &'s B,
+    items: impl IntoIterator<Item = T>,
+    call: impl Fn(&B, T) -> U,
+    issue: impl Fn(&'s dyn AsyncBlockRepo, T) -> BoxFuture<'s, U> + Send + Sync + 's,
+    mut then: impl FnMut(U) -> V,
+) -> Vec<V>
+where
+    B: BlockRepo + ?Sized,
+    T: Send + 's,
+    U: Send,
+{
+    match store.as_async() {
+        Some(handle) => {
+            let repo = handle.repo;
+            let items = items.into_iter().collect();
+            let window = windowed_map(items, in_flight_window(), move |item| issue(repo, item));
+            handle.run(Box::pin(window)).into_iter().map(then).collect()
+        }
+        None => items
+            .into_iter()
+            .map(|item| then(call(store, item)))
+            .collect(),
+    }
+}
+
+pub(crate) fn store_all<B: BlockRepo + ?Sized>(
+    store: &B,
+    writes: impl IntoIterator<Item = (BlockId, Block)>,
+) {
+    let call = |s: &B, (id, block)| s.store(id, block);
+    batch(
+        store,
+        writes,
+        call,
+        |r, (id, block)| r.store_async(id, block),
+        drop,
+    );
+}
+
+pub(crate) fn remove_all<B: BlockRepo + ?Sized>(store: &B, ids: impl IntoIterator<Item = BlockId>) {
+    batch(
+        store,
+        ids,
+        |s, id| s.remove(id),
+        |r, id| r.remove_async(id),
+        drop,
+    );
+}
+
+pub(crate) fn fetch_all<B: BlockRepo + ?Sized>(
+    store: &B,
+    ids: impl IntoIterator<Item = BlockId>,
+) -> Vec<Option<Block>> {
+    batch(
+        store,
+        ids,
+        |s, id| s.fetch(id),
+        |r, id| r.fetch_async(id),
+        |found| found,
+    )
+}
+
+pub(crate) fn has_all<B: BlockRepo + ?Sized>(
+    store: &B,
+    ids: impl IntoIterator<Item = BlockId>,
+) -> Vec<bool> {
+    batch(
+        store,
+        ids,
+        |s, id| s.has(id),
+        |r, id| r.has_async(id),
+        |has| has,
+    )
+}
+
+/// An order-preserving collecting sink: a scheme's write phase lands here
+/// when the backend is a network away, and leaves as one batch.
+#[derive(Default)]
+pub(super) struct Collect(pub(super) RefCell<Vec<(BlockId, Block)>>);
+
+impl BlockSink for Collect {
+    fn store(&self, id: BlockId, block: Block) {
+        self.0.borrow_mut().push((id, block));
+    }
+}
+
+/// What is known of a backend's blocks — answers already fetched,
+/// negative ones included — over the backend itself: the one source
+/// dependent reads run against (see the module docs). An id it answers
+/// never reaches the backend again; any other reads through, or, once the
+/// view is **closed**, is absent. Filled only through `batch`, a window at
+/// a time.
+pub(super) struct Prefetched<'a, B: ?Sized> {
+    store: &'a B,
+    /// Whether the backend is a network away: a read then costs a round
+    /// trip, so what was read is kept, repair reads are planned, and
+    /// whole-archive planners — whose threads would read in an order
+    /// their interleaving picks — run on a closed view. With `batch` and
+    /// `write_through`, the one place that asks which kind of backend
+    /// this is.
+    pub(super) remote: bool,
+    pub(super) answers: HashMap<BlockId, Option<Block>>,
+    pub(super) closed: bool,
+}
+
+impl<'a, B: BlockRepo + ?Sized> Prefetched<'a, B> {
+    /// An empty view of `store`.
+    pub(super) fn new(store: &'a B, closed: bool) -> Self {
+        Prefetched {
+            store,
+            remote: store.as_async().is_some(),
+            answers: HashMap::new(),
+            closed,
+        }
+    }
+
+    /// Fetches, as one batch in the given order, every id of `ids` not
+    /// answered yet.
+    pub(super) fn fill(&mut self, ids: impl IntoIterator<Item = BlockId>) {
+        let unknown = ids.into_iter().filter(|id| !self.answers.contains_key(id));
+        let unknown: Vec<BlockId> = unknown.collect();
+        let found = fetch_all(self.store, unknown.iter().copied());
+        self.answers.extend(unknown.into_iter().zip(found));
+    }
+
+    /// Reads `ids` as one batch — `read`, not `fetch`: a backend that
+    /// verifies checksums reports tampered bytes as `Corrupted` — and
+    /// shows `each` the results in order. A network away they stay as
+    /// answers: a block as itself, `NotFound` as absent, and nothing for
+    /// an unreadable block, which still `fetch`es, as tampered bytes.
+    pub(super) fn sweep(
+        &mut self,
+        ids: impl Iterator<Item = BlockId> + Clone,
+        mut each: impl FnMut(BlockId, &Result<Block, StoreError>),
+    ) {
+        let (mut asked, keep) = (ids.clone(), self.remote);
+        let consume = |read| {
+            let id = asked.next().expect("one read per id");
+            each(id, &read);
+            match read {
+                Ok(block) if keep => self.answers.insert(id, Some(block)),
+                Err(StoreError::NotFound(_)) if keep => self.answers.insert(id, None),
+                _ => None,
+            };
+        };
+        let issue = |r: &'a dyn AsyncBlockRepo, id| r.read_async(id);
+        batch(self.store, ids, |s, id| s.read(id), issue, consume);
+    }
+}
+
+impl<B: BlockRepo + ?Sized> BlockSource for Prefetched<'_, B> {
+    fn fetch(&self, id: BlockId) -> Option<Block> {
+        match self.answers.get(&id) {
+            Some(answer) => answer.clone(),
+            None if self.closed => None,
+            None => self.store.fetch(id),
+        }
+    }
+}

@@ -1,0 +1,218 @@
+//! The read side of an archive: `get` with its degraded-read repair
+//! paths, end-to-end verification, and `scrub` — whose scheme-block half
+//! lives here and whose metadata half is the journal's `heal`.
+
+use super::io::{remove_all, store_all, MaskOne, Prefetched};
+use super::{Archive, ArchiveError};
+use ae_api::{BlockRepo, BlockSource, Overlay, RepairError, StoreError};
+use ae_blocks::{crc32, Block, BlockId};
+use std::cell::RefCell;
+use std::collections::BTreeSet;
+use std::ops::Range;
+
+impl<B: BlockRepo + ?Sized> Archive<B> {
+    /// Reads a file back, repairing missing blocks on the fly (a degraded
+    /// read; repaired blocks are **not** written back — use
+    /// [`Self::scrub`]), and verifying the manifest checksum.
+    ///
+    /// The file's blocks are read as one batch. If any read fails, the
+    /// survivors the single-block repairs will consult are planned and
+    /// fetched as batches too, and the repairs then run against those
+    /// answers (see "Dependent reads" in the module docs) — reading only
+    /// the file's blocks and the tuple members of the missing ones,
+    /// however large the archive. Only a chained reconstruction, which no
+    /// single repair option serves, consults the whole archive.
+    pub fn get(&self, name: &str) -> Result<Vec<u8>, ArchiveError> {
+        let unknown = || ArchiveError::UnknownFile(name.to_string());
+        let entry = self.manifest.get(name).ok_or_else(unknown)?;
+        let extent = entry.first_block..entry.first_block + entry.block_count;
+        let (store, bs): (&B, usize) = (&self.store, self.block_size);
+        // Each block is appended as its read is consumed; a failed one
+        // leaves a hole for its repair to fill.
+        let mut known = Prefetched::new(store, false);
+        let mut out = Vec::with_capacity(entry.byte_len);
+        let mut holes = Vec::new();
+        // (A block of any other size is not this archive's — a torn write
+        // the backend took for a whole one: as good as unreadable. And a
+        // hole takes only the bytes the file can use, so the journaled
+        // block size alone never sizes an allocation.)
+        known.sweep(self.positions.data_ids(extent), |id, read| match read {
+            Ok(block) if block.len() == bs => out.extend_from_slice(block.as_slice()),
+            _ => {
+                let end = out.len().saturating_add(bs);
+                let hole = out.len()..end.min(entry.byte_len.max(out.len()));
+                out.resize(hole.end, 0);
+                holes.push((id, hole));
+            }
+        });
+        if known.remote {
+            self.prefetch_repairs(&mut known, &holes);
+        }
+        for (id, hole) in holes {
+            let block = self
+                .repair_fast(&known, id)
+                .or_else(|err| self.repair_slow(&mut known, id, err))?;
+            // (A block of any other size cannot be this file's: the hole
+            // stays zero and the checksum below says so.)
+            if block.len() == bs {
+                let bytes = &block.as_slice()[..hole.len()];
+                out[hole].copy_from_slice(bytes);
+            }
+        }
+        // Truncate the padded tail block and verify the manifest checksum.
+        out.truncate(entry.byte_len);
+        let actual = crc32(&out);
+        if actual != entry.crc {
+            return Err(ArchiveError::ChecksumMismatch {
+                name: name.to_string(),
+                expected: entry.crc,
+                actual,
+            });
+        }
+        Ok(out)
+    }
+
+    /// Plan → fetch(window) for a degraded read: fetches into `known` the
+    /// survivors the fast-path repairs of the `failed` blocks will read.
+    /// `is_repairable` asks about exactly the blocks a single-block
+    /// repair consults, so answering "present" for everything not yet
+    /// known names the next read set: one batch per round, in sorted id
+    /// order, until a round consults nothing unknown. Only a prefetch —
+    /// what it misses, `known` reads through to the backend.
+    fn prefetch_repairs(&self, known: &mut Prefetched<'_, B>, failed: &[(BlockId, Range<usize>)]) {
+        let written = self.scheme.data_written();
+        loop {
+            let unknown = RefCell::new(BTreeSet::new());
+            for (target, _) in failed {
+                let target = *target;
+                self.scheme.is_repairable(target, written, &|id| {
+                    let answer = known.answers.get(&id);
+                    if id != target && answer.is_none() {
+                        unknown.borrow_mut().insert(id);
+                    }
+                    id != target && answer.is_none_or(Option::is_some)
+                });
+            }
+            let unknown = unknown.into_inner();
+            if unknown.is_empty() {
+                break;
+            }
+            known.fill(unknown);
+        }
+    }
+
+    /// Verifies every archived file end to end; returns the names that
+    /// fail (unrepairable blocks or checksum mismatches).
+    pub fn verify_all(&self) -> Vec<String> {
+        self.manifest
+            .keys()
+            .filter(|name| self.get(name).is_err())
+            .cloned()
+            .collect()
+    }
+
+    /// Scrubs the archive: round-based repair of every missing block the
+    /// backend should hold, written back to the backend — **including the
+    /// metadata journal**: every copy of every live record and pointer
+    /// cell the backend lost *or corrupted* is re-stored from the
+    /// archive's in-memory log, so a live archive heals its own
+    /// persistence layer and stays reopenable at full copy-set strength.
+    /// Scheme blocks the backend reports as corrupted
+    /// ([`StoreError::Corrupted`]) are quarantined (removed) first so the
+    /// repair planners rebuild them from surviving redundancy. Returns
+    /// how many blocks were restored (data, redundancy and metadata
+    /// copies); clears the [`Archive::meta_damage`] report.
+    ///
+    /// Four stages, each a batch: (1) a read sweep of everything the
+    /// backend should hold, quarantining corrupt blocks; (2) round-based
+    /// repair of the blocks whose read failed; (3) metadata
+    /// compare-and-heal; (4) stale pointer-cell clearing.
+    pub fn scrub(&mut self) -> u64 {
+        let store: &B = &self.store;
+        let stored = self.stored_ids();
+        // Stage 1: integrity sweep + quarantine — a block whose read
+        // fails its integrity check is worse than a missing one (planners
+        // would trust its bytes), so drop it and let repair re-materialize
+        // it. A plain backend answers again at call time, so nothing is
+        // held; a network away the blocks are the snapshot stage 2 plans
+        // on, closed: what the sweep did not return is absent.
+        let mut known = Prefetched::new(store, true);
+        let (mut failed, mut quarantine) = (Vec::new(), Vec::new());
+        let bs = self.block_size;
+        known.sweep(stored.iter().copied(), |id, read| {
+            // A block of any other size is not this archive's — a torn
+            // write the backend took for a whole one — and no better
+            // than one that fails its checksum.
+            let torn = read.as_ref().is_ok_and(|block| block.len() != bs);
+            if torn || read.is_err() {
+                failed.push(id);
+            }
+            if torn || matches!(read, Err(StoreError::Corrupted(_))) {
+                quarantine.push(id);
+            }
+        });
+        for id in &quarantine {
+            known.answers.remove(id);
+        }
+        remove_all(store, quarantine);
+        // Stage 2: round-based repair of what the sweep did not find, in
+        // stored order. Planners a network away write into an overlay,
+        // committed as one batch.
+        let written = self.scheme.data_written();
+        let summary = if known.remote {
+            let overlay = Overlay::new(&known);
+            let summary = self.scheme.repair_missing(&overlay, &failed, written);
+            let patch = failed
+                .iter()
+                .filter_map(|&id| Some((id, overlay.patch.remove(&id)?)));
+            store_all(store, patch);
+            summary
+        } else {
+            self.scheme.repair_missing(&store, &failed, written)
+        };
+        // Stages 3 and 4: the journal heals its own copies and cells.
+        summary.total_repaired() as u64 + self.journal.heal(store)
+    }
+
+    /// The degraded-read fast path: rebuild `id` from a single repair
+    /// option among the blocks reachable through `base` (one XOR for
+    /// entanglements, one stripe decode for RS). The id is masked from
+    /// the repair source so the garbled bytes of a corrupted block cannot
+    /// leak back in.
+    fn repair_fast(&self, base: &dyn BlockSource, id: BlockId) -> Result<Block, RepairError> {
+        let masked = MaskOne { base, masked: id };
+        self.scheme
+            .repair_block(&masked, id, self.scheme.data_written())
+    }
+
+    /// The degraded-read slow path: round-based repair into a read-side
+    /// overlay, so chained reconstructions work without mutating the
+    /// backend (degraded reads stay read-only). It consults the whole
+    /// archive, so `get` reaches for it only once the fast path has
+    /// failed; `fast_err` is what that failure reported.
+    fn repair_slow(
+        &self,
+        known: &mut Prefetched<'_, B>,
+        id: BlockId,
+        fast_err: RepairError,
+    ) -> Result<Block, ArchiveError> {
+        if known.remote {
+            // One windowed sweep of what is not known yet, then closed:
+            // planner threads see memory, never the link.
+            known.fill(self.stored_ids().iter().copied());
+            known.closed = true;
+        }
+        let base: &dyn BlockSource = known;
+        let masked = MaskOne { base, masked: id };
+        let overlay = Overlay::new(&masked);
+        self.scheme
+            .repair_missing(&overlay, self.stored_ids(), self.scheme.data_written());
+        overlay
+            .patch
+            .remove(&id)
+            .ok_or(ArchiveError::BlockUnavailable {
+                id,
+                source: fast_err,
+            })
+    }
+}

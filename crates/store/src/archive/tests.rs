@@ -1,0 +1,1217 @@
+use super::io::Prefetched;
+use super::*;
+use crate::meta::{encode_checkpoint_part, meta_copy_id, meta_id, pointer_id, FORMAT_VERSION};
+use crate::store::MemStore;
+use ae_api::{BlockSource, StoreError};
+use ae_blocks::{crc32, MetaId, NodeId};
+
+fn data_id(i: u64) -> BlockId {
+    BlockId::Data(NodeId(i))
+}
+
+fn archive() -> Archive<MemStore> {
+    Archive::new(Config::new(3, 2, 5).unwrap(), 64, Arc::new(MemStore::new()))
+}
+
+fn payload(len: usize, seed: u8) -> Vec<u8> {
+    (0..len)
+        .map(|i| (i as u8).wrapping_mul(seed).wrapping_add(3))
+        .collect()
+}
+
+#[test]
+fn put_get_roundtrip_multiple_files() {
+    let mut ar = archive();
+    let a = payload(1000, 7);
+    let b = payload(64, 11); // exactly one block
+    let c = payload(65, 13); // one block + 1 byte
+    ar.put("a", &a).unwrap();
+    ar.put("b", &b).unwrap();
+    ar.put("c", &c).unwrap();
+    assert_eq!(ar.get("a").unwrap(), a);
+    assert_eq!(ar.get("b").unwrap(), b);
+    assert_eq!(ar.get("c").unwrap(), c);
+    assert_eq!(ar.names().collect::<Vec<_>>(), vec!["a", "b", "c"]);
+    assert_eq!(ar.entry("b").unwrap().block_count, 1);
+    assert_eq!(ar.entry("c").unwrap().block_count, 2);
+    assert_eq!(ar.entry("a").unwrap().first_block, 0);
+    assert_eq!(ar.entry("b").unwrap().first_block, 16);
+}
+
+#[test]
+fn empty_file_supported() {
+    let mut ar = archive();
+    ar.put("empty", b"").unwrap();
+    assert_eq!(ar.get("empty").unwrap(), Vec::<u8>::new());
+    assert_eq!(ar.entry("empty").unwrap().block_count, 1);
+}
+
+/// `put` composes `Entry::crc` from the block checksums it computed
+/// while cutting; it must be the checksum of the contents at every
+/// length around a block edge and a slab edge (16 blocks of 4 KiB),
+/// whichever scheme stores the blocks.
+#[test]
+fn entry_crc_is_the_crc_of_the_contents() {
+    use ae_baselines::{ReedSolomon, Replication};
+    let bs = 4096;
+    let schemes: [fn(usize) -> Arc<dyn RedundancyScheme>; 3] = [
+        |bs| Arc::new(Code::new(Config::new(3, 2, 5).unwrap(), bs)),
+        |_| Arc::new(ReedSolomon::new(10, 4).unwrap()),
+        |_| Arc::new(Replication::new(3)),
+    ];
+    for scheme in schemes {
+        let mut ar = Archive::with_scheme(scheme(bs), bs, Arc::new(MemStore::new()));
+        let lens = [0, 1, bs - 1, bs, bs + 1, 63 * bs + 123, 64 * bs];
+        for (k, len) in lens.into_iter().enumerate() {
+            let contents = payload(len, 2 * k as u8 + 5);
+            let entry = ar.put(&format!("f{k}"), &contents).unwrap();
+            assert_eq!(entry.crc, crc32(&contents), "len {len}");
+            assert_eq!(entry.block_count as usize, len.div_ceil(bs).max(1));
+        }
+        ar.seal().unwrap();
+        for (k, len) in lens.into_iter().enumerate() {
+            let got = ar.get(&format!("f{k}")).unwrap();
+            assert_eq!(got, payload(len, 2 * k as u8 + 5), "len {len}");
+        }
+    }
+}
+
+#[test]
+fn duplicate_names_rejected() {
+    let mut ar = archive();
+    ar.put("x", b"1").unwrap();
+    assert!(matches!(
+        ar.put("x", b"2"),
+        Err(ArchiveError::DuplicateName(_))
+    ));
+}
+
+#[test]
+fn sealed_archives_reject_puts() {
+    let mut ar = archive();
+    ar.put("x", b"1").unwrap();
+    assert!(ar.seal().is_ok());
+    assert!(ar.is_sealed());
+    assert!(matches!(ar.put("y", b"2"), Err(ArchiveError::Sealed(_))));
+    assert_eq!(ar.seal().unwrap(), Vec::new(), "idempotent");
+    assert_eq!(ar.get("x").unwrap(), b"1");
+}
+
+#[test]
+fn unknown_file_reported() {
+    let ar = archive();
+    assert!(matches!(ar.get("nope"), Err(ArchiveError::UnknownFile(_))));
+}
+
+#[test]
+fn degraded_read_repairs_on_the_fly() {
+    let mut ar = archive();
+    let data = payload(640, 5);
+    let entry = ar.put("f", &data).unwrap();
+    // Drop three data blocks behind the archive's back.
+    for k in [0, 4, 9] {
+        ar.store().remove(data_id(entry.first_block + k + 1));
+    }
+    assert_eq!(ar.get("f").unwrap(), data, "read-time repair");
+    // Blocks remain missing until scrubbed.
+    assert!(!ar.store().contains(data_id(1)));
+    let restored = ar.scrub();
+    assert_eq!(restored, 3);
+    assert!(ar.store().contains(data_id(1)));
+    assert_eq!(ar.scrub(), 0, "idempotent");
+}
+
+#[test]
+fn scrub_restores_parities_too() {
+    let mut ar = archive();
+    ar.put("f", &payload(640, 9)).unwrap();
+    let killed = 5;
+    for i in 1..=killed {
+        ar.store().remove(BlockId::Parity(ae_blocks::EdgeId::new(
+            ae_blocks::StrandClass::Horizontal,
+            NodeId(i),
+        )));
+    }
+    assert_eq!(ar.scrub(), killed);
+    assert!(ar.verify_all().is_empty());
+}
+
+#[test]
+fn verify_all_flags_dead_files() {
+    let mut ar = Archive::new(Config::new(2, 1, 1).unwrap(), 32, Arc::new(MemStore::new()));
+    ar.put("ok", &payload(100, 3)).unwrap();
+    let entry = ar.put("doomed", &payload(100, 4)).unwrap();
+    // Erase a Fig 7 A dead pattern inside "doomed": two adjacent nodes
+    // plus both parallel edges between them.
+    let i = entry.first_block + 2; // 1-based node of the second block
+    ar.store().remove(data_id(i));
+    ar.store().remove(data_id(i + 1));
+    for class in [
+        ae_blocks::StrandClass::Horizontal,
+        ae_blocks::StrandClass::RightHanded,
+    ] {
+        ar.store()
+            .remove(BlockId::Parity(ae_blocks::EdgeId::new(class, NodeId(i))));
+    }
+    assert_eq!(ar.verify_all(), vec!["doomed".to_string()]);
+    assert!(ar.get("ok").is_ok());
+    // The failure names the block and carries the repair detail.
+    match ar.get("doomed") {
+        Err(ArchiveError::BlockUnavailable { id, source }) => {
+            assert!(id.is_data());
+            assert!(!source.missing_blocks().is_empty());
+        }
+        other => panic!("expected BlockUnavailable, got {other:?}"),
+    }
+}
+
+#[test]
+fn degraded_read_chains_repairs_when_tuples_are_broken() {
+    // Erase a data block AND parts of all its tuples, leaving a repair
+    // chain: the single-XOR fast path fails, the overlay rounds win.
+    let mut ar = archive();
+    let data = payload(640, 17);
+    let entry = ar.put("f", &data).unwrap();
+    let i = entry.first_block + 5; // 1-based node of the fifth block
+    ar.store().remove(data_id(i));
+    // Break every pp-tuple of d_i by removing one parity per class…
+    for &class in [
+        ae_blocks::StrandClass::Horizontal,
+        ae_blocks::StrandClass::RightHanded,
+        ae_blocks::StrandClass::LeftHanded,
+    ]
+    .iter()
+    {
+        ar.store()
+            .remove(BlockId::Parity(ae_blocks::EdgeId::new(class, NodeId(i))));
+    }
+    // …the parities themselves are repairable (their dp-tuples are
+    // intact), so a two-round read still reconstructs the file.
+    assert_eq!(ar.get("f").unwrap(), data);
+    // And the backend was not mutated by the read.
+    assert!(!ar.store().contains(data_id(i)));
+}
+
+#[test]
+fn works_over_a_distributed_store_with_outages() {
+    use crate::cluster::LocationId;
+    use crate::distributed::DistributedStore;
+    use crate::placement::Placement;
+
+    let store = Arc::new(DistributedStore::new(30, Placement::Random { seed: 4 }));
+    let mut ar = Archive::new(Config::new(3, 2, 5).unwrap(), 64, Arc::clone(&store));
+    let data = payload(3000, 21);
+    ar.put("big", &data).unwrap();
+    store.with_cluster(|c| {
+        for l in [2, 9, 16, 23] {
+            c.fail(LocationId(l));
+        }
+    });
+    assert_eq!(ar.get("big").unwrap(), data, "degraded read through outage");
+}
+
+#[test]
+fn type_erased_backend_works() {
+    // Archive<dyn BlockRepo>: backend chosen at runtime.
+    let store: Arc<dyn BlockRepo> = Arc::new(MemStore::new());
+    let mut ar: Archive = Archive::new(Config::new(2, 1, 2).unwrap(), 32, store);
+    let data = payload(200, 29);
+    ar.put("f", &data).unwrap();
+    ar.store().remove(data_id(2));
+    assert_eq!(ar.get("f").unwrap(), data);
+}
+
+#[test]
+fn error_display() {
+    let e = ArchiveError::ChecksumMismatch {
+        name: "f".into(),
+        expected: 1,
+        actual: 2,
+    };
+    assert!(e.to_string().contains("verification"));
+    assert!(ArchiveError::UnknownFile("x".into())
+        .to_string()
+        .contains("x"));
+    assert!(ArchiveError::Sealed("y".into())
+        .to_string()
+        .contains("sealed"));
+    assert!(RecoveryError::NoArchive.to_string().contains("metadata"));
+    assert!(RecoveryError::SchemeMismatch {
+        archived: "AE(3,2,5)".into(),
+        given: "RS(4,2)".into()
+    }
+    .to_string()
+    .contains("AE(3,2,5)"));
+}
+
+fn ae_scheme() -> Arc<dyn RedundancyScheme> {
+    Arc::new(Code::new(Config::new(3, 2, 5).unwrap(), 64))
+}
+
+#[test]
+fn crash_and_reopen_resumes_mid_stream() {
+    let (a, b, c) = (payload(1000, 7), payload(300, 11), payload(129, 13));
+
+    // The uninterrupted reference run.
+    let ref_store = Arc::new(MemStore::new());
+    let mut reference = Archive::with_scheme(ae_scheme(), 64, Arc::clone(&ref_store));
+    reference.put("a", &a).unwrap();
+    reference.put("b", &b).unwrap();
+    reference.put("c", &c).unwrap();
+    reference.seal().unwrap();
+
+    // The crashed run: two puts, then the process dies.
+    let store = Arc::new(MemStore::new());
+    {
+        let mut ar = Archive::with_scheme(ae_scheme(), 64, Arc::clone(&store));
+        ar.put("a", &a).unwrap();
+        ar.put("b", &b).unwrap();
+    } // crash: archive and scheme dropped, backend survives
+
+    let mut ar = Archive::open(ae_scheme(), Arc::clone(&store)).unwrap();
+    assert_eq!(ar.torn_tail(), None);
+    assert_eq!(ar.block_size(), 64);
+    assert_eq!(ar.names().collect::<Vec<_>>(), vec!["a", "b"]);
+    assert_eq!(ar.get("a").unwrap(), a, "pre-crash contents replay");
+    ar.put("c", &c).unwrap();
+    ar.seal().unwrap();
+    assert_eq!(ar.get("c").unwrap(), c);
+
+    // Block-for-block identical to the uninterrupted run.
+    assert_eq!(ar.stored_ids(), reference.stored_ids());
+    assert_eq!(ar.entry("c"), reference.entry("c"));
+    for id in reference.stored_ids() {
+        assert_eq!(store.get(*id).unwrap(), ref_store.get(*id).unwrap(), "{id}");
+    }
+}
+
+#[test]
+fn reopen_restores_sealed_state_and_seal_stays_idempotent() {
+    use ae_baselines::ReedSolomon;
+    let store = Arc::new(MemStore::new());
+    {
+        let scheme: Arc<dyn RedundancyScheme> = Arc::new(ReedSolomon::new(4, 2).unwrap());
+        let mut ar = Archive::with_scheme(scheme, 32, Arc::clone(&store));
+        ar.put("f", &payload(200, 9)).unwrap(); // 7 blocks: 3 buffered
+        assert!(!ar.seal().unwrap().is_empty(), "partial stripe flushed");
+    }
+    let before = store.len();
+    let scheme: Arc<dyn RedundancyScheme> = Arc::new(ReedSolomon::new(4, 2).unwrap());
+    let mut ar = Archive::open(scheme, Arc::clone(&store)).unwrap();
+    assert!(ar.is_sealed(), "sealed state survives the crash");
+    assert_eq!(ar.seal().unwrap(), Vec::new(), "re-seal is a no-op");
+    assert_eq!(store.len(), before, "no duplicate stripe flush");
+    assert!(matches!(
+        ar.put("late", b"no"),
+        Err(ArchiveError::Sealed(_))
+    ));
+    assert_eq!(ar.get("f").unwrap(), payload(200, 9));
+}
+
+#[test]
+fn open_repairs_lost_frontier_blocks_on_the_fly() {
+    let store = Arc::new(MemStore::new());
+    {
+        let mut ar = Archive::with_scheme(ae_scheme(), 64, Arc::clone(&store));
+        ar.put("f", &payload(1000, 5)).unwrap();
+    }
+    // The crash also takes a frontier parity with it; its dp-tuple
+    // survives, so open's repairing fallback reconstructs it.
+    let frontier = BlockId::Parity(ae_blocks::EdgeId::new(
+        ae_blocks::StrandClass::Horizontal,
+        NodeId(16),
+    ));
+    assert!(store.remove(frontier));
+    let mut ar = Archive::open(ae_scheme(), Arc::clone(&store)).unwrap();
+    assert!(!store.contains(frontier), "open mutates nothing");
+    assert_eq!(ar.scrub(), 1, "scrub heals the backend afterwards");
+    ar.put("g", &payload(70, 6)).unwrap();
+    assert_eq!(ar.get("g").unwrap(), payload(70, 6));
+}
+
+#[test]
+fn scrub_heals_the_metadata_journal_too() {
+    let store = Arc::new(MemStore::new());
+    let mut ar = Archive::with_scheme(ae_scheme(), 64, Arc::clone(&store));
+    ar.put("a", &payload(500, 3)).unwrap();
+    ar.put("b", &payload(500, 4)).unwrap();
+    // The backend loses a journal record AND a data block.
+    assert!(store.remove(meta_id(1)));
+    assert!(store.remove(data_id(3)));
+    assert_eq!(ar.scrub(), 2, "one data repair + one journal re-store");
+    assert!(store.contains(meta_id(1)), "journal is self-healing");
+    assert_eq!(ar.scrub(), 0, "idempotent");
+    // The healed journal replays: a crash right now is survivable.
+    drop(ar);
+    let ar = Archive::open(ae_scheme(), Arc::clone(&store)).unwrap();
+    assert_eq!(ar.get("a").unwrap(), payload(500, 3));
+    assert_eq!(ar.get("b").unwrap(), payload(500, 4));
+}
+
+#[test]
+fn open_failure_modes_are_typed() {
+    // No metadata at all.
+    assert!(matches!(
+        Archive::open(ae_scheme(), Arc::new(MemStore::new())),
+        Err(RecoveryError::NoArchive)
+    ));
+
+    // Wrong scheme.
+    let store = Arc::new(MemStore::new());
+    drop(Archive::with_scheme(ae_scheme(), 64, Arc::clone(&store)));
+    let rs: Arc<dyn RedundancyScheme> = Arc::new(ae_baselines::ReedSolomon::new(4, 2).unwrap());
+    assert!(matches!(
+        Archive::open(rs, Arc::clone(&store)),
+        Err(RecoveryError::SchemeMismatch { archived, given })
+            if archived == "AE(3,2,5)" && given == "RS(4,2)"
+    ));
+
+    // One scribbled genesis copy is survivable: a surviving copy wins
+    // and the damage is reported, not fatal.
+    store.put(meta_id(0), Block::from_vec(vec![0xAB; 40]));
+    let ar = Archive::open(ae_scheme(), Arc::clone(&store)).unwrap();
+    assert!(
+        ar.meta_damage().iter().any(|d| d.seq == 0 && !d.pointer),
+        "degraded genesis read is reported: {:?}",
+        ar.meta_damage()
+    );
+    drop(ar);
+
+    // Every genesis copy scribbled: typed corruption.
+    for copy in 0..MetaId::MAX_COPIES {
+        store.put(meta_copy_id(0, copy), Block::from_vec(vec![0xAB; 40]));
+    }
+    assert!(matches!(
+        Archive::open(ae_scheme(), Arc::clone(&store)),
+        Err(RecoveryError::CorruptRecord { seq: 0, .. })
+    ));
+}
+
+#[test]
+fn torn_final_record_is_truncated_and_reported() {
+    let store = Arc::new(MemStore::new());
+    let torn_seq = {
+        let mut ar = Archive::with_scheme(ae_scheme(), 64, Arc::clone(&store));
+        ar.put("kept", &payload(500, 3)).unwrap();
+        ar.put("torn", &payload(500, 4)).unwrap();
+        ar.meta_len() - 1
+    };
+    // Tear EVERY copy of the final journal record: keep a prefix of
+    // its bytes — the crash happened before any copy was complete.
+    let full = store.get(meta_id(torn_seq)).unwrap();
+    for copy in 0..MetaConfig::default().copies {
+        store.put(
+            meta_copy_id(torn_seq, copy),
+            Block::copy_from_slice(&full.as_slice()[..10]),
+        );
+    }
+
+    let mut ar = Archive::open(ae_scheme(), Arc::clone(&store)).unwrap();
+    assert_eq!(ar.torn_tail(), Some(torn_seq), "truncation is reported");
+    assert_eq!(ar.names().collect::<Vec<_>>(), vec!["kept"]);
+    assert_eq!(ar.get("kept").unwrap(), payload(500, 3));
+    assert!(
+        matches!(ar.get("torn"), Err(ArchiveError::UnknownFile(_)),),
+        "the un-acknowledged put is gone, not stale"
+    );
+    // The archive resumes: the journal overwrites the torn record.
+    ar.put("after", &payload(100, 5)).unwrap();
+    assert_eq!(ar.get("after").unwrap(), payload(100, 5));
+    assert!(ar.verify_all().is_empty());
+}
+
+#[test]
+fn mid_journal_damage_is_fatal_not_silent() {
+    let store = Arc::new(MemStore::new());
+    {
+        let mut ar = Archive::with_scheme(ae_scheme(), 64, Arc::clone(&store));
+        ar.put("a", &payload(200, 3)).unwrap();
+        ar.put("b", &payload(200, 4)).unwrap();
+        ar.put("c", &payload(200, 5)).unwrap();
+        ar.put("d", &payload(200, 6)).unwrap();
+    }
+    let copies = MetaConfig::default().copies;
+    // Losing ONE copy of the first put record is survivable: the read
+    // falls through to a surviving copy and reports the damage.
+    store.remove(meta_id(1));
+    let ar = Archive::open(ae_scheme(), Arc::clone(&store)).unwrap();
+    assert_eq!(ar.names().count(), 4, "copy fall-through keeps the data");
+    assert!(ar.meta_damage().iter().any(|d| d.seq == 1 && !d.pointer));
+    drop(ar);
+    // Damage EVERY copy of the FIRST put record (later records
+    // follow): replay must refuse rather than silently rewind past it.
+    for copy in 0..copies {
+        store.remove(meta_copy_id(1, copy));
+    }
+    assert!(matches!(
+        Archive::open(ae_scheme(), Arc::clone(&store)),
+        Err(RecoveryError::CorruptRecord { seq: 1, .. })
+    ));
+    // A *gap* of consecutive lost records with survivors beyond is
+    // still mid-journal damage, not an end-of-journal.
+    for seq in [2u64, 3] {
+        for copy in 0..copies {
+            store.remove(meta_copy_id(seq, copy));
+        }
+    }
+    assert!(matches!(
+        Archive::open(ae_scheme(), Arc::clone(&store)),
+        Err(RecoveryError::CorruptRecord { seq: 1, .. })
+    ));
+}
+
+#[test]
+fn open_rejects_a_scheme_with_the_wrong_block_size() {
+    let store = Arc::new(MemStore::new());
+    {
+        let mut ar = Archive::with_scheme(ae_scheme(), 64, Arc::clone(&store));
+        ar.put("f", &payload(500, 3)).unwrap();
+    }
+    // Same AE parameters (same scheme name!) but 32-byte blocks: the
+    // frontier snapshot pins the block size, so open fails typed
+    // instead of serving an archive that breaks on the next put.
+    let wrong: Arc<dyn RedundancyScheme> = Arc::new(Code::new(Config::new(3, 2, 5).unwrap(), 32));
+    match Archive::open(wrong, Arc::clone(&store)) {
+        Err(RecoveryError::Frontier(AeError::CorruptFrontier { detail })) => {
+            assert!(detail.contains("64"), "{detail}");
+        }
+        Err(other) => panic!("expected CorruptFrontier, got {other}"),
+        Ok(_) => panic!("wrong block size must not open"),
+    }
+}
+
+#[test]
+#[should_panic(expected = "Archive::open")]
+fn fresh_constructor_refuses_an_occupied_backend() {
+    let store = Arc::new(MemStore::new());
+    drop(Archive::with_scheme(ae_scheme(), 64, Arc::clone(&store)));
+    // Shadowing an existing archive must panic, pointing at open().
+    let _ = Archive::with_scheme(ae_scheme(), 64, store);
+}
+
+fn meta_cfg(copies: u16, every: Option<u64>) -> MetaConfig {
+    MetaConfig {
+        copies,
+        checkpoint_every: every,
+        ..MetaConfig::default()
+    }
+}
+
+#[test]
+fn checkpoint_bounds_the_live_journal_and_gcs_the_prefix() {
+    let store = Arc::new(MemStore::new());
+    let mut ar =
+        Archive::with_scheme_meta(ae_scheme(), 64, Arc::clone(&store), meta_cfg(3, Some(4)));
+    for i in 0..12u8 {
+        ar.put(&format!("f{i}"), &payload(150, i)).unwrap();
+    }
+    let cseq = ar.checkpoint_seq().expect("cadence of 4 must have fired");
+    assert!(
+        ar.live_meta_records() < ar.meta_len(),
+        "GC shrank the live journal ({} live, {} ever)",
+        ar.live_meta_records(),
+        ar.meta_len()
+    );
+    // The GC'd prefix is really gone from the backend, every copy.
+    for copy in 0..3 {
+        assert!(!store.contains(meta_copy_id(1, copy)), "copy {copy}");
+    }
+    // ... and everything the checkpoint superseded replays correctly.
+    drop(ar);
+    let ar = Archive::open(ae_scheme(), Arc::clone(&store)).unwrap();
+    assert_eq!(ar.checkpoint_seq(), Some(cseq), "pointer names the commit");
+    assert!(ar.meta_damage().is_empty());
+    for i in 0..12u8 {
+        assert_eq!(ar.get(&format!("f{i}")).unwrap(), payload(150, i));
+    }
+}
+
+#[test]
+fn reopen_replays_the_suffix_not_the_history() {
+    let store = Arc::new(MemStore::new());
+    let mut ar =
+        Archive::with_scheme_meta(ae_scheme(), 64, Arc::clone(&store), meta_cfg(3, Some(8)));
+    for i in 0..40u8 {
+        ar.put(&format!("f{i}"), &payload(100, i)).unwrap();
+    }
+    let history = ar.meta_len();
+    drop(ar);
+    let ar = Archive::open(ae_scheme(), Arc::clone(&store)).unwrap();
+    assert!(
+        ar.replayed_records() <= 8 + 2,
+        "open replayed {} records of a {history}-record history",
+        ar.replayed_records()
+    );
+    assert_eq!(ar.names().count(), 40);
+}
+
+#[test]
+fn seal_checkpoints_and_further_checkpoints_are_stable() {
+    let store = Arc::new(MemStore::new());
+    let mut ar =
+        Archive::with_scheme_meta(ae_scheme(), 64, Arc::clone(&store), meta_cfg(2, Some(100)));
+    ar.put("f", &payload(300, 7)).unwrap();
+    assert_eq!(ar.checkpoint_seq(), None, "threshold not reached");
+    ar.seal().unwrap();
+    let sealed_ckpt = ar.checkpoint_seq().expect("seal checkpoints");
+    drop(ar);
+    let mut ar = Archive::open(ae_scheme(), Arc::clone(&store)).unwrap();
+    assert!(ar.is_sealed());
+    assert_eq!(ar.checkpoint_seq(), Some(sealed_ckpt));
+    assert_eq!(ar.get("f").unwrap(), payload(300, 7));
+    // An explicit re-checkpoint ping-pongs the pointer slot and stays
+    // reopenable (the previous checkpoint is GC'd as ordinary prefix).
+    let next = ar.checkpoint();
+    assert!(next > sealed_ckpt);
+    drop(ar);
+    let ar = Archive::open(ae_scheme(), Arc::clone(&store)).unwrap();
+    assert_eq!(ar.checkpoint_seq(), Some(next));
+    assert_eq!(ar.get("f").unwrap(), payload(300, 7));
+}
+
+#[test]
+fn multi_part_checkpoints_roundtrip() {
+    let store = Arc::new(MemStore::new());
+    let cfg = MetaConfig {
+        copies: 2,
+        checkpoint_every: Some(6),
+        segment_bytes: 64, // force several parts per checkpoint
+    };
+    let mut ar = Archive::with_scheme_meta(ae_scheme(), 64, Arc::clone(&store), cfg);
+    for i in 0..14u8 {
+        ar.put(&format!("part{i}"), &payload(200, i)).unwrap();
+    }
+    assert!(ar.checkpoint_seq().is_some());
+    drop(ar);
+    let ar = Archive::open(ae_scheme(), Arc::clone(&store)).unwrap();
+    assert!(ar.meta_damage().is_empty());
+    for i in 0..14u8 {
+        assert_eq!(ar.get(&format!("part{i}")).unwrap(), payload(200, i));
+    }
+}
+
+#[test]
+fn single_copy_loss_of_any_live_meta_id_is_survivable_and_healable() {
+    let store = Arc::new(MemStore::new());
+    let mut ar =
+        Archive::with_scheme_meta(ae_scheme(), 64, Arc::clone(&store), meta_cfg(3, Some(3)));
+    for i in 0..8u8 {
+        ar.put(&format!("f{i}"), &payload(120, i)).unwrap();
+    }
+    let live = ar.live_meta_ids();
+    drop(ar);
+    // Lose one copy (the first) of EVERY live record and pointer cell
+    // at once: n-way redundancy keeps every record readable.
+    for &id in &live {
+        if let BlockId::Meta(m) = id {
+            if m.copy() == 0 {
+                assert!(store.remove(id), "{id:?} should have been live");
+            }
+        }
+    }
+    let mut ar = Archive::open(ae_scheme(), Arc::clone(&store)).unwrap();
+    assert!(
+        !ar.meta_damage().is_empty(),
+        "degraded reads must be reported"
+    );
+    for i in 0..8u8 {
+        assert_eq!(ar.get(&format!("f{i}")).unwrap(), payload(120, i));
+    }
+    // Scrub heals every lost copy; the next open is clean.
+    assert!(ar.scrub() > 0);
+    for &id in &live {
+        assert!(store.contains(id), "{id:?} healed");
+    }
+    drop(ar);
+    let ar = Archive::open(ae_scheme(), Arc::clone(&store)).unwrap();
+    assert!(ar.meta_damage().is_empty(), "healed archive opens clean");
+}
+
+#[test]
+fn scrub_rewrites_garbled_meta_copies() {
+    let store = Arc::new(MemStore::new());
+    let mut ar = Archive::with_scheme_meta(ae_scheme(), 64, Arc::clone(&store), meta_cfg(3, None));
+    ar.put("f", &payload(400, 9)).unwrap();
+    // Garble (not delete) the middle copy of the put record: scrub
+    // byte-compares against the canonical journal and rewrites it.
+    let victim = meta_copy_id(1, 1);
+    store.put(victim, Block::from_vec(vec![0x5A; 24]));
+    assert_eq!(ar.scrub(), 1, "exactly the garbled copy is rewritten");
+    drop(ar);
+    let ar = Archive::open(ae_scheme(), Arc::clone(&store)).unwrap();
+    assert!(ar.meta_damage().is_empty());
+    assert_eq!(ar.get("f").unwrap(), payload(400, 9));
+}
+
+#[test]
+fn copy_width_is_pinned_by_genesis_not_by_the_reopener() {
+    let store = Arc::new(MemStore::new());
+    drop(Archive::with_scheme_meta(
+        ae_scheme(),
+        64,
+        Arc::clone(&store),
+        meta_cfg(2, None),
+    ));
+    // The reopener asks for 3 copies; the stored journal has 2 and
+    // that is what governs reads and future writes.
+    let ar =
+        Archive::open_with_meta(ae_scheme(), Arc::clone(&store), meta_cfg(3, Some(10))).unwrap();
+    assert_eq!(ar.meta_config().copies, 2, "width adopted from genesis");
+    assert_eq!(
+        ar.meta_config().checkpoint_every,
+        Some(10),
+        "cadence is the reopener's policy"
+    );
+    assert!(!store.contains(meta_copy_id(0, 2)), "no third copy exists");
+}
+
+#[test]
+fn an_uncommitted_torn_pointer_write_is_survivable_and_scrubbed() {
+    let store = Arc::new(MemStore::new());
+    {
+        let mut ar =
+            Archive::with_scheme_meta(ae_scheme(), 64, Arc::clone(&store), meta_cfg(3, None));
+        ar.put("f", &payload(250, 4)).unwrap();
+    }
+    // A crash tore the very first pointer-cell write: garbage bytes,
+    // zero valid copies, but nothing was ever GC'd — full replay is
+    // still the whole truth and open must take it.
+    store.put(pointer_id(0, 0), Block::from_vec(vec![0xCC; 9]));
+    let mut ar = Archive::open(ae_scheme(), Arc::clone(&store)).unwrap();
+    assert_eq!(ar.get("f").unwrap(), payload(250, 4));
+    assert!(
+        ar.meta_damage().iter().any(|d| d.pointer),
+        "the poisoned cell is reported: {:?}",
+        ar.meta_damage()
+    );
+    // Scrub clears the uncommitted garbage; the next open is clean.
+    ar.scrub();
+    assert!(!store.contains(pointer_id(0, 0)), "garbage cell removed");
+    drop(ar);
+    let ar = Archive::open(ae_scheme(), Arc::clone(&store)).unwrap();
+    assert!(ar.meta_damage().is_empty());
+}
+
+#[test]
+fn losing_every_pointer_copy_with_bytes_present_is_typed() {
+    let store = Arc::new(MemStore::new());
+    let mut ar =
+        Archive::with_scheme_meta(ae_scheme(), 64, Arc::clone(&store), meta_cfg(2, Some(2)));
+    for i in 0..5u8 {
+        ar.put(&format!("f{i}"), &payload(90, i)).unwrap();
+    }
+    assert!(ar.checkpoint_seq().is_some());
+    drop(ar);
+    // Scribble every copy of every pointer cell: the cell exists but
+    // no copy validates. Replaying from scratch could silently rewind
+    // past the GC'd prefix, so open must refuse, typed.
+    for slot in 0..2u64 {
+        for copy in 0..2 {
+            if store.contains(pointer_id(slot, copy)) {
+                store.put(pointer_id(slot, copy), Block::from_vec(vec![0xEE; 16]));
+            }
+        }
+    }
+    assert!(matches!(
+        Archive::open(ae_scheme(), Arc::clone(&store)),
+        Err(RecoveryError::CorruptRecord { .. })
+    ));
+}
+// --- position-first journal -----------------------------------------
+
+use crate::meta::v2;
+use ae_api::SnapshotWriter;
+use ae_baselines::{ReedSolomon, Replication};
+
+fn repl3() -> Arc<dyn RedundancyScheme> {
+    Arc::new(Replication::new(3))
+}
+
+/// Every `Meta` block `store` holds.
+fn meta_blocks(store: &MemStore) -> Vec<(BlockId, Block)> {
+    let ids = store.ids().into_iter().filter(|id| id.is_meta());
+    ids.map(|id| (id, store.get(id).unwrap())).collect()
+}
+
+fn copy_of(store: &MemStore) -> Arc<MemStore> {
+    let copy = MemStore::new();
+    for id in store.ids() {
+        copy.put(id, store.get(id).unwrap());
+    }
+    Arc::new(copy)
+}
+
+/// A backend holding genesis, a one-part committed checkpoint of
+/// `payload` at seq 1 and the `suffix` records after it — written by
+/// hand, so the counters can claim what no test could afford to store.
+fn crafted(
+    scheme: &dyn RedundancyScheme,
+    payload: &CheckpointPayload,
+    suffix: &[MetaRecord],
+) -> Arc<MemStore> {
+    let store = MemStore::new();
+    let genesis = MetaRecord::Genesis {
+        scheme: scheme.scheme_name(),
+        block_size: 64,
+        copies: 3,
+    };
+    let pointer = MetaRecord::Pointer {
+        checkpoint: 1,
+        parts: 1,
+    };
+    let mut records = vec![
+        genesis.encode(0),
+        encode_checkpoint_part(1, 0, 1, &payload.encode()),
+    ];
+    records.extend((2u64..).zip(suffix).map(|(seq, r)| r.encode(seq)));
+    for copy in 0..3 {
+        for (seq, bytes) in (0u64..).zip(&records) {
+            store.put(meta_copy_id(seq, copy), Block::from_vec(bytes.clone()));
+        }
+        store.put(pointer_id(0, copy), Block::from_vec(pointer.encode(0)));
+    }
+    Arc::new(store)
+}
+
+/// A 3-way-replication checkpoint claiming `data` data blocks and
+/// `stored` stored ones, its encoder frontier in step.
+fn claimed(data: u64, stored: u32) -> CheckpointPayload {
+    CheckpointPayload {
+        manifest: Vec::new(),
+        data,
+        stored: StoredIds::Count(stored),
+        sealed: false,
+        frontier: SnapshotWriter::new(1).u64(data).finish(),
+    }
+}
+
+#[test]
+fn the_position_ceiling_is_a_typed_refusal() {
+    // 3-way replication stores 3 blocks per data block, and
+    // u32::MAX = 3 × 1 431 655 765: that many data blocks fill the
+    // position space exactly.
+    let full = u64::from(u32::MAX) / 3;
+    let store = crafted(&*repl3(), &claimed(full, u32::MAX - 2), &[]);
+    let mut ar = Archive::open(repl3(), Arc::clone(&store)).unwrap();
+    assert_eq!(ar.blocks_written(), full);
+    let held = store.len();
+    assert_eq!(
+        ar.put("one-more", b"x"),
+        Err(ArchiveError::TooLarge {
+            blocks: 3 * (full + 1)
+        })
+    );
+    assert_eq!(store.len(), held, "nothing encoded, nothing journaled");
+    assert_eq!(ar.scheme().data_written(), full, "the encoder never ran");
+    assert_eq!(ar.file_count(), 0);
+    assert_eq!(ar.seal(), Ok(Vec::new()), "the flush still fits");
+
+    // One data block further the universe itself is past the ceiling
+    // (the stored count, buffered redundancy pending, is not): even
+    // the flush is refused.
+    let store = crafted(&*repl3(), &claimed(full + 1, u32::MAX - 2), &[]);
+    let mut ar = Archive::open(repl3(), Arc::clone(&store)).unwrap();
+    let refused = ArchiveError::TooLarge {
+        blocks: 3 * (full + 1),
+    };
+    assert_eq!(ar.seal(), Err(refused.clone()));
+    assert!(!ar.is_sealed());
+    assert!(refused.to_string().contains("4294967298"), "{refused}");
+}
+
+#[test]
+fn counters_beyond_the_universe_are_corrupt_records() {
+    let open = |payload: &CheckpointPayload, suffix: &[MetaRecord]| {
+        Archive::open(repl3(), crafted(&*repl3(), payload, suffix)).map(|_| ())
+    };
+    let corrupt_at = |result: Result<(), RecoveryError>, at: u64, what: &str| match result {
+        Err(RecoveryError::CorruptRecord { seq, detail }) => {
+            assert_eq!(seq, at, "{detail}");
+            assert!(detail.contains(what), "{detail}");
+        }
+        other => panic!("expected a corrupt record at {at}, got {other:?}"),
+    };
+    assert_eq!(open(&claimed(10, 30), &[]), Ok(()));
+    // More stored blocks than 10 data blocks can have.
+    corrupt_at(open(&claimed(10, 31), &[]), 1, "exceed the universe");
+    // More data blocks than stored blocks.
+    corrupt_at(open(&claimed(10, 9), &[]), 1, "cannot take");
+    // A put record whose count runs past the position space.
+    let full = u64::from(u32::MAX) / 3;
+    let put = |count| MetaRecord::Put {
+        name: "f".into(),
+        byte_len: 1,
+        crc: 0,
+        first_block: full - 1,
+        block_count: 1,
+        ids: StoredIds::Count(count),
+        frontier: SnapshotWriter::new(1).u64(full).finish(),
+    };
+    let nearly = claimed(full - 1, u32::MAX - 3);
+    assert_eq!(open(&nearly, &[put(3)]), Ok(()));
+    corrupt_at(open(&nearly, &[put(4)]), 2, "exceed the universe");
+    // A put record that stores fewer blocks than it adds data blocks.
+    corrupt_at(open(&nearly, &[put(0)]), 2, "cannot take");
+    // Manifest rows outside the data counter, or longer than their
+    // extent: `get` would index and allocate by them.
+    let with_row = |row| CheckpointPayload {
+        manifest: vec![row],
+        ..claimed(10, 30)
+    };
+    assert_eq!(open(&with_row(("f".into(), 640, 0, 0, 10)), &[]), Ok(()));
+    corrupt_at(open(&with_row(("f".into(), 1, 0, 0, 11)), &[]), 1, "extent");
+    corrupt_at(
+        open(&with_row(("f".into(), 1, 0, u64::MAX, 2)), &[]),
+        1,
+        "extent",
+    );
+    corrupt_at(
+        open(&with_row(("f".into(), 641, 0, 0, 10)), &[]),
+        1,
+        "claims",
+    );
+    corrupt_at(
+        open(&with_row(("f".into(), u64::MAX, 0, 0, 10)), &[]),
+        1,
+        "claims",
+    );
+    // Counters the restored encoder does not agree with.
+    let skewed = CheckpointPayload {
+        frontier: SnapshotWriter::new(1).u64(9).finish(),
+        ..claimed(10, 30)
+    };
+    corrupt_at(open(&skewed, &[]), 1, "encoder frontier");
+    // A format-2 record lists its ids: they replay by position when they
+    // are the ids the scheme's arithmetic puts there, and there is no
+    // explicit log for any others to go to.
+    let listed = |ids: Vec<BlockId>| {
+        let record = MetaRecord::Put {
+            name: "g".into(),
+            byte_len: 1,
+            crc: 0,
+            first_block: 10,
+            block_count: 1,
+            ids: StoredIds::Listed(ids),
+            frontier: SnapshotWriter::new(1).u64(11).finish(),
+        };
+        let store = crafted(&*repl3(), &claimed(10, 30), &[]);
+        for copy in 0..3 {
+            let bytes = v2::encode_record(&record, 2);
+            store.put(meta_copy_id(2, copy), Block::from_vec(bytes));
+        }
+        Archive::open(repl3(), store).map(|_| ())
+    };
+    let mut ids: Vec<BlockId> = (30..33).map(|k| repl3().block_at(k, 11).unwrap()).collect();
+    assert_eq!(listed(ids.clone()), Ok(()));
+    ids.swap(1, 2);
+    corrupt_at(listed(ids), 2, "position 31 of 11 data blocks");
+}
+
+/// `ar`'s journal and blocks as the build before position-first
+/// journals would have left them: format-2 records with their ids
+/// listed and — when asked — a committed multi-part version-1
+/// checkpoint after record `checkpoint_after`, its prefix collected.
+/// `ar` must never have checkpointed (its journal is then one record
+/// per mutation, in order).
+fn as_version_2(ar: &Archive<MemStore>, checkpoint_after: Option<u64>) -> Arc<MemStore> {
+    assert_eq!(ar.checkpoint_seq(), None);
+    let out = MemStore::new();
+    for id in ar.store.ids().into_iter().filter(|id| !id.is_meta()) {
+        out.put(id, ar.store.get(id).unwrap());
+    }
+    let write = |seq: u64, bytes: Vec<u8>| {
+        for copy in 0..3 {
+            out.put(meta_copy_id(seq, copy), Block::from_vec(bytes.clone()));
+        }
+    };
+    let all = ar.stored_ids();
+    let mut folded = CheckpointPayload {
+        manifest: Vec::new(),
+        data: 0,
+        stored: StoredIds::Listed(Vec::new()),
+        sealed: false,
+        frontier: Vec::new(),
+    };
+    let mut at = 0;
+    let mut seq = 0;
+    let live = ar.live_meta_ids().into_iter().filter_map(|id| match id {
+        BlockId::Meta(meta) if meta.copy() == 0 && !meta.is_pointer() => Some(meta.seq()),
+        _ => None,
+    });
+    for live_seq in live {
+        let block = ar.store.get(meta_copy_id(live_seq, 0)).unwrap();
+        let mut record = MetaRecord::decode(live_seq, block.as_slice()).unwrap();
+        let mut list = |ids: &mut StoredIds| {
+            let StoredIds::Count(count) = *ids else {
+                panic!("a roster scheme journals counts");
+            };
+            let listed = all[at..at + count as usize].to_vec();
+            at += count as usize;
+            *ids = StoredIds::Listed(listed);
+        };
+        match &mut record {
+            MetaRecord::Put {
+                name,
+                byte_len,
+                crc,
+                first_block,
+                block_count,
+                ids,
+                frontier,
+            } => {
+                list(ids);
+                let row = (name.clone(), *byte_len, *crc, *first_block, *block_count);
+                folded.manifest.push(row);
+                folded.frontier = frontier.clone();
+            }
+            MetaRecord::Seal { ids, frontier } => {
+                list(ids);
+                folded.sealed = true;
+                folded.frontier = frontier.clone();
+            }
+            _ => {}
+        }
+        write(seq, v2::encode_record(&record, seq));
+        seq += 1;
+        if checkpoint_after == Some(live_seq) {
+            folded.manifest.sort();
+            folded.stored = StoredIds::Listed(all[..at].to_vec());
+            let payload = v2::encode_payload(&folded);
+            let (cseq, parts) = (seq, payload.len().div_ceil(100) as u32);
+            for (part, chunk) in (0u32..).zip(payload.chunks(100)) {
+                let record = MetaRecord::Checkpoint {
+                    part,
+                    parts,
+                    chunk: chunk.to_vec(),
+                };
+                write(seq, v2::encode_record(&record, seq));
+                seq += 1;
+            }
+            let pointer = MetaRecord::Pointer {
+                checkpoint: cseq,
+                parts,
+            };
+            for copy in 0..3 {
+                let cell = Block::from_vec(v2::encode_record(&pointer, 0));
+                out.put(pointer_id(0, copy), cell);
+                for dead in 1..cseq {
+                    out.remove(meta_copy_id(dead, copy));
+                }
+            }
+        }
+    }
+    Arc::new(out)
+}
+
+#[test]
+fn version_2_journals_open_unchanged_and_checkpoint_into_version_3() {
+    type Build = fn() -> Arc<dyn RedundancyScheme>;
+    let roster: [Build; 3] = [
+        ae_scheme,
+        || Arc::new(ReedSolomon::new(10, 4).unwrap()),
+        repl3,
+    ];
+    let file = |i: u8| (format!("f{i}"), payload(40 + 97 * i as usize, i));
+    let version = |block: &Block| u16::from_le_bytes([block.as_slice()[4], block.as_slice()[5]]);
+    for build in roster {
+        for checkpoint_after in [None, Some(4)] {
+            // What this build journals for seven files (the last RS
+            // stripe left buffered), and the same history as the
+            // previous build stored it.
+            let no_checkpoints = meta_cfg(3, None);
+            let mut reference =
+                Archive::with_scheme_meta(build(), 64, Arc::new(MemStore::new()), no_checkpoints);
+            for i in 0..7 {
+                let (name, contents) = file(i);
+                reference.put(&name, &contents).unwrap();
+            }
+            let name = reference.scheme().scheme_name();
+            let ctx = format!("{name}, checkpoint after {checkpoint_after:?}");
+            let store = as_version_2(&reference, checkpoint_after);
+            assert!(
+                meta_blocks(&store).iter().all(|(_, b)| version(b) == 2),
+                "{ctx}"
+            );
+
+            let scheme = build();
+            let mut ar = Archive::open(Arc::clone(&scheme), Arc::clone(&store)).expect(&ctx);
+            assert!(ar.manifest().eq(reference.manifest()), "{ctx}");
+            assert_eq!(ar.stored_ids(), reference.stored_ids(), "{ctx}");
+            assert_eq!(
+                scheme.frontier_snapshot(),
+                reference.scheme().frontier_snapshot(),
+                "{ctx}"
+            );
+            assert_eq!(ar.checkpoint_seq().is_some(), checkpoint_after.is_some());
+            assert!(
+                ar.meta_damage().is_empty() && ar.torn_tail().is_none(),
+                "{ctx}"
+            );
+            for i in 0..7 {
+                let (name, contents) = file(i);
+                assert_eq!(ar.get(&name).unwrap(), contents, "{ctx}");
+            }
+
+            // It resumes block for block, and its next checkpoint
+            // supersedes every version-2 record: what is left is
+            // genesis (the one record GC keeps; same layout in both
+            // formats) and a pure version-3 journal of counts.
+            let (late, contents) = file(7);
+            assert_eq!(
+                ar.put(&late, &contents).unwrap(),
+                reference.put(&late, &contents).unwrap()
+            );
+            let cseq = ar.checkpoint();
+            for (id, block) in meta_blocks(&store) {
+                let BlockId::Meta(meta) = id else {
+                    unreachable!()
+                };
+                // (The ping-pong slot this checkpoint did not write
+                // still holds the superseded pointer.)
+                let superseded = meta.is_pointer()
+                    && MetaRecord::decode(meta.seq(), block.as_slice())
+                        != Ok(MetaRecord::Pointer {
+                            checkpoint: cseq,
+                            parts: 1,
+                        });
+                let genesis = !meta.is_pointer() && meta.seq() == 0;
+                if !genesis && !superseded {
+                    assert_eq!(version(&block), FORMAT_VERSION, "{ctx}: {id}");
+                }
+            }
+            let part0 = store.get(meta_copy_id(cseq, 0)).unwrap();
+            let Ok(MetaRecord::Checkpoint {
+                parts: 1, chunk, ..
+            }) = MetaRecord::decode(cseq, part0.as_slice())
+            else {
+                panic!("{ctx}: one-part checkpoint expected");
+            };
+            let folded = CheckpointPayload::decode(&chunk).unwrap();
+            assert_eq!(
+                folded.stored,
+                StoredIds::Count(reference.stored_ids().len() as u32)
+            );
+            assert_eq!(folded.data, reference.blocks_written());
+            drop(ar);
+            let mut ar = Archive::open(build(), Arc::clone(&store)).expect(&ctx);
+            assert_eq!(ar.replayed_records(), 0, "{ctx}");
+            assert_eq!(ar.stored_ids(), reference.stored_ids(), "{ctx}");
+            assert_eq!(ar.seal().unwrap(), reference.seal().unwrap(), "{ctx}");
+            for &id in reference.stored_ids() {
+                assert_eq!(store.get(id), reference.store.get(id), "{ctx}: {id}");
+            }
+        }
+    }
+}
+
+/// Hostile bytes at the archive level: every byte of every live record
+/// of a real journal (multi-part checkpoint, pointer, suffix), set to
+/// four other values with the checksum re-sealed so the mutation gets
+/// past the CRC and into replay. `open` must answer `Ok` or a typed
+/// error — and whatever opens must serve reads without panicking.
+#[test]
+fn one_mutated_byte_in_a_real_journal_never_panics_open() {
+    let store = Arc::new(MemStore::new());
+    let cfg = MetaConfig {
+        copies: 3,
+        checkpoint_every: Some(3),
+        segment_bytes: 60,
+    };
+    let mut ar = Archive::with_scheme_meta(ae_scheme(), 64, Arc::clone(&store), cfg);
+    for i in 0..5u8 {
+        ar.put(&format!("f{i}"), &payload(70 * i as usize, i))
+            .unwrap();
+    }
+    assert!(ar.checkpoint_seq().is_some() && ar.live_meta_records() > 4);
+    drop(ar);
+    let mut records: Vec<(MetaId, Block)> = meta_blocks(&store)
+        .into_iter()
+        .filter_map(|(id, block)| match id {
+            BlockId::Meta(meta) if meta.copy() == 0 => Some((meta, block)),
+            _ => None,
+        })
+        .collect();
+    records.sort_by_key(|(meta, _)| *meta);
+    let (mut opened, mut refused) = (0, 0);
+    for (meta, block) in records {
+        let body = block.len() - 4;
+        for at in 0..body {
+            for flip in [0x01, 0x80, 0xFF, block.as_slice()[at]] {
+                // (the last one zeroes the byte)
+                let mut bytes = block.as_slice().to_vec();
+                bytes[at] ^= flip;
+                if bytes[at] == block.as_slice()[at] {
+                    continue;
+                }
+                let crc = crc32(&bytes[..body]);
+                bytes[body..].copy_from_slice(&crc.to_le_bytes());
+                let hostile = copy_of(&store);
+                for copy in 0..3 {
+                    let id = if meta.is_pointer() {
+                        pointer_id(meta.seq(), copy)
+                    } else {
+                        meta_copy_id(meta.seq(), copy)
+                    };
+                    hostile.put(id, Block::from_vec(bytes.clone()));
+                }
+                match Archive::open(ae_scheme(), hostile) {
+                    Ok(ar) => {
+                        opened += 1;
+                        for name in ar.names() {
+                            let _ = ar.get(name);
+                        }
+                        assert!(ar.stored_ids().len() <= 4 * ar.blocks_written() as usize);
+                    }
+                    Err(err) => {
+                        refused += 1;
+                        assert!(!err.to_string().is_empty());
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        opened > 0 && refused > opened,
+        "{opened} opened, {refused} refused"
+    );
+}
+
+/// What is prefetched costs nothing to ask again — an absence no less
+/// than a block — and a closed view never reaches the backend at all.
+#[test]
+fn prefetched_answers_cost_no_round_trips_negative_ones_included() {
+    use ae_aio::{Clock, LatencyStore, LinkSpec, Runtime};
+    let link = LinkSpec::rtt(std::time::Duration::from_millis(1));
+    let inner = Arc::new(MemStore::new());
+    inner.put(data_id(1), Block::from_vec(vec![9]));
+    inner.put(data_id(3), Block::from_vec(vec![7]));
+    let net = LatencyStore::uniform(inner, Runtime::new(Clock::virtual_time()), link, 1);
+    let net = net.into_sync();
+    let now = || net.runtime().now();
+    let mut known = Prefetched::new(&net, false);
+    known.fill([data_id(1)]);
+    // A network away, what a sweep read stays too.
+    known.sweep([data_id(2)].into_iter(), |_, read| assert!(read.is_err()));
+    let filled = now();
+    assert!(filled > 0, "the batches themselves crossed the link");
+    assert_eq!(known.fetch(data_id(1)).unwrap().as_slice(), &[9]);
+    assert_eq!(
+        known.read(data_id(2)),
+        Err(StoreError::NotFound(data_id(2)))
+    );
+    assert!(known.has(data_id(1)) && !known.has(data_id(2)));
+    known.fill([data_id(2), data_id(1)]);
+    assert_eq!(
+        now(),
+        filled,
+        "answers — the absent one too — are not re-asked"
+    );
+    // Anything else reads through, one round trip a call…
+    assert_eq!(known.fetch(data_id(3)).unwrap().as_slice(), &[7]);
+    assert!(now() > filled);
+    // …until the view is closed: what it does not hold is absent.
+    known.closed = true;
+    let closed = now();
+    assert!(known.fetch(data_id(3)).is_none());
+    assert_eq!(now(), closed);
+}

@@ -39,8 +39,9 @@
 //!   a manifest, degraded reads, scrubbing and end-to-end verification —
 //!   crash-recoverable via [`archive::Archive::open`].
 //! * [`meta`] — the archive's on-backend metadata journal: the versioned,
-//!   checksummed record format persisting the manifest, the write-order
-//!   id log and the encoder frontier through any backend.
+//!   checksummed record format persisting the manifest, the block
+//!   counters and the encoder frontier through any backend. (Where the
+//!   records go and in what order is the crate-private `journal`.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,6 +53,7 @@ pub mod cluster;
 pub mod distributed;
 pub mod fault;
 pub mod geo;
+mod journal;
 pub mod meta;
 pub mod placement;
 pub mod store;

@@ -34,11 +34,10 @@
 //! checkpoint carries two counters where format version 2 carried the
 //! whole write-order id log. The archive verifies every id a scheme
 //! reports against `block_at` when it writes the record (O(ids)
-//! arithmetic); a scheme without the authoritative bijection
-//! ([`ae_api::RedundancyScheme::supports_dense_index`] `false`), or whose
-//! report ever disagrees with it, gets the **explicit** shape of the same
-//! field instead: the id list itself, as version 2 wrote it. One field,
-//! one reader, two shapes ([`StoredIds`]).
+//! arithmetic) and writes the count: one writer shape. The **explicit**
+//! shape of the same field — the id list itself, as version 2 wrote it —
+//! is decode-only: replay checks such a list against `block_at` and
+//! carries on by position ([`StoredIds`]).
 //!
 //! # Record layout (format version 3)
 //!
@@ -89,8 +88,9 @@
 //! The **stored blocks** field ([`StoredIds`]) is a shape byte, then a
 //! `u32` count: shape `0` — nothing follows, the blocks are the next
 //! `count` positions of the scheme's arithmetic; shape `1` — `count`
-//! tagged block ids follow, in write order. Version-1 and -2 records have
-//! no shape byte and always carry the ids.
+//! tagged block ids follow, in write order (no archive writes it; the
+//! record encoder stays total over [`StoredIds`]). Version-1 and -2
+//! records have no shape byte and always carry the ids.
 //!
 //! # Checkpoint payload (payload version 2)
 //!
@@ -272,22 +272,10 @@ pub enum StoredIds {
     /// That many blocks at the next positions of the scheme's arithmetic:
     /// block `i` is `block_at(stored_before + i, data_after)`.
     Count(u32),
-    /// The ids themselves, in write order: what a scheme without an
-    /// authoritative `block_at` gets, and what format version 2 wrote.
+    /// The ids themselves, in write order: what format version 2 wrote.
+    /// Decode-only — an archive checks them against the arithmetic and
+    /// journals counts.
     Listed(Vec<BlockId>),
-}
-
-/// A stored-blocks field as the encoders take it, borrowed: the count,
-/// and the ids in the explicit shape.
-pub(crate) type StoredParts<'a> = (u32, Option<&'a [BlockId]>);
-
-impl StoredIds {
-    fn parts(&self) -> StoredParts<'_> {
-        match self {
-            StoredIds::Count(count) => (*count, None),
-            StoredIds::Listed(ids) => (ids.len() as u32, Some(ids)),
-        }
-    }
 }
 
 /// One decoded journal record.
@@ -383,13 +371,11 @@ const MIN_ID_BYTES: usize = 1 + 8;
 pub(crate) fn encode_checkpoint_payload<'a>(
     rows: impl ExactSizeIterator<Item = (&'a str, u64, u32, u64, u64)>,
     data: u64,
-    stored: StoredParts<'_>,
+    stored: &StoredIds,
     sealed: bool,
     frontier: &[u8],
 ) -> Vec<u8> {
-    let listed = stored.1.map_or(0, <[BlockId]>::len);
-    let mut buf =
-        Vec::with_capacity(32 + rows.len() * (MIN_ROW_BYTES + 16) + listed * 11 + frontier.len());
+    let mut buf = Vec::with_capacity(32 + rows.len() * (MIN_ROW_BYTES + 16) + frontier.len());
     buf.push(PAYLOAD_VERSION);
     put_rows(&mut buf, rows);
     buf.extend_from_slice(&data.to_le_bytes());
@@ -405,7 +391,7 @@ impl CheckpointPayload {
         encode_checkpoint_payload(
             self.rows(),
             self.data,
-            self.stored.parts(),
+            &self.stored,
             self.sealed,
             &self.frontier,
         )
@@ -468,6 +454,7 @@ pub type RecordError = String;
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     let bytes = s.as_bytes();
+    debug_assert!(bytes.len() <= u16::MAX as usize, "strings are u16-framed");
     buf.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
     buf.extend_from_slice(bytes);
 }
@@ -488,12 +475,16 @@ fn put_rows<'a>(
 
 /// Appends a stored-blocks field: the shape byte when the format has one
 /// (`shaped`), the count, and the ids in the explicit shape.
-fn put_stored(buf: &mut Vec<u8>, (count, listed): StoredParts<'_>, shaped: bool) {
+fn put_stored(buf: &mut Vec<u8>, stored: &StoredIds, shaped: bool) {
+    let (count, listed): (u32, &[BlockId]) = match stored {
+        StoredIds::Count(count) => (*count, &[]),
+        StoredIds::Listed(ids) => (ids.len() as u32, ids),
+    };
     if shaped {
-        buf.push(listed.is_some() as u8);
+        buf.push(matches!(stored, StoredIds::Listed(_)) as u8);
     }
     buf.extend_from_slice(&count.to_le_bytes());
-    for &id in listed.unwrap_or_default() {
+    for &id in listed {
         encode_block_id(buf, id);
     }
 }
@@ -748,11 +739,11 @@ impl MetaRecord {
                 out.extend_from_slice(&crc.to_le_bytes());
                 out.extend_from_slice(&first_block.to_le_bytes());
                 out.extend_from_slice(&block_count.to_le_bytes());
-                put_stored(out, ids.parts(), shaped);
+                put_stored(out, ids, shaped);
                 put_bytes(out, frontier);
             }
             MetaRecord::Seal { ids, frontier } => {
-                put_stored(out, ids.parts(), shaped);
+                put_stored(out, ids, shaped);
                 put_bytes(out, frontier);
             }
             MetaRecord::Checkpoint { part, parts, chunk } => put_part(out, *part, *parts, chunk),
@@ -862,7 +853,7 @@ pub(crate) mod v2 {
         );
         let mut buf = vec![1];
         put_rows(&mut buf, payload.rows());
-        put_stored(&mut buf, payload.stored.parts(), false);
+        put_stored(&mut buf, &payload.stored, false);
         buf.push(payload.sealed as u8);
         put_bytes(&mut buf, &payload.frontier);
         buf

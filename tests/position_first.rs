@@ -18,9 +18,10 @@
 //! Two wrapper schemes cover the other side of the contract: one that
 //! does not forward the dense-index hooks (`supports_dense_index()` stays
 //! `false`), and one that claims the bijection and then breaks it
-//! mid-life. Both must get the explicit-id shape — journaled, replayed,
-//! checkpointed — and round-trip block for block.
-//! `SchemePlane`, which has only the bijection, must refuse the first.
+//! mid-life. Neither gets an explicit id log — there is none: the first
+//! is refused by the archive at construction and at `open`, as
+//! `SchemePlane` refuses it, and the second panics the `put` that meets
+//! the lie, naming the position, with nothing of it journaled.
 
 use aecodes::api::{
     AeError, BlockSink, BlockSource, EncodeReport, RedundancyScheme, RepairCost, RepairError,
@@ -263,67 +264,6 @@ impl RedundancyScheme for Wrapped {
     }
 }
 
-/// Runs the same lifetime — four puts, crash, reopen, two more, a forced
-/// checkpoint, damage, scrub, seal — through `wrap`ped and plain
-/// instances of `s`; the wrapped archive must match the plain one block
-/// for block, and the shapes it journaled are handed to `check`.
-fn lifetime(
-    s: &Scheme,
-    honest_below: Option<u32>,
-    check: impl Fn(&[StoredIds], &CheckpointPayload),
-) {
-    let wrap = || -> Arc<dyn RedundancyScheme> {
-        Arc::new(Wrapped {
-            inner: s.build(BLOCK),
-            honest_below,
-        })
-    };
-    let file = |n: usize| (format!("f{n}"), contents(1 + 3 * n, n % 2 == 1, n));
-    let plain_store = Arc::new(MemStore::new());
-    let mut plain =
-        Archive::with_scheme(Arc::from(s.build(BLOCK)), BLOCK, Arc::clone(&plain_store));
-    let store = Arc::new(MemStore::new());
-    let mut ar = Archive::with_scheme(wrap(), BLOCK, Arc::clone(&store));
-    for n in 0..4 {
-        let (name, bytes) = file(n);
-        assert_eq!(ar.put(&name, &bytes), plain.put(&name, &bytes), "{s}");
-    }
-    drop(ar); // crash
-    let mut ar = Archive::open(wrap(), Arc::clone(&store)).expect("explicit records replay");
-    assert_eq!(ar.stored_ids(), plain.stored_ids(), "{s}: replayed id log");
-    for n in 4..6 {
-        let (name, bytes) = file(n);
-        assert_eq!(ar.put(&name, &bytes), plain.put(&name, &bytes), "{s}");
-    }
-    let (shapes, _) = journaled(&store);
-    ar.checkpoint();
-    let (_, checkpoint) = journaled(&store);
-    check(&shapes, &checkpoint.expect("just committed"));
-    drop(ar);
-    let mut ar = Archive::open(wrap(), Arc::clone(&store)).expect("explicit checkpoint loads");
-    assert_eq!(ar.replayed_records(), 0);
-    assert_eq!(
-        ar.stored_ids(),
-        plain.stored_ids(),
-        "{s}: checkpointed id log"
-    );
-
-    let victims: Vec<BlockId> = ar.stored_ids().iter().copied().step_by(9).collect();
-    for v in &victims {
-        assert!(store.remove(*v), "{s}: {v}");
-    }
-    for n in 0..6 {
-        let (name, bytes) = file(n);
-        assert_eq!(ar.get(&name).expect("degraded read"), bytes, "{s}");
-    }
-    assert_eq!(ar.scrub() as usize, victims.len(), "{s}");
-    assert_eq!(ar.seal(), plain.seal(), "{s}");
-    assert_eq!(ar.stored_ids(), plain.stored_ids(), "{s}: sealed id log");
-    for &id in plain.stored_ids() {
-        assert_eq!(store.get(id), plain_store.get(id), "{s}: {id}");
-    }
-}
-
 fn three_schemes() -> [Scheme; 3] {
     [
         Scheme::Ae(Config::new(3, 2, 5).expect("AE(3,2,5) is a valid configuration")),
@@ -332,60 +272,97 @@ fn three_schemes() -> [Scheme; 3] {
     ]
 }
 
-#[test]
-fn a_scheme_without_the_bijection_journals_explicit_ids_and_round_trips() {
-    for s in three_schemes() {
-        lifetime(&s, None, |shapes, checkpoint| {
-            assert_eq!(shapes.len(), 6);
-            for shape in shapes {
-                assert!(matches!(shape, StoredIds::Listed(_)), "{s}: {shape:?}");
-            }
-            let StoredIds::Listed(ids) = &checkpoint.stored else {
-                panic!("{s}: an explicit id log checkpoints its ids");
-            };
-            let data = ids.iter().filter(|id| id.is_data()).count() as u64;
-            assert_eq!(data, checkpoint.data, "{s}");
-        });
+fn hookless() -> Wrapped {
+    Wrapped {
+        inner: three_schemes()[0].build(BLOCK),
+        honest_below: None,
     }
 }
 
 /// The availability plane has no enumeration fallback: the hook-less
-/// wrapper the archive journals by id is refused there, by name.
+/// wrapper is refused there, by name.
 #[test]
 #[should_panic(expected = "no materialized fallback")]
 fn a_scheme_without_the_bijection_is_refused_by_the_plane() {
-    let hookless = Wrapped {
-        inner: three_schemes()[0].build(BLOCK),
-        honest_below: None,
-    };
-    SchemePlane::new(Box::new(hookless), 1_000, 10, SimPlacement::RoundRobin);
+    SchemePlane::new(Box::new(hookless()), 1_000, 10, SimPlacement::RoundRobin);
 }
 
+/// Nor has the archive: refused at construction, before anything reaches
+/// the backend, and at `open` — even over a journal an honest instance of
+/// the same scheme wrote.
 #[test]
-fn a_report_that_disagrees_with_block_at_turns_the_log_explicit() {
+#[should_panic(expected = "no explicit id log")]
+fn a_scheme_without_the_bijection_is_refused_by_the_archive() {
+    let store = Arc::new(MemStore::new());
+    let fresh = std::panic::catch_unwind(|| {
+        Archive::with_scheme(Arc::new(hookless()), BLOCK, Arc::new(MemStore::new()))
+    });
+    let refused = fresh.err().expect("with_scheme refuses it");
+    let refused = refused.downcast_ref::<String>().expect("a message");
+    assert!(refused.contains("no explicit id log"), "{refused}");
+    let honest: Arc<dyn RedundancyScheme> = Arc::from(three_schemes()[0].build(BLOCK));
+    Archive::with_scheme(honest, BLOCK, Arc::clone(&store))
+        .put("f", &contents(3, true, 0))
+        .expect("fresh name");
+    let _ = Archive::open(Arc::new(hookless()), store);
+}
+
+/// A scheme that claims the bijection and breaks it from position 30 on:
+/// the puts below it journal counts like anyone's and survive a reopen;
+/// the put that crosses it panics, naming scheme, position and both ids,
+/// and journals nothing.
+#[test]
+fn a_report_that_disagrees_with_block_at_panics_naming_the_position() {
     for s in three_schemes() {
-        // Honest for the first puts, off by one from position 30 on: the
-        // put that crosses it — and everything after — lists its ids.
-        lifetime(&s, Some(30), |shapes, checkpoint| {
-            let first_listed = shapes
-                .iter()
-                .position(|shape| matches!(shape, StoredIds::Listed(_)))
-                .expect("the lie was noticed");
-            assert!(first_listed > 0, "{s}: the honest prefix journals counts");
-            let mut before = 0u64;
-            for (n, shape) in shapes.iter().enumerate() {
-                match shape {
-                    StoredIds::Count(count) => {
-                        assert!(n < first_listed, "{s}: no way back to counts");
-                        before += u64::from(*count);
-                    }
-                    StoredIds::Listed(ids) if n == first_listed => {
-                        assert!(before <= 30 && before + ids.len() as u64 > 30, "{s}");
-                    }
-                    StoredIds::Listed(_) => {}
-                }
-            }
-            assert!(matches!(checkpoint.stored, StoredIds::Listed(_)), "{s}");
-        });
+        let wrap = || -> Arc<dyn RedundancyScheme> {
+            Arc::new(Wrapped {
+                inner: s.build(BLOCK),
+                honest_below: Some(30),
+            })
+        };
+        let store = Arc::new(MemStore::new());
+        let mut ar = Archive::with_scheme(wrap(), BLOCK, Arc::clone(&store));
+        let mut honest = 0;
+        let lie = loop {
+            let bytes = contents(2, honest % 2 == 1, honest);
+            let put = std::panic::AssertUnwindSafe(|| ar.put(&format!("f{honest}"), &bytes));
+            match std::panic::catch_unwind(put) {
+                Ok(put) => put.expect("fresh name"),
+                Err(lie) => break lie,
+            };
+            honest += 1;
+        };
+        let lie = lie.downcast_ref::<String>().expect("a message");
+        let told = [
+            &s.name(),
+            "position 30 ",
+            " by block_at, ",
+            " by the scheme's report",
+        ];
+        for part in told {
+            assert!(lie.contains(part), "{s}: {lie:?} lacks {part:?}");
+        }
+        assert!(honest > 0, "{s}: the honest prefix was archived");
+        drop(ar);
+
+        let (shapes, _) = journaled(&store);
+        assert_eq!(shapes.len(), honest, "{s}: the lie was not journaled");
+        let stored: u32 = shapes
+            .iter()
+            .map(|shape| match shape {
+                StoredIds::Count(count) => *count,
+                listed => panic!("{s}: {listed:?}"),
+            })
+            .sum();
+        assert!(stored <= 30, "{s}");
+        let ar = Archive::open(wrap(), Arc::clone(&store)).expect("the honest prefix replays");
+        assert_eq!(ar.stored_ids().len(), stored as usize, "{s}");
+        for n in 0..honest {
+            assert_eq!(
+                ar.get(&format!("f{n}")).expect("readable"),
+                contents(2, n % 2 == 1, n),
+                "{s}"
+            );
+        }
     }
 }

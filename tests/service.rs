@@ -26,7 +26,7 @@ use aecodes::service::{
     ArchiveService, MetaConfig, OpMix, Phase, ServiceConfig, ServiceError, SharedBackend, TenantId,
     Workload, WorkloadConfig,
 };
-use aecodes::store::{FaultyStore, MemStore};
+use aecodes::store::{ArchiveError, FaultyStore, MemStore};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -533,6 +533,22 @@ impl RedundancyScheme for PanicOnDemand {
     ) -> bool {
         self.inner.is_repairable(id, data_blocks, avail)
     }
+
+    fn universe_len(&self, data_blocks: u64) -> u64 {
+        self.inner.universe_len(data_blocks)
+    }
+
+    fn dense_index(&self, id: &BlockId, data_blocks: u64) -> Option<u32> {
+        self.inner.dense_index(id, data_blocks)
+    }
+
+    fn block_at(&self, k: u32, data_blocks: u64) -> Option<BlockId> {
+        self.inner.block_at(k, data_blocks)
+    }
+
+    fn supports_dense_index(&self) -> bool {
+        self.inner.supports_dense_index()
+    }
 }
 
 /// A panic inside an operation resolves that operation's ticket to a
@@ -578,4 +594,31 @@ fn a_panicking_op_poisons_its_tenant_and_nothing_else() {
         assert_eq!(again, poison, "the poison outlives the run");
         assert_eq!(svc.archive(b).get("b1").unwrap(), [9; 100]);
     }
+}
+
+/// A refusal the archive makes before it writes anything reaches the
+/// client as the same typed error, and costs the tenant nothing.
+#[test]
+fn a_name_too_long_for_the_journal_is_a_typed_error_on_the_ticket() {
+    let mut svc = roster(
+        Arc::new(MemStore::new()) as SharedBackend,
+        ServiceConfig::serial(),
+        1,
+    );
+    let too_long = "n".repeat(65_536);
+    svc.run(|client| {
+        let refused = client.put(TenantId(0), &too_long, b"x").unwrap().wait();
+        let expected = ArchiveError::NameTooLong { len: 65_536 };
+        assert_eq!(refused, Err(ServiceError::Archive(expected)));
+        client
+            .put(TenantId(0), "next", b"y")
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(
+            client.get(TenantId(0), "next").unwrap().wait().unwrap(),
+            b"y"
+        );
+    });
+    assert_eq!(svc.archive(TenantId(0)).file_count(), 1);
 }

@@ -572,3 +572,42 @@ fn every_backend_call_in_order_matches_the_golden_trace() {
     let golden = include_str!("golden/archive_io_trace.csv");
     assert_eq!(table, golden, "re-record from {}", out.display());
 }
+
+/// A name is framed by a `u16`: the longest one that fits journals,
+/// checkpoints and replays like any other, and one byte more is refused
+/// before a single call reaches the backend — journaled, its length
+/// would wrap and leave a record no `open` can decode.
+#[test]
+fn a_name_the_journal_cannot_frame_is_refused_before_any_write() {
+    let cfg = || MetaConfig {
+        checkpoint_every: Some(2),
+        ..MetaConfig::default()
+    };
+    let longest = "n".repeat(usize::from(u16::MAX));
+    let too_long = format!("{longest}n");
+    for s in roster() {
+        let store = Arc::new(Counting::new(MemStore::new()));
+        let mut ar = Archive::with_scheme_meta(build(&s), BLOCK, Arc::clone(&store), cfg());
+        ar.put(&longest, &payload(0)).expect("it fits");
+        store.take_trace();
+        assert_eq!(
+            ar.put(&too_long, &payload(1)),
+            Err(ArchiveError::NameTooLong { len: 65_536 }),
+            "{s}"
+        );
+        let refused = store.take_trace();
+        assert_eq!((refused.calls, refused.stores), (0, 0), "{s}");
+        assert_eq!(ar.scheme().data_written(), 16, "{s}: the encoder never ran");
+        // The next puts take it through two checkpoints, rows and all.
+        for f in 1..4 {
+            ar.put(&name(f), &payload(f)).expect("fresh name");
+        }
+        assert!(ar.checkpoint_seq() > Some(3), "{s}: the second checkpoint");
+        drop(ar);
+        let ar = Archive::open_with_meta(build(&s), Arc::clone(&store), cfg()).expect("replays");
+        assert_eq!(ar.torn_tail(), None, "{s}");
+        assert_eq!(ar.file_count(), 4, "{s}");
+        assert_eq!(ar.get(&longest).expect("readable"), payload(0), "{s}");
+        assert!(ar.entry(&too_long).is_none(), "{s}");
+    }
+}
