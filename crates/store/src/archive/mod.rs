@@ -50,7 +50,7 @@
 
 use crate::journal::{Journal, Opened};
 use crate::meta::{
-    encode_checkpoint_payload, CheckpointPayload, MetaConfig, MetaRecord, RecordError, StoredIds,
+    encode_tail, CheckpointPayload, MetaConfig, MetaRecord, RecordError, Rows, StoredIds,
 };
 use ae_api::{AeError, BlockRepo, BlockSink, RedundancyScheme, RepairError};
 use ae_blocks::{Block, BlockId, Crc32, Crc32Append};
@@ -290,6 +290,11 @@ pub struct Archive<B: BlockRepo + ?Sized = dyn BlockRepo> {
     /// `put` composes a file's checksum from its blocks' with it.
     append_block: Crc32Append,
     manifest: BTreeMap<String, Entry>,
+    /// The manifest rows of the files put since the last committed
+    /// checkpoint, in write order (after `open`: those of the replayed
+    /// suffix) — what the next checkpoint adds, kept in the form it will
+    /// write them. At most a cadence's worth under an automatic cadence.
+    unfolded: Rows,
     /// Every block written through this archive, by position.
     positions: Positions,
     sealed: bool,
@@ -384,6 +389,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             block_size,
             append_block: Crc32Append::new(block_size),
             manifest: BTreeMap::new(),
+            unfolded: Rows::default(),
             positions: Positions::default(),
             sealed: false,
             journal,
@@ -510,8 +516,11 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     }
 
     /// Installs a checkpoint's state (block counters, manifest, sealed
-    /// flag), returning its frontier snapshot. Structural damage is a
-    /// typed error naming the checkpoint.
+    /// flag), returning its frontier snapshot. The rows come in write
+    /// order, so their extents must meet — each starting where the one
+    /// before it ended, the last ending at the data counter — and no name
+    /// may come twice. Structural damage is a typed error naming the
+    /// checkpoint.
     fn apply_checkpoint(
         &mut self,
         cseq: u64,
@@ -520,16 +529,33 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         let corrupt = |detail: String| RecoveryError::CorruptRecord { seq: cseq, detail };
         self.replay_stored(payload.data, payload.stored)
             .map_err(corrupt)?;
-        // The decoder vouched for strictly ascending names, so the rows
-        // are the map, built in one pass.
-        let rows = payload.manifest.into_iter();
-        self.manifest = rows
+        let rows = payload.manifest.len();
+        let listed = payload.manifest.into_iter();
+        let mut written = 0;
+        self.manifest = listed
             .map(|(name, byte_len, crc, first_block, block_count)| {
-                self.checked_entry(byte_len, crc, first_block, block_count)
-                    .map_err(|why| corrupt(format!("checkpoint entry {name:?} {why}")))
-                    .map(|entry| (name, entry))
+                if first_block != written {
+                    return Err(corrupt(format!(
+                        "checkpoint entry {name:?}: extent starts at block {first_block}, \
+                         the rows before it end at {written}"
+                    )));
+                }
+                let entry = self
+                    .checked_entry(byte_len, crc, first_block, block_count)
+                    .map_err(|why| corrupt(format!("checkpoint entry {name:?} {why}")))?;
+                written = first_block + block_count;
+                Ok((name, entry))
             })
             .collect::<Result<_, _>>()?;
+        if written != self.positions.data {
+            return Err(corrupt(format!(
+                "checkpoint rows end at block {written} of {} data blocks",
+                self.positions.data
+            )));
+        }
+        if self.manifest.len() != rows {
+            return Err(corrupt("checkpoint lists a file name twice".into()));
+        }
         self.sealed = payload.sealed;
         Ok(payload.frontier)
     }
@@ -565,7 +591,11 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
                     MapEntry::Occupied(e) => {
                         return Err(corrupt(format!("duplicate manifest entry {:?}", e.key())));
                     }
-                    MapEntry::Vacant(v) => v.insert(entry),
+                    MapEntry::Vacant(v) => {
+                        self.unfolded
+                            .push((v.key(), byte_len, crc, first_block, block_count));
+                        v.insert(entry);
+                    }
                 };
                 Ok(frontier)
             }
@@ -612,33 +642,33 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         })
     }
 
-    /// Folds the archive's entire state into a checkpoint, commits it,
-    /// and garbage-collects the superseded journal prefix (parts, then
+    /// Commits a checkpoint — the files put since the last one, the block
+    /// counters, the sealed flag and the encoder frontier — and
+    /// garbage-collects the journal records it supersedes (parts, then
     /// the pointer cell naming them, then the old records — a crash at
     /// any point leaves either the previous checkpoint reachable or this
     /// one committed). Returns the journal seq of the checkpoint's part 0.
     ///
-    /// The snapshot is one streaming pass over the manifest where it
-    /// lives, two counters and the frontier: O(files), nothing per block,
-    /// nothing cloned.
+    /// What is handed over is the rows since the last checkpoint, two
+    /// counters and the frontier — O(cadence), nothing per block and
+    /// nothing per file already checkpointed; how the journal keeps the
+    /// earlier rows reachable is its business ([`crate::meta`]).
     ///
     /// Called automatically past [`MetaConfig::checkpoint_every`] and on
     /// [`Archive::seal`]; public so callers with their own policy can
     /// checkpoint explicitly.
     pub fn checkpoint(&mut self) -> u64 {
-        let rows = self.manifest.iter();
-        let rows = rows.map(|(name, e)| {
-            let byte_len = e.byte_len as u64;
-            (name.as_str(), byte_len, e.crc, e.first_block, e.block_count)
-        });
-        let payload = encode_checkpoint_payload(
-            rows,
+        let tail = encode_tail(
             self.positions.data,
             &StoredIds::Count(self.positions.stored as u32),
             self.sealed,
             &self.scheme.frontier_snapshot(),
         );
-        self.journal.commit_checkpoint(&*self.store, &payload)
+        let cseq = self
+            .journal
+            .commit_checkpoint(&*self.store, &self.unfolded, &tail);
+        self.unfolded.clear();
+        cseq
     }
 
     /// The underlying backend.
@@ -849,6 +879,13 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             frontier: self.scheme.frontier_snapshot(),
         };
         self.journal.append(&*self.store, &record);
+        self.unfolded.push((
+            name,
+            entry.byte_len as u64,
+            entry.crc,
+            first_block,
+            block_count,
+        ));
         self.manifest.insert(name.to_string(), entry.clone());
         // Only after the archive state reflects the put may it be folded
         // into a checkpoint.

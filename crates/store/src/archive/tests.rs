@@ -773,11 +773,14 @@ fn crafted(
     Arc::new(store)
 }
 
-/// A 3-way-replication checkpoint claiming `data` data blocks and
-/// `stored` stored ones, its encoder frontier in step.
+/// A 3-way-replication checkpoint claiming `data` data blocks — one
+/// empty-looking file's worth: the rows of a checkpoint account for every
+/// data block — and `stored` stored ones, its encoder frontier in step.
 fn claimed(data: u64, stored: u32) -> CheckpointPayload {
     CheckpointPayload {
-        manifest: Vec::new(),
+        level: 0,
+        base: None,
+        manifest: vec![("everything".into(), 0, 0, 0, data)],
         data,
         stored: StoredIds::Count(stored),
         sealed: false,
@@ -803,7 +806,7 @@ fn the_position_ceiling_is_a_typed_refusal() {
     );
     assert_eq!(store.len(), held, "nothing encoded, nothing journaled");
     assert_eq!(ar.scheme().data_written(), full, "the encoder never ran");
-    assert_eq!(ar.file_count(), 0);
+    assert_eq!(ar.file_count(), 1, "the checkpoint's one row");
     assert_eq!(ar.seal(), Ok(Vec::new()), "the flush still fits");
 
     // One data block further the universe itself is past the ceiling
@@ -926,6 +929,8 @@ fn as_version_2(ar: &Archive<MemStore>, checkpoint_after: Option<u64>) -> Arc<Me
     };
     let all = ar.stored_ids();
     let mut folded = CheckpointPayload {
+        level: 0,
+        base: None,
         manifest: Vec::new(),
         data: 0,
         stored: StoredIds::Listed(Vec::new()),
@@ -976,7 +981,7 @@ fn as_version_2(ar: &Archive<MemStore>, checkpoint_after: Option<u64>) -> Arc<Me
         if checkpoint_after == Some(live_seq) {
             folded.manifest.sort();
             folded.stored = StoredIds::Listed(all[..at].to_vec());
-            let payload = v2::encode_payload(&folded);
+            let payload = v2::encode_payload(1, &folded);
             let (cseq, parts) = (seq, payload.len().div_ceil(100) as u32);
             for (part, chunk) in (0u32..).zip(payload.chunks(100)) {
                 let record = MetaRecord::Checkpoint {
@@ -1092,8 +1097,18 @@ fn version_2_journals_open_unchanged_and_checkpoint_into_version_3() {
                 StoredIds::Count(reference.stored_ids().len() as u32)
             );
             assert_eq!(folded.data, reference.blocks_written());
+            // A chain never mixes versions: the version-1 payload was
+            // absorbed whole, its rows re-encoded in write order ahead of
+            // the new one — one base-less version-3 segment holds all
+            // eight, and the next open reads nothing else.
+            assert_eq!(folded.base, None, "{ctx}");
+            assert_eq!(folded.level, u8::from(checkpoint_after.is_some()), "{ctx}");
+            let firsts: Vec<u64> = folded.manifest.iter().map(|row| row.3).collect();
+            assert_eq!(firsts.len(), 8, "{ctx}");
+            assert!(firsts.windows(2).all(|w| w[0] < w[1]), "{ctx}: {firsts:?}");
             drop(ar);
             let mut ar = Archive::open(build(), Arc::clone(&store)).expect(&ctx);
+            assert_eq!(ar.checkpoint_seq(), Some(cseq), "{ctx}");
             assert_eq!(ar.replayed_records(), 0, "{ctx}");
             assert_eq!(ar.stored_ids(), reference.stored_ids(), "{ctx}");
             assert_eq!(ar.seal().unwrap(), reference.seal().unwrap(), "{ctx}");
@@ -1105,24 +1120,41 @@ fn version_2_journals_open_unchanged_and_checkpoint_into_version_3() {
 }
 
 /// Hostile bytes at the archive level: every byte of every live record
-/// of a real journal (multi-part checkpoint, pointer, suffix), set to
-/// four other values with the checksum re-sealed so the mutation gets
-/// past the CRC and into replay. `open` must answer `Ok` or a typed
-/// error — and whatever opens must serve reads without panicking.
+/// of a real journal (a chain of three multi-part checkpoint segments,
+/// both pointer cells, a suffix record), set to four other values with
+/// the checksum re-sealed so the mutation gets past the CRC and into the
+/// chain walk and replay. `open` must answer `Ok` or a typed error — and
+/// whatever opens must serve reads without panicking.
 #[test]
 fn one_mutated_byte_in_a_real_journal_never_panics_open() {
     let store = Arc::new(MemStore::new());
     let cfg = MetaConfig {
         copies: 3,
-        checkpoint_every: Some(3),
+        checkpoint_every: None,
         segment_bytes: 60,
     };
     let mut ar = Archive::with_scheme_meta(ae_scheme(), 64, Arc::clone(&store), cfg);
-    for i in 0..5u8 {
+    // Seven commits leave segments of level 2, 1 and 0; the eighth put
+    // is the suffix.
+    for i in 0..8u8 {
         ar.put(&format!("f{i}"), &payload(70 * i as usize, i))
             .unwrap();
+        if i < 7 {
+            ar.checkpoint();
+        }
     }
-    assert!(ar.checkpoint_seq().is_some() && ar.live_meta_records() > 4);
+    let part_zeros = meta_blocks(&store).into_iter().filter(|(id, block)| {
+        let BlockId::Meta(meta) = *id else {
+            unreachable!()
+        };
+        let part = MetaRecord::decode(meta.seq(), block.as_slice());
+        meta.copy() == 0 && matches!(part, Ok(MetaRecord::Checkpoint { part: 0, .. }))
+    });
+    assert_eq!(part_zeros.count(), 3, "three live segments");
+    assert!(
+        ar.live_meta_records() > 3 + 2,
+        "multi-part ones, and a suffix"
+    );
     drop(ar);
     let mut records: Vec<(MetaId, Block)> = meta_blocks(&store)
         .into_iter()

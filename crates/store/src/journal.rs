@@ -29,11 +29,31 @@
 //! CRC validation (a surviving copy degrades a read instead of failing
 //! it, reported via [`Journal::damage`]), and [`Journal::heal`] rewrites
 //! every lost or garbled copy from the canonical blocks the live journal
-//! keeps in memory. Past a configurable cadence the owner folds its
-//! state into a **checkpoint**, so `open` reads checkpoint + suffix in
-//! O(checkpoint) time however old the archive is, and the superseded
-//! prefix is garbage-collected only once the checkpoint is durably
+//! keeps in memory. Past a configurable cadence the owner hands over
+//! what it added since the last time and the journal commits it as a
+//! **checkpoint**, so `open` reads checkpoint + suffix — the checkpoint
+//! being ≤ log₂ segments — however old the archive is, and what a
+//! checkpoint supersedes is garbage-collected only once it is durably
 //! committed.
+//!
+//! # The checkpoint is a chain of segments
+//!
+//! A commit writes one **segment**: the rows its owner added since the
+//! previous commit, plus the owner's counters, flags and frontier. It
+//! starts at level 0, and while the newest live segment is of its own
+//! level it **absorbs** it — that segment's row bytes, spliced from the
+//! canonical blocks kept for [`Journal::heal`], go ahead of its own and
+//! its level rises by one — the carry of a binary counter: commit `c`
+//! rewrites `2^tz(c)` commits' worth of rows, the live chain is the set
+//! bits of `c` (levels strictly falling towards the newest), and over
+//! `n` commits O(n log n) rows are written where a full snapshot per
+//! commit wrote O(n²). The segment names the one below it (its *base*);
+//! the pointer cell names only the newest, and [`Journal::open`] walks
+//! newest → oldest, one batched fetch per hop, handing its owner one
+//! payload: every row, oldest first, and the newest segment's tail.
+//! Garbage collection takes what lies after the base's last part and
+//! before the new part 0 — the absorbed segments and the folded records
+//! — and never touches a live older segment.
 //!
 //! # Barriers
 //!
@@ -50,7 +70,10 @@
 //!    as mid-journal damage, not as a torn tail;
 //! 3. no GC remove is issued before every pointer copy, and record 1
 //!    leaves ahead of the rest (how `open` tells a rotted pointer from a
-//!    torn one).
+//!    torn one). A cut inside the GC leaves records below the checkpoint
+//!    the next `open` loads; the reopened journal collects that range
+//!    again — it is arithmetic on the loaded segment's header — in a
+//!    batch of its own ahead of its next commit's parts.
 //!
 //! Final backend state and error typing are byte-identical at every
 //! in-flight window and to the plain-backend run
@@ -63,12 +86,13 @@
 use crate::archive::io::{fetch_all, has_all, remove_all, store_all};
 use crate::archive::{MetaDamage, RecoveryError};
 use crate::meta::{
-    encode_checkpoint_part, meta_copy_id, pointer_id, CheckpointPayload, MetaConfig, MetaRecord,
-    RecordError,
+    encode_checkpoint_part, meta_copy_id, pointer_id, splice_segment, CheckpointPayload,
+    MetaConfig, MetaRecord, RecordError, Rows,
 };
 use ae_api::BlockRepo;
 use ae_blocks::{Block, BlockId, MetaId};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// One record's fetched copy set, validated: the first copy that decodes
 /// (and, for a pointer cell, is a pointer record) wins; every copy's
@@ -120,6 +144,23 @@ impl CopySet {
 /// exists at all.
 type CopyRead = Result<(MetaRecord, Block), Option<RecordError>>;
 
+/// One live checkpoint segment: where its parts sit in the journal and
+/// how many times its rows were folded.
+#[derive(Clone, Copy)]
+struct Segment {
+    /// Journal seq of part 0.
+    seq: u64,
+    parts: u32,
+    level: u8,
+}
+
+impl Segment {
+    /// The seq after the last part.
+    fn end(&self) -> u64 {
+        self.seq + u64::from(self.parts)
+    }
+}
+
 /// The metadata journal of one archive, as the process that owns it
 /// knows it. See the module docs.
 pub(crate) struct Journal {
@@ -135,8 +176,19 @@ pub(crate) struct Journal {
     journal: BTreeMap<u64, Block>,
     /// Live checkpoint-pointer cells by slot.
     pointers: BTreeMap<u64, Block>,
-    /// Part-0 seq and part count of the committed checkpoint, if any.
-    checkpoint: Option<(u64, u32)>,
+    /// The committed checkpoint: its live segments, oldest first, levels
+    /// strictly falling. Empty before the first commit.
+    chain: Vec<Segment>,
+    /// The garbage range of the commit [`Journal::open`] loaded. A cut
+    /// between that commit's pointer and the end of its GC leaves records
+    /// there this journal never read and so cannot name; the next commit
+    /// collects the whole range again, once.
+    stale: Option<Range<u64>>,
+    /// Part-0 seq of a checkpoint a valid pointer cell names but
+    /// [`Journal::open`] could not load (it fell back to an older one),
+    /// and the refusal. The walk must get that far — replaying every
+    /// record the lost checkpoint folded — or the refusal stands.
+    unreached: Option<(u64, RecoveryError)>,
     /// Ping-pong slot the next checkpoint's pointer will overwrite.
     next_pointer_slot: u64,
     /// Put/seal records since the committed checkpoint — the
@@ -173,6 +225,9 @@ impl Journal {
     /// end-of-journal (see the torn-write rules in [`crate::meta`]).
     const REPLAY_PROBE_WINDOW: u64 = 16;
 
+    /// How many records of a stale GC range are collected per batch.
+    const STALE_WINDOW: usize = 4096;
+
     /// An empty journal whose next record is `next_meta`, its copy-set
     /// width clamped into the nameable range.
     fn new(meta: MetaConfig, next_meta: u64) -> Self {
@@ -184,7 +239,9 @@ impl Journal {
             },
             journal: BTreeMap::new(),
             pointers: BTreeMap::new(),
-            checkpoint: None,
+            chain: Vec::new(),
+            stale: None,
+            unreached: None,
             next_pointer_slot: 0,
             records_since_checkpoint: 0,
             torn_tail: None,
@@ -279,27 +336,35 @@ impl Journal {
             // removes record 1 first, so a rotted pointer leaves a walk
             // that cannot get past genesis.
         } else {
-            let mut last_err = String::new();
+            // The newest candidate's refusal is the one to report.
+            let mut refused: Option<(u64, RecoveryError)> = None;
             let mut loaded = None;
             for &(slot, cseq, parts) in &candidates {
-                match journal.load_checkpoint(store, cseq, parts) {
+                match journal.load_chain(store, cseq, parts) {
                     Ok(payload) => {
-                        loaded = Some((slot, cseq, parts, payload));
+                        loaded = Some((slot, cseq, payload));
                         break;
                     }
-                    Err(detail) => last_err = detail,
+                    Err((seq, detail)) => {
+                        let detail =
+                            format!("checkpoint named by pointer is not loadable: {detail}");
+                        let refusal = RecoveryError::CorruptRecord { seq, detail };
+                        refused.get_or_insert((cseq, refusal));
+                    }
                 }
             }
-            let Some((slot, cseq, parts, payload)) = loaded else {
-                let (_, cseq, _) = candidates[0];
-                return Err(RecoveryError::CorruptRecord {
-                    seq: cseq,
-                    detail: format!("checkpoint named by pointer is not loadable: {last_err}"),
-                });
+            let Some((slot, cseq, payload)) = loaded else {
+                return Err(refused.expect("a candidate was tried and refused").1);
             };
-            journal.checkpoint = Some((cseq, parts));
+            // A valid pointer proves every record below the checkpoint it
+            // names was acknowledged — and that checkpoint's GC may have
+            // run. Falling back past it is sound only if the walk finds
+            // all of them (see `may_end_at`).
+            journal.unreached = refused;
+            let newest = journal.chain.last().expect("a loaded chain is not empty");
             journal.next_pointer_slot = 1 - slot;
-            journal.next_meta = cseq + parts as u64;
+            journal.next_meta = newest.end();
+            journal.stale = Some(journal.garbage_floor()..cseq);
             checkpoint = Some((cseq, payload));
         }
         Ok(Opened {
@@ -317,7 +382,7 @@ impl Journal {
         store: &B,
         slot: u64,
     ) -> Result<(), RecoveryError> {
-        if self.checkpoint.is_none() && self.next_meta == 1 {
+        if self.chain.is_empty() && self.next_meta == 1 {
             // A poisoned pointer cell and a walk that never got past
             // genesis: a committed checkpoint's pointer rotted after GC —
             // opening would silently rewind the archive to empty.
@@ -422,14 +487,69 @@ impl Journal {
         (candidates, poisoned)
     }
 
-    /// Fetches and reassembles the checkpoint whose part 0 sits at
-    /// journal seq `cseq`, validating every part's framing. On success
-    /// the parts' canonical blocks join the live journal.
-    fn load_checkpoint<B: BlockRepo + ?Sized>(
+    /// Loads the checkpoint whose newest segment's part 0 sits at journal
+    /// seq `cseq`: that segment, then the one it names as its base, and
+    /// so on down — one batched fetch per hop (per probe window of parts,
+    /// for a long segment). Returns the chain stacked into one payload:
+    /// every row, oldest first, and the newest segment's tail. On success
+    /// the chain is this journal's and its parts' canonical blocks join
+    /// the live records; a refusal names the record it is about.
+    ///
+    /// The walk ends: a base must lie wholly below the segment naming it,
+    /// so seqs strictly fall, and must have been folded more often, so
+    /// there are at most 256 hops; no count read on the way sizes an
+    /// allocation.
+    fn load_chain<B: BlockRepo + ?Sized>(
         &mut self,
         store: &B,
         cseq: u64,
         parts: u32,
+    ) -> Result<CheckpointPayload, (u64, RecordError)> {
+        let mut blocks = Vec::new();
+        let mut chain: Vec<Segment> = Vec::new();
+        let mut stacked: Option<CheckpointPayload> = None;
+        let mut next = Some((cseq, parts));
+        while let Some((seq, parts)) = next {
+            let above = chain.last().copied();
+            if let Some(above) = above {
+                if seq.saturating_add(u64::from(parts)) > above.seq {
+                    let detail = format!("base segment {seq}+{parts} does not lie below it");
+                    return Err((above.seq, detail));
+                }
+            }
+            let segment = self
+                .load_segment(store, seq, parts, &mut blocks)
+                .map_err(|detail| (seq, detail))?;
+            let level = segment.level;
+            if let Some(above) = above.filter(|above| level <= above.level) {
+                let detail = format!(
+                    "level-{level} segment is the base of level-{} meta#{}",
+                    above.level, above.seq
+                );
+                return Err((seq, detail));
+            }
+            next = segment.base;
+            chain.push(Segment { seq, parts, level });
+            match &mut stacked {
+                Some(newer) => newer.stack_on(segment),
+                None => stacked = Some(segment),
+            }
+        }
+        chain.reverse();
+        self.chain = chain;
+        self.journal.extend(blocks);
+        Ok(stacked.expect("the walk loads the named segment or fails"))
+    }
+
+    /// Fetches and reassembles the segment whose part 0 sits at journal
+    /// seq `cseq`, validating every part's framing; the parts' canonical
+    /// blocks are pushed onto `blocks`.
+    fn load_segment<B: BlockRepo + ?Sized>(
+        &mut self,
+        store: &B,
+        cseq: u64,
+        parts: u32,
+        blocks: &mut Vec<(u64, Block)>,
     ) -> Result<CheckpointPayload, RecordError> {
         // The walk probes a window past the checkpoint: all of it must be
         // nameable, or a pointer cell could aim `open` at ids that do not
@@ -442,7 +562,6 @@ impl Journal {
             ));
         }
         let mut bytes = Vec::new();
-        let mut blocks = Vec::new();
         // Parts move in batches of a probe window's worth of records, so
         // the part count a pointer claims never sizes an allocation.
         let mut next = cseq;
@@ -472,9 +591,7 @@ impl Journal {
                 }
             }
         }
-        let payload = CheckpointPayload::decode(&bytes)?;
-        self.journal.extend(blocks);
-        Ok(payload)
+        CheckpointPayload::decode(&bytes)
     }
 
     /// Whether any journal record (any copy) exists within the probe
@@ -510,12 +627,14 @@ impl Journal {
                     // metadata beyond the redundancy, not a torn tail)
                     // and walking past it would serve a silently
                     // rewound archive.
+                    self.may_end_at(seq)?;
                     if self.journal_continues(store, seq) {
                         return Err(corrupt("all copies missing mid-journal".into()));
                     }
                     return Ok(None);
                 }
                 Err(Some(detail)) => {
+                    self.may_end_at(seq)?;
                     if self.journal_continues(store, seq) {
                         return Err(corrupt(detail));
                     }
@@ -558,6 +677,19 @@ impl Journal {
         }
     }
 
+    /// Whether the walk may find no readable record at `seq` and take the
+    /// journal to end there. Not below a checkpoint that a valid pointer
+    /// cell names and `open` fell back past: every record under it was
+    /// acknowledged, its GC may have collected them while leaving the
+    /// older chain whole, and ending early would serve an archive
+    /// silently rewound — the refusal of that checkpoint is the answer.
+    fn may_end_at(&self, seq: u64) -> Result<(), RecoveryError> {
+        match &self.unreached {
+            Some((reach, refusal)) if seq < *reach => Err(refusal.clone()),
+            _ => Ok(()),
+        }
+    }
+
     /// Validates checkpoint parts `cseq..cseq + parts` encountered
     /// in-line during the walk (part 0 already read) and advances past
     /// them. `Err(None)` means the group is a torn checkpoint tail —
@@ -594,6 +726,7 @@ impl Journal {
             // unacknowledged garbage: erase them so resumed appends can
             // never interleave with stale part records, and retract any
             // degraded-copy reports for records that no longer exist.
+            self.may_end_at(cseq).map_err(Some)?;
             for s in cseq..cseq + parts as u64 {
                 self.journal.remove(&s);
                 self.erase_record(store, s);
@@ -645,17 +778,77 @@ impl Journal {
         every.is_some_and(|every| self.records_since_checkpoint >= every.max(1))
     }
 
-    /// Commits `payload` — the owner's whole state, encoded — as a
-    /// checkpoint and garbage-collects the superseded journal prefix:
-    /// parts are appended (n-way), the pointer cell flips to name them,
-    /// and only then are older records removed — a crash at any point
-    /// leaves either the previous checkpoint reachable or this one
-    /// committed. Returns the journal seq of the checkpoint's part 0.
+    /// Where the garbage range of the newest segment's commit starts:
+    /// past the last part of the segment below it, or past genesis.
+    fn garbage_floor(&self) -> u64 {
+        match self.chain.len().checked_sub(2) {
+            Some(below) => self.chain[below].end(),
+            None => 1,
+        }
+    }
+
+    /// The payload of live segment `segment`, reassembled from the
+    /// canonical blocks of its parts.
+    fn payload_of(&self, segment: &Segment) -> Vec<u8> {
+        let mut payload = Vec::new();
+        for seq in segment.seq..segment.end() {
+            let part = self
+                .journal
+                .get(&seq)
+                .map(|b| MetaRecord::decode(seq, b.as_slice()));
+            let Some(Ok(MetaRecord::Checkpoint { chunk, .. })) = part else {
+                panic!("meta#{seq} is a live checkpoint part: the journal wrote or validated it")
+            };
+            payload.extend_from_slice(&chunk);
+        }
+        payload
+    }
+
+    /// Removes journal records `seqs` (ascending), every copy. Record 1
+    /// goes in a batch of its own, ahead of the rest: `open` tells a
+    /// rotted pointer from a torn one by GC having removed record 1 first.
+    fn collect<B: BlockRepo + ?Sized>(&self, store: &B, seqs: impl IntoIterator<Item = u64>) {
+        let mut seqs = seqs.into_iter().peekable();
+        let first = seqs.next_if_eq(&1);
+        remove_all(store, first.into_iter().flat_map(|s| self.record_ids(s)));
+        remove_all(store, seqs.flat_map(|s| self.record_ids(s)));
+    }
+
+    /// Commits `rows` — what the owner added since the last commit — and
+    /// `tail`, both encoded, as the newest checkpoint segment, folding
+    /// into it every live segment of its own level (see the module docs),
+    /// and garbage-collects what it supersedes: parts are appended
+    /// (n-way), the pointer cell flips to name them, and only then are
+    /// the absorbed segments and the folded records removed — a crash at
+    /// any point leaves either the previous checkpoint reachable or this
+    /// one committed. Returns the journal seq of the segment's part 0.
     pub(crate) fn commit_checkpoint<B: BlockRepo + ?Sized>(
         &mut self,
         store: &B,
-        payload: &[u8],
+        rows: &Rows,
+        tail: &[u8],
     ) -> u64 {
+        // What the commit this journal was opened on may have left
+        // uncollected is garbage already, and after this commit's pointer
+        // no header would name its range any more.
+        if let Some(stale) = self.stale.take() {
+            // (A window at a time: the range was read off the backend and
+            // must not size an allocation.)
+            let mut seqs = stale.peekable();
+            while seqs.peek().is_some() {
+                self.collect(store, seqs.by_ref().take(Self::STALE_WINDOW));
+            }
+        }
+        let mut level = 0u8;
+        let mut absorbed = Vec::new();
+        while let Some(top) = self.chain.pop_if(|top| top.level <= level) {
+            absorbed.push(self.payload_of(&top));
+            level = level.saturating_add(1);
+        }
+        absorbed.reverse();
+        let base = self.chain.last().map(|below| (below.seq, below.parts));
+        let payload = splice_segment(level, base, &absorbed, rows, tail);
+
         let cseq = self.next_meta;
         let seg = self.meta.segment_bytes.max(1);
         let parts = payload.len().div_ceil(seg) as u32;
@@ -679,18 +872,16 @@ impl Journal {
         store_all(store, cells);
         self.pointers.insert(slot, pointer);
         self.next_pointer_slot = 1 - slot;
-        // Only now is the prefix garbage: every record between genesis
-        // and part 0, previous checkpoints included. Record 1 goes in a
-        // batch of its own, ahead of the rest: `open` tells a rotted
-        // pointer from a torn one by GC having removed record 1 first.
-        let dead: Vec<u64> = self.journal.range(1..cseq).map(|(&s, _)| s).collect();
-        let (first, rest) = dead.split_at(usize::from(dead.first() == Some(&1)));
-        for group in [first, rest] {
-            let ids = group.iter().flat_map(|&s| self.record_ids(s));
-            remove_all(store, ids);
-        }
-        self.journal.retain(|&s, _| s == 0 || s >= cseq);
-        self.checkpoint = Some((cseq, parts));
+        self.chain.push(Segment {
+            seq: cseq,
+            parts,
+            level,
+        });
+        // Only now is what lies between the base and part 0 garbage: the
+        // absorbed segments and the records this segment folds.
+        let floor = self.garbage_floor();
+        self.collect(store, self.journal.range(floor..cseq).map(|(&s, _)| s));
+        self.journal.retain(|&s, _| s < floor || s >= cseq);
         self.records_since_checkpoint = 0;
         cseq
     }
@@ -734,8 +925,8 @@ impl Journal {
         self.next_meta
     }
 
-    /// Records currently live: genesis + committed checkpoint parts +
-    /// suffix.
+    /// Records currently live: genesis + the parts of the committed
+    /// checkpoint's segments + suffix.
     pub(crate) fn live_records(&self) -> u64 {
         self.journal.len() as u64
     }
@@ -757,9 +948,10 @@ impl Journal {
         &self.meta
     }
 
-    /// Part-0 journal seq of the committed checkpoint, if any.
+    /// Part-0 journal seq of the committed checkpoint's newest segment,
+    /// if any.
     pub(crate) fn checkpoint_seq(&self) -> Option<u64> {
-        self.checkpoint.map(|(seq, _)| seq)
+        self.chain.last().map(|newest| newest.seq)
     }
 
     /// Journal records the walk read.

@@ -18,10 +18,13 @@
 //!   and [`crate::Archive::scrub`] re-materializes lost or corrupted
 //!   copies the way it heals data blocks.
 //! * **Checkpoints** — past a configurable record threshold (and on
-//!   `seal`) the archive folds its entire state into a checkpoint record,
-//!   commits it, and garbage-collects the superseded journal prefix, so
-//!   `open` replays *checkpoint + suffix* instead of the whole history:
-//!   O(checkpoint) open time, independent of archive age.
+//!   `seal`) the archive commits a checkpoint and the records it folds
+//!   are garbage-collected, so `open` replays *checkpoint + suffix*
+//!   instead of the whole history. A checkpoint is a chain of at most
+//!   ⌈log₂ commits⌉ + 1 **segments**, each holding the manifest rows
+//!   added since the one below it (see "Checkpoint chain" below): a
+//!   commit costs the rows since the last one — amortised, O(log files)
+//!   times that — not the archive's age.
 //!
 //! # Position-first: counts, not id lists
 //!
@@ -73,14 +76,15 @@
 //!   [`crate::Archive::seal`]): the stored blocks of the flush and the
 //!   post-seal frontier snapshot (`u32` length + bytes).
 //! * **Checkpoint** (`kind 3`): one *part* of a [`CheckpointPayload`]
-//!   snapshot — part index (`u32`), part count (`u32`), chunk bytes
-//!   (`u32` length + bytes). A snapshot larger than
+//!   segment — part index (`u32`), part count (`u32`), chunk bytes
+//!   (`u32` length + bytes). A segment larger than
 //!   [`MetaConfig::segment_bytes`] is split across `part count`
 //!   consecutive journal sequence numbers; concatenating the chunks of
 //!   parts `0..count` yields the payload.
 //! * **Pointer** (`kind 4`, stored at the [`MetaId::pointer`] cells, not
-//!   at journal sequence numbers): the journal seq of a fully-written
-//!   checkpoint's part 0 (`u64`) and its part count (`u32`). Pointer
+//!   at journal sequence numbers): the journal seq of part 0 of a
+//!   fully-written checkpoint's **newest** segment (`u64`) and that
+//!   segment's part count (`u32`). Pointer
 //!   cells are the journal's only **rewritable** blocks: two slots
 //!   alternate (ping-pong), so a crash mid-overwrite always leaves the
 //!   other slot's previous pointer intact.
@@ -92,20 +96,59 @@
 //! record encoder stays total over [`StoredIds`]). Version-1 and -2
 //! records have no shape byte and always carry the ids.
 //!
-//! # Checkpoint payload (payload version 2)
+//! # Checkpoint payload (payload version 3)
 //!
 //! | field | encoding |
 //! |-------|----------|
-//! | payload version | `u8` (`2`; `1` still decodes) |
-//! | manifest | `u32` row count, then rows in strictly ascending name order: name (string), byte length (`u64`), CRC32 (`u32`), `first_block` (`u64`), `block_count` (`u64`) |
+//! | payload version | `u8` (`3`; `1` and `2` still decode) |
+//! | level | `u8`: how many times the segment's rows were folded |
+//! | base | journal seq of part 0 of the segment below (`u64`) and its part count (`u32`); both `0` at the bottom of the chain |
+//! | rows | `u32` row count, then the manifest rows added since the base, in **write order**: name (string), byte length (`u64`), CRC32 (`u32`), `first_block` (`u64`), `block_count` (`u64`) |
 //! | data blocks written | `u64` |
 //! | stored blocks | as in a record: shape byte, `u32` count, ids only in the explicit shape |
 //! | sealed | `u8`, `0` or `1` |
 //! | frontier snapshot | `u32` length + bytes |
 //!
-//! Payload version 1 (written with record format 2) has no data counter
-//! and no shape byte: its stored blocks are always the full id list, and
-//! the data counter is the number of data ids in it.
+//! Everything after the rows is the **tail**: the archive's state as of
+//! this commit. Only the newest segment's tail is read; an older
+//! segment's is what was true when it was the newest.
+//!
+//! Payload version 2 has no level and no base and lists the *whole*
+//! manifest in strictly ascending name order; version 1 (written with
+//! record format 2) additionally has no data counter and no shape byte:
+//! its stored blocks are always the full id list, and the data counter
+//! is the number of data ids in it. Both decode as a base-less level-0
+//! segment, rows re-ordered by extent — a chain of one.
+//!
+//! # Checkpoint chain: levels, folds, what `open` reads
+//!
+//! The manifest is append-only — no file is removed, a name is refused
+//! twice, and a file's extent starts where the one before it ended — so
+//! a row, once checkpointed, never changes, and a commit need only add
+//! the rows since the previous one. It writes them as a **level-0**
+//! segment on top of the live chain and, while the segment under it has
+//! its own level, **absorbs** it: that segment's row bytes are spliced
+//! ahead of its own (`splice_segment` — bytes, not re-derived state),
+//! its level rises by one and its base becomes the absorbed segment's
+//! base. Commit `c` therefore rewrites `2^tz(c)` commits' worth of rows,
+//! the live segments after it are the set bits of `c` — at most
+//! ⌈log₂ c⌉ + 1, levels strictly falling from oldest to newest — and `n`
+//! files cost O(n log n) rows of checkpoint over an archive's life where
+//! a full snapshot per commit cost O(n²). A `seal`'s checkpoint is a
+//! segment like any other; its record adds no row, so it has none of its
+//! own. A version-1 or -2 payload counts as level 0 and is absorbed by
+//! the first commit over it, so a chain never mixes versions.
+//!
+//! `open` reads the newest segment the pointer names, then its base, and
+//! so on down (one batched fetch per hop), and hands the archive every
+//! row oldest-first under the newest tail. The walk is bounded by what
+//! is there: a base must lie wholly below the segment naming it (seqs
+//! strictly fall, so nothing cycles) and must have a higher level (at
+//! most 256 hops). The archive then holds the rows to what write order
+//! implies — the first extent starts at block 0, each next one where the
+//! last ended, the last ends at the data counter, no name comes twice —
+//! so a chain that skips, repeats or misorders a segment is a typed
+//! error, not a shorter manifest.
 //!
 //! # Count validation
 //!
@@ -125,32 +168,51 @@
 //!
 //! # Version compatibility
 //!
-//! This build writes format 3 only. Format-2 (and -1) records and
-//! version-1 checkpoint payloads still **decode**, so an archive written
-//! by an earlier build opens unchanged: replay verifies the listed ids
-//! against `block_at` exactly as a live `put` would and carries on by
-//! position, and the next checkpoint — which garbage-collects every
-//! record before it — leaves a pure format-3 journal behind. There is no
-//! version-2 writer outside the tests.
+//! This build writes record format 3 and checkpoint payload version 3
+//! only. Format-2 (and -1) records and version-1 and -2 checkpoint
+//! payloads still **decode**, so an archive written by an earlier build
+//! opens unchanged: replay verifies the listed ids against `block_at`
+//! exactly as a live `put` would and carries on by position, and the
+//! next checkpoint — which absorbs the old payload and garbage-collects
+//! every record before it — leaves a pure format-3 journal behind. There
+//! is no older writer outside the tests.
 //!
 //! # Checkpoint commit and GC rules
 //!
 //! A checkpoint commits in three ordered steps, each step only started
 //! after the previous is fully stored:
 //!
-//! 1. **Parts** are appended to the journal at the next sequence numbers
-//!    (each part `n`-way, like any record).
+//! 1. The new segment's **parts** are appended to the journal at the
+//!    next sequence numbers (each part `n`-way, like any record).
 //! 2. The **pointer** naming part 0 is written to the ping-pong slot not
 //!    used by the previous checkpoint (all copies).
-//! 3. Only then is the superseded prefix — every journal record after
-//!    genesis and before part 0, including any older checkpoint's parts —
-//!    **garbage-collected**. Genesis and the pointer cells survive GC.
+//! 3. Only then is what the segment supersedes **garbage-collected**:
+//!    every journal record after its base's last part (after genesis,
+//!    for a base-less segment) and before its part 0 — the segments it
+//!    absorbed and the `Put`/`Seal` records it folded. Live older
+//!    segments, genesis and the pointer cells are never touched.
 //!
-//! A crash anywhere in that sequence is safe: before step 2 completes the
-//! old pointer still names the previous checkpoint (partially-written
-//! parts are a torn tail, truncated on replay); after step 2, replay uses
-//! the new checkpoint and any un-collected prefix records are ignored
-//! stale leftovers, removed by the next checkpoint's GC.
+//! A crash anywhere in that sequence is safe. Before step 2 completes
+//! the old pointer still names the previous chain, none of which has
+//! been removed (partially-written parts are a torn tail, truncated on
+//! replay; a complete but unnamed group is validated and stepped over).
+//! After step 2, replay uses the new chain, and whatever step 3 did not
+//! get to is left on the backend **below** the checkpoint `open` loads,
+//! where the reopened process never reads it and so holds no record of
+//! it. The segment's header says where that is — the range of step 3 is
+//! arithmetic on `base` and the segment's own seq — so the reopened
+//! journal collects that whole range again, once, ahead of its next
+//! commit (ahead, because that commit's own range need not contain it).
+//! Until then the leftovers are inert: nothing below a loaded checkpoint
+//! is replayed.
+//!
+//! A valid pointer cell proves every record below the checkpoint it
+//! names was acknowledged. If that checkpoint cannot be loaded and `open`
+//! falls back to the one the other cell names — whose chain a level-0
+//! commit leaves whole — the walk must replay every record up to the
+//! lost checkpoint's part 0; if step 3 collected them, the loss is a
+//! typed error naming the record that could not be loaded, never a
+//! silently older archive.
 //!
 //! # Versioning and torn-write rules
 //!
@@ -192,6 +254,7 @@
 //!   corrupted, so the journal heals with the data it describes.
 
 use ae_blocks::{crc32, BlockId, EdgeId, MetaId, NodeId, ReplicaId, ShardId, StrandClass};
+use std::borrow::Cow;
 
 /// Magic prefix of every journal record: "AE Meta Journal".
 pub const MAGIC: [u8; 4] = *b"AEMJ";
@@ -234,7 +297,7 @@ pub struct MetaConfig {
     /// checkpoint (and on `seal`). `None` disables checkpointing.
     pub checkpoint_every: Option<u64>,
     /// Maximum chunk of a [`CheckpointPayload`] carried by one checkpoint
-    /// part record — snapshots larger than this split into multiple
+    /// part record — segments larger than this split into multiple
     /// parts.
     pub segment_bytes: usize,
 }
@@ -338,14 +401,22 @@ pub enum MetaRecord {
 /// block_count)` — the fields of [`crate::archive::Entry`].
 pub type ManifestRow = (String, u64, u32, u64, u64);
 
-/// The state a checkpoint folds into one snapshot: everything
-/// [`crate::Archive::open`] otherwise reconstructs record by record —
-/// the manifest, the data and stored-block counters, the sealed flag and
-/// the encoder-frontier snapshot. Encoded with a leading payload-version
-/// byte, chunked into [`MetaRecord::Checkpoint`] parts for storage.
+/// One checkpoint **segment**: the manifest rows its owner added since
+/// the segment below it (see the module docs), plus the state only the
+/// newest segment of a chain speaks for — the data and stored-block
+/// counters, the sealed flag and the encoder-frontier snapshot. Encoded
+/// with a leading payload-version byte, chunked into
+/// [`MetaRecord::Checkpoint`] parts for storage. A version-1 or -2
+/// payload decodes as a base-less level-0 segment holding every row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointPayload {
-    /// Manifest rows in strictly ascending name order.
+    /// How many times this segment's rows were folded: a level-`l`
+    /// segment covers `2^l` checkpoints' worth of rows.
+    pub level: u8,
+    /// Part-0 journal seq and part count of the segment below — the
+    /// older rows — or `None` for the bottom of the chain.
+    pub base: Option<(u64, u32)>,
+    /// Manifest rows in write order: extents dense and ascending.
     pub manifest: Vec<ManifestRow>,
     /// Data blocks written through the archive.
     pub data: u64,
@@ -358,7 +429,7 @@ pub struct CheckpointPayload {
 }
 
 /// Checkpoint payload version written by this build.
-const PAYLOAD_VERSION: u8 = 2;
+const PAYLOAD_VERSION: u8 = 3;
 
 /// Smallest encoded manifest row: an empty name and the four integers.
 const MIN_ROW_BYTES: usize = 2 + 8 + 4 + 8 + 8;
@@ -366,44 +437,137 @@ const MIN_ROW_BYTES: usize = 2 + 8 + 4 + 8 + 8;
 /// Smallest tagged block id: the tag and one `u64`.
 const MIN_ID_BYTES: usize = 1 + 8;
 
-/// Serializes a checkpoint snapshot straight from borrowed archive state
-/// — one pass over the manifest, no intermediate rows.
-pub(crate) fn encode_checkpoint_payload<'a>(
-    rows: impl ExactSizeIterator<Item = (&'a str, u64, u32, u64, u64)>,
-    data: u64,
-    stored: &StoredIds,
-    sealed: bool,
-    frontier: &[u8],
+/// Manifest rows in their version-3 wire form, in the order pushed: what
+/// an archive accumulates between checkpoints — a few bytes a put — so a
+/// checkpoint encodes no row and looks none up.
+#[derive(Default)]
+pub(crate) struct Rows {
+    count: u32,
+    bytes: Vec<u8>,
+}
+
+impl Rows {
+    /// Appends one row.
+    pub(crate) fn push(&mut self, (name, byte_len, crc, first_block, block_count): RowRef<'_>) {
+        put_str(&mut self.bytes, name);
+        self.bytes.extend_from_slice(&byte_len.to_le_bytes());
+        self.bytes.extend_from_slice(&crc.to_le_bytes());
+        self.bytes.extend_from_slice(&first_block.to_le_bytes());
+        self.bytes.extend_from_slice(&block_count.to_le_bytes());
+        self.count += 1;
+    }
+
+    /// Forgets every row, keeping the buffer.
+    pub(crate) fn clear(&mut self) {
+        self.count = 0;
+        self.bytes.clear();
+    }
+}
+
+/// A borrowed [`ManifestRow`].
+pub(crate) type RowRef<'a> = (&'a str, u64, u32, u64, u64);
+
+/// Serializes the tail of a checkpoint payload: what follows its rows.
+pub(crate) fn encode_tail(data: u64, stored: &StoredIds, sealed: bool, frontier: &[u8]) -> Vec<u8> {
+    let mut tail = Vec::with_capacity(32 + frontier.len());
+    tail.extend_from_slice(&data.to_le_bytes());
+    put_stored(&mut tail, stored, true);
+    tail.push(sealed as u8);
+    put_bytes(&mut tail, frontier);
+    tail
+}
+
+/// Assembles a version-3 segment payload: the header naming `level` and
+/// `base`, then the rows of the `absorbed` payloads (oldest first — each
+/// a whole payload this journal wrote or validated, of any version) and
+/// `rows` as one row section, then `tail`. Absorbed rows are copied as
+/// the bytes they are; nothing is re-derived from their owner.
+///
+/// # Panics
+///
+/// Panics if an absorbed payload does not parse or the rows outnumber
+/// `u32` — neither can happen to payloads a journal holds as canonical.
+pub(crate) fn splice_segment(
+    level: u8,
+    base: Option<(u64, u32)>,
+    absorbed: &[Vec<u8>],
+    rows: &Rows,
+    tail: &[u8],
 ) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(32 + rows.len() * (MIN_ROW_BYTES + 16) + frontier.len());
+    let sections: Vec<(u32, Cow<[u8]>)> = absorbed
+        .iter()
+        .map(|payload| row_section(payload).expect("a canonical payload parses"))
+        .collect();
+    let count = sections
+        .iter()
+        .try_fold(rows.count, |sum, (n, _)| sum.checked_add(*n));
+    let count = count.expect("an archive's files fit its u32 positions");
+    let spliced: usize = sections.iter().map(|(_, bytes)| bytes.len()).sum();
+    let body = spliced + rows.bytes.len() + tail.len();
+    let mut buf = Vec::with_capacity(SEGMENT_HEADER_BYTES + 4 + body);
     buf.push(PAYLOAD_VERSION);
-    put_rows(&mut buf, rows);
-    buf.extend_from_slice(&data.to_le_bytes());
-    put_stored(&mut buf, stored, true);
-    buf.push(sealed as u8);
-    put_bytes(&mut buf, frontier);
+    buf.push(level);
+    let (base_seq, base_parts) = base.unwrap_or((0, 0));
+    buf.extend_from_slice(&base_seq.to_le_bytes());
+    buf.extend_from_slice(&base_parts.to_le_bytes());
+    buf.extend_from_slice(&count.to_le_bytes());
+    for (_, bytes) in &sections {
+        buf.extend_from_slice(bytes);
+    }
+    buf.extend_from_slice(&rows.bytes);
+    buf.extend_from_slice(tail);
     buf
 }
 
+/// Version byte, level, base seq and base part count.
+const SEGMENT_HEADER_BYTES: usize = 1 + 1 + 8 + 4;
+
+/// The row count and encoded rows of a whole checkpoint payload, in the
+/// version-3 wire form and write order: a borrowed slice of a version-3
+/// payload, the decoded rows of an older one re-encoded.
+fn row_section(payload: &[u8]) -> Result<(u32, Cow<'_, [u8]>), RecordError> {
+    if payload.first() != Some(&PAYLOAD_VERSION) {
+        let rows = CheckpointPayload::decode(payload)?.rows();
+        return Ok((rows.count, Cow::Owned(rows.bytes)));
+    }
+    let mut r = Reader {
+        buf: payload,
+        pos: SEGMENT_HEADER_BYTES.min(payload.len()),
+    };
+    let rows = r.count(MIN_ROW_BYTES, "manifest row")?;
+    let start = r.pos;
+    for _ in 0..rows {
+        let name = r.u16()? as usize;
+        r.take(name + MIN_ROW_BYTES - 2)?;
+    }
+    Ok((rows as u32, Cow::Borrowed(&payload[start..r.pos])))
+}
+
 impl CheckpointPayload {
-    /// Serializes the snapshot (version byte + fields, little-endian).
+    /// Serializes the segment (version byte + fields, little-endian).
     pub fn encode(&self) -> Vec<u8> {
-        encode_checkpoint_payload(
-            self.rows(),
-            self.data,
-            &self.stored,
-            self.sealed,
-            &self.frontier,
-        )
+        let tail = encode_tail(self.data, &self.stored, self.sealed, &self.frontier);
+        splice_segment(self.level, self.base, &[], &self.rows(), &tail)
     }
 
-    fn rows(&self) -> impl ExactSizeIterator<Item = (&str, u64, u32, u64, u64)> {
-        self.manifest
-            .iter()
-            .map(|(name, len, crc, first, count)| (name.as_str(), *len, *crc, *first, *count))
+    /// The rows in their wire form.
+    fn rows(&self) -> Rows {
+        let mut rows = Rows::default();
+        for (name, len, crc, first, count) in &self.manifest {
+            rows.push((name, *len, *crc, *first, *count));
+        }
+        rows
     }
 
-    /// Parses a snapshot reassembled from checkpoint parts.
+    /// Puts the rows of `below` — the segment this one names as its base
+    /// — ahead of its own, so a chain walked newest to oldest adds up to
+    /// one payload: every row in write order under the newest tail.
+    pub(crate) fn stack_on(&mut self, mut below: CheckpointPayload) {
+        below.manifest.append(&mut self.manifest);
+        self.manifest = below.manifest;
+    }
+
+    /// Parses a payload reassembled from checkpoint parts.
     ///
     /// # Errors
     ///
@@ -414,14 +578,31 @@ impl CheckpointPayload {
         if version == 0 || version > PAYLOAD_VERSION {
             return Err(format!("checkpoint payload version {version}"));
         }
+        let (level, base) = if version >= 3 {
+            let level = r.u8()?;
+            match (r.u64()?, r.u32()?) {
+                (0, 0) => (level, None),
+                (seq, parts) if seq == 0 || parts == 0 => {
+                    return Err(format!("impossible base segment {seq}+{parts}"));
+                }
+                base => (level, Some(base)),
+            }
+        } else {
+            (0, None)
+        };
         let rows = r.count(MIN_ROW_BYTES, "manifest row")?;
         let mut manifest: Vec<ManifestRow> = Vec::with_capacity(rows);
         for _ in 0..rows {
             let row = (r.string()?, r.u64()?, r.u32()?, r.u64()?, r.u64()?);
-            if manifest.last().is_some_and(|prev| prev.0 >= row.0) {
+            // Versions 1 and 2 list the whole manifest by name.
+            if version < 3 && manifest.last().is_some_and(|prev| prev.0 >= row.0) {
                 return Err(format!("manifest row {:?} out of name order", row.0));
             }
             manifest.push(row);
+        }
+        if version < 3 {
+            // Write order is extent order: what version 3 lists rows in.
+            manifest.sort_by_key(|row| row.3);
         }
         let (data, stored) = if version >= 2 {
             (r.u64()?, r.stored(true)?)
@@ -438,6 +619,8 @@ impl CheckpointPayload {
         let frontier = r.bytes()?;
         r.finish()?;
         Ok(CheckpointPayload {
+            level,
+            base,
             manifest,
             data,
             stored,
@@ -457,20 +640,6 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     debug_assert!(bytes.len() <= u16::MAX as usize, "strings are u16-framed");
     buf.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
     buf.extend_from_slice(bytes);
-}
-
-fn put_rows<'a>(
-    buf: &mut Vec<u8>,
-    rows: impl ExactSizeIterator<Item = (&'a str, u64, u32, u64, u64)>,
-) {
-    buf.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    for (name, byte_len, crc, first_block, block_count) in rows {
-        put_str(buf, name);
-        buf.extend_from_slice(&byte_len.to_le_bytes());
-        buf.extend_from_slice(&crc.to_le_bytes());
-        buf.extend_from_slice(&first_block.to_le_bytes());
-        buf.extend_from_slice(&block_count.to_le_bytes());
-    }
 }
 
 /// Appends a stored-blocks field: the shape byte when the format has one
@@ -844,16 +1013,25 @@ pub(crate) mod v2 {
         record.encode_as(2, seq)
     }
 
-    /// `payload` as a version-1 checkpoint payload: manifest, the full id
-    /// list, sealed flag, frontier.
-    pub(crate) fn encode_payload(payload: &CheckpointPayload) -> Vec<u8> {
-        assert!(
-            matches!(payload.stored, StoredIds::Listed(_)),
-            "payload version 1 lists ids"
-        );
-        let mut buf = vec![1];
-        put_rows(&mut buf, payload.rows());
-        put_stored(&mut buf, &payload.stored, false);
+    /// `payload` as checkpoint payload `version` 1 (manifest by name, the
+    /// full id list, sealed flag, frontier) or 2 (the data counter and
+    /// shaped stored blocks in place of the list). Rows go out in the
+    /// order given: these writers listed them by name.
+    pub(crate) fn encode_payload(version: u8, payload: &CheckpointPayload) -> Vec<u8> {
+        let mut buf = vec![version];
+        let rows = payload.rows();
+        buf.extend_from_slice(&rows.count.to_le_bytes());
+        buf.extend_from_slice(&rows.bytes);
+        if version == 1 {
+            assert!(
+                matches!(payload.stored, StoredIds::Listed(_)),
+                "payload version 1 lists ids"
+            );
+            put_stored(&mut buf, &payload.stored, false);
+        } else {
+            buf.extend_from_slice(&payload.data.to_le_bytes());
+            put_stored(&mut buf, &payload.stored, true);
+        }
         buf.push(payload.sealed as u8);
         put_bytes(&mut buf, &payload.frontier);
         buf
@@ -924,6 +1102,8 @@ mod tests {
 
     fn sample_payload(stored: StoredIds) -> CheckpointPayload {
         CheckpointPayload {
+            level: 0,
+            base: None,
             manifest: vec![
                 ("a.txt".into(), 1000, 0xAB, 0, 16),
                 ("b.txt".into(), 64, 0xCD, 16, 1),
@@ -1043,9 +1223,17 @@ mod tests {
             data: 1,
             ..sample_payload(StoredIds::Listed(sample_ids()))
         };
-        let old = v2::encode_payload(&payload);
+        let old = v2::encode_payload(1, &payload);
         assert_eq!(old[0], 1);
         assert_eq!(CheckpointPayload::decode(&old), Ok(payload));
+        // Version 2 carried counts already; both decode as the bottom of
+        // a chain, rows re-ordered from name order into write order.
+        let mut counted = sample_payload(StoredIds::Count(68));
+        counted.manifest[0].3 = 1;
+        counted.manifest[1].3 = 0;
+        let old = v2::encode_payload(2, &counted);
+        counted.manifest.swap(0, 1);
+        assert_eq!(CheckpointPayload::decode(&old), Ok(counted));
 
         // `Archive::put("f", &[7; 40])` over AE(3,2,5), 32-byte blocks,
         // as the build before this format journaled it at seq 1.
@@ -1071,6 +1259,8 @@ mod tests {
     fn checkpoint_payload_roundtrips_and_rejects_damage() {
         for stored in [StoredIds::Count(68), StoredIds::Listed(sample_ids())] {
             let payload = CheckpointPayload {
+                level: 2,
+                base: Some((31, 4)),
                 data: if matches!(stored, StoredIds::Count(_)) {
                     17
                 } else {
@@ -1107,20 +1297,72 @@ mod tests {
         let few = sample_payload(StoredIds::Count(68)).encode().len();
         let many = sample_payload(StoredIds::Count(u32::MAX)).encode().len();
         assert_eq!(few, many, "the stored count is a number, not a list");
-        // Version 1 + row count 4 + rows (2+5+28)*2 + data 8 + shape and
-        // count 5 + sealed 1 + frontier 4+33.
-        assert_eq!(few, 126);
+        // Version 1 + level 1 + base 8+4 + row count 4 + rows (2+5+28)*2 +
+        // data 8 + shape and count 5 + sealed 1 + frontier 4+33.
+        assert_eq!(few, 139);
     }
 
+    /// Versions 1 and 2 listed the whole manifest by name and are held to
+    /// it; a version-3 segment lists the rows of a few puts in write
+    /// order, whatever their names (duplicates are the archive's to find:
+    /// it is the one that knows the rows of the segments below).
     #[test]
     fn manifest_rows_must_ascend_by_name() {
         let mut payload = sample_payload(StoredIds::Count(68));
         payload.manifest.swap(0, 1);
-        let err = CheckpointPayload::decode(&payload.encode()).unwrap_err();
+        assert_eq!(
+            CheckpointPayload::decode(&payload.encode()),
+            Ok(payload.clone())
+        );
+        let err = CheckpointPayload::decode(&v2::encode_payload(2, &payload)).unwrap_err();
         assert!(err.contains("out of name order"), "{err}");
         payload.manifest[1] = payload.manifest[0].clone();
-        let err = CheckpointPayload::decode(&payload.encode()).unwrap_err();
+        let err = CheckpointPayload::decode(&v2::encode_payload(2, &payload)).unwrap_err();
         assert!(err.contains("out of name order"), "duplicate: {err}");
+    }
+
+    /// A fold copies the rows of the segments it absorbs as bytes — a
+    /// version-3 section as it stands, an older payload's re-encoded in
+    /// write order — ahead of its own, under one count.
+    #[test]
+    fn a_spliced_segment_is_the_rows_of_its_parts_in_order() {
+        let row = |name: &str, first: u64| -> ManifestRow { (name.into(), 9, 7, first, 1) };
+        let segment = |rows: Vec<ManifestRow>| CheckpointPayload {
+            manifest: rows,
+            ..sample_payload(StoredIds::Count(12))
+        };
+        // Name order is not write order in the version-2 payload.
+        let oldest = v2::encode_payload(2, &segment(vec![row("a", 1), row("z", 0)]));
+        let older = segment(vec![row("m", 2)]).encode();
+        let newest = segment(vec![row("b", 3), row("", 4)]).rows();
+        let tail = encode_tail(5, &StoredIds::Count(20), true, &[1, 2]);
+        let spliced = splice_segment(2, Some((6, 2)), &[oldest, older], &newest, &tail);
+        assert_eq!(
+            CheckpointPayload::decode(&spliced),
+            Ok(CheckpointPayload {
+                level: 2,
+                base: Some((6, 2)),
+                manifest: vec![
+                    row("z", 0),
+                    row("a", 1),
+                    row("m", 2),
+                    row("b", 3),
+                    row("", 4)
+                ],
+                data: 5,
+                stored: StoredIds::Count(20),
+                sealed: true,
+                frontier: vec![1, 2],
+            })
+        );
+        // A base is a seq and a part count, or neither.
+        for (seq, parts) in [(0u64, 1u32), (1, 0)] {
+            let mut forged = spliced.clone();
+            forged[2..10].copy_from_slice(&seq.to_le_bytes());
+            forged[10..14].copy_from_slice(&parts.to_le_bytes());
+            let err = CheckpointPayload::decode(&forged).unwrap_err();
+            assert!(err.contains("impossible base"), "{err}");
+        }
     }
 
     /// A count far beyond the bytes that could back it is refused before
@@ -1128,13 +1370,14 @@ mod tests {
     #[test]
     fn hostile_counts_are_refused_before_they_size_anything() {
         // A checkpoint claiming u32::MAX manifest rows.
-        let mut rows = vec![PAYLOAD_VERSION];
+        let header = [&[PAYLOAD_VERSION, 0][..], &[0; 12]].concat();
+        let mut rows = header.clone();
         rows.extend_from_slice(&u32::MAX.to_le_bytes());
         rows.extend_from_slice(&[0; 64]);
         let err = CheckpointPayload::decode(&rows).unwrap_err();
         assert!(err.contains("manifest row count"), "{err}");
         // A checkpoint and a put record claiming u32::MAX listed ids.
-        let mut listed = vec![PAYLOAD_VERSION];
+        let mut listed = header;
         listed.extend_from_slice(&0u32.to_le_bytes());
         listed.extend_from_slice(&0u64.to_le_bytes());
         listed.push(1);

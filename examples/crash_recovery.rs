@@ -19,7 +19,10 @@
 //! 7. scrub (repair + heal every metadata copy), verify everything end
 //!    to end, and require **block-for-block parity** with an
 //!    uninterrupted run of the same lifetime — same stored blocks, same
-//!    live metadata plane, byte for byte.
+//!    live metadata plane, byte for byte — and a backend that holds no
+//!    `Meta` block the live journal does not name (checkpoint segments
+//!    fold and are collected at cadences of 1–4; nothing may be left
+//!    behind between the live ones).
 //!
 //! ```sh
 //! cargo run --release --example crash_recovery        # default 12 iterations
@@ -97,8 +100,14 @@ fn meta_disaster<B: BlockRepo + ?Sized>(rng: &mut Rng, ar: &Archive<B>, store: &
     harmed
 }
 
-/// One seeded lifetime over one backend. Returns (files, repaired).
-fn soak<B: BlockRepo + ?Sized>(scheme: &Scheme, store: Arc<B>, seed: u64) -> (usize, u64) {
+/// One seeded lifetime over one backend, `mem` being the memory its
+/// metadata lands in. Returns (files, repaired).
+fn soak<B: BlockRepo + ?Sized>(
+    scheme: &Scheme,
+    store: Arc<B>,
+    mem: &MemStore,
+    seed: u64,
+) -> (usize, u64) {
     let mut rng = Rng::new(seed);
     let files: Vec<(String, Vec<u8>)> = (0..FILES)
         .map(|k| (format!("file-{k}.bin"), file_contents(&mut rng)))
@@ -188,6 +197,11 @@ fn soak<B: BlockRepo + ?Sized>(scheme: &Scheme, store: Arc<B>, seed: u64) -> (us
             "meta block {id}"
         );
     }
+    let mut held: Vec<BlockId> = mem.ids().into_iter().filter(|id| id.is_meta()).collect();
+    let mut live = ar.live_meta_ids();
+    held.sort();
+    live.sort();
+    assert_eq!(held, live, "the backend holds the live journal and no more");
     (files.len(), repaired)
 }
 
@@ -206,24 +220,17 @@ fn main() {
     let mut total_repaired = 0;
     for seed in 0..iterations {
         let scheme = &roster[(seed % roster.len() as u64) as usize];
+        let mem = Arc::new(MemStore::new());
         let (backend, (files, repaired)) = match seed % 3 {
-            0 => ("mem", soak(scheme, Arc::new(MemStore::new()), seed)),
-            1 => (
-                "tiered",
-                soak(
-                    scheme,
-                    Arc::new(TieredStore::new(Arc::new(MemStore::new()))),
-                    seed,
-                ),
-            ),
-            _ => (
-                "faulty",
-                soak(
-                    scheme,
-                    Arc::new(FaultyStore::new(Arc::new(MemStore::new()))),
-                    seed,
-                ),
-            ),
+            0 => ("mem", soak(scheme, Arc::clone(&mem), &mem, seed)),
+            1 => {
+                let tiered = Arc::new(TieredStore::new(Arc::clone(&mem)));
+                ("tiered", soak(scheme, tiered, &mem, seed))
+            }
+            _ => {
+                let faulty = Arc::new(FaultyStore::new(Arc::clone(&mem)));
+                ("faulty", soak(scheme, faulty, &mem, seed))
+            }
         };
         total_files += files;
         total_repaired += repaired;

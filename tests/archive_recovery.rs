@@ -46,6 +46,11 @@ fn files() -> Vec<(&'static str, Vec<u8>)> {
         ("exact.bin", content(BLOCK * 4, 5)),
         ("report.pdf", content(2_000, 7)),
         ("trace.log", content(700, 9)),
+        // Three more puts take `sweep_cfg`'s cadence of two through its
+        // fourth commit: a level-2 fold of every segment before it.
+        ("a.idx", content(40, 11)),
+        ("b.idx", content(BLOCK, 13)),
+        ("c.idx", content(3, 15)),
     ]
 }
 
@@ -968,6 +973,126 @@ fn losing_every_copy_of_a_checkpoint_record_is_typed() {
             ),
             "{s}: all-copy checkpoint loss must escalate typed"
         );
+    }
+}
+
+/// Every `Meta` id `store` holds, sorted.
+fn held_meta_ids(store: &MemStore) -> Vec<BlockId> {
+    let mut ids: Vec<BlockId> = store.ids().into_iter().filter(|id| id.is_meta()).collect();
+    ids.sort();
+    ids
+}
+
+/// A power cut between a checkpoint's pointer commit and the end of its
+/// garbage collection leaves records on the backend that the reopened
+/// journal never reads — they lie below the checkpoint it loads — and so
+/// cannot name. The promise is that the next commit collects them: for
+/// every cut position of a nine-put lifetime at a cadence of four, over
+/// the three benchmark schemes, a reopen, nine more puts (two more
+/// commits), a seal and a scrub must leave the backend holding exactly
+/// the `Meta` blocks the live journal names — with a chain of segments an
+/// orphan would otherwise sit between live ones for good.
+#[test]
+fn power_cut_inside_a_checkpoint_gc_leaves_no_orphaned_meta_block() {
+    use aecodes::lattice::Config;
+    let cfg = || MetaConfig {
+        copies: 3,
+        checkpoint_every: Some(4),
+        ..MetaConfig::default()
+    };
+    let lifetime = |s: &Scheme, cut: u64| {
+        let inner = Arc::new(MemStore::new());
+        let pc = Arc::new(PowerCut::new(Arc::clone(&inner), cut));
+        let mut ar = Archive::with_scheme_meta(build(s), BLOCK, Arc::clone(&pc), cfg());
+        for i in 0..9u8 {
+            ar.put(&format!("f{i}"), &[i; 3 * BLOCK]).unwrap();
+        }
+        (inner, pc.attempted())
+    };
+    for s in [
+        Scheme::Ae(Config::new(3, 2, 5).unwrap()),
+        Scheme::Rs { k: 10, m: 4 },
+        Scheme::Replication { n: 3 },
+    ] {
+        let (_, total) = lifetime(&s, u64::MAX);
+        for cut in 0..=total {
+            let (inner, _) = lifetime(&s, cut);
+            let mut ar = match Archive::open_with_meta(build(&s), Arc::clone(&inner), cfg()) {
+                Ok(ar) => ar,
+                Err(RecoveryError::NoArchive) => continue,
+                Err(RecoveryError::CorruptRecord { seq: 0, .. }) => continue,
+                Err(other) => panic!("{s} cut {cut}/{total}: unexpected {other}"),
+            };
+            for i in 0..9u8 {
+                ar.put(&format!("g{i}"), &[i; BLOCK]).unwrap();
+            }
+            ar.seal().unwrap();
+            ar.scrub();
+            let mut named = ar.live_meta_ids();
+            named.sort();
+            assert_eq!(
+                held_meta_ids(&inner),
+                named,
+                "{s} cut {cut}/{total}: a Meta block nobody names"
+            );
+            assert!(ar.verify_all().is_empty(), "{s} cut {cut}/{total}");
+        }
+    }
+}
+
+/// The chain's other way to lose history: all three copies of a segment
+/// that is neither the newest nor the oldest. Both pointer cells lead
+/// through it, so there is nothing to fall back to — `open` must say
+/// which record is gone, never serve the manifest minus its rows.
+#[test]
+fn losing_every_copy_of_a_middle_segment_is_typed_and_names_it() {
+    for s in Scheme::extended_lineup() {
+        let store = Arc::new(MemStore::new());
+        let cfg = MetaConfig {
+            checkpoint_every: Some(1),
+            ..sweep_cfg()
+        };
+        {
+            let mut ar =
+                Archive::with_scheme_meta(build(&s), BLOCK, Arc::clone(&store), cfg.clone());
+            for (name, contents) in files().iter().take(7) {
+                ar.put(name, contents).unwrap();
+            }
+        }
+        // Seven commits: segments of level 2, 1 and 0. Part 0 of each is
+        // the first live record after the previous segment's parts.
+        let mut live: Vec<u64> = held_meta_ids(&store)
+            .into_iter()
+            .filter_map(|id| match id {
+                BlockId::Meta(meta) if !meta.is_pointer() && meta.copy() == 0 => Some(meta.seq()),
+                _ => None,
+            })
+            .collect();
+        live.sort();
+        let newest = {
+            let ar = Archive::open_with_meta(build(&s), Arc::clone(&store), cfg.clone()).unwrap();
+            assert_eq!(ar.file_count(), 7, "{s}");
+            ar.checkpoint_seq().expect("seven commits")
+        };
+        // Genesis, then the level-2 segment's parts; the level-1 segment
+        // starts after the first gap (the records the level-2 fold and
+        // commits 5 and 6 collected).
+        let gap = live
+            .windows(2)
+            .position(|w| w[1] != w[0] + 1)
+            .expect("collected records");
+        let middle = live[gap + 1];
+        assert!(1 < middle && middle < newest, "{s}: {live:?}");
+        for copy in 0..cfg.copies {
+            assert!(store.remove(meta_copy_id(middle, copy)), "{s}: part 0 live");
+        }
+        match Archive::open_with_meta(build(&s), Arc::clone(&store), cfg.clone()) {
+            Err(RecoveryError::CorruptRecord { seq, detail }) => {
+                assert_eq!(seq, middle, "{s}: {detail}");
+            }
+            Err(other) => panic!("{s}: {other}"),
+            Ok(ar) => panic!("{s}: opened with {} of 7 files", ar.file_count()),
+        }
     }
 }
 

@@ -4,8 +4,8 @@
 //! history — no clock, no allocator, no host in it — so the bytes a put
 //! record, a checkpoint and a sealed archive's journal occupy are exact
 //! integers: the `wan_rtts.csv` pattern applied to bytes. The table
-//! below (AE(3,2,5), RS(10,4), 3-way replication × 64 one-block files and
-//! 64 sixty-four-block files, default `MetaConfig`: three copies, a
+//! below (AE(3,2,5), RS(10,4), 3-way replication × 64 and 256 files of
+//! one and of sixty-four blocks, default `MetaConfig`: three copies, a
 //! checkpoint every 64 records and on seal) is diffed against
 //! `tests/golden/journal_bytes.csv` byte for byte. A change that makes
 //! the journal carry more — an id list back in a record, a per-block
@@ -17,12 +17,21 @@
 //! what one `put` journals (every put of a row journals the same: the
 //! fields are fixed-width and the names equally long), `checkpoint` what
 //! the 64th put's automatic checkpoint adds on top of its record (parts
-//! and pointer cell), `seal` what `seal` journals (its record, the final
-//! checkpoint, the pointer), and `left_after_seal` what the backend
-//! still holds under `Meta` ids once the seal's garbage collection is
-//! done. Position-first journals make `put_record` independent of the
-//! file's size; before them the 64-block AE row journaled ≈ 2.6 KB of
-//! ids per copy per put.
+//! and pointer cell), `checkpoints_total` the same summed over every
+//! automatic checkpoint of the row, `seal` what `seal` journals (its
+//! record, the final checkpoint, the pointer), and `left_after_seal` what
+//! the backend still holds under `Meta` ids once the seal's garbage
+//! collection is done. Position-first journals make `put_record`
+//! independent of the file's size; before them the 64-block AE row
+//! journaled ≈ 2.6 KB of ids per copy per put.
+//!
+//! A checkpoint is a segment of the rows since the previous one, folded
+//! like a binary counter, and the 256-file rows are where that shows:
+//! their four checkpoints write 64 + 128 + 64 + 256 rows
+//! (`checkpoints_total`) where four full snapshots wrote 640, their seal
+//! is a fifth, row-less segment on top of the level-2 one, and what is
+//! left holds both. In a 64-file row the seal is the *second* commit —
+//! the one that folds the first — so it still rewrites all 64 rows.
 
 use aecodes::api::{BlockSink, BlockSource, RedundancyScheme, StoreError};
 use aecodes::blocks::{Block, BlockId};
@@ -34,7 +43,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const BLOCK: usize = 64;
-const FILES: usize = 64;
 
 /// A backend that adds up the bytes stored under `Meta` ids.
 #[derive(Default)]
@@ -78,34 +86,46 @@ fn journaled<T>(store: &MetaBytes, f: impl FnOnce() -> T) -> (T, u64) {
     (out, store.written.load(Ordering::Relaxed) - before)
 }
 
-/// One row: `[put_record, checkpoint, seal, left_after_seal]`.
-fn budget_row(s: &Scheme, blocks_per_file: usize) -> [u64; 4] {
+/// One row: `[put_record, checkpoint, checkpoints_total, seal,
+/// left_after_seal]`.
+fn budget_row(s: &Scheme, files: usize, blocks_per_file: usize) -> [u64; 5] {
     let store = Arc::new(MetaBytes::default());
     let scheme: Arc<dyn RedundancyScheme> = Arc::from(s.build(BLOCK));
     let mut ar = Archive::with_scheme(scheme, BLOCK, Arc::clone(&store));
     let contents: Vec<u8> = (0..BLOCK * blocks_per_file).map(|i| i as u8).collect();
-    let mut puts = Vec::with_capacity(FILES);
-    for file in 0..FILES {
+    let mut puts = Vec::with_capacity(files);
+    for file in 0..files {
         let name = format!("f{file:06}");
         let ((), bytes) = journaled(&store, || {
             ar.put(&name, &contents).expect("fresh name");
         });
         puts.push(bytes);
     }
-    let (last, records) = puts.split_last().expect("64 puts");
-    let put_record = records[0];
+    let put_record = puts[0];
+    // Every 64th put checkpoints on top of its record; no other put
+    // journals anything else.
+    let (checkpoints, records): (Vec<_>, Vec<_>) =
+        (1..).zip(puts).partition(|(nth, _)| nth % 64 == 0);
     assert!(
-        records.iter().all(|&bytes| bytes == put_record),
+        records.iter().all(|&(_, bytes)| bytes == put_record),
         "{s}: every put journals the same bytes: {records:?}"
     );
-    assert!(
-        ar.checkpoint_seq().is_some(),
-        "{s}: the 64th put checkpoints"
-    );
+    let checkpoints: Vec<u64> = checkpoints
+        .into_iter()
+        .map(|(_, bytes)| bytes - put_record)
+        .collect();
+    assert_eq!(checkpoints.len(), files / 64, "{s}");
+    assert!(checkpoints.iter().all(|&bytes| bytes > 0), "{s}");
     let (_, seal) = journaled(&store, || ar.seal().expect("seal"));
     let held = store.inner.ids().into_iter().filter(|id| id.is_meta());
     let left = held.map(|id| store.inner.get(id).expect("listed").len() as u64);
-    [put_record, last - put_record, seal, left.sum()]
+    [
+        put_record,
+        checkpoints[0],
+        checkpoints.iter().sum(),
+        seal,
+        left.sum(),
+    ]
 }
 
 #[test]
@@ -115,15 +135,18 @@ fn journal_bytes_per_put_checkpoint_and_seal_match_the_golden_budget() {
         Scheme::Rs { k: 10, m: 4 },
         Scheme::Replication { n: 3 },
     ];
-    let mut table =
-        String::from("scheme,files,blocks_per_file,put_record,checkpoint,seal,left_after_seal\n");
+    let mut table = String::from(
+        "scheme,files,blocks_per_file,put_record,checkpoint,checkpoints_total,seal,left_after_seal\n",
+    );
     for s in roster {
-        for blocks_per_file in [1usize, 64] {
-            let row = budget_row(&s, blocks_per_file).map(|v| v.to_string());
-            table.push_str(&format!(
-                "\"{s}\",{FILES},{blocks_per_file},{}\n",
-                row.join(",")
-            ));
+        for files in [64usize, 256] {
+            for blocks_per_file in [1usize, 64] {
+                let row = budget_row(&s, files, blocks_per_file).map(|v| v.to_string());
+                table.push_str(&format!(
+                    "\"{s}\",{files},{blocks_per_file},{}\n",
+                    row.join(",")
+                ));
+            }
         }
     }
     let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("journal_bytes.csv");

@@ -60,9 +60,9 @@ fn copy_of(store: &MemStore) -> Arc<MemStore> {
     Arc::new(copy)
 }
 
-/// The journaled `Put`/`Seal` records and the committed checkpoint
+/// The journaled `Put`/`Seal` records and the checkpoint segments
 /// `store` currently holds, decoded from copy 0.
-fn journaled(store: &MemStore) -> (Vec<StoredIds>, Option<CheckpointPayload>) {
+fn journaled(store: &MemStore) -> (Vec<StoredIds>, Vec<CheckpointPayload>) {
     let mut records: Vec<(u64, MetaRecord)> = store
         .ids()
         .into_iter()
@@ -77,17 +77,23 @@ fn journaled(store: &MemStore) -> (Vec<StoredIds>, Option<CheckpointPayload>) {
         .collect();
     records.sort_by_key(|(seq, _)| *seq);
     let mut shapes = Vec::new();
+    let mut segments = Vec::new();
     let mut payload = Vec::new();
     for (_, record) in records {
         match record {
             MetaRecord::Put { ids, .. } | MetaRecord::Seal { ids, .. } => shapes.push(ids),
-            MetaRecord::Checkpoint { chunk, .. } => payload.extend_from_slice(&chunk),
+            MetaRecord::Checkpoint { part, parts, chunk } => {
+                payload.extend_from_slice(&chunk);
+                if part + 1 == parts {
+                    segments.push(CheckpointPayload::decode(&payload).expect("live parts"));
+                    payload.clear();
+                }
+            }
             _ => {}
         }
     }
-    let checkpoint =
-        (!payload.is_empty()).then(|| CheckpointPayload::decode(&payload).expect("live parts"));
-    (shapes, checkpoint)
+    assert!(payload.is_empty(), "a live segment holds all its parts");
+    (shapes, segments)
 }
 
 /// Everything the invariant says about `ar` right now.
@@ -116,14 +122,14 @@ fn assert_positional(s: &Scheme, ar: &Archive<MemStore>, store: &Arc<MemStore>, 
     expected.sort();
     assert_eq!(held, expected, "{s} after {op}: the backend holds them");
 
-    let (shapes, checkpoint) = journaled(store);
+    let (shapes, segments) = journaled(store);
     for shape in shapes {
         assert!(
             matches!(shape, StoredIds::Count(_)),
             "{s} after {op}: {shape:?}"
         );
     }
-    if let Some(payload) = checkpoint {
+    for payload in segments {
         assert!(
             matches!(payload.stored, StoredIds::Count(_)),
             "{s} after {op}"
