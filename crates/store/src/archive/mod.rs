@@ -293,7 +293,10 @@ pub struct Archive<B: BlockRepo + ?Sized = dyn BlockRepo> {
     /// The manifest rows of the files put since the last committed
     /// checkpoint, in write order (after `open`: those of the replayed
     /// suffix) — what the next checkpoint adds, kept in the form it will
-    /// write them. At most a cadence's worth under an automatic cadence.
+    /// write them. At most a cadence's worth under an automatic cadence;
+    /// with [`MetaConfig::checkpoint_every`] `None` it grows by a row —
+    /// the name and 30 bytes — a put until the caller checkpoints, beside
+    /// the records of those same puts the journal keeps for `heal`.
     unfolded: Rows,
     /// Every block written through this archive, by position.
     positions: Positions,

@@ -559,7 +559,7 @@ fn seal_checkpoints_and_further_checkpoints_are_stable() {
     assert!(ar.is_sealed());
     assert_eq!(ar.checkpoint_seq(), Some(sealed_ckpt));
     assert_eq!(ar.get("f").unwrap(), payload(300, 7));
-    // An explicit re-checkpoint ping-pongs the pointer slot and stays
+    // An explicit re-checkpoint rewrites both pointer cells and stays
     // reopenable (the previous checkpoint is GC'd as ordinary prefix).
     let next = ar.checkpoint();
     assert!(next > sealed_ckpt);
@@ -1071,16 +1071,17 @@ fn version_2_journals_open_unchanged_and_checkpoint_into_version_3() {
                 let BlockId::Meta(meta) = id else {
                     unreachable!()
                 };
-                // (The ping-pong slot this checkpoint did not write
-                // still holds the superseded pointer.)
-                let superseded = meta.is_pointer()
-                    && MetaRecord::decode(meta.seq(), block.as_slice())
-                        != Ok(MetaRecord::Pointer {
-                            checkpoint: cseq,
-                            parts: 1,
-                        });
-                let genesis = !meta.is_pointer() && meta.seq() == 0;
-                if !genesis && !superseded {
+                // (Both pointer cells: a commit over an older checkpoint
+                // leaves no cell naming it.)
+                if meta.is_pointer() {
+                    let named = MetaRecord::decode(meta.seq(), block.as_slice());
+                    let newest = MetaRecord::Pointer {
+                        checkpoint: cseq,
+                        parts: 1,
+                    };
+                    assert_eq!(named, Ok(newest), "{ctx}: {id}");
+                }
+                if meta.is_pointer() || meta.seq() != 0 {
                     assert_eq!(version(&block), FORMAT_VERSION, "{ctx}: {id}");
                 }
             }

@@ -2,7 +2,7 @@
 //! on the backend and **in what order** it is written.
 //!
 //! [`crate::meta`] owns the bytes of a record; this module owns
-//! everything else about them — copy sets, the ping-pong pointer cells,
+//! everything else about them — copy sets, the two pointer cells,
 //! the commit barriers, torn-tail truncation, the probe window, the
 //! damage report and the heal. [`crate::Archive`] owns what the records
 //! *mean*: it hands [`Journal::append`] a record to make durable, folds
@@ -68,12 +68,26 @@
 //!    journal records, parts included, go one copy set at a time,
 //!    because the walk reads a missing record with survivors beyond it
 //!    as mid-journal damage, not as a torn tail;
-//! 3. no GC remove is issued before every pointer copy, and record 1
-//!    leaves ahead of the rest (how `open` tells a rotted pointer from a
-//!    torn one). A cut inside the GC leaves records below the checkpoint
-//!    the next `open` loads; the reopened journal collects that range
-//!    again — it is arithmetic on the loaded segment's header — in a
-//!    batch of its own ahead of its next commit's parts.
+//! 3. the two pointer cells are written one after the other — a cut
+//!    tears at most one, and the other names a checkpoint that is whole —
+//!    and no GC remove is issued before every copy of **both**: a level-0
+//!    commit leaves the chain under it whole, so a cell still naming that
+//!    chain once the records past it are collected would, the newer cell
+//!    lost, open as an archive silently rewound. (An archive's first
+//!    commit has no older cell to overwrite and writes one.) Cells that
+//!    differ are therefore a commit cut between them, nothing of it
+//!    collected: [`Journal::open`] may fall back across them at the cost
+//!    of replay length only, and finishes the commit — the second cell —
+//!    when the newer one loads;
+//! 4. record 1 leaves ahead of the rest of a GC (how `open` tells a
+//!    rotted pointer from a torn one), and the rest go ascending, one
+//!    aligned block of 16 seqs a batch. A cut inside the GC leaves records
+//!    below the checkpoint the next `open` loads — the top of the range,
+//!    down to the block the cut fell in. The range is arithmetic on the
+//!    loaded segment's header, so the reopened journal looks for them
+//!    ahead of its next commit's parts: it probes down from the top,
+//!    stops at the first block that holds nothing, and removes from there
+//!    up — one batch of `has` when the GC had finished.
 //!
 //! Final backend state and error typing are byte-identical at every
 //! in-flight window and to the plain-backend run
@@ -180,16 +194,11 @@ pub(crate) struct Journal {
     /// strictly falling. Empty before the first commit.
     chain: Vec<Segment>,
     /// The garbage range of the commit [`Journal::open`] loaded. A cut
-    /// between that commit's pointer and the end of its GC leaves records
+    /// between that commit's pointers and the end of its GC leaves records
     /// there this journal never read and so cannot name; the next commit
-    /// collects the whole range again, once.
+    /// looks for them, once ([`Journal::recollect`]).
     stale: Option<Range<u64>>,
-    /// Part-0 seq of a checkpoint a valid pointer cell names but
-    /// [`Journal::open`] could not load (it fell back to an older one),
-    /// and the refusal. The walk must get that far — replaying every
-    /// record the lost checkpoint folded — or the refusal stands.
-    unreached: Option<(u64, RecoveryError)>,
-    /// Ping-pong slot the next checkpoint's pointer will overwrite.
+    /// The cell the next checkpoint's pointer is written to first.
     next_pointer_slot: u64,
     /// Put/seal records since the committed checkpoint — the
     /// auto-checkpoint trigger counter.
@@ -225,8 +234,9 @@ impl Journal {
     /// end-of-journal (see the torn-write rules in [`crate::meta`]).
     const REPLAY_PROBE_WINDOW: u64 = 16;
 
-    /// How many records of a stale GC range are collected per batch.
-    const STALE_WINDOW: usize = 4096;
+    /// How many consecutive seqs — aligned: one value of `seq / GC_BLOCK`
+    /// — a GC removes per batch.
+    const GC_BLOCK: u64 = 16;
 
     /// An empty journal whose next record is `next_meta`, its copy-set
     /// width clamped into the nameable range.
@@ -241,7 +251,6 @@ impl Journal {
             pointers: BTreeMap::new(),
             chain: Vec::new(),
             stale: None,
-            unreached: None,
             next_pointer_slot: 0,
             records_since_checkpoint: 0,
             torn_tail: None,
@@ -282,8 +291,10 @@ impl Journal {
 
     /// Reads the genesis record, the pointer cells and the newest
     /// loadable checkpoint of the journal a scheme named `given` left on
-    /// `store`. The copy-set width is adopted from the genesis record;
-    /// `meta` contributes the live checkpoint cadence and segment size.
+    /// `store`, and finishes a commit that was cut between its two
+    /// pointer writes. The copy-set width is adopted from the genesis
+    /// record; `meta` contributes the live checkpoint cadence and segment
+    /// size.
     pub(crate) fn open<B: BlockRepo + ?Sized>(
         store: &B,
         meta: MetaConfig,
@@ -337,30 +348,35 @@ impl Journal {
             // that cannot get past genesis.
         } else {
             // The newest candidate's refusal is the one to report.
-            let mut refused: Option<(u64, RecoveryError)> = None;
+            let mut refused = None;
             let mut loaded = None;
             for &(slot, cseq, parts) in &candidates {
                 match journal.load_chain(store, cseq, parts) {
                     Ok(payload) => {
-                        loaded = Some((slot, cseq, payload));
+                        loaded = Some((slot, cseq, parts, payload));
                         break;
                     }
                     Err((seq, detail)) => {
                         let detail =
                             format!("checkpoint named by pointer is not loadable: {detail}");
-                        let refusal = RecoveryError::CorruptRecord { seq, detail };
-                        refused.get_or_insert((cseq, refusal));
+                        refused.get_or_insert(RecoveryError::CorruptRecord { seq, detail });
                     }
                 }
             }
-            let Some((slot, cseq, payload)) = loaded else {
-                return Err(refused.expect("a candidate was tried and refused").1);
+            let Some((slot, cseq, parts, payload)) = loaded else {
+                return Err(refused.expect("a candidate was tried and refused"));
             };
-            // A valid pointer proves every record below the checkpoint it
-            // names was acknowledged — and that checkpoint's GC may have
-            // run. Falling back past it is sound only if the walk finds
-            // all of them (see `may_end_at`).
-            journal.unreached = refused;
+            // Two cells naming different checkpoints are a commit cut
+            // between its pointer writes: nothing of it was collected, so
+            // having fallen back across them costs replay length only.
+            // (A journal from before both cells were written leaves the
+            // older one naming a checkpoint its successor's GC destroyed
+            // whole: that fallback fails typed.) If the newer one loaded,
+            // finish its commit — before anything of its garbage is
+            // collected, no valid cell may name an older chain.
+            if refused.is_none() && candidates.len() > 1 {
+                journal.store_pointer(store, 1 - slot, cseq, parts);
+            }
             let newest = journal.chain.last().expect("a loaded chain is not empty");
             journal.next_pointer_slot = 1 - slot;
             journal.next_meta = newest.end();
@@ -627,14 +643,12 @@ impl Journal {
                     // metadata beyond the redundancy, not a torn tail)
                     // and walking past it would serve a silently
                     // rewound archive.
-                    self.may_end_at(seq)?;
                     if self.journal_continues(store, seq) {
                         return Err(corrupt("all copies missing mid-journal".into()));
                     }
                     return Ok(None);
                 }
                 Err(Some(detail)) => {
-                    self.may_end_at(seq)?;
                     if self.journal_continues(store, seq) {
                         return Err(corrupt(detail));
                     }
@@ -677,19 +691,6 @@ impl Journal {
         }
     }
 
-    /// Whether the walk may find no readable record at `seq` and take the
-    /// journal to end there. Not below a checkpoint that a valid pointer
-    /// cell names and `open` fell back past: every record under it was
-    /// acknowledged, its GC may have collected them while leaving the
-    /// older chain whole, and ending early would serve an archive
-    /// silently rewound — the refusal of that checkpoint is the answer.
-    fn may_end_at(&self, seq: u64) -> Result<(), RecoveryError> {
-        match &self.unreached {
-            Some((reach, refusal)) if seq < *reach => Err(refusal.clone()),
-            _ => Ok(()),
-        }
-    }
-
     /// Validates checkpoint parts `cseq..cseq + parts` encountered
     /// in-line during the walk (part 0 already read) and advances past
     /// them. `Err(None)` means the group is a torn checkpoint tail —
@@ -726,7 +727,6 @@ impl Journal {
             // unacknowledged garbage: erase them so resumed appends can
             // never interleave with stale part records, and retract any
             // degraded-copy reports for records that no longer exist.
-            self.may_end_at(cseq).map_err(Some)?;
             for s in cseq..cseq + parts as u64 {
                 self.journal.remove(&s);
                 self.erase_record(store, s);
@@ -807,11 +807,54 @@ impl Journal {
     /// Removes journal records `seqs` (ascending), every copy. Record 1
     /// goes in a batch of its own, ahead of the rest: `open` tells a
     /// rotted pointer from a torn one by GC having removed record 1 first.
+    /// The rest go one aligned block of [`Self::GC_BLOCK`] seqs a batch,
+    /// so whatever the in-flight window a cut leaves every seq below one
+    /// block removed, every seq above it in place — what
+    /// [`Journal::recollect`] relies on to stop early.
     fn collect<B: BlockRepo + ?Sized>(&self, store: &B, seqs: impl IntoIterator<Item = u64>) {
         let mut seqs = seqs.into_iter().peekable();
         let first = seqs.next_if_eq(&1);
         remove_all(store, first.into_iter().flat_map(|s| self.record_ids(s)));
-        remove_all(store, seqs.flat_map(|s| self.record_ids(s)));
+        while let Some(&next) = seqs.peek() {
+            let block = next / Self::GC_BLOCK;
+            let batch = std::iter::from_fn(|| seqs.next_if(|s| s / Self::GC_BLOCK == block));
+            remove_all(store, batch.flat_map(|s| self.record_ids(s)));
+        }
+    }
+
+    /// Collects what a cut GC left of `stale`, the garbage range of the
+    /// commit this journal was opened on: the top of the range, down to
+    /// the block the cut fell in. Probes block by block from the top and
+    /// stops at the first that holds nothing — one batch of `has` on a
+    /// journal whose GC finished, and never more work than the blocks
+    /// actually present, whatever range a header claims — then removes
+    /// from there up, in GC order, so a cut here leaves the same shape.
+    fn recollect<B: BlockRepo + ?Sized>(&self, store: &B, stale: Range<u64>) {
+        let mut low = stale.end;
+        while low > stale.start {
+            let block = stale.start.max((low - 1) / Self::GC_BLOCK * Self::GC_BLOCK)..low;
+            let ids = block.clone().flat_map(|s| self.record_ids(s));
+            if !has_all(store, ids).contains(&true) {
+                break;
+            }
+            low = block.start;
+        }
+        self.collect(store, low..stale.end);
+    }
+
+    /// Writes pointer cell `slot`, every copy as one batch, naming the
+    /// checkpoint whose newest segment is `parts` parts from `checkpoint`.
+    fn store_pointer<B: BlockRepo + ?Sized>(
+        &mut self,
+        store: &B,
+        slot: u64,
+        checkpoint: u64,
+        parts: u32,
+    ) {
+        let pointer = Block::from_vec(MetaRecord::Pointer { checkpoint, parts }.encode(slot));
+        let cells = self.pointer_ids(slot).map(|id| (id, pointer.clone()));
+        store_all(store, cells);
+        self.pointers.insert(slot, pointer);
     }
 
     /// Commits `rows` — what the owner added since the last commit — and
@@ -832,13 +875,11 @@ impl Journal {
         // uncollected is garbage already, and after this commit's pointer
         // no header would name its range any more.
         if let Some(stale) = self.stale.take() {
-            // (A window at a time: the range was read off the backend and
-            // must not size an allocation.)
-            let mut seqs = stale.peekable();
-            while seqs.peek().is_some() {
-                self.collect(store, seqs.by_ref().take(Self::STALE_WINDOW));
-            }
+            self.recollect(store, stale);
         }
+        // Every commit but an archive's first finds a cell naming the
+        // checkpoint it supersedes.
+        let supersedes = !self.chain.is_empty();
         let mut level = 0u8;
         let mut absorbed = Vec::new();
         while let Some(top) = self.chain.pop_if(|top| top.level <= level) {
@@ -858,19 +899,16 @@ impl Journal {
                 encode_checkpoint_part(self.next_meta, part, parts, chunk),
             );
         }
-        // The pointer commit: all parts are durable, flip the ping-pong
-        // cell to them.
+        // The pointer commit: all parts are durable, point one cell at
+        // them — then, once that is durable, the other cell too.
+        // A level-0 commit leaves the chain under it whole, so a cell left
+        // naming that chain would, this commit's GC done and the newer
+        // cell lost, open as an archive silently rewound.
         let slot = self.next_pointer_slot;
-        let pointer = Block::from_vec(
-            MetaRecord::Pointer {
-                checkpoint: cseq,
-                parts,
-            }
-            .encode(slot),
-        );
-        let cells = self.pointer_ids(slot).map(|id| (id, pointer.clone()));
-        store_all(store, cells);
-        self.pointers.insert(slot, pointer);
+        self.store_pointer(store, slot, cseq, parts);
+        if supersedes {
+            self.store_pointer(store, 1 - slot, cseq, parts);
+        }
         self.next_pointer_slot = 1 - slot;
         self.chain.push(Segment {
             seq: cseq,

@@ -84,10 +84,10 @@
 //! * **Pointer** (`kind 4`, stored at the [`MetaId::pointer`] cells, not
 //!   at journal sequence numbers): the journal seq of part 0 of a
 //!   fully-written checkpoint's **newest** segment (`u64`) and that
-//!   segment's part count (`u32`). Pointer
-//!   cells are the journal's only **rewritable** blocks: two slots
-//!   alternate (ping-pong), so a crash mid-overwrite always leaves the
-//!   other slot's previous pointer intact.
+//!   segment's part count (`u32`). Pointer cells are the journal's only
+//!   **rewritable** blocks: there are two slots, overwritten one after
+//!   the other, so a crash mid-overwrite always leaves the other slot
+//!   naming a checkpoint that is whole.
 //!
 //! The **stored blocks** field ([`StoredIds`]) is a shape byte, then a
 //! `u32` count: shape `0` — nothing follows, the blocks are the next
@@ -184,35 +184,49 @@
 //!
 //! 1. The new segment's **parts** are appended to the journal at the
 //!    next sequence numbers (each part `n`-way, like any record).
-//! 2. The **pointer** naming part 0 is written to the ping-pong slot not
-//!    used by the previous checkpoint (all copies).
+//! 2. The **pointer** naming part 0 is written to one slot (all copies)
+//!    and then, unless this is the archive's first checkpoint, to the
+//!    other — one slot at a time, so at every instant at least one names
+//!    a checkpoint that is whole.
 //! 3. Only then is what the segment supersedes **garbage-collected**:
 //!    every journal record after its base's last part (after genesis,
 //!    for a base-less segment) and before its part 0 — the segments it
-//!    absorbed and the `Put`/`Seal` records it folded. Live older
-//!    segments, genesis and the pointer cells are never touched.
+//!    absorbed and the `Put`/`Seal` records it folded — in ascending
+//!    order, record 1 first and alone, the rest one aligned block of 16
+//!    sequence numbers at a time. Live older segments, genesis and the
+//!    pointer cells are never touched.
 //!
-//! A crash anywhere in that sequence is safe. Before step 2 completes
-//! the old pointer still names the previous chain, none of which has
-//! been removed (partially-written parts are a torn tail, truncated on
-//! replay; a complete but unnamed group is validated and stepped over).
-//! After step 2, replay uses the new chain, and whatever step 3 did not
-//! get to is left on the backend **below** the checkpoint `open` loads,
-//! where the reopened process never reads it and so holds no record of
-//! it. The segment's header says where that is — the range of step 3 is
-//! arithmetic on `base` and the segment's own seq — so the reopened
-//! journal collects that whole range again, once, ahead of its next
-//! commit (ahead, because that commit's own range need not contain it).
-//! Until then the leftovers are inert: nothing below a loaded checkpoint
-//! is replayed.
+//! Both slots, because a level-0 commit leaves the chain under it whole:
+//! a slot left naming that chain would stay loadable after step 3 removed
+//! the records that followed it, and at any cadence above the 16-record
+//! probe window, losing every copy of the newer slot would then open as
+//! an archive one commit short, silently. With both slots rewritten
+//! before step 3, **no valid slot ever names a checkpoint whose
+//! successor's garbage collection has begun**; one slot lost whole —
+//! deleted or rotted — leaves the other naming the same chain.
 //!
-//! A valid pointer cell proves every record below the checkpoint it
-//! names was acknowledged. If that checkpoint cannot be loaded and `open`
-//! falls back to the one the other cell names — whose chain a level-0
-//! commit leaves whole — the walk must replay every record up to the
-//! lost checkpoint's part 0; if step 3 collected them, the loss is a
-//! typed error naming the record that could not be loaded, never a
-//! silently older archive.
+//! A crash anywhere in that sequence is safe. Before the first slot of
+//! step 2 is written the old pointers still name the previous chain, none
+//! of which has been removed (partially-written parts are a torn tail,
+//! truncated on replay; a complete but unnamed group is validated and
+//! stepped over). Between the two slots, they differ and nothing has been
+//! collected: `open` loads the newer and finishes the commit by writing
+//! the second slot, or, if the newer is torn or unloadable, falls back to
+//! the older and replays the records the cut commit folded — replay
+//! length, never data. After step 2, replay uses the new chain, and
+//! whatever step 3 did not get to is left on the backend **below** the
+//! checkpoint `open` loads, where the reopened process never reads it and
+//! so holds no record of it. The segment's header says where that is —
+//! the range of step 3 is arithmetic on `base` and the segment's own seq
+//! — and step 3's order says what a cut can have left of it: the top of
+//! the range, down to the one block the cut fell in. So the reopened
+//! journal, ahead of its next commit (ahead, because that commit's own
+//! range need not contain it), probes the range from the top, block by
+//! block, stops at the first block that holds nothing and removes from
+//! there up: one batch of `has` calls when step 3 had finished, work
+//! bounded by the blocks present whatever range a header claims. Until
+//! then the leftovers are inert: nothing below a loaded checkpoint is
+//! replayed.
 //!
 //! # Versioning and torn-write rules
 //!
@@ -245,10 +259,11 @@
 //!   with survivors beyond it is indistinguishable from end-of-journal.
 //!   Likewise, after GC the pointer cells are the only road to the
 //!   checkpoint: pointer cells that all decode invalid are a typed
-//!   error, and losing **every** copy of **both** pointer slots without
-//!   a trace is indistinguishable from an archive that never
-//!   checkpointed — the one configuration beyond the metadata plane's
-//!   `n - 1`-losses-per-record guarantee.
+//!   error, and losing **every** copy of **both** pointer slots (of the
+//!   one slot an archive's first checkpoint writes) without a trace is
+//!   indistinguishable from an archive that never checkpointed — the one
+//!   configuration beyond the metadata plane's `n - 1`-losses-per-record
+//!   guarantee.
 //!   A **live** archive keeps every record it wrote in memory and
 //!   [`crate::Archive::scrub`] re-stores any copy the backend lost or
 //!   corrupted, so the journal heals with the data it describes.

@@ -1,32 +1,25 @@
-//! The committed checkpoint as a **chain of segments**, read off the
-//! backend through the public record format alone.
-//!
-//! A commit writes the rows added since the previous one as a level-0
-//! segment and folds into it every live segment of its own level, like
-//! the carry of a binary counter (`crates/store/src/journal.rs`). So
-//! after `c` commits the live chain *is* the binary form of `c` — one
-//! segment per set bit, the bit's position its level — every manifest row
-//! sits in exactly one live segment, and the backend holds no `Meta`
-//! block the live journal does not name. The first test counts all three
-//! exactly, after every commit, across the roster.
-//!
-//! The second forges what a hostile or confused backend could put in a
-//! segment header or its rows — a base naming itself, a later record, a
-//! record that is no checkpoint part, a base folded no more often than
-//! the segment on top of it, extents that do not meet, a name listed
-//! twice — each with valid framing and checksums, so only the chain rules
-//! stand between it and `Archive::open`. Every one is a typed
-//! `RecoveryError::CorruptRecord` naming a record; none hangs the walk.
+//! The committed checkpoint is a **chain of segments**, each naming the
+//! one below it (`crates/store/src/journal.rs`; its shape after every
+//! commit is held to the binary form of the commit count in
+//! `checkpoint_replay.rs`). This forges what a hostile or confused
+//! backend could put in a segment header or its rows — a base naming
+//! itself, a later record, a record that is no checkpoint part, a base
+//! folded no more often than the segment on top of it, extents that do
+//! not meet, a name listed twice — each with valid framing and checksums,
+//! so only the chain rules stand between it and `Archive::open`. Every one
+//! is a typed `RecoveryError::CorruptRecord` naming a record; none hangs
+//! the walk.
+
+mod common;
 
 use aecodes::api::RedundancyScheme;
-use aecodes::blocks::{Block, BlockId};
+use aecodes::blocks::Block;
 use aecodes::lattice::Config;
 use aecodes::sim::Scheme;
 use aecodes::store::archive::{Archive, RecoveryError};
-use aecodes::store::meta::{
-    meta_copy_id, pointer_id, CheckpointPayload, MetaConfig, MetaRecord, StoredIds,
-};
+use aecodes::store::meta::{meta_copy_id, CheckpointPayload, MetaConfig, MetaRecord, StoredIds};
 use aecodes::store::MemStore;
+use common::chain;
 use std::sync::Arc;
 
 const BLOCK: usize = 32;
@@ -34,112 +27,6 @@ const COPIES: u16 = 3;
 
 fn build(s: &Scheme) -> Arc<dyn RedundancyScheme> {
     Arc::from(s.build(BLOCK))
-}
-
-fn file(i: usize) -> (String, Vec<u8>) {
-    let len = (i % 4 * BLOCK).saturating_sub(i % 3);
-    let contents = (0..len).map(|b| (b * 31 + i * 7) as u8).collect();
-    (format!("f{:03}", i * 37 % 101), contents)
-}
-
-fn record(store: &MemStore, id: BlockId, seq: u64) -> MetaRecord {
-    let block = store.get(id).expect("a live record");
-    MetaRecord::decode(seq, block.as_slice()).expect("a live record decodes")
-}
-
-/// The committed chain `store` holds, newest segment first, as `(part-0
-/// seq, part count, segment)`: the newer pointer cell, then base by base.
-fn chain(store: &MemStore) -> Vec<(u64, u32, CheckpointPayload)> {
-    let cells = (0..2).filter(|&slot| store.contains(pointer_id(slot, 0)));
-    let named = cells.map(|slot| match record(store, pointer_id(slot, 0), slot) {
-        MetaRecord::Pointer { checkpoint, parts } => (checkpoint, parts),
-        other => panic!("pointer cell {slot} holds {other:?}"),
-    });
-    let mut next = named.max();
-    let mut out = Vec::new();
-    while let Some((seq, parts)) = next {
-        let mut payload = Vec::new();
-        for part in 0..parts {
-            let at = seq + u64::from(part);
-            match record(store, meta_copy_id(at, 0), at) {
-                MetaRecord::Checkpoint {
-                    part: p,
-                    parts: n,
-                    chunk,
-                } if p == part && n == parts => payload.extend_from_slice(&chunk),
-                other => panic!("meta#{at} is not part {part}/{parts}: {other:?}"),
-            }
-        }
-        let segment = CheckpointPayload::decode(&payload).expect("a live segment decodes");
-        next = segment.base;
-        out.push((seq, parts, segment));
-    }
-    out
-}
-
-fn meta_ids(store: &MemStore) -> Vec<BlockId> {
-    let mut ids: Vec<BlockId> = store.ids().into_iter().filter(|id| id.is_meta()).collect();
-    ids.sort();
-    ids
-}
-
-/// What the chain must look like after `commits` commits over `ar`.
-fn assert_binary_counter(ar: &Archive<MemStore>, store: &MemStore, commits: u32, ctx: &str) {
-    let live = chain(store);
-    let levels: Vec<u32> = live.iter().map(|(_, _, s)| u32::from(s.level)).collect();
-    let set_bits: Vec<u32> = (0..32).filter(|bit| commits >> bit & 1 == 1).collect();
-    assert_eq!(levels, set_bits, "{ctx}: commit {commits}");
-    assert!(
-        live.len() as u32 <= commits.next_power_of_two().trailing_zeros() + 1,
-        "{ctx}: {} segments after {commits} commits",
-        live.len()
-    );
-    let rows: usize = live.iter().map(|(_, _, s)| s.manifest.len()).sum();
-    assert_eq!(rows, ar.file_count(), "{ctx}: every row in one segment");
-    assert_eq!(
-        live.first().map(|&(seq, _, _)| seq),
-        ar.checkpoint_seq(),
-        "{ctx}"
-    );
-    for (_, _, segment) in &live {
-        assert!(matches!(segment.stored, StoredIds::Count(_)), "{ctx}");
-    }
-    let mut named = ar.live_meta_ids();
-    named.sort();
-    assert_eq!(meta_ids(store), named, "{ctx}: nothing unnamed is held");
-}
-
-#[test]
-fn the_live_chain_is_the_binary_form_of_the_commit_count() {
-    for s in Scheme::extended_lineup() {
-        for every in [1u64, 3, 64] {
-            for segment_bytes in [64usize, 64 * 1024] {
-                let cfg = MetaConfig {
-                    copies: COPIES,
-                    checkpoint_every: Some(every),
-                    segment_bytes,
-                };
-                let store = Arc::new(MemStore::new());
-                let mut ar = Archive::with_scheme_meta(build(&s), BLOCK, Arc::clone(&store), cfg);
-                let ctx = format!("{s}, every {every}, {segment_bytes} B parts");
-                let mut commits = 0;
-                for i in 0..70 {
-                    let (name, contents) = file(i);
-                    let before = ar.checkpoint_seq();
-                    ar.put(&name, &contents).expect("fresh name");
-                    if ar.checkpoint_seq() != before {
-                        commits += 1;
-                        assert_binary_counter(&ar, &store, commits, &ctx);
-                    }
-                }
-                assert_eq!(u64::from(commits), 70 / every, "{ctx}");
-                // The seal is one more commit like any other: its record
-                // holds no row, so its segment adds none.
-                ar.seal().expect("seal");
-                assert_binary_counter(&ar, &store, commits + 1, &ctx);
-            }
-        }
-    }
 }
 
 /// AE(3,2,5), seven one-block files, a commit after each: segments of

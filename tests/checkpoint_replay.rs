@@ -15,16 +15,28 @@
 //! leave the same backend, block for block: a commit made after a reopen
 //! is the commit the uninterrupted process makes.
 //!
+//! That third archive is also where the **shape** of the checkpoint is
+//! counted, read off the backend through the public record format: a
+//! commit folds into its segment every live segment of its own level, like
+//! the carry of a binary counter (`crates/store/src/journal.rs`), so after
+//! `c` commits the live chain *is* the binary form of `c` — one segment
+//! per set bit, at most ⌈log₂ c⌉ + 1 — every manifest row sits in exactly
+//! one live segment, and the backend holds no `Meta` block the live
+//! journal does not name.
+//!
 //! File names are drawn so that name order is not write order: a
 //! checkpoint that listed its rows by name and one that lists them as
 //! they were written must agree on the archive they describe.
+
+mod common;
 
 use aecodes::api::RedundancyScheme;
 use aecodes::blocks::{Block, BlockId};
 use aecodes::sim::Scheme;
 use aecodes::store::archive::Archive;
-use aecodes::store::meta::MetaConfig;
+use aecodes::store::meta::{MetaConfig, StoredIds};
 use aecodes::store::MemStore;
+use common::chain;
 use std::sync::Arc;
 
 const BLOCK: usize = 32;
@@ -90,6 +102,34 @@ fn contents(store: &MemStore) -> Vec<(BlockId, Block)> {
     blocks.collect()
 }
 
+/// What the chain must look like after `commits` commits over `ar`.
+fn assert_binary_counter(ar: &Archive<MemStore>, store: &MemStore, commits: u32, ctx: &str) {
+    let live = chain(store);
+    let levels: Vec<u32> = live.iter().map(|(_, _, s)| u32::from(s.level)).collect();
+    let set_bits: Vec<u32> = (0..32).filter(|bit| commits >> bit & 1 == 1).collect();
+    assert_eq!(levels, set_bits, "{ctx}: commit {commits}");
+    assert!(
+        live.len() as u32 <= commits.next_power_of_two().trailing_zeros() + 1,
+        "{ctx}: {} segments after {commits} commits",
+        live.len()
+    );
+    let rows: usize = live.iter().map(|(_, _, s)| s.manifest.len()).sum();
+    assert_eq!(rows, ar.file_count(), "{ctx}: every row in one segment");
+    assert_eq!(
+        live.first().map(|&(seq, _, _)| seq),
+        ar.checkpoint_seq(),
+        "{ctx}"
+    );
+    for (_, _, segment) in &live {
+        assert!(matches!(segment.stored, StoredIds::Count(_)), "{ctx}");
+    }
+    let held = contents(store).into_iter().map(|(id, _)| id);
+    let held: Vec<BlockId> = held.filter(|id| id.is_meta()).collect();
+    let mut named = ar.live_meta_ids();
+    named.sort();
+    assert_eq!(held, named, "{ctx}: nothing unnamed is held");
+}
+
 #[test]
 fn a_reopened_archive_is_the_whole_journal_replay_after_every_put() {
     for s in Scheme::extended_lineup() {
@@ -117,21 +157,31 @@ fn a_reopened_archive_is_the_whole_journal_replay_after_every_put() {
                 let (mut oracle, _) = fresh(&replayed);
                 let (mut steady, steady_store) = fresh(&cfg);
                 let (mut ar, store) = fresh(&cfg);
+                let mut commits = 0;
                 for i in 0..FILES {
                     let (name, contents) = file(i);
                     let entry = ar.put(&name, &contents).expect("fresh name");
                     assert_eq!(entry, oracle.put(&name, &contents).expect("fresh name"));
+                    let committed = steady.checkpoint_seq();
                     assert_eq!(entry, steady.put(&name, &contents).expect("fresh name"));
+                    let ctx = format!("{s}, every {every}, {segment_bytes} B parts, put {i}");
+                    if steady.checkpoint_seq() != committed {
+                        commits += 1;
+                        assert_binary_counter(&steady, &steady_store, commits, &ctx);
+                    }
                     // The crash: every put is followed by one.
                     drop(ar);
-                    let ctx = format!("{s}, every {every}, {segment_bytes} B parts, put {i}");
                     ar = reopened_as(&s, &store, &cfg, &oracle, i + 1, &ctx);
                 }
+                assert_eq!(u64::from(commits), FILES as u64 / every);
                 let flushed = oracle.seal().expect("seal");
                 assert_eq!(ar.seal().expect("seal"), flushed);
                 assert_eq!(steady.seal().expect("seal"), flushed);
                 drop(ar);
                 let ctx = format!("{s}, every {every}, {segment_bytes} B parts, sealed");
+                // The seal is one more commit like any other: its record
+                // holds no row, so its segment adds none.
+                assert_binary_counter(&steady, &steady_store, commits + 1, &ctx);
                 reopened_as(&s, &store, &cfg, &oracle, FILES, &ctx);
                 assert!(contents(&store) == contents(&steady_store), "{ctx}");
             }

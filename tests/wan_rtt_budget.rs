@@ -380,6 +380,57 @@ fn a_lost_frontier_block_costs_open_its_repair_reads_and_no_more() {
     assert_eq!(lossy_open, clean_open + 2);
 }
 
+/// Reopen-then-append is the normal life of a long-term archive, and the
+/// first commit after an `open` owes the commit it was opened on a second
+/// look at its garbage range (a power cut inside that GC leaves records no
+/// reopened journal can name). On a journal whose GC finished the look is
+/// one batch of `has` over the top block of the range — at most 16 records'
+/// copy sets — and not one remove: the commit costs the round trips of the
+/// same commit in a process that never stopped, plus that probe, however
+/// many records the range held.
+#[test]
+fn the_first_commit_after_a_reopen_costs_one_probe_more() {
+    let _guard = WINDOW_ENV.lock().unwrap_or_else(|e| e.into_inner());
+    let before = std::env::var_os("AE_AIO_WINDOW");
+    std::env::set_var("AE_AIO_WINDOW", "8");
+    let s = &roster()[0];
+    let block = |f: usize| vec![f as u8; BLOCK];
+    // Four commits at the default cadence, then 63 records of a fifth.
+    let lifetime = |reopen: bool| {
+        let net = network();
+        let mut ar = Archive::with_scheme(build(s), BLOCK, Arc::clone(&net));
+        for f in 0..319 {
+            ar.put(&name(f), &block(f)).expect("fresh name");
+        }
+        let loaded = ar.checkpoint_seq().expect("four commits");
+        if reopen {
+            drop(ar);
+            ar = Archive::open(build(s), Arc::clone(&net)).expect("journal replays");
+            assert_eq!(ar.replayed_records(), 63);
+        }
+        let calls = &**net.inner().inner();
+        calls.take_trace();
+        let (_, commit) = rtts(&net, || {
+            ar.put(&name(319), &block(319)).expect("fresh name")
+        });
+        assert!(ar.checkpoint_seq() > Some(loaded), "the put commits");
+        let trace = calls.take_trace();
+        (commit, trace.calls, trace.removes, loaded)
+    };
+    let (steady_rtts, steady_calls, steady_removes, loaded) = lifetime(false);
+    let (rtts, calls, removes, _) = lifetime(true);
+    match before {
+        Some(v) => std::env::set_var("AE_AIO_WINDOW", v),
+        None => std::env::remove_var("AE_AIO_WINDOW"),
+    }
+    // The range ends below the loaded segment's part 0; its top block is
+    // what lies in the same aligned 16 seqs.
+    let probed = ((loaded - 1) % 16 + 1) * 3;
+    assert_eq!(removes, steady_removes, "nothing was left to collect");
+    assert_eq!(calls, steady_calls + probed);
+    assert_eq!(rtts, steady_rtts + probed.div_ceil(8));
+}
+
 /// Checkpoints every third record, in parts of 64 bytes: eight puts cross
 /// two multi-part checkpoints and leave a two-record suffix.
 fn trace_cadence() -> MetaConfig {
