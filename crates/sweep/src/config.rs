@@ -154,6 +154,24 @@ impl SweepConfig {
         }
     }
 
+    /// The smoke grid at the scale the benchmark's `sim_sweep` workload
+    /// times (`benchmark/src/sweep_wl.rs`, seed 1): 40 000 data blocks
+    /// over 100 locations, churn capped at 4 000 blocks a round. Pinned
+    /// by `tests/golden/frontier_scaled.csv`, so a change that moves the
+    /// timed grid fails a diff, not only the benchmark's reference check.
+    pub fn scaled() -> SweepConfig {
+        let mut grid = SweepConfig::smoke();
+        grid.data_blocks = 40_000;
+        grid.locations = 100;
+        grid.seeds = vec![1];
+        for failure in &mut grid.failures {
+            if let FailureSpec::ChurnCapped { bandwidth_cap, .. } = failure {
+                *bandwidth_cap = 4_000;
+            }
+        }
+        grid
+    }
+
     /// The full frontier grid: the 13-scheme roster × every failure model
     /// at multiple intensities × two seeds over a larger deployment.
     /// Minutes in release mode; produces the numbers quoted in the
@@ -220,6 +238,7 @@ mod tests {
     #[test]
     fn presets_validate() {
         SweepConfig::smoke().validate().unwrap();
+        SweepConfig::scaled().validate().unwrap();
         SweepConfig::full().validate().unwrap();
         tiny().validate().unwrap();
         assert_eq!(SweepConfig::smoke().cell_count(), 13 * 5);

@@ -3,15 +3,19 @@
 //!
 //! ```sh
 //! cargo run --release --example frontier_sweep -- --smoke   # CI smoke grid, seconds
+//! cargo run --release --example frontier_sweep -- --scaled  # the benchmark's grid
 //! cargo run --release --example frontier_sweep              # full frontier grid
 //! cargo run --release --example frontier_sweep -- --out target/sweep --seed 7
 //! ```
 //!
 //! `--smoke` runs the pinned 13-scheme × 5-model × 1-seed grid CI diffs
-//! against `tests/golden/frontier_smoke.csv`; the default full grid adds
-//! intensities and a second seed and also writes the `BENCH_sweep.json`
-//! frontier summary. `--seed N` replaces the seed axis with `[N]`
-//! (exploration only — golden comparisons need the preset seeds).
+//! against `tests/golden/frontier_smoke.csv`; `--scaled` runs that grid at
+//! the scale the benchmark's `sim_sweep` times (40 000 blocks, seed 1),
+//! diffed against `tests/golden/frontier_scaled.csv`; the default full
+//! grid adds intensities and a second seed and also writes the
+//! `BENCH_sweep.json` frontier summary. `--seed N` replaces the seed axis
+//! with `[N]` (exploration only — golden comparisons need the preset
+//! seeds).
 //!
 //! Outputs land in `--out` (default `target/sweep`): `frontier.csv`,
 //! `frontier_report.txt`, and in full mode `BENCH_sweep.json`.
@@ -21,13 +25,14 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut smoke = false;
+    let mut grid = "full";
     let mut out_dir = PathBuf::from("target/sweep");
     let mut seed_override = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--smoke" => smoke = true,
+            "--smoke" => grid = "smoke",
+            "--scaled" => grid = "scaled",
             "--out" => match args.next() {
                 Some(dir) => out_dir = PathBuf::from(dir),
                 None => return usage("--out needs a directory"),
@@ -40,20 +45,16 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut config = if smoke {
-        SweepConfig::smoke()
-    } else {
-        SweepConfig::full()
+    let mut config = match grid {
+        "smoke" => SweepConfig::smoke(),
+        "scaled" => SweepConfig::scaled(),
+        _ => SweepConfig::full(),
     };
     if let Some(seed) = seed_override {
         config.seeds = vec![seed];
     }
 
-    eprintln!(
-        "running {} grid: {} cells...",
-        if smoke { "smoke" } else { "full" },
-        config.cell_count()
-    );
+    eprintln!("running {grid} grid: {} cells...", config.cell_count());
     let result = match run_sweep(&config) {
         Ok(result) => result,
         Err(err) => {
@@ -81,7 +82,7 @@ fn main() -> ExitCode {
         eprintln!("cannot write outputs to {}: {err}", out_dir.display());
         return ExitCode::FAILURE;
     }
-    if !smoke {
+    if grid == "full" {
         let bench_path = out_dir.join("BENCH_sweep.json");
         if let Err(err) = write(&bench_path, &bench_json(&result)) {
             eprintln!("cannot write {}: {err}", bench_path.display());
@@ -95,6 +96,6 @@ fn main() -> ExitCode {
 
 fn usage(problem: &str) -> ExitCode {
     eprintln!("{problem}");
-    eprintln!("usage: frontier_sweep [--smoke] [--out DIR] [--seed N]");
+    eprintln!("usage: frontier_sweep [--smoke | --scaled] [--out DIR] [--seed N]");
     ExitCode::FAILURE
 }

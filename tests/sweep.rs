@@ -88,6 +88,22 @@ fn smoke_grid_matches_the_golden_csv() {
     );
 }
 
+/// The grid the benchmark's `sim_sweep` times — the smoke grid at 40 000
+/// blocks — reproduces its golden CSV too: only the smoke grid's 4 000
+/// blocks were pinned before, so a change the timed scale alone shows
+/// would have gone unseen.
+#[test]
+fn scaled_grid_matches_the_golden_csv() {
+    let golden = include_str!("golden/frontier_scaled.csv");
+    let csv = run_sweep(&SweepConfig::scaled()).unwrap().to_csv();
+    assert!(
+        csv == golden,
+        "scaled sweep diverged from tests/golden/frontier_scaled.csv — if the \
+         change is intentional, regenerate with `cargo run --release \
+         --example frontier_sweep -- --scaled` and copy frontier.csv over"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
