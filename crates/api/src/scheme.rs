@@ -360,6 +360,22 @@ pub trait RedundancyScheme: Send + Sync {
 
     /// Whether `id`, assumed missing, could be repaired right now given
     /// the availability oracle `avail` (asked only about other blocks).
+    ///
+    /// Two things callers rely on, which an implementation must keep:
+    ///
+    /// * **The ids asked are the read set of a single-block repair.**
+    ///   The archive's degraded read prefetches exactly the ids this asks
+    ///   about (answering "present" for the ones it has not fetched yet),
+    ///   round by round, before [`RedundancyScheme::repair_block`] runs
+    ///   on what it fetched. An early exit that skips members the repair
+    ///   would read turns into extra round trips; asking about more than
+    ///   it reads, into extra fetches. Both move
+    ///   `tests/golden/wan_rtts.csv`.
+    /// * **It is monotone in `avail`.** If it answers `true` under one
+    ///   oracle, it answers `true` under every oracle that reports at
+    ///   least the same blocks available. The availability plane relies
+    ///   on this to stop re-asking about blocks it found unrepairable at
+    ///   a fixpoint, while blocks only go missing.
     fn is_repairable(&self, id: BlockId, data_blocks: u64, avail: &dyn Fn(BlockId) -> bool)
         -> bool;
 

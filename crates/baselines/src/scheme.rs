@@ -26,15 +26,16 @@ impl ReedSolomon {
         (i - 1) / self.k() as u64
     }
 
-    /// All member ids of stripe `t`: the `k` data blocks, then the `m`
-    /// parity shards.
-    fn stripe_members(&self, t: u64) -> Vec<BlockId> {
+    /// All member ids of stripe `t`, in stripe order: the `k` data
+    /// blocks, then the `m` parity shards. An iterator, so the structural
+    /// checks the availability plane runs per candidate allocate nothing.
+    fn stripe_members(&self, t: u64) -> impl Iterator<Item = BlockId> {
         let k = self.k() as u64;
-        let mut out: Vec<BlockId> = (t * k + 1..=t * k + k)
+        (t * k + 1..t * k + k + 1)
             .map(|i| BlockId::Data(NodeId(i)))
-            .collect();
-        out.extend((0..self.m() as u16).map(|index| BlockId::Shard(ShardId { stripe: t, index })));
-        out
+            .chain(
+                (0..self.m() as u16).map(move |index| BlockId::Shard(ShardId { stripe: t, index })),
+            )
     }
 
     /// The stripe a block belongs to, or `None` for foreign ids.
@@ -78,7 +79,7 @@ impl ReedSolomon {
         t: u64,
         data_blocks: u64,
     ) -> Result<Vec<Block>, Vec<BlockId>> {
-        let members = self.stripe_members(t);
+        let members: Vec<BlockId> = self.stripe_members(t).collect();
         let mut shards: Vec<Option<Vec<u8>>> = Vec::with_capacity(members.len());
         let mut missing = Vec::new();
         let mut len = None;
@@ -265,10 +266,9 @@ impl RedundancyScheme for ReedSolomon {
                 written: data_blocks,
             });
         }
-        let members = self.stripe_members(t);
-        let index = members
-            .iter()
-            .position(|&v| v == id)
+        let index = self
+            .stripe_members(t)
+            .position(|v| v == id)
             .expect("member of its own stripe");
         match self.decode_stripe(source, t, data_blocks) {
             Ok(blocks) => Ok(blocks[index].clone()),
@@ -307,8 +307,7 @@ impl RedundancyScheme for ReedSolomon {
                 continue; // stripe damaged beyond recovery
             };
             blocks_read += self.k() as u64;
-            let members = self.stripe_members(t);
-            for (member, block) in members.into_iter().zip(blocks) {
+            for (member, block) in self.stripe_members(t).zip(blocks) {
                 if missing.contains(&member) {
                     repo.store(member, block);
                     repaired += 1;
@@ -370,9 +369,11 @@ impl RedundancyScheme for ReedSolomon {
         if self.is_virtual(id, data_blocks) {
             return false; // padding blocks are not stored, never repaired
         }
+        // Every other non-virtual member is asked, even once k have
+        // answered present: they are the read set of the stripe decode
+        // `repair_block` runs (the trait's contract).
         let available = self
             .stripe_members(t)
-            .into_iter()
             .filter(|&v| v != id)
             .filter(|&v| self.is_virtual(v, data_blocks) || avail(v))
             .count();
@@ -391,7 +392,6 @@ impl RedundancyScheme for ReedSolomon {
             return false;
         };
         self.stripe_members(t)
-            .into_iter()
             .filter(|&v| v != id)
             .all(|v| self.is_virtual(v, data_blocks) || avail(v))
     }
@@ -411,7 +411,14 @@ impl RedundancyScheme for ReedSolomon {
                 t * (k + m) + (i - 1) % k
             }
             BlockId::Shard(ShardId { stripe, index }) => {
-                if u64::from(index) >= m || stripe >= data_blocks.div_ceil(k) {
+                // Past the last stripe when its first data position is
+                // past the extent: `stripe >= ⌈data_blocks / k⌉` without
+                // the division.
+                if u64::from(index) >= m
+                    || stripe
+                        .checked_mul(k)
+                        .is_none_or(|first| first >= data_blocks)
+                {
                     return None;
                 }
                 let stored_data = (data_blocks - stripe * k).min(k);
@@ -466,23 +473,21 @@ impl RedundancyScheme for ReedSolomon {
 }
 
 impl Replication {
-    /// All ids of data block `i`'s replica group except `id` itself.
-    fn other_copies(&self, id: BlockId) -> Option<Vec<BlockId>> {
+    /// All ids of `id`'s replica group except `id` itself, in copy order
+    /// (the original first). An iterator, so the structural check the
+    /// availability plane runs per candidate allocates nothing.
+    fn other_copies(&self, id: BlockId) -> Option<impl Iterator<Item = BlockId>> {
+        let n = self.copies() as u16;
         let (node, skip) = match id {
-            BlockId::Data(n) => (n, 0),
-            BlockId::Replica(r) if (1..self.copies() as u16).contains(&r.copy) => (r.node, r.copy),
+            BlockId::Data(node) => (node, 0),
+            BlockId::Replica(r) if (1..n).contains(&r.copy) => (r.node, r.copy),
             _ => return None,
         };
-        let mut out = Vec::with_capacity(self.copies() - 1);
-        if skip != 0 {
-            out.push(BlockId::Data(node));
-        }
-        for copy in 1..self.copies() as u16 {
-            if copy != skip {
-                out.push(BlockId::Replica(ReplicaId { node, copy }));
-            }
-        }
-        Some(out)
+        let original = (skip != 0).then_some(BlockId::Data(node));
+        let copies = (1..n)
+            .filter(move |&copy| copy != skip)
+            .map(move |copy| BlockId::Replica(ReplicaId { node, copy }));
+        Some(original.into_iter().chain(copies))
     }
 }
 
@@ -545,6 +550,7 @@ impl RedundancyScheme for Replication {
         let Some(others) = self.other_copies(id) else {
             return Err(RepairError::ForeignBlock { id });
         };
+        let others: Vec<BlockId> = others.collect();
         // Any surviving verified copy will do.
         for &other in &others {
             if let Some(b) = source.fetch(other) {
@@ -579,8 +585,9 @@ impl RedundancyScheme for Replication {
         _data_blocks: u64,
         avail: &dyn Fn(BlockId) -> bool,
     ) -> bool {
+        // Stops at the first copy present: the one `repair_block` reads.
         self.other_copies(id)
-            .is_some_and(|others| others.into_iter().any(avail))
+            .is_some_and(|mut others| others.any(avail))
     }
 
     fn universe_len(&self, data_blocks: u64) -> u64 {
@@ -745,7 +752,7 @@ mod tests {
         assert_eq!(ids.len(), 100 + 10 * 4);
 
         // A stripe missing exactly m members: repairable; m+1: not.
-        let t0 = rs.stripe_members(0);
+        let t0: Vec<BlockId> = rs.stripe_members(0).collect();
         let down: Vec<BlockId> = t0[..4].to_vec();
         let avail = |id: BlockId| !down.contains(&id);
         assert!(rs.is_repairable(t0[0], 100, &avail));
@@ -757,6 +764,62 @@ mod tests {
         // Only missing member of its stripe: a single failure.
         let only = |id: BlockId| id != t0[0];
         assert!(rs.is_single_failure(t0[0], 100, &only));
+    }
+
+    /// The ids `is_repairable` asks about, in order, when `present`
+    /// answers for the oracle.
+    fn asked(
+        scheme: &dyn RedundancyScheme,
+        id: BlockId,
+        data_blocks: u64,
+        present: impl Fn(BlockId) -> bool,
+    ) -> Vec<BlockId> {
+        let log = std::cell::RefCell::new(Vec::new());
+        scheme.is_repairable(id, data_blocks, &|v| {
+            log.borrow_mut().push(v);
+            present(v)
+        });
+        log.into_inner()
+    }
+
+    /// `is_repairable` asks about exactly the read set of a single-block
+    /// repair, in order — the archive's degraded-read prefetch fetches
+    /// what it asks (`RedundancyScheme::is_repairable`'s contract), so an
+    /// early exit fails here rather than in `wan_rtts.csv`.
+    #[test]
+    fn is_repairable_asks_the_repair_read_set_in_order() {
+        let rs = ReedSolomon::new(4, 2).unwrap();
+        let data = |i| BlockId::Data(NodeId(i));
+        let shard = |stripe, index| BlockId::Shard(ShardId { stripe, index });
+        // RS asks all k + m − 1 other members in stripe order, even when
+        // the first k already answered present.
+        let others = vec![data(1), data(3), data(4), shard(0, 0), shard(0, 1)];
+        assert_eq!(asked(&rs, data(2), 100, |_| true), others);
+        assert_eq!(asked(&rs, data(2), 100, |_| false), others);
+        // ... and never a virtual member of the padded final stripe.
+        assert_eq!(
+            asked(&rs, data(5), 6, |_| true),
+            vec![data(6), shard(1, 0), shard(1, 1)]
+        );
+        // Replication asks the other copies in copy order, the original
+        // first, and stops at the first one present: the copy
+        // `repair_block` reads.
+        let repl = Replication::new(4);
+        let copy = |copy| {
+            BlockId::Replica(ReplicaId {
+                node: NodeId(5),
+                copy,
+            })
+        };
+        assert_eq!(
+            asked(&repl, copy(2), 9, |_| false),
+            vec![data(5), copy(1), copy(3)]
+        );
+        assert_eq!(
+            asked(&repl, copy(2), 9, |v| v == copy(1)),
+            vec![data(5), copy(1)]
+        );
+        assert_eq!(asked(&repl, data(5), 9, |_| true), vec![copy(1)]);
     }
 
     #[test]

@@ -41,6 +41,12 @@
 //! Chunk-order merging keeps the planned set (and every metric derived
 //! from it) bit-identical to a sequential scan; `AE_REPAIR_THREADS=1`
 //! is that sequential scan.
+//!
+//! A round that plans nothing is a fixpoint, and the blocks it leaves
+//! missing are *settled*: no later round or failure event asks about them
+//! again until [`SchemePlane::heal_all`], though every outcome still
+//! counts them as lost. This rests on [`RedundancyScheme::is_repairable`]
+//! being monotone in its oracle (see the trait method).
 
 use crate::bitset::BitSet;
 use ae_api::{RedundancyScheme, RoundStats, SplitMix64};
@@ -133,6 +139,17 @@ pub struct SchemePlane {
     /// Blocks that start out missing (punctured parities): they are never
     /// "available" until repaired, even after [`SchemePlane::heal_all`].
     initially_missing: BitSet,
+    /// Missing blocks known to be unrepairable, which round planning
+    /// skips: the blocks still missing when a round planned nothing. They
+    /// stay unrepairable until [`SchemePlane::heal_all`] clears the set,
+    /// because until then availability never grows past what it was at
+    /// that fixpoint — failures remove blocks, repairs restore only
+    /// repairable ones (never a settled one), and every
+    /// [`RedundancyScheme::is_repairable`] is monotone in its oracle.
+    settled: BitSet,
+    /// `(data, redundancy)` counts of `settled`, which every
+    /// [`FullRepairOutcome`] still reports as lost.
+    settled_lost: (u64, u64),
 }
 
 impl SchemePlane {
@@ -194,6 +211,8 @@ impl SchemePlane {
             universe_len,
             avail: BitSet::zeros(universe_len as usize),
             initially_missing: BitSet::zeros(universe_len as usize),
+            settled: BitSet::zeros(universe_len as usize),
+            settled_lost: (0, 0),
         };
         for k in 0..universe_len {
             if never_stored(plane.id_at(k)) {
@@ -289,6 +308,8 @@ impl SchemePlane {
     /// Resets every stored block to available (punctured blocks stay out).
     pub fn heal_all(&mut self) {
         self.avail.assign_not(&self.initially_missing);
+        self.settled = BitSet::zeros(self.universe_len as usize);
+        self.settled_lost = (0, 0);
     }
 
     /// Fails `fraction` of the locations (chosen uniformly by
@@ -436,6 +457,10 @@ impl SchemePlane {
     /// With both `None` this runs to fixpoint and is exactly
     /// [`SchemePlane::repair_full`].
     ///
+    /// Blocks an earlier fixpoint left missing (settled, see the module
+    /// docs) are not planned again, but `data_lost`/`parity_lost` count
+    /// them: they are every block missing when the call returns.
+    ///
     /// # Panics
     ///
     /// Panics when `bandwidth_cap` is `Some(0)` — a zero-bandwidth round
@@ -448,30 +473,20 @@ impl SchemePlane {
         if let Some(cap) = bandwidth_cap {
             assert!(cap > 0, "bandwidth cap must be positive");
         }
-        let mut missing = self.missing_indices(false);
-        // Judge single failures against the disaster state, before any
-        // repair lands (Fig 13's denominator is all repaired data blocks).
-        let single_candidates = {
-            let singles = self.par_filter(&missing, |k| {
-                let id = self.id_at(k);
-                if !id.is_data() {
-                    return false;
-                }
-                let avail = |id: BlockId| self.available(&id);
-                self.scheme.is_single_failure(id, self.data_blocks, &avail)
-            });
-            let mut set = BitSet::zeros(self.universe_len as usize);
-            for k in singles {
-                set.set(k as usize, true);
-            }
-            set
-        };
+        let mut missing: Vec<u32> = self
+            .avail
+            .iter_zeros()
+            .filter(|&k| !self.settled.get(k))
+            .map(|k| k as u32)
+            .collect();
         let mut rounds = Vec::new();
         let mut traffic = 0;
         let mut repaired_singles = 0;
+        let mut fixpoint = false;
         while max_rounds.is_none_or(|m| rounds.len() < m) {
             let mut fix = self.plan_repairable(&missing);
             if fix.is_empty() {
+                fixpoint = true;
                 break;
             }
             if let Some(cap) = bandwidth_cap {
@@ -479,16 +494,23 @@ impl SchemePlane {
                 // same regardless of how planning was chunked.
                 fix.truncate(cap.min(fix.len() as u64) as usize);
             }
+            if rounds.is_empty() {
+                // Fig 13 counts the first round's repairs of data blocks
+                // that were single failures in the disaster state, so
+                // judge them on the snapshot the round was planned on,
+                // before any repair lands.
+                repaired_singles = self
+                    .par_filter(&fix, |k| {
+                        let id = self.id_at(k);
+                        let avail = |id: BlockId| self.available(&id);
+                        id.is_data() && self.scheme.is_single_failure(id, self.data_blocks, &avail)
+                    })
+                    .len() as u64;
+            }
             let fixed_ids: Vec<BlockId> = fix.iter().map(|&k| self.id_at(k)).collect();
             let round_reads = self.scheme.repair_traffic(&fixed_ids);
             traffic += round_reads;
             let data_repaired = fixed_ids.iter().filter(|id| id.is_data()).count();
-            if rounds.is_empty() {
-                repaired_singles = fix
-                    .iter()
-                    .filter(|&&k| single_candidates.get(k as usize))
-                    .count() as u64;
-            }
             for &k in &fix {
                 self.avail.set(k as usize, true);
             }
@@ -499,14 +521,23 @@ impl SchemePlane {
             });
             missing.retain(|&k| !self.avail.get(k as usize));
         }
-        let data_lost = missing.iter().filter(|&&k| self.id_at(k).is_data()).count() as u64;
-        FullRepairOutcome {
-            data_lost,
-            parity_lost: missing.len() as u64 - data_lost,
+        let data_left = missing.iter().filter(|&&k| self.id_at(k).is_data()).count() as u64;
+        let parity_left = missing.len() as u64 - data_left;
+        let outcome = FullRepairOutcome {
+            data_lost: self.settled_lost.0 + data_left,
+            parity_lost: self.settled_lost.1 + parity_left,
             rounds,
             traffic,
             single_failure_data: repaired_singles,
+        };
+        if fixpoint {
+            for &k in &missing {
+                self.settled.set(k as usize, true);
+            }
+            self.settled_lost.0 += data_left;
+            self.settled_lost.1 += parity_left;
         }
+        outcome
     }
 
     /// Minimal-maintenance repair (§V.C.2): rounds repair missing data
@@ -932,5 +963,74 @@ mod tests {
         let plain = run(Box::new(ae(cfg)));
         let tagged = run(Scheme::Geo { cfg, user: 5 }.build(0));
         assert_eq!(plain, tagged);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Over random event sequences on every roster scheme, a settled
+        /// position is always missing and not repairable, the settled
+        /// counts match the set, a repair outcome's losses are every
+        /// missing block (settled ones included), and `heal_all` empties
+        /// the set.
+        #[test]
+        fn settled_positions_stay_missing_and_unrepairable(
+            pick in 0usize..13,
+            events in proptest::collection::vec((0u8..5, proptest::any::<u64>(), 0u64..8), 1..16),
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let locations = 12;
+            let mut p = SchemePlane::new(
+                Scheme::extended_lineup()[pick].build(0),
+                240,
+                locations,
+                SimPlacement::Random { seed: 3 },
+            );
+            for (kind, seed, x) in events {
+                match kind {
+                    0 => {
+                        let mask: Vec<bool> = (0..u64::from(locations))
+                            .map(|l| ae_api::mix64(l, seed).is_multiple_of(4))
+                            .collect();
+                        p.fail_locations(&mask);
+                    }
+                    1 => {
+                        p.inject_bit_rot(x as f64 / 16.0, seed);
+                    }
+                    2 => {
+                        let cap = (x > 0).then_some(x * 8);
+                        let max_rounds = (seed % 3 == 0).then_some(seed as usize % 4);
+                        let out = p.repair_rounds(cap, max_rounds);
+                        prop_assert_eq!((out.data_lost, out.parity_lost), p.missing_counts());
+                    }
+                    3 => {
+                        p.repair_minimal();
+                    }
+                    _ => {
+                        p.heal_all();
+                        prop_assert_eq!(p.settled.count_ones(), 0);
+                    }
+                }
+                let mut settled = (0, 0);
+                for k in 0..p.universe_len {
+                    if !p.settled.get(k as usize) {
+                        continue;
+                    }
+                    let id = p.id_at(k);
+                    let avail = |id: BlockId| p.available(&id);
+                    prop_assert!(!p.avail.get(k as usize), "settled {id} is available");
+                    prop_assert!(
+                        !p.scheme.is_repairable(id, p.data_blocks, &avail),
+                        "settled {id} is repairable"
+                    );
+                    if id.is_data() {
+                        settled.0 += 1;
+                    } else {
+                        settled.1 += 1;
+                    }
+                }
+                prop_assert_eq!(settled, p.settled_lost);
+            }
+        }
     }
 }

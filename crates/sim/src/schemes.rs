@@ -255,4 +255,40 @@ mod tests {
         assert_eq!(open.encoded_blocks(1000), 1000);
         assert_eq!(closed.encoded_blocks(1000), 1001);
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Every roster scheme's `is_repairable` is monotone in its
+        /// oracle: for random availability sets A ⊆ B, a block repairable
+        /// under A is repairable under B. The plane's settled set rests on
+        /// it (`RedundancyScheme::is_repairable`'s contract).
+        #[test]
+        fn is_repairable_is_monotone_in_the_oracle(
+            pick in 0usize..13,
+            data_blocks in 1u64..=120,
+            seed: u64,
+            a_pct in 0u64..=100,
+            extra_pct in 0u64..=100,
+        ) {
+            use ae_api::mix64;
+            use ae_blocks::BlockId;
+            let scheme = Scheme::extended_lineup()[pick].build(0);
+            let in_a = |k: u32| mix64(u64::from(k), seed) % 100 < a_pct;
+            let in_b = |k: u32| in_a(k) || mix64(u64::from(k), !seed) % 100 < extra_pct;
+            let oracle = |member: &dyn Fn(u32) -> bool, id: BlockId| {
+                scheme.dense_index(&id, data_blocks).is_some_and(member)
+            };
+            for k in 0..scheme.universe_len(data_blocks) as u32 {
+                let id = scheme.block_at(k, data_blocks).expect("inside the universe");
+                let under_a = scheme.is_repairable(id, data_blocks, &|v| oracle(&in_a, v));
+                let under_b = scheme.is_repairable(id, data_blocks, &|v| oracle(&in_b, v));
+                proptest::prop_assert!(
+                    !under_a || under_b,
+                    "{}: {id} repairable under A, not under B ⊇ A",
+                    scheme.scheme_name()
+                );
+            }
+        }
+    }
 }
