@@ -26,7 +26,11 @@
 //! 1. `AE_KERNEL=scalar|sse2|avx2|neon|auto` picks a tier at runtime.
 //!    A tier the host CPU does not support (or an unknown value) falls
 //!    back to `auto`.
-//! 2. Otherwise the best tier the CPU supports wins.
+//! 2. Otherwise, on x86-64, the best tier the CPU supports wins. On
+//!    AArch64 `auto` is the scalar tier: code that has never run on its
+//!    target is not dispatched, so NEON is selected only by
+//!    `AE_KERNEL=neon` — and [`supported_sets`] still lists it, so the
+//!    parity suite exercises it on any ARM host.
 //!
 //! Every vectorized kernel is pinned byte-identical to the scalar
 //! reference by exhaustive proptests (all 256 GF constants, lengths
@@ -254,12 +258,9 @@ fn auto_set() -> Kernels {
         }
         return sse2_set();
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if let Some(k) = neon_set() {
-            return k;
-        }
-    }
+    // AArch64 stays scalar: the NEON tier has never run on ARM hardware,
+    // so it is opt-in (`AE_KERNEL=neon`) until a CI leg runs its parity
+    // suite there.
     #[allow(unreachable_code)]
     SCALAR_SET
 }

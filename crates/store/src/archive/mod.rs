@@ -49,9 +49,7 @@
 //! what the records' bytes are is [`crate::meta`].
 
 use crate::journal::{Journal, Opened};
-use crate::meta::{
-    encode_tail, CheckpointPayload, MetaConfig, MetaRecord, RecordError, Rows, StoredIds,
-};
+use crate::meta::{encode_tail, CheckpointPayload, MetaConfig, MetaRecord, RecordError, Rows};
 use ae_api::{AeError, BlockRepo, BlockSink, RedundancyScheme, RepairError};
 use ae_blocks::{Block, BlockId, Crc32, Crc32Append};
 use ae_core::Code;
@@ -503,21 +501,6 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         Ok(ar)
     }
 
-    /// Replays a journaled stored-blocks field, taking the archive to
-    /// `data_after` data blocks. A count advances the positions; ids
-    /// listed one by one — format 2 wrote them so — must first be the
-    /// very ids the scheme's arithmetic puts there.
-    fn replay_stored(&mut self, data_after: u64, stored: StoredIds) -> Result<(), RecordError> {
-        let count = match stored {
-            StoredIds::Count(count) => count,
-            StoredIds::Listed(ids) => {
-                self.positions.agrees(&*self.scheme, data_after, &ids)?;
-                ids.len() as u32
-            }
-        };
-        self.positions.advance(&*self.scheme, data_after, count)
-    }
-
     /// Installs a checkpoint's state (block counters, manifest, sealed
     /// flag), returning its frontier snapshot. The rows come in write
     /// order, so their extents must meet — each starting where the one
@@ -530,7 +513,8 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         payload: CheckpointPayload,
     ) -> Result<Vec<u8>, RecoveryError> {
         let corrupt = |detail: String| RecoveryError::CorruptRecord { seq: cseq, detail };
-        self.replay_stored(payload.data, payload.stored)
+        self.positions
+            .advance(&*self.scheme, payload.data, payload.stored)
             .map_err(corrupt)?;
         let rows = payload.manifest.len();
         let listed = payload.manifest.into_iter();
@@ -575,7 +559,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
                 crc,
                 first_block,
                 block_count,
-                ids,
+                stored,
                 frontier,
             } => {
                 if first_block != self.positions.data {
@@ -586,7 +570,9 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
                 }
                 // (An extent that overflows is refused below.)
                 let data_after = first_block.saturating_add(block_count);
-                self.replay_stored(data_after, ids).map_err(corrupt)?;
+                self.positions
+                    .advance(&*self.scheme, data_after, stored)
+                    .map_err(corrupt)?;
                 let entry = self
                     .checked_entry(byte_len, crc, first_block, block_count)
                     .map_err(|why| corrupt(format!("entry {name:?} {why}")))?;
@@ -602,11 +588,12 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
                 };
                 Ok(frontier)
             }
-            MetaRecord::Seal { ids, frontier } => {
+            MetaRecord::Seal { stored, frontier } => {
                 if self.sealed {
                     return Err(corrupt("second seal record".into()));
                 }
-                self.replay_stored(self.positions.data, ids)
+                self.positions
+                    .advance(&*self.scheme, self.positions.data, stored)
                     .map_err(corrupt)?;
                 self.sealed = true;
                 Ok(frontier)
@@ -663,7 +650,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     pub fn checkpoint(&mut self) -> u64 {
         let tail = encode_tail(
             self.positions.data,
-            &StoredIds::Count(self.positions.stored as u32),
+            self.positions.stored as u32,
             self.sealed,
             &self.scheme.frontier_snapshot(),
         );
@@ -878,7 +865,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             crc: entry.crc,
             first_block,
             block_count,
-            ids: StoredIds::Count(self.positions.push(&*self.scheme, data_after, &report.ids)),
+            stored: self.positions.push(&*self.scheme, data_after, &report.ids),
             frontier: self.scheme.frontier_snapshot(),
         };
         self.journal.append(&*self.store, &record);
@@ -936,7 +923,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             .write_through(|sink| self.scheme.seal(sink))
             .map_err(ArchiveError::Encode)?;
         let record = MetaRecord::Seal {
-            ids: StoredIds::Count(self.positions.push(&*self.scheme, data, &flushed)),
+            stored: self.positions.push(&*self.scheme, data, &flushed),
             frontier: self.scheme.frontier_snapshot(),
         };
         self.journal.append(&*self.store, &record);

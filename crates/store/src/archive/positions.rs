@@ -18,12 +18,10 @@
 //! does not mark its bijection authoritative
 //! ([`RedundancyScheme::supports_dense_index`]) is refused at
 //! construction, and a report that disagrees with `block_at` is the
-//! scheme's bug — a panic in `put`/`seal`, a
-//! [`super::RecoveryError::CorruptRecord`] when a format-2 journal lists
-//! such ids. Positions are `u32` ([`RedundancyScheme::block_at`]), so a
-//! `put` or `seal` that could take the stored count past `u32::MAX` is
-//! refused with [`super::ArchiveError::TooLarge`] before anything is
-//! encoded.
+//! scheme's bug — a panic in `put`/`seal`. Positions are `u32`
+//! ([`RedundancyScheme::block_at`]), so a `put` or `seal` that could take
+//! the stored count past `u32::MAX` is refused with
+//! [`super::ArchiveError::TooLarge`] before anything is encoded.
 
 use crate::meta::RecordError;
 use ae_api::RedundancyScheme;
@@ -68,55 +66,6 @@ impl Positions {
         }
     }
 
-    /// Checks the `ids` a mutation stored, taking the archive to
-    /// `data_after` data blocks, against the scheme's arithmetic: id `i`
-    /// must be `block_at(stored + i, data_after)`, and the data blocks
-    /// among them `Data(base + data)`, `Data(base + data + 1)`, … up to
-    /// `data_after`. Answers the base when they are, and otherwise the
-    /// first position that is not, with both ids.
-    pub(super) fn agrees(
-        &self,
-        scheme: &dyn RedundancyScheme,
-        data_after: u64,
-        ids: &[BlockId],
-    ) -> Result<u64, RecordError> {
-        let end = self.stored + ids.len() as u64;
-        if end > POSITION_CEILING {
-            return Err(format!("{end} stored blocks exceed the position space"));
-        }
-        let Some(base) = self.base_at(scheme, data_after) else {
-            return Err("position 0 is not a data block".into());
-        };
-        let mut next_data = self.data;
-        for (k, &id) in (self.stored..).zip(ids) {
-            let at = scheme.block_at(k as u32, data_after);
-            if at != Some(id) {
-                let at = at.map_or("nothing".to_string(), |at| at.to_string());
-                return Err(format!(
-                    "position {k} of {data_after} data blocks holds {at} by block_at, \
-                     {id} by the scheme's report"
-                ));
-            }
-            if id.is_data() {
-                let in_order = BlockId::Data(NodeId(base + next_data));
-                if id != in_order {
-                    return Err(format!(
-                        "data block {next_data} is {in_order} by write order, \
-                         {id} by the scheme's report"
-                    ));
-                }
-                next_data += 1;
-            }
-        }
-        if next_data != data_after {
-            return Err(format!(
-                "the ids take {} data blocks to {next_data}, not {data_after}",
-                self.data
-            ));
-        }
-        Ok(base)
-    }
-
     /// Replays a positional record: `count` more stored blocks, taking
     /// the archive to `data_after` data blocks. Nothing is resolved per
     /// block; the counters are checked against the position space and the
@@ -157,7 +106,9 @@ impl Positions {
     /// Logs the `ids` one mutation stored, taking the archive to
     /// `data_after` data blocks, and answers the count its record
     /// carries — every id checked, here, to be where the scheme's
-    /// arithmetic says.
+    /// arithmetic says: id `i` is `block_at(stored + i, data_after)`, and
+    /// the data blocks among them `Data(base + data)`, `Data(base + data +
+    /// 1)`, … up to `data_after`.
     ///
     /// # Panics
     ///
@@ -171,11 +122,43 @@ impl Positions {
         data_after: u64,
         ids: &[BlockId],
     ) -> u32 {
-        let base = self
-            .agrees(scheme, data_after, ids)
-            .unwrap_or_else(|why| panic!("{} broke its bijection: {why}", scheme.scheme_name()));
-        (self.data, self.base) = (data_after, base);
-        self.stored += ids.len() as u64;
+        let broke =
+            |why: String| -> ! { panic!("{} broke its bijection: {why}", scheme.scheme_name()) };
+        let end = self.stored + ids.len() as u64;
+        if end > POSITION_CEILING {
+            broke(format!("{end} stored blocks exceed the position space"));
+        }
+        let Some(base) = self.base_at(scheme, data_after) else {
+            broke("position 0 is not a data block".into())
+        };
+        let mut next_data = self.data;
+        for (k, &id) in (self.stored..).zip(ids) {
+            let at = scheme.block_at(k as u32, data_after);
+            if at != Some(id) {
+                let at = at.map_or("nothing".to_string(), |at| at.to_string());
+                broke(format!(
+                    "position {k} of {data_after} data blocks holds {at} by block_at, \
+                     {id} by the scheme's report"
+                ));
+            }
+            if id.is_data() {
+                let in_order = BlockId::Data(NodeId(base + next_data));
+                if id != in_order {
+                    broke(format!(
+                        "data block {next_data} is {in_order} by write order, \
+                         {id} by the scheme's report"
+                    ));
+                }
+                next_data += 1;
+            }
+        }
+        if next_data != data_after {
+            broke(format!(
+                "the ids take {} data blocks to {next_data}, not {data_after}",
+                self.data
+            ));
+        }
+        (self.data, self.base, self.stored) = (data_after, base, end);
         if let Some(list) = self.listed.get_mut() {
             list.extend_from_slice(ids);
         }

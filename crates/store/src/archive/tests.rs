@@ -719,9 +719,8 @@ fn losing_every_pointer_copy_with_bytes_present_is_typed() {
 }
 // --- position-first journal -----------------------------------------
 
-use crate::meta::v2;
 use ae_api::SnapshotWriter;
-use ae_baselines::{ReedSolomon, Replication};
+use ae_baselines::Replication;
 
 fn repl3() -> Arc<dyn RedundancyScheme> {
     Arc::new(Replication::new(3))
@@ -782,7 +781,7 @@ fn claimed(data: u64, stored: u32) -> CheckpointPayload {
         base: None,
         manifest: vec![("everything".into(), 0, 0, 0, data)],
         data,
-        stored: StoredIds::Count(stored),
+        stored,
         sealed: false,
         frontier: SnapshotWriter::new(1).u64(data).finish(),
     }
@@ -847,7 +846,7 @@ fn counters_beyond_the_universe_are_corrupt_records() {
         crc: 0,
         first_block: full - 1,
         block_count: 1,
-        ids: StoredIds::Count(count),
+        stored: count,
         frontier: SnapshotWriter::new(1).u64(full).finish(),
     };
     let nearly = claimed(full - 1, u32::MAX - 3);
@@ -884,238 +883,69 @@ fn counters_beyond_the_universe_are_corrupt_records() {
         ..claimed(10, 30)
     };
     corrupt_at(open(&skewed, &[]), 1, "encoder frontier");
-    // A format-2 record lists its ids: they replay by position when they
-    // are the ids the scheme's arithmetic puts there, and there is no
-    // explicit log for any others to go to.
-    let listed = |ids: Vec<BlockId>| {
-        let record = MetaRecord::Put {
-            name: "g".into(),
-            byte_len: 1,
-            crc: 0,
-            first_block: 10,
-            block_count: 1,
-            ids: StoredIds::Listed(ids),
-            frontier: SnapshotWriter::new(1).u64(11).finish(),
-        };
-        let store = crafted(&*repl3(), &claimed(10, 30), &[]);
-        for copy in 0..3 {
-            let bytes = v2::encode_record(&record, 2);
-            store.put(meta_copy_id(2, copy), Block::from_vec(bytes));
-        }
-        Archive::open(repl3(), store).map(|_| ())
+    // A format-3 put record whose stored blocks have shape 1 — the id
+    // list no build reads — is a damaged record, not a torn tail, when
+    // a record follows it.
+    let record = |name: &str, first_block: u64| MetaRecord::Put {
+        name: name.into(),
+        byte_len: 1,
+        crc: 0,
+        first_block,
+        block_count: 1,
+        stored: 3,
+        frontier: SnapshotWriter::new(1).u64(first_block + 1).finish(),
     };
-    let mut ids: Vec<BlockId> = (30..33).map(|k| repl3().block_at(k, 11).unwrap()).collect();
-    assert_eq!(listed(ids.clone()), Ok(()));
-    ids.swap(1, 2);
-    corrupt_at(listed(ids), 2, "position 31 of 11 data blocks");
+    let suffix = [record("g", 10), record("h", 11)];
+    assert_eq!(open(&claimed(10, 30), &suffix), Ok(()));
+    let store = crafted(&*repl3(), &claimed(10, 30), &suffix);
+    let mut shaped = suffix[0].encode(2);
+    // (The header, the name "g" and four integers come before it.)
+    let shape = 20 + 3 + 28;
+    assert_eq!(shaped[shape..shape + 5], [0, 3, 0, 0, 0]);
+    shaped[shape] = 1;
+    for copy in 0..3 {
+        store.put(meta_copy_id(2, copy), Block::from_vec(resealed(&shaped)));
+    }
+    let result = Archive::open(repl3(), store).map(|_| ());
+    corrupt_at(result, 2, "bad stored-blocks shape 1");
 }
 
-/// `ar`'s journal and blocks as the build before position-first
-/// journals would have left them: format-2 records with their ids
-/// listed and — when asked — a committed multi-part version-1
-/// checkpoint after record `checkpoint_after`, its prefix collected.
-/// `ar` must never have checkpointed (its journal is then one record
-/// per mutation, in order).
-fn as_version_2(ar: &Archive<MemStore>, checkpoint_after: Option<u64>) -> Arc<MemStore> {
-    assert_eq!(ar.checkpoint_seq(), None);
-    let out = MemStore::new();
-    for id in ar.store.ids().into_iter().filter(|id| !id.is_meta()) {
-        out.put(id, ar.store.get(id).unwrap());
-    }
-    let write = |seq: u64, bytes: Vec<u8>| {
-        for copy in 0..3 {
-            out.put(meta_copy_id(seq, copy), Block::from_vec(bytes.clone()));
-        }
-    };
-    let all = ar.stored_ids();
-    let mut folded = CheckpointPayload {
-        level: 0,
-        base: None,
-        manifest: Vec::new(),
-        data: 0,
-        stored: StoredIds::Listed(Vec::new()),
-        sealed: false,
-        frontier: Vec::new(),
-    };
-    let mut at = 0;
-    let mut seq = 0;
-    let live = ar.live_meta_ids().into_iter().filter_map(|id| match id {
-        BlockId::Meta(meta) if meta.copy() == 0 && !meta.is_pointer() => Some(meta.seq()),
-        _ => None,
-    });
-    for live_seq in live {
-        let block = ar.store.get(meta_copy_id(live_seq, 0)).unwrap();
-        let mut record = MetaRecord::decode(live_seq, block.as_slice()).unwrap();
-        let mut list = |ids: &mut StoredIds| {
-            let StoredIds::Count(count) = *ids else {
-                panic!("a roster scheme journals counts");
-            };
-            let listed = all[at..at + count as usize].to_vec();
-            at += count as usize;
-            *ids = StoredIds::Listed(listed);
-        };
-        match &mut record {
-            MetaRecord::Put {
-                name,
-                byte_len,
-                crc,
-                first_block,
-                block_count,
-                ids,
-                frontier,
-            } => {
-                list(ids);
-                let row = (name.clone(), *byte_len, *crc, *first_block, *block_count);
-                folded.manifest.push(row);
-                folded.frontier = frontier.clone();
-            }
-            MetaRecord::Seal { ids, frontier } => {
-                list(ids);
-                folded.sealed = true;
-                folded.frontier = frontier.clone();
-            }
-            _ => {}
-        }
-        write(seq, v2::encode_record(&record, seq));
-        seq += 1;
-        if checkpoint_after == Some(live_seq) {
-            folded.manifest.sort();
-            folded.stored = StoredIds::Listed(all[..at].to_vec());
-            let payload = v2::encode_payload(1, &folded);
-            let (cseq, parts) = (seq, payload.len().div_ceil(100) as u32);
-            for (part, chunk) in (0u32..).zip(payload.chunks(100)) {
-                let record = MetaRecord::Checkpoint {
-                    part,
-                    parts,
-                    chunk: chunk.to_vec(),
-                };
-                write(seq, v2::encode_record(&record, seq));
-                seq += 1;
-            }
-            let pointer = MetaRecord::Pointer {
-                checkpoint: cseq,
-                parts,
-            };
-            for copy in 0..3 {
-                let cell = Block::from_vec(v2::encode_record(&pointer, 0));
-                out.put(pointer_id(0, copy), cell);
-                for dead in 1..cseq {
-                    out.remove(meta_copy_id(dead, copy));
-                }
-            }
-        }
-    }
-    Arc::new(out)
+/// `bytes` with its trailing CRC32 recomputed over the rest.
+fn resealed(bytes: &[u8]) -> Vec<u8> {
+    let body = bytes.len() - 4;
+    let mut out = bytes.to_vec();
+    out[body..].copy_from_slice(&crc32(&bytes[..body]).to_le_bytes());
+    out
 }
 
+/// A journal an earlier format wrote is refused at its genesis record,
+/// before anything is replayed, naming the version.
 #[test]
-fn version_2_journals_open_unchanged_and_checkpoint_into_version_3() {
-    type Build = fn() -> Arc<dyn RedundancyScheme>;
-    let roster: [Build; 3] = [
-        ae_scheme,
-        || Arc::new(ReedSolomon::new(10, 4).unwrap()),
-        repl3,
-    ];
-    let file = |i: u8| (format!("f{i}"), payload(40 + 97 * i as usize, i));
-    let version = |block: &Block| u16::from_le_bytes([block.as_slice()[4], block.as_slice()[5]]);
-    for build in roster {
-        for checkpoint_after in [None, Some(4)] {
-            // What this build journals for seven files (the last RS
-            // stripe left buffered), and the same history as the
-            // previous build stored it.
-            let no_checkpoints = meta_cfg(3, None);
-            let mut reference =
-                Archive::with_scheme_meta(build(), 64, Arc::new(MemStore::new()), no_checkpoints);
-            for i in 0..7 {
-                let (name, contents) = file(i);
-                reference.put(&name, &contents).unwrap();
+fn an_older_format_is_refused_naming_its_version() {
+    let store = Arc::new(MemStore::new());
+    let mut ar =
+        Archive::with_scheme_meta(ae_scheme(), 64, Arc::clone(&store), meta_cfg(3, Some(2)));
+    // A chain of two segments and a suffix record.
+    for i in 0..7u8 {
+        ar.put(&format!("f{i}"), &payload(100, i)).unwrap();
+    }
+    assert!(ar.checkpoint_seq().is_some() && ar.live_meta_records() > 3);
+    drop(ar);
+    assert!(Archive::open(ae_scheme(), copy_of(&store)).is_ok());
+    for version in [1u16, 2] {
+        let old = copy_of(&store);
+        for copy in 0..3 {
+            let genesis = old.get(meta_copy_id(0, copy)).unwrap();
+            let mut bytes = genesis.as_slice().to_vec();
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            old.put(meta_copy_id(0, copy), Block::from_vec(resealed(&bytes)));
+        }
+        match Archive::open(ae_scheme(), old) {
+            Err(RecoveryError::CorruptRecord { seq: 0, detail }) => {
+                let named = format!("format version {version}; this build reads {FORMAT_VERSION}");
+                assert!(detail.contains(&named), "{detail}");
             }
-            let name = reference.scheme().scheme_name();
-            let ctx = format!("{name}, checkpoint after {checkpoint_after:?}");
-            let store = as_version_2(&reference, checkpoint_after);
-            assert!(
-                meta_blocks(&store).iter().all(|(_, b)| version(b) == 2),
-                "{ctx}"
-            );
-
-            let scheme = build();
-            let mut ar = Archive::open(Arc::clone(&scheme), Arc::clone(&store)).expect(&ctx);
-            assert!(ar.manifest().eq(reference.manifest()), "{ctx}");
-            assert_eq!(ar.stored_ids(), reference.stored_ids(), "{ctx}");
-            assert_eq!(
-                scheme.frontier_snapshot(),
-                reference.scheme().frontier_snapshot(),
-                "{ctx}"
-            );
-            assert_eq!(ar.checkpoint_seq().is_some(), checkpoint_after.is_some());
-            assert!(
-                ar.meta_damage().is_empty() && ar.torn_tail().is_none(),
-                "{ctx}"
-            );
-            for i in 0..7 {
-                let (name, contents) = file(i);
-                assert_eq!(ar.get(&name).unwrap(), contents, "{ctx}");
-            }
-
-            // It resumes block for block, and its next checkpoint
-            // supersedes every version-2 record: what is left is
-            // genesis (the one record GC keeps; same layout in both
-            // formats) and a pure version-3 journal of counts.
-            let (late, contents) = file(7);
-            assert_eq!(
-                ar.put(&late, &contents).unwrap(),
-                reference.put(&late, &contents).unwrap()
-            );
-            let cseq = ar.checkpoint();
-            for (id, block) in meta_blocks(&store) {
-                let BlockId::Meta(meta) = id else {
-                    unreachable!()
-                };
-                // (Both pointer cells: a commit over an older checkpoint
-                // leaves no cell naming it.)
-                if meta.is_pointer() {
-                    let named = MetaRecord::decode(meta.seq(), block.as_slice());
-                    let newest = MetaRecord::Pointer {
-                        checkpoint: cseq,
-                        parts: 1,
-                    };
-                    assert_eq!(named, Ok(newest), "{ctx}: {id}");
-                }
-                if meta.is_pointer() || meta.seq() != 0 {
-                    assert_eq!(version(&block), FORMAT_VERSION, "{ctx}: {id}");
-                }
-            }
-            let part0 = store.get(meta_copy_id(cseq, 0)).unwrap();
-            let Ok(MetaRecord::Checkpoint {
-                parts: 1, chunk, ..
-            }) = MetaRecord::decode(cseq, part0.as_slice())
-            else {
-                panic!("{ctx}: one-part checkpoint expected");
-            };
-            let folded = CheckpointPayload::decode(&chunk).unwrap();
-            assert_eq!(
-                folded.stored,
-                StoredIds::Count(reference.stored_ids().len() as u32)
-            );
-            assert_eq!(folded.data, reference.blocks_written());
-            // A chain never mixes versions: the version-1 payload was
-            // absorbed whole, its rows re-encoded in write order ahead of
-            // the new one — one base-less version-3 segment holds all
-            // eight, and the next open reads nothing else.
-            assert_eq!(folded.base, None, "{ctx}");
-            assert_eq!(folded.level, u8::from(checkpoint_after.is_some()), "{ctx}");
-            let firsts: Vec<u64> = folded.manifest.iter().map(|row| row.3).collect();
-            assert_eq!(firsts.len(), 8, "{ctx}");
-            assert!(firsts.windows(2).all(|w| w[0] < w[1]), "{ctx}: {firsts:?}");
-            drop(ar);
-            let mut ar = Archive::open(build(), Arc::clone(&store)).expect(&ctx);
-            assert_eq!(ar.checkpoint_seq(), Some(cseq), "{ctx}");
-            assert_eq!(ar.replayed_records(), 0, "{ctx}");
-            assert_eq!(ar.stored_ids(), reference.stored_ids(), "{ctx}");
-            assert_eq!(ar.seal().unwrap(), reference.seal().unwrap(), "{ctx}");
-            for &id in reference.stored_ids() {
-                assert_eq!(store.get(id), reference.store.get(id), "{ctx}: {id}");
-            }
+            other => panic!("version {version}: {:?}", other.map(|_| ())),
         }
     }
 }

@@ -34,13 +34,9 @@
 //! stored is [`ae_api::RedundancyScheme::block_at`]`(k, data)`, so a
 //! record says *how many* blocks its mutation stored and never which —
 //! the ids are `block_at(stored_before + i, data_after)` — and a
-//! checkpoint carries two counters where format version 2 carried the
-//! whole write-order id log. The archive verifies every id a scheme
-//! reports against `block_at` when it writes the record (O(ids)
-//! arithmetic) and writes the count: one writer shape. The **explicit**
-//! shape of the same field — the id list itself, as version 2 wrote it —
-//! is decode-only: replay checks such a list against `block_at` and
-//! carries on by position ([`StoredIds`]).
+//! checkpoint carries two counters, not an id log. The archive verifies
+//! every id a scheme reports against `block_at` when it writes the record
+//! (O(ids) arithmetic) and writes the count.
 //!
 //! # Record layout (format version 3)
 //!
@@ -49,7 +45,7 @@
 //! | offset | size | field |
 //! |-------:|-----:|-------|
 //! | 0      | 4    | magic `b"AEMJ"` |
-//! | 4      | 2    | format version, little-endian (`3`; `1` and `2` still decode) |
+//! | 4      | 2    | format version, little-endian (`3`) |
 //! | 6      | 2    | record kind, little-endian (below) |
 //! | 8      | 8    | sequence number, little-endian — must equal the [`MetaId::seq`] of the id the record is stored under (the pointer **slot** for pointer records) |
 //! | 16     | 4    | payload length `L`, little-endian |
@@ -57,13 +53,12 @@
 //! | 20+L   | 4    | CRC32 (IEEE) over bytes `[0, 20+L)`, little-endian |
 //!
 //! Payloads (all integers little-endian; strings are UTF-8, length-prefixed
-//! with a `u16`; block ids use the tagged encoding of [`encode_block_id`]):
+//! with a `u16`):
 //!
 //! * **Genesis** (`kind 0`, written once at archive creation, copies of
-//!   journal seq 0): scheme display name (string), block size (`u64`),
-//!   and — since version 2 — the copy-set width (`u16`), which pins
-//!   [`MetaConfig::copies`] for the archive's whole life. Version-1
-//!   genesis records have no width field and decode as one copy.
+//!   journal seq 0): scheme display name (string), block size (`u64`)
+//!   and the copy-set width (`u16`), which pins [`MetaConfig::copies`]
+//!   for the archive's whole life.
 //!   [`crate::Archive::open`] refuses to replay a journal whose scheme
 //!   name differs from the scheme it was given.
 //! * **Put** (`kind 1`, one per [`crate::Archive::put`]): file name
@@ -89,36 +84,26 @@
 //!   the other, so a crash mid-overwrite always leaves the other slot
 //!   naming a checkpoint that is whole.
 //!
-//! The **stored blocks** field ([`StoredIds`]) is a shape byte, then a
-//! `u32` count: shape `0` — nothing follows, the blocks are the next
-//! `count` positions of the scheme's arithmetic; shape `1` — `count`
-//! tagged block ids follow, in write order (no archive writes it; the
-//! record encoder stays total over [`StoredIds`]). Version-1 and -2
-//! records have no shape byte and always carry the ids.
+//! The **stored blocks** field is a shape byte, which must be `0`, then a
+//! `u32` count: the blocks are the next `count` positions of the scheme's
+//! arithmetic.
 //!
 //! # Checkpoint payload (payload version 3)
 //!
 //! | field | encoding |
 //! |-------|----------|
-//! | payload version | `u8` (`3`; `1` and `2` still decode) |
+//! | payload version | `u8` (`3`) |
 //! | level | `u8`: how many times the segment's rows were folded |
 //! | base | journal seq of part 0 of the segment below (`u64`) and its part count (`u32`); both `0` at the bottom of the chain |
 //! | rows | `u32` row count, then the manifest rows added since the base, in **write order**: name (string), byte length (`u64`), CRC32 (`u32`), `first_block` (`u64`), `block_count` (`u64`) |
 //! | data blocks written | `u64` |
-//! | stored blocks | as in a record: shape byte, `u32` count, ids only in the explicit shape |
+//! | stored blocks | as in a record: shape byte `0`, `u32` count |
 //! | sealed | `u8`, `0` or `1` |
 //! | frontier snapshot | `u32` length + bytes |
 //!
 //! Everything after the rows is the **tail**: the archive's state as of
 //! this commit. Only the newest segment's tail is read; an older
 //! segment's is what was true when it was the newest.
-//!
-//! Payload version 2 has no level and no base and lists the *whole*
-//! manifest in strictly ascending name order; version 1 (written with
-//! record format 2) additionally has no data counter and no shape byte:
-//! its stored blocks are always the full id list, and the data counter
-//! is the number of data ids in it. Both decode as a base-less level-0
-//! segment, rows re-ordered by extent — a chain of one.
 //!
 //! # Checkpoint chain: levels, folds, what `open` reads
 //!
@@ -136,8 +121,7 @@
 //! files cost O(n log n) rows of checkpoint over an archive's life where
 //! a full snapshot per commit cost O(n²). A `seal`'s checkpoint is a
 //! segment like any other; its record adds no row, so it has none of its
-//! own. A version-1 or -2 payload counts as level 0 and is absorbed by
-//! the first commit over it, so a chain never mixes versions.
+//! own.
 //!
 //! `open` reads the newest segment the pointer names, then its base, and
 //! so on down (one batched fetch per hop), and hands the archive every
@@ -154,7 +138,7 @@
 //!
 //! A count read from a record is never trusted ahead of the bytes that
 //! back it. At this layer, a count that sizes an allocation or bounds a
-//! loop — manifest rows, listed ids — is first checked against what the
+//! loop — manifest rows — is first checked against what the
 //! rest of the payload could hold at the field's minimum encoded size;
 //! string, chunk and snapshot lengths are bounds-checked slices of the
 //! payload. A *positional* stored count sizes nothing here: it is a
@@ -168,14 +152,11 @@
 //!
 //! # Version compatibility
 //!
-//! This build writes record format 3 and checkpoint payload version 3
-//! only. Format-2 (and -1) records and version-1 and -2 checkpoint
-//! payloads still **decode**, so an archive written by an earlier build
-//! opens unchanged: replay verifies the listed ids against `block_at`
-//! exactly as a live `put` would and carries on by position, and the
-//! next checkpoint — which absorbs the old payload and garbage-collects
-//! every record before it — leaves a pure format-3 journal behind. There
-//! is no older writer outside the tests.
+//! This build reads and writes record format 3 and checkpoint payload
+//! version 3 only. Any other version is refused, and at the genesis
+//! record, so [`crate::Archive::open`] fails with
+//! [`crate::archive::RecoveryError::CorruptRecord`] at seq 0, naming the
+//! version, before it replays anything.
 //!
 //! # Checkpoint commit and GC rules
 //!
@@ -268,15 +249,12 @@
 //!   [`crate::Archive::scrub`] re-stores any copy the backend lost or
 //!   corrupted, so the journal heals with the data it describes.
 
-use ae_blocks::{crc32, BlockId, EdgeId, MetaId, NodeId, ReplicaId, ShardId, StrandClass};
-use std::borrow::Cow;
+use ae_blocks::{crc32, BlockId, EdgeId, MetaId, NodeId, ReplicaId, ShardId};
 
 /// Magic prefix of every journal record: "AE Meta Journal".
 pub const MAGIC: [u8; 4] = *b"AEMJ";
 
-/// Journal format version written by this build. Version-2 records
-/// (stored blocks always listed) and version-1 records (additionally no
-/// copy-set width in genesis, no checkpoint/pointer kinds) still decode.
+/// The one journal format version this build reads and writes.
 pub const FORMAT_VERSION: u16 = 3;
 
 /// The id of copy 0 of journal record `seq` — the id the whole record
@@ -328,32 +306,10 @@ impl Default for MetaConfig {
 }
 
 impl MetaConfig {
-    /// The pre-redundancy journal: one copy, never checkpointed.
-    pub fn single() -> Self {
-        MetaConfig {
-            copies: 1,
-            checkpoint_every: None,
-            segment_bytes: 64 * 1024,
-        }
-    }
-
     /// Clamps the width into `1..=`[`MetaId::MAX_COPIES`].
     pub(crate) fn clamped_copies(&self) -> u16 {
         self.copies.clamp(1, MetaId::MAX_COPIES)
     }
-}
-
-/// The blocks a mutation stored — or, in a checkpoint, every block the
-/// archive stored — as the journal carries them (see the module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoredIds {
-    /// That many blocks at the next positions of the scheme's arithmetic:
-    /// block `i` is `block_at(stored_before + i, data_after)`.
-    Count(u32),
-    /// The ids themselves, in write order: what format version 2 wrote.
-    /// Decode-only — an archive checks them against the arithmetic and
-    /// journals counts.
-    Listed(Vec<BlockId>),
 }
 
 /// One decoded journal record.
@@ -365,8 +321,7 @@ pub enum MetaRecord {
         scheme: String,
         /// Chunk size in bytes.
         block_size: u64,
-        /// Copy-set width every record of this journal is written with
-        /// (1 for version-1 journals).
+        /// Copy-set width every record of this journal is written with.
         copies: u16,
     },
     /// One archived file.
@@ -381,15 +336,16 @@ pub enum MetaRecord {
         first_block: u64,
         /// Number of data blocks.
         block_count: u64,
-        /// The blocks this put stored (data + redundancy), in write order.
-        ids: StoredIds,
+        /// How many blocks this put stored (data + redundancy): the next
+        /// positions of the scheme's arithmetic.
+        stored: u32,
         /// Post-put encoder-frontier snapshot.
         frontier: Vec<u8>,
     },
     /// The archive was sealed.
     Seal {
-        /// The blocks the redundancy flush stored.
-        ids: StoredIds,
+        /// How many blocks the redundancy flush stored.
+        stored: u32,
         /// Post-seal encoder-frontier snapshot.
         frontier: Vec<u8>,
     },
@@ -421,8 +377,7 @@ pub type ManifestRow = (String, u64, u32, u64, u64);
 /// newest segment of a chain speaks for — the data and stored-block
 /// counters, the sealed flag and the encoder-frontier snapshot. Encoded
 /// with a leading payload-version byte, chunked into
-/// [`MetaRecord::Checkpoint`] parts for storage. A version-1 or -2
-/// payload decodes as a base-less level-0 segment holding every row.
+/// [`MetaRecord::Checkpoint`] parts for storage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointPayload {
     /// How many times this segment's rows were folded: a level-`l`
@@ -435,22 +390,20 @@ pub struct CheckpointPayload {
     pub manifest: Vec<ManifestRow>,
     /// Data blocks written through the archive.
     pub data: u64,
-    /// Every block written through the archive, in write order.
-    pub stored: StoredIds,
+    /// Blocks written through the archive: the first `stored` positions
+    /// of the scheme's arithmetic.
+    pub stored: u32,
     /// Whether the archive was sealed.
     pub sealed: bool,
     /// Encoder-frontier snapshot at checkpoint time.
     pub frontier: Vec<u8>,
 }
 
-/// Checkpoint payload version written by this build.
+/// The one checkpoint payload version this build reads and writes.
 const PAYLOAD_VERSION: u8 = 3;
 
 /// Smallest encoded manifest row: an empty name and the four integers.
 const MIN_ROW_BYTES: usize = 2 + 8 + 4 + 8 + 8;
-
-/// Smallest tagged block id: the tag and one `u64`.
-const MIN_ID_BYTES: usize = 1 + 8;
 
 /// Manifest rows in their version-3 wire form, in the order pushed: what
 /// an archive accumulates between checkpoints — a few bytes a put — so a
@@ -483,10 +436,10 @@ impl Rows {
 pub(crate) type RowRef<'a> = (&'a str, u64, u32, u64, u64);
 
 /// Serializes the tail of a checkpoint payload: what follows its rows.
-pub(crate) fn encode_tail(data: u64, stored: &StoredIds, sealed: bool, frontier: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_tail(data: u64, stored: u32, sealed: bool, frontier: &[u8]) -> Vec<u8> {
     let mut tail = Vec::with_capacity(32 + frontier.len());
     tail.extend_from_slice(&data.to_le_bytes());
-    put_stored(&mut tail, stored, true);
+    put_stored(&mut tail, stored);
     tail.push(sealed as u8);
     put_bytes(&mut tail, frontier);
     tail
@@ -494,9 +447,9 @@ pub(crate) fn encode_tail(data: u64, stored: &StoredIds, sealed: bool, frontier:
 
 /// Assembles a version-3 segment payload: the header naming `level` and
 /// `base`, then the rows of the `absorbed` payloads (oldest first — each
-/// a whole payload this journal wrote or validated, of any version) and
-/// `rows` as one row section, then `tail`. Absorbed rows are copied as
-/// the bytes they are; nothing is re-derived from their owner.
+/// a whole payload this journal wrote or validated) and `rows` as one row
+/// section, then `tail`. Absorbed rows are copied as the bytes they are;
+/// nothing is re-derived from their owner.
 ///
 /// # Panics
 ///
@@ -509,7 +462,7 @@ pub(crate) fn splice_segment(
     rows: &Rows,
     tail: &[u8],
 ) -> Vec<u8> {
-    let sections: Vec<(u32, Cow<[u8]>)> = absorbed
+    let sections: Vec<(u32, &[u8])> = absorbed
         .iter()
         .map(|payload| row_section(payload).expect("a canonical payload parses"))
         .collect();
@@ -537,31 +490,26 @@ pub(crate) fn splice_segment(
 /// Version byte, level, base seq and base part count.
 const SEGMENT_HEADER_BYTES: usize = 1 + 1 + 8 + 4;
 
-/// The row count and encoded rows of a whole checkpoint payload, in the
-/// version-3 wire form and write order: a borrowed slice of a version-3
-/// payload, the decoded rows of an older one re-encoded.
-fn row_section(payload: &[u8]) -> Result<(u32, Cow<'_, [u8]>), RecordError> {
-    if payload.first() != Some(&PAYLOAD_VERSION) {
-        let rows = CheckpointPayload::decode(payload)?.rows();
-        return Ok((rows.count, Cow::Owned(rows.bytes)));
-    }
+/// The row count and encoded rows of a whole checkpoint payload: a
+/// borrowed slice of it.
+fn row_section(payload: &[u8]) -> Result<(u32, &[u8]), RecordError> {
     let mut r = Reader {
         buf: payload,
         pos: SEGMENT_HEADER_BYTES.min(payload.len()),
     };
-    let rows = r.count(MIN_ROW_BYTES, "manifest row")?;
+    let rows = r.row_count()?;
     let start = r.pos;
     for _ in 0..rows {
         let name = r.u16()? as usize;
         r.take(name + MIN_ROW_BYTES - 2)?;
     }
-    Ok((rows as u32, Cow::Borrowed(&payload[start..r.pos])))
+    Ok((rows as u32, &payload[start..r.pos]))
 }
 
 impl CheckpointPayload {
     /// Serializes the segment (version byte + fields, little-endian).
     pub fn encode(&self) -> Vec<u8> {
-        let tail = encode_tail(self.data, &self.stored, self.sealed, &self.frontier);
+        let tail = encode_tail(self.data, self.stored, self.sealed, &self.frontier);
         splice_segment(self.level, self.base, &[], &self.rows(), &tail)
     }
 
@@ -590,42 +538,25 @@ impl CheckpointPayload {
     pub fn decode(bytes: &[u8]) -> Result<Self, RecordError> {
         let mut r = Reader { buf: bytes, pos: 0 };
         let version = r.u8()?;
-        if version == 0 || version > PAYLOAD_VERSION {
-            return Err(format!("checkpoint payload version {version}"));
+        if version != PAYLOAD_VERSION {
+            return Err(format!(
+                "checkpoint payload version {version}; this build reads {PAYLOAD_VERSION}"
+            ));
         }
-        let (level, base) = if version >= 3 {
-            let level = r.u8()?;
-            match (r.u64()?, r.u32()?) {
-                (0, 0) => (level, None),
-                (seq, parts) if seq == 0 || parts == 0 => {
-                    return Err(format!("impossible base segment {seq}+{parts}"));
-                }
-                base => (level, Some(base)),
+        let level = r.u8()?;
+        let base = match (r.u64()?, r.u32()?) {
+            (0, 0) => None,
+            (seq, parts) if seq == 0 || parts == 0 => {
+                return Err(format!("impossible base segment {seq}+{parts}"));
             }
-        } else {
-            (0, None)
+            base => Some(base),
         };
-        let rows = r.count(MIN_ROW_BYTES, "manifest row")?;
+        let rows = r.row_count()?;
         let mut manifest: Vec<ManifestRow> = Vec::with_capacity(rows);
         for _ in 0..rows {
-            let row = (r.string()?, r.u64()?, r.u32()?, r.u64()?, r.u64()?);
-            // Versions 1 and 2 list the whole manifest by name.
-            if version < 3 && manifest.last().is_some_and(|prev| prev.0 >= row.0) {
-                return Err(format!("manifest row {:?} out of name order", row.0));
-            }
-            manifest.push(row);
+            manifest.push((r.string()?, r.u64()?, r.u32()?, r.u64()?, r.u64()?));
         }
-        if version < 3 {
-            // Write order is extent order: what version 3 lists rows in.
-            manifest.sort_by_key(|row| row.3);
-        }
-        let (data, stored) = if version >= 2 {
-            (r.u64()?, r.stored(true)?)
-        } else {
-            let ids = r.ids()?;
-            let data = ids.iter().filter(|id| id.is_data()).count() as u64;
-            (data, StoredIds::Listed(ids))
-        };
+        let (data, stored) = (r.u64()?, r.stored()?);
         let sealed = match r.u8()? {
             0 => false,
             1 => true,
@@ -657,20 +588,10 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(bytes);
 }
 
-/// Appends a stored-blocks field: the shape byte when the format has one
-/// (`shaped`), the count, and the ids in the explicit shape.
-fn put_stored(buf: &mut Vec<u8>, stored: &StoredIds, shaped: bool) {
-    let (count, listed): (u32, &[BlockId]) = match stored {
-        StoredIds::Count(count) => (*count, &[]),
-        StoredIds::Listed(ids) => (ids.len() as u32, ids),
-    };
-    if shaped {
-        buf.push(matches!(stored, StoredIds::Listed(_)) as u8);
-    }
-    buf.extend_from_slice(&count.to_le_bytes());
-    for &id in listed {
-        encode_block_id(buf, id);
-    }
+/// Appends a stored-blocks field: shape byte `0`, then the count.
+fn put_stored(buf: &mut Vec<u8>, stored: u32) {
+    buf.push(0);
+    buf.extend_from_slice(&stored.to_le_bytes());
 }
 
 fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
@@ -678,10 +599,11 @@ fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
     buf.extend_from_slice(bytes);
 }
 
-/// Appends the tagged wire form of `id`: a one-byte variant tag followed
-/// by the variant's fields, little-endian (`0` data: node `u64`;
-/// `1` parity: class `u8`, left `u64`; `2` shard: stripe `u64`, index
-/// `u16`; `3` replica: node `u64`, copy `u16`; `4` meta: seq `u64`).
+/// Appends a stable tagged byte form of `id` — a one-byte variant tag
+/// followed by the variant's fields, little-endian (`0` data: node
+/// `u64`; `1` parity: class `u8`, left `u64`; `2` shard: stripe `u64`,
+/// index `u16`; `3` replica: node `u64`, copy `u16`; `4` meta: seq
+/// `u64`) — for digesting or naming ids. No journal record carries one.
 pub fn encode_block_id(buf: &mut Vec<u8>, id: BlockId) {
     match id {
         BlockId::Data(NodeId(i)) => {
@@ -745,13 +667,13 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
-    /// A `u32` element count, refused unless the rest of the payload
-    /// could hold that many elements of at least `min_bytes` each — so
-    /// the count may size an allocation and bound a loop.
-    fn count(&mut self, min_bytes: usize, what: &str) -> Result<usize, RecordError> {
+    /// A manifest row count, refused unless the rest of the payload could
+    /// hold that many rows at their minimum size — so the count may size
+    /// an allocation and bound a loop.
+    fn row_count(&mut self) -> Result<usize, RecordError> {
         let count = self.u32()? as usize;
-        if count > (self.buf.len() - self.pos) / min_bytes {
-            return Err(format!("{what} count {count} exceeds the payload"));
+        if count > (self.buf.len() - self.pos) / MIN_ROW_BYTES {
+            return Err(format!("manifest row count {count} exceeds the payload"));
         }
         Ok(count)
     }
@@ -761,53 +683,11 @@ impl<'a> Reader<'a> {
         String::from_utf8(self.take(len)?.to_vec()).map_err(|_| "non-UTF-8 string".to_string())
     }
 
-    fn block_id(&mut self) -> Result<BlockId, RecordError> {
-        Ok(match self.u8()? {
-            0 => BlockId::Data(NodeId(self.u64()?)),
-            1 => {
-                let class = match self.u8()? {
-                    0 => StrandClass::Horizontal,
-                    1 => StrandClass::RightHanded,
-                    2 => StrandClass::LeftHanded,
-                    c => return Err(format!("unknown strand class {c}")),
-                };
-                BlockId::Parity(EdgeId::new(class, NodeId(self.u64()?)))
-            }
-            2 => BlockId::Shard(ShardId {
-                stripe: self.u64()?,
-                index: self.u16()?,
-            }),
-            3 => BlockId::Replica(ReplicaId {
-                node: NodeId(self.u64()?),
-                copy: self.u16()?,
-            }),
-            4 => BlockId::Meta(MetaId(self.u64()?)),
-            t => return Err(format!("unknown block-id tag {t}")),
-        })
-    }
-
-    fn ids(&mut self) -> Result<Vec<BlockId>, RecordError> {
-        let count = self.count(MIN_ID_BYTES, "block id")?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.block_id()?);
-        }
-        Ok(out)
-    }
-
-    /// A stored-blocks field; `shaped` formats lead with the shape byte,
-    /// older ones always list the ids.
-    fn stored(&mut self, shaped: bool) -> Result<StoredIds, RecordError> {
-        let listed = !shaped
-            || match self.u8()? {
-                0 => false,
-                1 => true,
-                b => return Err(format!("bad stored-blocks shape {b}")),
-            };
-        if listed {
-            Ok(StoredIds::Listed(self.ids()?))
-        } else {
-            Ok(StoredIds::Count(self.u32()?))
+    /// A stored-blocks field: shape byte `0`, then the count.
+    fn stored(&mut self) -> Result<u32, RecordError> {
+        match self.u8()? {
+            0 => self.u32(),
+            b => Err(format!("bad stored-blocks shape {b}")),
         }
     }
 
@@ -888,18 +768,11 @@ impl MetaRecord {
     /// Encodes the record for storage at `Meta(seq)`: header, payload and
     /// trailing CRC32 as documented at module level.
     pub fn encode(&self, seq: u64) -> Vec<u8> {
-        self.encode_as(FORMAT_VERSION, seq)
-    }
-
-    /// [`MetaRecord::encode`] under an explicit format version; only the
-    /// compatibility tests pass anything but [`FORMAT_VERSION`].
-    fn encode_as(&self, version: u16, seq: u64) -> Vec<u8> {
-        let shaped = version >= 3;
         let hint = match self {
             MetaRecord::Checkpoint { chunk, .. } => 12 + chunk.len(),
             _ => 96,
         };
-        frame(version, self.kind(), seq, hint, |out| match self {
+        frame(FORMAT_VERSION, self.kind(), seq, hint, |out| match self {
             MetaRecord::Genesis {
                 scheme,
                 block_size,
@@ -915,7 +788,7 @@ impl MetaRecord {
                 crc,
                 first_block,
                 block_count,
-                ids,
+                stored,
                 frontier,
             } => {
                 put_str(out, name);
@@ -923,11 +796,11 @@ impl MetaRecord {
                 out.extend_from_slice(&crc.to_le_bytes());
                 out.extend_from_slice(&first_block.to_le_bytes());
                 out.extend_from_slice(&block_count.to_le_bytes());
-                put_stored(out, ids, shaped);
+                put_stored(out, *stored);
                 put_bytes(out, frontier);
             }
-            MetaRecord::Seal { ids, frontier } => {
-                put_stored(out, ids, shaped);
+            MetaRecord::Seal { stored, frontier } => {
+                put_stored(out, *stored);
                 put_bytes(out, frontier);
             }
             MetaRecord::Checkpoint { part, parts, chunk } => put_part(out, *part, *parts, chunk),
@@ -960,12 +833,11 @@ impl MetaRecord {
             return Err("bad magic".to_string());
         }
         let version = r.u16()?;
-        if version == 0 || version > FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(format!(
-                "format version {version}, expected 1..={FORMAT_VERSION}"
+                "format version {version}; this build reads {FORMAT_VERSION}"
             ));
         }
-        let shaped = version >= 3;
         let kind = r.u16()?;
         let stored_seq = r.u64()?;
         if stored_seq != seq {
@@ -982,8 +854,7 @@ impl MetaRecord {
             0 => MetaRecord::Genesis {
                 scheme: r.string()?,
                 block_size: r.u64()?,
-                // Version-1 journals predate copy sets: width 1.
-                copies: if version >= 2 { r.u16()? } else { 1 },
+                copies: r.u16()?,
             },
             1 => MetaRecord::Put {
                 name: r.string()?,
@@ -991,11 +862,11 @@ impl MetaRecord {
                 crc: r.u32()?,
                 first_block: r.u64()?,
                 block_count: r.u64()?,
-                ids: r.stored(shaped)?,
+                stored: r.stored()?,
                 frontier: r.bytes()?,
             },
             2 => MetaRecord::Seal {
-                ids: r.stored(shaped)?,
+                stored: r.stored()?,
                 frontier: r.bytes()?,
             },
             KIND_CHECKPOINT => MetaRecord::Checkpoint {
@@ -1014,74 +885,19 @@ impl MetaRecord {
     }
 }
 
-/// The format-version-2 writer, kept for the compatibility tests only:
-/// what the build before position-first journals stored.
-#[cfg(test)]
-pub(crate) mod v2 {
-    use super::*;
-
-    /// `record` as a format-2 record (stored blocks must be listed).
-    pub(crate) fn encode_record(record: &MetaRecord, seq: u64) -> Vec<u8> {
-        if let MetaRecord::Put { ids, .. } | MetaRecord::Seal { ids, .. } = record {
-            assert!(matches!(ids, StoredIds::Listed(_)), "format 2 lists ids");
-        }
-        record.encode_as(2, seq)
-    }
-
-    /// `payload` as checkpoint payload `version` 1 (manifest by name, the
-    /// full id list, sealed flag, frontier) or 2 (the data counter and
-    /// shaped stored blocks in place of the list). Rows go out in the
-    /// order given: these writers listed them by name.
-    pub(crate) fn encode_payload(version: u8, payload: &CheckpointPayload) -> Vec<u8> {
-        let mut buf = vec![version];
-        let rows = payload.rows();
-        buf.extend_from_slice(&rows.count.to_le_bytes());
-        buf.extend_from_slice(&rows.bytes);
-        if version == 1 {
-            assert!(
-                matches!(payload.stored, StoredIds::Listed(_)),
-                "payload version 1 lists ids"
-            );
-            put_stored(&mut buf, &payload.stored, false);
-        } else {
-            buf.extend_from_slice(&payload.data.to_le_bytes());
-            put_stored(&mut buf, &payload.stored, true);
-        }
-        buf.push(payload.sealed as u8);
-        put_bytes(&mut buf, &payload.frontier);
-        buf
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn sample_ids() -> Vec<BlockId> {
-        vec![
-            BlockId::Data(NodeId(7)),
-            BlockId::Parity(EdgeId::new(StrandClass::LeftHanded, NodeId(7))),
-            BlockId::Shard(ShardId {
-                stripe: 3,
-                index: 1,
-            }),
-            BlockId::Replica(ReplicaId {
-                node: NodeId(9),
-                copy: 2,
-            }),
-            BlockId::Meta(MetaId(4)),
-        ]
-    }
-
-    fn put_record(ids: StoredIds) -> MetaRecord {
+    fn put_record(stored: u32) -> MetaRecord {
         MetaRecord::Put {
             name: "report.pdf".into(),
             byte_len: 2000,
             crc: 0xDEAD_BEEF,
             first_block: 5,
             block_count: 32,
-            ids,
+            stored,
             frontier: vec![1, 2, 3],
         }
     }
@@ -1093,15 +909,10 @@ mod tests {
                 block_size: 64,
                 copies: 3,
             },
-            put_record(StoredIds::Count(128)),
-            put_record(StoredIds::Listed(sample_ids())),
+            put_record(128),
             MetaRecord::Seal {
-                ids: StoredIds::Count(0),
+                stored: 0,
                 frontier: vec![],
-            },
-            MetaRecord::Seal {
-                ids: StoredIds::Listed(sample_ids()),
-                frontier: vec![9],
             },
             MetaRecord::Checkpoint {
                 part: 1,
@@ -1115,7 +926,7 @@ mod tests {
         ]
     }
 
-    fn sample_payload(stored: StoredIds) -> CheckpointPayload {
+    fn sample_payload(stored: u32) -> CheckpointPayload {
         CheckpointPayload {
             level: 0,
             base: None,
@@ -1140,8 +951,8 @@ mod tests {
 
     #[test]
     fn a_positional_put_record_does_not_grow_with_the_put() {
-        let small = put_record(StoredIds::Count(4)).encode(1).len();
-        let large = put_record(StoredIds::Count(4_000_000)).encode(1).len();
+        let small = put_record(4).encode(1).len();
+        let large = put_record(4_000_000).encode(1).len();
         assert_eq!(small, large);
         // Header 20 + name 2+10 + four integers 28 + shape and count 5 +
         // frontier 4+3 + CRC 4.
@@ -1161,17 +972,12 @@ mod tests {
 
     #[test]
     fn every_truncation_is_detected() {
-        for record in [
-            put_record(StoredIds::Count(20)),
-            put_record(StoredIds::Listed(sample_ids())),
-        ] {
-            let bytes = record.encode(3);
-            for cut in 0..bytes.len() {
-                assert!(
-                    MetaRecord::decode(3, &bytes[..cut]).is_err(),
-                    "cut at {cut} must not parse"
-                );
-            }
+        let bytes = put_record(20).encode(3);
+        for cut in 0..bytes.len() {
+            assert!(
+                MetaRecord::decode(3, &bytes[..cut]).is_err(),
+                "cut at {cut} must not parse"
+            );
         }
     }
 
@@ -1195,162 +1001,68 @@ mod tests {
     }
 
     #[test]
-    fn version_1_genesis_decodes_as_one_copy() {
-        // Hand-build a v1 record: same framing, version 1, no width field.
-        let bytes = frame(1, 0, 0, 0, |out| {
-            put_str(out, "AE(3,2,5)");
-            out.extend_from_slice(&64u64.to_le_bytes());
-        });
-        assert_eq!(
-            MetaRecord::decode(0, &bytes),
-            Ok(MetaRecord::Genesis {
-                scheme: "AE(3,2,5)".into(),
-                block_size: 64,
-                copies: 1,
-            })
-        );
-        // Versions from the future are rejected, version 0 too.
-        for version in [0u16, FORMAT_VERSION + 1, 9] {
-            let other = frame(version, 0, 0, 0, |out| {
-                put_str(out, "AE(3,2,5)");
-                out.extend_from_slice(&64u64.to_le_bytes());
-            });
-            assert!(MetaRecord::decode(0, &other).is_err(), "version {version}");
-        }
-    }
-
-    /// Format 2 is the format 3 explicit shape minus the shape byte: the
-    /// kept writer's records decode to the same values, and its bytes are
-    /// the bytes the previous build stored (pinned from a real journal).
-    #[test]
-    fn version_2_records_and_payloads_still_decode() {
-        for (seq, record) in (0u64..).zip(sample_records()) {
-            if let MetaRecord::Put { ids, .. } | MetaRecord::Seal { ids, .. } = &record {
-                if matches!(ids, StoredIds::Count(_)) {
-                    continue;
-                }
-            }
-            let old = v2::encode_record(&record, seq);
-            assert_eq!(&old[4..6], &2u16.to_le_bytes());
-            assert_eq!(MetaRecord::decode(seq, &old), Ok(record), "seq {seq}");
-        }
-        let payload = CheckpointPayload {
-            data: 1,
-            ..sample_payload(StoredIds::Listed(sample_ids()))
-        };
-        let old = v2::encode_payload(1, &payload);
-        assert_eq!(old[0], 1);
-        assert_eq!(CheckpointPayload::decode(&old), Ok(payload));
-        // Version 2 carried counts already; both decode as the bottom of
-        // a chain, rows re-ordered from name order into write order.
-        let mut counted = sample_payload(StoredIds::Count(68));
-        counted.manifest[0].3 = 1;
-        counted.manifest[1].3 = 0;
-        let old = v2::encode_payload(2, &counted);
-        counted.manifest.swap(0, 1);
-        assert_eq!(CheckpointPayload::decode(&old), Ok(counted));
-
-        // `Archive::put("f", &[7; 40])` over AE(3,2,5), 32-byte blocks,
-        // as the build before this format journaled it at seq 1.
-        let parent = "41454d4a020001000100000000000000860000000100662800000000000000e4140c99\
-                      0000000000000000020000000000000008000000000100000000000000010001000000\
-                      0000000001010100000000000000010201000000000000000002000000000000000100\
-                      0200000000000000010102000000000000000102020000000000000011000000010200\
-                      0000000000002000000000000000c4c4a696";
-        let parent: Vec<u8> = (0..parent.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&parent[i..i + 2], 16).unwrap())
-            .collect();
-        let decoded = MetaRecord::decode(1, &parent).expect("a real version-2 record");
-        assert!(matches!(
-            &decoded,
-            MetaRecord::Put { name, block_count: 2, ids: StoredIds::Listed(ids), .. }
-                if name == "f" && ids.len() == 8
-        ));
-        assert_eq!(v2::encode_record(&decoded, 1), parent);
-    }
-
-    #[test]
     fn checkpoint_payload_roundtrips_and_rejects_damage() {
-        for stored in [StoredIds::Count(68), StoredIds::Listed(sample_ids())] {
-            let payload = CheckpointPayload {
-                level: 2,
-                base: Some((31, 4)),
-                data: if matches!(stored, StoredIds::Count(_)) {
-                    17
-                } else {
-                    1
-                },
-                ..sample_payload(stored)
-            };
-            let bytes = payload.encode();
-            assert_eq!(CheckpointPayload::decode(&bytes), Ok(payload.clone()));
-            // Chunked through checkpoint part records and reassembled.
-            let parts: Vec<&[u8]> = bytes.chunks(10).collect();
-            let mut reassembled = Vec::new();
-            for (i, chunk) in parts.iter().enumerate() {
-                let seq = 40 + i as u64;
-                let rec = encode_checkpoint_part(seq, i as u32, parts.len() as u32, chunk);
-                match MetaRecord::decode(seq, &rec).unwrap() {
-                    MetaRecord::Checkpoint { chunk, .. } => reassembled.extend_from_slice(&chunk),
-                    other => panic!("{other:?}"),
-                }
+        let payload = CheckpointPayload {
+            level: 2,
+            base: Some((31, 4)),
+            ..sample_payload(68)
+        };
+        let bytes = payload.encode();
+        assert_eq!(CheckpointPayload::decode(&bytes), Ok(payload.clone()));
+        // Chunked through checkpoint part records and reassembled.
+        let parts: Vec<&[u8]> = bytes.chunks(10).collect();
+        let mut reassembled = Vec::new();
+        for (i, chunk) in parts.iter().enumerate() {
+            let seq = 40 + i as u64;
+            let rec = encode_checkpoint_part(seq, i as u32, parts.len() as u32, chunk);
+            match MetaRecord::decode(seq, &rec).unwrap() {
+                MetaRecord::Checkpoint { chunk, .. } => reassembled.extend_from_slice(&chunk),
+                other => panic!("{other:?}"),
             }
-            assert_eq!(CheckpointPayload::decode(&reassembled), Ok(payload));
-            // Truncations and trailing garbage are typed errors.
-            for cut in 0..bytes.len() {
-                assert!(CheckpointPayload::decode(&bytes[..cut]).is_err(), "{cut}");
-            }
-            let mut long = bytes.clone();
-            long.push(0);
-            assert!(CheckpointPayload::decode(&long).is_err());
         }
+        assert_eq!(CheckpointPayload::decode(&reassembled), Ok(payload));
+        // Truncations and trailing garbage are typed errors.
+        for cut in 0..bytes.len() {
+            assert!(CheckpointPayload::decode(&bytes[..cut]).is_err(), "{cut}");
+        }
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(CheckpointPayload::decode(&long).is_err());
     }
 
     #[test]
     fn a_positional_checkpoint_is_its_manifest_and_two_counters() {
-        let few = sample_payload(StoredIds::Count(68)).encode().len();
-        let many = sample_payload(StoredIds::Count(u32::MAX)).encode().len();
+        let few = sample_payload(68).encode().len();
+        let many = sample_payload(u32::MAX).encode().len();
         assert_eq!(few, many, "the stored count is a number, not a list");
         // Version 1 + level 1 + base 8+4 + row count 4 + rows (2+5+28)*2 +
         // data 8 + shape and count 5 + sealed 1 + frontier 4+33.
         assert_eq!(few, 139);
     }
 
-    /// Versions 1 and 2 listed the whole manifest by name and are held to
-    /// it; a version-3 segment lists the rows of a few puts in write
-    /// order, whatever their names (duplicates are the archive's to find:
-    /// it is the one that knows the rows of the segments below).
+    /// A segment lists the rows of a few puts in write order, whatever
+    /// their names (duplicates are the archive's to find: it is the one
+    /// that knows the rows of the segments below).
     #[test]
     fn manifest_rows_must_ascend_by_name() {
-        let mut payload = sample_payload(StoredIds::Count(68));
+        let mut payload = sample_payload(68);
         payload.manifest.swap(0, 1);
-        assert_eq!(
-            CheckpointPayload::decode(&payload.encode()),
-            Ok(payload.clone())
-        );
-        let err = CheckpointPayload::decode(&v2::encode_payload(2, &payload)).unwrap_err();
-        assert!(err.contains("out of name order"), "{err}");
-        payload.manifest[1] = payload.manifest[0].clone();
-        let err = CheckpointPayload::decode(&v2::encode_payload(2, &payload)).unwrap_err();
-        assert!(err.contains("out of name order"), "duplicate: {err}");
+        assert_eq!(CheckpointPayload::decode(&payload.encode()), Ok(payload));
     }
 
-    /// A fold copies the rows of the segments it absorbs as bytes — a
-    /// version-3 section as it stands, an older payload's re-encoded in
-    /// write order — ahead of its own, under one count.
+    /// A fold copies the rows of the segments it absorbs as bytes ahead
+    /// of its own, under one count.
     #[test]
     fn a_spliced_segment_is_the_rows_of_its_parts_in_order() {
         let row = |name: &str, first: u64| -> ManifestRow { (name.into(), 9, 7, first, 1) };
         let segment = |rows: Vec<ManifestRow>| CheckpointPayload {
             manifest: rows,
-            ..sample_payload(StoredIds::Count(12))
+            ..sample_payload(12)
         };
-        // Name order is not write order in the version-2 payload.
-        let oldest = v2::encode_payload(2, &segment(vec![row("a", 1), row("z", 0)]));
+        let oldest = segment(vec![row("z", 0), row("a", 1)]).encode();
         let older = segment(vec![row("m", 2)]).encode();
         let newest = segment(vec![row("b", 3), row("", 4)]).rows();
-        let tail = encode_tail(5, &StoredIds::Count(20), true, &[1, 2]);
+        let tail = encode_tail(5, 20, true, &[1, 2]);
         let spliced = splice_segment(2, Some((6, 2)), &[oldest, older], &newest, &tail);
         assert_eq!(
             CheckpointPayload::decode(&spliced),
@@ -1365,7 +1077,7 @@ mod tests {
                     row("", 4)
                 ],
                 data: 5,
-                stored: StoredIds::Count(20),
+                stored: 20,
                 sealed: true,
                 frontier: vec![1, 2],
             })
@@ -1381,7 +1093,8 @@ mod tests {
     }
 
     /// A count far beyond the bytes that could back it is refused before
-    /// it sizes anything — these would otherwise ask for gigabytes.
+    /// it sizes anything — this one would otherwise ask for gigabytes —
+    /// and a stored-blocks field of any shape but `0` is refused.
     #[test]
     fn hostile_counts_are_refused_before_they_size_anything() {
         // A checkpoint claiming u32::MAX manifest rows.
@@ -1391,30 +1104,26 @@ mod tests {
         rows.extend_from_slice(&[0; 64]);
         let err = CheckpointPayload::decode(&rows).unwrap_err();
         assert!(err.contains("manifest row count"), "{err}");
-        // A checkpoint and a put record claiming u32::MAX listed ids.
-        let mut listed = header;
-        listed.extend_from_slice(&0u32.to_le_bytes());
-        listed.extend_from_slice(&0u64.to_le_bytes());
-        listed.push(1);
-        listed.extend_from_slice(&u32::MAX.to_le_bytes());
-        listed.extend_from_slice(&[0; 64]);
-        let err = CheckpointPayload::decode(&listed).unwrap_err();
-        assert!(err.contains("block id count"), "{err}");
-        for version in [2, FORMAT_VERSION] {
-            let put = frame(version, 1, 5, 0, |out| {
-                put_str(out, "f");
-                out.extend_from_slice(&[0; 28]);
-                if version >= 3 {
-                    out.push(1);
-                }
-                out.extend_from_slice(&u32::MAX.to_le_bytes());
-                out.extend_from_slice(&[0; 64]);
-            });
-            let err = MetaRecord::decode(5, &put).unwrap_err();
-            assert!(err.contains("block id count"), "v{version}: {err}");
-        }
+        // A checkpoint and a put record whose stored blocks have shape 1.
+        let mut shaped = header;
+        shaped.extend_from_slice(&0u32.to_le_bytes());
+        shaped.extend_from_slice(&0u64.to_le_bytes());
+        shaped.push(1);
+        shaped.extend_from_slice(&u32::MAX.to_le_bytes());
+        shaped.extend_from_slice(&[0; 64]);
+        let err = CheckpointPayload::decode(&shaped).unwrap_err();
+        assert!(err.contains("bad stored-blocks shape 1"), "{err}");
+        let put = frame(FORMAT_VERSION, 1, 5, 0, |out| {
+            put_str(out, "f");
+            out.extend_from_slice(&[0; 28]);
+            out.push(1);
+            out.extend_from_slice(&u32::MAX.to_le_bytes());
+            out.extend_from_slice(&[0; 64]);
+        });
+        let err = MetaRecord::decode(5, &put).unwrap_err();
+        assert!(err.contains("bad stored-blocks shape 1"), "{err}");
         // A positional count is only a number here, however large.
-        let counted = put_record(StoredIds::Count(u32::MAX));
+        let counted = put_record(u32::MAX);
         assert_eq!(MetaRecord::decode(2, &counted.encode(2)), Ok(counted));
     }
 
@@ -1423,7 +1132,8 @@ mod tests {
 
         /// Arbitrary bytes — raw, and as the payload of a correctly framed
         /// and checksummed record of every kind and version, so the field
-        /// parsers are actually reached — never panic a decoder.
+        /// parsers are actually reached — never panic a decoder, and
+        /// nothing but version 3 ever decodes.
         #[test]
         fn arbitrary_input_is_a_typed_error_or_a_record(
             bytes in proptest::collection::vec(any::<u8>(), 0..200),
@@ -1434,16 +1144,30 @@ mod tests {
             let _ = MetaRecord::decode(seq, &bytes);
             let _ = CheckpointPayload::decode(&bytes);
             let framed = frame(version, kind, seq, 0, |out| out.extend_from_slice(&bytes));
-            if let Ok(record) = MetaRecord::decode(seq, &framed) {
+            let decoded = MetaRecord::decode(seq, &framed);
+            prop_assert!(version == FORMAT_VERSION || decoded.is_err(), "v{version}");
+            if let Ok(record) = decoded {
                 // Whatever parsed re-encodes to something that parses back.
                 prop_assert_eq!(MetaRecord::decode(seq, &record.encode(seq)), Ok(record));
             }
+            // A real record's payload parses under version 3 only.
+            let real = &sample_records()[kind as usize % 5];
+            let encoded = real.encode(seq);
+            let payload = &encoded[20..encoded.len() - 4];
+            let reframed = frame(version, real.kind(), seq, 0, |out| out.extend_from_slice(payload));
+            prop_assert_eq!(MetaRecord::decode(seq, &reframed).is_ok(), version == FORMAT_VERSION);
+            let mut real = sample_payload(68).encode();
             for payload_version in 0u8..4 {
                 let mut payload = vec![payload_version];
                 payload.extend_from_slice(&bytes);
-                if let Ok(decoded) = CheckpointPayload::decode(&payload) {
+                let decoded = CheckpointPayload::decode(&payload);
+                prop_assert!(payload_version == PAYLOAD_VERSION || decoded.is_err());
+                if let Ok(decoded) = decoded {
                     prop_assert_eq!(CheckpointPayload::decode(&decoded.encode()), Ok(decoded));
                 }
+                real[0] = payload_version;
+                let parsed = CheckpointPayload::decode(&real).is_ok();
+                prop_assert_eq!(parsed, payload_version == PAYLOAD_VERSION);
             }
         }
 
@@ -1452,7 +1176,7 @@ mod tests {
         /// a well-formed record, never a panic.
         #[test]
         fn one_mutated_byte_never_panics_a_decoder(
-            pick in 0usize..7,
+            pick in 0usize..5,
             at in 0usize..200,
             to in any::<u8>(),
         ) {
@@ -1465,12 +1189,10 @@ mod tests {
             bytes[body..].copy_from_slice(&crc.to_le_bytes());
             let _ = MetaRecord::decode(6, &bytes);
 
-            for stored in [StoredIds::Count(68), StoredIds::Listed(sample_ids())] {
-                let mut payload = sample_payload(stored).encode();
-                let at = at % payload.len();
-                payload[at] = to;
-                let _ = CheckpointPayload::decode(&payload);
-            }
+            let mut payload = sample_payload(68).encode();
+            let at = at % payload.len();
+            payload[at] = to;
+            let _ = CheckpointPayload::decode(&payload);
         }
     }
 
@@ -1479,8 +1201,6 @@ mod tests {
         let cfg = MetaConfig::default();
         assert_eq!(cfg.copies, 3);
         assert_eq!(cfg.checkpoint_every, Some(64));
-        assert_eq!(MetaConfig::single().copies, 1);
-        assert_eq!(MetaConfig::single().checkpoint_every, None);
         let wide = MetaConfig {
             copies: 99,
             ..MetaConfig::default()
@@ -1506,6 +1226,6 @@ mod tests {
                 assert!(all.insert(pointer_id(slot, copy)));
             }
         }
-        assert_eq!(meta_copy_id(7, 0), meta_id(7), "copy 0 is the v1 id");
+        assert_eq!(meta_copy_id(7, 0), meta_id(7), "copy 0 is the record's id");
     }
 }

@@ -17,7 +17,7 @@ use aecodes::blocks::Block;
 use aecodes::lattice::Config;
 use aecodes::sim::Scheme;
 use aecodes::store::archive::{Archive, RecoveryError};
-use aecodes::store::meta::{meta_copy_id, CheckpointPayload, MetaConfig, MetaRecord, StoredIds};
+use aecodes::store::meta::{meta_copy_id, CheckpointPayload, MetaConfig, MetaRecord};
 use aecodes::store::MemStore;
 use common::chain;
 use std::sync::Arc;
@@ -110,7 +110,7 @@ fn forged_chains_are_typed_errors_naming_a_record() {
         crc: 0,
         first_block: 0,
         block_count: 1,
-        ids: StoredIds::Count(4),
+        stored: 4,
         frontier: Vec::new(),
     };
     refused(1, "not checkpoint part 0", &|store| {

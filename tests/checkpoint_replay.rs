@@ -34,7 +34,7 @@ use aecodes::api::RedundancyScheme;
 use aecodes::blocks::{Block, BlockId};
 use aecodes::sim::Scheme;
 use aecodes::store::archive::Archive;
-use aecodes::store::meta::{MetaConfig, StoredIds};
+use aecodes::store::meta::MetaConfig;
 use aecodes::store::MemStore;
 use common::chain;
 use std::sync::Arc;
@@ -120,9 +120,6 @@ fn assert_binary_counter(ar: &Archive<MemStore>, store: &MemStore, commits: u32,
         ar.checkpoint_seq(),
         "{ctx}"
     );
-    for (_, _, segment) in &live {
-        assert!(matches!(segment.stored, StoredIds::Count(_)), "{ctx}");
-    }
     let held = contents(store).into_iter().map(|(id, _)| id);
     let held: Vec<BlockId> = held.filter(|id| id.is_meta()).collect();
     let mut named = ar.live_meta_ids();

@@ -30,7 +30,7 @@ use aecodes::blocks::{Block, BlockId};
 use aecodes::lattice::Config;
 use aecodes::sim::{Scheme, SchemePlane, SimPlacement};
 use aecodes::store::archive::Archive;
-use aecodes::store::meta::{CheckpointPayload, MetaConfig, MetaRecord, StoredIds};
+use aecodes::store::meta::{CheckpointPayload, MetaConfig, MetaRecord};
 use aecodes::store::MemStore;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -62,7 +62,7 @@ fn copy_of(store: &MemStore) -> Arc<MemStore> {
 
 /// The journaled `Put`/`Seal` records and the checkpoint segments
 /// `store` currently holds, decoded from copy 0.
-fn journaled(store: &MemStore) -> (Vec<StoredIds>, Vec<CheckpointPayload>) {
+fn journaled(store: &MemStore) -> (Vec<u32>, Vec<CheckpointPayload>) {
     let mut records: Vec<(u64, MetaRecord)> = store
         .ids()
         .into_iter()
@@ -76,12 +76,12 @@ fn journaled(store: &MemStore) -> (Vec<StoredIds>, Vec<CheckpointPayload>) {
         })
         .collect();
     records.sort_by_key(|(seq, _)| *seq);
-    let mut shapes = Vec::new();
+    let mut counts = Vec::new();
     let mut segments = Vec::new();
     let mut payload = Vec::new();
     for (_, record) in records {
         match record {
-            MetaRecord::Put { ids, .. } | MetaRecord::Seal { ids, .. } => shapes.push(ids),
+            MetaRecord::Put { stored, .. } | MetaRecord::Seal { stored, .. } => counts.push(stored),
             MetaRecord::Checkpoint { part, parts, chunk } => {
                 payload.extend_from_slice(&chunk);
                 if part + 1 == parts {
@@ -93,7 +93,7 @@ fn journaled(store: &MemStore) -> (Vec<StoredIds>, Vec<CheckpointPayload>) {
         }
     }
     assert!(payload.is_empty(), "a live segment holds all its parts");
-    (shapes, segments)
+    (counts, segments)
 }
 
 /// Everything the invariant says about `ar` right now.
@@ -122,19 +122,8 @@ fn assert_positional(s: &Scheme, ar: &Archive<MemStore>, store: &Arc<MemStore>, 
     expected.sort();
     assert_eq!(held, expected, "{s} after {op}: the backend holds them");
 
-    let (shapes, segments) = journaled(store);
-    for shape in shapes {
-        assert!(
-            matches!(shape, StoredIds::Count(_)),
-            "{s} after {op}: {shape:?}"
-        );
-    }
-    for payload in segments {
-        assert!(
-            matches!(payload.stored, StoredIds::Count(_)),
-            "{s} after {op}"
-        );
-    }
+    // Every live record and segment decodes, and so journals a count.
+    journaled(store);
     let reopened = Archive::open(Arc::from(s.build(BLOCK)), copy_of(store))
         .unwrap_or_else(|err| panic!("{s} after {op}: {err}"));
     assert_eq!(reopened.stored_ids(), stored, "{s} after {op}: replay");
@@ -351,15 +340,9 @@ fn a_report_that_disagrees_with_block_at_panics_naming_the_position() {
         assert!(honest > 0, "{s}: the honest prefix was archived");
         drop(ar);
 
-        let (shapes, _) = journaled(&store);
-        assert_eq!(shapes.len(), honest, "{s}: the lie was not journaled");
-        let stored: u32 = shapes
-            .iter()
-            .map(|shape| match shape {
-                StoredIds::Count(count) => *count,
-                listed => panic!("{s}: {listed:?}"),
-            })
-            .sum();
+        let (counts, _) = journaled(&store);
+        assert_eq!(counts.len(), honest, "{s}: the lie was not journaled");
+        let stored: u32 = counts.iter().sum();
         assert!(stored <= 30, "{s}");
         let ar = Archive::open(wrap(), Arc::clone(&store)).expect("the honest prefix replays");
         assert_eq!(ar.stored_ids().len(), stored as usize, "{s}");
