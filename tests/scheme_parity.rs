@@ -3,13 +3,15 @@
 //! `RedundancyScheme`-generic harness. No code in this file knows which
 //! scheme it is exercising.
 
+use aecodes::api::{BlockSink, BlockSource};
 use aecodes::baselines::{ReedSolomon, Replication};
-use aecodes::blocks::{Block, BlockId};
+use aecodes::blocks::{Block, BlockId, EdgeId, NodeId, StrandClass};
 use aecodes::core::{BlockMap, Code, RedundancyScheme};
 use aecodes::lattice::Config;
 use aecodes::store::{ChainMode, EntangledChain, GeoLattice};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Mutex;
 
 const BLOCK: usize = 32;
 
@@ -56,8 +58,112 @@ fn encode_all(scheme: &dyn RedundancyScheme, blocks: &[Block]) -> BlockMap {
     store
 }
 
+/// Every store in arrival order.
+#[derive(Default)]
+struct Recorder(Mutex<Vec<(BlockId, Block)>>);
+
+impl BlockSink for Recorder {
+    fn store(&self, id: BlockId, block: Block) {
+        self.0.lock().unwrap().push((id, block));
+    }
+}
+
+/// `store` minus `down`, logging every id asked of it in order.
+struct Logged<'a> {
+    store: &'a BlockMap,
+    down: &'a BTreeSet<BlockId>,
+    asked: Mutex<Vec<BlockId>>,
+}
+
+impl Logged<'_> {
+    fn available(&self, id: BlockId) -> bool {
+        self.asked.lock().unwrap().push(id);
+        !self.down.contains(&id) && self.store.contains_key(&id)
+    }
+
+    fn take(&self) -> Vec<BlockId> {
+        std::mem::take(&mut *self.asked.lock().unwrap())
+    }
+}
+
+impl BlockSource for Logged<'_> {
+    fn fetch(&self, id: BlockId) -> Option<Block> {
+        self.available(id).then(|| self.store.get(&id)).flatten()
+    }
+
+    fn has(&self, id: BlockId) -> bool {
+        self.available(id)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The open chain of §IV.B.1 is single entanglement AE(1,-,-): the two
+    /// schemes store the same bytes under the same ids, index the same
+    /// universe, and at every written position under a random damage mask
+    /// ask the same ids in the same order, answer the same, fetch the same
+    /// ids in the same order and return the same repair result.
+    #[test]
+    fn open_chain_is_single_entanglement(
+        seed: u64,
+        n in 1u64..90,
+        split in 0u64..90,
+        down in proptest::collection::btree_set(0usize..180, 0..70),
+    ) {
+        let chain = EntangledChain::new(ChainMode::Open, BLOCK);
+        let ae = Code::new(Config::single(), BLOCK);
+        let schemes: [&dyn RedundancyScheme; 2] = [&chain, &ae];
+        let blocks = payload(n, seed);
+        let (head, tail) = blocks.split_at(split.min(n) as usize);
+        let [a, b] = schemes.map(|s| {
+            let sink = Recorder::default();
+            let reports = [head, tail].map(|batch| s.encode_batch(batch, &sink).unwrap());
+            let sealed = s.seal(&sink).unwrap();
+            (reports, sealed, sink.0.into_inner().unwrap())
+        });
+        prop_assert_eq!(&a, &b);
+
+        let universe = ae.block_ids(n);
+        prop_assert_eq!(&chain.block_ids(n), &universe);
+        prop_assert_eq!(chain.universe_len(n), ae.universe_len(n));
+        for k in 0..=universe.len() as u32 {
+            prop_assert_eq!(chain.block_at(k, n), ae.block_at(k, n));
+        }
+        let outside = [
+            BlockId::Data(NodeId(0)),
+            BlockId::Data(NodeId(n + 1)),
+            BlockId::Parity(EdgeId::new(StrandClass::Horizontal, NodeId(n + 1))),
+            BlockId::Parity(EdgeId::new(StrandClass::RightHanded, NodeId(1))),
+        ];
+        for id in universe.iter().chain(&outside) {
+            prop_assert_eq!(chain.dense_index(id, n), ae.dense_index(id, n));
+        }
+
+        let store = BlockMap::new();
+        for (id, block) in a.2 {
+            store.insert(id, block);
+        }
+        let down: BTreeSet<BlockId> = down.iter().filter_map(|&k| universe.get(k).copied()).collect();
+        let missing_data: Vec<BlockId> = down.iter().copied().filter(|id| id.is_data()).collect();
+        prop_assert_eq!(
+            chain.maintenance_targets(&missing_data, n),
+            ae.maintenance_targets(&missing_data, n)
+        );
+        let source = Logged { store: &store, down: &down, asked: Mutex::new(Vec::new()) };
+        for &id in &universe {
+            let [asked_chain, asked_ae] = schemes.map(|s| {
+                let answer = s.is_repairable(id, n, &|q| source.available(q));
+                (answer, source.take())
+            });
+            prop_assert_eq!(asked_chain, asked_ae, "is_repairable({})", id);
+            let [fetched_chain, fetched_ae] = schemes.map(|s| {
+                let result = s.repair_block(&source, id, n);
+                (result, source.take())
+            });
+            prop_assert_eq!(fetched_chain, fetched_ae, "repair_block({})", id);
+        }
+    }
 
     /// Scattered single data-block erasures, far enough apart that every
     /// scheme in the lineup must recover all of them, byte-identically,

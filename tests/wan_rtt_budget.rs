@@ -23,7 +23,8 @@
 //! reads folds every call that reaches the backend — an op tag, the id's
 //! wire form and, for a store, the block's CRC — into a running CRC32
 //! per phase of one archive lifetime, over a plain backend and over the
-//! network at window 1 and 8, and the table is diffed against
+//! network at window 1 and 8, for the budget's three schemes and the open
+//! and closed chains, and the table is diffed against
 //! `tests/golden/archive_io_trace.csv` (the run's table is left in
 //! `target/tmp/archive_io_trace.csv`). A refactor the backend cannot
 //! tell from its parent leaves every digest alone; a reordered barrier, a
@@ -36,7 +37,7 @@ use aecodes::lattice::Config;
 use aecodes::sim::Scheme;
 use aecodes::store::archive::{Archive, ArchiveError};
 use aecodes::store::meta::{encode_block_id, meta_copy_id, MetaConfig};
-use aecodes::store::MemStore;
+use aecodes::store::{ChainMode, MemStore};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -63,6 +64,8 @@ fn roster() -> [Scheme; 3] {
 /// the round-based slow path rebuilds the parities, then the block.
 /// RS(10,4) and 3-way replication: five shards of one stripe, every copy
 /// — past what the code tolerates, so the read is `BlockUnavailable`.
+/// The chains: `d_i, p_i, d_{i+1}`, their |ME(2)| = 3 dead pattern — also
+/// `BlockUnavailable`.
 fn chained_loss(s: &Scheme) -> usize {
     match s {
         Scheme::Ae(_) => 4,
@@ -588,12 +591,26 @@ fn trace_lifetime<B: BlockRepo + ?Sized>(
     (rows, chained)
 }
 
+/// The budget's roster plus the §IV.B.1 chains, whose closing parity,
+/// frontier snapshot and restore reads only the trace sees.
+fn trace_roster() -> [Scheme; 5] {
+    let [ae, rs, replication] = roster();
+    let chain = |mode| Scheme::Chain { mode };
+    [
+        ae,
+        rs,
+        replication,
+        chain(ChainMode::Open),
+        chain(ChainMode::Closed),
+    ]
+}
+
 #[test]
 fn every_backend_call_in_order_matches_the_golden_trace() {
     let _guard = WINDOW_ENV.lock().unwrap_or_else(|e| e.into_inner());
     let before = std::env::var_os("AE_AIO_WINDOW");
     let mut table = String::from("scheme,backend,phase,calls,stores,removes,digest\n");
-    for s in roster() {
+    for s in trace_roster() {
         let plain = trace_lifetime(&s, |mem| Arc::new(Counting::new(mem)), |store| store);
         let mut lifetimes = vec![("mem".to_string(), plain)];
         for window in [1usize, 8] {
