@@ -9,8 +9,9 @@ use ae_api::{
     SnapshotReader, SnapshotWriter,
 };
 use ae_blocks::{Block, BlockId, EdgeId, NodeId};
-use ae_lattice::{rules, Config};
+use ae_lattice::Config;
 use parking_lot::Mutex;
+use std::ops::ControlFlow;
 
 /// In-memory block container used throughout the byte plane: block id →
 /// contents. Presence in the map *is* availability.
@@ -80,37 +81,6 @@ impl Code {
         Entangler::new(*self.config(), self.block_size())
     }
 
-    /// Repairs a single block from the store (one XOR of two blocks), given
-    /// that `max_node` data blocks have been written to the lattice.
-    ///
-    /// # Errors
-    ///
-    /// [`RepairError::NoCompleteTuple`] naming the unavailable tuple
-    /// members when no repair option is complete.
-    pub fn repair_block(
-        &self,
-        source: &impl BlockSource,
-        id: BlockId,
-        max_node: u64,
-    ) -> Result<Block, RepairError> {
-        let mut lookup = |id: BlockId| source.fetch(id);
-        decoder::repair_block(self.config(), id, max_node, &self.zero, &mut lookup).map(|r| r.block)
-    }
-
-    /// Whether the input parity of node `i` on `class` is available
-    /// (virtual inputs before the lattice are always available).
-    fn input_available(
-        &self,
-        class: ae_blocks::StrandClass,
-        i: i64,
-        avail: &dyn Fn(BlockId) -> bool,
-    ) -> bool {
-        let h = rules::input_source(self.config(), class, i);
-        h < 1 || avail(BlockId::Parity(EdgeId::new(class, NodeId(h as u64))))
-    }
-}
-
-impl Code {
     /// Parses and validates a frontier snapshot: the write counter.
     fn parse_frontier(&self, snapshot: &[u8]) -> Result<u64, AeError> {
         let name = self.scheme_name();
@@ -204,7 +174,6 @@ impl RedundancyScheme for Code {
     ) -> Result<Block, RepairError> {
         let mut lookup = |id: BlockId| source.fetch(id);
         decoder::repair_block(self.config(), id, data_blocks, &self.zero, &mut lookup)
-            .map(|r| r.block)
     }
 
     fn block_ids(&self, data_blocks: u64) -> Vec<BlockId> {
@@ -225,25 +194,10 @@ impl RedundancyScheme for Code {
         data_blocks: u64,
         avail: &dyn Fn(BlockId) -> bool,
     ) -> bool {
-        match id {
-            BlockId::Data(NodeId(i)) => self.config().classes().iter().any(|&class| {
-                self.input_available(class, i as i64, avail)
-                    && avail(BlockId::Parity(EdgeId::new(class, NodeId(i))))
-            }),
-            BlockId::Parity(e) => {
-                let i = e.left.0 as i64;
-                // Left dp-tuple: d_i and i's input parity on the class.
-                if avail(BlockId::Data(e.left)) && self.input_available(e.class, i, avail) {
-                    return true;
-                }
-                // Right dp-tuple: d_j and j's output parity on the class.
-                let j = rules::output_target(self.config(), e.class, i);
-                j as u64 <= data_blocks
-                    && avail(BlockId::Data(NodeId(j as u64)))
-                    && avail(BlockId::Parity(EdgeId::new(e.class, NodeId(j as u64))))
-            }
-            _ => false,
-        }
+        decoder::tuples(self.config(), id, data_blocks, |pair| {
+            decoder::complete(pair, avail)
+        })
+        .is_ok_and(|walk| walk.is_break())
     }
 
     fn universe_len(&self, data_blocks: u64) -> u64 {
@@ -289,23 +243,17 @@ impl RedundancyScheme for Code {
         true
     }
 
-    fn maintenance_targets(&self, missing_data: &[BlockId], _data_blocks: u64) -> Vec<BlockId> {
+    fn maintenance_targets(&self, missing_data: &[BlockId], data_blocks: u64) -> Vec<BlockId> {
         // The parities of a missing data block's pp-tuples: repairing them
         // is what unlocks the data repair ("some parities are repaired if
         // they are part of the same stripe of an unavailable data block",
         // §V.C.2).
         let mut out = Vec::new();
-        for id in missing_data {
-            let BlockId::Data(NodeId(i)) = *id else {
-                continue;
-            };
-            for &class in self.config().classes() {
-                let h = rules::input_source(self.config(), class, i as i64);
-                if h >= 1 {
-                    out.push(BlockId::Parity(EdgeId::new(class, NodeId(h as u64))));
-                }
-                out.push(BlockId::Parity(EdgeId::new(class, NodeId(i))));
-            }
+        for &id in missing_data.iter().filter(|id| id.is_data()) {
+            let _ = decoder::tuples(self.config(), id, data_blocks, |pair| {
+                out.extend(pair.into_iter().flatten());
+                ControlFlow::<()>::Continue(())
+            });
         }
         out
     }
@@ -350,6 +298,26 @@ mod tests {
             }
         ));
         assert!(!err.missing_blocks().is_empty());
+    }
+
+    #[test]
+    fn repair_past_the_written_extent_is_refused_typed() {
+        let code = Code::new(Config::new(3, 2, 5).unwrap(), 8);
+        let store = BlockMap::new();
+        let blocks: Vec<Block> = (0..10u8).map(|k| Block::from_vec(vec![k; 8])).collect();
+        code.encode_batch(&blocks, &store).unwrap();
+        let past = [
+            BlockId::Data(NodeId(11)),
+            BlockId::Parity(EdgeId::new(ae_blocks::StrandClass::LeftHanded, NodeId(11))),
+        ];
+        for id in past {
+            assert_eq!(
+                RedundancyScheme::repair_block(&code, &store, id, 10),
+                Err(RepairError::OutOfExtent { id, written: 10 })
+            );
+            assert!(!code.is_repairable(id, 10, &|_| true), "{id}");
+        }
+        assert!(code.maintenance_targets(&past, 10).is_empty());
     }
 
     #[test]

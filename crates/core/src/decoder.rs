@@ -6,197 +6,127 @@
 //! edge, hence, there are always two options" (§III.B). Each repair is one
 //! XOR of two blocks — the fixed "k = 2" single-failure cost of Table IV.
 //!
-//! Functions here take a lookup closure rather than a concrete container so
-//! they serve both the in-memory [`ae_api::BlockMap`] and the distributed
-//! stores in `ae-store`. On failure they return
-//! [`RepairError::NoCompleteTuple`] naming exactly the unavailable blocks
-//! that blocked every repair option — so operators see *which* tuple
-//! members to chase, not a bare `None`.
+//! The tuples are [`ae_lattice::graph::tuples`], the one definition; this
+//! module walks them in byte-plane ids ([`tuples`]) and evaluates a walk:
+//! read and XOR ([`repair`]) or ask an availability oracle ([`complete`]).
+//! `ae_core::Code` and the closed chain of `ae-store` (whose walk adds its
+//! ring tuples after these) both evaluate here. Lookups are closures, so
+//! the in-memory [`ae_api::BlockMap`] and every backend serve alike. On
+//! failure a repair returns [`RepairError::NoCompleteTuple`] naming
+//! exactly the unavailable blocks that blocked every tuple — so operators
+//! see *which* members to chase, not a bare `None`.
 
 use ae_api::RepairError;
-use ae_blocks::{Block, BlockId, EdgeId, NodeId, StrandClass};
-use ae_lattice::{rules, Config};
+use ae_blocks::{Block, BlockId};
+use ae_lattice::{graph, Config, LatticeBlock};
+use std::ops::ControlFlow;
 
-/// How a successful repair was performed (for accounting: every variant
-/// costs exactly two block reads, or one at a strand head).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairPath {
-    /// Data block rebuilt from its pp-tuple on this strand class.
-    NodeViaStrand(StrandClass),
-    /// Parity rebuilt from its left dp-tuple (`d_i` and `p_{h,i}`).
-    EdgeFromLeft,
-    /// Parity rebuilt from its right dp-tuple (`d_j` and `p_{j,k}`).
-    EdgeFromRight,
-}
+/// A repair tuple in byte-plane ids: the target is the XOR of the two
+/// members; `None` is the virtual all-zero parity at a strand head.
+pub type Pair = [Option<BlockId>; 2];
 
-/// A repaired block plus the path used.
-#[derive(Debug, Clone)]
-pub struct Repaired {
-    /// The reconstructed contents.
-    pub block: Block,
-    /// Which tuple produced it.
-    pub path: RepairPath,
-}
-
-/// Records the unavailable members of failed repair options, deduplicated
-/// in option order.
-fn note_missing(missing: &mut Vec<BlockId>, id: BlockId) {
-    if !missing.contains(&id) {
-        missing.push(id);
-    }
-}
-
-/// Attempts to repair data block `d_i` from any complete pp-tuple.
-///
-/// `lookup` returns the contents of currently *available* blocks; `zero` is
-/// the all-zero block of the lattice's size (virtual parities at strand
-/// heads).
+/// Calls `visit` with the repair tuples of `id` in a lattice of `written`
+/// data blocks, in [`graph::tuples`] order, until it breaks.
 ///
 /// # Errors
 ///
-/// [`RepairError::NoCompleteTuple`] when no strand has both incident
-/// parities, listing every unavailable tuple member.
-pub fn repair_node(
+/// Before visiting anything: [`RepairError::ForeignBlock`] for ids that are
+/// no block of this lattice (other schemes' ids, position 0, a strand class
+/// absent at this α); [`RepairError::OutOfExtent`] for a position past
+/// `written`.
+pub fn tuples<B>(
     cfg: &Config,
-    i: u64,
-    zero: &Block,
-    lookup: &mut impl FnMut(BlockId) -> Option<Block>,
-) -> Result<Repaired, RepairError> {
-    let mut missing = Vec::new();
-    for &class in cfg.classes() {
-        let h = rules::input_source(cfg, class, i as i64);
-        let input_id = (h >= 1).then(|| BlockId::Parity(EdgeId::new(class, NodeId(h as u64))));
-        let output_id = BlockId::Parity(EdgeId::new(class, NodeId(i)));
-        let input = match input_id {
-            Some(id) => lookup(id),
-            None => Some(zero.clone()),
-        };
-        let output = lookup(output_id);
-        match (input, output) {
-            (Some(input), Some(output)) => {
-                let block = input.xor(&output).expect("lattice blocks share one size");
-                return Ok(Repaired {
-                    block,
-                    path: RepairPath::NodeViaStrand(class),
-                });
-            }
-            (input, output) => {
-                if input.is_none() {
-                    note_missing(
-                        &mut missing,
-                        input_id.expect("virtual inputs always resolve"),
-                    );
-                }
-                if output.is_none() {
-                    note_missing(&mut missing, output_id);
-                }
-            }
+    id: BlockId,
+    written: u64,
+    mut visit: impl FnMut(Pair) -> ControlFlow<B>,
+) -> Result<ControlFlow<B>, RepairError> {
+    let (position, block) = match id {
+        BlockId::Data(node) => (node.0, LatticeBlock::Node(node.0 as i64)),
+        BlockId::Parity(e) if cfg.classes().contains(&e.class) => {
+            (e.left.0, LatticeBlock::Edge(e.class, e.left.0 as i64))
         }
-    }
-    Err(RepairError::NoCompleteTuple {
-        target: BlockId::Data(NodeId(i)),
-        missing,
-    })
-}
-
-/// Attempts to repair parity `p_{i,j}` (edge `(class, i)`) from either
-/// dp-tuple. `max_node` bounds the written lattice: the right option needs
-/// `d_j` to exist.
-///
-/// # Errors
-///
-/// [`RepairError::NoCompleteTuple`] listing the unavailable members of
-/// both tuples (members beyond `max_node` do not exist and are omitted).
-pub fn repair_edge(
-    cfg: &Config,
-    edge: EdgeId,
-    max_node: u64,
-    zero: &Block,
-    lookup: &mut impl FnMut(BlockId) -> Option<Block>,
-) -> Result<Repaired, RepairError> {
-    let i = edge.left.0 as i64;
-    let mut missing = Vec::new();
-    // Left tuple: p_{i,j} = d_i XOR p_{h,i}.
-    let d_id = BlockId::Data(NodeId(i as u64));
-    let h = rules::input_source(cfg, edge.class, i);
-    let input_id = (h >= 1).then(|| BlockId::Parity(EdgeId::new(edge.class, NodeId(h as u64))));
-    let d = lookup(d_id);
-    let input = match input_id {
-        Some(id) => lookup(id),
-        None => Some(zero.clone()),
+        _ => return Err(RepairError::ForeignBlock { id }),
     };
-    match (d, input) {
-        (Some(d), Some(input)) => {
-            return Ok(Repaired {
-                block: d.xor(&input).expect("lattice blocks share one size"),
-                path: RepairPath::EdgeFromLeft,
-            });
-        }
-        (d, input) => {
-            if d.is_none() {
-                note_missing(&mut missing, d_id);
-            }
-            if input.is_none() {
-                note_missing(
-                    &mut missing,
-                    input_id.expect("virtual inputs always resolve"),
-                );
-            }
-        }
+    if position == 0 {
+        return Err(RepairError::ForeignBlock { id });
     }
-    // Right tuple: p_{i,j} = d_j XOR p_{j,k}.
-    let j = rules::output_target(cfg, edge.class, i);
-    if j as u64 <= max_node {
-        let dj_id = BlockId::Data(NodeId(j as u64));
-        let next_id = BlockId::Parity(EdgeId::new(edge.class, NodeId(j as u64)));
-        match (lookup(dj_id), lookup(next_id)) {
-            (Some(d), Some(next)) => {
-                return Ok(Repaired {
-                    block: d.xor(&next).expect("lattice blocks share one size"),
-                    path: RepairPath::EdgeFromRight,
-                });
-            }
-            (d, next) => {
-                if d.is_none() {
-                    note_missing(&mut missing, dj_id);
-                }
-                if next.is_none() {
-                    note_missing(&mut missing, next_id);
-                }
-            }
-        }
+    if position > written {
+        return Err(RepairError::OutOfExtent { id, written });
     }
-    Err(RepairError::NoCompleteTuple {
-        target: BlockId::Parity(edge),
-        missing,
-    })
+    let max_node = i64::try_from(written).unwrap_or(i64::MAX);
+    let stored = |b: LatticeBlock| BlockId::try_from(b).expect("tuple members are real positions");
+    Ok(graph::tuples(cfg, block, max_node, |t| {
+        visit(t.members.map(|m| m.map(stored)))
+    }))
 }
 
-/// Attempts to repair any block by id.
+/// The visitor of an availability check: `Break` when every real member of
+/// `pair` is available. Members are asked in order, stopping at the first
+/// that is not, so the ids a walk asks are a repair's read set.
+pub fn complete(pair: Pair, avail: &dyn Fn(BlockId) -> bool) -> ControlFlow<()> {
+    match pair.iter().all(|m| m.is_none_or(avail)) {
+        true => ControlFlow::Break(()),
+        false => ControlFlow::Continue(()),
+    }
+}
+
+/// Rebuilds `target` from the first complete tuple of the walk `each`
+/// (such as [`tuples`]), reading both members of each tuple in order — a
+/// virtual member is `zero`.
 ///
 /// # Errors
 ///
-/// [`RepairError::NoCompleteTuple`] when no repair option is complete;
-/// [`RepairError::ForeignBlock`] for ids that are not lattice blocks
-/// (Reed-Solomon shards, replicas).
+/// The walk's own; else [`RepairError::NoCompleteTuple`] listing every
+/// unavailable member, deduplicated, in tuple order.
+pub fn repair(
+    target: BlockId,
+    zero: &Block,
+    lookup: &mut impl FnMut(BlockId) -> Option<Block>,
+    each: impl FnOnce(
+        &mut dyn FnMut(Pair) -> ControlFlow<Block>,
+    ) -> Result<ControlFlow<Block>, RepairError>,
+) -> Result<Block, RepairError> {
+    let mut missing = Vec::new();
+    let walk = each(&mut |pair| {
+        let got = pair.map(|m| m.map_or_else(|| Some(zero.clone()), &mut *lookup));
+        if let [Some(a), Some(b)] = &got {
+            return ControlFlow::Break(a.xor(b).expect("lattice blocks share one size"));
+        }
+        for (member, got) in pair.into_iter().zip(got) {
+            match member {
+                Some(id) if got.is_none() && !missing.contains(&id) => missing.push(id),
+                _ => {}
+            }
+        }
+        ControlFlow::Continue(())
+    })?;
+    match walk {
+        ControlFlow::Break(block) => Ok(block),
+        ControlFlow::Continue(()) => Err(RepairError::NoCompleteTuple { target, missing }),
+    }
+}
+
+/// Repairs any block of the lattice by id: its [`tuples`], read by
+/// [`repair`].
+///
+/// # Errors
+///
+/// As [`tuples`] and [`repair`].
 pub fn repair_block(
     cfg: &Config,
     id: BlockId,
-    max_node: u64,
+    written: u64,
     zero: &Block,
     lookup: &mut impl FnMut(BlockId) -> Option<Block>,
-) -> Result<Repaired, RepairError> {
-    match id {
-        BlockId::Data(n) => repair_node(cfg, n.0, zero, lookup),
-        BlockId::Parity(e) => repair_edge(cfg, e, max_node, zero, lookup),
-        other => Err(RepairError::ForeignBlock { id: other }),
-    }
+) -> Result<Block, RepairError> {
+    repair(id, zero, lookup, |visit| tuples(cfg, id, written, visit))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encoder::Entangler;
+    use ae_blocks::{EdgeId, NodeId, StrandClass};
     use std::collections::HashMap;
 
     fn build(cfg: Config, n: u64, len: usize) -> HashMap<BlockId, Block> {
@@ -210,61 +140,70 @@ mod tests {
         store.entries().into_iter().collect()
     }
 
-    fn lookup_in(store: &HashMap<BlockId, Block>) -> impl FnMut(BlockId) -> Option<Block> + '_ {
-        move |id| store.get(&id).cloned()
+    fn parity(class: StrandClass, i: u64) -> BlockId {
+        BlockId::Parity(EdgeId::new(class, NodeId(i)))
+    }
+
+    /// Repairs `id` from `store`, returning the result and the ids read.
+    fn repair_logged(
+        cfg: &Config,
+        store: &HashMap<BlockId, Block>,
+        id: BlockId,
+        written: u64,
+        zero: &Block,
+    ) -> (Result<Block, RepairError>, Vec<BlockId>) {
+        let mut read = Vec::new();
+        let mut lookup = |q: BlockId| {
+            read.push(q);
+            store.get(&q).cloned()
+        };
+        (repair_block(cfg, id, written, zero, &mut lookup), read)
     }
 
     #[test]
     fn node_repair_uses_each_strand() {
+        use StrandClass::*;
         let cfg = Config::new(3, 2, 5).unwrap();
         let mut store = build(cfg, 200, 16);
         let zero = Block::zero(16);
-        let original = store.remove(&BlockId::Data(NodeId(100))).unwrap();
+        let d100 = BlockId::Data(NodeId(100));
+        let original = store.remove(&d100).unwrap();
+        // d100 is a bottom node: inputs p98 (H), p97 (RH), p91 (LH).
+        let tuple = |class| {
+            let input = match class {
+                Horizontal => 98,
+                RightHanded => 97,
+                LeftHanded => 91,
+            };
+            vec![parity(class, input), parity(class, 100)]
+        };
 
         // Full store: repairs via the first class (horizontal).
-        let r = repair_node(&cfg, 100, &zero, &mut lookup_in(&store)).unwrap();
-        assert_eq!(r.block, original);
-        assert_eq!(r.path, RepairPath::NodeViaStrand(StrandClass::Horizontal));
+        let (r, read) = repair_logged(&cfg, &store, d100, 200, &zero);
+        assert_eq!(r.unwrap(), original);
+        assert_eq!(read, tuple(Horizontal));
 
-        // Knock out the horizontal tuple: falls over to RH.
-        store.remove(&BlockId::Parity(EdgeId::new(
-            StrandClass::Horizontal,
-            NodeId(100),
-        )));
-        let r = repair_node(&cfg, 100, &zero, &mut lookup_in(&store)).unwrap();
-        assert_eq!(r.block, original);
-        assert_eq!(r.path, RepairPath::NodeViaStrand(StrandClass::RightHanded));
-
-        // Knock out RH too: falls over to LH.
-        store.remove(&BlockId::Parity(EdgeId::new(
-            StrandClass::RightHanded,
-            NodeId(100),
-        )));
-        let r = repair_node(&cfg, 100, &zero, &mut lookup_in(&store)).unwrap();
-        assert_eq!(r.block, original);
-        assert_eq!(r.path, RepairPath::NodeViaStrand(StrandClass::LeftHanded));
+        // Knock out the horizontal tuple: falls over to RH, then LH.
+        for (lost, next) in [(Horizontal, RightHanded), (RightHanded, LeftHanded)] {
+            store.remove(&parity(lost, 100));
+            let (r, read) = repair_logged(&cfg, &store, d100, 200, &zero);
+            assert_eq!(r.unwrap(), original);
+            assert_eq!(read[read.len() - 2..], tuple(next)[..]);
+        }
 
         // All three output parities gone: no pp-tuple is complete, and the
-        // error lists exactly the three missing outputs.
-        store.remove(&BlockId::Parity(EdgeId::new(
-            StrandClass::LeftHanded,
-            NodeId(100),
-        )));
-        let err = repair_node(&cfg, 100, &zero, &mut lookup_in(&store)).unwrap_err();
-        match err {
-            RepairError::NoCompleteTuple { target, missing } => {
-                assert_eq!(target, BlockId::Data(NodeId(100)));
-                assert_eq!(missing.len(), 3, "{missing:?}");
-                for class in [
-                    StrandClass::Horizontal,
-                    StrandClass::RightHanded,
-                    StrandClass::LeftHanded,
-                ] {
-                    assert!(missing.contains(&BlockId::Parity(EdgeId::new(class, NodeId(100)))));
-                }
+        // error lists exactly the three missing outputs, in class order.
+        store.remove(&parity(LeftHanded, 100));
+        let (r, _) = repair_logged(&cfg, &store, d100, 200, &zero);
+        assert_eq!(
+            r.unwrap_err(),
+            RepairError::NoCompleteTuple {
+                target: d100,
+                missing: [Horizontal, RightHanded, LeftHanded]
+                    .map(|c| parity(c, 100))
+                    .to_vec(),
             }
-            other => panic!("unexpected error {other:?}"),
-        }
+        );
     }
 
     #[test]
@@ -273,54 +212,52 @@ mod tests {
         let mut store = build(cfg, 40, 8);
         let zero = Block::zero(8);
         // Paper's example: repair p21,26 = XOR(d21, p16,21).
-        let target = BlockId::Parity(EdgeId::new(StrandClass::Horizontal, NodeId(21)));
+        let target = parity(StrandClass::Horizontal, 21);
         let original = store.remove(&target).unwrap();
-        let r = repair_edge(
-            &cfg,
-            EdgeId::new(StrandClass::Horizontal, NodeId(21)),
-            40,
-            &zero,
-            &mut lookup_in(&store),
-        )
-        .unwrap();
-        assert_eq!(r.block, original);
-        assert_eq!(r.path, RepairPath::EdgeFromLeft);
+        let (r, read) = repair_logged(&cfg, &store, target, 40, &zero);
+        assert_eq!(r.unwrap(), original);
+        assert_eq!(
+            read,
+            [
+                BlockId::Data(NodeId(21)),
+                parity(StrandClass::Horizontal, 16)
+            ]
+        );
 
         // Remove d21 as well: must fall back to the right tuple
         // p21,26 = XOR(d26, p26,31).
         store.remove(&BlockId::Data(NodeId(21)));
-        let r = repair_edge(
-            &cfg,
-            EdgeId::new(StrandClass::Horizontal, NodeId(21)),
-            40,
-            &zero,
-            &mut lookup_in(&store),
-        )
-        .unwrap();
-        assert_eq!(r.block, original);
-        assert_eq!(r.path, RepairPath::EdgeFromRight);
+        let (r, read) = repair_logged(&cfg, &store, target, 40, &zero);
+        assert_eq!(r.unwrap(), original);
+        assert_eq!(
+            read[2..],
+            [
+                BlockId::Data(NodeId(26)),
+                parity(StrandClass::Horizontal, 26)
+            ]
+        );
     }
 
     #[test]
     fn edge_at_tail_has_no_right_tuple() {
         let cfg = Config::single();
-        let store = build(cfg, 10, 8);
+        let mut partial = build(cfg, 10, 8);
         let zero = Block::zero(8);
-        let mut partial: HashMap<BlockId, Block> = store.clone();
         // Remove the last edge and its left node: with only 10 nodes
         // written, d11 does not exist, so p10,11 is unrepairable — and the
         // error names only the left tuple's missing member.
-        let target = EdgeId::new(StrandClass::Horizontal, NodeId(10));
-        partial.remove(&BlockId::Parity(target));
+        let target = parity(StrandClass::Horizontal, 10);
+        partial.remove(&target);
         partial.remove(&BlockId::Data(NodeId(10)));
-        let err = repair_edge(&cfg, target, 10, &zero, &mut lookup_in(&partial)).unwrap_err();
+        let (r, read) = repair_logged(&cfg, &partial, target, 10, &zero);
         assert_eq!(
-            err,
+            r.unwrap_err(),
             RepairError::NoCompleteTuple {
-                target: BlockId::Parity(target),
+                target,
                 missing: vec![BlockId::Data(NodeId(10))],
             }
         );
+        assert_eq!(read.len(), 2, "{read:?}");
     }
 
     #[test]
@@ -328,10 +265,13 @@ mod tests {
         let cfg = Config::new(3, 2, 5).unwrap();
         let mut store = build(cfg, 50, 8);
         let zero = Block::zero(8);
-        // Node 1's pp-tuples are (virtual, output): losing d1 still repairs.
-        let original = store.remove(&BlockId::Data(NodeId(1))).unwrap();
-        let r = repair_node(&cfg, 1, &zero, &mut lookup_in(&store)).unwrap();
-        assert_eq!(r.block, original);
+        // Node 1's pp-tuples are (virtual, output): losing d1 still
+        // repairs, reading the output alone.
+        let d1 = BlockId::Data(NodeId(1));
+        let original = store.remove(&d1).unwrap();
+        let (r, read) = repair_logged(&cfg, &store, d1, 50, &zero);
+        assert_eq!(r.unwrap(), original);
+        assert_eq!(read, [parity(StrandClass::Horizontal, 1)]);
     }
 
     #[test]
@@ -340,21 +280,11 @@ mod tests {
         let mut store = build(cfg, 30, 8);
         let zero = Block::zero(8);
         let d = BlockId::Data(NodeId(15));
-        let e = BlockId::Parity(EdgeId::new(StrandClass::RightHanded, NodeId(15)));
+        let e = parity(StrandClass::RightHanded, 15);
         let od = store.remove(&d).unwrap();
         let oe = store.remove(&e).unwrap();
-        assert_eq!(
-            repair_block(&cfg, d, 30, &zero, &mut lookup_in(&store))
-                .unwrap()
-                .block,
-            od
-        );
-        assert_eq!(
-            repair_block(&cfg, e, 30, &zero, &mut lookup_in(&store))
-                .unwrap()
-                .block,
-            oe
-        );
+        assert_eq!(repair_logged(&cfg, &store, d, 30, &zero).0.unwrap(), od);
+        assert_eq!(repair_logged(&cfg, &store, e, 30, &zero).0.unwrap(), oe);
     }
 
     #[test]
@@ -366,9 +296,19 @@ mod tests {
             stripe: 0,
             index: 0,
         });
-        assert!(matches!(
-            repair_block(&cfg, foreign, 5, &zero, &mut lookup_in(&store)),
-            Err(RepairError::ForeignBlock { .. })
-        ));
+        for id in [
+            foreign,
+            BlockId::Data(NodeId(0)),
+            parity(StrandClass::RightHanded, 2),
+        ] {
+            let (r, read) = repair_logged(&cfg, &store, id, 5, &zero);
+            assert_eq!(r, Err(RepairError::ForeignBlock { id }));
+            assert!(read.is_empty());
+        }
+        for id in [BlockId::Data(NodeId(6)), parity(StrandClass::Horizontal, 6)] {
+            let (r, read) = repair_logged(&cfg, &store, id, 5, &zero);
+            assert_eq!(r, Err(RepairError::OutOfExtent { id, written: 5 }));
+            assert!(read.is_empty());
+        }
     }
 }

@@ -94,6 +94,7 @@ impl PuncturePlan {
 mod tests {
     use super::*;
     use crate::code::{BlockMap, Code};
+    use ae_api::RedundancyScheme;
     use ae_blocks::{Block, BlockId, NodeId};
 
     #[test]

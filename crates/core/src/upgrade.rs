@@ -116,6 +116,7 @@ pub fn upgrade_parities(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ae_api::RedundancyScheme;
     use ae_blocks::{BlockId, NodeId};
 
     fn data(n: u64, len: usize) -> Vec<Block> {

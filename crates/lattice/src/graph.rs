@@ -2,8 +2,8 @@
 //!
 //! Builds on [`crate::rules`] to answer the questions the encoder, decoder
 //! and analyses ask: what are the endpoints of an edge, which edges are
-//! incident to a node, and — centrally — what are the **repair options** of
-//! a block:
+//! incident to a node, and — centrally — what are the **repair tuples** of
+//! a block (§III.B):
 //!
 //! * a node (data block) `d_i` is repaired from a complete *pp-tuple*: both
 //!   incident parities on any one of its α strands (§IV.A "Failure Mode");
@@ -11,13 +11,18 @@
 //!   *dp-tuple*: one incident node plus that node's other parity on the same
 //!   strand — two options, one per endpoint.
 //!
-//! Virtual blocks (positions ≤ 0) are all-zero and always available, so
-//! they are simply omitted from the requirement lists.
+//! [`tuples`] is the one owner of that definition. The byte-plane decoder
+//! (`ae_core::decoder`), the availability hooks and maintenance targets of
+//! `ae_core::Code`, the closed chain's ring (which adds tuples of its own
+//! after these) and the minimal-erasure search in [`crate::me`] all read
+//! it, in its order. Virtual blocks (positions ≤ 0) are all-zero and always
+//! available: a tuple marks them as `None` members.
 
 use crate::config::Config;
 use crate::rules;
 use ae_blocks::StrandClass;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// A block of the lattice identified by position: a node `d_i` or the edge
 /// `p_{i,j}` of strand `class` whose left endpoint is `i`.
@@ -124,17 +129,22 @@ pub struct Endpoints {
     pub right: i64,
 }
 
-/// One way to repair a block: XOR together all `requires` blocks.
-///
-/// Blocks listed are real lattice positions; virtual zero blocks are already
-/// omitted, so an empty list means the target equals zero (never the case
-/// for real data, but kept for completeness).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RepairOption {
+/// One repair tuple: the target is the XOR of its two members, which lie
+/// on one strand. A `None` member is the virtual all-zero parity at a strand
+/// head — always available, never stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tuple {
     /// The strand class the tuple lives on.
     pub class: StrandClass,
-    /// Blocks that must all be available.
-    pub requires: Vec<LatticeBlock>,
+    /// The two members, in the order a decoder reads them.
+    pub members: [Option<LatticeBlock>; 2],
+}
+
+impl Tuple {
+    /// The members that are real blocks (virtual zeros skipped), in order.
+    pub fn blocks(self) -> impl Iterator<Item = LatticeBlock> {
+        self.members.into_iter().flatten()
+    }
 }
 
 /// Endpoints of edge `(class, left)`.
@@ -170,60 +180,49 @@ pub fn incident_edges(cfg: &Config, i: i64) -> Vec<LatticeBlock> {
     out
 }
 
-/// The α repair options of node `i`: for each strand class, the pp-tuple of
-/// both incident parities (§III.B: "The decoder repairs a node using two
-/// adjacent edges that belong to the same strand, thus, there are α
-/// options").
-pub fn node_repair_options(cfg: &Config, i: i64) -> Vec<RepairOption> {
-    cfg.classes()
-        .iter()
-        .map(|&class| {
-            let mut requires = Vec::with_capacity(2);
-            if let Some(e) = input_edge(cfg, class, i) {
-                requires.push(e);
-            }
-            requires.push(output_edge(cfg, class, i));
-            RepairOption { class, requires }
-        })
-        .collect()
-}
-
-/// The two repair options of edge `(class, left)`: the dp-tuple at its left
-/// endpoint (`d_i` plus `i`'s input parity on the strand) or at its right
-/// endpoint (`d_j` plus `j`'s output parity on the strand).
+/// Calls `visit` with the repair tuples of `block`, in the order every
+/// decoder tries them, until it breaks, and returns where it stopped: for a
+/// node `d_i`, its α pp-tuples in class order, each `[input parity, output
+/// parity]` (§III.B: "The decoder repairs a node using two adjacent edges
+/// that belong to the same strand, thus, there are α options"); for an edge
+/// `p_{i,j}`, the dp-tuple `[d_i, p_{h,i}]` at its left endpoint, then
+/// `[d_j, p_{j,k}]` at its right endpoint while `j ≤ max_node` (pass
+/// `i64::MAX` for the unbounded analysis plane).
 ///
-/// In a lattice bounded to `max_node` nodes, the right option only exists
-/// while `j ≤ max_node`; pass `i64::MAX` for the unbounded analysis plane.
-pub fn edge_repair_options(
+/// `block` must be a real position of a class present in `cfg`. Nothing is
+/// allocated, and a tuple is computed only if the previous one did not
+/// stop the walk: the availability checks of the simulation planes run
+/// this millions of times, as tight as a hand-written loop.
+pub fn tuples<B>(
     cfg: &Config,
-    class: StrandClass,
-    left: i64,
+    block: LatticeBlock,
     max_node: i64,
-) -> Vec<RepairOption> {
-    let mut opts = Vec::with_capacity(2);
-    // Left: p_{i,j} = d_i XOR p_{h,i}.
-    let mut requires = vec![LatticeBlock::Node(left)];
-    if let Some(e) = input_edge(cfg, class, left) {
-        requires.push(e);
-    }
-    opts.push(RepairOption { class, requires });
-    // Right: p_{i,j} = d_j XOR p_{j,k}; both exist only if d_j was written.
-    let right = rules::output_target(cfg, class, left);
-    if right <= max_node {
-        opts.push(RepairOption {
-            class,
-            requires: vec![LatticeBlock::Node(right), output_edge(cfg, class, right)],
-        });
-    }
-    opts
-}
-
-/// Repair options for any block (dispatches on node vs edge).
-pub fn repair_options(cfg: &Config, block: LatticeBlock, max_node: i64) -> Vec<RepairOption> {
+    mut visit: impl FnMut(Tuple) -> ControlFlow<B>,
+) -> ControlFlow<B> {
     match block {
-        LatticeBlock::Node(i) => node_repair_options(cfg, i),
-        LatticeBlock::Edge(class, left) => edge_repair_options(cfg, class, left, max_node),
+        LatticeBlock::Node(i) => {
+            for &class in cfg.classes() {
+                let members = [input_edge(cfg, class, i), Some(output_edge(cfg, class, i))];
+                visit(Tuple { class, members })?;
+            }
+        }
+        LatticeBlock::Edge(class, i) => {
+            // Left: p_{i,j} = d_i XOR p_{h,i}.
+            let members = [Some(LatticeBlock::Node(i)), input_edge(cfg, class, i)];
+            visit(Tuple { class, members })?;
+            // Right: p_{i,j} = d_j XOR p_{j,k}; both exist only if d_j was
+            // written.
+            let j = rules::output_target(cfg, class, i);
+            if j <= max_node {
+                let members = [
+                    Some(LatticeBlock::Node(j)),
+                    Some(output_edge(cfg, class, j)),
+                ];
+                visit(Tuple { class, members })?;
+            }
+        }
     }
+    ControlFlow::Continue(())
 }
 
 /// Iterates all blocks of a lattice with nodes `1..=n`: `n` nodes and
@@ -256,26 +255,57 @@ mod tests {
         assert_eq!((e.left, e.right), (26, 35));
     }
 
+    /// Every tuple of `block`, in visiting order.
+    fn all_tuples(c: &Config, block: LatticeBlock, max_node: i64) -> Vec<Tuple> {
+        let mut out = Vec::new();
+        let _ = tuples(c, block, max_node, |t| {
+            out.push(t);
+            ControlFlow::<()>::Continue(())
+        });
+        out
+    }
+
     #[test]
     fn node_has_alpha_repair_options_of_two_blocks() {
         let c = cfg(3, 2, 5);
-        let opts = node_repair_options(&c, 100);
-        assert_eq!(opts.len(), 3);
-        for o in &opts {
-            assert_eq!(o.requires.len(), 2, "pp-tuple on {o:?}");
-            assert!(o.requires.iter().all(|b| !b.is_node()));
+        let ts = all_tuples(&c, LatticeBlock::Node(100), i64::MAX);
+        assert_eq!(ts.len(), 3);
+        for t in &ts {
+            assert_eq!(t.blocks().count(), 2, "pp-tuple on {t:?}");
+            assert!(t.blocks().all(|b| !b.is_node()));
         }
-        // Distinct classes.
-        assert_ne!(opts[0].class, opts[1].class);
-        assert_ne!(opts[1].class, opts[2].class);
+        // Distinct classes, input parity first.
+        assert_ne!(ts[0].class, ts[1].class);
+        assert_ne!(ts[1].class, ts[2].class);
+        assert_eq!(
+            ts[0].members,
+            [
+                Some(LatticeBlock::Edge(Horizontal, 98)),
+                Some(LatticeBlock::Edge(Horizontal, 100))
+            ]
+        );
+        // A break stops the walk at the tuple that asked for it.
+        let mut seen = 0;
+        let stop = tuples(&c, LatticeBlock::Node(100), i64::MAX, |t| {
+            seen += 1;
+            match t.class {
+                RightHanded => ControlFlow::Break(t),
+                _ => ControlFlow::Continue(()),
+            }
+        });
+        assert_eq!((stop, seen), (ControlFlow::Break(ts[1]), 2));
     }
 
     #[test]
     fn node_near_origin_has_shorter_tuples() {
         let c = cfg(3, 2, 5);
-        // Node 1: all inputs virtual, so each option needs only the output.
-        for o in node_repair_options(&c, 1) {
-            assert_eq!(o.requires.len(), 1, "{o:?}");
+        // Node 1: all inputs virtual, so each tuple's first member is zero.
+        for t in all_tuples(&c, LatticeBlock::Node(1), i64::MAX) {
+            assert_eq!(t.members[0], None, "{t:?}");
+            assert_eq!(
+                t.blocks().collect::<Vec<_>>(),
+                [LatticeBlock::Edge(t.class, 1)]
+            );
         }
     }
 
@@ -283,25 +313,34 @@ mod tests {
     fn edge_repair_options_are_dp_tuples() {
         let c = cfg(3, 5, 5);
         // Paper §III.B: to repair p21,26, compute XOR(d21, p16,21).
-        let opts = edge_repair_options(&c, Horizontal, 21, i64::MAX);
-        assert_eq!(opts.len(), 2);
+        let ts = all_tuples(&c, LatticeBlock::Edge(Horizontal, 21), i64::MAX);
+        assert_eq!(ts.len(), 2);
         assert_eq!(
-            opts[0].requires,
-            vec![LatticeBlock::Node(21), LatticeBlock::Edge(Horizontal, 16)]
+            ts[0].members,
+            [
+                Some(LatticeBlock::Node(21)),
+                Some(LatticeBlock::Edge(Horizontal, 16))
+            ]
         );
         assert_eq!(
-            opts[1].requires,
-            vec![LatticeBlock::Node(26), LatticeBlock::Edge(Horizontal, 26)]
+            ts[1].members,
+            [
+                Some(LatticeBlock::Node(26)),
+                Some(LatticeBlock::Edge(Horizontal, 26))
+            ]
         );
+        // A strand head's left tuple is its data block and a zero.
+        let head = all_tuples(&c, LatticeBlock::Edge(Horizontal, 3), i64::MAX);
+        assert_eq!(head[0].members, [Some(LatticeBlock::Node(3)), None]);
     }
 
     #[test]
     fn edge_right_option_vanishes_at_lattice_tail() {
         let c = cfg(3, 5, 5);
         // Edge p26,31 with only 30 nodes written: right endpoint missing.
-        let opts = edge_repair_options(&c, Horizontal, 26, 30);
-        assert_eq!(opts.len(), 1);
-        assert_eq!(opts[0].requires[0], LatticeBlock::Node(26));
+        let ts = all_tuples(&c, LatticeBlock::Edge(Horizontal, 26), 30);
+        assert_eq!(ts.len(), 1);
+        assert_eq!(ts[0].members[0], Some(LatticeBlock::Node(26)));
     }
 
     #[test]

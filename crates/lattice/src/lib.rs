@@ -12,8 +12,8 @@
 //!   of its input parity `p_{h,i}` and output parity `p_{i,j}` on each
 //!   strand class, including the `s = 1` degenerate family.
 //! * [`graph`] — navigation built on the rules: incident edges of a node,
-//!   endpoints of an edge, and the **repair options** the decoder uses
-//!   (pp-tuples for nodes, dp-tuples for edges).
+//!   endpoints of an edge, and the one definition of the **repair tuples**
+//!   every decoder reads (pp-tuples for nodes, dp-tuples for edges).
 //! * [`strand`] — walking strands and locating strand heads.
 //! * [`me`] — minimal-erasure analysis: a branch-and-bound search for the
 //!   smallest irreducible erasure patterns `ME(x)`, replacing the authors'
@@ -40,6 +40,6 @@ pub mod rules;
 pub mod strand;
 
 pub use config::{Config, ConfigError};
-pub use graph::{Endpoints, LatticeBlock, RepairOption, VirtualPosition};
+pub use graph::{Endpoints, LatticeBlock, Tuple, VirtualPosition};
 pub use me::{MePattern, MeSearch};
 pub use rules::NodeCategory;

@@ -13,13 +13,13 @@
 //!
 //! # Algorithm
 //!
-//! A set `S` of blocks is **dead** when no block in `S` has a repair option
-//! (see [`crate::graph::repair_options`]) whose requirements all lie outside
-//! `S`. The search anchors one data node far from the lattice origin and
-//! grows `S` by *violation-driven branching*: while some block of `S` is
-//! still repairable, a dead superset must block one of its open repair
-//! options, and each open option can be blocked by at most two specific
-//! blocks — so branch on those. Every step adds exactly one block, giving a
+//! A set `S` of blocks is **dead** when no block in `S` has a repair tuple
+//! (see [`crate::graph::tuples`]) whose real members all lie outside `S`.
+//! The search anchors one data node far from the lattice origin and grows
+//! `S` by *violation-driven branching*: while some block of `S` is still
+//! repairable, a dead superset must block one of its open repair tuples,
+//! and each open tuple can be blocked by at most two specific blocks — so
+//! branch on those. Every step adds exactly one block, giving a
 //! search tree of depth `|S|`; iterative deepening on the target size finds
 //! the minimum. Completeness caveat (shared with the paper, which also "does
 //! not identify all erasure patterns"): patterns that contain a *dead proper
@@ -29,8 +29,9 @@
 //! step.
 
 use crate::config::Config;
-use crate::graph::{self, LatticeBlock};
+use crate::graph::{self, LatticeBlock, Tuple};
 use std::collections::{BTreeSet, HashSet};
+use std::ops::ControlFlow;
 
 /// A minimal erasure pattern found by the search.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -175,7 +176,7 @@ impl MeSearch {
 }
 
 /// Runs the iterated decoder on an erased set: repeatedly repairs any block
-/// that has a repair option fully outside the erased set, until a fixpoint.
+/// that has a repair tuple fully outside the erased set, until a fixpoint.
 /// Returns the irrecoverable remainder (empty = full recovery).
 pub fn decode_fixpoint(cfg: &Config, erased: &BTreeSet<LatticeBlock>) -> BTreeSet<LatticeBlock> {
     let mut remaining = erased.clone();
@@ -183,11 +184,7 @@ pub fn decode_fixpoint(cfg: &Config, erased: &BTreeSet<LatticeBlock>) -> BTreeSe
         let repairable: Vec<LatticeBlock> = remaining
             .iter()
             .copied()
-            .filter(|&b| {
-                graph::repair_options(cfg, b, i64::MAX)
-                    .iter()
-                    .any(|o| o.requires.iter().all(|r| !remaining.contains(r)))
-            })
+            .filter(|&b| open_tuple(cfg, b, |r| remaining.contains(r)).is_some())
             .collect();
         if repairable.is_empty() {
             return remaining;
@@ -198,13 +195,23 @@ pub fn decode_fixpoint(cfg: &Config, erased: &BTreeSet<LatticeBlock>) -> BTreeSe
     }
 }
 
+/// The first repair tuple of `b` none of whose real members is `erased`.
+fn open_tuple(
+    cfg: &Config,
+    b: LatticeBlock,
+    erased: impl Fn(&LatticeBlock) -> bool,
+) -> Option<Tuple> {
+    graph::tuples(cfg, b, i64::MAX, |t| match t.blocks().any(|r| erased(&r)) {
+        true => ControlFlow::Continue(()),
+        false => ControlFlow::Break(t),
+    })
+    .break_value()
+}
+
 /// Whether `set` is dead: no member is repairable from outside the set.
 pub fn is_dead(cfg: &Config, set: &BTreeSet<LatticeBlock>) -> bool {
-    set.iter().all(|&b| {
-        graph::repair_options(cfg, b, i64::MAX)
-            .iter()
-            .all(|o| o.requires.iter().any(|r| set.contains(r)))
-    })
+    set.iter()
+        .all(|&b| open_tuple(cfg, b, |r| set.contains(r)).is_none())
 }
 
 /// Whether `set` is an irreducible erasure: it is dead, and removing any
@@ -251,17 +258,12 @@ impl Dfs<'_> {
         self.member.remove(&b);
     }
 
-    /// Finds the first repairable member and returns the blocks that could
-    /// close its first open repair option.
-    fn first_violation(&self) -> Option<Vec<LatticeBlock>> {
-        for &b in &self.order {
-            for opt in graph::repair_options(self.cfg, b, i64::MAX) {
-                if opt.requires.iter().all(|r| !self.member.contains(r)) {
-                    return Some(opt.requires);
-                }
-            }
-        }
-        None
+    /// Finds the first repairable member and returns its first open repair
+    /// tuple: its real members are the blocks that could close it.
+    fn first_violation(&self) -> Option<Tuple> {
+        self.order
+            .iter()
+            .find_map(|&b| open_tuple(self.cfg, b, |r| self.member.contains(r)))
     }
 
     fn run(&mut self) -> Option<BTreeSet<LatticeBlock>> {
@@ -278,7 +280,7 @@ impl Dfs<'_> {
         if !self.seen.insert(canonical) {
             return None;
         }
-        for cand in candidates {
+        for cand in candidates.blocks() {
             if cand.is_node() && self.data_count >= self.target_data {
                 continue;
             }

@@ -61,19 +61,23 @@ proptest! {
         }
     }
 
-    /// Every node's repair options are α pp-tuples whose blocks are
+    /// Every node's repair tuples are α pp-tuples whose blocks are
     /// incident edges of the node.
     #[test]
     fn node_options_are_incident(cfg in any_config(), i in 1i64..50_000) {
         let i = i + (cfg.s() as i64 * cfg.p().max(1) as i64) * 4;
         let incident: BTreeSet<LatticeBlock> =
             graph::incident_edges(&cfg, i).into_iter().collect();
-        let opts = graph::node_repair_options(&cfg, i);
-        prop_assert_eq!(opts.len(), cfg.alpha() as usize);
-        for o in opts {
-            prop_assert_eq!(o.requires.len(), 2);
-            for r in &o.requires {
-                prop_assert!(incident.contains(r), "{:?} not incident to d{}", r, i);
+        let mut tuples = Vec::new();
+        let _ = graph::tuples(&cfg, LatticeBlock::Node(i), i64::MAX, |t| {
+            tuples.push(t);
+            std::ops::ControlFlow::<()>::Continue(())
+        });
+        prop_assert_eq!(tuples.len(), cfg.alpha() as usize);
+        for t in tuples {
+            prop_assert_eq!(t.blocks().count(), 2);
+            for r in t.blocks() {
+                prop_assert!(incident.contains(&r), "{:?} not incident to d{}", r, i);
             }
         }
     }

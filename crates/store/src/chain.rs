@@ -1,35 +1,37 @@
 //! The α = 1 entanglement chain of §IV.B.1 as a first-class
-//! [`RedundancyScheme`].
+//! [`RedundancyScheme`]: single entanglement AE(1,-,-) plus a ring.
 //!
 //! An entangled mirror array stores one parity per data block — the space
 //! overhead of mirroring — where parity `p_i = d_i ⊕ p_{i-1}` chains every
-//! block to its predecessors (`p_0` is the virtual zero block). Two chain
-//! shapes:
+//! block to its predecessors (`p_0` is the virtual zero block). That is the
+//! lattice of [`Config::single`]: [`EntangledChain`] wraps an
+//! [`ae_core::Code`] over it, which encodes, repairs, answers the
+//! availability hooks and owns the O(1) `dense_index`/`block_at` bijection.
 //!
-//! * [`ChainMode::Open`] — the plain chain; the tail parity has a single
-//!   repair tuple, so the extremity pair `{d_n, p_n}` is a dead pattern.
-//!   The weaker redundancy is surfaced as a typed
-//!   [`ExtremityWarning`] and as
+//! * [`ChainMode::Open`] is AE(1,-,-) block for block. Its tail pair
+//!   `{d_n, p_n}` has a single repair tuple, a dead pattern surfaced as a
+//!   typed [`ExtremityWarning`] and as
 //!   [`ae_api::RepairCost::extremity_exposed`], never silently.
-//! * [`ChainMode::Closed`] — after the last block the chain is tangled
-//!   through the first data block once more, storing one closing parity
-//!   `p_{n+1} = d_1 ⊕ p_n`. Every parity then has two repair tuples and
-//!   the extremity weakness disappears.
+//! * [`ChainMode::Closed`] tangles `d_1` in once more at seal, storing the
+//!   closing parity `p_{n+1} = d_1 ⊕ p_n` at dense position `2n`. The ring
+//!   gives `d_1`, `p_n` and `p_{n+1}` one tuple each after the lattice's
+//!   own, and the extremity weakness disappears.
 //!
-//! [`EntangledChain`] implements the full [`RedundancyScheme`] surface —
-//! byte-plane encode/repair *and* the availability hooks with the O(1)
-//! `dense_index`/`block_at` bijection — so the use case runs through the
-//! exact same generic machinery (`SchemePlane`, parity harnesses, repair
-//! planners) as AE, RS and replication. `crate::array::EntangledArray`
-//! layers drive topology on top of this scheme.
+//! The chain itself keeps the mode, the sealed flag (an encode after it
+//! panics) and its version-1 frontier snapshot, which journal records
+//! carry. `crate::array::EntangledArray` drives topology on top of it.
 
 use ae_api::{
-    AeError, BlockSink, BlockSource, EncodeReport, RedundancyScheme, RepairCost, RepairError,
-    SnapshotReader, SnapshotWriter,
+    AeError, BlockMap, BlockSink, BlockSource, EncodeReport, RedundancyScheme, RepairCost,
+    RepairError, SnapshotReader, SnapshotWriter,
 };
 use ae_blocks::{Block, BlockId, EdgeId, NodeId, StrandClass};
+use ae_core::decoder::{self, Pair};
+use ae_core::Code;
+use ae_lattice::Config;
 use parking_lot::Mutex;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// Chain shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,14 +63,13 @@ pub struct ExtremityWarning {
 
 impl fmt::Display for ExtremityWarning {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "open-chain extremity has a single repair tuple: ")?;
-        for (k, id) in self.exposed.iter().enumerate() {
-            if k > 0 {
-                f.write_str(", ")?;
-            }
-            write!(f, "{id}")?;
-        }
-        write!(f, " form a dead pattern (close the chain to remove it)")
+        let ids: Vec<String> = self.exposed.iter().map(BlockId::to_string).collect();
+        f.write_str("open-chain extremity has a single repair tuple: ")?;
+        let ids = ids.join(", ");
+        write!(
+            f,
+            "{ids} form a dead pattern (close the chain to remove it)"
+        )
     }
 }
 
@@ -77,43 +78,42 @@ fn parity_id(i: u64) -> BlockId {
     BlockId::Parity(EdgeId::new(StrandClass::Horizontal, NodeId(i)))
 }
 
+/// `d_1`, the block the ring closes through.
+const FIRST_DATA: BlockId = BlockId::Data(NodeId(1));
+
 /// The α = 1 open/closed entanglement chain scheme.
 ///
-/// The byte plane streams like any scheme: [`EntangledChain::encode_batch`]
-/// appends blocks and parities, [`RedundancyScheme::seal`] stores the
-/// closing parity in [`ChainMode::Closed`]. The availability plane treats
-/// a deployment of `data_blocks` blocks as a sealed chain: closed mode's
-/// universe has `2·data_blocks + 1` positions (the closing parity last),
-/// open mode `2·data_blocks`.
+/// The availability plane treats a deployment of `data_blocks` blocks as a
+/// sealed chain: closed mode's universe has `2·data_blocks + 1` positions
+/// (the closing parity last), open mode `2·data_blocks`.
 pub struct EntangledChain {
     mode: ChainMode,
-    block_size: usize,
-    /// Streaming-encoder state behind a lock, so an instance can be
-    /// shared (`Arc<dyn RedundancyScheme>`) like every other scheme.
-    enc: Mutex<ChainEncoderState>,
+    /// The open lattice, AE(1,-,-): every block but the closing parity.
+    code: Code,
+    /// What the chain adds, behind a lock so an instance can be shared
+    /// (`Arc<dyn RedundancyScheme>`) like every other scheme.
+    ring: Mutex<Ring>,
 }
 
-/// The mutable half of a streaming chain encoder.
-#[derive(Debug, Clone, Default)]
-struct ChainEncoderState {
-    written: u64,
-    /// Encoder frontier of size 1: the last parity emitted.
-    last_parity: Option<Block>,
-    /// First data block, kept so sealing can close the ring without
-    /// reading the store back.
+/// The chain's own state beside the code's encoder.
+#[derive(Default)]
+struct Ring {
+    /// `Some(n)` once sealed at `n` data blocks: a sealed chain never
+    /// encodes again, so a sealed restore keeps its extent here and
+    /// fetches nothing.
+    sealed: Option<u64>,
+    /// `d_1`, kept by an unsealed closed chain so sealing can close the
+    /// ring without reading the store back.
     first_data: Option<Block>,
-    sealed: bool,
 }
 
 impl EntangledChain {
     /// Creates a chain encoding `block_size`-byte blocks (0 is allowed for
     /// availability-plane use, where no bytes ever flow).
     pub fn new(mode: ChainMode, block_size: usize) -> Self {
-        EntangledChain {
-            mode,
-            block_size,
-            enc: Mutex::new(ChainEncoderState::default()),
-        }
+        let code = Code::new(Config::single(), block_size);
+        let ring = Mutex::default();
+        EntangledChain { mode, code, ring }
     }
 
     /// The chain shape.
@@ -123,25 +123,20 @@ impl EntangledChain {
 
     /// Block size in bytes.
     pub fn block_size(&self) -> usize {
-        self.block_size
+        self.code.block_size()
     }
 
     /// Whether [`RedundancyScheme::seal`] has been called.
     pub fn is_sealed(&self) -> bool {
-        self.enc.lock().sealed
+        self.ring.lock().sealed.is_some()
     }
 
     /// Every id the chain stores right now, honouring the sealed state
     /// (the closing parity exists only after sealing a closed chain).
     pub fn stored_ids(&self) -> Vec<BlockId> {
-        let (written, sealed) = {
-            let enc = self.enc.lock();
-            (enc.written, enc.sealed)
-        };
-        let mut ids = self.block_ids(written);
-        if self.mode == ChainMode::Closed && written > 0 && !sealed {
-            ids.pop(); // closing parity not stored yet
-        }
+        let n = self.data_written();
+        let mut ids = self.code.block_ids(n);
+        ids.extend(self.closing(n).filter(|_| self.is_sealed()));
         ids
     }
 
@@ -154,38 +149,62 @@ impl EntangledChain {
         })
     }
 
-    /// Whether the closed ring's extra tuples apply at extent `n`.
-    fn ring(&self, n: u64) -> bool {
-        self.mode == ChainMode::Closed && n > 0
+    /// The closing parity `p_{n+1}` of a closed ring at extent `n` (none
+    /// at an extent no lattice reaches: a hostile snapshot's).
+    fn closing(&self, n: u64) -> Option<BlockId> {
+        let closed = self.mode == ChainMode::Closed && n > 0;
+        n.checked_add(1).filter(|_| closed).map(parity_id)
     }
-}
 
-impl EntangledChain {
+    /// Calls `visit` with the repair tuples of `id` at extent `n` until it
+    /// breaks: the open lattice's, then the ring's — `d_1 = p_n ⊕ p_{n+1}`,
+    /// `p_n = d_1 ⊕ p_{n+1}`, and `p_{n+1} = d_1 ⊕ p_n`, the closing
+    /// parity's only one (it lies outside the open lattice).
+    fn tuples<B>(
+        &self,
+        id: BlockId,
+        n: u64,
+        mut visit: impl FnMut(Pair) -> ControlFlow<B>,
+    ) -> Result<ControlFlow<B>, RepairError> {
+        let closing = self.closing(n);
+        if closing != Some(id) {
+            let open = decoder::tuples(self.code.config(), id, n, &mut visit)?;
+            if open.is_break() {
+                return Ok(open);
+            }
+        }
+        let pn = parity_id(n);
+        let ring = match closing {
+            Some(c) if id == FIRST_DATA => [pn, c],
+            Some(c) if id == pn => [FIRST_DATA, c],
+            Some(c) if id == c => [FIRST_DATA, pn],
+            _ => return Ok(ControlFlow::Continue(())),
+        };
+        Ok(visit(ring.map(Some)))
+    }
+
+    /// AE(1,-,-)'s own version-1 snapshot at `written` blocks:
+    /// `[counter u64, block_size u64]`.
+    fn code_snapshot(&self, written: u64) -> Vec<u8> {
+        let block_size = self.block_size() as u64;
+        SnapshotWriter::new(1).u64(written).u64(block_size).finish()
+    }
+
     /// Parses and validates a frontier snapshot: `(written, sealed)`.
     fn parse_frontier(&self, snapshot: &[u8]) -> Result<(u64, bool), AeError> {
         let name = self.scheme_name();
         let mut r = SnapshotReader::new(snapshot, 1, &name)?;
-        let written = r.u64()?;
-        let sealed = match r.u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(AeError::CorruptFrontier {
-                    detail: format!("{name}: sealed flag is {other}"),
-                })
-            }
-        };
-        let block_size = r.u64()?;
+        let (written, sealed, block_size) = (r.u64()?, r.u8()?, r.u64()?);
         r.finish()?;
-        if block_size != self.block_size as u64 {
-            return Err(AeError::CorruptFrontier {
-                detail: format!(
-                    "{name}: snapshot encodes {block_size}-byte blocks, this chain {}",
-                    self.block_size
-                ),
-            });
-        }
-        Ok((written, sealed))
+        let detail = if sealed > 1 {
+            format!("{name}: sealed flag is {sealed}")
+        } else if block_size != self.block_size() as u64 {
+            let ours = self.block_size();
+            format!("{name}: snapshot encodes {block_size}-byte blocks, this chain {ours}")
+        } else {
+            return Ok((written, sealed == 1));
+        };
+        Err(AeError::CorruptFrontier { detail })
     }
 }
 
@@ -195,19 +214,16 @@ impl RedundancyScheme for EntangledChain {
     }
 
     fn data_written(&self) -> u64 {
-        self.enc.lock().written
+        let sealed = self.ring.lock().sealed;
+        sealed.unwrap_or_else(|| self.code.written())
     }
 
+    /// AE(1,-,-)'s cost — one XOR of two blocks per repair, mirroring's
+    /// storage bill — and, open, the `{d_n, p_n}` dead pair.
     fn repair_cost(&self) -> RepairCost {
-        RepairCost {
-            // One XOR of two blocks per repair, mirroring's storage bill.
-            single_failure_reads: 2,
-            additional_storage_pct: 100.0,
-            extremity_exposed: match self.mode {
-                ChainMode::Open => 2, // the {d_n, p_n} dead pair
-                ChainMode::Closed => 0,
-            },
-        }
+        let mut cost = self.code.repair_cost();
+        cost.extremity_exposed = if self.mode == ChainMode::Open { 2 } else { 0 };
+        cost
     }
 
     fn encode_batch(
@@ -215,55 +231,35 @@ impl RedundancyScheme for EntangledChain {
         blocks: &[Block],
         sink: &dyn BlockSink,
     ) -> Result<EncodeReport, AeError> {
-        let mut enc = self.enc.lock();
-        assert!(!enc.sealed, "chain is sealed (closed rings cannot grow)");
-        for b in blocks {
-            if b.len() != self.block_size {
-                return Err(AeError::SizeMismatch {
-                    expected: self.block_size,
-                    actual: b.len(),
-                });
-            }
+        let mut ring = self.ring.lock();
+        assert!(
+            ring.sealed.is_none(),
+            "chain is sealed (closed rings cannot grow)"
+        );
+        let report = self.code.encode_batch(blocks, sink)?;
+        if self.mode == ChainMode::Closed && ring.first_data.is_none() {
+            ring.first_data = blocks.first().cloned();
         }
-        let first_node = enc.written + 1;
-        let mut ids = Vec::with_capacity(blocks.len() * 2);
-        for b in blocks {
-            let i = enc.written + 1;
-            // p_i = d_i ⊕ p_{i-1}; p_0 is the virtual zero block.
-            let parity = match &enc.last_parity {
-                Some(prev) => b.xor(prev).expect("sizes checked"),
-                None => b.clone(),
-            };
-            if enc.first_data.is_none() {
-                enc.first_data = Some(b.clone());
-            }
-            sink.store(BlockId::Data(NodeId(i)), b.clone());
-            sink.store(parity_id(i), parity.clone());
-            ids.push(BlockId::Data(NodeId(i)));
-            ids.push(parity_id(i));
-            enc.last_parity = Some(parity);
-            enc.written = i;
-        }
-        Ok(EncodeReport { first_node, ids })
+        Ok(report)
     }
 
     fn seal(&self, sink: &dyn BlockSink) -> Result<Vec<BlockId>, AeError> {
-        let mut enc = self.enc.lock();
-        if enc.sealed {
+        let mut ring = self.ring.lock();
+        if ring.sealed.is_some() {
             return Ok(Vec::new());
         }
-        enc.sealed = true;
-        if self.mode == ChainMode::Closed && enc.written > 0 {
-            // Tangle the chain through the first data block once more:
-            // p_{n+1} = d_1 ⊕ p_n.
-            let d1 = enc.first_data.as_ref().expect("written > 0");
-            let last = enc.last_parity.as_ref().expect("written > 0");
-            let closing = d1.xor(last).expect("sizes match");
-            let id = parity_id(enc.written + 1);
-            sink.store(id, closing);
-            return Ok(vec![id]);
-        }
-        Ok(Vec::new())
+        let n = self.code.written();
+        ring.sealed = Some(n);
+        let (Some(d1), Some(closing)) = (ring.first_data.take(), self.closing(n)) else {
+            return Ok(Vec::new());
+        };
+        // Tangle d_1 in once more, on a copy of the encoder so the extent
+        // stays n: p_{n+1} = d_1 ⊕ p_n.
+        let tangled = BlockMap::new();
+        self.code.clone().encode_batch(&[d1], &tangled)?;
+        let block = tangled.get(&closing).expect("the tangle stores it");
+        sink.store(closing, block);
+        Ok(vec![closing])
     }
 
     /// Version 1: `[written u64, sealed u8, block_size u64]`. The
@@ -272,46 +268,40 @@ impl RedundancyScheme for EntangledChain {
     /// refetches them; the block size makes a mismatched chain fail typed
     /// at open instead of at the next encode.
     fn frontier_snapshot(&self) -> Vec<u8> {
-        let enc = self.enc.lock();
         SnapshotWriter::new(1)
-            .u64(enc.written)
-            .u8(enc.sealed as u8)
-            .u64(self.block_size as u64)
+            .u64(self.data_written())
+            .u8(self.is_sealed() as u8)
+            .u64(self.block_size() as u64)
             .finish()
     }
 
     fn restore_frontier(&self, snapshot: &[u8], source: &dyn BlockSource) -> Result<(), AeError> {
         let (written, sealed) = self.parse_frontier(snapshot)?;
-        let fetch = |id: BlockId| source.fetch(id).ok_or(AeError::FrontierBlockMissing { id });
-        // A sealed chain never encodes again; an unsealed one needs its
-        // frontier parity, and a closed ring additionally d_1 to tangle
-        // the closing parity at seal time.
-        let mut state = ChainEncoderState {
-            written,
-            sealed,
-            ..ChainEncoderState::default()
+        let mut ring = Ring {
+            sealed: sealed.then_some(written),
+            first_data: None,
         };
-        if written > 0 && !sealed {
-            state.last_parity = Some(fetch(parity_id(written))?);
-            if self.mode == ChainMode::Closed {
-                state.first_data = Some(fetch(BlockId::Data(NodeId(1)))?);
+        if !sealed {
+            // The code refetches its frontier parity; a closed ring also
+            // needs d_1 to tangle the closing parity at seal time.
+            self.code
+                .restore_frontier(&self.code_snapshot(written), source)?;
+            if self.closing(written).is_some() {
+                let missing = AeError::FrontierBlockMissing { id: FIRST_DATA };
+                ring.first_data = Some(source.fetch(FIRST_DATA).ok_or(missing)?);
             }
         }
-        *self.enc.lock() = state;
+        *self.ring.lock() = ring;
         Ok(())
     }
 
     fn frontier_reads(&self, snapshot: &[u8]) -> Vec<BlockId> {
-        match self.parse_frontier(snapshot) {
-            Ok((written, false)) if written > 0 => {
-                let mut ids = vec![parity_id(written)];
-                if self.mode == ChainMode::Closed {
-                    ids.push(BlockId::Data(NodeId(1)));
-                }
-                ids
-            }
-            _ => Vec::new(),
-        }
+        let Ok((written, false)) = self.parse_frontier(snapshot) else {
+            return Vec::new();
+        };
+        let mut ids = self.code.frontier_reads(&self.code_snapshot(written));
+        ids.extend(self.closing(written).map(|_| FIRST_DATA));
+        ids
     }
 
     fn repair_block(
@@ -320,110 +310,16 @@ impl RedundancyScheme for EntangledChain {
         id: BlockId,
         data_blocks: u64,
     ) -> Result<Block, RepairError> {
-        let n = data_blocks;
-        let ring = self.ring(n);
-        let zero = || Block::zero(self.block_size);
-        let get = |q: BlockId| source.fetch(q);
-        // Collect the unavailable member(s) of every failed option so the
-        // worklist planner can subscribe to them.
-        let mut missing: Vec<BlockId> = Vec::new();
-        let mut need = |q: BlockId, found: &Option<Block>| {
-            if found.is_none() && !missing.contains(&q) {
-                missing.push(q);
-            }
-        };
-        match id {
-            BlockId::Data(NodeId(i)) if (1..=n).contains(&i) => {
-                // d_i = p_{i-1} ⊕ p_i  (p_0 = 0).
-                let left = if i == 1 {
-                    Some(zero())
-                } else {
-                    get(parity_id(i - 1))
-                };
-                let right = get(parity_id(i));
-                if i > 1 {
-                    need(parity_id(i - 1), &left);
-                }
-                need(parity_id(i), &right);
-                if let (Some(l), Some(r)) = (left, right) {
-                    return Ok(l.xor(&r).expect("sizes match"));
-                }
-                // The closed ring gives d_1 a second tuple: p_n ⊕ p_{n+1}.
-                if ring && i == 1 {
-                    let pn = get(parity_id(n));
-                    let pc = get(parity_id(n + 1));
-                    need(parity_id(n), &pn);
-                    need(parity_id(n + 1), &pc);
-                    if let (Some(pn), Some(pc)) = (pn, pc) {
-                        return Ok(pn.xor(&pc).expect("sizes match"));
-                    }
-                }
-            }
-            BlockId::Data(NodeId(i)) if i > n => {
-                return Err(RepairError::OutOfExtent { id, written: n });
-            }
-            BlockId::Parity(EdgeId {
-                class: StrandClass::Horizontal,
-                left: NodeId(i),
-            }) if (1..=n).contains(&i) || (ring && i == n + 1) => {
-                // Left dp-tuple: p_i = d_i ⊕ p_{i-1} (the closing parity's
-                // "own" data block is d_1).
-                let own = if i == n + 1 {
-                    BlockId::Data(NodeId(1))
-                } else {
-                    BlockId::Data(NodeId(i))
-                };
-                let d = get(own);
-                let prev = if i == 1 {
-                    Some(zero())
-                } else {
-                    get(parity_id(i - 1))
-                };
-                need(own, &d);
-                if i > 1 {
-                    need(parity_id(i - 1), &prev);
-                }
-                if let (Some(d), Some(prev)) = (d, prev) {
-                    return Ok(d.xor(&prev).expect("sizes match"));
-                }
-                // Right dp-tuple: p_i = d_{i+1} ⊕ p_{i+1}, where the ring
-                // makes d_1/p_{n+1} the right neighbours of p_n.
-                let (next_data, next_parity) = if i < n {
-                    (Some(BlockId::Data(NodeId(i + 1))), Some(parity_id(i + 1)))
-                } else if i == n && ring {
-                    (Some(BlockId::Data(NodeId(1))), Some(parity_id(n + 1)))
-                } else {
-                    (None, None)
-                };
-                if let (Some(nd), Some(np)) = (next_data, next_parity) {
-                    let d = get(nd);
-                    let p = get(np);
-                    need(nd, &d);
-                    need(np, &p);
-                    if let (Some(d), Some(p)) = (d, p) {
-                        return Ok(d.xor(&p).expect("sizes match"));
-                    }
-                }
-            }
-            other => return Err(RepairError::ForeignBlock { id: other }),
-        }
-        Err(RepairError::NoCompleteTuple {
-            target: id,
-            missing,
+        let mut lookup = |q| source.fetch(q);
+        decoder::repair(id, self.code.zero_block(), &mut lookup, |visit| {
+            self.tuples(id, data_blocks, visit)
         })
     }
 
     fn block_ids(&self, data_blocks: u64) -> Vec<BlockId> {
-        let closing = self.ring(data_blocks);
-        let mut out = Vec::with_capacity(data_blocks as usize * 2 + closing as usize);
-        for i in 1..=data_blocks {
-            out.push(BlockId::Data(NodeId(i)));
-            out.push(parity_id(i));
-        }
-        if closing {
-            out.push(parity_id(data_blocks + 1));
-        }
-        out
+        let mut ids = self.code.block_ids(data_blocks);
+        ids.extend(self.closing(data_blocks));
+        ids
     }
 
     fn is_repairable(
@@ -432,92 +328,38 @@ impl RedundancyScheme for EntangledChain {
         data_blocks: u64,
         avail: &dyn Fn(BlockId) -> bool,
     ) -> bool {
-        let n = data_blocks;
-        let ring = self.ring(n);
-        match id {
-            BlockId::Data(NodeId(i)) if (1..=n).contains(&i) => {
-                ((i == 1 || avail(parity_id(i - 1))) && avail(parity_id(i)))
-                    || (ring && i == 1 && avail(parity_id(n)) && avail(parity_id(n + 1)))
-            }
-            BlockId::Parity(EdgeId {
-                class: StrandClass::Horizontal,
-                left: NodeId(i),
-            }) if (1..=n).contains(&i) || (ring && i == n + 1) => {
-                let own = if i == n + 1 { NodeId(1) } else { NodeId(i) };
-                if avail(BlockId::Data(own)) && (i == 1 || avail(parity_id(i - 1))) {
-                    return true;
-                }
-                if i < n {
-                    avail(BlockId::Data(NodeId(i + 1))) && avail(parity_id(i + 1))
-                } else if i == n && ring {
-                    avail(BlockId::Data(NodeId(1))) && avail(parity_id(n + 1))
-                } else {
-                    false
-                }
-            }
-            _ => false,
-        }
+        let walk = self.tuples(id, data_blocks, |pair| decoder::complete(pair, avail));
+        walk.is_ok_and(|walk| walk.is_break())
     }
 
     fn maintenance_targets(&self, missing_data: &[BlockId], data_blocks: u64) -> Vec<BlockId> {
-        // The parities of a missing data block's pp-tuple(s): its input and
-        // output parity, plus the ring pair for d_1 on a closed chain.
+        // The parities of each missing data block's tuples, the ring's too.
         let mut out = Vec::new();
-        for id in missing_data {
-            let BlockId::Data(NodeId(i)) = *id else {
-                continue;
-            };
-            if i > 1 {
-                out.push(parity_id(i - 1));
-            }
-            if i <= data_blocks {
-                out.push(parity_id(i));
-            }
-            if self.ring(data_blocks) && i == 1 {
-                out.push(parity_id(data_blocks));
-                out.push(parity_id(data_blocks + 1));
-            }
+        for &id in missing_data.iter().filter(|id| id.is_data()) {
+            let _ = self.tuples(id, data_blocks, |pair| {
+                out.extend(pair.into_iter().flatten());
+                ControlFlow::<()>::Continue(())
+            });
         }
         out
     }
 
     fn universe_len(&self, data_blocks: u64) -> u64 {
-        data_blocks * 2 + self.ring(data_blocks) as u64
+        self.code.universe_len(data_blocks) + self.closing(data_blocks).is_some() as u64
     }
 
+    /// The open lattice's positions, then the closing parity at `2n`.
     fn dense_index(&self, id: &BlockId, data_blocks: u64) -> Option<u32> {
-        // block_ids order: d_1, p_1, d_2, p_2, …, d_n, p_n (, p_{n+1}).
-        let n = data_blocks;
-        let idx = match *id {
-            BlockId::Data(NodeId(i)) if (1..=n).contains(&i) => (i - 1) * 2,
-            BlockId::Parity(EdgeId {
-                class: StrandClass::Horizontal,
-                left: NodeId(i),
-            }) if (1..=n).contains(&i) => (i - 1) * 2 + 1,
-            BlockId::Parity(EdgeId {
-                class: StrandClass::Horizontal,
-                left: NodeId(i),
-            }) if self.ring(n) && i == n + 1 => n * 2,
-            _ => return None,
-        };
-        u32::try_from(idx).ok()
+        match self.closing(data_blocks) == Some(*id) {
+            true => u32::try_from(self.code.universe_len(data_blocks)).ok(),
+            false => self.code.dense_index(id, data_blocks),
+        }
     }
 
     fn block_at(&self, k: u32, data_blocks: u64) -> Option<BlockId> {
-        let n = data_blocks;
-        let k = u64::from(k);
-        if self.ring(n) && k == n * 2 {
-            return Some(parity_id(n + 1));
-        }
-        let i = k / 2 + 1;
-        if i > n {
-            return None;
-        }
-        Some(if k % 2 == 0 {
-            BlockId::Data(NodeId(i))
-        } else {
-            parity_id(i)
-        })
+        let last = u64::from(k) == self.code.universe_len(data_blocks);
+        let closing = self.closing(data_blocks).filter(|_| last);
+        self.code.block_at(k, data_blocks).or(closing)
     }
 
     fn supports_dense_index(&self) -> bool {

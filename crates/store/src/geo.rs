@@ -838,8 +838,8 @@ mod tests {
     }
 
     /// The scheme-driven repair path must agree, block for block, with
-    /// the direct decoder calls the broker used to make (`repair_node` /
-    /// `repair_edge` against the two tiers).
+    /// the direct decoder call the broker used to make
+    /// (`decoder::repair_block` against the two tiers).
     #[test]
     fn scheme_repairs_match_legacy_decoder_path() {
         use ae_core::decoder;
@@ -880,9 +880,14 @@ mod tests {
                 _ => None,
             };
             for i in handle.first_node..handle.first_node + handle.block_count {
-                let legacy = decoder::repair_node(&cfg, i, &zero, &mut legacy_lookup)
-                    .ok()
-                    .map(|r| r.block);
+                let legacy = decoder::repair_block(
+                    &cfg,
+                    BlockId::Data(NodeId(i)),
+                    written,
+                    &zero,
+                    &mut legacy_lookup,
+                )
+                .ok();
                 let via_scheme = geo
                     .scheme()
                     .repair_block(geo.tiers(), geo.ns(BlockId::Data(NodeId(i))), written)
@@ -892,10 +897,14 @@ mod tests {
             for i in 1..=written {
                 for &class in cfg.classes() {
                     let edge = EdgeId::new(class, NodeId(i));
-                    let legacy =
-                        decoder::repair_edge(&cfg, edge, written, &zero, &mut legacy_lookup)
-                            .ok()
-                            .map(|r| r.block);
+                    let legacy = decoder::repair_block(
+                        &cfg,
+                        BlockId::Parity(edge),
+                        written,
+                        &zero,
+                        &mut legacy_lookup,
+                    )
+                    .ok();
                     let via_scheme = geo
                         .scheme()
                         .repair_block(geo.tiers(), geo.ns(BlockId::Parity(edge)), written)
@@ -961,5 +970,18 @@ mod tests {
         for m in err.missing_blocks() {
             assert!(scheme.ns_strip(*m).is_some(), "{m} must stay namespaced");
         }
+        // Past the written extent the refusal is typed and names the
+        // namespaced id.
+        let past = scheme.ns(BlockId::Parity(EdgeId::new(
+            ae_blocks::StrandClass::Horizontal,
+            NodeId(31),
+        )));
+        assert_eq!(
+            scheme.repair_block(&store, past, 30),
+            Err(RepairError::OutOfExtent {
+                id: past,
+                written: 30
+            })
+        );
     }
 }

@@ -12,7 +12,7 @@
 
 use aecodes::blocks::{Block, BlockId, NodeId, StrandClass};
 use aecodes::core::puncture::PuncturePlan;
-use aecodes::core::{upgrade, BlockMap, Code, Entangler};
+use aecodes::core::{upgrade, BlockMap, Code, Entangler, RedundancyScheme};
 use aecodes::lattice::Config;
 
 fn main() {
