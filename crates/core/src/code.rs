@@ -312,7 +312,7 @@ mod tests {
         ];
         for id in past {
             assert_eq!(
-                RedundancyScheme::repair_block(&code, &store, id, 10),
+                code.repair_block(&store, id, 10),
                 Err(RepairError::OutOfExtent { id, written: 10 })
             );
             assert!(!code.is_repairable(id, 10, &|_| true), "{id}");

@@ -42,7 +42,7 @@ pub fn tuples<B>(
 ) -> Result<ControlFlow<B>, RepairError> {
     let (position, block) = match id {
         BlockId::Data(node) => (node.0, LatticeBlock::Node(node.0 as i64)),
-        BlockId::Parity(e) if cfg.classes().contains(&e.class) => {
+        BlockId::Parity(e) if e.class.index() < usize::from(cfg.alpha()) => {
             (e.left.0, LatticeBlock::Edge(e.class, e.left.0 as i64))
         }
         _ => return Err(RepairError::ForeignBlock { id }),

@@ -14,7 +14,8 @@
 //!   strand (`s + (α−1)·p` blocks), matching §IV.A's broker description.
 //!   [`encoder::Entangler::entangle_batch`] is the hot path.
 //! * [`decoder`] — single-block repairs: a data block from any complete
-//!   pp-tuple (two parities, one XOR), a parity block from either dp-tuple.
+//!   pp-tuple (two parities, one XOR), a parity block from either dp-tuple,
+//!   walking the one tuple definition, [`ae_lattice::graph::tuples`].
 //!   Failures return [`ae_api::RepairError::NoCompleteTuple`] naming the
 //!   missing tuple members.
 //!   The round-based global decoder used after disasters (§V.C.4: each

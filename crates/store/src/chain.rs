@@ -64,11 +64,11 @@ pub struct ExtremityWarning {
 impl fmt::Display for ExtremityWarning {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ids: Vec<String> = self.exposed.iter().map(BlockId::to_string).collect();
-        f.write_str("open-chain extremity has a single repair tuple: ")?;
-        let ids = ids.join(", ");
         write!(
             f,
-            "{ids} form a dead pattern (close the chain to remove it)"
+            "open-chain extremity has a single repair tuple: {} form a dead pattern \
+             (close the chain to remove it)",
+            ids.join(", ")
         )
     }
 }
@@ -159,26 +159,26 @@ impl EntangledChain {
     /// Calls `visit` with the repair tuples of `id` at extent `n` until it
     /// breaks: the open lattice's, then the ring's — `d_1 = p_n ⊕ p_{n+1}`,
     /// `p_n = d_1 ⊕ p_{n+1}`, and `p_{n+1} = d_1 ⊕ p_n`, the closing
-    /// parity's only one (it lies outside the open lattice).
+    /// parity's only one (the open lattice refuses it as out of extent).
     fn tuples<B>(
         &self,
         id: BlockId,
         n: u64,
         mut visit: impl FnMut(Pair) -> ControlFlow<B>,
     ) -> Result<ControlFlow<B>, RepairError> {
-        let closing = self.closing(n);
-        if closing != Some(id) {
-            let open = decoder::tuples(self.code.config(), id, n, &mut visit)?;
-            if open.is_break() {
-                return Ok(open);
-            }
+        let open = decoder::tuples(self.code.config(), id, n, &mut visit);
+        let Some(c) = self.closing(n) else {
+            return open;
+        };
+        if let Ok(ControlFlow::Break(_)) = open {
+            return open;
         }
         let pn = parity_id(n);
-        let ring = match closing {
-            Some(c) if id == FIRST_DATA => [pn, c],
-            Some(c) if id == pn => [FIRST_DATA, c],
-            Some(c) if id == c => [FIRST_DATA, pn],
-            _ => return Ok(ControlFlow::Continue(())),
+        let ring = match id {
+            _ if id == FIRST_DATA => [pn, c],
+            _ if id == pn => [FIRST_DATA, c],
+            _ if id == c => [FIRST_DATA, pn],
+            _ => return open,
         };
         Ok(visit(ring.map(Some)))
     }
@@ -350,16 +350,17 @@ impl RedundancyScheme for EntangledChain {
 
     /// The open lattice's positions, then the closing parity at `2n`.
     fn dense_index(&self, id: &BlockId, data_blocks: u64) -> Option<u32> {
-        match self.closing(data_blocks) == Some(*id) {
-            true => u32::try_from(self.code.universe_len(data_blocks)).ok(),
-            false => self.code.dense_index(id, data_blocks),
-        }
+        self.code.dense_index(id, data_blocks).or_else(|| {
+            let last = u32::try_from(self.code.universe_len(data_blocks)).ok();
+            last.filter(|_| self.closing(data_blocks) == Some(*id))
+        })
     }
 
     fn block_at(&self, k: u32, data_blocks: u64) -> Option<BlockId> {
-        let last = u64::from(k) == self.code.universe_len(data_blocks);
-        let closing = self.closing(data_blocks).filter(|_| last);
-        self.code.block_at(k, data_blocks).or(closing)
+        self.code.block_at(k, data_blocks).or_else(|| {
+            let last = u64::from(k) == self.code.universe_len(data_blocks);
+            self.closing(data_blocks).filter(|_| last)
+        })
     }
 
     fn supports_dense_index(&self) -> bool {

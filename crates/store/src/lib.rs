@@ -26,8 +26,8 @@
 //!   disaster drills over any inner backend.
 //! * [`chain`] — the α = 1 open/closed entanglement chain of §IV.B.1 as a
 //!   first-class [`ae_api::RedundancyScheme`]
-//!   ([`chain::EntangledChain`]), with the typed open-chain
-//!   [`chain::ExtremityWarning`].
+//!   ([`chain::EntangledChain`]): AE(1,-,-) plus a closing parity, with
+//!   the typed open-chain [`chain::ExtremityWarning`].
 //! * [`geo`] — use case A (§IV.A): the two-tier cooperative backup. The
 //!   namespaced per-user lattice is itself a scheme ([`geo::GeoLattice`]);
 //!   [`geo::GeoBackup`] is the thin broker wrapper over it, and
