@@ -196,8 +196,12 @@ impl EntangledChain {
         let mut r = SnapshotReader::new(snapshot, 1, &name)?;
         let (written, sealed, block_size) = (r.u64()?, r.u8()?, r.u64()?);
         r.finish()?;
+        // The lattice's arithmetic is `i64` (see `Code`'s own parser): a
+        // sealed extent this large would reach it unchecked.
         let detail = if sealed > 1 {
             format!("{name}: sealed flag is {sealed}")
+        } else if written > i64::MAX as u64 / 2 {
+            format!("{name}: write counter {written} is past any lattice")
         } else if block_size != self.block_size() as u64 {
             let ours = self.block_size();
             format!("{name}: snapshot encodes {block_size}-byte blocks, this chain {ours}")
@@ -526,6 +530,18 @@ mod tests {
                 broken.restore_frontier(&chain_snapshot_at(6), &store),
                 Err(AeError::FrontierBlockMissing { id }) if id == parity_id(6)
             ));
+
+            // A sealed extent past any lattice is refused, naming the chain.
+            let huge = ae_api::SnapshotWriter::new(1)
+                .u64(u64::MAX)
+                .u8(1)
+                .u64(16)
+                .finish();
+            let refused = EntangledChain::new(mode, 16).restore_frontier(&huge, &store);
+            assert!(
+                matches!(&refused, Err(AeError::CorruptFrontier { detail }) if detail.starts_with("chain(")),
+                "{mode}: {refused:?}"
+            );
         }
     }
 
