@@ -8,7 +8,7 @@
 //! error-typed `repair_block`.
 
 use aecodes::api::{BlockRepo, BlockSink, RedundancyScheme};
-use aecodes::blocks::BlockId;
+use aecodes::blocks::{Block, BlockId};
 use aecodes::lattice::Config;
 use aecodes::sim::Scheme;
 use aecodes::store::archive::{Archive, ArchiveError};
@@ -227,6 +227,55 @@ fn legacy_ae_constructor_matches_hand_driven_code() {
         .unwrap();
     assert_eq!(direct, original);
     assert_eq!(via_archive, files()[2].1);
+}
+
+/// A torn write — a well-formed block shorter than the archive's block
+/// size, which is what a power cut leaves — is as absent as a lost one to
+/// every repair a degraded read runs: a data block is lost and the first
+/// member its repair would read is torn. Every scheme with another intact
+/// repair option reads the file back, and scrub heals both; 2-way
+/// replication, whose only other copy is the torn one, fails typed.
+/// Nothing panics.
+#[test]
+fn a_torn_tuple_member_is_absent_to_degraded_reads() {
+    let contents = files()
+        .into_iter()
+        .find(|(name, _)| *name == "report.pdf")
+        .expect("the 2 000-byte file")
+        .1;
+    for s in Scheme::extended_lineup() {
+        let store = Arc::new(MemStore::new());
+        let scheme: Arc<dyn RedundancyScheme> = Arc::from(s.build(BLOCK));
+        let mut ar = Archive::with_scheme(scheme, BLOCK, Arc::clone(&store));
+        ar.put("report.pdf", &contents).expect("fresh name");
+        ar.seal().expect("flush buffered redundancy");
+        let name = ar.scheme().scheme_name();
+
+        let victim = ar.data_ids().nth(5).expect("the file spans 63 blocks");
+        assert!(store.remove(victim), "{name}: {victim} was stored");
+        let written = ar.scheme().data_written();
+        let read_set = std::cell::RefCell::new(Vec::new());
+        ar.scheme().is_repairable(victim, written, &|id| {
+            read_set.borrow_mut().push(id);
+            true
+        });
+        let torn = read_set.into_inner()[0];
+        let whole = store.get(torn).expect("the read set was stored");
+        store.put(torn, Block::from_vec(whole.as_slice()[..BLOCK / 2].to_vec()));
+
+        if name == "2-way replic." {
+            assert!(
+                matches!(ar.get("report.pdf"), Err(ArchiveError::BlockUnavailable { id, .. }) if id == victim),
+                "{name}: the only other copy is torn"
+            );
+            continue;
+        }
+        assert_eq!(ar.get("report.pdf").expect(&name), contents, "{name}");
+        ar.scrub();
+        assert_eq!(store.get(torn), Ok(whole), "{name}: scrub rewrote {torn}");
+        assert!(store.contains(victim), "{name}: scrub restored {victim}");
+        assert!(ar.verify_all().is_empty(), "{name}");
+    }
 }
 
 /// Strategy over the archive roster (compact: proptest drives damage).
