@@ -72,7 +72,8 @@ pub fn complete(pair: Pair, avail: &dyn Fn(BlockId) -> bool) -> ControlFlow<()> 
 
 /// Rebuilds `target` from the first complete tuple of the walk `each`
 /// (such as [`tuples`]), reading both members of each tuple in order — a
-/// virtual member is `zero`.
+/// virtual member is `zero`. A member of any size but `zero`'s is no block
+/// of this lattice (a torn write) and as unavailable as a lost one.
 ///
 /// # Errors
 ///
@@ -88,9 +89,14 @@ pub fn repair(
 ) -> Result<Block, RepairError> {
     let mut missing = Vec::new();
     let walk = each(&mut |pair| {
-        let got = pair.map(|m| m.map_or_else(|| Some(zero.clone()), &mut *lookup));
+        let got = pair.map(|m| match m {
+            None => Some(zero.clone()),
+            Some(id) => lookup(id).filter(|b| b.len() == zero.len()),
+        });
         if let [Some(a), Some(b)] = &got {
-            return ControlFlow::Break(a.xor(b).expect("lattice blocks share one size"));
+            if let Ok(block) = a.xor(b) {
+                return ControlFlow::Break(block);
+            }
         }
         for (member, got) in pair.into_iter().zip(got) {
             match member {
@@ -285,6 +291,48 @@ mod tests {
         let oe = store.remove(&e).unwrap();
         assert_eq!(repair_logged(&cfg, &store, d, 30, &zero).0.unwrap(), od);
         assert_eq!(repair_logged(&cfg, &store, e, 30, &zero).0.unwrap(), oe);
+    }
+
+    /// A member of another size than the lattice's — a torn write — is as
+    /// absent as a lost one: the walk moves on to the next tuple, and with
+    /// every tuple torn the error names the torn members, never a panic.
+    #[test]
+    fn torn_members_count_as_unavailable() {
+        let cfg = Config::new(2, 2, 2).unwrap();
+        let store = ae_api::BlockMap::new();
+        let mut enc = Entangler::new(cfg, 8);
+        for k in 0..30u8 {
+            enc.entangle(Block::from_vec(vec![k; 8]))
+                .unwrap()
+                .insert_into(&store);
+        }
+        let zero = Block::zero(8);
+        let d = BlockId::Data(NodeId(15));
+        let original = store.remove(&d).unwrap();
+        let mut firsts = Vec::new();
+        tuples(&cfg, d, 30, |[first, _]| {
+            firsts.push(first.expect("an interior node has no virtual member"));
+            ControlFlow::<()>::Continue(())
+        })
+        .unwrap();
+        assert_eq!(firsts.len(), 2, "one tuple per strand");
+        let mut lookup = |q: BlockId| store.get(&q);
+        for (torn, first) in firsts.iter().enumerate() {
+            let whole = store.get(first).unwrap();
+            store.insert(*first, Block::from_vec(whole.as_slice()[..4].to_vec()));
+            let repaired = repair_block(&cfg, d, 30, &zero, &mut lookup);
+            if torn + 1 < firsts.len() {
+                assert_eq!(repaired.unwrap(), original);
+            } else {
+                assert_eq!(
+                    repaired.unwrap_err(),
+                    RepairError::NoCompleteTuple {
+                        target: d,
+                        missing: firsts.clone(),
+                    }
+                );
+            }
+        }
     }
 
     #[test]

@@ -51,8 +51,9 @@ use std::collections::HashMap;
 /// A read-only view that falls back to the scheme's single-block repair
 /// when the backend no longer holds a block — so restoring the encoder
 /// frontier survives a crash that *also* lost the frontier blocks, as
-/// long as they are repairable from surviving redundancy. Nothing is
-/// written back; [`super::Archive::scrub`] heals the backend afterwards.
+/// long as they are repairable from surviving redundancy. Its base is a
+/// `Prefetched`, so a torn frontier block is repaired as a lost one. Nothing
+/// is written back; [`super::Archive::scrub`] heals the backend afterwards.
 pub(super) struct RepairingSource<'a> {
     pub(super) scheme: &'a dyn RedundancyScheme,
     pub(super) base: &'a dyn BlockSource,
@@ -188,8 +189,13 @@ impl BlockSink for Collect {
 /// never reaches the backend again; any other reads through, or, once the
 /// view is **closed**, is absent. Filled only through `batch`, a window at
 /// a time.
+///
+/// A block of any size but the archive's is not this archive's — a torn
+/// write the backend took for a whole one — so it is absent to every
+/// scheme reading through this view, and a sweep sees it as corrupted.
 pub(super) struct Prefetched<'a, B: ?Sized> {
     store: &'a B,
+    block_size: usize,
     /// Whether the backend is a network away: a read then costs a round
     /// trip, so what was read is kept, repair reads are planned, and
     /// whole-archive planners — whose threads would read in an order
@@ -202,10 +208,11 @@ pub(super) struct Prefetched<'a, B: ?Sized> {
 }
 
 impl<'a, B: BlockRepo + ?Sized> Prefetched<'a, B> {
-    /// An empty view of `store`.
-    pub(super) fn new(store: &'a B, closed: bool) -> Self {
+    /// An empty view of `store`, whose blocks are `block_size` bytes.
+    pub(super) fn new(store: &'a B, block_size: usize, closed: bool) -> Self {
         Prefetched {
             store,
+            block_size,
             remote: store.as_async().is_some(),
             answers: HashMap::new(),
             closed,
@@ -226,15 +233,19 @@ impl<'a, B: BlockRepo + ?Sized> Prefetched<'a, B> {
     /// shows `each` the results in order. A network away they stay as
     /// answers: a block as itself, `NotFound` as absent, and nothing for
     /// an unreadable block, which still `fetch`es, as tampered bytes.
+    /// `each` sees a torn block as `Corrupted`.
     pub(super) fn sweep(
         &mut self,
         ids: impl Iterator<Item = BlockId> + Clone,
         mut each: impl FnMut(BlockId, &Result<Block, StoreError>),
     ) {
-        let (mut asked, keep) = (ids.clone(), self.remote);
-        let consume = |read| {
+        let (mut asked, keep, size) = (ids.clone(), self.remote, self.block_size);
+        let consume = |read: Result<Block, StoreError>| {
             let id = asked.next().expect("one read per id");
-            each(id, &read);
+            match &read {
+                Ok(block) if block.len() != size => each(id, &Err(StoreError::Corrupted(id))),
+                _ => each(id, &read),
+            }
             match read {
                 Ok(block) if keep => self.answers.insert(id, Some(block)),
                 Err(StoreError::NotFound(_)) if keep => self.answers.insert(id, None),
@@ -248,10 +259,11 @@ impl<'a, B: BlockRepo + ?Sized> Prefetched<'a, B> {
 
 impl<B: BlockRepo + ?Sized> BlockSource for Prefetched<'_, B> {
     fn fetch(&self, id: BlockId) -> Option<Block> {
-        match self.answers.get(&id) {
+        let found = match self.answers.get(&id) {
             Some(answer) => answer.clone(),
             None if self.closed => None,
             None => self.store.fetch(id),
-        }
+        };
+        found.filter(|block| block.len() == self.block_size)
     }
 }

@@ -474,7 +474,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             // lost, and goes straight to repair — and anything the scheme
             // did not announce still goes to the backend one call at a
             // time.
-            let mut known = Prefetched::new(store, false);
+            let mut known = Prefetched::new(store, ar.block_size, false);
             known.fill(ar.scheme.frontier_reads(&snapshot));
             let repairing = RepairingSource {
                 scheme: &*ar.scheme,

@@ -29,16 +29,14 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         let (store, bs): (&B, usize) = (&self.store, self.block_size);
         // Each block is appended as its read is consumed; a failed one
         // leaves a hole for its repair to fill.
-        let mut known = Prefetched::new(store, false);
+        let mut known = Prefetched::new(store, bs, false);
         let mut out = Vec::with_capacity(entry.byte_len);
         let mut holes = Vec::new();
-        // (A block of any other size is not this archive's — a torn write
-        // the backend took for a whole one: as good as unreadable. And a
-        // hole takes only the bytes the file can use, so the journaled
+        // (A hole takes only the bytes the file can use, so the journaled
         // block size alone never sizes an allocation.)
         known.sweep(self.positions.data_ids(extent), |id, read| match read {
-            Ok(block) if block.len() == bs => out.extend_from_slice(block.as_slice()),
-            _ => {
+            Ok(block) => out.extend_from_slice(block.as_slice()),
+            Err(_) => {
                 let end = out.len().saturating_add(bs);
                 let hole = out.len()..end.min(entry.byte_len.max(out.len()));
                 out.resize(hole.end, 0);
@@ -136,18 +134,14 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         // it. A plain backend answers again at call time, so nothing is
         // held; a network away the blocks are the snapshot stage 2 plans
         // on, closed: what the sweep did not return is absent.
-        let mut known = Prefetched::new(store, true);
+        let mut known = Prefetched::new(store, self.block_size, true);
         let (mut failed, mut quarantine) = (Vec::new(), Vec::new());
-        let bs = self.block_size;
+        // (A torn block is swept as corrupted: quarantined too.)
         known.sweep(stored.iter().copied(), |id, read| {
-            // A block of any other size is not this archive's — a torn
-            // write the backend took for a whole one — and no better
-            // than one that fails its checksum.
-            let torn = read.as_ref().is_ok_and(|block| block.len() != bs);
-            if torn || read.is_err() {
+            if read.is_err() {
                 failed.push(id);
             }
-            if torn || matches!(read, Err(StoreError::Corrupted(_))) {
+            if matches!(read, Err(StoreError::Corrupted(_))) {
                 quarantine.push(id);
             }
         });

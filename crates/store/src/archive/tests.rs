@@ -1051,7 +1051,7 @@ fn prefetched_answers_cost_no_round_trips_negative_ones_included() {
     let net = LatencyStore::uniform(inner, Runtime::new(Clock::virtual_time()), link, 1);
     let net = net.into_sync();
     let now = || net.runtime().now();
-    let mut known = Prefetched::new(&net, false);
+    let mut known = Prefetched::new(&net, 1, false);
     known.fill([data_id(1)]);
     // A network away, what a sweep read stays too.
     known.sweep([data_id(2)].into_iter(), |_, read| assert!(read.is_err()));
