@@ -6,7 +6,6 @@
 //! not have overheads for single failures" — a repair is one read of one
 //! block — but pays linearly in storage for every level of fault tolerance.
 
-use ae_blocks::Block;
 use parking_lot::Mutex;
 
 /// An n-way replication scheme.
@@ -53,55 +52,43 @@ impl Replication {
     pub fn storage_overhead_pct(&self) -> f64 {
         (self.n as f64 - 1.0) * 100.0
     }
-
-    /// Blocks read to repair a single lost copy: always 1 (Table IV).
-    pub fn single_failure_reads(&self) -> usize {
-        1
-    }
-
-    /// Failures tolerated per block: any `n − 1` copies may vanish.
-    pub fn max_tolerated_failures(&self) -> usize {
-        self.n - 1
-    }
-
-    /// "Encodes" a block: n identical copies (clones are O(1) by design of
-    /// [`Block`]).
-    pub fn encode(&self, data: &Block) -> Vec<Block> {
-        vec![data.clone(); self.n]
-    }
-
-    /// Repairs from any surviving copy, verifying its checksum first so a
-    /// corrupted replica is never propagated.
-    pub fn repair<'a>(&self, survivors: impl IntoIterator<Item = &'a Block>) -> Option<Block> {
-        survivors.into_iter().find(|b| b.verify().is_ok()).cloned()
-    }
-
-    /// Whether a block with `available` surviving copies is recoverable.
-    pub fn recoverable(&self, available: usize) -> bool {
-        available >= 1
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ae_api::{BlockMap, RedundancyScheme};
+    use ae_blocks::{Block, BlockId, NodeId, ReplicaId};
+
+    fn copy(copy: u16) -> BlockId {
+        BlockId::Replica(ReplicaId {
+            node: NodeId(1),
+            copy,
+        })
+    }
 
     #[test]
     fn encode_makes_n_copies() {
         let r = Replication::new(3);
+        let store = BlockMap::new();
         let b = Block::from_vec(vec![1, 2, 3]);
-        let copies = r.encode(&b);
-        assert_eq!(copies.len(), 3);
-        assert!(copies.iter().all(|c| *c == b));
+        r.encode_batch(std::slice::from_ref(&b), &store).unwrap();
+        assert_eq!(store.len(), 3);
+        assert!(store.entries().iter().all(|(_, c)| *c == b));
     }
 
     #[test]
     fn repair_returns_any_valid_copy() {
         let r = Replication::new(4);
+        let store = BlockMap::new();
         let b = Block::from_vec(vec![9; 32]);
-        let copies = r.encode(&b);
-        assert_eq!(r.repair(copies.iter().skip(3)), Some(b));
-        assert_eq!(r.repair(std::iter::empty()), None);
+        r.encode_batch(std::slice::from_ref(&b), &store).unwrap();
+        store.remove(&BlockId::Data(NodeId(1)));
+        store.remove(&copy(1));
+        store.remove(&copy(2));
+        assert_eq!(r.repair_block(&store, copy(1), 1), Ok(b));
+        store.remove(&copy(3));
+        assert!(r.repair_block(&store, copy(1), 1).is_err());
     }
 
     #[test]
@@ -109,16 +96,17 @@ mod tests {
         for (n, overhead) in [(2usize, 100.0), (3, 200.0), (4, 300.0)] {
             let r = Replication::new(n);
             assert_eq!(r.storage_overhead_pct(), overhead);
-            assert_eq!(r.single_failure_reads(), 1);
-            assert_eq!(r.max_tolerated_failures(), n - 1);
+            assert_eq!(r.repair_cost().single_failure_reads, 1);
         }
     }
 
     #[test]
     fn recoverable_with_one_survivor() {
-        let r = Replication::new(2);
-        assert!(r.recoverable(1));
-        assert!(!r.recoverable(0));
+        // Any n − 1 copies may vanish.
+        let r = Replication::new(4);
+        let data = BlockId::Data(NodeId(1));
+        assert!(r.is_repairable(data, 1, &|id| id == copy(3)));
+        assert!(!r.is_repairable(data, 1, &|_| false));
     }
 
     #[test]

@@ -7,10 +7,16 @@
 //! systems (Plank's tutorial, reference \[2\] of the paper; Backblaze's
 //! open-source encoder, reference \[32\]).
 //!
+//! One formula encodes and repairs: member `j` of a stripe is
+//! `Σ_c (G_j · S⁻¹)[c] · survivor_c`, over `k` survivors whose generator
+//! rows are `S`. Encoding is the case `S = I` (the survivors are the data
+//! blocks), so rebuilding one member costs `k` multiply-accumulates.
+//!
 //! The paper's cost model (§I, Table IV): repairing a single lost shard
 //! requires reading `k` surviving shards and moving `k · B` bytes — this is
 //! what AE codes beat with their fixed two-block repairs.
 
+use ae_blocks::Block;
 use ae_gf::{field, Gf256, Matrix};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -18,8 +24,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default cap on memoized decode matrices; when full the cache is reset.
-/// Override per instance with [`ReedSolomon::with_decode_cache_cap`].
+/// Cap on memoized decode matrices; when full the cache is reset.
 ///
 /// The bound only matters under adversarial erasure-pattern churn: one
 /// entry costs k·k bytes plus the key, and a (k, m) code has at most
@@ -27,7 +32,7 @@ use std::sync::Arc;
 /// the lock hold time constant.
 pub const DEFAULT_DECODE_CACHE_MAX: usize = 128;
 
-/// Errors from Reed-Solomon operations.
+/// Errors from building a Reed-Solomon code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RsError {
     /// k and m must be positive and k + m ≤ 256 (GF(2^8) field size).
@@ -37,69 +42,45 @@ pub enum RsError {
         /// Requested parity shards.
         m: usize,
     },
-    /// The caller passed a shard set of the wrong length.
-    WrongShardCount {
-        /// Expected k + m.
-        expected: usize,
-        /// Provided length.
-        actual: usize,
-    },
-    /// Shards present disagree on length, or a data shard list had
-    /// mismatched sizes.
-    ShardSizeMismatch,
-    /// Fewer than k shards survive: the stripe is damaged beyond repair.
-    TooFewShards {
-        /// Shards still available.
-        available: usize,
-        /// Shards required (k).
-        required: usize,
-    },
 }
 
 impl fmt::Display for RsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RsError::InvalidParameters { k, m } => {
-                write!(
-                    f,
-                    "invalid RS parameters k={k}, m={m} (need k,m >= 1, k+m <= 256)"
-                )
-            }
-            RsError::WrongShardCount { expected, actual } => {
-                write!(f, "expected {expected} shards, got {actual}")
-            }
-            RsError::ShardSizeMismatch => write!(f, "shards have mismatched sizes"),
-            RsError::TooFewShards {
-                available,
-                required,
-            } => write!(
-                f,
-                "stripe unrecoverable: {available} shards available, {required} required"
-            ),
-        }
+        let RsError::InvalidParameters { k, m } = self;
+        write!(
+            f,
+            "invalid RS parameters k={k}, m={m} (need k,m >= 1, k+m <= 256)"
+        )
     }
 }
 
 impl std::error::Error for RsError {}
 
-/// A systematic RS(k, m) erasure code.
+/// A systematic RS(k, m) erasure code, driven through its
+/// [`RedundancyScheme`](ae_api::RedundancyScheme) implementation.
 ///
 /// # Examples
 ///
 /// ```
-/// use ae_baselines::ReedSolomon;
+/// use ae_api::BlockMap;
+/// use ae_baselines::{RedundancyScheme, ReedSolomon};
+/// use ae_blocks::{Block, BlockId, NodeId, ShardId};
 ///
 /// let rs = ReedSolomon::new(4, 2).unwrap();
-/// let data: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8; 16]).collect();
-/// let parity = rs.encode(&data).unwrap();
+/// let store = BlockMap::new();
+/// let data: Vec<Block> = (0..4).map(|i| Block::from_vec(vec![i as u8; 16])).collect();
+/// rs.encode_batch(&data, &store).unwrap(); // one full stripe: 2 parity shards
 ///
-/// // Lose any two shards; reconstruction recovers them.
-/// let mut shards: Vec<Option<Vec<u8>>> =
-///     data.iter().chain(&parity).cloned().map(Some).collect();
-/// shards[1] = None;
-/// shards[5] = None;
-/// rs.reconstruct(&mut shards).unwrap();
-/// assert_eq!(shards[1].as_deref(), Some(&data[1][..]));
+/// // Lose any two members: each rebuilds from k = 4 survivors.
+/// let lost = [
+///     BlockId::Data(NodeId(2)),
+///     BlockId::Shard(ShardId { stripe: 0, index: 1 }),
+/// ];
+/// for id in &lost {
+///     store.remove(id);
+/// }
+/// assert_eq!(rs.repair_block(&store, lost[0], 4).unwrap(), data[1]);
+/// assert!(rs.repair_missing(&store, &lost, 4).fully_recovered());
 /// ```
 #[derive(Debug)]
 pub struct ReedSolomon {
@@ -117,8 +98,6 @@ pub struct ReedSolomon {
     /// in particular always selects the same rows — so repairs after the
     /// first skip the O(k³) Gauss-Jordan inversion entirely.
     decode_cache: Mutex<HashMap<Vec<usize>, Arc<Matrix>>>,
-    /// Per-instance cap on `decode_cache`; 0 disables memoization.
-    decode_cache_cap: usize,
     /// Lookups served from `decode_cache`.
     cache_hits: AtomicU64,
     /// Lookups that had to run the O(k³) inversion.
@@ -131,7 +110,7 @@ pub(crate) struct RsEncoderState {
     /// Data blocks written through the scheme API.
     pub(crate) written: u64,
     /// Buffered data blocks of the current (incomplete) stripe.
-    pub(crate) pending: Vec<ae_blocks::Block>,
+    pub(crate) pending: Vec<Block>,
 }
 
 impl Clone for ReedSolomon {
@@ -142,7 +121,6 @@ impl Clone for ReedSolomon {
             generator: self.generator.clone(),
             enc: Mutex::new(self.enc.lock().clone()),
             decode_cache: Mutex::new(self.decode_cache.lock().clone()),
-            decode_cache_cap: self.decode_cache_cap,
             cache_hits: AtomicU64::new(self.cache_hits.load(Ordering::Relaxed)),
             cache_misses: AtomicU64::new(self.cache_misses.load(Ordering::Relaxed)),
         }
@@ -168,40 +146,16 @@ impl ReedSolomon {
             generator,
             enc: Mutex::new(RsEncoderState::default()),
             decode_cache: Mutex::new(HashMap::new()),
-            decode_cache_cap: DEFAULT_DECODE_CACHE_MAX,
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
         })
-    }
-
-    /// Sets the decode-matrix memoization cap for this instance.
-    ///
-    /// `0` disables memoization: every repair pays the O(k³) inversion,
-    /// which is the right trade when erasure patterns never repeat (e.g.
-    /// one-shot disaster sweeps) and the k·k-byte entries would only
-    /// accumulate. The existing cache is trimmed to fit immediately.
-    #[must_use]
-    pub fn with_decode_cache_cap(self, cap: usize) -> Self {
-        if self.decode_cache.lock().len() > cap {
-            self.decode_cache.lock().clear();
-        }
-        ReedSolomon {
-            decode_cache_cap: cap,
-            ..self
-        }
-    }
-
-    /// The decode-matrix memoization cap currently in force.
-    pub fn decode_cache_cap(&self) -> usize {
-        self.decode_cache_cap
     }
 
     /// Decode-cache effectiveness counters as `(hits, misses)`.
     ///
     /// Hits served the inverted decode matrix from the per-pattern memo;
     /// misses ran the O(k³) Gauss-Jordan inversion. Counters are
-    /// monotonic over the instance's lifetime (clones inherit a snapshot)
-    /// and count lookups even when the cap is 0.
+    /// monotonic over the instance's lifetime (clones inherit a snapshot).
     pub fn decode_cache_stats(&self) -> (u64, u64) {
         (
             self.cache_hits.load(Ordering::Relaxed),
@@ -215,7 +169,7 @@ impl ReedSolomon {
     /// The inversion runs outside the lock: a concurrent miss on the same
     /// pattern duplicates the work once but never serializes repairs
     /// behind an O(k³) critical section.
-    fn cached_decode_matrix(&self, rows: &[usize]) -> Arc<Matrix> {
+    pub(crate) fn cached_decode_matrix(&self, rows: &[usize]) -> Arc<Matrix> {
         if let Some(inv) = self.decode_cache.lock().get(rows) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(inv);
@@ -226,13 +180,11 @@ impl ReedSolomon {
             sub.inverse()
                 .expect("every k x k generator submatrix is invertible"),
         );
-        if self.decode_cache_cap > 0 {
-            let mut cache = self.decode_cache.lock();
-            if cache.len() >= self.decode_cache_cap {
-                cache.clear();
-            }
-            cache.insert(rows.to_vec(), Arc::clone(&inv));
+        let mut cache = self.decode_cache.lock();
+        if cache.len() >= DEFAULT_DECODE_CACHE_MAX {
+            cache.clear();
         }
+        cache.insert(rows.to_vec(), Arc::clone(&inv));
         inv
     }
 
@@ -252,185 +204,105 @@ impl ReedSolomon {
         self.m
     }
 
-    /// Total shards per stripe.
-    pub fn total_shards(&self) -> usize {
-        self.k + self.m
-    }
-
     /// Additional storage as a percentage of the original data:
     /// `m/k · 100` (Table IV).
     pub fn storage_overhead_pct(&self) -> f64 {
         self.m as f64 / self.k as f64 * 100.0
     }
 
-    /// Shards read to repair a single lost shard (Table IV's "SF" row).
-    pub fn single_failure_reads(&self) -> usize {
-        self.k
-    }
-
-    /// Encodes `k` equal-length data shards into `m` parity shards.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the shard count or sizes are wrong.
-    pub fn encode(&self, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, RsError> {
-        if data.len() != self.k {
-            return Err(RsError::WrongShardCount {
-                expected: self.k,
-                actual: data.len(),
-            });
+    /// Member `j` (its generator row) of a stripe of `len`-byte blocks:
+    /// `Σ_c (G_j · S⁻¹)[c] · survivor_c`, with `inv` the inverse of the
+    /// survivors' generator rows `S` — `None` for `S = I`, the data blocks.
+    /// A `None` survivor, and any past the end of `survivors`, is a virtual
+    /// all-zero block: it adds nothing.
+    pub(crate) fn member(
+        &self,
+        j: usize,
+        inv: Option<&Matrix>,
+        survivors: &[Option<&Block>],
+        len: usize,
+    ) -> Block {
+        let g = self.generator.row(j);
+        let mut out = vec![0u8; len];
+        for (c, survivor) in survivors.iter().enumerate() {
+            let Some(block) = survivor else { continue };
+            let coeff = match inv {
+                Some(inv) => (0..self.k).fold(Gf256::ZERO, |acc, i| acc + g[i] * inv[(i, c)]),
+                None => g[c],
+            };
+            field::mul_slice_acc(coeff, block.as_slice(), &mut out);
         }
-        let len = data[0].len();
-        if data.iter().any(|d| d.len() != len) {
-            return Err(RsError::ShardSizeMismatch);
-        }
-        let mut parity = vec![vec![0u8; len]; self.m];
-        for (r, out) in parity.iter_mut().enumerate() {
-            let row = self.generator.row(self.k + r);
-            for (c, shard) in data.iter().enumerate() {
-                field::mul_slice_acc(row[c], shard, out);
-            }
-        }
-        Ok(parity)
-    }
-
-    /// Reconstructs all missing shards in place. `shards[i] = None` marks an
-    /// erasure; indices `0..k` are data, `k..k+m` parity.
-    ///
-    /// # Errors
-    ///
-    /// Fails if fewer than `k` shards are present, the vector has the wrong
-    /// length, or present shards disagree on size.
-    pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), RsError> {
-        if shards.len() != self.total_shards() {
-            return Err(RsError::WrongShardCount {
-                expected: self.total_shards(),
-                actual: shards.len(),
-            });
-        }
-        let present: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_some()).collect();
-        if present.len() < self.k {
-            return Err(RsError::TooFewShards {
-                available: present.len(),
-                required: self.k,
-            });
-        }
-        if present
-            .iter()
-            .map(|&i| shards[i].as_ref().expect("present").len())
-            .collect::<std::collections::HashSet<_>>()
-            .len()
-            > 1
-        {
-            return Err(RsError::ShardSizeMismatch);
-        }
-        if present.len() == shards.len() {
-            return Ok(()); // nothing missing
-        }
-        let len = shards[present[0]].as_ref().expect("present").len();
-
-        // Invert the k×k submatrix of the generator for k surviving shards
-        // (memoized per erasure pattern); its product with those shards
-        // yields the data shards.
-        let rows: Vec<usize> = present.iter().take(self.k).copied().collect();
-        let inv = self.cached_decode_matrix(&rows);
-
-        let mut data: Vec<Vec<u8>> = Vec::with_capacity(self.k);
-        for r in 0..self.k {
-            let mut out = vec![0u8; len];
-            for (c, &src_row) in rows.iter().enumerate() {
-                let coeff = inv[(r, c)];
-                let shard = shards[src_row].as_ref().expect("selected rows are present");
-                field::mul_slice_acc(coeff, shard, &mut out);
-            }
-            data.push(out);
-        }
-
-        // Fill in missing data shards, then recompute missing parities.
-        for i in 0..self.k {
-            if shards[i].is_none() {
-                shards[i] = Some(data[i].clone());
-            }
-        }
-        for r in 0..self.m {
-            if shards[self.k + r].is_none() {
-                let row = self.generator.row(self.k + r);
-                let mut out = vec![0u8; len];
-                for (c, d) in data.iter().enumerate() {
-                    field::mul_slice_acc(row[c], d, &mut out);
-                }
-                shards[self.k + r] = Some(out);
-            }
-        }
-        Ok(())
-    }
-
-    /// Convenience check used by the availability-plane simulator: a stripe
-    /// with `available` of `k + m` shards survives iff `available ≥ k`.
-    pub fn stripe_recoverable(&self, available: usize) -> bool {
-        available >= self.k
-    }
-
-    /// The generator coefficient for parity row `r` and data column `c`
-    /// (exposed for tests certifying the MDS property).
-    pub fn parity_coefficient(&self, r: usize, c: usize) -> Gf256 {
-        self.generator[(self.k + r, c)]
+        Block::from_vec(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ae_api::{BlockMap, RedundancyScheme, RepairError};
+    use ae_blocks::{BlockId, NodeId};
 
-    fn sample_data(k: usize, len: usize) -> Vec<Vec<u8>> {
-        (0..k)
+    /// RS(k, m) over `n` 64-byte data blocks, encoded and sealed.
+    fn sealed(k: usize, m: usize, n: usize) -> (ReedSolomon, BlockMap) {
+        let rs = ReedSolomon::new(k, m).unwrap();
+        let store = BlockMap::new();
+        let data: Vec<Block> = (0..n)
             .map(|i| {
-                (0..len)
-                    .map(|b| ((i * 37 + b * 11 + 5) % 251) as u8)
-                    .collect()
+                Block::from_vec(
+                    (0..64)
+                        .map(|b| ((i * 37 + b * 11 + 5) % 251) as u8)
+                        .collect(),
+                )
             })
-            .collect()
+            .collect();
+        rs.encode_batch(&data, &store).unwrap();
+        rs.seal(&store).unwrap();
+        (rs, store)
     }
 
-    fn roundtrip(k: usize, m: usize, erase: &[usize]) {
-        let rs = ReedSolomon::new(k, m).unwrap();
-        let data = sample_data(k, 64);
-        let parity = rs.encode(&data).unwrap();
-        let full: Vec<Vec<u8>> = data.iter().chain(&parity).cloned().collect();
-        let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-        for &e in erase {
-            shards[e] = None;
+    /// Loses the members of stripe `t` at `erase` (stripe order: data,
+    /// then parity), checks each `repair_block` against the original, then
+    /// that `repair_missing` restores them all.
+    fn roundtrip(rs: &ReedSolomon, store: &BlockMap, t: u64, erase: &[usize]) {
+        let (n, name) = (rs.data_written(), rs.scheme_name());
+        let members: Vec<BlockId> = rs.stripe_members(t).collect();
+        let lost: Vec<BlockId> = erase.iter().map(|&e| members[e]).collect();
+        let originals: Vec<Block> = lost.iter().map(|id| store.remove(id).unwrap()).collect();
+        for (id, original) in lost.iter().zip(&originals) {
+            let repaired = rs.repair_block(store, *id, n);
+            assert_eq!(repaired.as_ref(), Ok(original), "{id} of {name}");
         }
-        rs.reconstruct(&mut shards).unwrap();
-        for (i, s) in shards.iter().enumerate() {
-            assert_eq!(s.as_ref().unwrap(), &full[i], "shard {i} of RS({k},{m})");
+        assert!(rs.repair_missing(store, &lost, n).fully_recovered());
+        for (id, original) in lost.iter().zip(&originals) {
+            assert_eq!(store.get(id).as_ref(), Some(original), "{id} of {name}");
         }
     }
 
     #[test]
     fn paper_settings_roundtrip() {
-        // All four settings from Table IV, erasing a mix of data + parity.
-        roundtrip(10, 4, &[0, 3, 11, 13]);
-        roundtrip(8, 2, &[7, 9]);
-        roundtrip(5, 5, &[0, 1, 2, 3, 4]); // all data lost, parity survives
-        roundtrip(4, 12, &[0, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]); // m losses
+        // All four settings from Table IV, erasing a mix of data and
+        // parity, in full stripes and in virtual-padded final ones.
+        let (rs, store) = sealed(10, 4, 23);
+        roundtrip(&rs, &store, 0, &[0, 3, 11, 13]);
+        roundtrip(&rs, &store, 2, &[0, 2, 10, 13]); // 3 stored data blocks
+        let (rs, store) = sealed(8, 2, 16);
+        roundtrip(&rs, &store, 1, &[7, 9]);
+        let (rs, store) = sealed(5, 5, 7);
+        roundtrip(&rs, &store, 0, &[0, 1, 2, 3, 4]); // all data lost, parity survives
+        roundtrip(&rs, &store, 1, &[0, 1, 5, 6, 9]);
+        let (rs, store) = sealed(4, 12, 4);
+        roundtrip(&rs, &store, 0, &[0, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]); // m losses
     }
 
     #[test]
     fn tolerates_any_m_erasures_exhaustively_small() {
-        // RS(3,2): all C(5,2)=10 double-erasure patterns.
-        let rs = ReedSolomon::new(3, 2).unwrap();
-        let data = sample_data(3, 16);
-        let parity = rs.encode(&data).unwrap();
-        let full: Vec<Vec<u8>> = data.iter().chain(&parity).cloned().collect();
-        for a in 0..5 {
-            for b in (a + 1)..5 {
-                let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-                shards[a] = None;
-                shards[b] = None;
-                rs.reconstruct(&mut shards).unwrap();
-                for (i, s) in shards.iter().enumerate() {
-                    assert_eq!(s.as_ref().unwrap(), &full[i], "erasures ({a},{b})");
+        // RS(3,2): every double erasure of the full stripe, and of the
+        // stored members of the padded one (data 6 is virtual).
+        let (rs, store) = sealed(3, 2, 5);
+        for (t, stored) in [(0, vec![0, 1, 2, 3, 4]), (1, vec![0, 1, 3, 4])] {
+            for (i, &a) in stored.iter().enumerate() {
+                for &b in &stored[i + 1..] {
+                    roundtrip(&rs, &store, t, &[a, b]);
                 }
             }
         }
@@ -438,23 +310,39 @@ mod tests {
 
     #[test]
     fn more_than_m_erasures_fail() {
-        let rs = ReedSolomon::new(4, 2).unwrap();
-        let data = sample_data(4, 8);
-        let parity = rs.encode(&data).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> =
-            data.iter().chain(&parity).cloned().map(Some).collect();
-        shards[0] = None;
-        shards[1] = None;
-        shards[2] = None;
+        let (rs, store) = sealed(4, 2, 4);
+        let lost: Vec<BlockId> = (1..=3).map(|i| BlockId::Data(NodeId(i))).collect();
+        for id in &lost {
+            store.remove(id);
+        }
+        // 3 of 6 members left, k = 4 needed: the error names the others.
         assert_eq!(
-            rs.reconstruct(&mut shards),
-            Err(RsError::TooFewShards {
-                available: 3,
-                required: 4
+            rs.repair_block(&store, lost[0], 4),
+            Err(RepairError::NoCompleteTuple {
+                target: lost[0],
+                missing: lost[1..].to_vec(),
             })
         );
-        assert!(!rs.stripe_recoverable(3));
-        assert!(rs.stripe_recoverable(4));
+        assert_eq!(rs.repair_missing(&store, &lost, 4).unrecovered, lost);
+        assert_eq!(rs.decode_cache_stats(), (0, 0), "no solve was attempted");
+    }
+
+    #[test]
+    fn members_disagreeing_on_length_are_typed() {
+        // A torn member: typed, never a panic in the GF kernel.
+        let (rs, store) = sealed(4, 2, 4);
+        let (d1, d2) = (BlockId::Data(NodeId(1)), BlockId::Data(NodeId(2)));
+        store.remove(&d1);
+        let whole = store.get(&d2).unwrap();
+        store.insert(d2, Block::from_vec(whole.as_slice()[..32].to_vec()));
+        assert_eq!(
+            rs.repair_block(&store, d1, 4),
+            Err(RepairError::NoCompleteTuple {
+                target: d1,
+                missing: Vec::new(),
+            })
+        );
+        assert_eq!(rs.repair_missing(&store, &[d1], 4).unrecovered, [d1]);
     }
 
     #[test]
@@ -466,42 +354,14 @@ mod tests {
     }
 
     #[test]
-    fn encode_validates_inputs() {
-        let rs = ReedSolomon::new(3, 1).unwrap();
-        assert!(matches!(
-            rs.encode(&sample_data(2, 8)),
-            Err(RsError::WrongShardCount {
-                expected: 3,
-                actual: 2
-            })
-        ));
-        let mut ragged = sample_data(3, 8);
-        ragged[2].pop();
-        assert_eq!(rs.encode(&ragged), Err(RsError::ShardSizeMismatch));
-    }
-
-    #[test]
-    fn reconstruct_validates_inputs() {
-        let rs = ReedSolomon::new(2, 1).unwrap();
-        let mut wrong_len: Vec<Option<Vec<u8>>> = vec![Some(vec![0; 4]); 2];
-        assert!(matches!(
-            rs.reconstruct(&mut wrong_len),
-            Err(RsError::WrongShardCount { .. })
-        ));
-        let mut ragged: Vec<Option<Vec<u8>>> = vec![Some(vec![0; 4]), Some(vec![0; 5]), None];
-        assert_eq!(rs.reconstruct(&mut ragged), Err(RsError::ShardSizeMismatch));
-    }
-
-    #[test]
     fn nothing_missing_is_a_noop() {
-        let rs = ReedSolomon::new(2, 2).unwrap();
-        let data = sample_data(2, 8);
-        let parity = rs.encode(&data).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> =
-            data.iter().chain(&parity).cloned().map(Some).collect();
-        let before = shards.clone();
-        rs.reconstruct(&mut shards).unwrap();
-        assert_eq!(shards, before);
+        let (rs, store) = sealed(2, 2, 3);
+        let before = store.clone();
+        let summary = rs.repair_missing(&store, &rs.block_ids(3), 3);
+        assert!(summary.rounds.is_empty() && summary.fully_recovered());
+        assert_eq!(summary.blocks_read, 0);
+        assert_eq!(store, before);
+        assert_eq!(rs.decode_cache_stats(), (0, 0));
     }
 
     #[test]
@@ -512,50 +372,47 @@ mod tests {
                 (rs.storage_overhead_pct() - overhead).abs() < 1e-9,
                 "RS({k},{m})"
             );
-            assert_eq!(rs.single_failure_reads(), k, "SF cost of RS({k},{m})");
+            let reads = rs.repair_cost().single_failure_reads;
+            assert_eq!(reads as usize, k, "SF cost of RS({k},{m})");
         }
     }
 
     #[test]
     fn decode_matrix_is_memoized_per_erasure_pattern() {
-        let rs = ReedSolomon::new(4, 2).unwrap();
-        let data = sample_data(4, 32);
-        let parity = rs.encode(&data).unwrap();
-        let full: Vec<Vec<u8>> = data.iter().chain(&parity).cloned().collect();
+        let (rs, store) = sealed(4, 2, 4);
         assert_eq!(rs.decode_cache_len(), 0);
 
         // Same erasure pattern twice: one cache entry, correct repairs.
         for _ in 0..2 {
-            let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-            shards[1] = None;
-            rs.reconstruct(&mut shards).unwrap();
-            assert_eq!(shards[1].as_ref().unwrap(), &full[1]);
+            roundtrip(&rs, &store, 0, &[1]);
             assert_eq!(rs.decode_cache_len(), 1);
         }
 
         // A different pattern adds a second entry and still repairs.
-        let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-        shards[0] = None;
-        shards[5] = None;
-        rs.reconstruct(&mut shards).unwrap();
-        assert_eq!(shards[0].as_ref().unwrap(), &full[0]);
-        assert_eq!(shards[5].as_ref().unwrap(), &full[5]);
+        roundtrip(&rs, &store, 0, &[0, 5]);
         assert_eq!(rs.decode_cache_len(), 2);
+
+        // Every pattern of RS(5,5), 252 of them: the memo resets at its
+        // cap rather than grow past it.
+        let wide = ReedSolomon::new(5, 5).unwrap();
+        for mask in 0u32..1 << 10 {
+            if mask.count_ones() == 5 {
+                let rows: Vec<usize> = (0..10).filter(|r| mask >> r & 1 == 1).collect();
+                wide.cached_decode_matrix(&rows);
+                assert!(wide.decode_cache_len() <= DEFAULT_DECODE_CACHE_MAX);
+            }
+        }
+        assert_eq!(wide.decode_cache_stats(), (0, 252));
     }
 
     #[test]
     fn cache_counters_track_hits_and_misses() {
-        let rs = ReedSolomon::new(4, 2).unwrap();
-        assert_eq!(rs.decode_cache_cap(), DEFAULT_DECODE_CACHE_MAX);
-        let data = sample_data(4, 32);
-        let parity = rs.encode(&data).unwrap();
-        let full: Vec<Vec<u8>> = data.iter().chain(&parity).cloned().collect();
-
-        let lose = |idx: usize| {
-            let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-            shards[idx] = None;
-            rs.reconstruct(&mut shards).unwrap();
-            assert_eq!(shards[idx].as_ref().unwrap(), &full[idx]);
+        let (rs, store) = sealed(4, 2, 4);
+        let lose = |row: usize| {
+            let id = rs.stripe_members(0).nth(row).unwrap();
+            let original = store.remove(&id).unwrap();
+            assert_eq!(rs.repair_block(&store, id, 4).as_ref(), Ok(&original));
+            store.insert(id, original);
         };
         lose(1);
         lose(1);
@@ -572,45 +429,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_cap_bounds_the_memo_and_zero_disables_it() {
-        let rs = ReedSolomon::new(4, 2).unwrap().with_decode_cache_cap(2);
-        assert_eq!(rs.decode_cache_cap(), 2);
-        let data = sample_data(4, 32);
-        let parity = rs.encode(&data).unwrap();
-        let full: Vec<Vec<u8>> = data.iter().chain(&parity).cloned().collect();
-
-        let lose = |code: &ReedSolomon, idx: usize| {
-            let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-            shards[idx] = None;
-            code.reconstruct(&mut shards).unwrap();
-            assert_eq!(shards[idx].as_ref().unwrap(), &full[idx]);
-        };
-        // Three distinct patterns against cap 2: the cache resets when
-        // full, so it never exceeds the cap, and repairs stay correct.
-        lose(&rs, 0);
-        lose(&rs, 1);
-        assert_eq!(rs.decode_cache_len(), 2);
-        lose(&rs, 2);
-        assert!(rs.decode_cache_len() <= 2);
-
-        // Cap 0 never memoizes: every repair is a miss, zero entries.
-        let cold = ReedSolomon::new(4, 2).unwrap().with_decode_cache_cap(0);
-        lose(&cold, 1);
-        lose(&cold, 1);
-        assert_eq!(cold.decode_cache_len(), 0);
-        assert_eq!(cold.decode_cache_stats(), (0, 2));
-
-        // Lowering the cap trims an over-full cache immediately.
-        let shrunk = rs.with_decode_cache_cap(1);
-        assert!(shrunk.decode_cache_len() <= 1);
-    }
-
-    #[test]
     fn xor_parity_structure_for_m1() {
         // With one parity row of a Cauchy matrix, coefficients are nonzero.
         let rs = ReedSolomon::new(4, 1).unwrap();
         for c in 0..4 {
-            assert!(!rs.parity_coefficient(0, c).is_zero());
+            assert!(!rs.generator[(4, c)].is_zero());
         }
     }
 }

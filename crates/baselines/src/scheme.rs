@@ -18,6 +18,7 @@ use ae_api::{
     RepairError, RepairSummary, RoundStats, SnapshotReader, SnapshotWriter,
 };
 use ae_blocks::{Block, BlockId, NodeId, ReplicaId, ShardId};
+use ae_gf::Matrix;
 use std::collections::BTreeSet;
 
 impl ReedSolomon {
@@ -26,10 +27,11 @@ impl ReedSolomon {
         (i - 1) / self.k() as u64
     }
 
-    /// All member ids of stripe `t`, in stripe order: the `k` data
-    /// blocks, then the `m` parity shards. An iterator, so the structural
-    /// checks the availability plane runs per candidate allocate nothing.
-    fn stripe_members(&self, t: u64) -> impl Iterator<Item = BlockId> {
+    /// All member ids of stripe `t`, in stripe order — the `k` data
+    /// blocks, then the `m` parity shards, a member's position its
+    /// generator row. An iterator, so the structural checks the
+    /// availability plane runs per candidate allocate nothing.
+    pub(crate) fn stripe_members(&self, t: u64) -> impl Iterator<Item = BlockId> {
         let k = self.k() as u64;
         (t * k + 1..t * k + k + 1)
             .map(|i| BlockId::Data(NodeId(i)))
@@ -42,7 +44,7 @@ impl ReedSolomon {
     fn stripe_of_id(&self, id: BlockId) -> Option<u64> {
         match id {
             BlockId::Data(NodeId(i)) if i >= 1 => Some(self.stripe_of(i)),
-            BlockId::Shard(s) => Some(s.stripe),
+            BlockId::Shard(s) if usize::from(s.index) < self.m() => Some(s.stripe),
             _ => None,
         }
     }
@@ -54,66 +56,64 @@ impl ReedSolomon {
         matches!(id, BlockId::Data(NodeId(i)) if i > data_blocks)
     }
 
-    /// Encodes one full stripe of data blocks into its parity shards.
+    /// Encodes one stripe's data blocks into its parity shards; a final
+    /// stripe's missing data blocks are virtual zeros.
     fn emit_stripe(&self, t: u64, data: &[Block], sink: &dyn BlockSink, ids: &mut Vec<BlockId>) {
-        let shards: Vec<Vec<u8>> = data.iter().map(|b| b.as_slice().to_vec()).collect();
-        let parity = self
-            .encode(&shards)
-            .expect("stripe is k equal-sized blocks");
-        for (index, bytes) in parity.into_iter().enumerate() {
+        let survivors: Vec<Option<&Block>> = data.iter().map(Some).collect();
+        for index in 0..self.m() {
             let id = BlockId::Shard(ShardId {
                 stripe: t,
                 index: index as u16,
             });
-            sink.store(id, Block::from_vec(bytes));
+            let shard = self.member(self.k() + index, None, &survivors, data[0].len());
+            sink.store(id, shard);
             ids.push(id);
         }
     }
 
-    /// Decodes stripe `t` from whatever `source` has, returning the full
-    /// member contents, or the unavailable members that made decoding
-    /// impossible.
+    /// Decodes the members of stripe `t` at the generator rows `wanted`.
+    /// Every stored member is fetched, in stripe order; a wanted one that
+    /// is missing is computed from the first `k` present (virtual members
+    /// are present zeros). Fails with the unavailable members when fewer
+    /// than `k` are present or the present ones disagree on length.
     fn decode_stripe(
         &self,
         source: &dyn BlockSource,
         t: u64,
         data_blocks: u64,
+        wanted: &[usize],
     ) -> Result<Vec<Block>, Vec<BlockId>> {
-        let members: Vec<BlockId> = self.stripe_members(t).collect();
-        let mut shards: Vec<Option<Vec<u8>>> = Vec::with_capacity(members.len());
         let mut missing = Vec::new();
-        let mut len = None;
-        for &id in &members {
+        // Present members by generator row; `None` is a virtual one.
+        let mut present: Vec<(usize, Option<Block>)> = Vec::new();
+        for (row, id) in self.stripe_members(t).enumerate() {
             if self.is_virtual(id, data_blocks) {
-                shards.push(None); // filled with zeros once the length is known
-                continue;
-            }
-            match source.fetch(id) {
-                Some(b) => {
-                    len = Some(b.len());
-                    shards.push(Some(b.as_slice().to_vec()));
-                }
-                None => {
-                    missing.push(id);
-                    shards.push(None);
-                }
+                present.push((row, None));
+            } else if let Some(block) = source.fetch(id) {
+                present.push((row, Some(block)));
+            } else {
+                missing.push(id);
             }
         }
-        let Some(len) = len else {
-            return Err(missing); // nothing available at all
-        };
-        for (slot, &id) in shards.iter_mut().zip(&members) {
-            if self.is_virtual(id, data_blocks) {
-                *slot = Some(vec![0u8; len]);
-            }
-        }
-        if self.reconstruct(&mut shards).is_err() {
+        let mut lens = present
+            .iter()
+            .filter_map(|(_, b)| b.as_ref().map(Block::len));
+        let len = lens.next().filter(|&len| lens.all(|other| other == len));
+        let Some(len) = len.filter(|_| present.len() >= self.k()) else {
             return Err(missing);
-        }
-        Ok(shards
-            .into_iter()
-            .map(|s| Block::from_vec(s.expect("reconstruct fills every slot")))
-            .collect())
+        };
+        let survivors = &present[..self.k()];
+        let rows: Vec<usize> = survivors.iter().map(|&(row, _)| row).collect();
+        let survivors: Vec<Option<&Block>> = survivors.iter().map(|(_, b)| b.as_ref()).collect();
+        let mut inv = None;
+        let decode = |j: usize| match present.iter().find(|&&(row, _)| row == j) {
+            Some((_, block)) => block.clone().unwrap_or_else(|| Block::zero(len)),
+            None => {
+                let inv: &Matrix = inv.get_or_insert_with(|| self.cached_decode_matrix(&rows));
+                self.member(j, Some(inv), &survivors, len)
+            }
+        };
+        Ok(wanted.iter().copied().map(decode).collect())
     }
 }
 
@@ -171,11 +171,9 @@ impl RedundancyScheme for ReedSolomon {
         if enc.pending.is_empty() {
             return Ok(Vec::new());
         }
-        // Complete the final stripe with virtual zero data blocks; only the
-        // parity shards are stored.
-        let len = enc.pending[0].len();
-        let mut stripe = std::mem::take(&mut enc.pending);
-        stripe.resize(self.k(), Block::zero(len));
+        // The final stripe's missing data blocks are virtual zeros; only
+        // its parity shards are stored.
+        let stripe = std::mem::take(&mut enc.pending);
         let t = self.stripe_of(enc.written);
         let mut ids = Vec::new();
         self.emit_stripe(t, &stripe, sink, &mut ids);
@@ -266,12 +264,12 @@ impl RedundancyScheme for ReedSolomon {
                 written: data_blocks,
             });
         }
-        let index = self
+        let row = self
             .stripe_members(t)
             .position(|v| v == id)
             .expect("member of its own stripe");
-        match self.decode_stripe(source, t, data_blocks) {
-            Ok(blocks) => Ok(blocks[index].clone()),
+        match self.decode_stripe(source, t, data_blocks, &[row]) {
+            Ok(mut blocks) => Ok(blocks.remove(0)),
             Err(missing) => Err(RepairError::NoCompleteTuple {
                 target: id,
                 missing: missing.into_iter().filter(|&v| v != id).collect(),
@@ -285,7 +283,7 @@ impl RedundancyScheme for ReedSolomon {
         targets: &[BlockId],
         data_blocks: u64,
     ) -> RepairSummary {
-        // One decode per damaged stripe restores every missing member at
+        // One decode per damaged stripe restores its missing members at
         // once; nothing a second round could add (MDS codes have no repair
         // chains).
         let mut stripes: BTreeSet<u64> = BTreeSet::new();
@@ -303,17 +301,19 @@ impl RedundancyScheme for ReedSolomon {
         let mut data_repaired = 0;
         let mut blocks_read = 0;
         for t in stripes {
-            let Ok(blocks) = self.decode_stripe(repo, t, data_blocks) else {
+            let members: Vec<BlockId> = self.stripe_members(t).collect();
+            let wanted: Vec<usize> = (0..members.len())
+                .filter(|&row| missing.contains(&members[row]))
+                .collect();
+            let Ok(blocks) = self.decode_stripe(repo, t, data_blocks, &wanted) else {
                 continue; // stripe damaged beyond recovery
             };
             blocks_read += self.k() as u64;
-            for (member, block) in self.stripe_members(t).zip(blocks) {
-                if missing.contains(&member) {
-                    repo.store(member, block);
-                    repaired += 1;
-                    if member.is_data() {
-                        data_repaired += 1;
-                    }
+            for (row, block) in wanted.into_iter().zip(blocks) {
+                repo.store(members[row], block);
+                repaired += 1;
+                if members[row].is_data() {
+                    data_repaired += 1;
                 }
             }
         }
@@ -730,6 +730,16 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        // A shard index past m is no member of any stripe.
+        let ghost = BlockId::Shard(ShardId {
+            stripe: 0,
+            index: 2,
+        });
+        assert_eq!(
+            rs.repair_block(&store, ghost, 6),
+            Err(RepairError::ForeignBlock { id: ghost })
+        );
+        assert!(!rs.is_repairable(ghost, 6, &|_| true));
         assert!(matches!(
             rs.repair_block(
                 &store,

@@ -310,11 +310,11 @@ mod tests {
         let d = BlockId::Data(NodeId(15));
         let original = store.remove(&d).unwrap();
         let mut firsts = Vec::new();
-        tuples(&cfg, d, 30, |[first, _]| {
+        let walk = tuples(&cfg, d, 30, |[first, _]| {
             firsts.push(first.expect("an interior node has no virtual member"));
             ControlFlow::<()>::Continue(())
-        })
-        .unwrap();
+        });
+        assert_eq!(walk, Ok(ControlFlow::Continue(())));
         assert_eq!(firsts.len(), 2, "one tuple per strand");
         let mut lookup = |q: BlockId| store.get(&q);
         for (torn, first) in firsts.iter().enumerate() {

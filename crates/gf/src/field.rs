@@ -79,11 +79,6 @@ impl Gf256 {
         self.0 == 0
     }
 
-    /// `g^e` where `g = 2` is the generator; exponents wrap mod 255.
-    pub fn pow_of_generator(e: u64) -> Gf256 {
-        Gf256(tables().exp[(e % GROUP_ORDER as u64) as usize])
-    }
-
     /// `self^e` by table lookup (O(1)); `0^0 = 1` by convention.
     pub fn pow(self, e: u64) -> Gf256 {
         if self.is_zero() {
@@ -291,7 +286,7 @@ mod tests {
         // g^k for k in 0..255 must enumerate all 255 nonzero elements.
         let mut seen = [false; 256];
         for k in 0..255u64 {
-            let v = Gf256::pow_of_generator(k);
+            let v = Gf256::GENERATOR.pow(k);
             assert!(!v.is_zero());
             assert!(!seen[v.0 as usize], "g^{k} repeated");
             seen[v.0 as usize] = true;

@@ -8,8 +8,8 @@
 //!   `x^8 + x^4 + x^3 + x^2 + 1` (0x11D, the usual Reed-Solomon choice),
 //!   using log/exp tables for O(1) multiplication and division.
 //! * [`matrix`] — dense matrices over GF(2^8): multiplication, Gaussian
-//!   elimination, inversion, and the Vandermonde/Cauchy constructions used
-//!   to build systematic RS generator matrices.
+//!   elimination, inversion, and the Cauchy construction of the systematic
+//!   RS generator `[I; C]`.
 //!
 //! Nothing in this crate is specific to storage; it is plain coding-theory
 //! machinery.

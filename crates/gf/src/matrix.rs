@@ -2,8 +2,9 @@
 //!
 //! Reed-Solomon encoding multiplies the data vector by a generator matrix;
 //! erasure decoding inverts the square submatrix of surviving rows. This
-//! module provides exactly that machinery, plus the Vandermonde and Cauchy
-//! constructions that guarantee every k×k submatrix is invertible.
+//! module provides exactly that machinery, plus the Cauchy construction of
+//! the systematic generator `[I; C]`, every k×k submatrix of which is
+//! invertible.
 
 use crate::field::Gf256;
 use std::fmt;
@@ -68,26 +69,6 @@ impl Matrix {
             }
         }
         m
-    }
-
-    /// Builds a matrix from rows of raw bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows have unequal lengths.
-    pub fn from_rows(rows: &[Vec<u8>]) -> Self {
-        let cols = rows.first().map_or(0, Vec::len);
-        assert!(rows.iter().all(|r| r.len() == cols), "ragged rows");
-        Matrix::from_fn(rows.len(), cols, |r, c| Gf256(rows[r][c]))
-    }
-
-    /// The `rows × cols` Vandermonde matrix `V[r][c] = r^c` over GF(2^8)
-    /// with evaluation points `0, 1, …, rows−1`.
-    ///
-    /// Used as the starting point for the systematic RS generator; after the
-    /// systematization step every k×k submatrix remains invertible.
-    pub fn vandermonde(rows: usize, cols: usize) -> Self {
-        Matrix::from_fn(rows, cols, |r, c| Gf256(r as u8).pow(c as u64))
     }
 
     /// The `m × k` Cauchy matrix `C[i][j] = 1 / (x_i + y_j)` with
@@ -296,7 +277,7 @@ mod tests {
 
     #[test]
     fn identity_times_anything() {
-        let m = Matrix::vandermonde(4, 4);
+        let m = Matrix::from_fn(4, 4, |r, c| Gf256(r as u8).pow(c as u64));
         let i = Matrix::identity(4);
         assert_eq!(i.mul(&m).unwrap(), m);
         assert_eq!(m.mul(&i).unwrap(), m);
@@ -314,7 +295,8 @@ mod tests {
     #[test]
     fn singular_matrix_detected() {
         // Two equal rows.
-        let m = Matrix::from_rows(&[vec![1, 2, 3], vec![1, 2, 3], vec![0, 1, 0]]);
+        let rows = [[1, 2, 3], [1, 2, 3], [0, 1, 0]];
+        let m = Matrix::from_fn(3, 3, |r, c| Gf256(rows[r][c]));
         assert_eq!(m.inverse().unwrap_err(), MatrixError::Singular);
         assert_eq!(m.rank(), 2);
     }

@@ -261,7 +261,10 @@ fn a_torn_tuple_member_is_absent_to_degraded_reads() {
         });
         let torn = read_set.into_inner()[0];
         let whole = store.get(torn).expect("the read set was stored");
-        store.put(torn, Block::from_vec(whole.as_slice()[..BLOCK / 2].to_vec()));
+        store.put(
+            torn,
+            Block::from_vec(whole.as_slice()[..BLOCK / 2].to_vec()),
+        );
 
         if name == "2-way replic." {
             assert!(

@@ -1,7 +1,7 @@
 //! Property-based tests on the core invariants.
 
 use aecodes::baselines::ReedSolomon;
-use aecodes::blocks::{Block, BlockId, EdgeId, NodeId};
+use aecodes::blocks::{Block, BlockId, EdgeId, NodeId, ShardId};
 use aecodes::core::{BlockMap, Code, RedundancyScheme};
 use aecodes::gf::Gf256;
 use aecodes::lattice::{me, Config, LatticeBlock, MeSearch};
@@ -109,39 +109,52 @@ proptest! {
         );
     }
 
-    /// Reed-Solomon tolerates any erasure pattern of at most m shards and
-    /// reconstructs byte-identically.
+    /// Reed-Solomon tolerates any erasure pattern of at most m members of
+    /// a stripe — the final one virtual-padded when `extra < k` — and
+    /// rebuilds each byte-identically, alone and all at once.
     #[test]
     fn rs_tolerates_any_m_erasures(
         k in 2usize..9,
         m in 1usize..5,
+        extra in 1usize..9,
         seed: u64,
         erase_seed: u64,
     ) {
         let rs = ReedSolomon::new(k, m).unwrap();
+        let store = BlockMap::new();
+        let n = k + extra.min(k);
         let mut state = seed;
-        let data: Vec<Vec<u8>> = (0..k).map(|_| {
-            (0..40).map(|_| {
+        let data: Vec<Block> = (0..n).map(|_| {
+            Block::from_vec((0..40).map(|_| {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                 (state >> 33) as u8
-            }).collect()
+            }).collect())
         }).collect();
-        let parity = rs.encode(&data).unwrap();
-        let full: Vec<Vec<u8>> = data.iter().chain(&parity).cloned().collect();
-        let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-        // Erase exactly m pseudo-random positions.
+        rs.encode_batch(&data, &store).unwrap();
+        rs.seal(&store).unwrap();
+        // The stored members of the second stripe: its data blocks, then
+        // its m shards.
+        let members: Vec<BlockId> = (k + 1..=n)
+            .map(|i| BlockId::Data(NodeId(i as u64)))
+            .chain((0..m as u16).map(|index| BlockId::Shard(ShardId { stripe: 1, index })))
+            .collect();
+        // Erase exactly m pseudo-random members.
         let mut state = erase_seed;
-        let mut erased = std::collections::HashSet::new();
+        let mut erased = Vec::new();
         while erased.len() < m {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            erased.insert((state >> 33) as usize % (k + m));
+            let id = members[(state >> 33) as usize % members.len()];
+            if !erased.contains(&id) {
+                erased.push(id);
+            }
         }
-        for &e in &erased {
-            shards[e] = None;
+        let originals: Vec<Block> = erased.iter().map(|id| store.remove(id).unwrap()).collect();
+        for (id, original) in erased.iter().zip(&originals) {
+            prop_assert_eq!(&rs.repair_block(&store, *id, n as u64).unwrap(), original);
         }
-        rs.reconstruct(&mut shards).unwrap();
-        for (i, s) in shards.iter().enumerate() {
-            prop_assert_eq!(s.as_ref().unwrap(), &full[i]);
+        prop_assert!(rs.repair_missing(&store, &erased, n as u64).fully_recovered());
+        for (id, original) in erased.iter().zip(&originals) {
+            prop_assert_eq!(&store.get(id).unwrap(), original);
         }
     }
 
