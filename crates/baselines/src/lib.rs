@@ -8,9 +8,9 @@
 //! * [`replication::Replication`] — n-way replication: n parallel paths,
 //!   zero decode cost, (n−1)·100% storage overhead.
 //!
-//! Both implement [`RedundancyScheme`], whose `repair_cost`
-//! carries the reads per repair and the storage overhead the simulation
-//! crate's cost comparisons need (Table IV, Figs 11–13).
+//! Both implement [`RedundancyScheme`], whose `repair_cost` carries the
+//! reads per repair and the storage overhead the simulation crate's cost
+//! comparisons need (Table IV, Figs 11–13).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

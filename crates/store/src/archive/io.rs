@@ -228,6 +228,13 @@ impl<'a, B: BlockRepo + ?Sized> Prefetched<'a, B> {
         self.answers.extend(unknown.into_iter().zip(found));
     }
 
+    /// Whether the answers hold `id`, a torn block counting as absent;
+    /// `None` while it is not answered yet.
+    pub(super) fn answered(&self, id: BlockId) -> Option<bool> {
+        let answer = self.answers.get(&id)?;
+        Some(answer.as_ref().is_some_and(|b| b.len() == self.block_size))
+    }
+
     /// Reads `ids` as one batch — `read`, not `fetch`: a backend that
     /// verifies checksums reports tampered bytes as `Corrupted` — and
     /// shows `each` the results in order. A network away they stay as

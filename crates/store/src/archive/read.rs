@@ -84,11 +84,11 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             for (target, _) in failed {
                 let target = *target;
                 self.scheme.is_repairable(target, written, &|id| {
-                    let answer = known.answers.get(&id);
+                    let answer = known.answered(id);
                     if id != target && answer.is_none() {
                         unknown.borrow_mut().insert(id);
                     }
-                    id != target && answer.is_none_or(Option::is_some)
+                    id != target && answer.unwrap_or(true)
                 });
             }
             let unknown = unknown.into_inner();

@@ -235,50 +235,64 @@ fn legacy_ae_constructor_matches_hand_driven_code() {
 /// member its repair would read is torn. Every scheme with another intact
 /// repair option reads the file back, and scrub heals both; 2-way
 /// replication, whose only other copy is the torn one, fails typed.
-/// Nothing panics.
+/// Nothing panics, over a plain backend or one a network away (where the
+/// repair reads are planned and prefetched).
 #[test]
 fn a_torn_tuple_member_is_absent_to_degraded_reads() {
-    let contents = files()
-        .into_iter()
-        .find(|(name, _)| *name == "report.pdf")
-        .expect("the 2 000-byte file")
-        .1;
+    use aecodes::aio::{Clock, LatencyStore, LinkSpec, Runtime};
     for s in Scheme::extended_lineup() {
-        let store = Arc::new(MemStore::new());
-        let scheme: Arc<dyn RedundancyScheme> = Arc::from(s.build(BLOCK));
-        let mut ar = Archive::with_scheme(scheme, BLOCK, Arc::clone(&store));
-        ar.put("report.pdf", &contents).expect("fresh name");
-        ar.seal().expect("flush buffered redundancy");
-        let name = ar.scheme().scheme_name();
-
-        let victim = ar.data_ids().nth(5).expect("the file spans 63 blocks");
-        assert!(store.remove(victim), "{name}: {victim} was stored");
-        let written = ar.scheme().data_written();
-        let read_set = std::cell::RefCell::new(Vec::new());
-        ar.scheme().is_repairable(victim, written, &|id| {
-            read_set.borrow_mut().push(id);
-            true
-        });
-        let torn = read_set.into_inner()[0];
-        let whole = store.get(torn).expect("the read set was stored");
-        store.put(
-            torn,
-            Block::from_vec(whole.as_slice()[..BLOCK / 2].to_vec()),
+        let mem = Arc::new(MemStore::new());
+        tear_a_tuple_member(&s, &mem, Arc::clone(&mem));
+        let mem = Arc::new(MemStore::new());
+        let link = LinkSpec::rtt(std::time::Duration::from_millis(1));
+        let net = LatencyStore::uniform(
+            Arc::clone(&mem),
+            Runtime::new(Clock::virtual_time()),
+            link,
+            0,
         );
-
-        if name == "2-way replic." {
-            assert!(
-                matches!(ar.get("report.pdf"), Err(ArchiveError::BlockUnavailable { id, .. }) if id == victim),
-                "{name}: the only other copy is torn"
-            );
-            continue;
-        }
-        assert_eq!(ar.get("report.pdf").expect(&name), contents, "{name}");
-        ar.scrub();
-        assert_eq!(store.get(torn), Ok(whole), "{name}: scrub rewrote {torn}");
-        assert!(store.contains(victim), "{name}: scrub restored {victim}");
-        assert!(ar.verify_all().is_empty(), "{name}");
+        tear_a_tuple_member(&s, &mem, Arc::new(net.into_sync()));
     }
+}
+
+/// One run of the torn-member test: the archive over `backend`, whose
+/// blocks live in `mem`.
+fn tear_a_tuple_member<B: BlockRepo + ?Sized>(s: &Scheme, mem: &MemStore, backend: Arc<B>) {
+    let (file, contents) = files().swap_remove(3);
+    assert_eq!(contents.len(), 2_000);
+    let scheme: Arc<dyn RedundancyScheme> = Arc::from(s.build(BLOCK));
+    let mut ar = Archive::with_scheme(scheme, BLOCK, backend);
+    ar.put(file, &contents).expect("fresh name");
+    ar.seal().expect("flush buffered redundancy");
+    let name = ar.scheme().scheme_name();
+
+    let victim = ar.data_ids().nth(5).expect("the file spans 63 blocks");
+    assert!(mem.remove(victim), "{name}: {victim} was stored");
+    let written = ar.scheme().data_written();
+    let read_set = std::cell::RefCell::new(Vec::new());
+    ar.scheme().is_repairable(victim, written, &|id| {
+        read_set.borrow_mut().push(id);
+        true
+    });
+    let torn = read_set.into_inner()[0];
+    let whole = mem.get(torn).expect("the read set was stored");
+    mem.put(
+        torn,
+        Block::from_vec(whole.as_slice()[..BLOCK / 2].to_vec()),
+    );
+
+    if name == "2-way replic." {
+        assert!(
+            matches!(ar.get(file), Err(ArchiveError::BlockUnavailable { id, .. }) if id == victim),
+            "{name}: the only other copy is torn"
+        );
+        return;
+    }
+    assert_eq!(ar.get(file).expect(&name), contents, "{name}");
+    ar.scrub();
+    assert_eq!(mem.get(torn), Ok(whole), "{name}: scrub rewrote {torn}");
+    assert!(mem.contains(victim), "{name}: scrub restored {victim}");
+    assert!(ar.verify_all().is_empty(), "{name}");
 }
 
 /// Strategy over the archive roster (compact: proptest drives damage).
