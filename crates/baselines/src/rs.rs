@@ -210,29 +210,38 @@ impl ReedSolomon {
         self.m as f64 / self.k as f64 * 100.0
     }
 
-    /// Member `j` (its generator row) of a stripe of `len`-byte blocks:
+    /// Members `rows` (generator rows) of a stripe of `len`-byte blocks,
+    /// in one pass over the survivors: member `j` is
     /// `Σ_c (G_j · S⁻¹)[c] · survivor_c`, with `inv` the inverse of the
     /// survivors' generator rows `S` — `None` for `S = I`, the data blocks.
     /// A `None` survivor, and any past the end of `survivors`, is a virtual
     /// all-zero block: it adds nothing.
-    pub(crate) fn member(
+    pub(crate) fn members(
         &self,
-        j: usize,
+        rows: &[usize],
         inv: Option<&Matrix>,
         survivors: &[Option<&Block>],
         len: usize,
-    ) -> Block {
-        let g = self.generator.row(j);
-        let mut out = vec![0u8; len];
-        for (c, survivor) in survivors.iter().enumerate() {
-            let Some(block) = survivor else { continue };
-            let coeff = match inv {
-                Some(inv) => (0..self.k).fold(Gf256::ZERO, |acc, i| acc + g[i] * inv[(i, c)]),
-                None => g[c],
-            };
-            field::mul_slice_acc(coeff, block.as_slice(), &mut out);
+    ) -> Vec<Block> {
+        let srcs: Vec<&[u8]> = survivors.iter().flatten().map(|b| b.as_slice()).collect();
+        let mut coeffs = Vec::with_capacity(rows.len() * srcs.len());
+        for &j in rows {
+            let g = self.generator.row(j);
+            for (c, _) in survivors.iter().enumerate().filter(|(_, s)| s.is_some()) {
+                coeffs.push(match inv {
+                    // (A data row of G is a unit vector: one term.)
+                    Some(inv) => g
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, gi)| !gi.is_zero())
+                        .fold(Gf256::ZERO, |acc, (i, &gi)| acc + gi * inv[(i, c)]),
+                    None => g[c],
+                });
+            }
         }
-        Block::from_vec(out)
+        Block::write_many(len, rows.len(), |outs| {
+            field::mul_rows(&coeffs, &srcs, outs)
+        })
     }
 }
 

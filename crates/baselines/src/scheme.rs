@@ -18,7 +18,6 @@ use ae_api::{
     RepairError, RepairSummary, RoundStats, SnapshotReader, SnapshotWriter,
 };
 use ae_blocks::{Block, BlockId, NodeId, ReplicaId, ShardId};
-use ae_gf::Matrix;
 use std::collections::BTreeSet;
 
 impl ReedSolomon {
@@ -49,6 +48,17 @@ impl ReedSolomon {
         }
     }
 
+    /// The generator row of a member of its stripe (`stripe_of_id` is
+    /// `Some`): a data block's position in the stripe, or `k` + a parity
+    /// shard's index.
+    fn row_of(&self, id: BlockId) -> usize {
+        match id {
+            BlockId::Data(NodeId(i)) => ((i - 1) % self.k() as u64) as usize,
+            BlockId::Shard(s) => self.k() + usize::from(s.index),
+            _ => unreachable!("{id} is not a Reed-Solomon member"),
+        }
+    }
+
     /// Whether `id` is a virtual member: a data position past the written
     /// extent inside the final (padded) stripe. Virtual members are
     /// all-zero and always available.
@@ -60,12 +70,13 @@ impl ReedSolomon {
     /// stripe's missing data blocks are virtual zeros.
     fn emit_stripe(&self, t: u64, data: &[Block], sink: &dyn BlockSink, ids: &mut Vec<BlockId>) {
         let survivors: Vec<Option<&Block>> = data.iter().map(Some).collect();
-        for index in 0..self.m() {
+        let parity_rows: Vec<usize> = (self.k()..self.k() + self.m()).collect();
+        let shards = self.members(&parity_rows, None, &survivors, data[0].len());
+        for (index, shard) in shards.into_iter().enumerate() {
             let id = BlockId::Shard(ShardId {
                 stripe: t,
                 index: index as u16,
             });
-            let shard = self.member(self.k() + index, None, &survivors, data[0].len());
             sink.store(id, shard);
             ids.push(id);
         }
@@ -102,16 +113,28 @@ impl ReedSolomon {
         let Some(len) = len.filter(|_| present.len() >= self.k()) else {
             return Err(missing);
         };
-        let survivors = &present[..self.k()];
-        let rows: Vec<usize> = survivors.iter().map(|&(row, _)| row).collect();
-        let survivors: Vec<Option<&Block>> = survivors.iter().map(|(_, b)| b.as_ref()).collect();
-        let mut inv = None;
-        let decode = |j: usize| match present.iter().find(|&&(row, _)| row == j) {
+        let find = |j: usize| present.iter().find(|&&(row, _)| row == j);
+        // The wanted members that are missing, rebuilt in one call; the
+        // decode matrix is looked up only when there is one.
+        let lost: Vec<usize> = wanted
+            .iter()
+            .copied()
+            .filter(|&j| find(j).is_none())
+            .collect();
+        let mut rebuilt = if lost.is_empty() {
+            Vec::new()
+        } else {
+            let survivors = &present[..self.k()];
+            let rows: Vec<usize> = survivors.iter().map(|&(row, _)| row).collect();
+            let survivors: Vec<Option<&Block>> =
+                survivors.iter().map(|(_, b)| b.as_ref()).collect();
+            let inv = self.cached_decode_matrix(&rows);
+            self.members(&lost, Some(&inv), &survivors, len)
+        }
+        .into_iter();
+        let decode = |j: usize| match find(j) {
             Some((_, block)) => block.clone().unwrap_or_else(|| Block::zero(len)),
-            None => {
-                let inv: &Matrix = inv.get_or_insert_with(|| self.cached_decode_matrix(&rows));
-                self.member(j, Some(inv), &survivors, len)
-            }
+            None => rebuilt.next().expect("one rebuilt block per lost row"),
         };
         Ok(wanted.iter().copied().map(decode).collect())
     }
@@ -264,11 +287,7 @@ impl RedundancyScheme for ReedSolomon {
                 written: data_blocks,
             });
         }
-        let row = self
-            .stripe_members(t)
-            .position(|v| v == id)
-            .expect("member of its own stripe");
-        match self.decode_stripe(source, t, data_blocks, &[row]) {
+        match self.decode_stripe(source, t, data_blocks, &[self.row_of(id)]) {
             Ok(mut blocks) => Ok(blocks.remove(0)),
             Err(missing) => Err(RepairError::NoCompleteTuple {
                 target: id,
@@ -286,25 +305,26 @@ impl RedundancyScheme for ReedSolomon {
         // One decode per damaged stripe restores its missing members at
         // once; nothing a second round could add (MDS codes have no repair
         // chains).
-        let mut stripes: BTreeSet<u64> = BTreeSet::new();
         let mut missing: Vec<BlockId> = targets
             .iter()
             .copied()
             .filter(|&id| !repo.has(id))
             .collect();
-        for &id in &missing {
-            if let Some(t) = self.stripe_of_id(id) {
-                stripes.insert(t);
-            }
-        }
+        // (stripe, generator row) of every absent target, grouped by stripe
+        // in ascending order, each stripe's rows ascending and distinct.
+        let mut lost: Vec<(u64, usize)> = missing
+            .iter()
+            .filter_map(|&id| Some((self.stripe_of_id(id)?, self.row_of(id))))
+            .collect();
+        lost.sort_unstable();
+        lost.dedup();
         let mut repaired = 0;
         let mut data_repaired = 0;
         let mut blocks_read = 0;
-        for t in stripes {
+        for stripe in lost.chunk_by(|a, b| a.0 == b.0) {
+            let t = stripe[0].0;
             let members: Vec<BlockId> = self.stripe_members(t).collect();
-            let wanted: Vec<usize> = (0..members.len())
-                .filter(|&row| missing.contains(&members[row]))
-                .collect();
+            let wanted: Vec<usize> = stripe.iter().map(|&(_, row)| row).collect();
             let Ok(blocks) = self.decode_stripe(repo, t, data_blocks, &wanted) else {
                 continue; // stripe damaged beyond recovery
             };
@@ -678,6 +698,90 @@ mod tests {
             Err(RepairError::OutOfExtent { written: 10, .. })
         ));
         assert!(!rs.is_repairable(ghost, 10, &|_| true));
+    }
+
+    #[test]
+    fn rs_repair_missing_decodes_each_damaged_stripe_once() {
+        // RS(10,4) over 1 001 stripes of 32-byte blocks, the last one
+        // padded (5 data blocks): every stripe loses 1–4 members, every
+        // 50th loses 5 or 6 (more than m), the padded one loses 2 of its
+        // 9 stored members, and the targets come in a scrambled order
+        // with every 7th stripe's survivors asked too.
+        let (k, m) = (10u64, 4u64);
+        let n = 1_000 * k + 5;
+        let stripes = n.div_ceil(k);
+        let rs = ReedSolomon::new(k as usize, m as usize).unwrap();
+        let store = BlockMap::new();
+        rs.encode_batch(&payload(n as usize, 32), &store).unwrap();
+        rs.seal(&store).unwrap();
+        let mut mix = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            mix = mix
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            mix >> 33
+        };
+        let mut lost: Vec<BlockId> = Vec::new();
+        let mut asked: Vec<BlockId> = Vec::new();
+        let mut over_m: BTreeSet<u64> = BTreeSet::new();
+        for t in 0..stripes {
+            let mut members: Vec<BlockId> = rs
+                .stripe_members(t)
+                .filter(|&id| !rs.is_virtual(id, n))
+                .collect();
+            let count = if t == stripes - 1 {
+                2
+            } else if t % 50 == 25 {
+                over_m.insert(t);
+                5 + (t / 50 % 2) as usize
+            } else {
+                1 + (next() % m) as usize
+            };
+            for i in 0..count {
+                let j = i + (next() as usize) % (members.len() - i);
+                members.swap(i, j);
+            }
+            lost.extend(&members[..count]);
+            if t % 7 == 0 {
+                asked.extend(&members[count..]);
+            }
+        }
+        assert_eq!(over_m.len(), 20);
+        let mut targets: Vec<BlockId> = lost.iter().chain(&asked).copied().collect();
+        for i in (1..targets.len()).rev() {
+            targets.swap(i, (next() as usize) % (i + 1));
+        }
+        let originals: Vec<(BlockId, Block)> = lost
+            .iter()
+            .map(|&id| (id, store.remove(&id).unwrap()))
+            .collect();
+        let twin = store.clone();
+
+        let summary = rs.repair_missing(&store, &targets, n);
+        let decoded = stripes - over_m.len() as u64;
+        assert_eq!(
+            summary.blocks_read,
+            decoded * k,
+            "k reads per decoded stripe"
+        );
+        let expected: Vec<BlockId> = targets
+            .iter()
+            .copied()
+            .filter(|&id| over_m.contains(&rs.stripe_of_id(id).unwrap()) && lost.contains(&id))
+            .collect();
+        assert_eq!(
+            summary.unrecovered, expected,
+            "the over-m stripes' targets, in target order"
+        );
+        for (id, original) in &originals {
+            let stripe = rs.stripe_of_id(*id).unwrap();
+            let want = (!over_m.contains(&stripe)).then_some(original);
+            assert_eq!(store.get(id).as_ref(), want, "{id}");
+        }
+
+        let serial = rs.repair_missing_serial(&twin, &targets, n);
+        assert_eq!(summary, serial);
+        assert_eq!(store, twin);
     }
 
     #[test]

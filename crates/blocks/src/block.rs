@@ -195,6 +195,24 @@ impl Block {
         out
     }
 
+    /// `count` blocks of `block_size` bytes, written in place by one call
+    /// of `write`, which gets them zero-filled, in order: an operation
+    /// that makes several blocks in one pass (the parities of a
+    /// Reed-Solomon stripe) writes them without a copy. Each block is an
+    /// allocation of its own: carved from one 16 KiB slab instead, the
+    /// four 4 KiB parities of an RS(10,4) stripe encoded ≈ 1.3× slower
+    /// (2-vCPU Xeon VM).
+    pub fn write_many(
+        block_size: usize,
+        count: usize,
+        write: impl FnOnce(&mut [&mut [u8]]),
+    ) -> Vec<Block> {
+        let mut bufs: Vec<Vec<u8>> = (0..count).map(|_| vec![0u8; block_size]).collect();
+        let mut views: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+        write(&mut views);
+        bufs.into_iter().map(Block::from_vec).collect()
+    }
+
     /// The all-zero block of `len` bytes.
     ///
     /// Zero blocks serve as the virtual parities at strand heads: tangling
@@ -435,6 +453,30 @@ mod tests {
             g.verify().unwrap();
         }
         assert!(Block::xor_slab(bs, &[]).is_empty());
+    }
+
+    #[test]
+    fn write_many_hands_out_zeroed_blocks_in_order() {
+        for bs in [0, 3, 4096] {
+            for count in [0, 1, 5] {
+                let fill = |k: usize, i: usize| (i * 7 + k * 31 + 1) as u8;
+                let got = Block::write_many(bs, count, |views| {
+                    assert_eq!(views.len(), count);
+                    for (k, view) in views.iter_mut().enumerate() {
+                        assert!(view.len() == bs && view.iter().all(|&b| b == 0));
+                        view.iter_mut()
+                            .enumerate()
+                            .for_each(|(i, b)| *b = fill(k, i));
+                    }
+                });
+                assert_eq!(got.len(), count, "bs {bs}");
+                for (k, block) in got.iter().enumerate() {
+                    let twin = Block::from_vec((0..bs).map(|i| fill(k, i)).collect());
+                    assert_eq!(block, &twin, "bs {bs}, block {k}");
+                    block.verify().unwrap();
+                }
+            }
+        }
     }
 
     #[test]

@@ -196,56 +196,23 @@ impl From<u8> for Gf256 {
     }
 }
 
-/// Multiplies every byte of `data` by the constant `c`, accumulating
-/// (`acc[i] += c * data[i]`) — the inner kernel of RS encoding and decoding.
+/// `outs[r][i] = Σ_c coeffs[r·k + c] · srcs[c][i]` with `k = srcs.len()`:
+/// the row-major `outs.len() × k` coefficient matrix applied to the source
+/// byte slices, overwriting the outputs — the one byte-slice operation of
+/// RS encoding and decoding (and of [`crate::Matrix::mul`]).
 ///
-/// Delegates to the runtime-dispatched [`ae_kernels::mul_slice_acc`]: a
-/// split-nibble `PSHUFB`/`TBL` vector multiply on x86-64/AArch64, the
-/// branch-free two-level table loop elsewhere. The kernel layer also short
-/// circuits `c = 0` (no-op) and `c = 1` (plain XOR).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn mul_slice_acc(c: Gf256, data: &[u8], acc: &mut [u8]) {
-    assert_eq!(
-        data.len(),
-        acc.len(),
-        "mul_slice_acc requires equal lengths"
-    );
-    ae_kernels::mul_slice_acc(c.0, data, acc);
-}
-
-/// Reference implementation of [`mul_slice_acc`] on the log/exp tables,
-/// kept for parity tests against the dispatched kernels.
-///
-/// The naive loop pays a `d != 0` branch per byte (zero has no logarithm).
-/// Here that branch is hoisted out: a 256-entry product row is built once
-/// per call — `row[d] = exp[log c + log d]` with `row[0] = 0`, the doubled
-/// `exp` table absorbing the mod-255 reduction — and the inner loop is a
-/// single unconditional lookup-XOR per byte.
+/// Delegates to the runtime-dispatched [`ae_kernels::mul_rows`], which
+/// computes every output row in one pass over the sources (split-nibble
+/// `VPSHUFB` on AVX2 hosts, the per-row split-nibble multiply-accumulate
+/// elsewhere).
 ///
 /// # Panics
 ///
-/// Panics if the slices differ in length.
-pub fn mul_slice_acc_ref(c: Gf256, data: &[u8], acc: &mut [u8]) {
-    assert_eq!(
-        data.len(),
-        acc.len(),
-        "mul_slice_acc requires equal lengths"
-    );
-    if c.is_zero() {
-        return;
-    }
-    let t = tables();
-    let lc = t.log[c.0 as usize] as usize;
-    let mut row = [0u8; 256];
-    for (d, slot) in row.iter_mut().enumerate().skip(1) {
-        *slot = t.exp[lc + t.log[d] as usize];
-    }
-    for (a, &d) in acc.iter_mut().zip(data) {
-        *a ^= row[d as usize];
-    }
+/// Panics if `coeffs.len() != outs.len() · srcs.len()` or the slices
+/// differ in length.
+pub fn mul_rows(coeffs: &[Gf256], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
+    let coeffs: Vec<u8> = coeffs.iter().map(|c| c.0).collect();
+    ae_kernels::mul_rows(&coeffs, srcs, outs);
 }
 
 #[cfg(test)]
@@ -336,16 +303,22 @@ mod tests {
     }
 
     #[test]
-    fn mul_slice_acc_matches_scalar_loop() {
-        let data: Vec<u8> = (0..64u8).map(|x| x.wrapping_mul(11)).collect();
-        for c in [0u8, 1, 2, 0x1D, 0xFF] {
-            let mut acc = vec![0xA5u8; 64];
-            let mut want = acc.clone();
-            mul_slice_acc(Gf256(c), &data, &mut acc);
-            for (w, &d) in want.iter_mut().zip(&data) {
-                *w ^= (Gf256(c) * Gf256(d)).0;
+    fn mul_rows_matches_scalar_loop() {
+        let srcs: Vec<Vec<u8>> = (0..3u8)
+            .map(|s| (0..64u8).map(|x| x.wrapping_mul(11) ^ s).collect())
+            .collect();
+        let srcs: Vec<&[u8]> = srcs.iter().map(Vec::as_slice).collect();
+        let coeffs: Vec<Gf256> = [0u8, 1, 2, 0x1D, 0xFF, 0x53].map(Gf256).to_vec();
+        let mut outs = vec![vec![0xA5u8; 64]; 2];
+        let mut views: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
+        mul_rows(&coeffs, &srcs, &mut views);
+        for (r, out) in outs.iter().enumerate() {
+            for (i, &got) in out.iter().enumerate() {
+                let want = (0..3).fold(Gf256::ZERO, |acc, c| {
+                    acc + coeffs[r * 3 + c] * Gf256(srcs[c][i])
+                });
+                assert_eq!(Gf256(got), want, "row {r} byte {i}");
             }
-            assert_eq!(acc, want, "constant {c:#04x}");
         }
     }
 }

@@ -122,10 +122,10 @@ impl Matrix {
 
     /// Matrix product `self · rhs`.
     ///
-    /// Each output row is a linear combination of `rhs` rows, so the inner
-    /// step is one [`crate::field::mul_slice_acc`] over a contiguous byte
-    /// row — the same runtime-dispatched vector kernel the RS data path
-    /// uses, rather than an element-at-a-time log/exp loop.
+    /// Output row `r` is the combination of `rhs` rows weighted by row `r`
+    /// of `self`, so the whole product is one [`crate::field::mul_rows`]
+    /// over the byte rows of `rhs` — the runtime-dispatched kernel the RS
+    /// data path uses, rather than an element-at-a-time log/exp loop.
     ///
     /// # Errors
     ///
@@ -137,22 +137,15 @@ impl Matrix {
         let rhs_rows: Vec<Vec<u8>> = (0..rhs.rows)
             .map(|r| rhs.row(r).iter().map(|g| g.0).collect())
             .collect();
-        let mut out = Matrix::zero(self.rows, rhs.cols);
-        let mut acc = vec![0u8; rhs.cols];
-        for r in 0..self.rows {
-            acc.fill(0);
-            for (k, rhs_row) in rhs_rows.iter().enumerate() {
-                let a = self[(r, k)];
-                if a.is_zero() {
-                    continue;
-                }
-                crate::field::mul_slice_acc(a, rhs_row, &mut acc);
-            }
-            for (c, &v) in acc.iter().enumerate() {
-                out[(r, c)] = Gf256(v);
-            }
-        }
-        Ok(out)
+        let srcs: Vec<&[u8]> = rhs_rows.iter().map(Vec::as_slice).collect();
+        let mut out_rows = vec![vec![0u8; rhs.cols]; self.rows];
+        let mut outs: Vec<&mut [u8]> = out_rows.iter_mut().map(Vec::as_mut_slice).collect();
+        crate::field::mul_rows(&self.data, &srcs, &mut outs);
+        Ok(Matrix {
+            rows: self.rows,
+            cols: rhs.cols,
+            data: out_rows.into_iter().flatten().map(Gf256).collect(),
+        })
     }
 
     /// Inverts a square matrix by Gauss-Jordan elimination with partial

@@ -1,9 +1,9 @@
-//! Pins the dispatched GF(2^8) multiply kernel byte-identical to the
-//! log/exp reference ([`ae_gf::field::mul_slice_acc_ref`]) for all 256
-//! constants, and spot-checks the kernel-backed matrix product against an
-//! element-at-a-time triple loop.
+//! Pins the dispatched GF(2^8) multi-row kernel ([`ae_gf::field::mul_rows`])
+//! byte-identical to the log/exp reference (`Gf256` arithmetic, byte by
+//! byte) for all 256 constants, and spot-checks the kernel-backed matrix
+//! product against an element-at-a-time triple loop.
 
-use ae_gf::field::{mul_slice_acc, mul_slice_acc_ref};
+use ae_gf::field::mul_rows;
 use ae_gf::{Gf256, Matrix};
 use proptest::prelude::*;
 
@@ -20,16 +20,40 @@ fn buf(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
+/// The log/exp product `outs[r][i] = Σ_c coeffs[r·k + c] · srcs[c][i]`.
+fn reference(coeffs: &[Gf256], srcs: &[&[u8]], rows: usize, len: usize) -> Vec<Vec<u8>> {
+    (0..rows)
+        .map(|r| {
+            (0..len)
+                .map(|i| {
+                    let sum = srcs.iter().enumerate().fold(Gf256::ZERO, |acc, (c, src)| {
+                        acc + coeffs[r * srcs.len() + c] * Gf256(src[i])
+                    });
+                    sum.0
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Runs the dispatched kernel into `rows` garbage-filled outputs.
+fn dispatched(coeffs: &[Gf256], srcs: &[&[u8]], rows: usize, len: usize) -> Vec<Vec<u8>> {
+    let mut outs = vec![vec![0xEEu8; len]; rows];
+    let mut views: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
+    mul_rows(coeffs, srcs, &mut views);
+    outs
+}
+
 #[test]
 fn dispatched_mul_matches_log_exp_reference_for_all_256_constants() {
-    let data = buf(997, 42);
-    for c in 0..=255u8 {
-        let mut got = buf(997, 7);
-        let mut want = got.clone();
-        mul_slice_acc(Gf256(c), &data, &mut got);
-        mul_slice_acc_ref(Gf256(c), &data, &mut want);
-        assert_eq!(got, want, "constant {c:#04x}");
-    }
+    // A 16 × 16 coefficient matrix holding every constant once.
+    let backing: Vec<Vec<u8>> = (0..16).map(|c| buf(997, 42 + c)).collect();
+    let srcs: Vec<&[u8]> = backing.iter().map(Vec::as_slice).collect();
+    let coeffs: Vec<Gf256> = (0..=255u8).map(Gf256).collect();
+    assert_eq!(
+        dispatched(&coeffs, &srcs, 16, 997),
+        reference(&coeffs, &srcs, 16, 997)
+    );
 }
 
 #[test]
@@ -51,21 +75,22 @@ fn matrix_mul_matches_element_wise_product() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Dispatched vs reference over random constants, lengths and
+    /// Dispatched vs reference over random shapes, constants, lengths and
     /// unaligned views.
     #[test]
     fn dispatched_matches_reference(
-        c: u8,
+        rows in 1usize..7,
+        k in 0usize..13,
         len in 0usize..600,
         offset in 0usize..32,
         seed: u64,
     ) {
-        let data = buf(len + offset, seed);
-        let data = &data[offset..];
-        let mut got = buf(len, seed ^ 0xABCD);
-        let mut want = got.clone();
-        mul_slice_acc(Gf256(c), data, &mut got);
-        mul_slice_acc_ref(Gf256(c), data, &mut want);
-        prop_assert_eq!(got, want, "constant {:#04x}", c);
+        let backing: Vec<Vec<u8>> = (0..k as u64).map(|c| buf(len + offset, seed ^ c)).collect();
+        let srcs: Vec<&[u8]> = backing.iter().map(|b| &b[offset..]).collect();
+        let coeffs: Vec<Gf256> = buf(rows * k, seed ^ 0xABCD).into_iter().map(Gf256).collect();
+        prop_assert_eq!(
+            dispatched(&coeffs, &srcs, rows, len),
+            reference(&coeffs, &srcs, rows, len)
+        );
     }
 }

@@ -70,20 +70,20 @@ fn xor3_neon(dst: &mut [u8], a: &[u8], b: &[u8]) {
 /// Dispatch entry: `acc ^= c · data` with NEON `TBL`.
 pub fn mul_slice_acc_neon_entry(c: u8, data: &[u8], acc: &mut [u8]) {
     // Safety: installed only after `is_aarch64_feature_detected!("neon")`.
-    unsafe { mul_slice_neon::<true>(c, data, acc) }
+    unsafe { mul_slice_acc_neon(c, data, acc) }
 }
 
-/// Dispatch entry: `out = c · data` with NEON `TBL`.
-pub fn mul_slice_neon_entry(c: u8, data: &[u8], out: &mut [u8]) {
-    // Safety: installed only after `is_aarch64_feature_detected!("neon")`.
-    unsafe { mul_slice_neon::<false>(c, data, out) }
+/// Dispatch entry: the multi-row product composed from the per-row NEON
+/// kernel (one pass over the sources per output row).
+pub fn mul_rows_neon_entry(coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
+    scalar::mul_rows_with(mul_slice_acc_neon_entry, coeffs, srcs, outs);
 }
 
 /// Split-nibble multiply, 16 bytes per `TBL` pair — the NEON analogue of
 /// `PSHUFB`: both 16-entry half-product tables live in Q registers, each
 /// data vector is looked up nibble-wise and the halves XOR to the product.
 #[target_feature(enable = "neon")]
-fn mul_slice_neon<const ACC: bool>(c: u8, data: &[u8], out: &mut [u8]) {
+fn mul_slice_acc_neon(c: u8, data: &[u8], acc: &mut [u8]) {
     let t = &GF_NIBBLE[c as usize];
     // Safety: GF_NIBBLE rows are 32 bytes: two adjacent 16-byte tables.
     let (lo, hi) = unsafe { (vld1q_u8(t.as_ptr()), vld1q_u8(t.as_ptr().add(16))) };
@@ -91,25 +91,18 @@ fn mul_slice_neon<const ACC: bool>(c: u8, data: &[u8], out: &mut [u8]) {
     let n = data.len() & !15;
     let mut i = 0;
     while i < n {
-        // Safety: i + 15 < data.len() == out.len().
+        // Safety: i + 15 < data.len() == acc.len().
         unsafe {
             let d = vld1q_u8(data.as_ptr().add(i));
             let dl = vandq_u8(d, mask);
             let dh = vshrq_n_u8(d, 4);
-            let mut p = veorq_u8(vqtbl1q_u8(lo, dl), vqtbl1q_u8(hi, dh));
-            let o = out.as_mut_ptr().add(i);
-            if ACC {
-                p = veorq_u8(p, vld1q_u8(o));
-            }
-            vst1q_u8(o, p);
+            let p = veorq_u8(vqtbl1q_u8(lo, dl), vqtbl1q_u8(hi, dh));
+            let o = acc.as_mut_ptr().add(i);
+            vst1q_u8(o, veorq_u8(p, vld1q_u8(o)));
         }
         i += 16;
     }
-    if ACC {
-        scalar::mul_slice_acc(c, &data[n..], &mut out[n..]);
-    } else {
-        scalar::mul_slice(c, &data[n..], &mut out[n..]);
-    }
+    scalar::mul_slice_acc(c, &data[n..], &mut acc[n..]);
 }
 
 // ------------------------------------------- CRC32 via ARMv8 crc32x/b --

@@ -1,10 +1,13 @@
 //! Runtime-dispatched data-path kernels: XOR, GF(2^8) multiply, CRC32.
 //!
-//! Every byte this workspace stores or repairs flows through three
-//! kernels — the XOR that *is* the arithmetic of alpha entanglement, the
-//! GF(2^8) constant-multiply-accumulate at the heart of Reed-Solomon
-//! encode/decode, and the CRC32 that guards every block and every
-//! metadata journal record. This crate owns all three, in two forms:
+//! Every byte this workspace stores or repairs flows through these
+//! kernels — the XOR that *is* the arithmetic of alpha entanglement
+//! (`dst ^= src` and the fused `dst = a ^ b`), the GF(2^8) multi-row
+//! product at the heart of Reed-Solomon encode/decode (every parity, or
+//! every lost member, of a stripe in one pass over its sources) with the
+//! single constant-multiply-accumulate it is built from, and the CRC32
+//! that guards every block and every metadata journal record. This crate
+//! owns all of them, in two forms:
 //!
 //! * **Scalar reference kernels** ([`scalar`]) — portable, branch-free,
 //!   and the byte-for-byte ground truth. XOR moves 32 bytes per step
@@ -13,7 +16,9 @@
 //! * **Hardware kernels** — explicit SSE2/AVX2 XOR and SSSE3/AVX2
 //!   `PSHUFB` split-nibble GF multiply with `PCLMULQDQ`-folded CRC32 on
 //!   x86-64; NEON XOR, `TBL` GF multiply and the ARMv8 CRC32
-//!   instructions on AArch64.
+//!   instructions on AArch64. The multi-row GF product has a body of its
+//!   own in the scalar and AVX2 tiers; SSSE3 and NEON compose it from
+//!   their per-row multiply.
 //!
 //! # Dispatch contract
 //!
@@ -51,6 +56,9 @@ mod x86;
 
 use std::sync::OnceLock;
 
+/// The multi-row GF(2^8) product: coefficients, sources, outputs.
+type MulRows = fn(&[u8], &[&[u8]], &mut [&mut [u8]]);
+
 /// A resolved set of kernel function pointers plus reporting names.
 ///
 /// Obtain the process-wide set with [`active`] (or use the free
@@ -69,7 +77,7 @@ pub struct Kernels {
     xor_into: fn(&mut [u8], &[u8]),
     xor3: fn(&mut [u8], &[u8], &[u8]),
     mul_slice_acc: fn(u8, &[u8], &mut [u8]),
-    mul_slice: fn(u8, &[u8], &mut [u8]),
+    mul_rows: MulRows,
     crc32_update: fn(u32, &[u8]) -> u32,
 }
 
@@ -120,22 +128,30 @@ impl Kernels {
         }
     }
 
-    /// `out[i] = c · data[i]` over GF(2^8) mod `0x11D` (overwriting).
+    /// `outs[r][i] = Σ_c coeffs[r·k + c] · srcs[c][i]` over GF(2^8) mod
+    /// `0x11D`, with `k = srcs.len()`: every output row in one pass over
+    /// the sources, overwriting the outputs (no sources zero them).
+    /// `coeffs` is the row-major `outs.len() × k` coefficient matrix.
     ///
     /// # Panics
     ///
-    /// Panics if the slices have different lengths.
-    pub fn mul_slice(&self, c: u8, data: &[u8], out: &mut [u8]) {
+    /// Panics if `coeffs.len() != outs.len() · srcs.len()` or the slices
+    /// have different lengths.
+    pub fn mul_rows(&self, coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
         assert_eq!(
-            data.len(),
-            out.len(),
-            "mul_slice requires equal-length slices"
+            coeffs.len(),
+            outs.len() * srcs.len(),
+            "mul_rows requires one coefficient per output row and source"
         );
-        match c {
-            0 => out.fill(0),
-            1 => out.copy_from_slice(data),
-            _ => (self.mul_slice)(c, data, out),
-        }
+        let len = outs.first().map_or(0, |o| o.len());
+        assert!(
+            srcs.iter()
+                .map(|s| s.len())
+                .chain(outs.iter().map(|o| o.len()))
+                .all(|l| l == len),
+            "mul_rows requires equal-length slices"
+        );
+        (self.mul_rows)(coeffs, srcs, outs);
     }
 
     /// Advances a raw CRC32 state (reflected IEEE 802.3, pre-inversion
@@ -162,7 +178,7 @@ const SCALAR_SET: Kernels = Kernels {
     xor_into: scalar::xor_into,
     xor3: scalar::xor3,
     mul_slice_acc: scalar::mul_slice_acc,
-    mul_slice: scalar::mul_slice,
+    mul_rows: scalar::mul_rows,
     crc32_update: scalar::crc32_update,
 };
 
@@ -181,7 +197,7 @@ fn sse2_set() -> Kernels {
     if std::arch::is_x86_feature_detected!("ssse3") {
         k.mul_name = "ssse3-pshufb";
         k.mul_slice_acc = x86::mul_slice_acc_ssse3_entry;
-        k.mul_slice = x86::mul_slice_ssse3_entry;
+        k.mul_rows = x86::mul_rows_ssse3_entry;
     }
     if std::arch::is_x86_feature_detected!("pclmulqdq")
         && std::arch::is_x86_feature_detected!("sse4.1")
@@ -204,7 +220,7 @@ fn avx2_set() -> Option<Kernels> {
     k.xor3 = x86::xor3_avx2_entry;
     k.mul_name = "avx2-pshufb";
     k.mul_slice_acc = x86::mul_slice_acc_avx2_entry;
-    k.mul_slice = x86::mul_slice_avx2_entry;
+    k.mul_rows = x86::mul_rows_avx2_entry;
     Some(k)
 }
 
@@ -220,7 +236,7 @@ fn neon_set() -> Option<Kernels> {
         xor_into: aarch64::xor_into_neon_entry,
         xor3: aarch64::xor3_neon_entry,
         mul_slice_acc: aarch64::mul_slice_acc_neon_entry,
-        mul_slice: aarch64::mul_slice_neon_entry,
+        mul_rows: aarch64::mul_rows_neon_entry,
         ..SCALAR_SET
     };
     if std::arch::is_aarch64_feature_detected!("crc") {
@@ -329,13 +345,15 @@ pub fn mul_slice_acc(c: u8, data: &[u8], acc: &mut [u8]) {
     active().mul_slice_acc(c, data, acc);
 }
 
-/// `out[i] = c · data[i]` over GF(2^8) through the active kernel set.
+/// `outs[r][i] = Σ_c coeffs[r·k + c] · srcs[c][i]` over GF(2^8) through
+/// the active kernel set (see [`Kernels::mul_rows`]).
 ///
 /// # Panics
 ///
-/// Panics if the slices have different lengths.
-pub fn mul_slice(c: u8, data: &[u8], out: &mut [u8]) {
-    active().mul_slice(c, data, out);
+/// Panics if `coeffs.len() != outs.len() · srcs.len()` or the slices have
+/// different lengths.
+pub fn mul_rows(coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
+    active().mul_rows(coeffs, srcs, outs);
 }
 
 /// Advances a raw CRC32 state through the active kernel set (see
@@ -388,12 +406,6 @@ mod tests {
                 let mut want = vec![0xA5u8; 256];
                 scalar::mul_slice_acc(c, &data, &mut want);
                 assert_eq!(acc, want, "{} c={c}", set.name);
-
-                let mut out = vec![0x77u8; 256];
-                set.mul_slice(c, &data, &mut out);
-                let mut wout = vec![0u8; 256];
-                scalar::mul_slice(c, &data, &mut wout);
-                assert_eq!(out, wout, "{} c={c}", set.name);
             }
         }
     }
@@ -408,5 +420,11 @@ mod tests {
     #[should_panic(expected = "equal-length")]
     fn xor3_rejects_mismatched_lengths() {
         xor3(&mut [0u8; 4], &[0u8; 4], &[0u8; 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "equal-length")]
+    fn mul_rows_rejects_mismatched_lengths() {
+        mul_rows(&[2, 3], &[&[0u8; 4], &[0u8; 5]], &mut [&mut [0u8; 4]]);
     }
 }

@@ -68,12 +68,31 @@ pub fn mul_slice_acc(c: u8, data: &[u8], acc: &mut [u8]) {
     }
 }
 
-/// `out[i] = c · data[i]` over GF(2^8) (overwriting variant).
-pub fn mul_slice(c: u8, data: &[u8], out: &mut [u8]) {
-    let t = &GF_NIBBLE[c as usize];
-    let (lo, hi) = t.split_at(16);
-    for (o, &d) in out.iter_mut().zip(data) {
-        *o = lo[(d & 0x0F) as usize] ^ hi[(d >> 4) as usize];
+/// `out_r = Σ_c coeffs[r·k + c] · srcs[c]` over GF(2^8), `k = srcs.len()`,
+/// overwriting every output: the reference definition of the multi-row
+/// kernel, one [`mul_slice_acc`] per nonzero coefficient.
+pub fn mul_rows(coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
+    mul_rows_with(mul_slice_acc, coeffs, srcs, outs);
+}
+
+/// The multi-row product composed from a per-row multiply-accumulate
+/// kernel: each output is zeroed, then accumulates its row's sources.
+/// The tiers without a multi-row body of their own fill their slot this
+/// way.
+pub(crate) fn mul_rows_with(
+    mul_acc: fn(u8, &[u8], &mut [u8]),
+    coeffs: &[u8],
+    srcs: &[&[u8]],
+    outs: &mut [&mut [u8]],
+) {
+    for (r, out) in outs.iter_mut().enumerate() {
+        out.fill(0);
+        for (c, src) in srcs.iter().enumerate() {
+            let coeff = coeffs[r * srcs.len() + c];
+            if coeff != 0 {
+                mul_acc(coeff, src, out);
+            }
+        }
     }
 }
 
@@ -135,11 +154,6 @@ mod tests {
             mul_slice_acc(c, &data, &mut acc);
             for (i, &a) in acc.iter().enumerate() {
                 assert_eq!(a, 0x5A ^ gf_mul(c, data[i]), "c={c:#04x} i={i}");
-            }
-            let mut out = vec![0u8; 256];
-            mul_slice(c, &data, &mut out);
-            for (i, &o) in out.iter().enumerate() {
-                assert_eq!(o, gf_mul(c, data[i]), "c={c:#04x} i={i}");
             }
         }
     }

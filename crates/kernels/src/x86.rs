@@ -1,5 +1,6 @@
 //! x86-64 kernels: SSE2/AVX2 XOR, SSSE3/AVX2 `PSHUFB` split-nibble
-//! GF(2^8) multiply, and CRC32 via `PCLMULQDQ` folding.
+//! GF(2^8) multiply and the AVX2 multi-row product built on it, and
+//! CRC32 via `PCLMULQDQ` folding.
 //!
 //! Every function here has a `*_entry` wrapper with a plain `fn` type so
 //! it can sit in the dispatch table; the wrappers are only ever installed
@@ -143,25 +144,26 @@ fn xor3_avx2(dst: &mut [u8], a: &[u8], b: &[u8]) {
 /// Dispatch entry: `acc ^= c · data` with SSSE3 `PSHUFB`.
 pub fn mul_slice_acc_ssse3_entry(c: u8, data: &[u8], acc: &mut [u8]) {
     // Safety: installed only after `is_x86_feature_detected!("ssse3")`.
-    unsafe { mul_slice_ssse3::<true>(c, data, acc) }
-}
-
-/// Dispatch entry: `out = c · data` with SSSE3 `PSHUFB`.
-pub fn mul_slice_ssse3_entry(c: u8, data: &[u8], out: &mut [u8]) {
-    // Safety: installed only after `is_x86_feature_detected!("ssse3")`.
-    unsafe { mul_slice_ssse3::<false>(c, data, out) }
+    unsafe { mul_slice_acc_ssse3(c, data, acc) }
 }
 
 /// Dispatch entry: `acc ^= c · data` with AVX2 `VPSHUFB`.
 pub fn mul_slice_acc_avx2_entry(c: u8, data: &[u8], acc: &mut [u8]) {
     // Safety: installed only after `is_x86_feature_detected!("avx2")`.
-    unsafe { mul_slice_avx2::<true>(c, data, acc) }
+    unsafe { mul_slice_acc_avx2(c, data, acc) }
 }
 
-/// Dispatch entry: `out = c · data` with AVX2 `VPSHUFB`.
-pub fn mul_slice_avx2_entry(c: u8, data: &[u8], out: &mut [u8]) {
+/// Dispatch entry: the multi-row product composed from the per-row SSSE3
+/// kernel (one pass over the sources per output row).
+pub fn mul_rows_ssse3_entry(coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
+    scalar::mul_rows_with(mul_slice_acc_ssse3_entry, coeffs, srcs, outs);
+}
+
+/// Dispatch entry: the multi-row product with AVX2 `VPSHUFB`, up to
+/// [`ROW_BLOCK`] output rows per pass over the sources.
+pub fn mul_rows_avx2_entry(coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
     // Safety: installed only after `is_x86_feature_detected!("avx2")`.
-    unsafe { mul_slice_avx2::<false>(c, data, out) }
+    unsafe { mul_rows_avx2(coeffs, srcs, outs) }
 }
 
 /// Split-nibble multiply, 16 bytes per `PSHUFB` pair: the two 16-entry
@@ -170,7 +172,7 @@ pub fn mul_slice_avx2_entry(c: u8, data: &[u8], out: &mut [u8]) {
 /// each, and the XOR of the halves is the product (GF multiplication
 /// distributes over the nibble decomposition).
 #[target_feature(enable = "ssse3")]
-fn mul_slice_ssse3<const ACC: bool>(c: u8, data: &[u8], out: &mut [u8]) {
+fn mul_slice_acc_ssse3(c: u8, data: &[u8], acc: &mut [u8]) {
     let t = &GF_NIBBLE[c as usize];
     // Safety: GF_NIBBLE rows are 32 bytes: two adjacent 16-byte tables.
     let (lo, hi) = unsafe {
@@ -183,62 +185,167 @@ fn mul_slice_ssse3<const ACC: bool>(c: u8, data: &[u8], out: &mut [u8]) {
     let n = data.len() & !15;
     let mut i = 0;
     while i < n {
-        // Safety: i + 15 < data.len() == out.len().
+        // Safety: i + 15 < data.len() == acc.len().
         unsafe {
             let d = _mm_loadu_si128(data.as_ptr().add(i) as *const __m128i);
             let dl = _mm_and_si128(d, mask);
             let dh = _mm_and_si128(_mm_srli_epi64(d, 4), mask);
-            let mut p = _mm_xor_si128(_mm_shuffle_epi8(lo, dl), _mm_shuffle_epi8(hi, dh));
-            let o = out.as_mut_ptr().add(i) as *mut __m128i;
-            if ACC {
-                p = _mm_xor_si128(p, _mm_loadu_si128(o));
-            }
-            _mm_storeu_si128(o, p);
+            let p = _mm_xor_si128(_mm_shuffle_epi8(lo, dl), _mm_shuffle_epi8(hi, dh));
+            let o = acc.as_mut_ptr().add(i) as *mut __m128i;
+            _mm_storeu_si128(o, _mm_xor_si128(p, _mm_loadu_si128(o)));
         }
         i += 16;
     }
-    if ACC {
-        scalar::mul_slice_acc(c, &data[n..], &mut out[n..]);
-    } else {
-        scalar::mul_slice(c, &data[n..], &mut out[n..]);
-    }
+    scalar::mul_slice_acc(c, &data[n..], &mut acc[n..]);
 }
 
 /// Split-nibble multiply, 32 bytes per `VPSHUFB` pair (the half-product
 /// tables are broadcast into both 128-bit lanes, since `VPSHUFB`
 /// shuffles within lanes).
 #[target_feature(enable = "avx2")]
-fn mul_slice_avx2<const ACC: bool>(c: u8, data: &[u8], out: &mut [u8]) {
-    let t = &GF_NIBBLE[c as usize];
-    // Safety: GF_NIBBLE rows are 32 bytes: two adjacent 16-byte tables.
-    let (lo, hi) = unsafe {
-        (
-            _mm256_broadcastsi128_si256(_mm_loadu_si128(t.as_ptr() as *const __m128i)),
-            _mm256_broadcastsi128_si256(_mm_loadu_si128(t.as_ptr().add(16) as *const __m128i)),
-        )
-    };
+fn mul_slice_acc_avx2(c: u8, data: &[u8], acc: &mut [u8]) {
+    let (lo, hi) = nibble_tables_avx2(c);
     let mask = _mm256_set1_epi8(0x0F);
     let n = data.len() & !31;
     let mut i = 0;
     while i < n {
-        // Safety: i + 31 < data.len() == out.len().
+        // Safety: i + 31 < data.len() == acc.len().
         unsafe {
             let d = _mm256_loadu_si256(data.as_ptr().add(i) as *const __m256i);
             let dl = _mm256_and_si256(d, mask);
             let dh = _mm256_and_si256(_mm256_srli_epi64(d, 4), mask);
-            let mut p = _mm256_xor_si256(_mm256_shuffle_epi8(lo, dl), _mm256_shuffle_epi8(hi, dh));
-            let o = out.as_mut_ptr().add(i) as *mut __m256i;
-            if ACC {
-                p = _mm256_xor_si256(p, _mm256_loadu_si256(o));
-            }
-            _mm256_storeu_si256(o, p);
+            let p = _mm256_xor_si256(_mm256_shuffle_epi8(lo, dl), _mm256_shuffle_epi8(hi, dh));
+            let o = acc.as_mut_ptr().add(i) as *mut __m256i;
+            _mm256_storeu_si256(o, _mm256_xor_si256(p, _mm256_loadu_si256(o)));
         }
         i += 32;
     }
-    if ACC {
-        scalar::mul_slice_acc(c, &data[n..], &mut out[n..]);
-    } else {
-        scalar::mul_slice(c, &data[n..], &mut out[n..]);
+    scalar::mul_slice_acc(c, &data[n..], &mut acc[n..]);
+}
+
+/// The low- and high-nibble half-product tables of `c`, each broadcast
+/// into both 128-bit lanes.
+#[target_feature(enable = "avx2")]
+fn nibble_tables_avx2(c: u8) -> (__m256i, __m256i) {
+    let t = &GF_NIBBLE[c as usize];
+    // Safety: GF_NIBBLE rows are 32 bytes: two adjacent 16-byte tables.
+    unsafe {
+        (
+            _mm256_broadcastsi128_si256(_mm_loadu_si128(t.as_ptr() as *const __m128i)),
+            _mm256_broadcastsi128_si256(_mm_loadu_si128(t.as_ptr().add(16) as *const __m128i)),
+        )
+    }
+}
+
+/// Output rows whose accumulators stay in YMM registers through one pass
+/// over the sources.
+const ROW_BLOCK: usize = 4;
+
+/// Vectors of every row per step: `ROW_BLOCK × STEP` accumulators, the
+/// `2 × STEP` nibble vectors of a source, its two tables and the mask
+/// fill the sixteen YMM registers, and two independent chains per row
+/// keep a single-row product (one lost block) as fast as the per-row
+/// kernel.
+const STEP: usize = 2;
+
+/// `out_r = Σ_c coeffs[r·k + c] · srcs[c]`. The rows go in blocks of up
+/// to [`ROW_BLOCK`]; within a block each source vector is loaded and split
+/// into nibbles once and feeds every row's accumulator, and each
+/// accumulator is stored once, without ever being loaded. The
+/// sub-32-byte tail goes through the scalar kernel.
+#[target_feature(enable = "avx2")]
+fn mul_rows_avx2(coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
+    let k = srcs.len();
+    let n = outs.first().map_or(0, |o| o.len()) & !31;
+    let mut r = 0;
+    while r < outs.len() {
+        let rows = (outs.len() - r).min(ROW_BLOCK);
+        let block = &mut outs[r..r + rows];
+        let coeffs = &coeffs[r * k..(r + rows) * k];
+        match rows {
+            4 => mul_row_block_avx2::<4>(coeffs, srcs, block, n),
+            3 => mul_row_block_avx2::<3>(coeffs, srcs, block, n),
+            2 => mul_row_block_avx2::<2>(coeffs, srcs, block, n),
+            _ => mul_row_block_avx2::<1>(coeffs, srcs, block, n),
+        }
+        r += rows;
+    }
+    for (r, out) in outs.iter_mut().enumerate() {
+        let tail = &mut out[n..];
+        tail.fill(0);
+        for (c, src) in srcs.iter().enumerate() {
+            scalar::mul_slice_acc(coeffs[r * k + c], &src[n..], tail);
+        }
+    }
+}
+
+/// One block of `R` rows over the first `n` bytes (a multiple of 32),
+/// [`STEP`] vectors of every row at a time, then one. The half-product
+/// tables of the block's `R × k` coefficients are built once, laid out by
+/// source, so the inner loop loads them in order.
+#[target_feature(enable = "avx2")]
+fn mul_row_block_avx2<const R: usize>(
+    coeffs: &[u8],
+    srcs: &[&[u8]],
+    outs: &mut [&mut [u8]],
+    n: usize,
+) {
+    let k = srcs.len();
+    let mut tables = vec![[[_mm256_setzero_si256(); 2]; R]; k];
+    for (c, by_row) in tables.iter_mut().enumerate() {
+        for (r, t) in by_row.iter_mut().enumerate() {
+            let (lo, hi) = nibble_tables_avx2(coeffs[r * k + c]);
+            *t = [lo, hi];
+        }
+    }
+    let wide = n - n % (32 * STEP);
+    let mut i = 0;
+    while i < wide {
+        mul_row_step_avx2::<R, STEP>(&tables, srcs, outs, i);
+        i += 32 * STEP;
+    }
+    while i < n {
+        mul_row_step_avx2::<R, 1>(&tables, srcs, outs, i);
+        i += 32;
+    }
+}
+
+/// Bytes `i..i + 32·W` of every row of a block.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn mul_row_step_avx2<const R: usize, const W: usize>(
+    tables: &[[[__m256i; 2]; R]],
+    srcs: &[&[u8]],
+    outs: &mut [&mut [u8]],
+    i: usize,
+) {
+    let mask = _mm256_set1_epi8(0x0F);
+    let mut acc = [[_mm256_setzero_si256(); W]; R];
+    for (src, by_row) in srcs.iter().zip(tables) {
+        let mut dl = [_mm256_setzero_si256(); W];
+        let mut dh = [_mm256_setzero_si256(); W];
+        for w in 0..W {
+            // Safety: i + 32·W <= n <= src.len(): `Kernels::mul_rows`
+            // checked that every source and output has one length.
+            let d = unsafe { _mm256_loadu_si256(src.as_ptr().add(i + 32 * w) as *const __m256i) };
+            dl[w] = _mm256_and_si256(d, mask);
+            dh[w] = _mm256_and_si256(_mm256_srli_epi64(d, 4), mask);
+        }
+        for (a, [lo, hi]) in acc.iter_mut().zip(by_row) {
+            for w in 0..W {
+                let p = _mm256_xor_si256(
+                    _mm256_shuffle_epi8(*lo, dl[w]),
+                    _mm256_shuffle_epi8(*hi, dh[w]),
+                );
+                a[w] = _mm256_xor_si256(a[w], p);
+            }
+        }
+    }
+    for (out, a) in outs.iter_mut().zip(acc) {
+        for (w, v) in a.into_iter().enumerate() {
+            // Safety: i + 32·W <= n <= out.len().
+            unsafe { _mm256_storeu_si256(out.as_mut_ptr().add(i + 32 * w) as *mut __m256i, v) };
+        }
     }
 }
 

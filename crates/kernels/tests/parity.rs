@@ -83,11 +83,55 @@ fn gf_multiply_matches_reference_for_all_256_constants() {
                 .collect();
             set.mul_slice_acc(c, data, &mut acc);
             assert_eq!(acc, want, "{} mul_slice_acc c={c:#04x}", set.name);
+        }
+    }
+}
 
-            let mut out = vec![0xEEu8; 997];
-            set.mul_slice(c, data, &mut out);
-            let want: Vec<u8> = data.iter().map(|&d| tables::gf_mul(c, d)).collect();
-            assert_eq!(out, want, "{} mul_slice c={c:#04x}", set.name);
+#[test]
+fn multi_row_product_matches_reference_across_shapes_lengths_and_alignments() {
+    // 1–5 rows cross the four-row register block; 1–12 sources; every
+    // coefficient matrix holds 0 and 1 beside arbitrary constants; the
+    // outputs start as garbage, since the product overwrites them.
+    let product: Vec<[u8; 256]> = (0..=255u8)
+        .map(|c| std::array::from_fn(|d| tables::gf_mul(c, d as u8)))
+        .collect();
+    for rows in 1..=5usize {
+        for k in 1..=12usize {
+            let mut coeffs = buf(rows * k, (rows * 31 + k) as u64);
+            coeffs[0] = 0;
+            coeffs[rows * k / 2] = 1;
+            for (i, &len) in EDGE_LENS.iter().enumerate() {
+                let offset = [0usize, 1, 13, 31][(rows + k + i) % 4];
+                let backing: Vec<Vec<u8>> = (0..k)
+                    .map(|c| buf(len + offset, (c * 131 + len) as u64))
+                    .collect();
+                let srcs: Vec<&[u8]> = backing.iter().map(|b| &b[offset..]).collect();
+                let want: Vec<Vec<u8>> = (0..rows)
+                    .map(|r| {
+                        (0..len)
+                            .map(|at| {
+                                srcs.iter().enumerate().fold(0u8, |acc, (c, src)| {
+                                    acc ^ product[coeffs[r * k + c] as usize][src[at] as usize]
+                                })
+                            })
+                            .collect()
+                    })
+                    .collect();
+                for set in supported_sets() {
+                    let mut backing_out = vec![vec![0xEEu8; len + offset]; rows];
+                    let mut outs: Vec<&mut [u8]> =
+                        backing_out.iter_mut().map(|o| &mut o[offset..]).collect();
+                    set.mul_rows(&coeffs, &srcs, &mut outs);
+                    for (r, out) in outs.iter().enumerate() {
+                        assert_eq!(
+                            *out,
+                            &want[r][..],
+                            "{} mul_rows rows={rows} k={k} row={r} len={len} off={offset}",
+                            set.name
+                        );
+                    }
+                }
+            }
         }
     }
 }
