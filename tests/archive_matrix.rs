@@ -1,18 +1,18 @@
 //! Archive parity + disaster matrix: every roster scheme from
 //! `sim::Scheme::extended_lineup()` drives the one generic `Archive`
 //! through put → corrupt → degraded get → scrub → get round-trips, over
-//! the in-memory, tiered and fault-injecting backends. A legacy parity
-//! pin proves the AE convenience constructor still behaves exactly like
-//! driving `ae_core::Code` by hand, and proptests pin that degraded-read
-//! failures name the same missing tuple members as the scheme's own
-//! error-typed `repair_block`.
+//! the in-memory, tiered, fault-injecting and location-sharded backends.
+//! A legacy parity pin proves the AE convenience constructor still
+//! behaves exactly like driving `ae_core::Code` by hand, and proptests
+//! pin that degraded-read failures name the same missing tuple members as
+//! the scheme's own error-typed `repair_block`.
 
 use aecodes::api::{BlockRepo, BlockSink, RedundancyScheme};
 use aecodes::blocks::{Block, BlockId};
 use aecodes::lattice::Config;
 use aecodes::sim::Scheme;
 use aecodes::store::archive::{Archive, ArchiveError};
-use aecodes::store::{FaultyStore, MemStore, TieredStore};
+use aecodes::store::{DistributedStore, FaultyStore, LocationId, MemStore, Placement, TieredStore};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -153,6 +153,28 @@ fn every_roster_scheme_heals_injected_faults() {
         let restored = ar.scrub();
         assert_eq!(restored as usize, victims.len(), "{name}");
         assert_eq!(faulty.failed_len(), 0, "{name}: scrub heals every fault");
+        assert!(ar.verify_all().is_empty(), "{name}");
+    }
+}
+
+/// The same matrix over a location-sharded backend with a location down
+/// for the whole run: every file still reads, and the first scrub puts
+/// what the dead location held on live ones, so a second scrub finds
+/// nothing to restore (a repair stored back on the dead location would
+/// be restored again by every scrub).
+#[test]
+fn every_roster_scheme_heals_onto_live_locations() {
+    for s in Scheme::extended_lineup() {
+        let dist = Arc::new(DistributedStore::new(30, Placement::Random { seed: 4 }));
+        let mut ar = filled_archive(&s, Arc::clone(&dist));
+        let name = ar.scheme().scheme_name();
+        dist.with_cluster(|c| c.fail(LocationId(9)));
+
+        for (file, contents) in files() {
+            assert_eq!(ar.get(file).expect(file), contents, "{name}: {file}");
+        }
+        assert!(ar.scrub() > 0, "{name}: location 9 held some blocks");
+        assert_eq!(ar.scrub(), 0, "{name}: repairs landed on live locations");
         assert!(ar.verify_all().is_empty(), "{name}");
     }
 }
