@@ -3,7 +3,10 @@
 //! Combines a [`MemStore`] per location with a [`Placement`] policy and a
 //! [`Cluster`]: reads fail while the block's location is unavailable, which
 //! is precisely the failure model of the paper's evaluation (a location
-//! failure makes every block placed there unavailable at once).
+//! failure makes every block placed there unavailable at once). Writes
+//! follow the paper's maintenance (§IV.A, Table III): a block stored
+//! while its location is down — a repair of what that location held — is
+//! placed on an available location instead.
 
 use crate::cluster::{Cluster, LocationId};
 use crate::placement::{PlaceBlocks, Placement};
@@ -17,8 +20,9 @@ pub struct DistributedStore {
     shards: Vec<MemStore>,
     placement: Placement,
     cluster: RwLock<Cluster>,
-    /// Re-homed blocks: repairs place regenerated blocks on *available*
-    /// locations, overriding the deterministic placement.
+    /// Re-homed blocks: a [`DistributedStore::put`] whose location is down
+    /// lands on a live one instead, overriding the deterministic
+    /// placement.
     overrides: RwLock<std::collections::HashMap<BlockId, LocationId>>,
 }
 
@@ -46,28 +50,6 @@ impl DistributedStore {
         self.placement.place(id, self.locations())
     }
 
-    /// Stores a block on an explicit *available* location, recording the
-    /// override so later reads find it there. Used by repair flows to
-    /// re-home blocks whose original location died. Returns the chosen
-    /// location, or `None` when no location is available.
-    pub fn put_rehomed(&self, id: BlockId, block: Block) -> Option<LocationId> {
-        let target = {
-            let cluster = self.cluster.read();
-            // Deterministic probe from the block's home location.
-            let n = self.locations();
-            let home = self.placement.place(id, n).0;
-            (0..n)
-                .map(|k| LocationId((home + k) % n))
-                .find(|&l| cluster.is_available(l))
-        }?;
-        // Drop the stale copy (if any) before re-homing.
-        let old = self.location_of(id);
-        self.shards[old.0 as usize].remove(id);
-        self.shards[target.0 as usize].put(id, block);
-        self.overrides.write().insert(id, target);
-        Some(target)
-    }
-
     /// Runs `f` against the cluster state (fail/restore locations).
     pub fn with_cluster<T>(&self, f: impl FnOnce(&mut Cluster) -> T) -> T {
         f(&mut self.cluster.write())
@@ -88,10 +70,32 @@ impl DistributedStore {
         self.shards.iter().map(MemStore::len).sum()
     }
 
-    /// Stores a block on its placed location.
+    /// Stores a block on its location. When that location is down (a
+    /// repair regenerating what it held), the block goes to the first
+    /// live location probed from its placed one: the override is recorded
+    /// so reads find it there, and the stale copy is dropped. With every
+    /// location down it stays on its location.
     pub fn put(&self, id: BlockId, block: Block) {
         let loc = self.location_of(id);
-        self.shards[loc.0 as usize].put(id, block);
+        let target = {
+            let cluster = self.cluster.read();
+            if cluster.is_available(loc) {
+                loc
+            } else {
+                // Deterministic probe from the block's placed location.
+                let n = self.locations();
+                let home = self.placement.place(id, n).0;
+                (0..n)
+                    .map(|k| LocationId((home + k) % n))
+                    .find(|&l| cluster.is_available(l))
+                    .unwrap_or(loc)
+            }
+        };
+        if target != loc {
+            self.shards[loc.0 as usize].remove(id);
+            self.overrides.write().insert(id, target);
+        }
+        self.shards[target.0 as usize].put(id, block);
     }
 
     /// Fetches a block, verifying its integrity.
@@ -222,23 +226,31 @@ mod tests {
     }
 
     #[test]
-    fn put_rehomed_moves_block_to_live_location() {
+    fn put_moves_block_to_live_location() {
         let s = filled(10);
         let victim_loc = s.location_of(id(3));
         s.with_cluster(|c| c.fail(victim_loc));
         assert!(s.get(id(3)).is_err(), "unreachable while location is down");
-        // Re-home onto some live location; reads work during the outage.
-        let new_loc = s.put_rehomed(id(3), Block::from_vec(vec![3u8; 8])).unwrap();
-        assert_ne!(new_loc, victim_loc);
+        // A put during the outage re-homes onto a live location, where
+        // reads find it; the stale copy is gone.
+        s.put(id(3), Block::from_vec(vec![3u8; 8]));
+        let new_loc = s.location_of(id(3));
+        assert_ne!(new_loc, victim_loc, "override recorded");
         assert_eq!(s.get(id(3)).unwrap().as_slice(), &[3u8; 8]);
-        assert_eq!(s.location_of(id(3)), new_loc, "override recorded");
-        // With every location down, re-homing is impossible.
+        assert!(!s.blocks_at(victim_loc).contains(&id(3)));
+        assert_eq!(s.total_blocks(), 200);
+        // With every location down, the block stays on its location.
         s.with_cluster(|c| {
             for l in 0..10 {
                 c.fail(LocationId(l));
             }
         });
-        assert!(s.put_rehomed(id(4), Block::zero(8)).is_none());
+        let home = s.location_of(id(4));
+        s.put(id(4), Block::zero(8));
+        assert_eq!(s.location_of(id(4)), home);
+        assert!(s.blocks_at(home).contains(&id(4)));
+        s.with_cluster(|c| c.restore_all());
+        assert_eq!(s.get(id(4)), Ok(Block::zero(8)));
     }
 
     #[test]

@@ -1,40 +1,33 @@
-//! Use case A: a geo-replicated cooperative backup (§IV.A).
+//! Use case A (§IV.A): a geo-replicated cooperative backup.
 //!
 //! A community shares storage: "Users keep their own data in their local
 //! computers (nodes) and upload redundant information to geographically
-//! distributed nodes." The lower tier is storage nodes holding p-blocks for
-//! others; the upper tier is broker nodes that encode and decode. Here one
-//! [`GeoBackup`] is a user's broker: it entangles local files, pushes the
-//! parities to a [`DistributedStore`] of remote nodes, and repairs local
-//! data loss from complete pp-tuples fetched remotely — following the
-//! Table III steps (obtain tuple ids → choose p-block → locate → get →
-//! repair).
+//! distributed nodes." That deployment needs no type of its own. Each
+//! user is one [`crate::Archive`] over a [`crate::TieredStore`]: data
+//! blocks stay on the user's machine (the fast tier), redundancy goes to
+//! a remote tier of storage nodes, one [`crate::DistributedStore`] that
+//! every user shares. Repairing lost blocks (the Table III steps: obtain
+//! tuple ids → choose p-block → locate → get → repair) is that archive's
+//! degraded `get` and its `scrub`, and a repair written while a storage
+//! node is down lands on a live one, because the distributed store
+//! re-homes it. Users sharing the remote tier each see it through a
+//! namespaced view (`ae_service::TenantStore`, which tags every id kind,
+//! the archive's journal included), so "other nodes can do repairs on
+//! their behalf" is calling that user's `scrub`.
 //!
-//! The namespaced lattice itself is a first-class scheme: [`GeoLattice`]
-//! wraps an [`ae_core::Code`] and tags every block id with the user's
-//! namespace ("block keys are derived from the node id and the block
-//! position in the lattice", §IV.A), implementing the full
-//! [`RedundancyScheme`] surface including the O(1)
-//! `dense_index`/`block_at` bijection. Multiple users' lattices therefore
-//! coexist in one id space, and geo-node-failure scenarios run through
-//! the same generic `SchemePlane` and repair planners as every other
-//! scheme; [`GeoBackup`] is a thin wrapper holding a
-//! [`TieredStore`] (local data tier over the shared remote tier) — the
-//! two-tier routing is a first-class backend now, not broker-private
-//! adapters.
+//! [`GeoLattice`] is one user's lattice as a roster scheme: it wraps an
+//! [`ae_core::Code`] and tags every block id with the user's namespace
+//! ("block keys are derived from the node id and the block position in
+//! the lattice", §IV.A), implementing the full [`RedundancyScheme`]
+//! surface including the O(1) `dense_index`/`block_at` bijection, so
+//! geo-node-failure scenarios run through the same generic `SchemePlane`
+//! and repair planners as every other scheme.
 
-use crate::distributed::DistributedStore;
-use crate::placement::Placement;
-use crate::store::StoreError;
-use crate::tiered::TieredStore;
 use ae_api::{
     AeError, BlockSink, BlockSource, EncodeReport, RedundancyScheme, RepairCost, RepairError,
 };
 use ae_blocks::{Block, BlockId, EdgeId, NodeId};
 use ae_core::Code;
-use ae_lattice::Config;
-use std::fmt;
-use std::sync::Arc;
 
 /// High bits used to namespace one user's lattice within a shared remote
 /// tier: multiple lattices coexist in the system (§IV.A), so block keys are
@@ -143,16 +136,6 @@ impl GeoLattice {
             user,
             tag: user << NS_SHIFT,
         }
-    }
-
-    /// The wrapped code.
-    pub fn code(&self) -> &Code {
-        &self.code
-    }
-
-    /// The namespace owner.
-    pub fn user(&self) -> u64 {
-        self.user
     }
 
     /// Maps a lattice-local id into this user's key space.
@@ -314,310 +297,39 @@ impl RedundancyScheme for GeoLattice {
     }
 }
 
-/// Handle to a backed-up file: which lattice positions hold its blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FileHandle {
-    /// First lattice position of the file's data blocks.
-    pub first_node: u64,
-    /// Number of data blocks.
-    pub block_count: u64,
-    /// Original byte length (the last block is zero-padded).
-    pub byte_len: usize,
-}
-
-/// Errors from backup operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GeoError {
-    /// A data block was lost locally and no complete pp-tuple was available
-    /// remotely to rebuild it.
-    Unrecoverable(BlockId),
-    /// Underlying store failure.
-    Store(StoreError),
-}
-
-impl fmt::Display for GeoError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GeoError::Unrecoverable(id) => write!(f, "no complete repair tuple for {id}"),
-            GeoError::Store(e) => write!(f, "store error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for GeoError {}
-
-/// One user's broker plus their view of the cooperative network: the
-/// [`GeoLattice`] scheme over a [`TieredStore`] — d-blocks on the user's
-/// own machine (the fast tier), p-blocks on the shared remote nodes — with
-/// every repair flowing through the scheme's generic
-/// [`RedundancyScheme::repair_block`]. All methods take `&self`: both the
-/// scheme and the backend are interior-mutable, so brokers can be shared
-/// and maintained from worker threads.
-pub struct GeoBackup {
-    scheme: GeoLattice,
-    /// The two-tier backend: tier 1 is the user's own machine holding
-    /// d-blocks, tier 2 the remote storage nodes holding p-blocks —
-    /// possibly shared with other users' lattices (namespaced keys).
-    tiers: TieredStore<DistributedStore>,
-}
-
-impl GeoBackup {
-    /// Creates a broker entangling `block_size`-byte blocks over
-    /// `storage_nodes` remote nodes.
-    pub fn new(cfg: Config, block_size: usize, storage_nodes: u32, seed: u64) -> Self {
-        Self::with_shared_remote(
-            cfg,
-            block_size,
-            Arc::new(DistributedStore::new(
-                storage_nodes,
-                Placement::Random { seed },
-            )),
-            0,
-        )
-    }
-
-    /// Creates a broker whose parities live on a remote tier shared with
-    /// other users; `user` namespaces this lattice's block keys (lattice
-    /// positions must stay below 2^48).
-    pub fn with_shared_remote(
-        cfg: Config,
-        block_size: usize,
-        remote: Arc<DistributedStore>,
-        user: u64,
-    ) -> Self {
-        GeoBackup {
-            scheme: GeoLattice::new(Code::new(cfg, block_size), user),
-            tiers: TieredStore::new(remote),
-        }
-    }
-
-    /// Maps a lattice-local block id into the shared key space.
-    fn ns(&self, id: BlockId) -> BlockId {
-        self.scheme.ns(id)
-    }
-
-    /// The code in use.
-    pub fn code(&self) -> &Code {
-        self.scheme.code()
-    }
-
-    /// The namespaced lattice scheme (geo-node-failure scenarios can run
-    /// it through the generic `SchemePlane` and repair planners directly).
-    pub fn scheme(&self) -> &GeoLattice {
-        &self.scheme
-    }
-
-    /// The two-tier backend itself (an [`ae_api::BlockRepo`]; archives can
-    /// run directly over it).
-    pub fn tiers(&self) -> &TieredStore<DistributedStore> {
-        &self.tiers
-    }
-
-    /// Remote tier (exposed so tests and examples can fail storage nodes).
-    pub fn remote(&self) -> &DistributedStore {
-        self.tiers.shared()
-    }
-
-    /// Backs up a file: splits it into d-blocks (zero-padding the tail),
-    /// entangles the whole file as one batch through the scheme, keeps
-    /// d-blocks locally and uploads p-blocks to the remote nodes — the
-    /// routing is the [`TieredStore`] itself.
-    pub fn backup(&self, file: &[u8]) -> FileHandle {
-        let bs = self.scheme.code().block_size();
-        let blocks: Vec<Block> = file
-            .chunks(bs)
-            .map(|chunk| {
-                let mut bytes = chunk.to_vec();
-                bytes.resize(bs, 0);
-                Block::from_vec(bytes)
-            })
-            .collect();
-        let report = self
-            .scheme
-            .encode_batch(&blocks, &self.tiers)
-            .expect("broker blocks are always block_size bytes");
-        FileHandle {
-            first_node: report.first_node,
-            block_count: blocks.len() as u64,
-            byte_len: file.len(),
-        }
-    }
-
-    /// Reads a file back. Missing local blocks are decoded from remote
-    /// parities on the fly (a degraded read); the local copy is *not*
-    /// modified — use [`Self::repair_local`] to restore it.
-    ///
-    /// # Errors
-    ///
-    /// Fails if a block is missing locally and unrecoverable remotely.
-    pub fn read(&self, handle: FileHandle) -> Result<Vec<u8>, GeoError> {
-        let mut out = Vec::with_capacity(handle.byte_len);
-        for i in handle.first_node..handle.first_node + handle.block_count {
-            let id = self.ns(BlockId::Data(NodeId(i)));
-            let block = match self.tiers.fast().get(id) {
-                Ok(b) => b,
-                Err(_) => self
-                    .decode_remote(i)
-                    .ok_or(GeoError::Unrecoverable(BlockId::Data(NodeId(i))))?,
-            };
-            out.extend_from_slice(block.as_slice());
-        }
-        out.truncate(handle.byte_len);
-        Ok(out)
-    }
-
-    /// Simulates local data loss (disk crash, accidental deletion).
-    pub fn lose_local(&self, node: u64) {
-        self.tiers
-            .fast()
-            .remove(self.ns(BlockId::Data(NodeId(node))));
-    }
-
-    /// Repairs every missing local d-block of a file from remote pp-tuples,
-    /// skipping blocks without a complete tuple (they may become repairable
-    /// after a [`Self::repair_remote`] round, mirroring the paper's
-    /// round-based decoder). Returns the repaired count and the ids still
-    /// missing.
-    pub fn repair_local(&self, handle: FileHandle) -> (u64, Vec<BlockId>) {
-        let mut repaired = 0;
-        let mut unrecovered = Vec::new();
-        for i in handle.first_node..handle.first_node + handle.block_count {
-            let id = self.ns(BlockId::Data(NodeId(i)));
-            if self.tiers.fast().contains(id) {
-                continue;
-            }
-            match self.decode_remote(i) {
-                Some(block) => {
-                    self.tiers.fast().put(id, block);
-                    repaired += 1;
-                }
-                None => unrecovered.push(BlockId::Data(NodeId(i))),
-            }
-        }
-        (repaired, unrecovered)
-    }
-
-    /// Regenerates p-blocks lost to failed storage nodes (the Table III
-    /// flow) and re-homes them on available nodes. Blocks whose tuples are
-    /// incomplete are skipped; returns how many parities were regenerated.
-    pub fn repair_remote(&self) -> u64 {
-        let max_node = self.scheme.data_written();
-        let mut repaired = 0;
-        // Walk every parity the lattice should hold; regenerate missing
-        // ones from the dp-tuples that survive, through the scheme.
-        for i in 1..=max_node {
-            for &class in self.scheme.code().config().classes() {
-                let id = self.ns(BlockId::Parity(EdgeId::new(class, NodeId(i))));
-                if self.remote().contains(id) {
-                    continue;
-                }
-                if let Ok(block) = self.scheme.repair_block(&self.tiers, id, max_node) {
-                    if self.remote().put_rehomed(id, block).is_some() {
-                        repaired += 1;
-                    }
-                }
-            }
-        }
-        repaired
-    }
-
-    /// Decodes data block `i` through the scheme (the broker lost its
-    /// local copy): one XOR of two fetched p-blocks when a pp-tuple is
-    /// complete.
-    fn decode_remote(&self, i: u64) -> Option<Block> {
-        let id = self.ns(BlockId::Data(NodeId(i)));
-        self.scheme
-            .repair_block(&self.tiers, id, self.scheme.data_written())
-            .ok()
-    }
-}
-
-/// A cooperative community: several users' entanglement lattices coexisting
-/// on one shared tier of storage nodes (§IV.A: "multiple lattices coexist
-/// in the system … the system could keep lattices with different
-/// settings").
-///
-/// Each user gets a namespaced key range, so lattices never collide, and
-/// any member can run maintenance for the whole community ("If a node is
-/// not able to repair the lattice, other nodes can do repairs on their
-/// behalf as well").
-pub struct Community {
-    remote: Arc<DistributedStore>,
-    users: Vec<GeoBackup>,
-}
-
-impl Community {
-    /// Creates a community of brokers over `storage_nodes` shared nodes;
-    /// `configs[i]` is user i's code (lattices may differ per user).
-    pub fn new(configs: &[Config], block_size: usize, storage_nodes: u32, seed: u64) -> Self {
-        let remote = Arc::new(DistributedStore::new(
-            storage_nodes,
-            Placement::Random { seed },
-        ));
-        let users = configs
-            .iter()
-            .enumerate()
-            .map(|(u, &cfg)| {
-                GeoBackup::with_shared_remote(cfg, block_size, Arc::clone(&remote), u as u64 + 1)
-            })
-            .collect();
-        Community { remote, users }
-    }
-
-    /// Number of member users.
-    pub fn len(&self) -> usize {
-        self.users.len()
-    }
-
-    /// Whether the community has no members.
-    pub fn is_empty(&self) -> bool {
-        self.users.is_empty()
-    }
-
-    /// The shared remote tier.
-    pub fn remote(&self) -> &Arc<DistributedStore> {
-        &self.remote
-    }
-
-    /// Borrows user `u`'s broker.
-    pub fn user(&self, u: usize) -> &GeoBackup {
-        &self.users[u]
-    }
-
-    /// Community-wide maintenance: every member regenerates the parities of
-    /// every lattice it can (its own and, altruistically, the others').
-    /// Returns total parities regenerated.
-    ///
-    /// Maintenance fans out per user across [`ae_api::repair_threads`]
-    /// scoped threads with the same contiguous-chunk /
-    /// deterministic-chunk-order-merge pattern as the repair planners —
-    /// sound because each user's lattice occupies a disjoint namespaced id
-    /// range of the shared tier, and re-homing probes depend only on
-    /// cluster availability, never on the other users' writes.
-    /// `AE_REPAIR_THREADS` overrides the width; 1 is the sequential walk.
-    pub fn maintain_all(&self) -> u64 {
-        let threads = ae_api::repair_threads().min(self.users.len());
-        ae_api::par::par_chunks(&self.users, threads, 2, |chunk| {
-            chunk.iter().map(GeoBackup::repair_remote).collect()
-        })
-        .into_iter()
-        .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Archive, ArchiveError, DistributedStore, LocationId, Placement, TieredStore};
+    use ae_lattice::Config;
+    use std::sync::Arc;
+
+    /// One user's backup: data on the user's machine, redundancy on the
+    /// remote storage nodes.
+    type Backup = Archive<TieredStore<DistributedStore>>;
 
     fn sample_file(len: usize) -> Vec<u8> {
         (0..len).map(|i| ((i * 131 + 7) % 256) as u8).collect()
     }
 
-    fn backup_one(cfg: Config, file_len: usize) -> (GeoBackup, FileHandle, Vec<u8>) {
-        let geo = GeoBackup::new(cfg, 64, 20, 3);
+    fn backup(cfg: Config, block_size: usize, nodes: u32, seed: u64) -> Backup {
+        let remote = Arc::new(DistributedStore::new(nodes, Placement::Random { seed }));
+        Archive::new(cfg, block_size, Arc::new(TieredStore::new(remote)))
+    }
+
+    fn backup_one(cfg: Config, file_len: usize) -> (Backup, Vec<u8>) {
+        let mut ar = backup(cfg, 64, 20, 3);
         let file = sample_file(file_len);
-        let handle = geo.backup(&file);
-        (geo, handle, file)
+        ar.put("file", &file).expect("fresh name");
+        (ar, file)
+    }
+
+    fn fail_nodes(ar: &Backup, nodes: impl IntoIterator<Item = u32>) {
+        ar.store().shared().with_cluster(|c| {
+            for l in nodes {
+                c.fail(LocationId(l));
+            }
+        });
     }
 
     #[test]
@@ -656,230 +368,139 @@ mod tests {
 
     #[test]
     fn backup_and_read_roundtrip() {
-        let (geo, handle, file) = backup_one(Config::new(3, 2, 5).unwrap(), 1000);
+        let (ar, file) = backup_one(Config::new(3, 2, 5).unwrap(), 1000);
         assert_eq!(
-            handle.block_count, 16,
+            ar.entry("file").unwrap().block_count,
+            16,
             "1000 bytes / 64-byte blocks, padded"
         );
-        assert_eq!(geo.read(handle).unwrap(), file);
+        assert_eq!(ar.get("file").unwrap(), file);
     }
 
     #[test]
     fn degraded_read_after_local_loss() {
-        let (geo, handle, file) = backup_one(Config::new(3, 2, 5).unwrap(), 640);
-        geo.lose_local(handle.first_node + 3);
-        geo.lose_local(handle.first_node + 7);
-        assert_eq!(geo.read(handle).unwrap(), file, "read decodes remotely");
-        // Local copies are still missing until an explicit repair.
-        let (repaired, unrecovered) = geo.repair_local(handle);
-        assert_eq!((repaired, unrecovered.len()), (2, 0));
-        assert_eq!(geo.repair_local(handle).0, 0, "idempotent");
+        let (mut ar, file) = backup_one(Config::new(3, 2, 5).unwrap(), 640);
+        // The laptop's disk dies: every data block is gone.
+        assert_eq!(ar.store().drop_fast(), 10);
+        assert_eq!(ar.get("file").unwrap(), file, "read decodes remotely");
+        // Reads leave the local copies missing until a scrub.
+        assert!(ar.store().fast().is_empty());
+        assert_eq!(ar.scrub(), 10);
+        assert_eq!(ar.store().fast().len(), 10);
+        assert_eq!(ar.scrub(), 0, "idempotent");
     }
 
     #[test]
     fn repairs_survive_storage_node_failures() {
-        let (geo, handle, file) = backup_one(Config::new(3, 2, 5).unwrap(), 2000);
-        // Fail some remote nodes and lose ALL local data; repair in rounds,
-        // regenerating reachable parities between data passes (the paper's
-        // round-based decoding).
-        geo.remote().with_cluster(|c| {
-            for l in [1, 5, 9] {
-                c.fail(crate::cluster::LocationId(l));
-            }
-        });
-        for k in 0..handle.block_count {
-            geo.lose_local(handle.first_node + k);
-        }
-        for round in 0..10 {
-            let (_, unrecovered) = geo.repair_local(handle);
-            if unrecovered.is_empty() {
-                break;
-            }
-            let regenerated = geo.repair_remote();
-            assert!(regenerated > 0 || round > 0, "no progress: {unrecovered:?}");
-        }
-        assert_eq!(geo.read(handle).unwrap(), file);
+        let (mut ar, file) = backup_one(Config::new(3, 2, 5).unwrap(), 2000);
+        // Fail some remote nodes and lose ALL local data: the degraded
+        // read repairs in rounds, and scrub writes every repair to a
+        // live node, so a second scrub has nothing left to do.
+        fail_nodes(&ar, [1, 5, 9]);
+        assert_eq!(ar.store().drop_fast(), 32);
+        assert_eq!(ar.get("file").unwrap(), file);
+        assert!(
+            ar.scrub() > 32,
+            "every data block and the dead nodes' share"
+        );
+        assert_eq!(ar.store().fast().len(), 32, "the local disk is whole again");
+        assert_eq!(ar.scrub(), 0, "repairs landed on live nodes");
+        assert!(ar.verify_all().is_empty());
     }
 
     #[test]
     fn remote_parity_regeneration() {
-        let (geo, _, _) = backup_one(Config::new(2, 2, 2).unwrap(), 1280);
-        // Knock out one storage node for good: its parities are lost.
-        let lost_loc = crate::cluster::LocationId(4);
-        let lost: Vec<_> = geo.remote().blocks_at(lost_loc);
+        let (mut ar, file) = backup_one(Config::new(2, 2, 2).unwrap(), 1280);
+        // Knock out one storage node's contents for good.
+        let remote = ar.store().shared();
+        let lost = remote.blocks_at(LocationId(4));
+        assert!(!lost.is_empty(), "test requires some blocks at n4");
         for id in &lost {
-            geo.remote().remove(*id);
+            remote.remove(*id);
         }
-        assert!(!lost.is_empty(), "test requires some parities at n4");
-        let regenerated = geo.repair_remote();
-        assert_eq!(regenerated as usize, lost.len());
+        assert_eq!(ar.scrub() as usize, lost.len());
+        let remote = ar.store().shared();
         for id in &lost {
-            assert!(geo.remote().contains(*id), "{id} regenerated");
+            assert!(remote.contains(*id), "{id} regenerated");
         }
+        assert_eq!(ar.get("file").unwrap(), file);
     }
 
     #[test]
     fn multiple_files_share_one_lattice() {
-        let geo = GeoBackup::new(Config::new(2, 1, 2).unwrap(), 32, 10, 1);
+        let mut ar = backup(Config::new(2, 1, 2).unwrap(), 32, 10, 1);
         let f1 = sample_file(100);
         let f2 = sample_file(300);
-        let h1 = geo.backup(&f1);
-        let h2 = geo.backup(&f2);
-        assert_eq!(h2.first_node, h1.first_node + h1.block_count);
-        assert_eq!(geo.read(h1).unwrap(), f1);
-        assert_eq!(geo.read(h2).unwrap(), f2);
+        let e1 = ar.put("f1", &f1).unwrap();
+        let e2 = ar.put("f2", &f2).unwrap();
+        assert_eq!(e2.first_block, e1.first_block + e1.block_count);
+        assert_eq!(ar.get("f1").unwrap(), f1);
+        assert_eq!(ar.get("f2").unwrap(), f2);
     }
 
     #[test]
     fn unrecoverable_loss_is_reported() {
-        let (geo, handle, _) = backup_one(Config::new(2, 1, 1).unwrap(), 320);
+        let (ar, _) = backup_one(Config::new(2, 1, 1).unwrap(), 320);
         // Lose a local block AND all remote nodes.
-        geo.lose_local(handle.first_node + 2);
-        geo.remote().with_cluster(|c| {
-            for l in 0..20 {
-                c.fail(crate::cluster::LocationId(l));
-            }
-        });
-        assert!(matches!(geo.read(handle), Err(GeoError::Unrecoverable(_))));
-    }
-
-    #[test]
-    fn community_lattices_do_not_collide() {
-        let configs = [Config::new(3, 2, 5).unwrap(), Config::new(2, 1, 2).unwrap()];
-        let com = Community::new(&configs, 64, 25, 11);
-        assert_eq!(com.len(), 2);
-        assert!(!com.is_empty());
-        let f0 = sample_file(500);
-        let f1: Vec<u8> = sample_file(500).iter().map(|b| b ^ 0xFF).collect();
-        let h0 = com.user(0).backup(&f0);
-        let h1 = com.user(1).backup(&f1);
-        // Same lattice positions, different users: contents must not mix.
-        assert_eq!(h0.first_node, h1.first_node);
-        assert_eq!(com.user(0).read(h0).unwrap(), f0);
-        assert_eq!(com.user(1).read(h1).unwrap(), f1);
-    }
-
-    #[test]
-    fn community_survives_shared_tier_failures() {
-        let configs = [Config::new(3, 2, 5).unwrap(), Config::new(3, 2, 5).unwrap()];
-        let com = Community::new(&configs, 64, 25, 13);
-        let files: Vec<Vec<u8>> = (0..2).map(|k| sample_file(800 + k * 64)).collect();
-        let handles: Vec<FileHandle> = files
-            .iter()
-            .enumerate()
-            .map(|(u, f)| com.user(u).backup(f))
-            .collect();
-        // Fail a slice of the shared tier; both users lose some local data.
-        com.remote().with_cluster(|c| {
-            for l in [0, 5, 10, 15] {
-                c.fail(crate::cluster::LocationId(l));
-            }
-        });
-        for (u, h) in handles.iter().enumerate() {
-            com.user(u).lose_local(h.first_node + 2);
-            com.user(u).lose_local(h.first_node + 5);
-        }
-        // Community-wide maintenance re-homes what it can, then each user
-        // repairs locally.
-        com.maintain_all();
-        for (u, h) in handles.iter().enumerate() {
-            let (_, missing) = com.user(u).repair_local(*h);
-            assert!(missing.is_empty(), "user {u}: {missing:?}");
-            assert_eq!(com.user(u).read(*h).unwrap(), files[u]);
-        }
-    }
-
-    /// The fanned-out community maintenance must regenerate exactly the
-    /// same parities onto exactly the same re-homed locations as the
-    /// reference serial walk — the deterministic-merge guarantee.
-    #[test]
-    fn parallel_maintenance_matches_serial_walk() {
-        let build = || {
-            let configs = [
-                Config::new(3, 2, 5).unwrap(),
-                Config::new(2, 2, 5).unwrap(),
-                Config::new(2, 1, 2).unwrap(),
-                Config::new(3, 2, 5).unwrap(),
-            ];
-            let com = Community::new(&configs, 32, 15, 41);
-            for u in 0..com.len() {
-                com.user(u).backup(&sample_file(700 + u * 96));
-            }
-            // Fail a third of the shared tier: many parities to regenerate.
-            com.remote().with_cluster(|c| {
-                for l in [0, 3, 6, 9, 12] {
-                    c.fail(crate::cluster::LocationId(l));
-                }
-            });
-            for l in [0u32, 3, 6, 9, 12] {
-                for id in com.remote().blocks_at(crate::cluster::LocationId(l)) {
-                    com.remote().remove(id);
-                }
-            }
-            com
-        };
-        let parallel = build();
-        let serial = build();
-        let total_parallel = parallel.maintain_all();
-        // Reference: the strictly sequential per-user walk.
-        let total_serial: u64 = serial.users.iter().map(GeoBackup::repair_remote).sum();
-        assert_eq!(total_parallel, total_serial);
-        assert!(total_parallel > 0, "the disaster must cost something");
-        // Block-for-block identical shared tier afterwards, including
-        // re-homed locations.
-        for l in 0..15u32 {
-            let loc = crate::cluster::LocationId(l);
-            let mut a = parallel.remote().blocks_at(loc);
-            let mut b = serial.remote().blocks_at(loc);
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "location {l}");
-        }
+        let victim = ar.data_ids().nth(2).unwrap();
+        assert!(ar.store().fast().remove(victim));
+        fail_nodes(&ar, 0..20);
+        assert!(matches!(
+            ar.get("file"),
+            Err(ArchiveError::BlockUnavailable { id, .. }) if id == victim
+        ));
     }
 
     /// The scheme-driven repair path must agree, block for block, with
-    /// the direct decoder call the broker used to make
+    /// the direct decoder call a broker would make
     /// (`decoder::repair_block` against the two tiers).
     #[test]
     fn scheme_repairs_match_legacy_decoder_path() {
         use ae_core::decoder;
+        let cfg = Config::new(2, 2, 5).unwrap();
         for damage_seed in 0u64..8 {
-            let geo = GeoBackup::with_shared_remote(
-                Config::new(2, 2, 5).unwrap(),
-                32,
-                Arc::new(DistributedStore::new(20, Placement::Random { seed: 3 })),
-                4,
-            );
-            let file = sample_file(1200);
-            let handle = geo.backup(&file);
+            let scheme = GeoLattice::new(Code::new(cfg, 32), 4);
+            let tiers = TieredStore::new(Arc::new(DistributedStore::new(
+                20,
+                Placement::Random { seed: 3 },
+            )));
+            let blocks: Vec<Block> = sample_file(1200)
+                .chunks(32)
+                .map(|chunk| {
+                    let mut bytes = chunk.to_vec();
+                    bytes.resize(32, 0);
+                    Block::from_vec(bytes)
+                })
+                .collect();
+            let first_node = scheme.encode_batch(&blocks, &tiers).unwrap().first_node;
+            let nodes = first_node..first_node + blocks.len() as u64;
             // Correlated damage: fail a couple of storage nodes and lose a
             // pseudo-random subset of the local tier.
-            geo.remote().with_cluster(|c| {
-                c.fail(crate::cluster::LocationId((damage_seed % 20) as u32));
-                c.fail(crate::cluster::LocationId(((damage_seed + 7) % 20) as u32));
+            tiers.shared().with_cluster(|c| {
+                c.fail(LocationId((damage_seed % 20) as u32));
+                c.fail(LocationId(((damage_seed + 7) % 20) as u32));
             });
             let mut state = damage_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            for k in 0..handle.block_count {
+            for i in nodes.clone() {
                 state = state
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 if (state >> 33) % 100 < 40 {
-                    geo.lose_local(handle.first_node + k);
+                    tiers.fast().remove(scheme.ns(BlockId::Data(NodeId(i))));
                 }
             }
-            let written = geo.scheme().data_written();
-            let cfg = *geo.code().config();
-            let zero = geo.code().zero_block().clone();
+            let written = scheme.data_written();
+            let zero = Block::zero(32);
             // Every data block and parity: the generic scheme path and
             // the legacy direct decoder must agree on repairability and
             // bytes.
-            let tag = |id| geo.ns(id);
+            let tag = |id| scheme.ns(id);
             let mut legacy_lookup = |q: BlockId| match q {
-                BlockId::Data(_) => geo.tiers().fast().get(tag(q)).ok(),
-                BlockId::Parity(_) => geo.remote().get(tag(q)).ok(),
+                BlockId::Data(_) => tiers.fast().get(tag(q)).ok(),
+                BlockId::Parity(_) => tiers.shared().get(tag(q)).ok(),
                 _ => None,
             };
-            for i in handle.first_node..handle.first_node + handle.block_count {
+            for i in nodes {
                 let legacy = decoder::repair_block(
                     &cfg,
                     BlockId::Data(NodeId(i)),
@@ -888,9 +509,8 @@ mod tests {
                     &mut legacy_lookup,
                 )
                 .ok();
-                let via_scheme = geo
-                    .scheme()
-                    .repair_block(geo.tiers(), geo.ns(BlockId::Data(NodeId(i))), written)
+                let via_scheme = scheme
+                    .repair_block(&tiers, scheme.ns(BlockId::Data(NodeId(i))), written)
                     .ok();
                 assert_eq!(via_scheme, legacy, "seed {damage_seed}: d{i}");
             }
@@ -905,9 +525,8 @@ mod tests {
                         &mut legacy_lookup,
                     )
                     .ok();
-                    let via_scheme = geo
-                        .scheme()
-                        .repair_block(geo.tiers(), geo.ns(BlockId::Parity(edge)), written)
+                    let via_scheme = scheme
+                        .repair_block(&tiers, scheme.ns(BlockId::Parity(edge)), written)
                         .ok();
                     assert_eq!(via_scheme, legacy, "seed {damage_seed}: {edge:?}");
                 }

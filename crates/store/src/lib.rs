@@ -18,7 +18,7 @@
 //!   ([`placement::PlaceBlocks`]).
 //! * [`distributed`] — [`distributed::DistributedStore`]: a backend
 //!   sharded over cluster locations; reads fail while a block's location
-//!   is down.
+//!   is down, and a write to a down location lands on a live one.
 //! * [`tiered`] — [`tiered::TieredStore`]: a fast local tier (data) over a
 //!   shared remote tier (redundancy), the §IV.A two-tier flow as a
 //!   first-class backend.
@@ -28,10 +28,11 @@
 //!   first-class [`ae_api::RedundancyScheme`]
 //!   ([`chain::EntangledChain`]): AE(1,-,-) plus a closing parity, with
 //!   the typed open-chain [`chain::ExtremityWarning`].
-//! * [`geo`] — use case A (§IV.A): the two-tier cooperative backup. The
-//!   namespaced per-user lattice is itself a scheme ([`geo::GeoLattice`]);
-//!   [`geo::GeoBackup`] is the thin broker wrapper over it, and
-//!   [`geo::Community`] fans community-wide maintenance out per user.
+//! * [`geo`] — use case A (§IV.A): the two-tier cooperative backup, one
+//!   [`archive::Archive`] per user over a [`tiered::TieredStore`] whose
+//!   remote tier is a shared [`distributed::DistributedStore`]; the
+//!   namespaced per-user lattice as a roster scheme
+//!   ([`geo::GeoLattice`]).
 //! * [`mod@array`] — use case B (§IV.B): entangled mirror disk arrays — drive
 //!   topology (full partition / striping layouts) over the chain scheme.
 //! * [`archive`] — the user-facing layer: an append-only file archive,
@@ -64,7 +65,7 @@ pub use chain::{ChainMode, EntangledChain, ExtremityWarning};
 pub use cluster::{Cluster, LocationId};
 pub use distributed::DistributedStore;
 pub use fault::FaultyStore;
-pub use geo::{Community, GeoBackup, GeoLattice};
+pub use geo::GeoLattice;
 pub use meta::MetaConfig;
 pub use placement::{PlaceBlocks, Placement};
 pub use store::{MemStore, StoreError};

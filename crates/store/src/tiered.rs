@@ -2,11 +2,11 @@
 //!
 //! The §IV.A cooperative backup keeps a user's data blocks on their own
 //! machine and pushes redundancy to geographically distributed nodes.
-//! [`TieredStore`] promotes that routing — formerly the private
-//! `TierSink`/`TierSource` adapters inside [`crate::GeoBackup`] — into a
-//! first-class backend of the unified [`ae_api`] family: data blocks land
-//! on the fast local [`MemStore`], everything else (parities, shards,
-//! replicas) on a shared remote backend, and reads route the same way.
+//! [`TieredStore`] is that routing as a backend of the unified [`ae_api`]
+//! family: data blocks land on the fast local [`MemStore`], everything
+//! else (parities, shards, replicas, the archive's journal) on a shared
+//! remote backend, and reads route the same way. An [`crate::Archive`]
+//! over it is one user of the cooperative backup ([`crate::geo`]).
 //!
 //! Because it is just another [`ae_api::BlockRepo`], the same archive,
 //! encoder and repair code that runs over a [`MemStore`] runs over a

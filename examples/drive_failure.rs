@@ -16,7 +16,8 @@ use aecodes::blocks::{Block, BlockId, NodeId};
 use aecodes::lattice::Config;
 use aecodes::sim::{Scheme, SchemePlane, SimPlacement};
 use aecodes::store::array::{DriveId, EntangledArray, Layout};
-use aecodes::store::{ChainMode, GeoBackup};
+use aecodes::store::{Archive, ChainMode, DistributedStore, LocationId, Placement, TieredStore};
+use std::sync::Arc;
 
 fn main() {
     // --- 1. Drive failures on the availability plane -------------------
@@ -98,26 +99,26 @@ fn main() {
         out.data_lost
     );
 
-    // And with real bytes: a broker loses storage nodes AND local data,
-    // then repairs everything through the scheme.
-    let geo = GeoBackup::new(Config::new(3, 2, 5).expect("paper setting"), 64, 20, 3);
+    // And with real bytes: one user's archive, data on the laptop and
+    // redundancy on 20 storage nodes, loses nodes AND the laptop, then
+    // reads and repairs everything through the scheme.
+    let nodes = Arc::new(DistributedStore::new(20, Placement::Random { seed: 3 }));
+    let tiers = Arc::new(TieredStore::new(Arc::clone(&nodes)));
+    let mut ar = Archive::new(Config::new(3, 2, 5).expect("paper setting"), 64, tiers);
     let file: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
-    let handle = geo.backup(&file);
-    geo.remote().with_cluster(|c| {
+    ar.put("file", &file).expect("fresh name");
+    nodes.with_cluster(|c| {
         for l in [2, 8, 14] {
-            c.fail(aecodes::store::LocationId(l));
+            c.fail(LocationId(l));
         }
     });
-    for k in 0..handle.block_count {
-        geo.lose_local(handle.first_node + k);
-    }
-    for _ in 0..10 {
-        let (_, unrecovered) = geo.repair_local(handle);
-        if unrecovered.is_empty() {
-            break;
-        }
-        geo.repair_remote();
-    }
-    assert_eq!(geo.read(handle).unwrap(), file);
-    println!("byte plane: 3/20 storage nodes + all local data lost, file restored intact");
+    ar.store().drop_fast();
+    assert_eq!(ar.get("file").unwrap(), file);
+    let restored = ar.scrub();
+    assert_eq!(ar.scrub(), 0, "repairs landed on live nodes");
+    assert!(ar.verify_all().is_empty());
+    println!(
+        "byte plane: 3/20 storage nodes + all local data lost, file restored intact; \
+         scrub put {restored} blocks back"
+    );
 }
