@@ -7,6 +7,8 @@
 //! that user's `scrub`, and the distributed store puts every repair on a
 //! live node.
 
+use aecodes::api::BlockRepo;
+use aecodes::core::Code;
 use aecodes::lattice::Config;
 use aecodes::service::{SharedBackend, TenantId, TenantStore};
 use aecodes::store::{Archive, DistributedStore, LocationId, Placement, TieredStore};
@@ -99,4 +101,75 @@ fn each_user_heals_the_shared_tier_while_nodes_are_down() {
         assert_eq!(&ar.get("file").unwrap(), file);
         assert!(ar.verify_all().is_empty());
     }
+}
+
+/// The `geo_backup` example's alice: AE(3,2,5) with 256-byte blocks, her
+/// photos and mail (56 data blocks), on 40 storage nodes placed by seed
+/// 2024.
+fn alice_files() -> [(&'static str, Vec<u8>); 2] {
+    let photos = (0..10_000u32)
+        .map(|i| (i.wrapping_mul(2654435761) % 251) as u8)
+        .collect();
+    let mail = (0..4_000u32)
+        .map(|i| (i.wrapping_mul(40503) % 241) as u8)
+        .collect();
+    [("photos", photos), ("mail", mail)]
+}
+
+/// Writes alice's files over `shared` (the nodes, or a view of them),
+/// drops the archive, takes nodes 3, 11, 19, 27 and 35 down — and the
+/// laptop too if `laptop_lost` — then reopens. The encoder frontier's
+/// parities sit on the nodes; where a lost one's only repair tuple is
+/// itself missing a member, `open` must rebuild it in rounds, as a
+/// degraded read does. The reopened archive reads every file, and its
+/// scrub heals onto live nodes.
+fn reopen_alice<S: BlockRepo + Send + ?Sized>(
+    nodes: &DistributedStore,
+    shared: Arc<S>,
+    laptop_lost: bool,
+) {
+    const GEO_BLOCK: usize = 256;
+    let cfg = Config::new(3, 2, 5).unwrap();
+    let store = Arc::new(TieredStore::new(shared));
+    let mut ar = Archive::new(cfg, GEO_BLOCK, Arc::clone(&store));
+    for (name, bytes) in alice_files() {
+        ar.put(name, &bytes).expect("fresh name");
+    }
+    drop(ar);
+    if laptop_lost {
+        assert!(store.drop_fast() > 0);
+    }
+    nodes.with_cluster(|c| {
+        for l in [3, 11, 19, 27, 35] {
+            c.fail(LocationId(l));
+        }
+    });
+    let scheme = Arc::new(Code::new(cfg, GEO_BLOCK));
+    let mut ar = Archive::open(scheme, store).unwrap_or_else(|e| panic!("open: {e}"));
+    for (name, bytes) in alice_files() {
+        assert_eq!(ar.get(name).unwrap(), bytes, "{name}");
+    }
+    assert!(ar.scrub() > 0, "the dead nodes' share comes back");
+    assert_eq!(ar.scrub(), 0, "repairs landed on live nodes");
+    assert!(ar.verify_all().is_empty());
+}
+
+#[test]
+fn open_survives_a_lost_laptop_and_nodes_down() {
+    let nodes = Arc::new(DistributedStore::new(40, Placement::Random { seed: 2024 }));
+    let view = TenantStore::new(Arc::clone(&nodes) as SharedBackend, TenantId(1));
+    reopen_alice(&nodes, Arc::new(view), true);
+}
+
+#[test]
+fn open_survives_nodes_down_behind_a_tenant_view() {
+    let nodes = Arc::new(DistributedStore::new(40, Placement::Random { seed: 2024 }));
+    let view = TenantStore::new(Arc::clone(&nodes) as SharedBackend, TenantId(1));
+    reopen_alice(&nodes, Arc::new(view), false);
+}
+
+#[test]
+fn open_survives_nodes_down_without_a_tenant_view() {
+    let nodes = Arc::new(DistributedStore::new(40, Placement::Random { seed: 2024 }));
+    reopen_alice(&nodes, Arc::clone(&nodes), false);
 }
