@@ -69,6 +69,16 @@ pub trait BlockSource: Sync {
         self.fetch(id).ok_or(StoreError::NotFound(id))
     }
 
+    /// [`BlockSource::read`] of every id of a run, answered in order: one
+    /// result per id, each the one `read` would give. The default is that
+    /// loop, so a wrapper that overrides only `read` keeps its exact
+    /// semantics. A backend overrides it where a run is cheaper than its
+    /// reads one by one: `ae_store::MemStore` takes its lock once and
+    /// checksums each block while the next ones load.
+    fn read_many(&self, ids: &[BlockId]) -> Vec<Result<Block, StoreError>> {
+        ids.iter().map(|&id| self.read(id)).collect()
+    }
+
     /// The backend's **native async interior**, if it has one.
     ///
     /// Purely-sync backends (everything in `ae_store`, the in-memory
@@ -123,6 +133,10 @@ impl<S: BlockSource + ?Sized> BlockSource for &S {
         (**self).read(id)
     }
 
+    fn read_many(&self, ids: &[BlockId]) -> Vec<Result<Block, StoreError>> {
+        (**self).read_many(ids)
+    }
+
     fn as_async(&self) -> Option<crate::aio::AsyncHandle<'_>> {
         (**self).as_async()
     }
@@ -149,6 +163,10 @@ impl<S: BlockSource + Send + ?Sized> BlockSource for Arc<S> {
 
     fn read(&self, id: BlockId) -> Result<Block, StoreError> {
         (**self).read(id)
+    }
+
+    fn read_many(&self, ids: &[BlockId]) -> Vec<Result<Block, StoreError>> {
+        (**self).read_many(ids)
     }
 
     fn as_async(&self) -> Option<crate::aio::AsyncHandle<'_>> {
@@ -238,6 +256,13 @@ impl BlockMap {
     /// The block under `id`, cloned.
     pub fn get(&self, id: &BlockId) -> Option<Block> {
         self.inner.read().get(id).cloned()
+    }
+
+    /// The block under each id of `ids`, cloned, in order — under one
+    /// read lock.
+    pub fn get_many(&self, ids: &[BlockId]) -> Vec<Option<Block>> {
+        let map = self.inner.read();
+        ids.iter().map(|id| map.get(id).cloned()).collect()
     }
 
     /// Whether the map holds `id`.

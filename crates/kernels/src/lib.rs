@@ -20,6 +20,11 @@
 //!   own in the scalar and AVX2 tiers; SSSE3 and NEON compose it from
 //!   their per-row multiply.
 //!
+//! Beside the kernels sits one cache hint, [`prefetch`]: a verified read
+//! of a run of cold blocks loads the next ones while it checksums this
+//! one. It is not a tier — it is the same under every `AE_KERNEL` — and
+//! it never reads or changes a byte.
+//!
 //! # Dispatch contract
 //!
 //! CPU features are detected **once**, on first use, via
@@ -362,6 +367,18 @@ pub fn crc32_update(state: u32, data: &[u8]) -> u32 {
     active().crc32_update(state, data)
 }
 
+/// Hints the cache to load `data` ahead of a read: on x86-64 one
+/// `PREFETCHT0` per 64-byte line, elsewhere nothing. A cache hint, not a
+/// kernel tier — the same under every `AE_KERNEL` — it never reads or
+/// changes a byte and never faults. A reader that checksums a run of
+/// cold blocks prefetches the next ones while it sums this one.
+pub fn prefetch(data: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    x86::prefetch(data);
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = data;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,6 +425,24 @@ mod tests {
                 assert_eq!(acc, want, "{} c={c}", set.name);
             }
         }
+    }
+
+    #[test]
+    fn prefetch_is_a_hint_on_any_slice() {
+        let bytes: Vec<u8> = (0..4161u32).map(|i| (i * 7 + 3) as u8).collect();
+        let before = bytes.clone();
+        // Empty, one byte, unaligned short, unaligned 4097 bytes, the
+        // whole buffer.
+        for view in [
+            &bytes[..0],
+            &bytes[..1],
+            &bytes[3..67],
+            &bytes[1..4098],
+            &bytes[..],
+        ] {
+            prefetch(view);
+        }
+        assert_eq!(bytes, before);
     }
 
     #[test]

@@ -442,3 +442,17 @@ fn fold16(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
     let hi = _mm_clmulepi64_si128(a, keys, 0x11);
     _mm_xor_si128(b, _mm_xor_si128(lo, hi))
 }
+
+// ----------------------------------------------------------- prefetch --
+
+/// `PREFETCHT0` for every 64-byte line `data` touches: the line of each
+/// 64th byte, then the line of the last byte.
+pub fn prefetch(data: &[u8]) {
+    let lines = (0..data.len()).step_by(64).map(|k| &data[k]);
+    for byte in lines.chain(data.last()) {
+        // Safety: SSE is part of the x86-64 baseline, and a prefetch is
+        // a hint about an address taken from a live reference: it never
+        // reads, writes or faults.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>((byte as *const u8).cast()) }
+    }
+}

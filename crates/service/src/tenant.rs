@@ -118,13 +118,28 @@ impl BlockSource for TenantStore {
     }
 
     fn read(&self, id: BlockId) -> Result<Block, StoreError> {
-        // Map the error back into the tenant-local id space: callers
-        // reason about their own universe.
-        self.inner.read(self.global(id)).map_err(|e| match e {
-            StoreError::NotFound(_) => StoreError::NotFound(id),
-            StoreError::Corrupted(_) => StoreError::Corrupted(id),
-            StoreError::TimedOut(_) => StoreError::TimedOut(id),
-        })
+        self.inner.read(self.global(id)).map_err(|e| local(e, id))
+    }
+
+    /// The run goes to the shared backend as one run of tagged ids, so a
+    /// backend that reads runs faster does so for every tenant.
+    fn read_many(&self, ids: &[BlockId]) -> Vec<Result<Block, StoreError>> {
+        let global: Vec<BlockId> = ids.iter().map(|&id| self.global(id)).collect();
+        let reads = self.inner.read_many(&global);
+        let reads = reads.into_iter().zip(ids);
+        reads
+            .map(|(read, &id)| read.map_err(|e| local(e, id)))
+            .collect()
+    }
+}
+
+/// A shared backend's error, moved back into the tenant-local id space:
+/// callers reason about their own universe.
+fn local(err: StoreError, id: BlockId) -> StoreError {
+    match err {
+        StoreError::NotFound(_) => StoreError::NotFound(id),
+        StoreError::Corrupted(_) => StoreError::Corrupted(id),
+        StoreError::TimedOut(_) => StoreError::TimedOut(id),
     }
 }
 

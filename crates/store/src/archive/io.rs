@@ -15,7 +15,11 @@
 //! ⌈64 / 8⌉ + 1 = 9 sequential round trips at the default window, not
 //! 67. Over a plain backend the helper is the same calls in the same
 //! order as a loop — there is one `put`/`seal`/`open` path, in which a
-//! plain backend is simply window-agnostic. `tests/wan_rtt_budget.rs`
+//! plain backend is simply window-agnostic — and the read sweep asks a
+//! plain backend for runs of 64 ids ([`BlockSource::read_many`]), so a
+//! backend that verifies checksums overlaps loading the next blocks with
+//! summing this one; one that does not override it answers a run with
+//! its reads, in order, as the loop did. `tests/wan_rtt_budget.rs`
 //! pins the round-trip count of every operation under the virtual clock,
 //! and which call is made in which order. Returning from a batch is a
 //! **barrier**; the crash-ordering rules built on it are the journal's
@@ -52,8 +56,10 @@ use std::collections::HashMap;
 /// when the backend no longer holds a block — so restoring the encoder
 /// frontier survives a crash that *also* lost the frontier blocks, as
 /// long as they are repairable from surviving redundancy. Its base is a
-/// `Prefetched`, so a torn frontier block is repaired as a lost one. Nothing
-/// is written back; [`super::Archive::scrub`] heals the backend afterwards.
+/// `Prefetched`, so a torn frontier block is repaired as a lost one. A
+/// block no single repair serves sends `open` to the rounds of a chained
+/// reconstruction instead. Nothing is written back;
+/// [`super::Archive::scrub`] heals the backend afterwards.
 pub(super) struct RepairingSource<'a> {
     pub(super) scheme: &'a dyn RedundancyScheme,
     pub(super) base: &'a dyn BlockSource,
@@ -93,9 +99,10 @@ impl BlockSource for MaskOne<'_> {
 /// through the bounded in-flight window, so a batch costs
 /// `⌈n / window⌉` round trips, not `n`; over a plain backend it is the
 /// same calls in the same order as a loop, each result consumed before
-/// the next call is made. Returning is the **barrier**: every call of
-/// the batch has been acknowledged, whatever order the completions
-/// arrived in.
+/// the next call is made — except the read sweep, which asks a plain
+/// backend for runs of ids instead (`Prefetched::sweep`). Returning is
+/// the **barrier**: every call of the batch has been acknowledged,
+/// whatever order the completions arrived in.
 fn batch<'s, B, T, U, V>(
     store: &'s B,
     items: impl IntoIterator<Item = T>,
@@ -172,6 +179,12 @@ pub(crate) fn has_all<B: BlockRepo + ?Sized>(
     )
 }
 
+/// How many ids the read sweep asks a plain backend for at once: a run
+/// long enough that a backend which verifies what it reads overlaps
+/// loading the next blocks with checksumming this one, short enough that
+/// the results are consumed while their bytes are still in cache.
+const READ_RUN: usize = 64;
+
 /// An order-preserving collecting sink: a scheme's write phase lands here
 /// when the backend is a network away, and leaves as one batch.
 #[derive(Default)]
@@ -228,6 +241,17 @@ impl<'a, B: BlockRepo + ?Sized> Prefetched<'a, B> {
         self.answers.extend(unknown.into_iter().zip(found));
     }
 
+    /// Readies the view for a whole-archive planner over `all`, the ids
+    /// the backend should hold: a network away, one windowed sweep of
+    /// what is not known yet, then closed, so planner threads see memory,
+    /// never the link. A plain backend answers at call time: nothing to do.
+    pub(super) fn close(&mut self, all: impl IntoIterator<Item = BlockId>) {
+        if self.remote {
+            self.fill(all);
+            self.closed = true;
+        }
+    }
+
     /// Whether the answers hold `id`, a torn block counting as absent;
     /// `None` while it is not answered yet.
     pub(super) fn answered(&self, id: BlockId) -> Option<bool> {
@@ -235,32 +259,46 @@ impl<'a, B: BlockRepo + ?Sized> Prefetched<'a, B> {
         Some(answer.as_ref().is_some_and(|b| b.len() == self.block_size))
     }
 
-    /// Reads `ids` as one batch — `read`, not `fetch`: a backend that
-    /// verifies checksums reports tampered bytes as `Corrupted` — and
-    /// shows `each` the results in order. A network away they stay as
-    /// answers: a block as itself, `NotFound` as absent, and nothing for
-    /// an unreadable block, which still `fetch`es, as tampered bytes.
-    /// `each` sees a torn block as `Corrupted`.
+    /// Reads `ids` — `read`, not `fetch`: a backend that verifies
+    /// checksums reports tampered bytes as `Corrupted` — and shows `each`
+    /// the results in order. A plain backend is asked for runs of
+    /// `READ_RUN` ids ([`BlockSource::read_many`]); a network away the
+    /// ids are one batch, and the results stay as answers: a block as
+    /// itself, `NotFound` as absent, and nothing for an unreadable block,
+    /// which still `fetch`es, as tampered bytes. `each` sees a torn block
+    /// as `Corrupted`.
     pub(super) fn sweep(
         &mut self,
-        ids: impl Iterator<Item = BlockId> + Clone,
+        ids: &[BlockId],
         mut each: impl FnMut(BlockId, &Result<Block, StoreError>),
     ) {
-        let (mut asked, keep, size) = (ids.clone(), self.remote, self.block_size);
-        let consume = |read: Result<Block, StoreError>| {
-            let id = asked.next().expect("one read per id");
+        let (store, keep, size) = (self.store, self.remote, self.block_size);
+        let answers = &mut self.answers;
+        let mut consume = |id: BlockId, read: Result<Block, StoreError>| {
             match &read {
                 Ok(block) if block.len() != size => each(id, &Err(StoreError::Corrupted(id))),
                 _ => each(id, &read),
             }
             match read {
-                Ok(block) if keep => self.answers.insert(id, Some(block)),
-                Err(StoreError::NotFound(_)) if keep => self.answers.insert(id, None),
+                Ok(block) if keep => answers.insert(id, Some(block)),
+                Err(StoreError::NotFound(_)) if keep => answers.insert(id, None),
                 _ => None,
             };
         };
+        if !keep {
+            for run in ids.chunks(READ_RUN) {
+                let reads = store.read_many(run);
+                assert_eq!(reads.len(), run.len(), "one read per id");
+                for (&id, read) in run.iter().zip(reads) {
+                    consume(id, read);
+                }
+            }
+            return;
+        }
+        let mut asked = ids.iter().copied();
         let issue = |r: &'a dyn AsyncBlockRepo, id| r.read_async(id);
-        batch(self.store, ids, |s, id| s.read(id), issue, consume);
+        let then = |read| consume(asked.next().expect("one read per id"), read);
+        batch(store, ids.iter().copied(), |s, id| s.read(id), issue, then);
     }
 }
 

@@ -474,16 +474,27 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             // lost, and goes straight to repair — and anything the scheme
             // did not announce still goes to the backend one call at a
             // time.
+            let (scheme, written) = (&*ar.scheme, ar.positions.data);
             let mut known = Prefetched::new(store, ar.block_size, false);
-            known.fill(ar.scheme.frontier_reads(&snapshot));
+            known.fill(scheme.frontier_reads(&snapshot));
             let repairing = RepairingSource {
-                scheme: &*ar.scheme,
+                scheme,
                 base: &known,
-                written: ar.positions.data,
+                written,
             };
-            ar.scheme
-                .restore_frontier(&snapshot, &repairing)
-                .map_err(RecoveryError::Frontier)?;
+            let restored = match scheme.restore_frontier(&snapshot, &repairing) {
+                // A lost frontier block whose one repair tuple is short a
+                // member too: rebuild it in rounds, as a degraded read
+                // does, and restore from that. (A restore sets its state
+                // whole, so a failed one leaves nothing to undo.)
+                Err(AeError::FrontierBlockMissing { .. }) => {
+                    known.close(ar.stored_ids().iter().copied());
+                    let rebuilt = ar.rebuild_all(&known, written);
+                    scheme.restore_frontier(&snapshot, &rebuilt)
+                }
+                restored => restored,
+            };
+            restored.map_err(RecoveryError::Frontier)?;
         }
         // Positions are only as good as the counters under them: the
         // encoder the journal restored must have written exactly the

@@ -34,7 +34,8 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         let mut holes = Vec::new();
         // (A hole takes only the bytes the file can use, so the journaled
         // block size alone never sizes an allocation.)
-        known.sweep(self.positions.data_ids(extent), |id, read| match read {
+        let ids: Vec<BlockId> = self.positions.data_ids(extent).collect();
+        known.sweep(&ids, |id, read| match read {
             Ok(block) => out.extend_from_slice(block.as_slice()),
             Err(_) => {
                 let end = out.len().saturating_add(bs);
@@ -137,7 +138,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         let mut known = Prefetched::new(store, self.block_size, true);
         let (mut failed, mut quarantine) = (Vec::new(), Vec::new());
         // (A torn block is swept as corrupted: quarantined too.)
-        known.sweep(stored.iter().copied(), |id, read| {
+        known.sweep(stored, |id, read| {
             if read.is_err() {
                 failed.push(id);
             }
@@ -190,23 +191,27 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         id: BlockId,
         fast_err: RepairError,
     ) -> Result<Block, ArchiveError> {
-        if known.remote {
-            // One windowed sweep of what is not known yet, then closed:
-            // planner threads see memory, never the link.
-            known.fill(self.stored_ids().iter().copied());
-            known.closed = true;
-        }
+        known.close(self.stored_ids().iter().copied());
         let base: &dyn BlockSource = known;
         let masked = MaskOne { base, masked: id };
-        let overlay = Overlay::new(&masked);
-        self.scheme
-            .repair_missing(&overlay, self.stored_ids(), self.scheme.data_written());
-        overlay
+        self.rebuild_all(&masked, self.scheme.data_written())
             .patch
             .remove(&id)
             .ok_or(ArchiveError::BlockUnavailable {
                 id,
                 source: fast_err,
             })
+    }
+
+    /// Round-based repair of every stored block `base` lacks into a
+    /// read-side overlay over it: the whole-archive planner behind a
+    /// chained reconstruction in `get` and in `open`'s frontier restore.
+    /// Nothing is written back. Over a remote backend `base` must be a
+    /// closed view (`Prefetched::close`), so planner threads see memory.
+    pub(super) fn rebuild_all<'a>(&self, base: &'a dyn BlockSource, written: u64) -> Overlay<'a> {
+        let overlay = Overlay::new(base);
+        self.scheme
+            .repair_missing(&overlay, self.stored_ids(), written);
+        overlay
     }
 }

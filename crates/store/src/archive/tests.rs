@@ -1054,7 +1054,7 @@ fn prefetched_answers_cost_no_round_trips_negative_ones_included() {
     let mut known = Prefetched::new(&net, 1, false);
     known.fill([data_id(1)]);
     // A network away, what a sweep read stays too.
-    known.sweep([data_id(2)].into_iter(), |_, read| assert!(read.is_err()));
+    known.sweep(&[data_id(2)], |_, read| assert!(read.is_err()));
     let filled = now();
     assert!(filled > 0, "the batches themselves crossed the link");
     assert_eq!(known.fetch(data_id(1)).unwrap().as_slice(), &[9]);

@@ -19,6 +19,13 @@ use ae_blocks::{Block, BlockId};
 /// ([`ae_api::BlockMap`]) adding integrity verification to every read —
 /// [`crate::DistributedStore`] shards over many of these,
 /// [`crate::TieredStore`] stacks a fast one over a shared remote tier.
+///
+/// A run of reads ([`BlockSource::read_many`]) takes the lock once and
+/// checksums each block while the bytes of the block two places further
+/// on are prefetched. A cold 4 KiB block starts on a new
+/// page, where the hardware prefetcher starts over, so a verify read
+/// one at a time pays for the memory and for the CRC one after the
+/// other; in a run the two overlap. Every block is still verified.
 #[derive(Debug, Default)]
 pub struct MemStore {
     blocks: BlockMap,
@@ -42,9 +49,7 @@ impl MemStore {
     /// [`StoreError::NotFound`] if absent; [`StoreError::Corrupted`] if the
     /// stored checksum no longer matches.
     pub fn get(&self, id: BlockId) -> Result<Block, StoreError> {
-        let block = self.blocks.get(&id).ok_or(StoreError::NotFound(id))?;
-        block.verify().map_err(|_| StoreError::Corrupted(id))?;
-        Ok(block)
+        verified(id, self.blocks.get(&id))
     }
 
     /// Removes a block, returning whether it was present.
@@ -73,6 +78,18 @@ impl MemStore {
     }
 }
 
+/// How far ahead of the block being verified a run of reads prefetches.
+/// Two ahead beat one and four ahead on a sealed `ae_bulk` archive's
+/// scrub (2-vCPU Xeon VM).
+const READ_AHEAD: usize = 2;
+
+/// A stored block, once its checksum holds.
+fn verified(id: BlockId, found: Option<Block>) -> Result<Block, StoreError> {
+    let block = found.ok_or(StoreError::NotFound(id))?;
+    block.verify().map_err(|_| StoreError::Corrupted(id))?;
+    Ok(block)
+}
+
 impl BlockSource for MemStore {
     fn fetch(&self, id: BlockId) -> Option<Block> {
         self.get(id).ok()
@@ -84,6 +101,22 @@ impl BlockSource for MemStore {
 
     fn read(&self, id: BlockId) -> Result<Block, StoreError> {
         self.get(id)
+    }
+
+    fn read_many(&self, ids: &[BlockId]) -> Vec<Result<Block, StoreError>> {
+        let mut found = self.blocks.get_many(ids);
+        let ahead = |found: &[Option<Block>], k: usize| {
+            if let Some(Some(block)) = found.get(k) {
+                ae_kernels::prefetch(block.as_slice());
+            }
+        };
+        (0..READ_AHEAD).for_each(|k| ahead(&found, k));
+        let mut out = Vec::with_capacity(ids.len());
+        for (k, &id) in ids.iter().enumerate() {
+            ahead(&found, k + READ_AHEAD);
+            out.push(verified(id, found[k].take()));
+        }
+        out
     }
 }
 
