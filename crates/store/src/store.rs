@@ -22,10 +22,10 @@ use ae_blocks::{Block, BlockId};
 ///
 /// A run of reads ([`BlockSource::read_many`]) takes the lock once and
 /// checksums each block while the bytes of the block two places further
-/// on are prefetched. A cold 4 KiB block starts on a new
-/// page, where the hardware prefetcher starts over, so a verify read
-/// one at a time pays for the memory and for the CRC one after the
-/// other; in a run the two overlap. Every block is still verified.
+/// on are prefetched. A cold 4 KiB block starts on a new page, where the
+/// hardware prefetcher starts over, so a verified read one at a time
+/// pays for the memory and for the CRC one after the other; in a run the
+/// two overlap. Every block is still verified.
 #[derive(Debug, Default)]
 pub struct MemStore {
     blocks: BlockMap,
@@ -79,8 +79,9 @@ impl MemStore {
 }
 
 /// How far ahead of the block being verified a run of reads prefetches.
-/// Two ahead beat one and four ahead on a sealed `ae_bulk` archive's
-/// scrub (2-vCPU Xeon VM).
+/// On a sealed `ae_bulk` archive's scrub two ahead had the best median,
+/// one ahead was within noise of it and four ahead was slower (2-vCPU
+/// Xeon VM).
 const READ_AHEAD: usize = 2;
 
 /// A stored block, once its checksum holds.
