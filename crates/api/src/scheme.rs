@@ -564,6 +564,15 @@ fn repair_missing_worklist<S: RedundancyScheme + ?Sized>(
         .copied()
         .filter(|&id| !repo.has(id))
         .collect();
+    if missing.is_empty() {
+        // Nothing to plan: no worklist, whose dense form is a slot per
+        // universe position.
+        return RepairSummary {
+            rounds: Vec::new(),
+            unrecovered: Vec::new(),
+            blocks_read: 0,
+        };
+    }
     let mut repaired = vec![false; missing.len()];
     // Whether target `i` is worth attempting next round. Every target
     // starts eligible; afterwards only commits of named-missing blockers
@@ -795,6 +804,45 @@ mod tests {
             summary.into_result(),
             Err(RepairError::Unrecoverable { targets }) if targets.len() == 2
         ));
+    }
+
+    #[test]
+    fn nothing_absent_is_an_empty_summary_without_a_store() {
+        /// Counts the stores that reach a `BlockMap`.
+        #[derive(Default)]
+        struct Stores {
+            map: BlockMap,
+            stores: std::sync::atomic::AtomicUsize,
+        }
+        impl BlockSource for Stores {
+            fn fetch(&self, id: BlockId) -> Option<Block> {
+                self.map.fetch(id)
+            }
+        }
+        impl BlockSink for Stores {
+            fn store(&self, id: BlockId, block: Block) {
+                self.stores
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.map.store(id, block)
+            }
+            fn remove(&self, id: BlockId) -> bool {
+                self.map.remove(&id).is_some()
+            }
+        }
+        let scheme = Mirror::new();
+        let repo = Stores::default();
+        let blocks: Vec<Block> = (0..4u8).map(|k| Block::from_vec(vec![k; 8])).collect();
+        scheme.encode_batch(&blocks, &repo.map).unwrap();
+        let empty = RepairSummary {
+            rounds: Vec::new(),
+            unrecovered: Vec::new(),
+            blocks_read: 0,
+        };
+        let present = [data(1), copy(2), data(4)];
+        for targets in [&[][..], &present[..]] {
+            assert_eq!(scheme.repair_missing(&repo, targets, 4), empty);
+        }
+        assert_eq!(repo.stores.into_inner(), 0);
     }
 
     #[test]

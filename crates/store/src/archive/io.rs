@@ -36,8 +36,17 @@
 //! [`RedundancyScheme::is_repairable`] asked optimistically, round by
 //! round; whatever a plan misses reads through, one call at a time. (A
 //! backend that answers at call time is its own memory: nothing is
-//! planned or kept, every read goes through.) Whole-archive planners
-//! (`scrub`'s repair stage, a chained reconstruction in `get`) read the
+//! planned or kept, every read goes through.)
+//!
+//! `scrub` over a plain backend repairs *during* its sweep instead: a
+//! `Window` keeps the verified blocks of the sweep's last `WINDOW_RUNS`
+//! runs of `READ_RUN` ids, by position, and one run past a failed read
+//! the scheme's single-block repair rebuilds that block against the
+//! window alone — an id outside it is absent — so a repair reads the
+//! bytes the sweep just verified, still in cache, and never the backend.
+//! The rebuilt block is stored and joins the window for the repairs
+//! after it. Whole-archive planners (what `scrub`'s window could not
+//! serve, after the sweep; a chained reconstruction in `get`) read the
 //! backend itself when it answers at call time, and a network away a
 //! *closed* `Prefetched` holding one windowed sweep of every stored block
 //! — an archive owns its id namespace, so what the sweep did not return
@@ -185,6 +194,25 @@ pub(crate) fn has_all<B: BlockRepo + ?Sized>(
 /// the results are consumed while their bytes are still in cache.
 const READ_RUN: usize = 64;
 
+/// How many of the sweep's last runs a scrub over a plain backend keeps
+/// in its `Window`: a lost block is repaired one run after its own, so
+/// its repair reaches at least two runs back and one run ahead.
+const WINDOW_RUNS: usize = 4;
+
+/// A plain backend's verified reads of `ids`, asked for in runs of
+/// `READ_RUN` ids ([`BlockSource::read_many`]): each run with its
+/// results, in order.
+fn read_runs<'s, B: BlockRepo + ?Sized>(
+    store: &'s B,
+    ids: &'s [BlockId],
+) -> impl Iterator<Item = (&'s [BlockId], Vec<Result<Block, StoreError>>)> + 's {
+    ids.chunks(READ_RUN).map(move |run| {
+        let reads = store.read_many(run);
+        assert_eq!(reads.len(), run.len(), "one read per id");
+        (run, reads)
+    })
+}
+
 /// An order-preserving collecting sink: a scheme's write phase lands here
 /// when the backend is a network away, and leaves as one batch.
 #[derive(Default)]
@@ -286,9 +314,7 @@ impl<'a, B: BlockRepo + ?Sized> Prefetched<'a, B> {
             };
         };
         if !keep {
-            for run in ids.chunks(READ_RUN) {
-                let reads = store.read_many(run);
-                assert_eq!(reads.len(), run.len(), "one read per id");
+            for (run, reads) in read_runs(store, ids) {
                 for (&id, read) in run.iter().zip(reads) {
                     consume(id, read);
                 }
@@ -310,5 +336,86 @@ impl<B: BlockRepo + ?Sized> BlockSource for Prefetched<'_, B> {
             None => self.store.fetch(id),
         };
         found.filter(|block| block.len() == self.block_size)
+    }
+}
+
+/// The verified blocks of a plain backend's read sweep, by position, for
+/// its last `WINDOW_RUNS` runs: what a scrub over a plain backend repairs
+/// from while the sweep still has the bytes in cache (see "Dependent
+/// reads" in the module docs). Slot `k % len` holds position `k`'s
+/// block — a view, not a copy — tagged with `k`. An id is looked up by
+/// [`RedundancyScheme::dense_index`], and answers absent unless its
+/// slot holds its own position: an id the sweep has moved past, one it
+/// did not verify (its slot keeps an older position's block), one it
+/// has not reached and one the archive never stored.
+pub(super) struct Window<'a> {
+    scheme: &'a dyn RedundancyScheme,
+    written: u64,
+    block_size: usize,
+    slots: Vec<Option<(u32, Block)>>,
+}
+
+impl<'a> Window<'a> {
+    /// An empty window over the positions `scheme` gives an archive of
+    /// `written` data blocks of `block_size` bytes.
+    pub(super) fn new(scheme: &'a dyn RedundancyScheme, written: u64, block_size: usize) -> Self {
+        Window {
+            scheme,
+            written,
+            block_size,
+            slots: vec![None; WINDOW_RUNS * READ_RUN],
+        }
+    }
+
+    /// Holds `block` as position `position`'s, until the sweep moves
+    /// `WINDOW_RUNS` runs past it.
+    pub(super) fn keep(&mut self, position: u32, block: Block) {
+        let slot = position as usize % self.slots.len();
+        self.slots[slot] = Some((position, block));
+    }
+
+    /// Reads `ids` — the stored blocks, in position order — from a plain
+    /// backend in runs, keeping each verified block, and shows `lost`
+    /// each failed read (its position, id and error, a torn block as
+    /// `Corrupted`) **one run late**: once the run after it is in the
+    /// window too, or at the end for the last run. A repair `lost` puts
+    /// back with [`Self::keep`] is there for the failures after it.
+    pub(super) fn sweep<B: BlockRepo + ?Sized>(
+        &mut self,
+        store: &B,
+        ids: &[BlockId],
+        mut lost: impl FnMut(&mut Self, u32, BlockId, StoreError),
+    ) {
+        let mut lagging = Vec::new();
+        let mut position = 0u32;
+        for (run, reads) in read_runs(store, ids) {
+            let mut failed = Vec::new();
+            for (&id, read) in run.iter().zip(reads) {
+                match read {
+                    Ok(block) if block.len() == self.block_size => self.keep(position, block),
+                    read => {
+                        let err = read.err().unwrap_or(StoreError::Corrupted(id));
+                        failed.push((position, id, err));
+                    }
+                }
+                position += 1;
+            }
+            for (position, id, err) in std::mem::replace(&mut lagging, failed) {
+                lost(self, position, id, err);
+            }
+        }
+        for (position, id, err) in lagging {
+            lost(self, position, id, err);
+        }
+    }
+}
+
+impl BlockSource for Window<'_> {
+    fn fetch(&self, id: BlockId) -> Option<Block> {
+        let position = self.scheme.dense_index(&id, self.written)?;
+        match &self.slots[position as usize % self.slots.len()] {
+            Some((held, block)) if *held == position => Some(block.clone()),
+            _ => None,
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! paths, end-to-end verification, and `scrub` — whose scheme-block half
 //! lives here and whose metadata half is the journal's `heal`.
 
-use super::io::{remove_all, store_all, MaskOne, Prefetched};
+use super::io::{remove_all, store_all, MaskOne, Prefetched, Window};
 use super::{Archive, ArchiveError};
 use ae_api::{BlockRepo, BlockSource, Overlay, RepairError, StoreError};
 use ae_blocks::{crc32, Block, BlockId};
@@ -117,28 +117,79 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// archive's in-memory log, so a live archive heals its own
     /// persistence layer and stays reopenable at full copy-set strength.
     /// Scheme blocks the backend reports as corrupted
-    /// ([`StoreError::Corrupted`]) are quarantined (removed) first so the
-    /// repair planners rebuild them from surviving redundancy. Returns
-    /// how many blocks were restored (data, redundancy and metadata
-    /// copies); clears the [`Archive::meta_damage`] report.
+    /// ([`StoreError::Corrupted`]) are quarantined (removed) before their
+    /// repair is stored, so it is rebuilt from surviving redundancy.
+    /// Returns how many blocks were restored (data, redundancy and
+    /// metadata copies); clears the [`Archive::meta_damage`] report.
     ///
-    /// Four stages, each a batch: (1) a read sweep of everything the
-    /// backend should hold, quarantining corrupt blocks; (2) round-based
-    /// repair of the blocks whose read failed; (3) metadata
-    /// compare-and-heal; (4) stale pointer-cell clearing.
+    /// Four stages: (1) a read sweep of everything the backend should
+    /// hold; (2) round-based repair of the blocks whose read failed;
+    /// (3) metadata compare-and-heal; (4) stale pointer-cell clearing.
+    /// Over a plain backend stages 1 and 2 are one pass: the sweep keeps
+    /// the blocks it verified in a window of its last few runs, and one
+    /// run past a failed block rebuilds it with the single-block repair,
+    /// reading the window only — the blocks the sweep just verified,
+    /// still in cache, never a backend fetch. The rebuilt block is stored
+    /// and joins the window. Only what the window cannot serve (a tuple
+    /// member lost too, or one out of its reach, such as a closed chain's
+    /// closing parity) goes to the round-based repair over the backend,
+    /// once, after the sweep. A network away the sweep is one batch, and
+    /// stage 2 plans on its closed snapshot (see "Dependent reads" in the
+    /// module docs).
     pub fn scrub(&mut self) -> u64 {
         let store: &B = &self.store;
-        let stored = self.stored_ids();
-        // Stage 1: integrity sweep + quarantine — a block whose read
-        // fails its integrity check is worse than a missing one (planners
-        // would trust its bytes), so drop it and let repair re-materialize
-        // it. A plain backend answers again at call time, so nothing is
-        // held; a network away the blocks are the snapshot stage 2 plans
-        // on, closed: what the sweep did not return is absent.
-        let mut known = Prefetched::new(store, self.block_size, true);
+        let written = self.scheme.data_written();
+        let known = Prefetched::new(store, self.block_size, true);
+        let restored = if known.remote {
+            self.scrub_snapshot(known, written)
+        } else {
+            self.scrub_in_sweep(written)
+        };
+        // Stages 3 and 4: the journal heals its own copies and cells.
+        restored + self.journal.heal(store)
+    }
+
+    /// Stages 1 and 2 over a plain backend, as one pass: every failed
+    /// read repaired from the sweep's `Window`, one run later, and what
+    /// that cannot serve in rounds over the backend afterwards. The final
+    /// state is the rounds' fixpoint all the same: a repair from verified
+    /// blocks rebuilds the original bytes, and one more block present
+    /// never makes another unrepairable.
+    fn scrub_in_sweep(&self, written: u64) -> u64 {
+        let store: &B = &self.store;
+        let mut window = Window::new(&*self.scheme, written, self.block_size);
+        let (mut restored, mut leftover) = (0, Vec::new());
+        window.sweep(store, self.stored_ids(), |window, position, id, err| {
+            let rebuilt = self.repair_fast(window, id);
+            // A block whose read fails its integrity check is worse than
+            // a missing one (a repair would trust its bytes): quarantined.
+            if matches!(err, StoreError::Corrupted(_)) {
+                store.remove(id);
+            }
+            match rebuilt {
+                Ok(block) => {
+                    store.store(id, block.clone());
+                    window.keep(position, block);
+                    restored += 1;
+                }
+                Err(_) => leftover.push(id),
+            }
+        });
+        let summary = self.scheme.repair_missing(&store, &leftover, written);
+        restored + summary.total_repaired() as u64
+    }
+
+    /// Stages 1 and 2 a network away: one windowed sweep, kept as a
+    /// closed snapshot — an archive owns its id namespace, so what the
+    /// sweep did not return is absent — with corrupt blocks quarantined
+    /// as a batch; then round-based repair of what the sweep did not
+    /// find, in stored order, planned on the snapshot into an overlay
+    /// committed as one batch.
+    fn scrub_snapshot(&self, mut known: Prefetched<'_, B>, written: u64) -> u64 {
+        let store: &B = &self.store;
         let (mut failed, mut quarantine) = (Vec::new(), Vec::new());
         // (A torn block is swept as corrupted: quarantined too.)
-        known.sweep(stored, |id, read| {
+        known.sweep(self.stored_ids(), |id, read| {
             if read.is_err() {
                 failed.push(id);
             }
@@ -150,23 +201,13 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             known.answers.remove(id);
         }
         remove_all(store, quarantine);
-        // Stage 2: round-based repair of what the sweep did not find, in
-        // stored order. Planners a network away write into an overlay,
-        // committed as one batch.
-        let written = self.scheme.data_written();
-        let summary = if known.remote {
-            let overlay = Overlay::new(&known);
-            let summary = self.scheme.repair_missing(&overlay, &failed, written);
-            let patch = failed
-                .iter()
-                .filter_map(|&id| Some((id, overlay.patch.remove(&id)?)));
-            store_all(store, patch);
-            summary
-        } else {
-            self.scheme.repair_missing(&store, &failed, written)
-        };
-        // Stages 3 and 4: the journal heals its own copies and cells.
-        summary.total_repaired() as u64 + self.journal.heal(store)
+        let overlay = Overlay::new(&known);
+        let summary = self.scheme.repair_missing(&overlay, &failed, written);
+        let patch = failed
+            .iter()
+            .filter_map(|&id| Some((id, overlay.patch.remove(&id)?)));
+        store_all(store, patch);
+        summary.total_repaired() as u64
     }
 
     /// The degraded-read fast path: rebuild `id` from a single repair

@@ -10,21 +10,25 @@
 //! count is memoized per process, so the env override must be set before
 //! anything else calls into repair.
 //!
-//! For the same reason the second test reruns this binary as a child
+//! For the same reason the last two tests rerun this binary as a child
 //! process per thread count: a `scrub` a network away must end at the
 //! same virtual timestamp and backend state however many planner threads
 //! there are, because planners only ever see memory — the closed snapshot
 //! of the sweep — and every batch is issued in an order the code fixes.
+//! Over a plain backend the repairs made during the sweep are serial and
+//! only what they leave is planned in rounds, so the backend must end the
+//! same and see the same calls — the writes in the same order — at one
+//! planner thread and four.
 
 use aecodes::aio::{Clock, LatencyStore, LinkSpec, Runtime};
-use aecodes::api::RedundancyScheme;
+use aecodes::api::{BlockSink, BlockSource, RedundancyScheme, StoreError};
 use aecodes::blocks::{Block, BlockId};
 use aecodes::core::{BlockMap, Code};
 use aecodes::lattice::Config;
 use aecodes::store::archive::Archive;
 use aecodes::store::MemStore;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 #[test]
@@ -96,32 +100,142 @@ fn scrub_timeline_probe() {
         assert!(inner.remove(*v));
     }
     assert!(ar.scrub() > 0);
+    println!(
+        "timeline {} {:016x}",
+        net.runtime().now(),
+        fingerprint(&inner)
+    );
+}
+
+/// One `scrub` of an AE(3,2,5) archive over a plain backend that lost a
+/// contiguous span of 400 positions — more than the sweep can repair
+/// from its window, so more than `PARALLEL_PLAN_MIN` (256) targets are
+/// left to the round-based planner; prints a fingerprint of the backend
+/// and a digest of the calls it saw: the reads as a set, since planner
+/// threads read in an order their interleaving picks, and the writes in
+/// order.
+#[test]
+#[ignore = "the child-process half of the test below"]
+fn plain_scrub_probe() {
+    let inner = Arc::new(MemStore::new());
+    let store = Arc::new(Calls::new(Arc::clone(&inner)));
+    let mut ar = Archive::new(Config::new(3, 2, 5).unwrap(), 32, Arc::clone(&store));
+    for f in 0..10u8 {
+        ar.put(&format!("f{f}"), &[f; 32 * 30]).expect("fresh name");
+    }
+    let span = &ar.stored_ids()[300..700];
+    for v in span {
+        assert!(inner.remove(*v));
+    }
+    store.calls.lock().unwrap().clear();
+    assert!(ar.scrub() > 0);
+    let calls = std::mem::take(&mut *store.calls.lock().unwrap());
+    let (writes, mut reads): (Vec<_>, Vec<_>) = calls
+        .into_iter()
+        .partition(|call| matches!(call, Probe::Store(..) | Probe::Remove(_)));
+    let probes = reads.iter().filter(|c| matches!(c, Probe::Has(_))).count();
+    assert!(probes > 256, "must cross the fan-out threshold: {probes}");
+    reads.sort();
+    let mut digest = std::collections::hash_map::DefaultHasher::new();
+    (reads, writes).hash(&mut digest);
+    println!(
+        "timeline {:016x} {:016x}",
+        fingerprint(&inner),
+        digest.finish()
+    );
+}
+
+/// A hash over every block `store` holds, in id order.
+fn fingerprint(store: &MemStore) -> u64 {
     let mut state = std::collections::hash_map::DefaultHasher::new();
-    let mut ids = inner.ids();
+    let mut ids = store.ids();
     ids.sort();
     for id in ids {
-        (id, inner.get(id).expect("listed")).hash(&mut state);
+        (id, store.get(id).expect("listed")).hash(&mut state);
     }
-    println!("timeline {} {:016x}", net.runtime().now(), state.finish());
+    state.finish()
+}
+
+/// What a call asked of the backend.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum Probe {
+    Fetch(BlockId),
+    Has(BlockId),
+    Read(BlockId),
+    Store(BlockId, u32),
+    Remove(BlockId),
+}
+
+/// A backend wrapper that logs every call, a store with its block's CRC.
+struct Calls {
+    calls: Mutex<Vec<Probe>>,
+    inner: Arc<MemStore>,
+}
+
+impl Calls {
+    fn new(inner: Arc<MemStore>) -> Self {
+        Calls {
+            calls: Mutex::new(Vec::new()),
+            inner,
+        }
+    }
+
+    fn log(&self, call: Probe) {
+        self.calls.lock().unwrap().push(call);
+    }
+}
+
+impl BlockSource for Calls {
+    fn fetch(&self, id: BlockId) -> Option<Block> {
+        self.log(Probe::Fetch(id));
+        self.inner.fetch(id)
+    }
+
+    fn has(&self, id: BlockId) -> bool {
+        self.log(Probe::Has(id));
+        self.inner.has(id)
+    }
+
+    fn read(&self, id: BlockId) -> Result<Block, StoreError> {
+        self.log(Probe::Read(id));
+        self.inner.read(id)
+    }
+}
+
+impl BlockSink for Calls {
+    fn store(&self, id: BlockId, block: Block) {
+        self.log(Probe::Store(id, block.crc()));
+        self.inner.store(id, block)
+    }
+
+    fn remove(&self, id: BlockId) -> bool {
+        self.log(Probe::Remove(id));
+        self.inner.remove(id)
+    }
+}
+
+/// Reruns this binary's ignored `probe` at `threads` planner threads and
+/// returns the line it printed.
+fn timeline(probe: &str, threads: &str) -> String {
+    let run = std::process::Command::new(std::env::current_exe().expect("this binary"))
+        .args(["--exact", probe, "--ignored", "--nocapture"])
+        .env("AE_REPAIR_THREADS", threads)
+        .output()
+        .expect("the test binary reruns itself");
+    assert!(run.status.success(), "{probe}: {threads} planner thread(s)");
+    let stdout = String::from_utf8(run.stdout).expect("utf-8");
+    let (_, line) = stdout.split_once("timeline ").expect("the probe prints");
+    line.lines().next().expect("one line").to_string()
 }
 
 #[test]
 fn a_scrub_a_network_away_ends_identically_at_one_planner_thread_and_four() {
-    let timeline = |threads: &str| {
-        let probe = std::process::Command::new(std::env::current_exe().expect("this binary"))
-            .args([
-                "--exact",
-                "scrub_timeline_probe",
-                "--ignored",
-                "--nocapture",
-            ])
-            .env("AE_REPAIR_THREADS", threads)
-            .output()
-            .expect("the test binary reruns itself");
-        assert!(probe.status.success(), "{threads} planner thread(s)");
-        let stdout = String::from_utf8(probe.stdout).expect("utf-8");
-        let (_, line) = stdout.split_once("timeline ").expect("the probe prints");
-        line.lines().next().expect("one line").to_string()
-    };
-    assert_eq!(timeline("1"), timeline("4"));
+    let probe = "scrub_timeline_probe";
+    assert_eq!(timeline(probe, "1"), timeline(probe, "4"));
+}
+
+#[test]
+fn a_plain_scrub_ends_identically_at_one_planner_thread_and_four() {
+    let probe = "plain_scrub_probe";
+    assert_eq!(timeline(probe, "1"), timeline(probe, "4"));
 }
