@@ -8,10 +8,15 @@
 //!   [`RedundancyScheme::repair_block`] and
 //!   [`RedundancyScheme::repair_missing`] move real bytes through a
 //!   [`BlockSink`]/[`BlockSource`];
-//! * the **availability plane** — [`RedundancyScheme::block_ids`],
-//!   [`RedundancyScheme::is_repairable`] and friends describe the code's
-//!   structure so a simulation can drive disasters over flags only, the
-//!   way the paper's §V.C evaluation does.
+//! * the **availability plane** — [`RedundancyScheme::is_repairable`]
+//!   and friends describe the code's structure so a simulation can drive
+//!   disasters over flags only, the way the paper's §V.C evaluation does.
+//!
+//! Both planes share one write order, defined once by arithmetic: the
+//! required [`RedundancyScheme::dense_index`] ⇄
+//! [`RedundancyScheme::block_at`] bijection numbers every block a
+//! deployment stores, and [`RedundancyScheme::block_ids`] is derived from
+//! it. A scheme without that bijection does not compile.
 //!
 //! The trait is object-safe; simulations and stores hold
 //! `Box<dyn RedundancyScheme>` / `&dyn RedundancyScheme`.
@@ -353,11 +358,6 @@ pub trait RedundancyScheme: Send + Sync {
 
     // --- availability plane -------------------------------------------
 
-    /// Every block a deployment of `data_blocks` data blocks stores, in
-    /// write order with redundancy interleaved next to the data it
-    /// protects. Simulations use this as the placement universe.
-    fn block_ids(&self, data_blocks: u64) -> Vec<BlockId>;
-
     /// Whether `id`, assumed missing, could be repaired right now given
     /// the availability oracle `avail` (asked only about other blocks).
     ///
@@ -399,57 +399,59 @@ pub trait RedundancyScheme: Send + Sync {
         Vec::new()
     }
 
-    // --- dense arithmetic indexing ------------------------------------
+    // --- write order ---------------------------------------------------
 
-    /// Number of blocks a deployment of `data_blocks` data blocks stores —
-    /// the length of [`RedundancyScheme::block_ids`]. The default falls
-    /// back to enumerating the universe; schemes with arithmetic structure
-    /// override it with a closed form.
-    fn universe_len(&self, data_blocks: u64) -> u64 {
-        self.block_ids(data_blocks).len() as u64
+    /// Number of blocks a deployment of `data_blocks` data blocks stores:
+    /// the size of the universe [`RedundancyScheme::block_at`] numbers.
+    fn universe_len(&self, data_blocks: u64) -> u64;
+
+    /// Maps `id` to its position in write order, in O(1) arithmetic: the
+    /// inverse of [`RedundancyScheme::block_at`]. Returns `None` for ids
+    /// outside the universe (foreign schemes, positions past the written
+    /// extent) and for positions past `u32::MAX`.
+    fn dense_index(&self, id: &BlockId, data_blocks: u64) -> Option<u32>;
+
+    /// The id of the block at write-order position `k`, in O(1)
+    /// arithmetic. Returns `None` for `k >= universe_len(data_blocks)`.
+    ///
+    /// Together with [`RedundancyScheme::dense_index`] this is the one
+    /// definition of a scheme's write order: a full id ⇄ position
+    /// bijection, `block_at(dense_index(id)) == id` and
+    /// `dense_index(block_at(k)) == k` over the whole universe. The ids
+    /// [`RedundancyScheme::encode_batch`] reports and then
+    /// [`RedundancyScheme::seal`] returns, concatenated, are
+    /// `block_at(0..universe_len)` in order. Callers such as
+    /// `SchemePlane` and the archive never materialize the universe:
+    /// positions are their working representation and ids are recomputed
+    /// at the edges (repair commits, summaries).
+    fn block_at(&self, k: u32, data_blocks: u64) -> Option<BlockId>;
+
+    /// Every block a deployment of `data_blocks` data blocks stores, in
+    /// write order with redundancy interleaved next to the data it
+    /// protects: [`RedundancyScheme::block_at`] over the universe,
+    /// stopping at the `u32` position ceiling. Materializes the universe;
+    /// for tests, examples and small deployments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_at` answers `None` inside `universe_len`: the
+    /// two disagree about the universe, a bug in the scheme.
+    fn block_ids(&self, data_blocks: u64) -> Vec<BlockId> {
+        let len = self.universe_len(data_blocks).min(1 << 32);
+        (0..len)
+            .map(|k| {
+                self.block_at(k as u32, data_blocks)
+                    .expect("block_at answers every position below universe_len")
+            })
+            .collect()
     }
 
-    /// Maps `id` to its dense position in write order — the index `id`
-    /// occupies in `block_ids(data_blocks)` — in O(1) arithmetic. Returns
-    /// `None` for ids outside the universe (foreign schemes, positions
-    /// past the written extent) or for universes too large to index with
-    /// a `u32`.
-    ///
-    /// Authoritative only when [`RedundancyScheme::supports_dense_index`]
-    /// is `true`; the default (for schemes without arithmetic structure)
-    /// knows nothing and answers `None` for every id, and `SchemePlane`
-    /// refuses such a scheme at construction.
-    fn dense_index(&self, _id: &BlockId, _data_blocks: u64) -> Option<u32> {
-        None
-    }
-
-    /// The inverse of [`RedundancyScheme::dense_index`]: the id of the
-    /// block at dense universe position `k`, i.e. `block_ids(data_blocks)
-    /// [k]`. Returns `None` for `k >= universe_len(data_blocks)`.
-    ///
-    /// Together with `dense_index` this is a full id ⇄ position bijection:
-    /// `block_at(dense_index(id)) == id` and `dense_index(block_at(k)) ==
-    /// k` over the whole universe. When
-    /// [`RedundancyScheme::supports_dense_index`] is `true` both
-    /// directions are authoritative O(1) arithmetic, and a caller such as
-    /// `SchemePlane` never needs to materialize the universe at all —
-    /// positions are the working representation and ids are recomputed at
-    /// the edges (repair commits, summaries).
-    ///
-    /// The default falls back to enumerating the universe — O(universe)
-    /// per call, acceptable only for tests and small universes.
-    fn block_at(&self, k: u32, data_blocks: u64) -> Option<BlockId> {
-        self.block_ids(data_blocks).get(k as usize).copied()
-    }
-
-    /// Whether [`RedundancyScheme::dense_index`] /
-    /// [`RedundancyScheme::block_at`] form an authoritative O(1) bijection
-    /// over the whole universe (AE, RS, replication and the store-backed
-    /// chain/geo schemes all do; custom schemes keep the `false` default,
-    /// run on the enumeration defaults above and cannot be placed on a
-    /// `SchemePlane`).
+    /// Always `true`: every scheme has the bijection above. Nothing in
+    /// the workspace reads it; it remains only because the benchmark
+    /// package's tracing wrapper overrides it, and goes when that wrapper
+    /// may change.
     fn supports_dense_index(&self) -> bool {
-        false
+        true
     }
 }
 
@@ -461,10 +463,9 @@ const PARALLEL_PLAN_MIN: usize = 256;
 const NO_WAITER: u32 = u32::MAX;
 
 /// Who is waiting on a blocker: target indices keyed by the blocker's
-/// dense universe position when the scheme has the arithmetic hook, by
-/// the blocker id otherwise. The dense variant stores the per-blocker
-/// lists as intrusive chains over two flat arrays — 4 bytes per universe
-/// slot plus 8 per filing, no per-slot allocations.
+/// dense universe position or by the blocker id. The dense variant stores
+/// the per-blocker lists as intrusive chains over two flat arrays — 4
+/// bytes per universe slot plus 8 per filing, no per-slot allocations.
 enum Waiting {
     Dense {
         /// Per universe slot, index of the most recent filing (chain
@@ -486,16 +487,15 @@ impl Waiting {
         targets: usize,
         data_blocks: u64,
     ) -> Self {
-        if scheme.supports_dense_index() {
-            let len = scheme.universe_len(data_blocks);
-            if len <= (targets as u64).saturating_mul(8).max(1 << 16) {
-                return Waiting::Dense {
-                    head: vec![NO_WAITER; len as usize],
-                    entries: Vec::new(),
-                };
+        let len = scheme.universe_len(data_blocks);
+        if len <= (targets as u64).saturating_mul(8).max(1 << 16) {
+            Waiting::Dense {
+                head: vec![NO_WAITER; len as usize],
+                entries: Vec::new(),
             }
+        } else {
+            Waiting::Hash(HashMap::new())
         }
-        Waiting::Hash(HashMap::new())
     }
 
     fn file<S: RedundancyScheme + ?Sized>(
@@ -747,10 +747,6 @@ mod tests {
             })
         }
 
-        fn block_ids(&self, data_blocks: u64) -> Vec<BlockId> {
-            (1..=data_blocks).flat_map(|i| [data(i), copy(i)]).collect()
-        }
-
         fn is_repairable(
             &self,
             id: BlockId,
@@ -762,6 +758,25 @@ mod tests {
                 BlockId::Replica(r) => avail(data(r.node.0)),
                 _ => false,
             }
+        }
+
+        fn universe_len(&self, data_blocks: u64) -> u64 {
+            2 * data_blocks
+        }
+
+        fn dense_index(&self, id: &BlockId, data_blocks: u64) -> Option<u32> {
+            let (i, r) = match *id {
+                BlockId::Data(NodeId(i)) => (i, 0),
+                BlockId::Replica(r) if r.copy == 1 => (r.node.0, 1),
+                _ => return None,
+            };
+            let k = (1..=data_blocks).contains(&i).then(|| 2 * (i - 1) + r)?;
+            u32::try_from(k).ok()
+        }
+
+        fn block_at(&self, k: u32, data_blocks: u64) -> Option<BlockId> {
+            let i = u64::from(k) / 2 + 1;
+            (i <= data_blocks).then(|| [data(i), copy(i)][k as usize % 2])
         }
     }
 
@@ -918,22 +933,6 @@ mod tests {
     }
 
     #[test]
-    fn default_dense_index_hooks_are_inert() {
-        let scheme = Mirror::new();
-        assert!(!scheme.supports_dense_index());
-        assert_eq!(scheme.dense_index(&data(1), 10), None);
-        // The enumeration fallbacks still answer the universe size and
-        // the position → id direction.
-        assert_eq!(scheme.universe_len(10), 20);
-        assert_eq!(scheme.block_at(0, 10), Some(data(1)));
-        assert_eq!(scheme.block_at(1, 10), Some(copy(1)));
-        assert_eq!(scheme.block_at(19, 10), Some(copy(10)));
-        assert_eq!(scheme.block_at(20, 10), None);
-        // No extremity exposure by default.
-        assert_eq!(scheme.repair_cost().extremity_exposed, 0);
-    }
-
-    #[test]
     fn default_frontier_surface_is_counter_only_and_restore_opt_in() {
         let scheme = Mirror::new();
         let store = BlockMap::new();
@@ -961,5 +960,7 @@ mod tests {
         assert_eq!(shared.scheme_name(), "2-way replic.");
         assert_eq!(shared.data_written(), 1);
         assert_eq!(shared.block_ids(1).len(), 2);
+        // No extremity exposure by default.
+        assert_eq!(shared.repair_cost().extremity_exposed, 0);
     }
 }

@@ -363,20 +363,6 @@ impl RedundancyScheme for ReedSolomon {
         stripes.len() as u64 * self.k() as u64
     }
 
-    fn block_ids(&self, data_blocks: u64) -> Vec<BlockId> {
-        let k = self.k() as u64;
-        let stripes = data_blocks.div_ceil(k);
-        let mut out = Vec::with_capacity((data_blocks + stripes * self.m() as u64) as usize);
-        for t in 0..stripes {
-            for id in self.stripe_members(t) {
-                if !self.is_virtual(id, data_blocks) {
-                    out.push(id);
-                }
-            }
-        }
-        out
-    }
-
     fn is_repairable(
         &self,
         id: BlockId,
@@ -421,7 +407,7 @@ impl RedundancyScheme for ReedSolomon {
     }
 
     fn dense_index(&self, id: &BlockId, data_blocks: u64) -> Option<u32> {
-        // block_ids order: per stripe, its stored data blocks then its m
+        // Write order: per stripe, its stored data blocks then its m
         // parity shards. Only the final stripe can be partial, so every
         // stripe before `t` contributes exactly k + m blocks.
         let (k, m) = (self.k() as u64, self.m() as u64);
@@ -485,10 +471,6 @@ impl RedundancyScheme for ReedSolomon {
         } else {
             None
         }
-    }
-
-    fn supports_dense_index(&self) -> bool {
-        true
     }
 }
 
@@ -585,20 +567,6 @@ impl RedundancyScheme for Replication {
         })
     }
 
-    fn block_ids(&self, data_blocks: u64) -> Vec<BlockId> {
-        let mut out = Vec::with_capacity(data_blocks as usize * self.copies());
-        for i in 1..=data_blocks {
-            out.push(BlockId::Data(NodeId(i)));
-            for copy in 1..self.copies() as u16 {
-                out.push(BlockId::Replica(ReplicaId {
-                    node: NodeId(i),
-                    copy,
-                }));
-            }
-        }
-        out
-    }
-
     fn is_repairable(
         &self,
         id: BlockId,
@@ -615,7 +583,7 @@ impl RedundancyScheme for Replication {
     }
 
     fn dense_index(&self, id: &BlockId, data_blocks: u64) -> Option<u32> {
-        // block_ids order: per data block, the original then its copies in
+        // Write order: per data block, the original then its copies in
         // copy order — a fixed stride of n per node.
         let n = self.copies() as u64;
         let idx = match *id {
@@ -646,10 +614,6 @@ impl RedundancyScheme for Replication {
                 copy: copy as u16,
             })
         })
-    }
-
-    fn supports_dense_index(&self) -> bool {
-        true
     }
 }
 
@@ -936,29 +900,52 @@ mod tests {
         assert_eq!(asked(&repl, data(5), 9, |_| true), vec![copy(1)]);
     }
 
+    /// Encodes `n` blocks through `scheme` in batches of 3, 1, 5, 2, 3,
+    /// … (the last one cut short), then seals: the ids the scheme
+    /// reported writing, in order.
+    fn written(scheme: &dyn RedundancyScheme, n: usize) -> Vec<BlockId> {
+        let store = BlockMap::new();
+        let mut ids = Vec::new();
+        let mut left = n;
+        for size in [3, 1, 5, 2].into_iter().cycle() {
+            if left == 0 {
+                break;
+            }
+            let batch = vec![Block::zero(8); size.min(left)];
+            left -= batch.len();
+            ids.extend(scheme.encode_batch(&batch, &store).unwrap().ids);
+        }
+        ids.extend(scheme.seal(&store).unwrap());
+        ids
+    }
+
+    /// The bijection is the write order: what `encode_batch` reports and
+    /// `seal` returns is `block_at` over the whole universe, each id at
+    /// the position `dense_index` gives it.
     #[test]
     fn dense_index_matches_block_ids_enumeration() {
         // Partial final stripes included: 23 data blocks over RS(4,2) and
-        // RS(10,4) leave 3 data blocks in the last stripe.
-        let schemes: Vec<Box<dyn RedundancyScheme>> = vec![
-            Box::new(ReedSolomon::new(4, 2).unwrap()),
-            Box::new(ReedSolomon::new(10, 4).unwrap()),
-            Box::new(Replication::new(2)),
-            Box::new(Replication::new(3)),
-        ];
-        for scheme in schemes {
-            let name = scheme.scheme_name();
-            assert!(scheme.supports_dense_index(), "{name}");
-            for n in [1u64, 4, 23] {
-                let ids = scheme.block_ids(n);
-                assert_eq!(scheme.universe_len(n), ids.len() as u64, "{name} n={n}");
+        // RS(10,4) leave 3 data blocks in the last stripe, which only the
+        // seal flushes.
+        let schemes = || -> Vec<Box<dyn RedundancyScheme>> {
+            vec![
+                Box::new(ReedSolomon::new(4, 2).unwrap()),
+                Box::new(ReedSolomon::new(10, 4).unwrap()),
+                Box::new(Replication::new(2)),
+                Box::new(Replication::new(3)),
+            ]
+        };
+        for n in [1u64, 4, 23] {
+            for scheme in schemes() {
+                let name = scheme.scheme_name();
+                let ids = written(&*scheme, n as usize);
+                assert_eq!(ids, scheme.block_ids(n), "{name} n={n}");
                 for (k, id) in ids.iter().enumerate() {
                     assert_eq!(
                         scheme.dense_index(id, n),
                         Some(k as u32),
                         "{name} n={n}: {id}"
                     );
-                    assert_eq!(scheme.block_at(k as u32, n), Some(*id), "{name} n={n}: {k}");
                 }
                 assert_eq!(scheme.block_at(ids.len() as u32, n), None, "{name} n={n}");
                 // Outside the universe.

@@ -176,18 +176,6 @@ impl RedundancyScheme for Code {
         decoder::repair_block(self.config(), id, data_blocks, &self.zero, &mut lookup)
     }
 
-    fn block_ids(&self, data_blocks: u64) -> Vec<BlockId> {
-        let classes = self.config().classes();
-        let mut out = Vec::with_capacity(data_blocks as usize * (1 + classes.len()));
-        for i in 1..=data_blocks {
-            out.push(BlockId::Data(NodeId(i)));
-            for &class in classes {
-                out.push(BlockId::Parity(EdgeId::new(class, NodeId(i))));
-            }
-        }
-        out
-    }
-
     fn is_repairable(
         &self,
         id: BlockId,
@@ -205,7 +193,7 @@ impl RedundancyScheme for Code {
     }
 
     fn dense_index(&self, id: &BlockId, data_blocks: u64) -> Option<u32> {
-        // block_ids order: per node i, the data block then its α output
+        // Write order: per node i, the data block then its α output
         // parities in class order — a fixed stride of 1 + α per node.
         let stride = 1 + self.config().alpha() as u64;
         let idx = match *id {
@@ -237,10 +225,6 @@ impl RedundancyScheme for Code {
                 NodeId(i),
             ))
         })
-    }
-
-    fn supports_dense_index(&self) -> bool {
-        true
     }
 
     fn maintenance_targets(&self, missing_data: &[BlockId], data_blocks: u64) -> Vec<BlockId> {
@@ -384,6 +368,10 @@ mod tests {
         ));
     }
 
+    /// The bijection is the write order: what `encode_batch` reports
+    /// over batches of 1, 4, 9 and 23 blocks, then what `seal` returns,
+    /// is `block_at` over the whole universe, each id at the position
+    /// `dense_index` gives it.
     #[test]
     fn dense_index_matches_block_ids_enumeration() {
         for cfg in [
@@ -391,11 +379,17 @@ mod tests {
             Config::new(2, 2, 5).unwrap(),
             Config::new(3, 2, 5).unwrap(),
         ] {
-            let code = Code::new(cfg, 0);
-            assert!(code.supports_dense_index());
-            let n = 37;
-            let ids = code.block_ids(n);
-            assert_eq!(code.universe_len(n), ids.len() as u64, "{}", cfg.name());
+            let code = Code::new(cfg, 8);
+            let store = BlockMap::new();
+            let mut ids = Vec::new();
+            for size in [1, 4, 9, 23] {
+                let batch = vec![Block::zero(8); size];
+                ids.extend(code.encode_batch(&batch, &store).unwrap().ids);
+            }
+            ids.extend(code.seal(&store).unwrap());
+            let n = code.data_written();
+            assert_eq!(n, 37);
+            assert_eq!(ids, code.block_ids(n), "{}", cfg.name());
             for (k, id) in ids.iter().enumerate() {
                 assert_eq!(
                     code.dense_index(id, n),
@@ -403,7 +397,6 @@ mod tests {
                     "{}: {id}",
                     cfg.name()
                 );
-                assert_eq!(code.block_at(k as u32, n), Some(*id), "{}: {k}", cfg.name());
             }
             assert_eq!(code.block_at(ids.len() as u32, n), None);
             // Outside the universe: virtual positions, absent classes,

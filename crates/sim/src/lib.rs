@@ -15,10 +15,10 @@
 //! * [`scheme_plane`] — the one generic availability-plane engine, driven
 //!   by any [`ae_api::RedundancyScheme`]: placement, disasters,
 //!   round-based repair to fixpoint and minimal maintenance. The
-//!   scheme's authoritative `dense_index`/`block_at` bijection is the
-//!   only id ⇄ position path, so the plane holds no per-block id state at
-//!   all (no materialized universe, no hash index, no location table —
-//!   pure arithmetic); a scheme without one is refused at construction.
+//!   scheme's `dense_index`/`block_at` bijection is the only id ⇄
+//!   position path, so the plane holds no per-block id state at all (no
+//!   materialized universe, no hash index, no location table — pure
+//!   arithmetic).
 //! * [`mirror`] — the entangled-mirror reliability Monte Carlo (§IV.B.1:
 //!   mirroring vs open/closed chains).
 //! * [`experiments`] — the sweep drivers behind each figure and table

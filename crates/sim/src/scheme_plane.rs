@@ -4,8 +4,7 @@
 //! One engine for every scheme, as the paper evaluates them in one
 //! environment (one block table — Table V — one disaster, one round-based
 //! decoder): the scheme describes its structure through the trait's
-//! availability hooks ([`RedundancyScheme::block_ids`],
-//! [`RedundancyScheme::is_repairable`],
+//! availability hooks ([`RedundancyScheme::is_repairable`],
 //! [`RedundancyScheme::is_single_failure`],
 //! [`RedundancyScheme::maintenance_targets`]) and the plane does
 //! everything else — placement, disaster injection, round-based repair to
@@ -27,10 +26,8 @@
 //! recomputed from positions only at the edges (repair planning callbacks,
 //! summaries). No `Vec<BlockId>` universe, no id → position hash index, no
 //! per-position location table — the availability oracle is pure
-//! arithmetic. A scheme must mark its bijection authoritative
-//! ([`RedundancyScheme::supports_dense_index`]) to be placed on a plane;
-//! one that does not is refused at construction rather than run through
-//! the trait's O(universe)-per-lookup enumeration defaults.
+//! arithmetic. Every scheme has the bijection (the trait requires it), so
+//! every scheme can be placed on a plane.
 //!
 //! # Parallel repair rounds
 //!
@@ -175,32 +172,6 @@ impl SchemePlane {
         never_stored: impl Fn(BlockId) -> bool,
     ) -> Self {
         assert!(data_blocks > 0 && locations > 0);
-        assert!(
-            scheme.supports_dense_index(),
-            "{} does not mark its dense_index/block_at bijection authoritative \
-             (supports_dense_index): the plane has no materialized fallback",
-            scheme.scheme_name()
-        );
-        // The arithmetic bijection must agree with the enumeration it
-        // replaces; verify exhaustively in debug builds (the universe
-        // is materialized transiently here, release builds never do).
-        #[cfg(debug_assertions)]
-        {
-            let universe = scheme.block_ids(data_blocks);
-            assert_eq!(scheme.universe_len(data_blocks), universe.len() as u64);
-            for (k, id) in universe.iter().enumerate() {
-                assert_eq!(
-                    scheme.dense_index(id, data_blocks),
-                    Some(k as u32),
-                    "dense index disagrees with block_ids at {id}"
-                );
-                assert_eq!(
-                    scheme.block_at(k as u32, data_blocks),
-                    Some(*id),
-                    "block_at disagrees with block_ids at {k}"
-                );
-            }
-        }
         let universe_len = u32::try_from(scheme.universe_len(data_blocks))
             .expect("plane universe exceeds u32 positions");
         let mut plane = SchemePlane {

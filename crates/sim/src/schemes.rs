@@ -235,7 +235,6 @@ mod tests {
                 "{s}"
             );
             assert_eq!(cost.extremity_exposed, s.extremity_exposed(), "{s}");
-            assert!(built.supports_dense_index(), "{s}");
         }
     }
 

@@ -328,11 +328,8 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     ///
     /// # Panics
     ///
-    /// Panics if the scheme has already encoded data, if it does not
-    /// mark its `dense_index`/`block_at` bijection authoritative
-    /// ([`RedundancyScheme::supports_dense_index`]: the archive finds its
-    /// blocks by position and by nothing else), or if the backend already
-    /// holds archive metadata (reopen those with [`Archive::open`]
+    /// Panics if the scheme has already encoded data, or if the backend
+    /// already holds archive metadata (reopen those with [`Archive::open`]
     /// instead of silently shadowing them).
     pub fn with_scheme(
         scheme: Arc<dyn RedundancyScheme>,
@@ -357,24 +354,8 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     ) -> Self {
         assert_eq!(scheme.data_written(), 0, "archive schemes must start fresh");
         assert!(block_size > 0, "blocks must be non-empty");
-        let name = Self::positional(&*scheme);
-        let journal = Journal::create(&*store, meta, name, block_size as u64);
+        let journal = Journal::create(&*store, meta, scheme.scheme_name(), block_size as u64);
         Self::assemble(scheme, store, block_size, journal)
-    }
-
-    /// The name of a scheme an archive can find its blocks by.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scheme's bijection is not authoritative.
-    fn positional(scheme: &dyn RedundancyScheme) -> String {
-        let name = scheme.scheme_name();
-        assert!(
-            scheme.supports_dense_index(),
-            "{name} does not mark its dense_index/block_at bijection authoritative \
-             (supports_dense_index): the archive has no explicit id log"
-        );
-        name
     }
 
     /// An archive with nothing in it yet, over `journal`.
@@ -424,8 +405,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     ///
     /// # Panics
     ///
-    /// Panics if `scheme` already encoded data, or does not mark its
-    /// bijection authoritative (see [`Archive::with_scheme`]).
+    /// Panics if `scheme` already encoded data.
     pub fn open(scheme: Arc<dyn RedundancyScheme>, store: Arc<B>) -> Result<Self, RecoveryError> {
         Self::open_with_meta(scheme, store, MetaConfig::default())
     }
@@ -453,7 +433,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             block_size,
             checkpoint,
             poisoned_cell,
-        } = Journal::open(&*store, meta, Self::positional(&*scheme))?;
+        } = Journal::open(&*store, meta, scheme.scheme_name())?;
         let mut ar = Self::assemble(scheme, store, block_size as usize, journal);
         // The newest loadable checkpoint, then the records past it; the
         // last frontier snapshot seen is the one to restore.

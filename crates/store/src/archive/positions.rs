@@ -2,7 +2,7 @@
 //!
 //! # Position-first
 //!
-//! The archive holds **no per-block state**. Every roster scheme answers
+//! The archive holds **no per-block state**. Every scheme answers
 //! [`RedundancyScheme::block_at`] in O(1), so "which blocks did this
 //! archive store" is two counters — data blocks and stored blocks — and
 //! the `k`-th stored block *is* `block_at(k, data)`: `put` verifies each
@@ -14,14 +14,12 @@
 //! the one [`super::Archive::stored_ids`] hands out by reference, built
 //! on first call — drills, `scrub` and the chained-repair slow path use
 //! it; `put`, `get` and `open` never do. This is the archive's one
-//! id ⇄ position path, as it is the availability plane's: a scheme that
-//! does not mark its bijection authoritative
-//! ([`RedundancyScheme::supports_dense_index`]) is refused at
-//! construction, and a report that disagrees with `block_at` is the
-//! scheme's bug — a panic in `put`/`seal`. Positions are `u32`
-//! ([`RedundancyScheme::block_at`]), so a `put` or `seal` that could take
-//! the stored count past `u32::MAX` is refused with
-//! [`super::ArchiveError::TooLarge`] before anything is encoded.
+//! id ⇄ position path, as it is the availability plane's: the trait
+//! requires the bijection of every scheme, and a report that disagrees
+//! with `block_at` is the scheme's bug — a panic in `put`/`seal`.
+//! Positions are `u32` ([`RedundancyScheme::block_at`]), so a `put` or
+//! `seal` that could take the stored count past `u32::MAX` is refused
+//! with [`super::ArchiveError::TooLarge`] before anything is encoded.
 
 use crate::meta::RecordError;
 use ae_api::RedundancyScheme;

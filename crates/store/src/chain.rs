@@ -320,12 +320,6 @@ impl RedundancyScheme for EntangledChain {
         })
     }
 
-    fn block_ids(&self, data_blocks: u64) -> Vec<BlockId> {
-        let mut ids = self.code.block_ids(data_blocks);
-        ids.extend(self.closing(data_blocks));
-        ids
-    }
-
     fn is_repairable(
         &self,
         id: BlockId,
@@ -365,10 +359,6 @@ impl RedundancyScheme for EntangledChain {
             let last = u64::from(k) == self.code.universe_len(data_blocks);
             self.closing(data_blocks).filter(|_| last)
         })
-    }
-
-    fn supports_dense_index(&self) -> bool {
-        true
     }
 }
 
@@ -420,16 +410,29 @@ mod tests {
         assert_eq!(chain.block_at(20, 10), Some(parity_id(11)));
     }
 
+    /// The bijection is the write order: what `encode_batch` reports
+    /// over batches of 1, then 6, then the rest, and then what `seal`
+    /// returns (a closed chain's closing parity), is `block_at` over the
+    /// whole universe, each id at the position `dense_index` gives it.
     #[test]
     fn bijection_matches_enumeration_both_modes() {
         for mode in [ChainMode::Open, ChainMode::Closed] {
-            let chain = EntangledChain::new(mode, 0);
             for n in [1u64, 7, 40] {
-                let ids = chain.block_ids(n);
-                assert_eq!(chain.universe_len(n), ids.len() as u64, "{mode} n={n}");
+                let chain = EntangledChain::new(mode, 16);
+                let store = BlockMap::new();
+                let blocks = payload(n as usize);
+                let mut ids = Vec::new();
+                for batch in [
+                    &blocks[..1],
+                    &blocks[1..n.min(7) as usize],
+                    &blocks[n.min(7) as usize..],
+                ] {
+                    ids.extend(chain.encode_batch(batch, &store).unwrap().ids);
+                }
+                ids.extend(chain.seal(&store).unwrap());
+                assert_eq!(ids, chain.block_ids(n), "{mode} n={n}");
                 for (k, id) in ids.iter().enumerate() {
                     assert_eq!(chain.dense_index(id, n), Some(k as u32), "{mode} {id}");
-                    assert_eq!(chain.block_at(k as u32, n), Some(*id), "{mode} {k}");
                 }
                 assert_eq!(chain.block_at(ids.len() as u32, n), None);
                 // Foreign and out-of-universe ids.

@@ -233,14 +233,6 @@ impl RedundancyScheme for GeoLattice {
             .map_err(|e| ns_apply_err(self.tag, e))
     }
 
-    fn block_ids(&self, data_blocks: u64) -> Vec<BlockId> {
-        self.code
-            .block_ids(data_blocks)
-            .into_iter()
-            .map(|id| self.ns(id))
-            .collect()
-    }
-
     fn is_repairable(
         &self,
         id: BlockId,
@@ -290,10 +282,6 @@ impl RedundancyScheme for GeoLattice {
 
     fn block_at(&self, k: u32, data_blocks: u64) -> Option<BlockId> {
         self.code.block_at(k, data_blocks).map(|id| self.ns(id))
-    }
-
-    fn supports_dense_index(&self) -> bool {
-        true
     }
 }
 
@@ -549,17 +537,25 @@ mod tests {
         }
     }
 
+    /// The bijection is the write order: what `encode_batch` reports
+    /// over batches of 1, 14 and 25 blocks, then what `seal` returns, is
+    /// `block_at` over the whole universe, each namespaced id at the
+    /// position `dense_index` gives it.
     #[test]
     fn geo_lattice_bijection_matches_enumeration() {
         let cfg = Config::new(3, 2, 5).unwrap();
-        let scheme = GeoLattice::new(Code::new(cfg, 0), 7);
-        assert!(scheme.supports_dense_index());
+        let scheme = GeoLattice::new(Code::new(cfg, 8), 7);
+        let store = ae_api::BlockMap::new();
+        let mut ids = Vec::new();
+        for size in [1, 14, 25] {
+            let batch = vec![Block::zero(8); size];
+            ids.extend(scheme.encode_batch(&batch, &store).unwrap().ids);
+        }
+        ids.extend(scheme.seal(&store).unwrap());
         let n = 40;
-        let ids = scheme.block_ids(n);
-        assert_eq!(scheme.universe_len(n), ids.len() as u64);
+        assert_eq!(ids, scheme.block_ids(n));
         for (k, id) in ids.iter().enumerate() {
             assert_eq!(scheme.dense_index(id, n), Some(k as u32), "{id}");
-            assert_eq!(scheme.block_at(k as u32, n), Some(*id), "{k}");
         }
         assert_eq!(scheme.block_at(ids.len() as u32, n), None);
         // Un-namespaced ids are foreign to a tagged lattice.

@@ -15,20 +15,18 @@
 //!   (`Archive::open` on a copy of the backend, checkpoint + suffix)
 //!   yields the same list, manifest and data counter.
 //!
-//! Two wrapper schemes cover the other side of the contract: one that
-//! does not forward the dense-index hooks (`supports_dense_index()` stays
-//! `false`), and one that claims the bijection and then breaks it
-//! mid-life. Neither gets an explicit id log — there is none: the first
-//! is refused by the archive at construction and at `open`, as
-//! `SchemePlane` refuses it, and the second panics the `put` that meets
-//! the lie, naming the position, with nothing of it journaled.
+//! A wrapper scheme covers the other side of the contract: one whose
+//! `block_at` breaks the bijection mid-life. It gets no explicit id log —
+//! there is none, since the trait requires the bijection of every scheme
+//! — and instead panics the `put` that meets the lie, naming the
+//! position, with nothing of it journaled.
 
 use aecodes::api::{
     AeError, BlockSink, BlockSource, EncodeReport, RedundancyScheme, RepairCost, RepairError,
 };
 use aecodes::blocks::{Block, BlockId};
 use aecodes::lattice::Config;
-use aecodes::sim::{Scheme, SchemePlane, SimPlacement};
+use aecodes::sim::Scheme;
 use aecodes::store::archive::Archive;
 use aecodes::store::meta::{CheckpointPayload, MetaConfig, MetaRecord};
 use aecodes::store::MemStore;
@@ -169,15 +167,11 @@ proptest! {
     }
 }
 
-/// A scheme wrapper: the byte plane and the required availability hooks
-/// forwarded, the dense-index hooks as the wrapper decides.
+/// A scheme wrapper: the byte plane and the required hooks forwarded,
+/// except that `block_at` is off by one from position `honest_below` on.
 struct Wrapped {
     inner: Box<dyn RedundancyScheme>,
-    /// `None`: the hooks keep their trait defaults
-    /// (`supports_dense_index()` is `false`). `Some(n)`: the hooks are
-    /// forwarded and claimed authoritative, but `block_at` is off by one
-    /// from position `n` on.
-    honest_below: Option<u32>,
+    honest_below: u32,
 }
 
 impl RedundancyScheme for Wrapped {
@@ -222,10 +216,6 @@ impl RedundancyScheme for Wrapped {
         self.inner.repair_block(source, id, data_blocks)
     }
 
-    fn block_ids(&self, data_blocks: u64) -> Vec<BlockId> {
-        self.inner.block_ids(data_blocks)
-    }
-
     fn is_repairable(
         &self,
         id: BlockId,
@@ -236,26 +226,16 @@ impl RedundancyScheme for Wrapped {
     }
 
     fn universe_len(&self, data_blocks: u64) -> u64 {
-        match self.honest_below {
-            Some(_) => self.inner.universe_len(data_blocks),
-            None => self.block_ids(data_blocks).len() as u64,
-        }
+        self.inner.universe_len(data_blocks)
     }
 
     fn dense_index(&self, id: &BlockId, data_blocks: u64) -> Option<u32> {
-        self.honest_below
-            .and_then(|_| self.inner.dense_index(id, data_blocks))
+        self.inner.dense_index(id, data_blocks)
     }
 
     fn block_at(&self, k: u32, data_blocks: u64) -> Option<BlockId> {
-        match self.honest_below {
-            Some(n) => self.inner.block_at(k + u32::from(k >= n), data_blocks),
-            None => self.block_ids(data_blocks).get(k as usize).copied(),
-        }
-    }
-
-    fn supports_dense_index(&self) -> bool {
-        self.honest_below.is_some()
+        let lie = u32::from(k >= self.honest_below);
+        self.inner.block_at(k + lie, data_blocks)
     }
 }
 
@@ -265,41 +245,6 @@ fn three_schemes() -> [Scheme; 3] {
         Scheme::Rs { k: 4, m: 12 },
         Scheme::Replication { n: 3 },
     ]
-}
-
-fn hookless() -> Wrapped {
-    Wrapped {
-        inner: three_schemes()[0].build(BLOCK),
-        honest_below: None,
-    }
-}
-
-/// The availability plane has no enumeration fallback: the hook-less
-/// wrapper is refused there, by name.
-#[test]
-#[should_panic(expected = "no materialized fallback")]
-fn a_scheme_without_the_bijection_is_refused_by_the_plane() {
-    SchemePlane::new(Box::new(hookless()), 1_000, 10, SimPlacement::RoundRobin);
-}
-
-/// Nor has the archive: refused at construction, before anything reaches
-/// the backend, and at `open` — even over a journal an honest instance of
-/// the same scheme wrote.
-#[test]
-#[should_panic(expected = "no explicit id log")]
-fn a_scheme_without_the_bijection_is_refused_by_the_archive() {
-    let store = Arc::new(MemStore::new());
-    let fresh = std::panic::catch_unwind(|| {
-        Archive::with_scheme(Arc::new(hookless()), BLOCK, Arc::new(MemStore::new()))
-    });
-    let refused = fresh.err().expect("with_scheme refuses it");
-    let refused = refused.downcast_ref::<String>().expect("a message");
-    assert!(refused.contains("no explicit id log"), "{refused}");
-    let honest: Arc<dyn RedundancyScheme> = Arc::from(three_schemes()[0].build(BLOCK));
-    Archive::with_scheme(honest, BLOCK, Arc::clone(&store))
-        .put("f", &contents(3, true, 0))
-        .expect("fresh name");
-    let _ = Archive::open(Arc::new(hookless()), store);
 }
 
 /// A scheme that claims the bijection and breaks it from position 30 on:
@@ -312,7 +257,7 @@ fn a_report_that_disagrees_with_block_at_panics_naming_the_position() {
         let wrap = || -> Arc<dyn RedundancyScheme> {
             Arc::new(Wrapped {
                 inner: s.build(BLOCK),
-                honest_below: Some(30),
+                honest_below: 30,
             })
         };
         let store = Arc::new(MemStore::new());

@@ -521,10 +521,6 @@ impl RedundancyScheme for PanicOnDemand {
         self.inner.repair_block(source, id, data_blocks)
     }
 
-    fn block_ids(&self, data_blocks: u64) -> Vec<BlockId> {
-        self.inner.block_ids(data_blocks)
-    }
-
     fn is_repairable(
         &self,
         id: BlockId,
@@ -544,10 +540,6 @@ impl RedundancyScheme for PanicOnDemand {
 
     fn block_at(&self, k: u32, data_blocks: u64) -> Option<BlockId> {
         self.inner.block_at(k, data_blocks)
-    }
-
-    fn supports_dense_index(&self) -> bool {
-        self.inner.supports_dense_index()
     }
 }
 
