@@ -76,6 +76,165 @@ fn entry_crc_is_the_crc_of_the_contents() {
     }
 }
 
+// --- `get` end to end over a fault injector ---------------------------
+
+use crate::fault::FaultyStore;
+
+type Faulty = FaultyStore<MemStore>;
+
+/// The three scheme families, each with the ids a test garbles so that
+/// every repair option of a data block has a member garbled — the
+/// block's out-parity on each strand for AE(3,2,5) (one member of each
+/// pp-tuple), the four parity shards of its stripe for RS(10,4) (any ten
+/// of the thirteen other shards include one), both other copies for
+/// 3-way replication.
+struct Family {
+    name: &'static str,
+    scheme: fn(usize) -> Arc<dyn RedundancyScheme>,
+    every_option_of: fn(u64) -> Vec<BlockId>,
+}
+
+fn families() -> [Family; 3] {
+    use ae_baselines::{ReedSolomon, Replication};
+    use ae_blocks::{EdgeId, ReplicaId, ShardId, StrandClass};
+    [
+        Family {
+            name: "AE(3,2,5)",
+            scheme: |bs| Arc::new(Code::new(Config::new(3, 2, 5).unwrap(), bs)),
+            every_option_of: |node| {
+                let classes = [
+                    StrandClass::Horizontal,
+                    StrandClass::RightHanded,
+                    StrandClass::LeftHanded,
+                ];
+                let out = |class| BlockId::Parity(EdgeId::new(class, NodeId(node)));
+                classes.into_iter().map(out).collect()
+            },
+        },
+        Family {
+            name: "RS(10,4)",
+            scheme: |_| Arc::new(ReedSolomon::new(10, 4).unwrap()),
+            every_option_of: |node| {
+                let stripe = (node - 1) / 10;
+                let shard = |index| BlockId::Shard(ShardId { stripe, index });
+                (0..4).map(shard).collect()
+            },
+        },
+        Family {
+            name: "3-way replication",
+            scheme: |_| Arc::new(Replication::new(3)),
+            every_option_of: |node| {
+                let copy = |copy| {
+                    BlockId::Replica(ReplicaId {
+                        node: NodeId(node),
+                        copy,
+                    })
+                };
+                (1..3).map(copy).collect()
+            },
+        },
+    ]
+}
+
+const FAULTY_BS: usize = 64;
+
+/// A sealed archive of `family`'s scheme over a fault injector, holding
+/// `files` (name, payload), with some neighbours around them.
+fn faulty_archive(family: &Family, files: &[(&str, Vec<u8>)]) -> Archive<Faulty> {
+    let store = Arc::new(FaultyStore::new(Arc::new(MemStore::new())));
+    let mut ar = Archive::with_scheme((family.scheme)(FAULTY_BS), FAULTY_BS, store);
+    ar.put("before", &payload(3 * FAULTY_BS + 5, 41)).unwrap();
+    for (name, contents) in files {
+        ar.put(name, contents).unwrap();
+    }
+    ar.put("after", &payload(12 * FAULTY_BS, 43)).unwrap();
+    ar.seal().unwrap();
+    ar
+}
+
+/// The 1-based data node of a file's `k`-th block.
+fn node_of(ar: &Archive<Faulty>, name: &str, k: u64) -> u64 {
+    ar.entry(name).unwrap().first_block + k + 1
+}
+
+#[test]
+fn a_garbled_data_block_is_rebuilt_by_get() {
+    let contents = payload(25 * FAULTY_BS + 7, 19);
+    for family in families() {
+        let ar = faulty_archive(&family, &[("f", contents.clone())]);
+        for k in [0, 11, 25] {
+            let node = node_of(&ar, "f", k);
+            ar.store().corrupt(data_id(node));
+            assert_eq!(ar.get("f").unwrap(), contents, "{}, block {k}", family.name);
+            // A degraded read is read-only: the fault stays.
+            assert!(ar.store().read(data_id(node)).is_err());
+            ar.store().restore(data_id(node));
+        }
+    }
+}
+
+/// A data block gone and a member of each of its repair options garbled:
+/// whatever the garbled bytes rebuild, `get` answers the payload or a
+/// typed error — never other bytes.
+#[test]
+fn get_never_returns_bytes_a_garbled_repair_made() {
+    let contents = payload(25 * FAULTY_BS + 7, 23);
+    for family in families() {
+        for k in [0, 4, 25] {
+            let ar = faulty_archive(&family, &[("f", contents.clone())]);
+            let node = node_of(&ar, "f", k);
+            ar.store().remove(data_id(node));
+            ar.store().corrupt_all((family.every_option_of)(node));
+            match ar.get("f") {
+                Ok(got) => assert_eq!(got, contents, "{}, block {k}", family.name),
+                Err(
+                    ArchiveError::ChecksumMismatch { .. } | ArchiveError::BlockUnavailable { .. },
+                ) => {}
+                Err(other) => panic!("{}, block {k}: untyped failure {other:?}", family.name),
+            }
+        }
+    }
+}
+
+/// Files at the edges — empty, one byte, and one byte past ten whole
+/// blocks (a partial tail that starts RS(10,4)'s next stripe) — round
+/// trip as stored, and with their partial tail block lost.
+#[test]
+fn edge_length_files_round_trip_with_their_tail_block_lost() {
+    let k_bs_plus_one = 10 * FAULTY_BS + 1;
+    let files: Vec<(&str, Vec<u8>)> = vec![
+        ("empty", Vec::new()),
+        ("one", payload(1, 29)),
+        ("k_bs_plus_one", payload(k_bs_plus_one, 31)),
+    ];
+    for family in families() {
+        let ar = faulty_archive(&family, &files);
+        for (name, contents) in &files {
+            assert_eq!(&ar.get(name).unwrap(), contents, "{}, {name}", family.name);
+            let entry = ar.entry(name).unwrap();
+            let tail = data_id(node_of(&ar, name, entry.block_count - 1));
+            ar.store().fail(tail);
+            let got = ar.get(name);
+            assert_eq!(
+                &got.unwrap(),
+                contents,
+                "{}, {name}, tail lost",
+                family.name
+            );
+            ar.store().restore(tail);
+            ar.store().corrupt(tail);
+            let got = ar.get(name);
+            assert_eq!(
+                &got.unwrap(),
+                contents,
+                "{}, {name}, tail garbled",
+                family.name
+            );
+            ar.store().restore(tail);
+        }
+    }
+}
+
 #[test]
 fn duplicate_names_rejected() {
     let mut ar = archive();

@@ -1,14 +1,17 @@
 //! `read_many(ids)` answers exactly what `ids.map(read)` does, for every
 //! backend and wrapper in the tree: the plain `MemStore` (which overrides
-//! it with a prefetching run), the fault injector, the sharded store with
-//! a location down, the two tiers, a tenant's view (which forwards the
-//! run), the latency model under the virtual clock and the `&S` /
-//! `Arc<S>` forwards. Runs mix present, absent, corrupted, blackholed and
-//! wrong-length blocks, and their lengths include the run and look-ahead
-//! edges: 0, 1, 2, 3, 64 and 65.
+//! it with a prefetching run), the in-memory `BlockMap` (the trait's
+//! default `read`), the fault injector, the sharded store with a location
+//! down, the two tiers, a tenant's view (which forwards the run), the
+//! latency model under the virtual clock and the `&S` / `Arc<S>`
+//! forwards. Every block either answers `Ok` passes `Block::verify`: the
+//! read contract `Archive::get` composes its file checksum on. Runs mix
+//! present, absent, corrupted, blackholed and wrong-length blocks, and
+//! their lengths include the run and look-ahead edges: 0, 1, 2, 3, 64
+//! and 65.
 
 use aecodes::aio::{Clock, LatencyStore, LinkSpec, Runtime};
-use aecodes::api::{BlockRepo, BlockSource, StoreError};
+use aecodes::api::{BlockMap, BlockRepo, BlockSource, StoreError};
 use aecodes::blocks::{Block, BlockId, EdgeId, MetaId, NodeId, ReplicaId, ShardId, StrandClass};
 use aecodes::service::{SharedBackend, TenantId, TenantStore};
 use aecodes::store::{DistributedStore, FaultyStore, LocationId, MemStore, Placement, TieredStore};
@@ -91,12 +94,13 @@ fn faulty<S: BlockRepo + Send + Sync + ?Sized>(
 
 fn assert_runs_match(name: &str, repo: &dyn BlockSource, run: &[BlockId]) {
     let one_by_one: Vec<_> = run.iter().map(|&id| repo.read(id)).collect();
-    assert_eq!(
-        repo.read_many(run),
-        one_by_one,
-        "{name}, run of {}",
-        run.len()
-    );
+    let many = repo.read_many(run);
+    assert_eq!(many, one_by_one, "{name}, run of {}", run.len());
+    for (read, &id) in many.iter().zip(run) {
+        if let Ok(block) = read {
+            assert_eq!(block.verify(), Ok(()), "{name}: {id:?} read Ok");
+        }
+    }
 }
 
 /// Every backend and wrapper under test, loaded with `slots`, `mem`
@@ -131,8 +135,12 @@ fn backends<'a>(
     let slow = faulty(Arc::new(MemStore::new()), ids, slots);
     let wan = LatencyStore::uniform(slow, rt, link, 0).into_sync();
 
+    let map = BlockMap::new();
+    load(&map, ids, slots);
+
     let as_dyn: Arc<dyn BlockRepo + Send + Sync> = Arc::clone(mem) as _;
     vec![
+        ("BlockMap", Box::new(map)),
         ("&MemStore", Box::new(&**mem)),
         ("Arc<MemStore>", Box::new(Arc::clone(mem))),
         ("Arc<dyn BlockRepo>", Box::new(as_dyn)),
