@@ -63,7 +63,9 @@ pub trait AsyncBlockSource: Sync {
 
     /// Error-typed read (async mirror of [`BlockSource::read`]):
     /// additionally reports [`StoreError::TimedOut`] when the backend
-    /// gave up retrying a dead remote.
+    /// gave up retrying a dead remote. The read contract is the sync
+    /// one: a block that resolves `Ok` has a checksum equal to the CRC32
+    /// of its bytes.
     fn read_async(&self, id: BlockId) -> BoxFuture<'_, Result<Block, StoreError>>;
 }
 

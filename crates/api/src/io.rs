@@ -64,17 +64,27 @@ pub trait BlockSource: Sync {
     /// Error-typed read: like [`BlockSource::fetch`], but distinguishes a
     /// block that is absent/unreachable ([`StoreError::NotFound`]) from one
     /// that failed integrity verification ([`StoreError::Corrupted`]).
-    /// Backends that verify checksums on read override this.
+    ///
+    /// **The read contract:** a block answered `Ok` has a checksum equal
+    /// to the CRC32 of its bytes ([`Block::verify`] passes). A reader may
+    /// then use the checksum in place of the bytes: `ae_store`'s
+    /// `Archive::get` composes a file's checksum from its blocks'. The
+    /// default fetches and verifies, so every backend keeps the contract;
+    /// one that overrides this must too — a backend that keeps checksums
+    /// apart from bytes verifies the pair it returns.
     fn read(&self, id: BlockId) -> Result<Block, StoreError> {
-        self.fetch(id).ok_or(StoreError::NotFound(id))
+        let block = self.fetch(id).ok_or(StoreError::NotFound(id))?;
+        block.verify().map_err(|_| StoreError::Corrupted(id))?;
+        Ok(block)
     }
 
     /// [`BlockSource::read`] of every id of a run, answered in order: one
-    /// result per id, each the one `read` would give. The default is that
-    /// loop, so a wrapper that overrides only `read` keeps its exact
-    /// semantics. A backend overrides it where a run is cheaper than its
-    /// reads one by one: `ae_store::MemStore` takes its lock once and
-    /// checksums each block while the next ones load.
+    /// result per id, each the one `read` would give — under the same
+    /// contract: every `Ok` block's checksum is the CRC32 of its bytes.
+    /// The default is that loop, so a wrapper that overrides only `read`
+    /// keeps its exact semantics. A backend overrides it where a run is
+    /// cheaper than its reads one by one: `ae_store::MemStore` takes its
+    /// lock once and checksums each block while the next ones load.
     fn read_many(&self, ids: &[BlockId]) -> Vec<Result<Block, StoreError>> {
         ids.iter().map(|&id| self.read(id)).collect()
     }

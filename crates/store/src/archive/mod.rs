@@ -285,7 +285,7 @@ pub struct Archive<B: BlockRepo + ?Sized = dyn BlockRepo> {
     store: Arc<B>,
     block_size: usize,
     /// CRC32's "append one block" operator, built once per archive:
-    /// `put` composes a file's checksum from its blocks' with it.
+    /// `put` and `get` compose a file's checksum from its blocks' with it.
     append_block: Crc32Append,
     manifest: BTreeMap<String, Entry>,
     /// The manifest rows of the files put since the last committed
@@ -824,19 +824,19 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         let data_after = first_block + block_count;
         self.check_ceiling(data_after)?;
         // Every payload byte is copied once and CRC'd once, as part of its
-        // block; the file checksum is composed from the block checksums.
-        // Only a partial last chunk is read again: its block's checksum
-        // covers the padding, the file's does not.
+        // block; the file checksum is composed from the block checksums,
+        // four table lookups a block (`file_crc`). Only a partial last
+        // chunk is read again: its block's checksum covers the padding,
+        // the file's does not.
         let blocks = match contents.len() {
             0 => vec![Block::zero(bs)],
             _ => Block::cut(contents, bs),
         };
         let whole = contents.len() / bs;
-        let crc = blocks[..whole]
-            .iter()
-            .fold(0, |crc, block| self.append_block.combine(crc, block.crc()));
-        let mut crc = Crc32::resume(crc);
-        crc.update(&contents[whole * bs..]);
+        let crc = self.file_crc(
+            blocks[..whole].iter().map(Block::crc),
+            &contents[whole * bs..],
+        );
         let report = self
             .write_through(|sink| self.scheme.encode_batch(&blocks, sink))
             .map_err(ArchiveError::Encode)?;
@@ -844,7 +844,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             first_block,
             block_count,
             byte_len: contents.len(),
-            crc: crc.finalize(),
+            crc,
         };
         // Journal the mutation before acknowledging it: a crash after the
         // record lands replays the put; a crash before leaves only orphan
@@ -874,6 +874,17 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             self.checkpoint();
         }
         Ok(entry)
+    }
+
+    /// The checksum of a file from the checksums of its whole blocks, in
+    /// order, and `tail`, the bytes of a partial last block without its
+    /// padding: `put` and `get` check each byte once, as part of its
+    /// block, and compose the file's checksum from the blocks'.
+    fn file_crc(&self, whole_blocks: impl Iterator<Item = u32>, tail: &[u8]) -> u32 {
+        let crc = whole_blocks.fold(0, |crc, block| self.append_block.combine(crc, block));
+        let mut crc = Crc32::resume(crc);
+        crc.update(tail);
+        crc.finalize()
     }
 
     /// Refuses an operation that could take an archive of `data_after`

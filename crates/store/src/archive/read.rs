@@ -5,10 +5,9 @@
 use super::io::{remove_all, store_all, MaskOne, Prefetched, Window};
 use super::{Archive, ArchiveError};
 use ae_api::{BlockRepo, BlockSource, Overlay, RepairError, StoreError};
-use ae_blocks::{crc32, Block, BlockId};
+use ae_blocks::{crc32_zeros, Block, BlockId};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::ops::Range;
 
 impl<B: BlockRepo + ?Sized> Archive<B> {
     /// Reads a file back, repairing missing blocks on the fly (a degraded
@@ -22,32 +21,49 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// the file's blocks and the tuple members of the missing ones,
     /// however large the archive. Only a chained reconstruction, which no
     /// single repair option serves, consults the whole archive.
+    ///
+    /// Each byte is checksummed once. The manifest checksum is composed
+    /// from the checksums of the whole blocks, as `put` composed it, and
+    /// only a partial last block's bytes are summed again. That is as
+    /// strong as a pass over the file: a block read `Ok` carries the
+    /// checksum of its bytes (the read contract of
+    /// [`BlockSource::read`]), and a repaired block's checksum is summed
+    /// from its bytes or follows from its operands' by CRC32's XOR
+    /// linearity — exactly, as no public `Block` constructor takes a
+    /// checksum — so garbled operands show as a mismatch.
     pub fn get(&self, name: &str) -> Result<Vec<u8>, ArchiveError> {
         let unknown = || ArchiveError::UnknownFile(name.to_string());
         let entry = self.manifest.get(name).ok_or_else(unknown)?;
         let extent = entry.first_block..entry.first_block + entry.block_count;
         let (store, bs): (&B, usize) = (&self.store, self.block_size);
-        // Each block is appended as its read is consumed; a failed one
-        // leaves a hole for its repair to fill.
+        // Each block is appended as its read is consumed, with its
+        // checksum; a failed one leaves a hole of zeros for its repair
+        // to fill.
         let mut known = Prefetched::new(store, bs, false);
         let mut out = Vec::with_capacity(entry.byte_len);
+        let mut crcs = Vec::with_capacity(entry.block_count as usize);
         let mut holes = Vec::new();
         // (A hole takes only the bytes the file can use, so the journaled
         // block size alone never sizes an allocation.)
         let ids: Vec<BlockId> = self.positions.data_ids(extent).collect();
         known.sweep(&ids, |id, read| match read {
-            Ok(block) => out.extend_from_slice(block.as_slice()),
+            Ok(block) => {
+                out.extend_from_slice(block.as_slice());
+                crcs.push(block.crc());
+            }
             Err(_) => {
                 let end = out.len().saturating_add(bs);
                 let hole = out.len()..end.min(entry.byte_len.max(out.len()));
                 out.resize(hole.end, 0);
-                holes.push((id, hole));
+                holes.push((id, crcs.len(), hole));
+                crcs.push(crc32_zeros(bs));
             }
         });
         if known.remote {
-            self.prefetch_repairs(&mut known, &holes);
+            let failed: Vec<BlockId> = holes.iter().map(|&(id, ..)| id).collect();
+            self.prefetch_repairs(&mut known, &failed);
         }
-        for (id, hole) in holes {
+        for (id, k, hole) in holes {
             let block = self
                 .repair_fast(&known, id)
                 .or_else(|err| self.repair_slow(&mut known, id, err))?;
@@ -56,11 +72,13 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             if block.len() == bs {
                 let bytes = &block.as_slice()[..hole.len()];
                 out[hole].copy_from_slice(bytes);
+                crcs[k] = block.crc();
             }
         }
         // Truncate the padded tail block and verify the manifest checksum.
         out.truncate(entry.byte_len);
-        let actual = crc32(&out);
+        let whole = entry.byte_len / bs;
+        let actual = self.file_crc(crcs[..whole].iter().copied(), &out[whole * bs..]);
         if actual != entry.crc {
             return Err(ArchiveError::ChecksumMismatch {
                 name: name.to_string(),
@@ -78,12 +96,11 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// known names the next read set: one batch per round, in sorted id
     /// order, until a round consults nothing unknown. Only a prefetch —
     /// what it misses, `known` reads through to the backend.
-    fn prefetch_repairs(&self, known: &mut Prefetched<'_, B>, failed: &[(BlockId, Range<usize>)]) {
+    fn prefetch_repairs(&self, known: &mut Prefetched<'_, B>, failed: &[BlockId]) {
         let written = self.scheme.data_written();
         loop {
             let unknown = RefCell::new(BTreeSet::new());
-            for (target, _) in failed {
-                let target = *target;
+            for &target in failed {
                 self.scheme.is_repairable(target, written, &|id| {
                     let answer = known.answered(id);
                     if id != target && answer.is_none() {

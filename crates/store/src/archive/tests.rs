@@ -52,15 +52,10 @@ fn empty_file_supported() {
 /// whichever scheme stores the blocks.
 #[test]
 fn entry_crc_is_the_crc_of_the_contents() {
-    use ae_baselines::{ReedSolomon, Replication};
     let bs = 4096;
-    let schemes: [fn(usize) -> Arc<dyn RedundancyScheme>; 3] = [
-        |bs| Arc::new(Code::new(Config::new(3, 2, 5).unwrap(), bs)),
-        |_| Arc::new(ReedSolomon::new(10, 4).unwrap()),
-        |_| Arc::new(Replication::new(3)),
-    ];
-    for scheme in schemes {
-        let mut ar = Archive::with_scheme(scheme(bs), bs, Arc::new(MemStore::new()));
+    for family in families() {
+        let scheme = (family.scheme)(bs);
+        let mut ar = Archive::with_scheme(scheme, bs, Arc::new(MemStore::new()));
         let lens = [0, 1, bs - 1, bs, bs + 1, 63 * bs + 123, 64 * bs];
         for (k, len) in lens.into_iter().enumerate() {
             let contents = payload(len, 2 * k as u8 + 5);
@@ -198,7 +193,7 @@ fn get_never_returns_bytes_a_garbled_repair_made() {
 
 /// Files at the edges — empty, one byte, and one byte past ten whole
 /// blocks (a partial tail that starts RS(10,4)'s next stripe) — round
-/// trip as stored, and with their partial tail block lost.
+/// trip as stored, and with their partial tail block lost or garbled.
 #[test]
 fn edge_length_files_round_trip_with_their_tail_block_lost() {
     let k_bs_plus_one = 10 * FAULTY_BS + 1;

@@ -16,9 +16,10 @@ use ae_blocks::{Block, BlockId};
 /// A thread-safe in-memory block store that verifies checksums on read.
 ///
 /// A thin wrapper over the one canonical in-memory backend
-/// ([`ae_api::BlockMap`]) adding integrity verification to every read —
-/// [`crate::DistributedStore`] shards over many of these,
-/// [`crate::TieredStore`] stacks a fast one over a shared remote tier.
+/// ([`ae_api::BlockMap`]) adding integrity verification to every fetch,
+/// not only to every read — [`crate::DistributedStore`] shards over many
+/// of these, [`crate::TieredStore`] stacks a fast one over a shared
+/// remote tier.
 ///
 /// A run of reads ([`BlockSource::read_many`]) takes the lock once and
 /// checksums each block while the bytes of the block two places further

@@ -4,11 +4,11 @@
 //! default `read`), the fault injector, the sharded store with a location
 //! down, the two tiers, a tenant's view (which forwards the run), the
 //! latency model under the virtual clock and the `&S` / `Arc<S>`
-//! forwards. Every block either answers `Ok` passes `Block::verify`: the
-//! read contract `Archive::get` composes its file checksum on. Runs mix
-//! present, absent, corrupted, blackholed and wrong-length blocks, and
-//! their lengths include the run and look-ahead edges: 0, 1, 2, 3, 64
-//! and 65.
+//! forwards. Every block `read` or `read_many` answers `Ok` passes
+//! `Block::verify`: the read contract `Archive::get` composes its file
+//! checksum on. Runs mix present, absent, corrupted, blackholed and
+//! wrong-length blocks, and their lengths include the run and look-ahead
+//! edges: 0, 1, 2, 3, 64 and 65.
 
 use aecodes::aio::{Clock, LatencyStore, LinkSpec, Runtime};
 use aecodes::api::{BlockMap, BlockRepo, BlockSource, StoreError};
