@@ -16,7 +16,10 @@
 //! degraded read fetches the file's blocks plus the tuple members of the
 //! missing ones, whatever the size of the archive around it. The third
 //! pins what a lost frontier block costs `open`: its repair's reads, and
-//! no second ask for the block itself.
+//! no second ask for the block itself. Two more pin the reads that depend
+//! on each other — a chained read, and `open` rebuilding a frontier block
+//! in rounds — to the same calls and round trips at 8 files and at 32:
+//! they fetch the closure of their repairs, never the archive.
 //!
 //! The last test pins what neither that table nor `journal_bytes.csv`
 //! can: **which call, in which order**. The same wrapper that counts
@@ -381,6 +384,128 @@ fn a_lost_frontier_block_costs_open_its_repair_reads_and_no_more() {
         "same frontier: the next put entangles identically"
     );
     assert_eq!(lossy_open, clean_open + 2);
+}
+
+/// Runs `f` at in-flight window `window`, then puts back the window the
+/// run was started with.
+fn at_window<T>(window: usize, f: impl FnOnce() -> T) -> T {
+    let _guard = WINDOW_ENV.lock().unwrap_or_else(|e| e.into_inner());
+    let before = std::env::var_os("AE_AIO_WINDOW");
+    std::env::set_var("AE_AIO_WINDOW", window.to_string());
+    let out = f();
+    match before {
+        Some(v) => std::env::set_var("AE_AIO_WINDOW", v),
+        None => std::env::remove_var("AE_AIO_WINDOW"),
+    }
+    out
+}
+
+/// An AE(3,2,5) archive of `files` files over `store`.
+fn ae_archive<B: BlockRepo + ?Sized>(store: &Arc<B>, files: usize) -> Archive<B> {
+    let mut ar = Archive::with_scheme(build(&roster()[0]), BLOCK, Arc::clone(store));
+    for f in 0..files {
+        ar.put(&name(f), &payload(f)).expect("fresh name");
+    }
+    ar
+}
+
+/// What the chained read of file 3 costs on a sealed AE(3,2,5) archive of
+/// `files` files: backend calls over a plain `MemStore`, and round trips
+/// at the window the caller set.
+fn chained_get_cost(files: usize) -> (u64, u64) {
+    let s = &roster()[0];
+    let plain = Arc::new(Counting::new(MemStore::new()));
+    let mut ar = ae_archive(&plain, files);
+    ar.seal().expect("seal");
+    plain.take_trace();
+    let read = chained_get(s, &ar, &plain.inner);
+    assert_eq!(read.expect("AE rebuilds it in rounds"), payload(3));
+    let calls = plain.take_trace().calls;
+    let net = network();
+    let mut ar = ae_archive(&net, files);
+    ar.seal().expect("seal");
+    let (read, rtts) = rtts(&net, || chained_get(s, &ar, mem(&net)));
+    assert_eq!(read.expect("AE rebuilds it in rounds"), payload(3));
+    (calls, rtts)
+}
+
+/// A chained read rebuilds the neighbourhood of its loss — the blocks its
+/// repairs name, round by round — and not the archive: the same calls and
+/// the same round trips whether the archive holds 8 files or 32.
+#[test]
+fn a_chained_read_costs_the_same_whatever_the_archive_size() {
+    let (small, large) = at_window(8, || (chained_get_cost(8), chained_get_cost(32)));
+    assert_eq!(small.0, large.0, "backend calls over a plain backend");
+    assert_eq!(small.1, large.1, "round trips at window 8");
+}
+
+/// Puts `files` files into an AE(3,2,5) archive over `store`, drops it
+/// (the crash) and, if `lose`, loses its first in-flight frontier parity
+/// and the data block of that parity's one repair tuple from `mem`. Then
+/// reopens, and answers the backend calls `counted` saw during the open
+/// and the round trips it took on `clock`, if any.
+fn reopen_cost<B: BlockRepo + ?Sized>(
+    store: &Arc<B>,
+    counted: &Counting<MemStore>,
+    clock: Option<&Net>,
+    files: usize,
+    lose: bool,
+) -> (u64, u64) {
+    let ar = ae_archive(store, files);
+    let scheme = ar.scheme();
+    let written = scheme.data_written();
+    let parity = scheme.frontier_reads(&scheme.frontier_snapshot())[0];
+    let tuple = Mutex::new(Vec::new());
+    scheme.is_repairable(parity, written, &|id| {
+        tuple.lock().unwrap().push(id);
+        true
+    });
+    let member = tuple
+        .into_inner()
+        .unwrap()
+        .into_iter()
+        .find(|id| id.is_data());
+    drop(ar);
+    if lose {
+        assert!(counted.inner.remove(parity));
+        assert!(counted.inner.remove(member.expect("a dp-tuple")));
+    }
+    counted.take_trace();
+    let start = clock.map(|net| net.runtime().now());
+    let mut reopened = Archive::open(build(&roster()[0]), Arc::clone(store))
+        .expect("the parity is rebuilt in rounds");
+    let calls = counted.take_trace().calls;
+    let rtts = clock.map_or(0, |net| (net.runtime().now() - start.unwrap_or(0)) / RTT_NS);
+    reopened
+        .put(&name(files), &payload(files))
+        .expect("resumes");
+    (calls, rtts)
+}
+
+/// What a lost frontier parity and the data block of its one repair
+/// tuple add to a reopen of an AE(3,2,5) archive of `files` files:
+/// backend calls over a plain `MemStore`, and round trips at the window
+/// the caller set.
+fn lost_frontier_cost(files: usize) -> (u64, u64) {
+    let plain = |lose| {
+        let store = Arc::new(Counting::new(MemStore::new()));
+        reopen_cost(&store, &store, None, files, lose).0
+    };
+    let net = |lose| {
+        let net = network();
+        reopen_cost(&net, net.inner().inner(), Some(&net), files, lose).1
+    };
+    (plain(true) - plain(false), net(true) - net(false))
+}
+
+/// `open`'s rounds for a frontier block no single repair serves fetch the
+/// blocks those repairs name, not the archive: the same extra calls and
+/// round trips whether the archive holds 8 files or 32.
+#[test]
+fn a_frontier_rebuilt_in_rounds_costs_the_same_whatever_the_archive_size() {
+    let (small, large) = at_window(8, || (lost_frontier_cost(8), lost_frontier_cost(32)));
+    assert_eq!(small.0, large.0, "backend calls over a plain backend");
+    assert_eq!(small.1, large.1, "round trips at window 8");
 }
 
 /// Reopen-then-append is the normal life of a long-term archive, and the
