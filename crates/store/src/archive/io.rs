@@ -5,25 +5,25 @@
 //!
 //! Every phase that issues *independent* backend calls — a put's data
 //! and redundancy blocks, a record's copy set, a checkpoint's pointer
-//! cells, GC, the probes and refetches of `open`, the sweeps of `scrub`,
-//! a file's blocks in `get` — goes through one private helper (`batch`,
-//! behind `store_all` / `remove_all` / `fetch_all` / `has_all` and the
-//! read sweep of `Prefetched`). Over a backend with a native async
-//! interior ([`BlockSource::as_async`]) the batch moves through the
-//! bounded in-flight window, so an operation a network away costs
-//! **window rounds, not block counts**: a 16-block AE(3,2,5) `put` is
-//! ⌈64 / 8⌉ + 1 = 9 sequential round trips at the default window, not
-//! 67. Over a plain backend the helper is the same calls in the same
-//! order as a loop — there is one `put`/`seal`/`open` path, in which a
-//! plain backend is simply window-agnostic — and the read sweep asks a
-//! plain backend for runs of 64 ids ([`BlockSource::read_many`]), so a
-//! backend that verifies checksums overlaps loading the next blocks with
-//! summing this one; one that does not override it answers a run with
-//! its reads, in order, as the loop did. `tests/wan_rtt_budget.rs`
-//! pins the round-trip count of every operation under the virtual clock,
-//! and which call is made in which order. Returning from a batch is a
-//! **barrier**; the crash-ordering rules built on it are the journal's
-//! (`journal.rs`).
+//! cells, GC, the probes and refetches of `open`, the read sweeps of
+//! `scrub` and `get` — goes through one private helper (`batch`, behind
+//! `store_all` / `remove_all` / `fetch_all` / `has_all` and `read_run`).
+//! Over a backend with a native async interior ([`BlockSource::as_async`])
+//! the batch moves through the bounded in-flight window, so an operation
+//! a network away costs **window rounds, not block counts**: a 16-block
+//! AE(3,2,5) `put` is ⌈64 / 8⌉ + 1 = 9 sequential round trips at the
+//! default window, not 67. Over a plain backend the helper is the same
+//! calls in the same order as a loop: a plain backend is simply
+//! window-agnostic. The read sweeps go in runs of 64 ids: a plain backend
+//! is asked for a run at once ([`BlockSource::read_many`]), so one that
+//! verifies checksums overlaps loading the next blocks with summing this
+//! one; a network away a run is one batch, ⌈64 / window⌉ round trips —
+//! what one batch of the whole sweep costs when the window divides 64,
+//! and at most one partly filled round per run more when it does not.
+//! `tests/wan_rtt_budget.rs` pins the round-trip count of every operation
+//! under the virtual clock, and which call is made in which order.
+//! Returning from a batch is a **barrier**; the crash-ordering rules
+//! built on it are the journal's (`journal.rs`).
 //!
 //! # Dependent reads
 //!
@@ -36,30 +36,32 @@
 //! [`RedundancyScheme::is_repairable`] asked optimistically, round by
 //! round; whatever a plan misses reads through, one call at a time. (A
 //! backend that answers at call time is its own memory: nothing is
-//! planned or kept, every read goes through.)
+//! planned or kept, every read goes through.) `scrub` plans nothing: a
+//! `Window` keeps the blocks its sweep verified in its last `WINDOW_RUNS`
+//! runs, by position, and one run past a failed read the single-block
+//! repair rebuilds that block from the window alone, which then holds it
+//! for the repairs after it.
 //!
-//! `scrub` over a plain backend repairs *during* its sweep instead: a
-//! `Window` keeps the verified blocks of the sweep's last `WINDOW_RUNS`
-//! runs of `READ_RUN` ids, by position, and one run past a failed read
-//! the scheme's single-block repair rebuilds that block against the
-//! window alone — an id outside it is absent — so a repair reads the
-//! bytes the sweep just verified, still in cache, and never the backend.
-//! The rebuilt block is stored and joins the window for the repairs
-//! after it. Whole-archive planners (what `scrub`'s window could not
-//! serve, after the sweep; a chained reconstruction in `get`) read the
-//! backend itself when it answers at call time, and a network away a
-//! *closed* `Prefetched` holding one windowed sweep of every stored block
-//! — an archive owns its id namespace, so what the sweep did not return
-//! is absent — so planner threads only ever see memory and their number
-//! never shows in the order, or the timing, of what crosses the link.
+//! What no single repair serves — what `scrub`'s window could not, a
+//! chained reconstruction in `get`, a frontier block `open` rebuilds —
+//! goes to the **closure rounds** (`Archive::closure_rounds`): the round
+//! planner runs on an `Asked` view of the answers alone, which answers
+//! every other id absent and records it; the recorded ids are fetched as
+//! one batch, those the archive stored and the backend lacks join the
+//! targets, and the planner runs again until a run asks nothing new.
+//! That run saw backend answers only — it is the run the backend itself
+//! would give — and the rounds read the neighbourhood of the loss, never
+//! the archive. Planner threads see memory only, so their number never
+//! shows in the order, or the timing, of what crosses the link.
 
 use ae_aio::{in_flight_window, windowed_map};
 use ae_api::{
     AsyncBlockRepo, BlockRepo, BlockSink, BlockSource, BoxFuture, RedundancyScheme, StoreError,
 };
 use ae_blocks::{Block, BlockId};
+use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// A read-only view that falls back to the scheme's single-block repair
 /// when the backend no longer holds a block — so restoring the encoder
@@ -108,8 +110,8 @@ impl BlockSource for MaskOne<'_> {
 /// through the bounded in-flight window, so a batch costs
 /// `⌈n / window⌉` round trips, not `n`; over a plain backend it is the
 /// same calls in the same order as a loop, each result consumed before
-/// the next call is made — except the read sweep, which asks a plain
-/// backend for runs of ids instead (`Prefetched::sweep`). Returning is
+/// the next call is made — except the read sweeps, which ask a plain
+/// backend for runs of ids instead (`read_run`). Returning is
 /// the **barrier**: every call of the batch has been acknowledged,
 /// whatever order the completions arrived in.
 fn batch<'s, B, T, U, V>(
@@ -188,29 +190,31 @@ pub(crate) fn has_all<B: BlockRepo + ?Sized>(
     )
 }
 
-/// How many ids the read sweep asks a plain backend for at once: a run
-/// long enough that a backend which verifies what it reads overlaps
-/// loading the next blocks with checksumming this one, short enough that
-/// the results are consumed while their bytes are still in cache.
+/// How many ids a read sweep reads at once: a run long enough that a
+/// plain backend which verifies what it reads overlaps loading the next
+/// blocks with checksumming this one, short enough that the results are
+/// consumed while their bytes are still in cache.
 const READ_RUN: usize = 64;
 
-/// How many of the sweep's last runs a scrub over a plain backend keeps
-/// in its `Window`: a lost block is repaired one run after its own, so
-/// its repair reaches at least two runs back and one run ahead.
+/// How many of the sweep's last runs a scrub keeps in its `Window`: a
+/// lost block is repaired one run after its own, so its repair reaches
+/// at least two runs back and one run ahead.
 const WINDOW_RUNS: usize = 4;
 
-/// A plain backend's verified reads of `ids`, asked for in runs of
-/// `READ_RUN` ids ([`BlockSource::read_many`]): each run with its
-/// results, in order.
-fn read_runs<'s, B: BlockRepo + ?Sized>(
+/// The verified reads of one run of at most `READ_RUN` ids, in order:
+/// [`BlockSource::read_many`] over a plain backend, a batch of
+/// `read_async` through the in-flight window a network away.
+fn read_run<'s, B: BlockRepo + ?Sized>(
     store: &'s B,
-    ids: &'s [BlockId],
-) -> impl Iterator<Item = (&'s [BlockId], Vec<Result<Block, StoreError>>)> + 's {
-    ids.chunks(READ_RUN).map(move |run| {
-        let reads = store.read_many(run);
-        assert_eq!(reads.len(), run.len(), "one read per id");
-        (run, reads)
-    })
+    run: &[BlockId],
+) -> Vec<Result<Block, StoreError>> {
+    let issue = |r: &'s dyn AsyncBlockRepo, id| r.read_async(id);
+    let reads = match store.as_async() {
+        None => store.read_many(run),
+        Some(_) => batch(store, run.iter().copied(), |s, id| s.read(id), issue, |r| r),
+    };
+    assert_eq!(reads.len(), run.len(), "one read per id");
+    reads
 }
 
 /// An order-preserving collecting sink: a scheme's write phase lands here
@@ -227,9 +231,9 @@ impl BlockSink for Collect {
 /// What is known of a backend's blocks — answers already fetched,
 /// negative ones included — over the backend itself: the one source
 /// dependent reads run against (see the module docs). An id it answers
-/// never reaches the backend again; any other reads through, or, once the
-/// view is **closed**, is absent. Filled only through `batch`, a window at
-/// a time.
+/// never reaches the backend again; any other reads through, or, seen
+/// through an `Asked` view, is absent. Filled only through `batch`, a
+/// window at a time.
 ///
 /// A block of any size but the archive's is not this archive's — a torn
 /// write the backend took for a whole one — so it is absent to every
@@ -238,25 +242,21 @@ pub(super) struct Prefetched<'a, B: ?Sized> {
     store: &'a B,
     block_size: usize,
     /// Whether the backend is a network away: a read then costs a round
-    /// trip, so what was read is kept, repair reads are planned, and
-    /// whole-archive planners — whose threads would read in an order
-    /// their interleaving picks — run on a closed view. With `batch` and
-    /// `write_through`, the one place that asks which kind of backend
-    /// this is.
+    /// trip, so what `get` read is kept and its repair reads are planned.
+    /// With `batch`, `read_run` and `write_through`, the one place that
+    /// asks which kind of backend this is.
     pub(super) remote: bool,
     pub(super) answers: HashMap<BlockId, Option<Block>>,
-    pub(super) closed: bool,
 }
 
 impl<'a, B: BlockRepo + ?Sized> Prefetched<'a, B> {
     /// An empty view of `store`, whose blocks are `block_size` bytes.
-    pub(super) fn new(store: &'a B, block_size: usize, closed: bool) -> Self {
+    pub(super) fn new(store: &'a B, block_size: usize) -> Self {
         Prefetched {
             store,
             block_size,
             remote: store.as_async().is_some(),
             answers: HashMap::new(),
-            closed,
         }
     }
 
@@ -269,17 +269,6 @@ impl<'a, B: BlockRepo + ?Sized> Prefetched<'a, B> {
         self.answers.extend(unknown.into_iter().zip(found));
     }
 
-    /// Readies the view for a whole-archive planner over `all`, the ids
-    /// the backend should hold: a network away, one windowed sweep of
-    /// what is not known yet, then closed, so planner threads see memory,
-    /// never the link. A plain backend answers at call time: nothing to do.
-    pub(super) fn close(&mut self, all: impl IntoIterator<Item = BlockId>) {
-        if self.remote {
-            self.fill(all);
-            self.closed = true;
-        }
-    }
-
     /// Whether the answers hold `id`, a torn block counting as absent;
     /// `None` while it is not answered yet.
     pub(super) fn answered(&self, id: BlockId) -> Option<bool> {
@@ -287,44 +276,32 @@ impl<'a, B: BlockRepo + ?Sized> Prefetched<'a, B> {
         Some(answer.as_ref().is_some_and(|b| b.len() == self.block_size))
     }
 
-    /// Reads `ids` — `read`, not `fetch`: a backend that verifies
-    /// checksums reports tampered bytes as `Corrupted` — and shows `each`
-    /// the results in order. A plain backend is asked for runs of
-    /// `READ_RUN` ids ([`BlockSource::read_many`]); a network away the
-    /// ids are one batch, and the results stay as answers: a block as
-    /// itself, `NotFound` as absent, and nothing for an unreadable block,
-    /// which still `fetch`es, as tampered bytes. `each` sees a torn block
-    /// as `Corrupted`.
+    /// Reads `ids` in runs (`read_run`) — `read`, not `fetch`: a backend
+    /// that verifies checksums reports tampered bytes as `Corrupted` —
+    /// and shows `each` the results in order. A network away the results
+    /// stay as answers: a block as itself, `NotFound` as absent, and
+    /// nothing for an unreadable block, which still `fetch`es, as
+    /// tampered bytes. `each` sees a torn block as `Corrupted`.
     pub(super) fn sweep(
         &mut self,
         ids: &[BlockId],
         mut each: impl FnMut(BlockId, &Result<Block, StoreError>),
     ) {
-        let (store, keep, size) = (self.store, self.remote, self.block_size);
-        let answers = &mut self.answers;
-        let mut consume = |id: BlockId, read: Result<Block, StoreError>| {
-            match &read {
-                Ok(block) if block.len() != size => each(id, &Err(StoreError::Corrupted(id))),
-                _ => each(id, &read),
-            }
-            match read {
-                Ok(block) if keep => answers.insert(id, Some(block)),
-                Err(StoreError::NotFound(_)) if keep => answers.insert(id, None),
-                _ => None,
-            };
-        };
-        if !keep {
-            for (run, reads) in read_runs(store, ids) {
-                for (&id, read) in run.iter().zip(reads) {
-                    consume(id, read);
+        for run in ids.chunks(READ_RUN) {
+            for (&id, read) in run.iter().zip(read_run(self.store, run)) {
+                match &read {
+                    Ok(block) if block.len() != self.block_size => {
+                        each(id, &Err(StoreError::Corrupted(id)))
+                    }
+                    _ => each(id, &read),
                 }
+                match read {
+                    Ok(block) if self.remote => self.answers.insert(id, Some(block)),
+                    Err(StoreError::NotFound(_)) if self.remote => self.answers.insert(id, None),
+                    _ => None,
+                };
             }
-            return;
         }
-        let mut asked = ids.iter().copied();
-        let issue = |r: &'a dyn AsyncBlockRepo, id| r.read_async(id);
-        let then = |read| consume(asked.next().expect("one read per id"), read);
-        batch(store, ids.iter().copied(), |s, id| s.read(id), issue, then);
     }
 }
 
@@ -332,18 +309,39 @@ impl<B: BlockRepo + ?Sized> BlockSource for Prefetched<'_, B> {
     fn fetch(&self, id: BlockId) -> Option<Block> {
         let found = match self.answers.get(&id) {
             Some(answer) => answer.clone(),
-            None if self.closed => None,
             None => self.store.fetch(id),
         };
         found.filter(|block| block.len() == self.block_size)
     }
 }
 
-/// The verified blocks of a plain backend's read sweep, by position, for
-/// its last `WINDOW_RUNS` runs: what a scrub over a plain backend repairs
-/// from while the sweep still has the bytes in cache (see "Dependent
-/// reads" in the module docs). Slot `k % len` holds position `k`'s
-/// block — a view, not a copy — tagged with `k`. An id is looked up by
+/// What the closure rounds plan on: a `Prefetched`'s answers and nothing
+/// else (see "Dependent reads" in the module docs). An id they do not
+/// hold as a block — not answered yet, absent, torn — is absent here and
+/// joins `asked`; so is `masked`, whatever the answers say, unrecorded:
+/// a garbled block must not leak into its own repair.
+pub(super) struct Asked<'v, 'a, B: ?Sized> {
+    pub(super) known: &'v Prefetched<'a, B>,
+    pub(super) masked: Option<BlockId>,
+    pub(super) asked: Mutex<BTreeSet<BlockId>>,
+}
+
+impl<B: BlockRepo + ?Sized> BlockSource for Asked<'_, '_, B> {
+    fn fetch(&self, id: BlockId) -> Option<Block> {
+        let found = self.known.answers.get(&id).cloned().flatten();
+        let found = found.filter(|block| block.len() == self.known.block_size);
+        if found.is_none() && self.masked != Some(id) {
+            self.asked.lock().insert(id);
+        }
+        found.filter(|_| self.masked != Some(id))
+    }
+}
+
+/// The verified blocks of a scrub's read sweep, by position, for its
+/// last `WINDOW_RUNS` runs: what the scrub repairs from while the sweep
+/// still holds the bytes (see "Dependent reads" in the module docs).
+/// Slot `k % len` holds position `k`'s block — a view, not a copy —
+/// tagged with `k`. An id is looked up by
 /// [`RedundancyScheme::dense_index`], and answers absent unless its
 /// slot holds its own position: an id the sweep has moved past, one it
 /// did not verify (its slot keeps an older position's block), one it
@@ -374,23 +372,27 @@ impl<'a> Window<'a> {
         self.slots[slot] = Some((position, block));
     }
 
-    /// Reads `ids` — the stored blocks, in position order — from a plain
-    /// backend in runs, keeping each verified block, and shows `lost`
-    /// each failed read (its position, id and error, a torn block as
-    /// `Corrupted`) **one run late**: once the run after it is in the
-    /// window too, or at the end for the last run. A repair `lost` puts
-    /// back with [`Self::keep`] is there for the failures after it.
+    /// Reads the `stored` positions' blocks, `block_at(k)` for `k` in
+    /// order, in runs (`read_run`), keeping each verified block, and
+    /// shows `lost` each failed read (its position, id and error, a torn
+    /// block as `Corrupted`) **one run late**: once the run after it is
+    /// in the window too, or at the end for the last run. A repair `lost`
+    /// puts back with [`Self::keep`] is there for the failures after it.
     pub(super) fn sweep<B: BlockRepo + ?Sized>(
         &mut self,
         store: &B,
-        ids: &[BlockId],
+        stored: u64,
         mut lost: impl FnMut(&mut Self, u32, BlockId, StoreError),
     ) {
+        let (scheme, written) = (self.scheme, self.written);
+        let at = |k| scheme.block_at(k, written).expect("a stored position");
         let mut lagging = Vec::new();
         let mut position = 0u32;
-        for (run, reads) in read_runs(store, ids) {
+        while u64::from(position) < stored {
+            let end = stored.min(u64::from(position) + READ_RUN as u64) as u32;
+            let run: Vec<BlockId> = (position..end).map(at).collect();
             let mut failed = Vec::new();
-            for (&id, read) in run.iter().zip(reads) {
+            for (&id, read) in run.iter().zip(read_run(store, &run)) {
                 match read {
                     Ok(block) if block.len() == self.block_size => self.keep(position, block),
                     read => {

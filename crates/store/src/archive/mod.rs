@@ -50,7 +50,7 @@
 
 use crate::journal::{Journal, Opened};
 use crate::meta::{encode_tail, CheckpointPayload, MetaConfig, MetaRecord, RecordError, Rows};
-use ae_api::{AeError, BlockRepo, BlockSink, RedundancyScheme, RepairError};
+use ae_api::{AeError, BlockRepo, BlockSink, Overlay, RedundancyScheme, RepairError};
 use ae_blocks::{Block, BlockId, Crc32, Crc32Append};
 use ae_core::Code;
 use ae_lattice::Config;
@@ -455,8 +455,9 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             // did not announce still goes to the backend one call at a
             // time.
             let (scheme, written) = (&*ar.scheme, ar.positions.data);
-            let mut known = Prefetched::new(store, ar.block_size, false);
-            known.fill(scheme.frontier_reads(&snapshot));
+            let mut known = Prefetched::new(store, ar.block_size);
+            let reads = scheme.frontier_reads(&snapshot);
+            known.fill(reads.iter().copied());
             let repairing = RepairingSource {
                 scheme,
                 base: &known,
@@ -464,13 +465,24 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             };
             let restored = match scheme.restore_frontier(&snapshot, &repairing) {
                 // A lost frontier block whose one repair tuple is short a
-                // member too: rebuild it in rounds, as a degraded read
-                // does, and restore from that. (A restore sets its state
-                // whole, so a failed one leaves nothing to undo.)
+                // member too: rebuild the frontier reads the answers lack
+                // in the closure rounds (a present target is no target),
+                // as a chained degraded read does, and restore from that;
+                // a block the restore still misses joins the targets. (A
+                // restore sets its state whole: a failed one leaves
+                // nothing to undo.)
                 Err(AeError::FrontierBlockMissing { .. }) => {
-                    known.close(ar.stored_ids().iter().copied());
-                    let rebuilt = ar.rebuild_all(&known, written);
-                    scheme.restore_frontier(&snapshot, &rebuilt)
+                    let mut targets = reads;
+                    loop {
+                        let restore =
+                            |rebuilt: &Overlay<'_>| scheme.restore_frontier(&snapshot, rebuilt);
+                        match ar.closure_rounds(&mut known, &mut targets, None, restore) {
+                            Err(AeError::FrontierBlockMissing { id }) if !targets.contains(&id) => {
+                                targets.push(id)
+                            }
+                            restored => break restored,
+                        }
+                    }
                 }
                 restored => restored,
             };
@@ -758,11 +770,10 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
 
     /// Every id written through this archive (data + redundancy + sealed),
     /// in write order — exactly what the backend should hold right now.
-    /// Disaster drills pick victims from this list; [`Archive::scrub`]
-    /// repairs against it. The archive works by position and holds no
-    /// such list: the first call materialises it (O(stored blocks) of
-    /// [`RedundancyScheme::block_at`] arithmetic), later calls and later
-    /// `put`s keep it current.
+    /// Disaster drills pick victims from this list. The archive works by
+    /// position and never reads it: the first call materialises it
+    /// (O(stored blocks) of [`RedundancyScheme::block_at`] arithmetic),
+    /// later calls and later `put`s keep it current.
     pub fn stored_ids(&self) -> &[BlockId] {
         self.positions.list(&*self.scheme)
     }

@@ -10,10 +10,10 @@
 //! data block `j` is `Data(base + j)`, the shared data-id space of the
 //! trait), the journal records counts, `get` computes its extent's ids,
 //! `open` rebuilds nothing per block, and a checkpoint is the manifest
-//! streamed once from where it lives. The only materialised id list is
-//! the one [`super::Archive::stored_ids`] hands out by reference, built
-//! on first call — drills, `scrub` and the chained-repair slow path use
-//! it; `put`, `get` and `open` never do. This is the archive's one
+//! streamed once from where it lives, and `scrub` walks the positions.
+//! The only materialised id list is the one
+//! [`super::Archive::stored_ids`] hands out to drills, built on first
+//! call; no archive path reads it. This is the archive's one
 //! id ⇄ position path, as it is the availability plane's: the trait
 //! requires the bijection of every scheme, and a report that disagrees
 //! with `block_at` is the scheme's bug — a panic in `put`/`seal`.

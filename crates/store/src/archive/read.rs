@@ -2,25 +2,27 @@
 //! paths, end-to-end verification, and `scrub` — whose scheme-block half
 //! lives here and whose metadata half is the journal's `heal`.
 
-use super::io::{remove_all, store_all, MaskOne, Prefetched, Window};
+use super::io::{remove_all, store_all, Asked, MaskOne, Prefetched, Window};
 use super::{Archive, ArchiveError};
 use ae_api::{BlockRepo, BlockSource, Overlay, RepairError, StoreError};
 use ae_blocks::{crc32_zeros, Block, BlockId};
+use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 impl<B: BlockRepo + ?Sized> Archive<B> {
     /// Reads a file back, repairing missing blocks on the fly (a degraded
     /// read; repaired blocks are **not** written back — use
     /// [`Self::scrub`]), and verifying the manifest checksum.
     ///
-    /// The file's blocks are read as one batch. If any read fails, the
+    /// The file's blocks are read in runs. If any read fails, the
     /// survivors the single-block repairs will consult are planned and
     /// fetched as batches too, and the repairs then run against those
     /// answers (see "Dependent reads" in the module docs) — reading only
     /// the file's blocks and the tuple members of the missing ones,
-    /// however large the archive. Only a chained reconstruction, which no
-    /// single repair option serves, consults the whole archive.
+    /// however large the archive. A chained reconstruction, which no
+    /// single repair option serves, goes to the closure rounds: it reads
+    /// the neighbourhood of the loss, a round at a time.
     ///
     /// Each byte is checksummed once. The manifest checksum is composed
     /// from the checksums of the whole blocks, as `put` composed it, and
@@ -39,7 +41,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         // Each block is appended as its read is consumed, with its
         // checksum; a failed one leaves a hole of zeros for its repair
         // to fill.
-        let mut known = Prefetched::new(store, bs, false);
+        let mut known = Prefetched::new(store, bs);
         let mut out = Vec::with_capacity(entry.byte_len);
         let mut crcs = Vec::with_capacity(entry.block_count as usize);
         let mut holes = Vec::new();
@@ -127,8 +129,8 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             .collect()
     }
 
-    /// Scrubs the archive: round-based repair of every missing block the
-    /// backend should hold, written back to the backend — **including the
+    /// Scrubs the archive: repair of every missing block the backend
+    /// should hold, written back to the backend — **including the
     /// metadata journal**: every copy of every live record and pointer
     /// cell the backend lost *or corrupted* is re-stored from the
     /// archive's in-memory log, so a live archive heals its own
@@ -139,92 +141,46 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// Returns how many blocks were restored (data, redundancy and
     /// metadata copies); clears the [`Archive::meta_damage`] report.
     ///
-    /// Four stages: (1) a read sweep of everything the backend should
-    /// hold; (2) round-based repair of the blocks whose read failed;
-    /// (3) metadata compare-and-heal; (4) stale pointer-cell clearing.
-    /// Over a plain backend stages 1 and 2 are one pass: the sweep keeps
-    /// the blocks it verified in a window of its last few runs, and one
-    /// run past a failed block rebuilds it with the single-block repair,
-    /// reading the window only — the blocks the sweep just verified,
-    /// still in cache, never a backend fetch. The rebuilt block is stored
-    /// and joins the window. Only what the window cannot serve (a tuple
-    /// member lost too, or one out of its reach, such as a closed chain's
-    /// closing parity) goes to the round-based repair over the backend,
-    /// once, after the sweep. A network away the sweep is one batch, and
-    /// stage 2 plans on its closed snapshot (see "Dependent reads" in the
-    /// module docs).
+    /// One loop over the stored positions, whatever the backend: a read
+    /// sweep in runs that keeps the blocks it verified in a window of its
+    /// last few runs, and one run past a failed block rebuilds it with
+    /// the single-block repair, reading the window only — never a backend
+    /// fetch. The rebuilt block joins the window. What the window cannot
+    /// serve (a tuple member lost too, or one out of its reach, such as a
+    /// closed chain's closing parity) goes to the closure rounds after the
+    /// sweep, which fetch only the blocks those repairs name (see
+    /// "Dependent reads" in the module docs). Then the corrupt blocks
+    /// leave as one batch of removes, and the repairs as one batch of
+    /// stores, in position order; last, the journal heals its own copies
+    /// and pointer cells.
     pub fn scrub(&mut self) -> u64 {
         let store: &B = &self.store;
-        let written = self.scheme.data_written();
-        let known = Prefetched::new(store, self.block_size, true);
-        let restored = if known.remote {
-            self.scrub_snapshot(known, written)
-        } else {
-            self.scrub_in_sweep(written)
-        };
-        // Stages 3 and 4: the journal heals its own copies and cells.
-        restored + self.journal.heal(store)
-    }
-
-    /// Stages 1 and 2 over a plain backend, as one pass: every failed
-    /// read repaired from the sweep's `Window`, one run later, and what
-    /// that cannot serve in rounds over the backend afterwards. The final
-    /// state is the rounds' fixpoint all the same: a repair from verified
-    /// blocks rebuilds the original bytes, and one more block present
-    /// never makes another unrepairable.
-    fn scrub_in_sweep(&self, written: u64) -> u64 {
-        let store: &B = &self.store;
-        let mut window = Window::new(&*self.scheme, written, self.block_size);
-        let (mut restored, mut leftover) = (0, Vec::new());
-        window.sweep(store, self.stored_ids(), |window, position, id, err| {
-            let rebuilt = self.repair_fast(window, id);
+        let mut window = Window::new(&*self.scheme, self.scheme.data_written(), self.block_size);
+        let mut known = Prefetched::new(store, self.block_size);
+        let (mut failed, mut quarantine) = (Vec::new(), Vec::new());
+        window.sweep(store, self.positions.stored, |window, position, id, err| {
             // A block whose read fails its integrity check is worse than
             // a missing one (a repair would trust its bytes): quarantined.
             if matches!(err, StoreError::Corrupted(_)) {
-                store.remove(id);
-            }
-            match rebuilt {
-                Ok(block) => {
-                    store.store(id, block.clone());
-                    window.keep(position, block);
-                    restored += 1;
-                }
-                Err(_) => leftover.push(id),
-            }
-        });
-        let summary = self.scheme.repair_missing(&store, &leftover, written);
-        restored + summary.total_repaired() as u64
-    }
-
-    /// Stages 1 and 2 a network away: one windowed sweep, kept as a
-    /// closed snapshot — an archive owns its id namespace, so what the
-    /// sweep did not return is absent — with corrupt blocks quarantined
-    /// as a batch; then round-based repair of what the sweep did not
-    /// find, in stored order, planned on the snapshot into an overlay
-    /// committed as one batch.
-    fn scrub_snapshot(&self, mut known: Prefetched<'_, B>, written: u64) -> u64 {
-        let store: &B = &self.store;
-        let (mut failed, mut quarantine) = (Vec::new(), Vec::new());
-        // (A torn block is swept as corrupted: quarantined too.)
-        known.sweep(self.stored_ids(), |id, read| {
-            if read.is_err() {
-                failed.push(id);
-            }
-            if matches!(read, Err(StoreError::Corrupted(_))) {
                 quarantine.push(id);
             }
+            let rebuilt = self.repair_fast(window, id).ok();
+            if let Some(block) = &rebuilt {
+                window.keep(position, block.clone());
+            }
+            known.answers.insert(id, rebuilt);
+            failed.push(id);
         });
-        for id in &quarantine {
-            known.answers.remove(id);
-        }
         remove_all(store, quarantine);
-        let overlay = Overlay::new(&known);
-        let summary = self.scheme.repair_missing(&overlay, &failed, written);
-        let patch = failed
-            .iter()
-            .filter_map(|&id| Some((id, overlay.patch.remove(&id)?)));
-        store_all(store, patch);
-        summary.total_repaired() as u64
+        // (What the window repaired is present, so no target.)
+        let repairs: Vec<(BlockId, Block)> =
+            self.closure_rounds(&mut known, &mut failed.clone(), None, |rebuilt| {
+                let repair = |&id: &BlockId| Some((id, rebuilt.fetch(id)?));
+                failed.iter().filter_map(repair).collect()
+            });
+        let restored = repairs.len() as u64;
+        store_all(store, repairs);
+        restored + self.journal.heal(store)
     }
 
     /// The degraded-read fast path: rebuild `id` from a single repair
@@ -238,38 +194,69 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             .repair_block(&masked, id, self.scheme.data_written())
     }
 
-    /// The degraded-read slow path: round-based repair into a read-side
-    /// overlay, so chained reconstructions work without mutating the
-    /// backend (degraded reads stay read-only). It consults the whole
-    /// archive, so `get` reaches for it only once the fast path has
-    /// failed; `fast_err` is what that failure reported.
+    /// The degraded-read slow path: the closure rounds for `id`, masked
+    /// so a corrupted block's garbled bytes cannot leak back in, into a
+    /// read-side overlay — degraded reads stay read-only. `fast_err` is
+    /// what the fast path's failure reported.
     fn repair_slow(
         &self,
         known: &mut Prefetched<'_, B>,
         id: BlockId,
         fast_err: RepairError,
     ) -> Result<Block, ArchiveError> {
-        known.close(self.stored_ids().iter().copied());
-        let base: &dyn BlockSource = known;
-        let masked = MaskOne { base, masked: id };
-        self.rebuild_all(&masked, self.scheme.data_written())
-            .patch
-            .remove(&id)
-            .ok_or(ArchiveError::BlockUnavailable {
-                id,
-                source: fast_err,
-            })
+        let rebuilt = self.closure_rounds(known, &mut vec![id], Some(id), |rebuilt| {
+            rebuilt.patch.remove(&id)
+        });
+        rebuilt.ok_or(ArchiveError::BlockUnavailable {
+            id,
+            source: fast_err,
+        })
     }
 
-    /// Round-based repair of every stored block `base` lacks into a
-    /// read-side overlay over it: the whole-archive planner behind a
-    /// chained reconstruction in `get` and in `open`'s frontier restore.
-    /// Nothing is written back. Over a remote backend `base` must be a
-    /// closed view (`Prefetched::close`), so planner threads see memory.
-    pub(super) fn rebuild_all<'a>(&self, base: &'a dyn BlockSource, written: u64) -> Overlay<'a> {
-        let overlay = Overlay::new(base);
-        self.scheme
-            .repair_missing(&overlay, self.stored_ids(), written);
-        overlay
+    /// The closure rounds (see "Dependent reads" in the module docs):
+    /// round-based repair of `targets` into a read-side overlay over an
+    /// `Asked` view of `known`. After a run, the asked ids not answered
+    /// yet are fetched as one batch, in sorted id order, and those the
+    /// answers hold as absent and the archive stored join `targets`. A
+    /// run that asks nothing unanswered and adds no target ran on backend
+    /// answers only, as it would have over the backend: `finish` reads
+    /// its overlay. Nothing is written back.
+    pub(super) fn closure_rounds<R>(
+        &self,
+        known: &mut Prefetched<'_, B>,
+        targets: &mut Vec<BlockId>,
+        masked: Option<BlockId>,
+        finish: impl FnOnce(&Overlay<'_>) -> R,
+    ) -> R {
+        let (written, stored) = (self.positions.data, self.positions.stored);
+        loop {
+            let asked = Mutex::default();
+            let view = Asked {
+                known,
+                masked,
+                asked,
+            };
+            let overlay = Overlay::new(&view);
+            self.scheme.repair_missing(&overlay, targets, written);
+            let asked: BTreeSet<BlockId> = std::mem::take(&mut *view.asked.lock());
+            let unanswered: Vec<BlockId> = asked
+                .iter()
+                .copied()
+                .filter(|&id| known.answered(id).is_none())
+                .collect();
+            let aimed: HashSet<BlockId> = targets.iter().copied().collect();
+            let aim = |known: &Prefetched<'_, B>, id: &BlockId| {
+                let at = self.scheme.dense_index(id, written);
+                let ours = at.is_some_and(|k| u64::from(k) < stored);
+                known.answered(*id) == Some(false) && ours && !aimed.contains(id)
+            };
+            if unanswered.is_empty() && !asked.iter().any(|id| aim(known, id)) {
+                return finish(&overlay);
+            }
+            drop(overlay);
+            drop(view);
+            known.fill(unanswered);
+            targets.extend(asked.into_iter().filter(|id| aim(known, id)));
+        }
     }
 }

@@ -1194,7 +1194,7 @@ fn one_mutated_byte_in_a_real_journal_never_panics_open() {
 }
 
 /// What is prefetched costs nothing to ask again — an absence no less
-/// than a block — and a closed view never reaches the backend at all.
+/// than a block.
 #[test]
 fn prefetched_answers_cost_no_round_trips_negative_ones_included() {
     use ae_aio::{Clock, LatencyStore, LinkSpec, Runtime};
@@ -1205,7 +1205,7 @@ fn prefetched_answers_cost_no_round_trips_negative_ones_included() {
     let net = LatencyStore::uniform(inner, Runtime::new(Clock::virtual_time()), link, 1);
     let net = net.into_sync();
     let now = || net.runtime().now();
-    let mut known = Prefetched::new(&net, 1, false);
+    let mut known = Prefetched::new(&net, 1);
     known.fill([data_id(1)]);
     // A network away, what a sweep read stays too.
     known.sweep(&[data_id(2)], |_, read| assert!(read.is_err()));
@@ -1223,12 +1223,7 @@ fn prefetched_answers_cost_no_round_trips_negative_ones_included() {
         filled,
         "answers — the absent one too — are not re-asked"
     );
-    // Anything else reads through, one round trip a call…
+    // Anything else reads through, one round trip a call.
     assert_eq!(known.fetch(data_id(3)).unwrap().as_slice(), &[7]);
     assert!(now() > filled);
-    // …until the view is closed: what it does not hold is absent.
-    known.closed = true;
-    let closed = now();
-    assert!(known.fetch(data_id(3)).is_none());
-    assert_eq!(now(), closed);
 }

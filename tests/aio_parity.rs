@@ -21,7 +21,7 @@
 use aecodes::aio::{
     in_flight_window, BlockOn, Clock, LatencyStore, LinkSpec, RetryPolicy, Runtime, Tier, Tiering,
 };
-use aecodes::api::{BlockRepo, BlockSink, BlockSource, RedundancyScheme, StoreError};
+use aecodes::api::{BlockRepo, BlockSink, BlockSource, Overlay, RedundancyScheme, StoreError};
 use aecodes::blocks::BlockId;
 use aecodes::sim::Scheme;
 use aecodes::store::archive::{Archive, ArchiveError};
@@ -352,15 +352,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Under arbitrary random damage — including damage heavy enough that
-    /// reads fail — the pipelined path returns **exactly** the serial
-    /// path's result for every file: same bytes on success, same typed
-    /// error (same missing tuple members) on failure, same scrub count,
-    /// same final backend bytes.
+    /// reads fail, and runs of `run` consecutive stored blocks that take
+    /// out tuples whole, as a chained read's loss does — the pipelined
+    /// path returns **exactly** the serial path's result for every file:
+    /// same bytes on success, same typed error (same missing tuple
+    /// members) on failure, same scrub count, same final backend bytes.
+    /// Both are the whole-archive planner's: `repair_missing` with every
+    /// stored id a target, over the damaged backend, rebuilds exactly the
+    /// blocks the archive's closure rounds do.
     #[test]
     fn pipelined_and_serial_paths_agree_under_random_damage(
         pick in any_roster_index(),
         damage_seed: u64,
         damage_pct in 5u64..45,
+        run in 1usize..5,
     ) {
         let roster = Scheme::extended_lineup();
         let plain = Arc::new(MemStore::new());
@@ -370,35 +375,63 @@ proptest! {
         let mut piped = filled_archive(&roster[pick], Arc::clone(&net));
         let name = reference.scheme().scheme_name();
 
-        // Identical pseudo-random damage on both backends.
+        // Identical pseudo-random damage on both backends: a run of
+        // `run` stored blocks from each position the draw hits.
         let mut state = damage_seed | 1;
-        for id in reference.stored_ids() {
+        let stored = reference.stored_ids().to_vec();
+        for k in 0..stored.len() {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             if (state >> 33) % 100 < damage_pct {
-                plain.remove(*id);
-                inner.remove(*id);
+                for id in stored.iter().skip(k).take(run) {
+                    plain.remove(*id);
+                    inner.remove(*id);
+                }
             }
         }
+
+        // The oracle: every stored id a target, over a copy of the damage.
+        let scheme = Arc::clone(reference.scheme());
+        let written = scheme.data_written();
+        let oracle = MemStore::new();
+        for id in plain.ids() {
+            oracle.put(id, plain.get(id).expect("listed a moment ago"));
+        }
+        let rebuilt = Overlay::new(&oracle);
+        scheme.repair_missing(&rebuilt, &stored, written);
 
         for (file, contents) in files() {
             let serial = reference.get(file);
             let pipelined = piped.get(file);
             prop_assert_eq!(&serial, &pipelined, "{}: {}", name, file);
-            if let Ok(bytes) = serial {
-                prop_assert_eq!(bytes, contents, "{}: {}", name, file);
+            let entry = reference.entry(file).expect("archived");
+            let extent = reference.data_ids().skip(entry.first_block as usize);
+            let blocks: Vec<_> = extent.take(entry.block_count as usize).collect();
+            match blocks.iter().find(|&&id| rebuilt.fetch(id).is_none()) {
+                Some(&lost) => prop_assert!(
+                    matches!(serial, Err(ArchiveError::BlockUnavailable { id, .. }) if id == lost),
+                    "{}: {}: {:?}, the oracle lost {}", name, file, serial, lost
+                ),
+                None => prop_assert_eq!(serial, Ok(contents), "{}: {}", name, file),
             }
         }
 
-        prop_assert_eq!(reference.scrub(), piped.scrub(), "{}", name);
+        let repaired = scheme.repair_missing(&oracle, &stored, written).total_repaired();
+        let restored = reference.scrub();
+        prop_assert_eq!(restored, repaired as u64, "{}", name);
+        prop_assert_eq!(restored, piped.scrub(), "{}", name);
         let mut a = plain.ids();
         let mut b = inner.ids();
         a.sort();
         b.sort();
         prop_assert_eq!(&a, &b, "{}: id sets", name);
+        let mut c = oracle.ids();
+        c.sort();
+        prop_assert_eq!(&a, &c, "{}: id sets, the oracle's", name);
         for id in &a {
             prop_assert_eq!(plain.get(*id), inner.get(*id), "{}: {}", name, id);
+            prop_assert_eq!(plain.get(*id), oracle.get(*id), "{}: {}, the oracle's", name, id);
         }
         prop_assert_eq!(reference.verify_all(), piped.verify_all(), "{}", name);
     }

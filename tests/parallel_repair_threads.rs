@@ -11,14 +11,14 @@
 //! anything else calls into repair.
 //!
 //! For the same reason the last two tests rerun this binary as a child
-//! process per thread count: a `scrub` a network away must end at the
-//! same virtual timestamp and backend state however many planner threads
-//! there are, because planners only ever see memory — the closed snapshot
-//! of the sweep — and every batch is issued in an order the code fixes.
-//! Over a plain backend the repairs made during the sweep are serial and
-//! only what they leave is planned in rounds, so the backend must end the
-//! same and see the same calls — the writes in the same order — at one
-//! planner thread and four.
+//! process per thread count: a `scrub` must end at the same virtual
+//! timestamp, backend state and calls however many planner threads there
+//! are, over either kind of backend. The repairs made during the sweep
+//! are serial, and only what they leave is planned, in the closure
+//! rounds: planners only ever see memory — the answers fetched so far —
+//! and every batch, the rounds' fetches included, is issued in an order
+//! the code fixes. So the backend must end the same and see the same
+//! calls — the writes in the same order — at one planner thread and four.
 
 use aecodes::aio::{Clock, LatencyStore, LinkSpec, Runtime};
 use aecodes::api::{BlockSink, BlockSource, RedundancyScheme, StoreError};
@@ -108,12 +108,11 @@ fn scrub_timeline_probe() {
 }
 
 /// One `scrub` of an AE(3,2,5) archive over a plain backend that lost a
-/// contiguous span of 400 positions — more than the sweep can repair
-/// from its window, so more than `PARALLEL_PLAN_MIN` (256) targets are
-/// left to the round-based planner; prints a fingerprint of the backend
-/// and a digest of the calls it saw: the reads as a set, since planner
-/// threads read in an order their interleaving picks, and the writes in
-/// order.
+/// contiguous span of 400 positions — the sweep's window repairs only
+/// the edges of such a hole, so more than `PARALLEL_PLAN_MIN` (256)
+/// targets are left to the round-based planner; prints a fingerprint of
+/// the backend and a digest of the calls it saw: the reads as a set, and
+/// the writes in order.
 #[test]
 #[ignore = "the child-process half of the test below"]
 fn plain_scrub_probe() {
@@ -127,6 +126,7 @@ fn plain_scrub_probe() {
     for v in span {
         assert!(inner.remove(*v));
     }
+    let lost = span.len();
     store.calls.lock().unwrap().clear();
     assert!(ar.scrub() > 0);
     let calls = std::mem::take(&mut *store.calls.lock().unwrap());
@@ -134,7 +134,10 @@ fn plain_scrub_probe() {
         .into_iter()
         .partition(|call| matches!(call, Probe::Store(..) | Probe::Remove(_)));
     let probes = reads.iter().filter(|c| matches!(c, Probe::Has(_))).count();
-    assert!(probes > 256, "must cross the fan-out threshold: {probes}");
+    assert_eq!(probes, 0, "the planner plans on memory, never the backend");
+    // Each repair is one store, so the window repaired at most that
+    // many: every other lost block was a target of the planner.
+    assert!(lost - writes.len() > 256, "must cross the fan-out threshold");
     reads.sort();
     let mut digest = std::collections::hash_map::DefaultHasher::new();
     (reads, writes).hash(&mut digest);

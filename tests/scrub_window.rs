@@ -171,10 +171,16 @@ fn a_lost_tuple_is_repaired_in_rounds_after_the_sweep() {
     let calls = store.take();
     let stores: BTreeSet<BlockId> = ids(&calls, b's').into_iter().collect();
     assert_eq!(stores, victims.iter().copied().collect(), "one store each");
-    assert!(
-        !ids(&calls, b'h').is_empty() && !ids(&calls, b'f').is_empty(),
-        "the data block is rebuilt over the backend"
-    );
+    // The rounds plan on memory and fetch what they name, once each: the
+    // data block's input parities, none of them in the window the sweep
+    // ends with (its last four runs of 64).
+    assert!(ids(&calls, b'h').is_empty(), "no probe of the backend");
+    let fetched = ids(&calls, b'f');
+    let once: BTreeSet<BlockId> = fetched.iter().copied().collect();
+    assert!(!fetched.is_empty(), "the data block is rebuilt in rounds");
+    assert_eq!(once.len(), fetched.len(), "each id fetched at most once");
+    let held = &stored[stored.len() - 4 * 64..];
+    assert!(fetched.iter().all(|id| !held.contains(id) && !victims.contains(id)));
     assert!(unreadable(&ar).is_empty());
 }
 
