@@ -289,12 +289,9 @@ impl<'a, B: BlockRepo + ?Sized> Prefetched<'a, B> {
     ) {
         for run in ids.chunks(READ_RUN) {
             for (&id, read) in run.iter().zip(read_run(self.store, run)) {
-                match &read {
-                    Ok(block) if block.len() != self.block_size => {
-                        each(id, &Err(StoreError::Corrupted(id)))
-                    }
-                    _ => each(id, &read),
-                }
+                let corrupted = Err(StoreError::Corrupted(id));
+                let torn = matches!(&read, Ok(block) if block.len() != self.block_size);
+                each(id, if torn { &corrupted } else { &read });
                 match read {
                     Ok(block) if self.remote => self.answers.insert(id, Some(block)),
                     Err(StoreError::NotFound(_)) if self.remote => self.answers.insert(id, None),

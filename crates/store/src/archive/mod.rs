@@ -465,12 +465,10 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             };
             let restored = match scheme.restore_frontier(&snapshot, &repairing) {
                 // A lost frontier block whose one repair tuple is short a
-                // member too: rebuild the frontier reads the answers lack
-                // in the closure rounds (a present target is no target),
-                // as a chained degraded read does, and restore from that;
-                // a block the restore still misses joins the targets. (A
-                // restore sets its state whole: a failed one leaves
-                // nothing to undo.)
+                // member too: the closure rounds rebuild the frontier reads
+                // (a present one is no target) and the restore reads that;
+                // a block it still misses joins the targets. (A restore
+                // sets its state whole: a failed one leaves nothing to undo.)
                 Err(AeError::FrontierBlockMissing { .. }) => {
                     let mut targets = reads;
                     loop {

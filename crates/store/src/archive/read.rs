@@ -156,7 +156,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     pub fn scrub(&mut self) -> u64 {
         let store: &B = &self.store;
         let mut window = Window::new(&*self.scheme, self.scheme.data_written(), self.block_size);
-        let mut known = Prefetched::new(store, self.block_size);
+        // Every failed read in position order, with the window's repair.
         let (mut failed, mut quarantine) = (Vec::new(), Vec::new());
         window.sweep(store, self.positions.stored, |window, position, id, err| {
             // A block whose read fails its integrity check is worse than
@@ -168,16 +168,23 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             if let Some(block) = &rebuilt {
                 window.keep(position, block.clone());
             }
-            known.answers.insert(id, rebuilt);
-            failed.push(id);
+            failed.push((id, rebuilt));
         });
         remove_all(store, quarantine);
-        // (What the window repaired is present, so no target.)
-        let repairs: Vec<(BlockId, Block)> =
-            self.closure_rounds(&mut known, &mut failed.clone(), None, |rebuilt| {
-                let repair = |&id: &BlockId| Some((id, rebuilt.fetch(id)?));
-                failed.iter().filter_map(repair).collect()
+        let lost = failed.iter().filter(|(_, rebuilt)| rebuilt.is_none());
+        let mut leftover: Vec<BlockId> = lost.map(|&(id, _)| id).collect();
+        if !leftover.is_empty() {
+            // The rounds start from what the sweep learned.
+            let mut known = Prefetched::new(store, self.block_size);
+            known.answers.extend(failed.iter().cloned());
+            self.closure_rounds(&mut known, &mut leftover, None, |rebuilt| {
+                for (id, block) in &mut failed {
+                    *block = block.take().or_else(|| rebuilt.patch.remove(id));
+                }
             });
+        }
+        let repairs = failed.into_iter().filter_map(|(id, b)| Some((id, b?)));
+        let repairs: Vec<_> = repairs.collect();
         let restored = repairs.len() as u64;
         store_all(store, repairs);
         restored + self.journal.heal(store)
@@ -239,11 +246,8 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             let overlay = Overlay::new(&view);
             self.scheme.repair_missing(&overlay, targets, written);
             let asked: BTreeSet<BlockId> = std::mem::take(&mut *view.asked.lock());
-            let unanswered: Vec<BlockId> = asked
-                .iter()
-                .copied()
-                .filter(|&id| known.answered(id).is_none())
-                .collect();
+            let unknown = |id: &&BlockId| known.answered(**id).is_none();
+            let unanswered: Vec<BlockId> = asked.iter().filter(unknown).copied().collect();
             let aimed: HashSet<BlockId> = targets.iter().copied().collect();
             let aim = |known: &Prefetched<'_, B>, id: &BlockId| {
                 let at = self.scheme.dense_index(id, written);

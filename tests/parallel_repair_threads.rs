@@ -137,7 +137,10 @@ fn plain_scrub_probe() {
     assert_eq!(probes, 0, "the planner plans on memory, never the backend");
     // Each repair is one store, so the window repaired at most that
     // many: every other lost block was a target of the planner.
-    assert!(lost - writes.len() > 256, "must cross the fan-out threshold");
+    assert!(
+        lost - writes.len() > 256,
+        "must cross the fan-out threshold"
+    );
     reads.sort();
     let mut digest = std::collections::hash_map::DefaultHasher::new();
     (reads, writes).hash(&mut digest);

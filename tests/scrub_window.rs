@@ -180,7 +180,9 @@ fn a_lost_tuple_is_repaired_in_rounds_after_the_sweep() {
     assert!(!fetched.is_empty(), "the data block is rebuilt in rounds");
     assert_eq!(once.len(), fetched.len(), "each id fetched at most once");
     let held = &stored[stored.len() - 4 * 64..];
-    assert!(fetched.iter().all(|id| !held.contains(id) && !victims.contains(id)));
+    assert!(fetched
+        .iter()
+        .all(|id| !held.contains(id) && !victims.contains(id)));
     assert!(unreadable(&ar).is_empty());
 }
 
