@@ -145,14 +145,14 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// sweep in runs that keeps the blocks it verified in a window of its
     /// last few runs, and one run past a failed block rebuilds it with
     /// the single-block repair, reading the window only — never a backend
-    /// fetch. The rebuilt block joins the window. What the window cannot
-    /// serve (a tuple member lost too, or one out of its reach, such as a
-    /// closed chain's closing parity) goes to the closure rounds after the
-    /// sweep, which fetch only the blocks those repairs name (see
-    /// "Dependent reads" in the module docs). Then the corrupt blocks
-    /// leave as one batch of removes, and the repairs as one batch of
-    /// stores, in position order; last, the journal heals its own copies
-    /// and pointer cells.
+    /// fetch. The rebuilt block joins the window. After the sweep the
+    /// corrupt blocks leave as one batch of removes; what the window
+    /// cannot serve (a tuple member lost too, or one out of its reach,
+    /// such as a closed chain's closing parity) goes to the closure
+    /// rounds, which fetch only the blocks those repairs name (see
+    /// "Dependent reads" in the module docs); the repairs leave as one
+    /// batch of stores, in position order; last, the journal heals its
+    /// own copies and pointer cells.
     pub fn scrub(&mut self) -> u64 {
         let store: &B = &self.store;
         let mut window = Window::new(&*self.scheme, self.scheme.data_written(), self.block_size);
