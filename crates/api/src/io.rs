@@ -22,8 +22,8 @@
 //! [`crate::RedundancyScheme::repair_missing`]).
 //!
 //! The plain `HashMap` therefore no longer qualifies as a backend; the
-//! in-memory [`BlockMap`] is that map behind a lock, with the familiar
-//! map-flavoured API on `&self`.
+//! in-memory [`BlockMap`] is a map paged by write order behind a lock,
+//! with the familiar map-flavoured API on `&self`.
 //!
 //! # Failure surface
 //!
@@ -37,9 +37,10 @@
 
 use crate::error::StoreError;
 use crate::placement::mix64;
-use ae_blocks::{Block, BlockId};
+use ae_blocks::{Block, BlockId, EdgeId, MetaId, NodeId, ReplicaId, ShardId, StrandClass};
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -194,15 +195,14 @@ impl<S: BlockSink + ?Sized> BlockSink for Arc<S> {
     }
 }
 
-/// The hasher of [`BlockMap`]: a multiply-fold over the words a
-/// [`BlockId`] hashes to (variant tag, strand class, position), finished
-/// with one [`mix64`] avalanche.
+/// The hasher of [`BlockMap`]'s pages: a multiply-fold over the two words
+/// of a [`PageKey`] (kind, page), finished with one [`mix64`] avalanche.
 ///
 /// Block ids are scheme arithmetic and tenant tags — dense runs of small
 /// integers, never attacker-chosen strings — so the map needs spread, not
 /// the flooding resistance `RandomState`'s SipHash pays for on every
 /// lookup. The fold is a bijection of each word given the state before
-/// it, so ids that differ in one field never collide ahead of the final
+/// it, so keys that differ in one word never collide ahead of the final
 /// mix. Unseeded: iteration order is the same in every process.
 #[derive(Debug, Default, Clone, Copy)]
 struct IdHasher(u64);
@@ -216,16 +216,8 @@ impl Hasher for IdHasher {
         }
     }
 
-    fn write_u16(&mut self, x: u16) {
-        self.write_u64(x.into());
-    }
-
     fn write_u64(&mut self, x: u64) {
         self.0 = (self.0.rotate_left(26) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
     }
 
     fn finish(&self) -> u64 {
@@ -233,18 +225,130 @@ impl Hasher for IdHasher {
     }
 }
 
+/// Bits of an id's raw word that pick its slot: a page holds `1 << 3` ids.
+/// Larger pages gave `ae_bulk` no more, and cost memory where placement
+/// scatters ids so that a page holds about one (a shard of a
+/// `DistributedStore`).
+const SLOT_BITS: u32 = 3;
+const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
+
+/// The page an id lives on: `kind` is the variant (high bits) and its
+/// sub-field — strand class, shard index or replica copy (low 16 bits);
+/// `page` is the id's raw word (node, stripe or `MetaId` word, tenant tag
+/// included) without its slot bits.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct PageKey {
+    kind: u64,
+    page: u64,
+}
+
+/// An id as its page and its slot on that page.
+fn split(id: BlockId) -> (PageKey, usize) {
+    let (variant, sub, raw) = match id {
+        BlockId::Data(n) => (0, 0, n.0),
+        BlockId::Parity(e) => (1, e.class.index() as u64, e.left.0),
+        BlockId::Shard(s) => (2, s.index.into(), s.stripe),
+        BlockId::Replica(r) => (3, r.copy.into(), r.node.0),
+        BlockId::Meta(m) => (4, 0, m.0),
+    };
+    let key = PageKey {
+        kind: variant << 16 | sub,
+        page: raw >> SLOT_BITS,
+    };
+    (key, (raw & SLOT_MASK) as usize)
+}
+
+/// The id in `slot` of the page `key`: the inverse of [`split`].
+fn join(key: PageKey, slot: usize) -> BlockId {
+    let raw = key.page << SLOT_BITS | slot as u64;
+    let sub = key.kind & 0xFFFF;
+    match key.kind >> 16 {
+        0 => BlockId::Data(NodeId(raw)),
+        1 => BlockId::Parity(EdgeId::new(StrandClass::ALL[sub as usize], NodeId(raw))),
+        2 => BlockId::Shard(ShardId {
+            stripe: raw,
+            index: sub as u16,
+        }),
+        3 => BlockId::Replica(ReplicaId {
+            node: NodeId(raw),
+            copy: sub as u16,
+        }),
+        _ => BlockId::Meta(MetaId(raw)),
+    }
+}
+
+/// Eight neighbouring ids of one kind, and how many of them are held.
+#[derive(Default, Clone, PartialEq)]
+struct Page {
+    slots: [Option<Block>; 1 << SLOT_BITS],
+    live: u8,
+}
+
+/// The map under [`BlockMap`]'s lock. A page with no block left is
+/// dropped, so two maps holding the same blocks hold the same pages.
+#[derive(Default, Clone, PartialEq)]
+struct Pages {
+    pages: HashMap<PageKey, Box<Page>, BuildHasherDefault<IdHasher>>,
+    len: usize,
+}
+
+impl Pages {
+    fn get(&self, id: BlockId) -> Option<&Block> {
+        let (key, slot) = split(id);
+        self.pages.get(&key)?.slots[slot].as_ref()
+    }
+
+    fn insert(&mut self, id: BlockId, block: Block) -> Option<Block> {
+        let (key, slot) = split(id);
+        let page = self.pages.entry(key).or_default();
+        let old = page.slots[slot].replace(block);
+        if old.is_none() {
+            page.live += 1;
+            self.len += 1;
+        }
+        old
+    }
+
+    fn remove(&mut self, id: BlockId) -> Option<Block> {
+        let (key, slot) = split(id);
+        let page = self.pages.get_mut(&key)?;
+        let old = page.slots[slot].take()?;
+        page.live -= 1;
+        self.len -= 1;
+        if page.live == 0 {
+            self.pages.remove(&key);
+        }
+        Some(old)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (BlockId, &Block)> {
+        self.pages.iter().flat_map(|(&key, page)| {
+            let held = page.slots.iter().enumerate();
+            held.filter_map(move |(slot, block)| Some((join(key, slot), block.as_ref()?)))
+        })
+    }
+}
+
 /// The in-memory backend: block id → contents behind a reader-writer lock.
 /// Presence in the map *is* availability.
 ///
-/// This is the plain `HashMap` of earlier revisions put behind the
-/// lock-guarded wrapper, so it implements the `&self` backend family
-/// honestly instead of ignoring `&mut` exclusivity. The map-flavoured
-/// inherent API (`insert` / `remove` / `get` / `contains_key` / …) is kept,
-/// on `&self`; reads return owned clones because no reference can outlive
-/// the lock guard.
-#[derive(Debug, Default)]
+/// Inside, the map is paged by write order. An id splits into a page key
+/// — its variant, its strand class, shard index or replica copy, and its
+/// raw word (tenant tag included) without the low three bits — and a slot,
+/// those three bits. One hash table, keyed by page, holds boxed pages of
+/// eight slots. Every scheme writes its ids in dense runs (`block_at(k)`
+/// is its write order), so a put's stores and a sweep's reads touch one
+/// page per eight ids, and a table doubling moves an eighth as many
+/// entries, each a pointer. A page is dropped when its last block goes.
+///
+/// The map-flavoured API (`insert` / `remove` / `get` / `contains_key` /
+/// …) is on `&self`, so the map implements the `&self` backend family;
+/// reads return owned clones because no reference can outlive the lock
+/// guard. The order of [`BlockMap::ids`] and [`BlockMap::entries`] is
+/// unspecified.
+#[derive(Default)]
 pub struct BlockMap {
-    inner: RwLock<HashMap<BlockId, Block, BuildHasherDefault<IdHasher>>>,
+    inner: RwLock<Pages>,
 }
 
 impl BlockMap {
@@ -260,58 +364,90 @@ impl BlockMap {
 
     /// Removes a block, returning it if it was present.
     pub fn remove(&self, id: &BlockId) -> Option<Block> {
-        self.inner.write().remove(id)
+        self.inner.write().remove(*id)
     }
 
     /// The block under `id`, cloned.
     pub fn get(&self, id: &BlockId) -> Option<Block> {
-        self.inner.read().get(id).cloned()
+        self.inner.read().get(*id).cloned()
     }
 
     /// The block under each id of `ids`, cloned, in order — under one
-    /// read lock.
+    /// read lock, looking each page up once per run of ids on it.
     pub fn get_many(&self, ids: &[BlockId]) -> Vec<Option<Block>> {
         let map = self.inner.read();
-        ids.iter().map(|id| map.get(id).cloned()).collect()
+        let mut run: Option<(PageKey, Option<&Page>)> = None;
+        ids.iter()
+            .map(|&id| {
+                let (key, slot) = split(id);
+                let page = match run {
+                    Some((held, page)) if held == key => page,
+                    _ => {
+                        let page = map.pages.get(&key).map(|page| &**page);
+                        run = Some((key, page));
+                        page
+                    }
+                };
+                page?.slots[slot].clone()
+            })
+            .collect()
     }
 
     /// Whether the map holds `id`.
     pub fn contains_key(&self, id: &BlockId) -> bool {
-        self.inner.read().contains_key(id)
+        self.inner.read().get(*id).is_some()
     }
 
     /// Number of blocks held.
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.inner.read().len
     }
 
     /// Whether the map holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
+        self.inner.read().pages.is_empty()
     }
 
     /// All ids currently present (snapshot, unordered).
     pub fn ids(&self) -> Vec<BlockId> {
-        self.inner.read().keys().copied().collect()
+        self.inner.read().iter().map(|(id, _)| id).collect()
     }
 
     /// All `(id, block)` pairs currently present (snapshot, unordered).
     pub fn entries(&self) -> Vec<(BlockId, Block)> {
-        self.inner
-            .read()
-            .iter()
-            .map(|(id, b)| (*id, b.clone()))
-            .collect()
+        let map = self.inner.read();
+        map.iter().map(|(id, block)| (id, block.clone())).collect()
     }
 
     /// Removes every block.
     pub fn clear(&self) {
-        self.inner.write().clear()
+        *self.inner.write() = Pages::default();
     }
 
     /// Keeps only the blocks for which `f` answers `true`.
     pub fn retain(&self, mut f: impl FnMut(&BlockId, &Block) -> bool) {
-        self.inner.write().retain(|id, b| f(id, b));
+        let mut map = self.inner.write();
+        let mut len = 0;
+        map.pages.retain(|&key, page| {
+            for (slot, held) in page.slots.iter_mut().enumerate() {
+                if held
+                    .as_ref()
+                    .is_some_and(|block| !f(&join(key, slot), block))
+                {
+                    *held = None;
+                    page.live -= 1;
+                }
+            }
+            len += usize::from(page.live);
+            page.live > 0
+        });
+        map.len = len;
+    }
+}
+
+impl fmt::Debug for BlockMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.inner.read().iter()).finish()
     }
 }
 
@@ -333,8 +469,12 @@ impl Eq for BlockMap {}
 
 impl FromIterator<(BlockId, Block)> for BlockMap {
     fn from_iter<I: IntoIterator<Item = (BlockId, Block)>>(iter: I) -> Self {
+        let mut map = Pages::default();
+        for (id, block) in iter {
+            map.insert(id, block);
+        }
         BlockMap {
-            inner: RwLock::new(iter.into_iter().collect()),
+            inner: RwLock::new(map),
         }
     }
 }
@@ -402,7 +542,7 @@ impl BlockSink for Overlay<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ae_blocks::NodeId;
+    use std::collections::HashSet;
 
     fn id(i: u64) -> BlockId {
         BlockId::Data(NodeId(i))
@@ -422,13 +562,12 @@ mod tests {
     }
 
     /// The ids an archive actually stores — dense positions across every
-    /// variant — must spread over both ends of the hash: the low bits pick
-    /// the bucket, the top seven the control byte.
+    /// variant — must spread their page keys over both ends of the hash:
+    /// the low bits pick the bucket, the top seven the control byte.
     #[test]
     fn id_hasher_spreads_dense_ids_and_is_unseeded() {
-        use ae_blocks::{EdgeId, ReplicaId, ShardId, StrandClass};
         use std::hash::{BuildHasher, BuildHasherDefault};
-        let hash = |id: BlockId| BuildHasherDefault::<IdHasher>::default().hash_one(id);
+        let hash = |id: BlockId| BuildHasherDefault::<IdHasher>::default().hash_one(split(id).0);
         let ids = (1..=20_000u64).flat_map(|i| {
             let parity = |class| BlockId::Parity(EdgeId::new(class, NodeId(i)));
             [
@@ -447,28 +586,100 @@ mod tests {
             ]
         });
         let (mut low, mut high) = ([0u32; 256], [0u32; 128]);
-        let mut seen = std::collections::HashSet::new();
-        for id in ids {
+        let (mut keys, mut seen) = (HashSet::new(), HashSet::new());
+        for id in ids.filter(|&id| keys.insert(split(id).0)) {
             let h = hash(id);
-            assert!(seen.insert(h), "{id} collides on the full 64 bits");
+            assert!(
+                seen.insert(h),
+                "the page of {id} collides on the full 64 bits"
+            );
             low[(h & 0xFF) as usize] += 1;
             high[(h >> 57) as usize] += 1;
         }
-        // 120 000 ids: mean 469 per low bucket, 938 per control byte.
+        // 17 506 pages: mean 68 per low bucket, 137 per control byte; the
+        // bounds are four standard deviations of a uniform hash.
+        assert_eq!(keys.len(), 17_506);
         let spread =
             |counts: &[u32]| (*counts.iter().min().unwrap(), *counts.iter().max().unwrap());
         let ((low_min, low_max), (high_min, high_max)) = (spread(&low), spread(&high));
         assert!(
-            low_min > 350 && low_max < 600,
+            low_min > 35 && low_max < 102,
             "low bits {low_min}..{low_max}"
         );
         assert!(
-            high_min > 750 && high_max < 1150,
+            high_min > 90 && high_max < 184,
             "top bits {high_min}..{high_max}"
         );
         // No per-process seed: the same id hashes the same everywhere.
         assert_eq!(hash(id(7)), hash(id(7)));
         assert_ne!(hash(id(7)), hash(id(8)));
+    }
+
+    /// Ids at page edges, in every variant and sub-field, tenant tags and
+    /// `Meta` copy and pointer bits included.
+    fn edge_ids() -> Vec<BlockId> {
+        let tenant = 0xBEEF << 48;
+        let raws = [0, 1, 7, 8, 9, 63, 64, 65, tenant | 7, tenant | 8, u64::MAX];
+        raws.into_iter()
+            .flat_map(|raw| {
+                let mut ids = vec![id(raw), BlockId::Meta(MetaId(raw))];
+                ids.extend(
+                    StrandClass::ALL.map(|class| BlockId::Parity(EdgeId::new(class, NodeId(raw)))),
+                );
+                for sub in [0, 1, 9, u16::MAX] {
+                    ids.push(BlockId::Shard(ShardId {
+                        stripe: raw,
+                        index: sub,
+                    }));
+                    ids.push(BlockId::Replica(ReplicaId {
+                        node: NodeId(raw),
+                        copy: sub,
+                    }));
+                }
+                ids
+            })
+            .chain((0..MetaId::MAX_COPIES).flat_map(|copy| {
+                [
+                    BlockId::Meta(MetaId::record(8, copy)),
+                    BlockId::Meta(MetaId::pointer(7, copy)),
+                    BlockId::Meta(MetaId::pointer(0xFF_FFFF_FFFF, copy)),
+                ]
+            }))
+            .collect()
+    }
+
+    #[test]
+    fn an_id_splits_into_a_page_and_slot_and_joins_back() {
+        let ids: HashSet<BlockId> = edge_ids().into_iter().collect();
+        let mut places = HashSet::new();
+        for &id in &ids {
+            let (key, slot) = split(id);
+            assert!(slot < 1 << SLOT_BITS);
+            assert_eq!(join(key, slot), id);
+            assert!(places.insert((key, slot)), "{id} shares a slot");
+        }
+        // Neighbours in write order share a page; the ninth starts one.
+        let page = |raw| split(id(raw)).0;
+        assert!(page(8) == page(15) && page(15) != page(16));
+        assert!(split(id(8)).0 != split(BlockId::Meta(MetaId(8))).0);
+    }
+
+    #[test]
+    fn removing_a_pages_last_block_drops_the_page() {
+        let map = BlockMap::new();
+        for raw in [8, 9, 15, 16] {
+            map.insert(id(raw), Block::from_vec(vec![raw as u8]));
+        }
+        assert_eq!(map.inner.read().pages.len(), 2);
+        assert_eq!(map.remove(&id(16)).unwrap().as_slice(), &[16]);
+        assert_eq!(map.inner.read().pages.len(), 1);
+        map.retain(|id, _| *id != self::id(9));
+        assert!(map.remove(&id(8)).is_some() && map.remove(&id(8)).is_none());
+        assert_eq!((map.len(), map.inner.read().pages.len()), (1, 1));
+        assert_ne!(map, BlockMap::new());
+        assert!(map.remove(&id(15)).is_some());
+        assert!(map.is_empty() && map.inner.read().pages.is_empty());
+        assert_eq!(map, BlockMap::new());
     }
 
     #[test]
