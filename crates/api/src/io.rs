@@ -277,17 +277,16 @@ fn join(key: PageKey, slot: usize) -> BlockId {
     }
 }
 
-/// Eight neighbouring ids of one kind, and how many of them are held.
-#[derive(Default, Clone, PartialEq)]
-struct Page {
-    slots: [Option<Block>; 1 << SLOT_BITS],
-    live: u8,
-}
+/// Eight neighbouring ids of one kind: the block in each slot, if held.
+type Page = [Option<Block>; 1 << SLOT_BITS];
 
 /// The map under [`BlockMap`]'s lock. A page with no block left is
 /// dropped, so two maps holding the same blocks hold the same pages.
 #[derive(Default, Clone, PartialEq)]
 struct Pages {
+    /// Boxed: an unboxed page is a 208-byte table entry, which a shard
+    /// whose ids scatter (about one to a page) pays per id, and which
+    /// every doubling copies.
     pages: HashMap<PageKey, Box<Page>, BuildHasherDefault<IdHasher>>,
     len: usize,
 }
@@ -295,27 +294,22 @@ struct Pages {
 impl Pages {
     fn get(&self, id: BlockId) -> Option<&Block> {
         let (key, slot) = split(id);
-        self.pages.get(&key)?.slots[slot].as_ref()
+        self.pages.get(&key)?[slot].as_ref()
     }
 
     fn insert(&mut self, id: BlockId, block: Block) -> Option<Block> {
         let (key, slot) = split(id);
-        let page = self.pages.entry(key).or_default();
-        let old = page.slots[slot].replace(block);
-        if old.is_none() {
-            page.live += 1;
-            self.len += 1;
-        }
+        let old = self.pages.entry(key).or_default()[slot].replace(block);
+        self.len += usize::from(old.is_none());
         old
     }
 
     fn remove(&mut self, id: BlockId) -> Option<Block> {
         let (key, slot) = split(id);
         let page = self.pages.get_mut(&key)?;
-        let old = page.slots[slot].take()?;
-        page.live -= 1;
+        let old = page[slot].take()?;
         self.len -= 1;
-        if page.live == 0 {
+        if page.iter().all(Option::is_none) {
             self.pages.remove(&key);
         }
         Some(old)
@@ -323,7 +317,7 @@ impl Pages {
 
     fn iter(&self) -> impl Iterator<Item = (BlockId, &Block)> {
         self.pages.iter().flat_map(|(&key, page)| {
-            let held = page.slots.iter().enumerate();
+            let held = page.iter().enumerate();
             held.filter_map(move |(slot, block)| Some((join(key, slot), block.as_ref()?)))
         })
     }
@@ -336,10 +330,11 @@ impl Pages {
 /// — its variant, its strand class, shard index or replica copy, and its
 /// raw word (tenant tag included) without the low three bits — and a slot,
 /// those three bits. One hash table, keyed by page, holds boxed pages of
-/// eight slots. Every scheme writes its ids in dense runs (`block_at(k)`
-/// is its write order), so a put's stores and a sweep's reads touch one
-/// page per eight ids, and a table doubling moves an eighth as many
-/// entries, each a pointer. A page is dropped when its last block goes.
+/// eight slots. Every scheme writes the ids of each kind in dense runs
+/// (`block_at(k)` is its write order), so a put's stores and a sweep's
+/// reads land on one page per eight ids of a kind, and a table doubling
+/// moves an eighth as many entries, each a pointer. A page is dropped when
+/// its last block goes.
 ///
 /// The map-flavoured API (`insert` / `remove` / `get` / `contains_key` /
 /// …) is on `&self`, so the map implements the `&self` backend family;
@@ -372,25 +367,11 @@ impl BlockMap {
         self.inner.read().get(*id).cloned()
     }
 
-    /// The block under each id of `ids`, cloned, in order — under one
-    /// read lock, looking each page up once per run of ids on it.
+    /// The block under each id of `ids`, cloned, in order, under one read
+    /// lock.
     pub fn get_many(&self, ids: &[BlockId]) -> Vec<Option<Block>> {
         let map = self.inner.read();
-        let mut run: Option<(PageKey, Option<&Page>)> = None;
-        ids.iter()
-            .map(|&id| {
-                let (key, slot) = split(id);
-                let page = match run {
-                    Some((held, page)) if held == key => page,
-                    _ => {
-                        let page = map.pages.get(&key).map(|page| &**page);
-                        run = Some((key, page));
-                        page
-                    }
-                };
-                page?.slots[slot].clone()
-            })
-            .collect()
+        ids.iter().map(|&id| map.get(id).cloned()).collect()
     }
 
     /// Whether the map holds `id`.
@@ -429,17 +410,17 @@ impl BlockMap {
         let mut map = self.inner.write();
         let mut len = 0;
         map.pages.retain(|&key, page| {
-            for (slot, held) in page.slots.iter_mut().enumerate() {
+            for (slot, held) in page.iter_mut().enumerate() {
                 if held
                     .as_ref()
                     .is_some_and(|block| !f(&join(key, slot), block))
                 {
                     *held = None;
-                    page.live -= 1;
                 }
             }
-            len += usize::from(page.live);
-            page.live > 0
+            let kept = page.iter().flatten().count();
+            len += kept;
+            kept > 0
         });
         map.len = len;
     }

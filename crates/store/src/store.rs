@@ -21,15 +21,14 @@ use ae_blocks::{Block, BlockId};
 /// only to every read — [`crate::DistributedStore`] shards over many of
 /// these, [`crate::TieredStore`] stacks a fast one over a shared remote
 /// tier. A put's stores fill the pages of its dense run, so they touch
-/// one table entry per eight blocks.
+/// one table entry per eight blocks of a kind.
 ///
-/// A run of reads ([`BlockSource::read_many`]) takes the lock once, looks
-/// each page up once per run of ids on it, and checksums each block while
-/// the bytes of the block two places further on are prefetched. A cold
-/// 4 KiB block starts on a new memory page, where the hardware prefetcher
-/// starts over, so a verified read one at a time pays for the memory and
-/// for the CRC one after the other; in a run the two overlap. Every block
-/// is still verified.
+/// A run of reads ([`BlockSource::read_many`]) takes the lock once and
+/// checksums each block while the bytes of the block two places further
+/// on are prefetched. A cold 4 KiB block starts on a new memory page,
+/// where the hardware prefetcher starts over, so a verified read one at a
+/// time pays for the memory and for the CRC one after the other; in a run
+/// the two overlap. Every block is still verified.
 #[derive(Debug, Default)]
 pub struct MemStore {
     blocks: BlockMap,
