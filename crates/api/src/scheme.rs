@@ -382,6 +382,13 @@ pub trait RedundancyScheme: Send + Sync {
     /// Whether a repair of missing block `id` would be a *single failure*
     /// in the paper's Fig 13 sense: solvable in one step with the minimum
     /// read cost. Default: repairable right now.
+    ///
+    /// **A single failure is repairable.** For every block the scheme
+    /// stores, an implementation that answers `true` here must answer
+    /// `true` from [`RedundancyScheme::is_repairable`] under the same
+    /// oracle. The availability plane relies on this to count Fig 13's
+    /// singles on the disaster state alone: an uncapped first repair
+    /// round rebuilds every one of them.
     fn is_single_failure(
         &self,
         id: BlockId,

@@ -18,7 +18,6 @@ use ae_api::{
     RepairError, RepairSummary, RoundStats, SnapshotReader, SnapshotWriter,
 };
 use ae_blocks::{Block, BlockId, NodeId, ReplicaId, ShardId};
-use std::collections::BTreeSet;
 
 impl ReedSolomon {
     /// Stripe number of data position `i` (1-based).
@@ -356,10 +355,12 @@ impl RedundancyScheme for ReedSolomon {
 
     fn repair_traffic(&self, repaired: &[BlockId]) -> u64 {
         // One k-shard decode per touched stripe.
-        let stripes: BTreeSet<u64> = repaired
+        let mut stripes: Vec<u64> = repaired
             .iter()
             .filter_map(|&id| self.stripe_of_id(id))
             .collect();
+        stripes.sort_unstable();
+        stripes.dedup();
         stripes.len() as u64 * self.k() as u64
     }
 
@@ -621,6 +622,7 @@ impl RedundancyScheme for Replication {
 mod tests {
     use super::*;
     use ae_api::BlockMap;
+    use std::collections::BTreeSet;
 
     fn payload(n: usize, len: usize) -> Vec<Block> {
         (0..n)
@@ -842,6 +844,40 @@ mod tests {
         // Only missing member of its stripe: a single failure.
         let only = |id: BlockId| id != t0[0];
         assert!(rs.is_single_failure(t0[0], 100, &only));
+    }
+
+    #[test]
+    fn repair_traffic_charges_one_decode_per_touched_stripe_in_any_order() {
+        // RS(4,2) over 10 data blocks: stripes 0 and 1 are full, stripe 2
+        // holds data 9 and 10 (two virtual members) and its two shards.
+        let rs = ReedSolomon::new(4, 2).unwrap();
+        let shard = |stripe, index| BlockId::Shard(ShardId { stripe, index });
+        let data = |i| BlockId::Data(NodeId(i));
+        let mut repaired = vec![
+            shard(2, 1),
+            data(5),
+            data(10),
+            data(1),
+            shard(0, 0),
+            data(5),
+            data(9),
+            shard(2, 1),
+            data(2),
+            BlockId::Replica(ReplicaId {
+                node: NodeId(3),
+                copy: 1,
+            }),
+        ];
+        // Stripes 0, 1 and 2: three 4-shard decodes; the replica is foreign.
+        assert_eq!(rs.repair_traffic(&repaired), 3 * 4);
+        for _ in 0..repaired.len() {
+            repaired.rotate_left(1);
+            assert_eq!(rs.repair_traffic(&repaired), 3 * 4);
+        }
+        repaired.reverse();
+        assert_eq!(rs.repair_traffic(&repaired), 3 * 4);
+        assert_eq!(rs.repair_traffic(&[data(9), shard(2, 0), data(10)]), 4);
+        assert_eq!(rs.repair_traffic(&[]), 0);
     }
 
     /// The ids `is_repairable` asks about, in order, when `present`

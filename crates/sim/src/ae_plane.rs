@@ -4,7 +4,7 @@
 //! §V.C.2).
 
 mod tests {
-    use crate::experiments::{plane, plane_with, Env};
+    use crate::experiments::{fig13_share, plane, plane_with, Env};
     use crate::scheme_plane::{SchemePlane, SimPlacement};
     use crate::Scheme;
     use ae_core::puncture::PuncturePlan;
@@ -38,21 +38,23 @@ mod tests {
     #[test]
     fn no_disaster_nothing_to_repair() {
         let mut s = sim(Config::new(2, 2, 5).unwrap(), 10_000);
+        let singles = s.single_failures();
         let out = s.repair_full();
         assert_eq!(out.round_count(), 0);
         assert_eq!(out.data_lost, 0);
-        assert_eq!(out.single_failure_share(), None);
+        assert_eq!(fig13_share(singles, &out), None);
     }
 
     #[test]
     fn small_disaster_fully_repairs_triple_entanglement() {
         let mut s = sim(ae325(), 50_000);
         s.inject_disaster(0.10, 3);
+        let singles = s.single_failures();
         let out = s.repair_full();
         assert_eq!(out.data_lost, 0, "AE(3,2,5) shrugs off a 10% disaster");
         assert!(out.round_count() >= 1);
         // Most repairs happen in the first round (Fig 13).
-        assert!(out.single_failure_share().unwrap() > 0.8);
+        assert!(fig13_share(singles, &out).unwrap() > 0.8);
     }
 
     #[test]

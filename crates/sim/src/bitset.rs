@@ -72,6 +72,21 @@ impl BitSet {
         self.mask_tail();
     }
 
+    /// Clears the bits of `mask` in word `w` (bits `64·w ..`) and returns
+    /// the ones among them that were set: one AND-NOT for 64 bits. Bits of
+    /// `mask` past `len` come back clear and stay clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if word `w` does not exist.
+    #[inline]
+    pub fn clear_word(&mut self, w: usize, mask: u64) -> u64 {
+        let word = &mut self.words[w];
+        let cleared = *word & mask;
+        *word &= !mask;
+        cleared
+    }
+
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -161,6 +176,23 @@ mod tests {
     fn iter_zeros_respects_length_tail() {
         let b = BitSet::zeros(66);
         assert_eq!(b.iter_zeros().count(), 66);
+    }
+
+    #[test]
+    fn clear_word_reports_only_set_bits_inside_the_tail() {
+        let mut missing = BitSet::zeros(70);
+        missing.set(66, true);
+        let mut b = BitSet::zeros(70);
+        b.assign_not(&missing);
+        // Word 1 holds bits 64..70; 66 is already clear, and the mask's
+        // bits past the length name no member.
+        assert_eq!(b.clear_word(1, !0), 0b11_1011);
+        assert_eq!(b.count_ones(), 64);
+        assert!((64..70).all(|i| !b.get(i)));
+        assert_eq!(b.clear_word(1, !0), 0, "nothing left to clear");
+        assert_eq!(b.clear_word(0, 1 << 5 | 1 << 63), 1 << 5 | 1 << 63);
+        assert_eq!(b.count_ones(), 62);
+        assert!(!b.get(5) && !b.get(63) && b.get(62));
     }
 
     #[test]

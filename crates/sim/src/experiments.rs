@@ -11,7 +11,7 @@
 //! schemes are swept and which number is read off the repaired plane.
 
 use crate::report::{Series, Sweep};
-use crate::scheme_plane::{SchemePlane, SimPlacement};
+use crate::scheme_plane::{FullRepairOutcome, SchemePlane, SimPlacement};
 use crate::schemes::Scheme;
 use ae_blocks::{BlockId, NodeId, ReplicaId};
 use ae_core::puncture::PuncturePlan;
@@ -181,7 +181,8 @@ pub fn fig12_vulnerable(env: &Env) -> Sweep {
 }
 
 /// Fig 13: share of repairs that are single failures (one tuple, round 1),
-/// for RS(4,12) and the AE schemes.
+/// for RS(4,12) and the AE schemes. The singles are counted on the
+/// disaster state, the repairs by the round-based decoder run after.
 pub fn fig13_single_failures(env: &Env) -> Sweep {
     let mut schemes = vec![Scheme::Rs { k: 4, m: 12 }];
     schemes.extend(ae_lineup());
@@ -190,9 +191,18 @@ pub fn fig13_single_failures(env: &Env) -> Sweep {
         x_label: "disaster %".into(),
         y_label: "single failures (% single/total repaired)".into(),
         series: scheme_series(env, &schemes, |_, p| {
-            p.repair_full().single_failure_share().map(|s| s * 100.0)
+            let singles = p.single_failures();
+            fig13_share(singles, &p.repair_full()).map(|s| s * 100.0)
         }),
     }
+}
+
+/// Fig 13's share: `singles` single failures, counted on the disaster
+/// state, over the data blocks the repair `out` rebuilt. `None` when
+/// nothing needed repair.
+pub(crate) fn fig13_share(singles: u64, out: &FullRepairOutcome) -> Option<f64> {
+    let repaired = out.data_repaired();
+    (repaired > 0).then(|| singles as f64 / repaired as f64)
 }
 
 /// Table VI: repair rounds to fixpoint for the AE schemes.

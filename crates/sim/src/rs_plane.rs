@@ -5,7 +5,7 @@
 //! not counted as lost", §V.C.1).
 
 mod tests {
-    use crate::experiments::{plane, Env};
+    use crate::experiments::{fig13_share, plane, Env};
     use crate::scheme_plane::{FullRepairOutcome, SchemePlane};
     use crate::Scheme;
 
@@ -101,8 +101,15 @@ mod tests {
     #[test]
     fn single_failure_share_drops_with_disaster_size() {
         let mut s = sim(4, 12);
-        let small = run_disaster(&mut s, 0.1, 5).single_failure_share();
-        let large = run_disaster(&mut s, 0.5, 5).single_failure_share();
+        // Singles are counted on the disaster state, before the repair.
+        let mut share = |fraction| {
+            s.heal_all();
+            s.inject_disaster(fraction, 5);
+            let singles = s.single_failures();
+            fig13_share(singles, &s.repair_full())
+        };
+        let small = share(0.1);
+        let large = share(0.5);
         assert!(
             small > large,
             "single-failure share decreases for larger disasters (Fig 13)"

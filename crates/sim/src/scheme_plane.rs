@@ -29,6 +29,22 @@
 //! arithmetic. Every scheme has the bijection (the trait requires it), so
 //! every scheme can be placed on a plane.
 //!
+//! The plane's whole state is three bitsets — `avail`, `initially_missing`
+//! and `settled` — and [`SchemePlane::new`] visits no position to fill
+//! them; only [`SchemePlane::with_missing`] asks about each position once.
+//! Failure events (locations, bit rot) scan a word of 64 positions at a
+//! time: the placement or rot test fills one transient hit mask without a
+//! branch, one AND-NOT clears it from `avail`, and ids are computed only
+//! for the newly missing positions, to count data and redundancy apart.
+//!
+//! # Fig 13
+//!
+//! Repair rounds only repair. Fig 13's single failures are asked of the
+//! plane on the disaster state ([`SchemePlane::single_failures`]), before
+//! any repair: a single failure is repairable (the contract of
+//! [`RedundancyScheme::is_single_failure`]), so that count is exactly the
+//! singles an uncapped first round rebuilds.
+//!
 //! # Parallel repair rounds
 //!
 //! Each repair round is planned against the immutable round-start
@@ -68,9 +84,6 @@ pub struct FullRepairOutcome {
     /// Blocks read to complete all repairs (scheme-specific accounting:
     /// 2 per AE repair, one k-shard decode per RS stripe, 1 per copy).
     pub traffic: u64,
-    /// Repaired data blocks that were single failures in the scheme's
-    /// Fig 13 sense, judged against the pre-repair state.
-    pub single_failure_data: u64,
 }
 
 impl FullRepairOutcome {
@@ -93,13 +106,6 @@ impl FullRepairOutcome {
     /// Total data blocks repaired.
     pub fn data_repaired(&self) -> u64 {
         self.rounds.iter().map(|r| r.data_repaired as u64).sum()
-    }
-
-    /// Share of repaired data blocks that were single failures (Fig 13).
-    /// `None` when nothing needed repair.
-    pub fn single_failure_share(&self) -> Option<f64> {
-        let total = self.data_repaired();
-        (total > 0).then(|| self.single_failure_data as f64 / total as f64)
     }
 }
 
@@ -150,26 +156,14 @@ pub struct SchemePlane {
 }
 
 impl SchemePlane {
-    /// Builds the plane: asks the scheme for its universe size and places
-    /// every block on one of `locations` failure domains.
+    /// Builds the plane with every block stored and available: asks the
+    /// scheme for its universe size and nothing else — placement is
+    /// arithmetic, so no position is visited.
     pub fn new(
         scheme: Box<dyn RedundancyScheme>,
         data_blocks: u64,
         locations: u32,
         placement: SimPlacement,
-    ) -> Self {
-        Self::with_missing(scheme, data_blocks, locations, placement, |_| false)
-    }
-
-    /// Like [`SchemePlane::new`], but `never_stored` marks blocks that are
-    /// not stored at all (e.g. punctured parities). The decoder may still
-    /// reconstruct them transiently as stepping stones during repairs.
-    pub fn with_missing(
-        scheme: Box<dyn RedundancyScheme>,
-        data_blocks: u64,
-        locations: u32,
-        placement: SimPlacement,
-        never_stored: impl Fn(BlockId) -> bool,
     ) -> Self {
         assert!(data_blocks > 0 && locations > 0);
         let universe_len = u32::try_from(scheme.universe_len(data_blocks))
@@ -185,7 +179,23 @@ impl SchemePlane {
             settled: BitSet::zeros(universe_len as usize),
             settled_lost: (0, 0),
         };
-        for k in 0..universe_len {
+        plane.avail.assign_not(&plane.initially_missing);
+        plane
+    }
+
+    /// Like [`SchemePlane::new`], but `never_stored` marks blocks that are
+    /// not stored at all (e.g. punctured parities). The decoder may still
+    /// reconstruct them transiently as stepping stones during repairs.
+    /// Asks `never_stored` about every position once.
+    pub fn with_missing(
+        scheme: Box<dyn RedundancyScheme>,
+        data_blocks: u64,
+        locations: u32,
+        placement: SimPlacement,
+        never_stored: impl Fn(BlockId) -> bool,
+    ) -> Self {
+        let mut plane = Self::new(scheme, data_blocks, locations, placement);
+        for k in 0..plane.universe_len {
             if never_stored(plane.id_at(k)) {
                 plane.initially_missing.set(k as usize, true);
             }
@@ -265,6 +275,20 @@ impl SchemePlane {
         (data, parity)
     }
 
+    /// Missing data blocks that are single failures in the scheme's
+    /// Fig 13 sense ([`RedundancyScheme::is_single_failure`]) on the
+    /// current state. Fig 13 asks it on the disaster state, before any
+    /// repair: a single failure is repairable, so an uncapped first round
+    /// repairs every block this counts.
+    pub fn single_failures(&self) -> u64 {
+        self.par_filter(&self.missing_indices(true), |k| {
+            let avail = |id: BlockId| self.available(&id);
+            self.scheme
+                .is_single_failure(self.id_at(k), self.data_blocks, &avail)
+        })
+        .len() as u64
+    }
+
     /// Total stored blocks (the placement universe).
     pub fn total_blocks(&self) -> u64 {
         u64::from(self.universe_len)
@@ -307,19 +331,8 @@ impl SchemePlane {
             self.locations as usize,
             "one failure flag per location"
         );
-        let mut missing_data = 0;
-        let mut missing_redundancy = 0;
-        for k in 0..self.universe_len {
-            if self.avail.get(k as usize) && failed[self.loc_at(k) as usize] {
-                self.avail.set(k as usize, false);
-                if self.id_at(k).is_data() {
-                    missing_data += 1;
-                } else {
-                    missing_redundancy += 1;
-                }
-            }
-        }
-        (missing_data, missing_redundancy)
+        let (placement, locations) = (self.placement, self.locations);
+        self.fail_where(|k| failed[placement.place_dense(k, locations) as usize])
     }
 
     /// Correlated rack/region knockout: partitions the locations into
@@ -356,19 +369,36 @@ impl SchemePlane {
         // P(rot) = fraction via a 64-bit threshold test on the per-position
         // SplitMix64 stream: deterministic, order-independent, O(1) state.
         let threshold = (fraction * u64::MAX as f64) as u64;
-        let mut rotten_data = 0;
-        let mut rotten_redundancy = 0;
-        for k in 0..self.universe_len {
-            if self.avail.get(k as usize) && ae_api::mix64(u64::from(k), seed) < threshold {
-                self.avail.set(k as usize, false);
+        self.fail_where(|k| ae_api::mix64(k, seed) < threshold)
+    }
+
+    /// Marks every available position `k` with `hit(k)` unavailable and
+    /// returns `(newly missing data, newly missing redundancy)`. Works a
+    /// word of 64 positions at a time: `hit` fills a mask without a
+    /// branch, one AND-NOT clears it from `avail`, and only the positions
+    /// that were available before — the newly missing — are turned into
+    /// ids, to tell data from redundancy.
+    fn fail_where(&mut self, hit: impl Fn(u64) -> bool) -> (u64, u64) {
+        let len = u64::from(self.universe_len);
+        let mut counts = (0, 0);
+        for w in 0..len.div_ceil(64) {
+            let base = w * 64;
+            let mut mask = 0u64;
+            for k in base..len.min(base + 64) {
+                mask |= u64::from(hit(k)) << (k - base);
+            }
+            let mut newly = self.avail.clear_word(w as usize, mask);
+            while newly != 0 {
+                let k = base as u32 + newly.trailing_zeros();
+                newly &= newly - 1;
                 if self.id_at(k).is_data() {
-                    rotten_data += 1;
+                    counts.0 += 1;
                 } else {
-                    rotten_redundancy += 1;
+                    counts.1 += 1;
                 }
             }
         }
-        (rotten_data, rotten_redundancy)
+        counts
     }
 
     /// Indices of currently missing blocks, optionally data only.
@@ -452,7 +482,6 @@ impl SchemePlane {
             .collect();
         let mut rounds = Vec::new();
         let mut traffic = 0;
-        let mut repaired_singles = 0;
         let mut fixpoint = false;
         while max_rounds.is_none_or(|m| rounds.len() < m) {
             let mut fix = self.plan_repairable(&missing);
@@ -464,19 +493,6 @@ impl SchemePlane {
                 // Deterministic plan order, so the capped prefix is the
                 // same regardless of how planning was chunked.
                 fix.truncate(cap.min(fix.len() as u64) as usize);
-            }
-            if rounds.is_empty() {
-                // Fig 13 counts the first round's repairs of data blocks
-                // that were single failures in the disaster state, so
-                // judge them on the snapshot the round was planned on,
-                // before any repair lands.
-                repaired_singles = self
-                    .par_filter(&fix, |k| {
-                        let id = self.id_at(k);
-                        let avail = |id: BlockId| self.available(&id);
-                        id.is_data() && self.scheme.is_single_failure(id, self.data_blocks, &avail)
-                    })
-                    .len() as u64;
             }
             let fixed_ids: Vec<BlockId> = fix.iter().map(|&k| self.id_at(k)).collect();
             let round_reads = self.scheme.repair_traffic(&fixed_ids);
@@ -499,7 +515,6 @@ impl SchemePlane {
             parity_lost: self.settled_lost.1 + parity_left,
             rounds,
             traffic,
-            single_failure_data: repaired_singles,
         };
         if fixpoint {
             for &k in &missing {
@@ -936,8 +951,107 @@ mod tests {
         assert_eq!(plain, tagged);
     }
 
+    #[test]
+    fn single_failures_are_the_repairable_singles_of_the_disaster_state() {
+        for scheme in Scheme::extended_lineup() {
+            let name = scheme.name();
+            let mut p =
+                SchemePlane::new(scheme.build(0), 4_000, 50, SimPlacement::Random { seed: 4 });
+            p.inject_disaster(0.2, 8);
+            let avail = |id: BlockId| p.available(&id);
+            let mut singles = Vec::new();
+            for k in p.avail.iter_zeros() {
+                let id = p.id_at(k as u32);
+                if id.is_data()
+                    && p.scheme.is_single_failure(id, p.data_blocks, &avail)
+                    && p.scheme.is_repairable(id, p.data_blocks, &avail)
+                {
+                    singles.push(k);
+                }
+            }
+            assert!(!singles.is_empty(), "{name}");
+            assert_eq!(p.single_failures(), singles.len() as u64, "{name}");
+            // The count Fig 13 reads off the first round: one uncapped
+            // round rebuilds every single failure.
+            p.repair_rounds(None, Some(1));
+            assert!(singles.iter().all(|&k| p.avail.get(k)), "{name}");
+        }
+    }
+
+    /// The per-position loop the word scan replaced: fails every available
+    /// position `k` with `hit(k)`, one position at a time.
+    fn fail_each(p: &mut SchemePlane, hit: impl Fn(u32) -> bool) -> (u64, u64) {
+        let mut counts = (0, 0);
+        for k in 0..p.universe_len {
+            if p.avail.get(k as usize) && hit(k) {
+                p.avail.set(k as usize, false);
+                if p.id_at(k).is_data() {
+                    counts.0 += 1;
+                } else {
+                    counts.1 += 1;
+                }
+            }
+        }
+        counts
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// `fail_locations` and `inject_bit_rot` scan a word at a time; a
+        /// per-position loop on a twin plane leaves the same `avail` bits
+        /// and counts the same `(data, redundancy)`, event after event:
+        /// universes of a few positions to a few hundred (below one word,
+        /// and rarely a multiple of 64), never-stored positions, random
+        /// location masks and bit-rot fractions from 0 to 1.
+        #[test]
+        fn word_scan_matches_a_per_position_loop(
+            pick in 0usize..13,
+            data_blocks in 1u64..=120,
+            locations in 1u32..=12,
+            never_stored_pct in 0u64..50,
+            events in proptest::collection::vec(
+                (proptest::any::<bool>(), proptest::any::<u64>(), 0u32..=16),
+                1..6,
+            ),
+        ) {
+            use proptest::prop_assert_eq;
+            let build = || {
+                let index = Scheme::extended_lineup()[pick].build(0);
+                SchemePlane::with_missing(
+                    Scheme::extended_lineup()[pick].build(0),
+                    data_blocks,
+                    locations,
+                    SimPlacement::Random { seed: 6 },
+                    move |id| {
+                        index.dense_index(&id, data_blocks).is_some_and(|k| {
+                            ae_api::mix64(u64::from(k), 99) % 100 < never_stored_pct
+                        })
+                    },
+                )
+            };
+            let (mut scan, mut each) = (build(), build());
+            for (by_location, seed, x) in events {
+                let (got, want) = if by_location {
+                    let mask: Vec<bool> = (0..u64::from(locations))
+                        .map(|l| ae_api::mix64(l, seed) % 16 < u64::from(x))
+                        .collect();
+                    let got = scan.fail_locations(&mask);
+                    let hits: Vec<bool> = (0..each.universe_len)
+                        .map(|k| mask[each.loc_at(k) as usize])
+                        .collect();
+                    (got, fail_each(&mut each, |k| hits[k as usize]))
+                } else {
+                    let fraction = f64::from(x) / 16.0;
+                    let threshold = (fraction * u64::MAX as f64) as u64;
+                    let got = scan.inject_bit_rot(fraction, seed);
+                    let rot = |k: u32| ae_api::mix64(u64::from(k), seed) < threshold;
+                    (got, fail_each(&mut each, rot))
+                };
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(&scan.avail, &each.avail);
+            }
+        }
 
         /// Over random event sequences on every roster scheme, a settled
         /// position is always missing and not repairable, the settled

@@ -289,5 +289,35 @@ mod tests {
                 );
             }
         }
+
+        /// Every roster scheme's single failure (Fig 13) is repairable
+        /// under the same random oracle, at every position: the plane
+        /// counts singles on the disaster state and relies on the first
+        /// repair round to rebuild them all
+        /// (`RedundancyScheme::is_single_failure`'s contract).
+        #[test]
+        fn a_single_failure_is_repairable(
+            pick in 0usize..13,
+            data_blocks in 1u64..=120,
+            seed: u64,
+            present_pct in 0u64..=100,
+        ) {
+            use ae_api::mix64;
+            let scheme = Scheme::extended_lineup()[pick].build(0);
+            let avail = |id: ae_blocks::BlockId| {
+                scheme
+                    .dense_index(&id, data_blocks)
+                    .is_some_and(|k| mix64(u64::from(k), seed) % 100 < present_pct)
+            };
+            for k in 0..scheme.universe_len(data_blocks) as u32 {
+                let id = scheme.block_at(k, data_blocks).expect("inside the universe");
+                proptest::prop_assert!(
+                    !scheme.is_single_failure(id, data_blocks, &avail)
+                        || scheme.is_repairable(id, data_blocks, &avail),
+                    "{}: {id} is a single failure but not repairable",
+                    scheme.scheme_name()
+                );
+            }
+        }
     }
 }
