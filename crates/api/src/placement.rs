@@ -34,6 +34,18 @@ pub enum Placement {
     /// the placement ablation ("we think a round robin placement might be
     /// difficult to implement", §V.C).
     RoundRobin,
+    /// Partition: runs of `run` consecutive keys share a location, and the
+    /// runs go round-robin — key `k` goes to location `(k / run) mod n`.
+    /// For a tier that holds one kind of block (the data drives or the
+    /// parity drives of a §IV.B.1 mirror array), the store keys each kind
+    /// by its own write order, so `run = 1` is block-level striping and
+    /// `run` = blocks per drive is full partition, which fills one drive
+    /// before the next and leaves the others idle (MAID-style).
+    Partition {
+        /// Consecutive keys per location before moving to the next; must
+        /// be positive.
+        run: u64,
+    },
 }
 
 impl Placement {
@@ -54,13 +66,14 @@ impl Placement {
     ///
     /// # Panics
     ///
-    /// Panics for `n = 0`.
+    /// Panics for `n = 0`, and for a partition with `run = 0`.
     #[inline]
     pub fn place_key(&self, key: u64, n: u32) -> u32 {
         assert!(n > 0, "placement needs at least one location");
         match self {
             Placement::Random { seed } => (mix64(key, *seed) % n as u64) as u32,
             Placement::RoundRobin => (key % n as u64) as u32,
+            Placement::Partition { run } => (key / run % n as u64) as u32,
         }
     }
 }
@@ -164,6 +177,22 @@ mod tests {
         assert_eq!(p.place_dense(4, 4), 0, "wraps");
         let set: std::collections::HashSet<u32> = (0..4).map(|k| p.place_dense(k, 100)).collect();
         assert_eq!(set.len(), 4, "neighbours in distinct locations");
+    }
+
+    #[test]
+    fn partition_fills_runs_of_keys_in_turn() {
+        let striping = Placement::Partition { run: 1 };
+        let full = Placement::Partition { run: 10 };
+        for k in 0..100 {
+            assert_eq!(
+                striping.place_dense(k, 4),
+                Placement::RoundRobin.place_dense(k, 4)
+            );
+        }
+        assert_eq!(
+            [0, 9, 10, 39, 40].map(|k| full.place_dense(k, 4)),
+            [0, 0, 1, 3, 0]
+        );
     }
 
     #[test]

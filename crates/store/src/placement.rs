@@ -1,7 +1,7 @@
 //! Placement policies: mapping blocks to locations.
 //!
-//! The policy itself — uniform random keyed by a SplitMix64 hash, or
-//! round-robin — is the canonical [`ae_api::Placement`], shared with the
+//! The policy itself — uniform random keyed by a SplitMix64 hash,
+//! round-robin or partition — is the canonical [`ae_api::Placement`], shared with the
 //! availability-plane simulation (`ae-sim` keys it by dense universe
 //! position). This module adds the store-side half: deriving a stable
 //! 64-bit key from a [`BlockId`] so that blocks of different schemes never
@@ -19,7 +19,9 @@ const FOREIGN_BASE: u64 = 1 << 62;
 /// Store-side placement of block ids: the canonical policy applied to a
 /// per-id key. Random placement hashes a stable id key; round-robin uses
 /// the id's write-sequence index so that a block and its redundancy land
-/// in distinct failure domains.
+/// in distinct failure domains; partition uses the id's index in its own
+/// kind's write order ([`kind_index`]), and places journal copies
+/// round-robin so that they stay apart whatever the run.
 pub trait PlaceBlocks {
     /// The location for `id` among `n` locations.
     fn place(&self, id: BlockId, n: u32) -> LocationId;
@@ -27,11 +29,15 @@ pub trait PlaceBlocks {
 
 impl PlaceBlocks for Placement {
     fn place(&self, id: BlockId, n: u32) -> LocationId {
-        let key = match self {
-            Placement::Random { .. } => block_key(id),
-            Placement::RoundRobin => sequence_index(id),
+        let (policy, key) = match self {
+            Placement::Random { .. } => (self, block_key(id)),
+            Placement::RoundRobin => (self, sequence_index(id)),
+            // Divided by the run, the copies of one record would share a
+            // location.
+            Placement::Partition { .. } if id.is_meta() => (&Placement::RoundRobin, kind_index(id)),
+            Placement::Partition { .. } => (self, kind_index(id)),
         };
-        LocationId(self.place_key(key, n))
+        LocationId(policy.place_key(key, n))
     }
 }
 
@@ -70,6 +76,22 @@ fn sequence_index(id: BlockId) -> u64 {
         BlockId::Replica(r) => r.node.0 * 4 + r.copy as u64,
         // Metadata records spread over locations like any other sequence,
         // copies of one record in consecutive (distinct) slots.
+        BlockId::Meta(m) => meta_sequence(m),
+    }
+}
+
+/// Index of `id` in its own kind's write order, from 0: data block `d_i`
+/// and each parity `p_{i,·}` at `i − 1`, a shard at its stripe, a replica
+/// at its node's, a journal copy at its round-robin slot. A tier holding
+/// one kind thus partitions it in the order it was written.
+fn kind_index(id: BlockId) -> u64 {
+    match id {
+        BlockId::Data(NodeId(i))
+        | BlockId::Parity(EdgeId {
+            left: NodeId(i), ..
+        }) => i.saturating_sub(1),
+        BlockId::Shard(s) => s.stripe,
+        BlockId::Replica(r) => r.node.0.saturating_sub(1),
         BlockId::Meta(m) => meta_sequence(m),
     }
 }
@@ -159,25 +181,46 @@ mod tests {
     }
 
     #[test]
+    fn partition_keys_each_kind_by_its_own_write_order() {
+        let h = |i| parity(StrandClass::Horizontal, i);
+        for run in [1u64, 10] {
+            let p = Placement::Partition { run };
+            for i in 1..=80u64 {
+                let drive = LocationId(((i - 1) / run % 4) as u32);
+                assert_eq!((p.place(data(i), 4), p.place(h(i), 4)), (drive, drive));
+            }
+        }
+    }
+
+    #[test]
     fn meta_copies_of_one_record_land_in_distinct_locations() {
         use ae_blocks::MetaId;
         let copies = 3u16;
-        for n in [3u32, 4, 8, 16] {
-            for seq in [0u64, 1, 5, 100] {
-                let spots: std::collections::HashSet<_> = (0..copies)
-                    .map(|c| Placement::RoundRobin.place(BlockId::Meta(MetaId::record(seq, c)), n))
-                    .collect();
-                assert_eq!(spots.len(), copies as usize, "seq {seq}, {n} locations");
-                let ptr_spots: std::collections::HashSet<_> = (0..copies)
-                    .map(|c| {
-                        Placement::RoundRobin.place(BlockId::Meta(MetaId::pointer(seq % 2, c)), n)
-                    })
-                    .collect();
-                assert_eq!(
-                    ptr_spots.len(),
-                    copies as usize,
-                    "pointer slot, {n} locations"
-                );
+        let policies = [
+            Placement::RoundRobin,
+            Placement::Partition { run: 1 },
+            Placement::Partition { run: 20 },
+        ];
+        for p in policies {
+            for n in [3u32, 4, 8, 16] {
+                for seq in [0u64, 1, 5, 100] {
+                    let spots: std::collections::HashSet<_> = (0..copies)
+                        .map(|c| p.place(BlockId::Meta(MetaId::record(seq, c)), n))
+                        .collect();
+                    assert_eq!(
+                        spots.len(),
+                        copies as usize,
+                        "{p:?}: seq {seq}, {n} locations"
+                    );
+                    let ptr_spots: std::collections::HashSet<_> = (0..copies)
+                        .map(|c| p.place(BlockId::Meta(MetaId::pointer(seq % 2, c)), n))
+                        .collect();
+                    assert_eq!(
+                        ptr_spots.len(),
+                        copies as usize,
+                        "{p:?}: pointer slot, {n} locations"
+                    );
+                }
             }
         }
         // Random placement keys every copy distinctly too.

@@ -3,57 +3,46 @@
 //! The §IV.A cooperative backup keeps a user's data blocks on their own
 //! machine and pushes redundancy to geographically distributed nodes.
 //! [`TieredStore`] is that routing as a backend of the unified [`ae_api`]
-//! family: data blocks land on the fast local [`MemStore`], everything
-//! else (parities, shards, replicas, the archive's journal) on a shared
-//! remote backend, and reads route the same way. An [`crate::Archive`]
-//! over it is one user of the cooperative backup ([`crate::geo`]).
+//! family: data blocks land on the local tier, everything else
+//! (parities, shards, replicas, the archive's journal) on a shared remote
+//! backend, and reads route the same way. An [`crate::Archive`] over it
+//! is one user of the cooperative backup ([`crate::geo`]).
+//!
+//! The local tier is a [`MemStore`] unless the type says otherwise. The
+//! §IV.B.1 entangled mirror array is a tiered store whose two tiers are
+//! both [`crate::DistributedStore`]s, one location per drive: the data
+//! drives and the parity drives, each partitioned by
+//! [`crate::Placement::Partition`] (`tests/mirror_array.rs`).
 //!
 //! Because it is just another [`ae_api::BlockRepo`], the same archive,
 //! encoder and repair code that runs over a [`MemStore`] runs over a
 //! tiered deployment unchanged — including disaster flows: drop the fast
-//! tier ([`TieredStore::drop_fast`], a local disk crash) and degraded
-//! reads reconstruct data from the surviving remote redundancy; fail
-//! remote locations and scrubbing regenerates what they held.
+//! tier ([`TieredStore::drop_fast`], a local disk crash) or fail some of
+//! its drives, and degraded reads reconstruct data from the surviving
+//! redundancy; fail remote locations and scrubbing regenerates what they
+//! held.
 
 use crate::store::MemStore;
 use ae_api::{BlockRepo, BlockSink, BlockSource, StoreError};
 use ae_blocks::{Block, BlockId};
 use std::sync::Arc;
 
-/// A fast local tier (data blocks) over a shared remote tier (redundancy).
+/// A local tier `L` (data blocks) over a shared remote tier `S`
+/// (redundancy).
 ///
 /// `S` is any backend — a [`crate::DistributedStore`] of storage nodes in
 /// the geo scenario, another [`MemStore`] in tests, or a further
-/// `TieredStore` for deeper hierarchies.
+/// `TieredStore` for deeper hierarchies; `L` is any backend too.
 #[derive(Debug)]
-pub struct TieredStore<S: BlockRepo + Send + ?Sized> {
-    fast: MemStore,
+pub struct TieredStore<S: BlockRepo + Send + ?Sized, L = MemStore> {
+    fast: L,
     shared: Arc<S>,
 }
 
 impl<S: BlockRepo + Send + ?Sized> TieredStore<S> {
-    /// Creates an empty fast tier over `shared`.
+    /// Creates an empty in-memory fast tier over `shared`.
     pub fn new(shared: Arc<S>) -> Self {
-        TieredStore {
-            fast: MemStore::new(),
-            shared,
-        }
-    }
-
-    /// The fast local tier.
-    pub fn fast(&self) -> &MemStore {
-        &self.fast
-    }
-
-    /// The shared remote tier.
-    pub fn shared(&self) -> &Arc<S> {
-        &self.shared
-    }
-
-    /// Whether `id` routes to the fast tier (data) or the remote tier
-    /// (redundancy) — the §IV.A split.
-    fn is_fast(id: BlockId) -> bool {
-        id.is_data()
+        Self::with_fast(MemStore::new(), shared)
     }
 
     /// Simulates losing the whole local tier (disk crash): every block on
@@ -67,7 +56,30 @@ impl<S: BlockRepo + Send + ?Sized> TieredStore<S> {
     }
 }
 
-impl<S: BlockRepo + Send + ?Sized> BlockSource for TieredStore<S> {
+impl<S: BlockRepo + Send + ?Sized, L: BlockRepo> TieredStore<S, L> {
+    /// Creates a tiered store with `fast` as its local tier over `shared`.
+    pub fn with_fast(fast: L, shared: Arc<S>) -> Self {
+        TieredStore { fast, shared }
+    }
+
+    /// The fast local tier.
+    pub fn fast(&self) -> &L {
+        &self.fast
+    }
+
+    /// The shared remote tier.
+    pub fn shared(&self) -> &Arc<S> {
+        &self.shared
+    }
+
+    /// Whether `id` routes to the fast tier (data) or the remote tier
+    /// (redundancy) — the §IV.A split.
+    fn is_fast(id: BlockId) -> bool {
+        id.is_data()
+    }
+}
+
+impl<S: BlockRepo + Send + ?Sized, L: BlockRepo> BlockSource for TieredStore<S, L> {
     fn fetch(&self, id: BlockId) -> Option<Block> {
         if Self::is_fast(id) {
             self.fast.fetch(id)
@@ -93,10 +105,10 @@ impl<S: BlockRepo + Send + ?Sized> BlockSource for TieredStore<S> {
     }
 }
 
-impl<S: BlockRepo + Send + ?Sized> BlockSink for TieredStore<S> {
+impl<S: BlockRepo + Send + ?Sized, L: BlockRepo> BlockSink for TieredStore<S, L> {
     fn store(&self, id: BlockId, block: Block) {
         if Self::is_fast(id) {
-            self.fast.put(id, block);
+            self.fast.store(id, block);
         } else {
             self.shared.store(id, block);
         }
