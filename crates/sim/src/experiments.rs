@@ -69,8 +69,15 @@ impl Env {
     }
 }
 
+/// The plane of `scheme` in `env` under `placement`, every block stored:
+/// built without visiting a position.
+fn plane_at(scheme: Scheme, env: &Env, placement: SimPlacement) -> SchemePlane {
+    SchemePlane::new(scheme.build(0), env.data_blocks, env.locations, placement)
+}
+
 /// The plane of `scheme` in `env` under `placement`, with the parities
-/// `puncture` drops never stored.
+/// `puncture` drops never stored: the one build that asks about each
+/// position.
 pub(crate) fn plane_with(
     scheme: Scheme,
     env: &Env,
@@ -89,7 +96,7 @@ pub(crate) fn plane_with(
 /// The plane of `scheme` in `env` as the paper sets it up: random
 /// placement, every block stored.
 pub(crate) fn plane(scheme: Scheme, env: &Env) -> SchemePlane {
-    plane_with(scheme, env, env.random_placement(), PuncturePlan::none())
+    plane_at(scheme, env, env.random_placement())
 }
 
 /// Heals `plane`, injects each of the env's disasters in turn and reads
@@ -435,7 +442,7 @@ pub fn ablation_placement(env: &Env) -> Sweep {
     let mut series = Vec::new();
     for scheme in ae_lineup() {
         for (policy, placement) in policies {
-            let mut plane = plane_with(scheme, env, placement, PuncturePlan::none());
+            let mut plane = plane_at(scheme, env, placement);
             series.push(Series {
                 label: format!("{scheme} {policy}"),
                 points: per_disaster(env, &mut plane, data_lost),

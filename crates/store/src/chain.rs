@@ -19,7 +19,14 @@
 //!
 //! The chain itself keeps the mode, the sealed flag (an encode after it
 //! panics) and its version-1 frontier snapshot, which journal records
-//! carry. `crate::array::EntangledArray` drives topology on top of it.
+//! carry. It knows no drives: the §IV.B.1 mirror array is an
+//! [`crate::Archive`] over this scheme whose backend is a
+//! [`crate::TieredStore`] of two [`crate::DistributedStore`]s, the data
+//! drives and the parity drives, each partitioned by
+//! [`crate::Placement::Partition`] (striping at `run = 1`, full partition
+//! at `run` = blocks per drive). A drive failure is a failed location, a
+//! rebuild is the archive's `scrub`, and [`EntangledChain::extremity_warning`]
+//! names what an open array cannot survive losing.
 
 use ae_api::{
     AeError, BlockMap, BlockSink, BlockSource, EncodeReport, RedundancyScheme, RepairCost,
@@ -129,15 +136,6 @@ impl EntangledChain {
     /// Whether [`RedundancyScheme::seal`] has been called.
     pub fn is_sealed(&self) -> bool {
         self.ring.lock().sealed.is_some()
-    }
-
-    /// Every id the chain stores right now, honouring the sealed state
-    /// (the closing parity exists only after sealing a closed chain).
-    pub fn stored_ids(&self) -> Vec<BlockId> {
-        let n = self.data_written();
-        let mut ids = self.code.block_ids(n);
-        ids.extend(self.closing(n).filter(|_| self.is_sealed()));
-        ids
     }
 
     /// The typed §IV.B.1 extremity warning for a chain of `data_blocks`
@@ -557,15 +555,148 @@ mod tests {
             .finish()
     }
 
+    /// What a closed chain stores tracks its seal: the closing parity
+    /// only after it, and then `block_ids` of the sealed extent.
     #[test]
     fn stored_ids_track_seal_state() {
         let chain = EntangledChain::new(ChainMode::Closed, 16);
         let store = BlockMap::new();
         chain.encode_batch(&payload(4), &store).unwrap();
-        assert_eq!(chain.stored_ids().len(), 8, "no closing parity yet");
+        assert_eq!(store.len(), 8, "no closing parity yet");
         chain.seal(&store).unwrap();
-        assert_eq!(chain.stored_ids().len(), 9);
-        assert_eq!(chain.stored_ids(), chain.block_ids(4));
+        let mut stored = store.ids();
+        stored.sort();
+        let mut ids = chain.block_ids(4);
+        ids.sort();
+        assert_eq!(stored, ids);
+    }
+
+    /// The scheme-driven rebuild must agree, block for block, with the
+    /// direct-decoder fixpoint loop the mirror array used to carry.
+    #[test]
+    fn scheme_rebuild_matches_legacy_fixpoint() {
+        /// The pre-refactor repair logic, kept verbatim as a test oracle.
+        fn legacy_try_repair(
+            chain: &EntangledChain,
+            store: &BlockMap,
+            id: BlockId,
+        ) -> Option<Block> {
+            let n = chain.data_written();
+            let closing = chain.is_sealed() && chain.mode() == ChainMode::Closed;
+            let bs = chain.block_size();
+            let get = |q: BlockId| store.get(&q);
+            match id {
+                BlockId::Data(NodeId(i)) => {
+                    if let Some(right) = get(parity_id(i)) {
+                        let left = if i == 1 {
+                            Some(Block::zero(bs))
+                        } else {
+                            get(parity_id(i - 1))
+                        };
+                        if let Some(left) = left {
+                            return Some(left.xor(&right).expect("sizes match"));
+                        }
+                    }
+                    if closing && i == 1 {
+                        if let (Some(pn), Some(pc)) = (get(parity_id(n)), get(parity_id(n + 1))) {
+                            return Some(pn.xor(&pc).expect("sizes match"));
+                        }
+                    }
+                    None
+                }
+                BlockId::Parity(EdgeId {
+                    left: NodeId(i), ..
+                }) => {
+                    let left_data = if i == n + 1 {
+                        get(BlockId::Data(NodeId(1)))
+                    } else {
+                        get(BlockId::Data(NodeId(i)))
+                    };
+                    if let Some(d) = left_data {
+                        let prev = if i == 1 {
+                            Some(Block::zero(bs))
+                        } else {
+                            get(parity_id(i - 1))
+                        };
+                        if let Some(prev) = prev {
+                            return Some(d.xor(&prev).expect("sizes match"));
+                        }
+                    }
+                    let (nd, np) = if i < n {
+                        (get(BlockId::Data(NodeId(i + 1))), get(parity_id(i + 1)))
+                    } else if i == n && closing {
+                        (get(BlockId::Data(NodeId(1))), get(parity_id(n + 1)))
+                    } else {
+                        (None, None)
+                    };
+                    if let (Some(d), Some(p)) = (nd, np) {
+                        return Some(d.xor(&p).expect("sizes match"));
+                    }
+                    None
+                }
+                _ => None,
+            }
+        }
+
+        fn legacy_rebuild(chain: &EntangledChain, store: &BlockMap) -> Vec<BlockId> {
+            let mut missing: Vec<BlockId> = chain
+                .block_ids(chain.data_written())
+                .into_iter()
+                .filter(|id| !store.contains_key(id))
+                .collect();
+            loop {
+                let mut progressed = false;
+                let mut still = Vec::new();
+                for &id in &missing {
+                    match legacy_try_repair(chain, store, id) {
+                        Some(b) => {
+                            store.insert(id, b);
+                            progressed = true;
+                        }
+                        None => still.push(id),
+                    }
+                }
+                missing = still;
+                if missing.is_empty() || !progressed {
+                    return missing;
+                }
+            }
+        }
+
+        // A deterministic sweep of damage patterns, both chain modes.
+        for mode in [ChainMode::Open, ChainMode::Closed] {
+            for pattern in 0u64..32 {
+                let build = || {
+                    let (chain, store, _) = encoded(mode, 30);
+                    // Pseudo-random multi-failure pattern over the universe.
+                    let mut state = pattern.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                    for id in chain.block_ids(30) {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        if (state >> 33) % 100 < 35 {
+                            store.remove(&id);
+                        }
+                    }
+                    (chain, store)
+                };
+                let (chain, scheme_store) = build();
+                let (legacy_chain, legacy_store) = build();
+                let targets: Vec<BlockId> = chain
+                    .block_ids(30)
+                    .into_iter()
+                    .filter(|id| !scheme_store.contains_key(id))
+                    .collect();
+                let mut via_scheme = chain
+                    .repair_missing(&scheme_store, &targets, 30)
+                    .unrecovered;
+                let mut via_legacy = legacy_rebuild(&legacy_chain, &legacy_store);
+                via_scheme.sort();
+                via_legacy.sort();
+                assert_eq!(via_scheme, via_legacy, "{mode} pattern {pattern}");
+                assert_eq!(scheme_store, legacy_store, "{mode} pattern {pattern}");
+            }
+        }
     }
 
     #[test]

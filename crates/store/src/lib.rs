@@ -21,20 +21,22 @@
 //!   is down, and a write to a down location lands on a live one.
 //! * [`tiered`] — [`tiered::TieredStore`]: a fast local tier (data) over a
 //!   shared remote tier (redundancy), the §IV.A two-tier flow as a
-//!   first-class backend.
+//!   first-class backend. The local tier is any backend (a [`MemStore`]
+//!   by default): with a partitioned [`DistributedStore`] on each tier it
+//!   is the data drives and the parity drives of a §IV.B.1 mirror array.
 //! * [`fault`] — [`fault::FaultyStore`]: a fault-injecting wrapper for
 //!   disaster drills over any inner backend.
 //! * [`chain`] — the α = 1 open/closed entanglement chain of §IV.B.1 as a
 //!   first-class [`ae_api::RedundancyScheme`]
 //!   ([`chain::EntangledChain`]): AE(1,-,-) plus a closing parity, with
-//!   the typed open-chain [`chain::ExtremityWarning`].
+//!   the typed open-chain [`chain::ExtremityWarning`]. Use case B, the
+//!   entangled mirror array, is an [`archive::Archive`] over it on two
+//!   tiers of drives (the [`chain`] module docs).
 //! * [`geo`] — use case A (§IV.A): the two-tier cooperative backup, one
 //!   [`archive::Archive`] per user over a [`tiered::TieredStore`] whose
 //!   remote tier is a shared [`distributed::DistributedStore`]; the
 //!   namespaced per-user lattice as a roster scheme
 //!   ([`geo::GeoLattice`]).
-//! * [`mod@array`] — use case B (§IV.B): entangled mirror disk arrays — drive
-//!   topology (full partition / striping layouts) over the chain scheme.
 //! * [`archive`] — the user-facing layer: an append-only file archive,
 //!   generic over `Arc<dyn RedundancyScheme>` *and* over the backend, with
 //!   a manifest, degraded reads, scrubbing and end-to-end verification —
@@ -48,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod archive;
-pub mod array;
 pub mod chain;
 pub mod cluster;
 pub mod distributed;

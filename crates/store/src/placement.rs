@@ -20,8 +20,8 @@ const FOREIGN_BASE: u64 = 1 << 62;
 /// per-id key. Random placement hashes a stable id key; round-robin uses
 /// the id's write-sequence index so that a block and its redundancy land
 /// in distinct failure domains; partition uses the id's index in its own
-/// kind's write order ([`kind_index`]), and places journal copies
-/// round-robin so that they stay apart whatever the run.
+/// kind's write order (`d_i` and `p_{i,·}` at `i − 1`), and places
+/// journal copies round-robin so that they stay apart whatever the run.
 pub trait PlaceBlocks {
     /// The location for `id` among `n` locations.
     fn place(&self, id: BlockId, n: u32) -> LocationId;

@@ -6,16 +6,15 @@
 //! placement": the same `SchemePlane` that drives the paper's §V.C
 //! evaluation runs an entangled mirror array losing drives and a
 //! cooperative backup losing storage nodes — zero per-block id state,
-//! pure arithmetic, identical repair machinery.
+//! pure arithmetic, identical repair machinery. The mirror array losing
+//! drives with real bytes is the `disk_array` example.
 //!
 //! ```sh
 //! cargo run --release --example drive_failure
 //! ```
 
-use aecodes::blocks::{Block, BlockId, NodeId};
 use aecodes::lattice::Config;
 use aecodes::sim::{Scheme, SchemePlane, SimPlacement};
-use aecodes::store::array::{DriveId, EntangledArray, Layout};
 use aecodes::store::{Archive, ChainMode, DistributedStore, LocationId, Placement, TieredStore};
 use std::sync::Arc;
 
@@ -40,43 +39,7 @@ fn main() {
         );
     }
 
-    // --- 2. The same failure with real bytes ---------------------------
-    // The byte-plane array wraps the identical chain scheme: fail one
-    // data drive and one parity drive, rebuild through the scheme's
-    // generic round-based planner, verify byte for byte.
-    let mut arr = EntangledArray::new(4, Layout::Striping, ChainMode::Closed, 512);
-    let data: Vec<Block> = (0..200u32)
-        .map(|k| {
-            Block::from_vec(
-                (0..512)
-                    .map(|b| ((k as usize * 31 + b) % 256) as u8)
-                    .collect(),
-            )
-        })
-        .collect();
-    for d in &data {
-        arr.write(d.clone());
-    }
-    arr.seal();
-    arr.fail_drive(DriveId(2));
-    arr.fail_drive(DriveId(5));
-    let unrecovered = arr.rebuild();
-    assert!(unrecovered.is_empty(), "closed chain rebuilds two drives");
-    for (k, d) in data.iter().enumerate() {
-        assert_eq!(&arr.get(BlockId::Data(NodeId(k as u64 + 1))).unwrap(), d);
-    }
-    println!("\nbyte plane: lost drives d2+d5, rebuilt all 200 blocks byte-identically");
-
-    // An open chain announces its weakness instead of failing silently.
-    let mut open = EntangledArray::new(2, Layout::Striping, ChainMode::Open, 64);
-    for d in data.iter().take(20) {
-        open.write(Block::from_vec(d.as_slice()[..64].to_vec()));
-    }
-    open.seal();
-    let warning = open.extremity_warning().expect("open chains warn");
-    println!("open-chain warning: {warning}");
-
-    // --- 3. Geo node failures ------------------------------------------
+    // --- 2. Geo node failures ------------------------------------------
     // A user's namespaced lattice on the plane: storage nodes are the
     // failure domains, a third of them die.
     println!("\n== geo cooperative backup through the generic plane ==");
