@@ -564,11 +564,8 @@ mod tests {
         chain.encode_batch(&payload(4), &store).unwrap();
         assert_eq!(store.len(), 8, "no closing parity yet");
         chain.seal(&store).unwrap();
-        let mut stored = store.ids();
-        stored.sort();
-        let mut ids = chain.block_ids(4);
-        ids.sort();
-        assert_eq!(stored, ids);
+        assert_eq!(store.len(), 9);
+        assert!(chain.block_ids(4).iter().all(|id| store.contains_key(id)));
     }
 
     /// The scheme-driven rebuild must agree, block for block, with the

@@ -1,11 +1,12 @@
 //! Placement policies: mapping blocks to locations.
 //!
 //! The policy itself — uniform random keyed by a SplitMix64 hash,
-//! round-robin or partition — is the canonical [`ae_api::Placement`], shared with the
-//! availability-plane simulation (`ae-sim` keys it by dense universe
-//! position). This module adds the store-side half: deriving a stable
-//! 64-bit key from a [`BlockId`] so that blocks of different schemes never
-//! collide in one store, via the [`PlaceBlocks`] extension trait.
+//! round-robin or partition — is the canonical [`ae_api::Placement`],
+//! shared with the availability-plane simulation (`ae-sim` keys it by
+//! dense universe position). This module adds the store-side half:
+//! deriving a stable 64-bit key from a [`BlockId`] so that blocks of
+//! different schemes never collide in one store, via the [`PlaceBlocks`]
+//! extension trait.
 
 use crate::cluster::LocationId;
 use ae_blocks::{BlockId, EdgeId, NodeId};
@@ -178,18 +179,6 @@ mod tests {
             p.place(data(2), 4),
             "4 slots per node, n=4"
         );
-    }
-
-    #[test]
-    fn partition_keys_each_kind_by_its_own_write_order() {
-        let h = |i| parity(StrandClass::Horizontal, i);
-        for run in [1u64, 10] {
-            let p = Placement::Partition { run };
-            for i in 1..=80u64 {
-                let drive = LocationId(((i - 1) / run % 4) as u32);
-                assert_eq!((p.place(data(i), 4), p.place(h(i), 4)), (drive, drive));
-            }
-        }
     }
 
     #[test]
