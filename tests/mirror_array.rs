@@ -89,62 +89,95 @@ fn rebuild(ar: &mut Mirror, file: &[u8]) -> Vec<BlockId> {
 }
 
 /// Every block sits on the drive of its index in its kind's write order:
-/// `d_i` and `p_i` on drive `((i − 1) / run) mod d` of their tier (`i − 1
-/// mod d` when striping), and failing that drive leaves exactly the
-/// blocks on it unreadable. A closed chain's closing parity `(H, n+1)` is
-/// keyed like any parity, so it sits on parity drive `(n / run) mod d`
-/// (`n mod d` when striping), not on `p_n`'s: the ring's tuples hold
-/// `p_n` and `p_{n+1}` as two of their members, so keeping them apart is
-/// no worse than keeping them together. The data tier holds as many
-/// blocks as the parity tier holds parities, the ring's aside:
-/// mirroring's space overhead.
-#[test]
-fn every_block_sits_on_its_partition_drive() {
+/// `d_i` and `p_i` on drive `((i − 1) / run) mod d` of their tier, and
+/// failing that drive leaves exactly the blocks on it unreadable. A closed
+/// chain's closing parity `(H, n+1)` is keyed like any parity, so it sits
+/// on parity drive `(n / run) mod d`, not on `p_n`'s: the ring's tuples
+/// hold `p_n` and `p_{n+1}` as two of their members, so keeping them apart
+/// is no worse than keeping them together.
+fn check_partition_drives(run: u64) {
     let blocks = 40u64;
     for mode in [ChainMode::Open, ChainMode::Closed] {
         for drives in [2u32, 4] {
-            for run in [1u64, 10] {
-                let ctx = format!("{mode}, {drives} drives, run {run}");
-                let (ar, _) = mirror(drives, run, mode, blocks);
-                let ids = ar.stored_ids().to_vec();
-                assert_eq!(ids, ar.scheme().block_ids(blocks), "{ctx}");
-                let closed = (mode == ChainMode::Closed) as u64;
-                let parities = ids.iter().filter(|id| id.is_parity()).count() as u64;
-                assert_eq!(parities, blocks + closed, "{ctx}");
-                assert_eq!(ar.store().fast().total_blocks() as u64, blocks, "{ctx}");
-                let want = |id: BlockId| {
-                    let i = match id {
-                        BlockId::Data(NodeId(i)) => i,
-                        BlockId::Parity(e) => e.left.0,
-                        other => panic!("{other} is not a chain block"),
-                    };
-                    (
-                        tier_of(id),
-                        LocationId(((i - 1) / run % drives as u64) as u32),
-                    )
+            let ctx = format!("{mode}, {drives} drives, run {run}");
+            let (ar, _) = mirror(drives, run, mode, blocks);
+            let ids = ar.stored_ids().to_vec();
+            assert_eq!(ids, ar.scheme().block_ids(blocks), "{ctx}");
+            let want = |id: BlockId| {
+                let i = match id {
+                    BlockId::Data(NodeId(i)) => i,
+                    BlockId::Parity(e) => e.left.0,
+                    other => panic!("{other} is not a chain block"),
                 };
-                let closing = parity(blocks + 1);
-                let on_closing = (
-                    Tier::Parity,
-                    LocationId((blocks / run % drives as u64) as u32),
-                );
-                assert_eq!(want(closing), on_closing, "{ctx}");
-                for &id in &ids {
-                    assert_eq!(drive_of(&ar, id), want(id), "{ctx}: {id}");
-                }
-                for kind in [Tier::Data, Tier::Parity] {
-                    for loc in (0..drives).map(LocationId) {
-                        tier(&ar, kind).with_cluster(|c| c.fail(loc));
-                        let on_it: Vec<BlockId> = ids
-                            .iter()
-                            .copied()
-                            .filter(|&id| want(id) == (kind, loc))
-                            .collect();
-                        assert_eq!(missing(&ar), on_it, "{ctx}: {kind:?} drive {loc:?}");
-                        tier(&ar, kind).with_cluster(|c| c.restore(loc));
-                    }
+                (
+                    tier_of(id),
+                    LocationId(((i - 1) / run % drives as u64) as u32),
+                )
+            };
+            let closing = parity(blocks + 1);
+            let on_closing = (
+                Tier::Parity,
+                LocationId((blocks / run % drives as u64) as u32),
+            );
+            assert_eq!(want(closing), on_closing, "{ctx}");
+            for &id in &ids {
+                assert_eq!(drive_of(&ar, id), want(id), "{ctx}: {id}");
+            }
+            for kind in [Tier::Data, Tier::Parity] {
+                for loc in (0..drives).map(LocationId) {
+                    tier(&ar, kind).with_cluster(|c| c.fail(loc));
+                    let on_it: Vec<BlockId> = ids
+                        .iter()
+                        .copied()
+                        .filter(|&id| want(id) == (kind, loc))
+                        .collect();
+                    assert_eq!(missing(&ar), on_it, "{ctx}: {kind:?} drive {loc:?}");
+                    tier(&ar, kind).with_cluster(|c| c.restore(loc));
                 }
             }
+        }
+    }
+}
+
+/// Striping (`run = 1`): consecutive blocks go to consecutive drives,
+/// `d_i` and `p_i` on drive `(i − 1) mod d` of their tier.
+#[test]
+fn striping_spreads_consecutive_blocks() {
+    let (ar, _) = mirror(4, 1, ChainMode::Open, 40);
+    assert_eq!(drive_of(&ar, data(1)), (Tier::Data, LocationId(0)));
+    assert_eq!(drive_of(&ar, data(2)), (Tier::Data, LocationId(1)));
+    assert_eq!(drive_of(&ar, data(5)), (Tier::Data, LocationId(0)));
+    assert_eq!(drive_of(&ar, parity(1)), (Tier::Parity, LocationId(0)));
+    check_partition_drives(1);
+}
+
+/// Full partition (`run` = blocks per drive): one drive fills before the
+/// next, `d_i` and `p_i` on drive `((i − 1) / run) mod d` of their tier.
+#[test]
+fn full_partition_fills_drives_in_order() {
+    let (ar, _) = mirror(4, 10, ChainMode::Open, 40);
+    assert_eq!(drive_of(&ar, data(1)), (Tier::Data, LocationId(0)));
+    assert_eq!(drive_of(&ar, data(10)), (Tier::Data, LocationId(0)));
+    assert_eq!(drive_of(&ar, data(11)), (Tier::Data, LocationId(1)));
+    assert_eq!(drive_of(&ar, data(40)), (Tier::Data, LocationId(3)));
+    check_partition_drives(10);
+}
+
+/// Equal numbers of data and parity drives: one parity per data block,
+/// like mirroring, plus the closed ring's closing parity.
+#[test]
+fn mirror_equivalent_space_overhead() {
+    let blocks = 30u64;
+    for mode in [ChainMode::Open, ChainMode::Closed] {
+        for run in [1u64, 10] {
+            let (ar, _) = mirror(3, run, mode, blocks);
+            let ids = ar.stored_ids();
+            let data = ids.iter().filter(|id| id.is_data()).count() as u64;
+            let parities = ids.iter().filter(|id| id.is_parity()).count() as u64;
+            let closed = (mode == ChainMode::Closed) as u64;
+            assert_eq!(data, blocks, "{mode}, run {run}");
+            assert_eq!(parities, data + closed, "{mode}, run {run}");
+            assert_eq!(ar.store().fast().total_blocks() as u64, data, "{mode}");
         }
     }
 }
