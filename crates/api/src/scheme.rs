@@ -398,6 +398,26 @@ pub trait RedundancyScheme: Send + Sync {
         self.is_repairable(id, data_blocks, avail)
     }
 
+    /// The repair group of a stored block: a key under which missing
+    /// blocks share their availability answers, so a planner that asks
+    /// about many missing blocks against one snapshot may ask once per
+    /// group.
+    ///
+    /// **Missing members of a group answer alike.** Two ids the scheme
+    /// stores, both missing under an oracle and both in the same group,
+    /// get the same answer from [`RedundancyScheme::is_repairable`] and
+    /// the same answer from [`RedundancyScheme::is_single_failure`] under
+    /// that oracle. Nothing is promised about available members.
+    ///
+    /// The default, `None`, puts every block in a group of its own, which
+    /// is always sound. Reed-Solomon answers with the stripe of each
+    /// stored member: whether a missing member can be rebuilt depends only
+    /// on how many of its stripe's members are available. Ids the scheme
+    /// does not store (padding, foreign ids) answer `None`.
+    fn repair_group(&self, _id: &BlockId, _data_blocks: u64) -> Option<u64> {
+        None
+    }
+
     /// Redundancy blocks worth repairing under *minimal maintenance*
     /// (§V.C.2) for the currently-missing data blocks — e.g. the members
     /// of their repair tuples. Schemes that repair data only (RS,

@@ -403,6 +403,26 @@ impl RedundancyScheme for ReedSolomon {
             .all(|v| self.is_virtual(v, data_blocks) || avail(v))
     }
 
+    fn repair_group(&self, id: &BlockId, data_blocks: u64) -> Option<u64> {
+        // A missing member sees every other member of its stripe, and so
+        // the same count of available ones as any other missing member:
+        // k or more rebuild it, and it is a single failure only when it
+        // is the stripe's one missing member. The bounds are
+        // `dense_index`'s: stored members only.
+        match *id {
+            BlockId::Data(NodeId(i)) if (1..=data_blocks).contains(&i) => Some(self.stripe_of(i)),
+            BlockId::Shard(s)
+                if usize::from(s.index) < self.m()
+                    && s.stripe
+                        .checked_mul(self.k() as u64)
+                        .is_some_and(|first| first < data_blocks) =>
+            {
+                Some(s.stripe)
+            }
+            _ => None,
+        }
+    }
+
     fn universe_len(&self, data_blocks: u64) -> u64 {
         data_blocks + data_blocks.div_ceil(self.k() as u64) * self.m() as u64
     }

@@ -55,6 +55,24 @@
 //! from it) bit-identical to a sequential scan; `AE_REPAIR_THREADS=1`
 //! is that sequential scan.
 //!
+//! # Grouped planning
+//!
+//! Round planning and Fig 13's count ask the same question of many
+//! missing blocks against one snapshot, and a scheme may say that some of
+//! them share the answer: missing blocks of one
+//! [`RedundancyScheme::repair_group`] get the same answer from
+//! [`RedundancyScheme::is_repairable`] and from
+//! [`RedundancyScheme::is_single_failure`]. Both scans go through one
+//! filter that remembers, per chunk, the last group and its answer, and
+//! asks the scheme only when the group changes. Reed-Solomon's group is
+//! the stripe, and its positions are stripe-major, so a stripe's missing
+//! members sit next to each other in a scan and its k + m − 1 reads are
+//! paid once per stripe instead of once per missing member. A stripe
+//! that straddles a chunk boundary is asked once in each chunk; the
+//! answer is a function of the snapshot alone, so the plan is the same
+//! at every thread count. A scheme without groups (the default `None`)
+//! is asked about every candidate, as before.
+//!
 //! A round that plans nothing is a fixpoint, and the blocks it leaves
 //! missing are *settled*: no later round or failure event asks about them
 //! again until [`SchemePlane::heal_all`], though every outcome still
@@ -281,10 +299,9 @@ impl SchemePlane {
     /// repair: a single failure is repairable, so an uncapped first round
     /// repairs every block this counts.
     pub fn single_failures(&self) -> u64 {
-        self.par_filter(&self.missing_indices(true), |k| {
+        self.filter_missing(&self.missing_indices(true), |id| {
             let avail = |id: BlockId| self.available(&id);
-            self.scheme
-                .is_single_failure(self.id_at(k), self.data_blocks, &avail)
+            self.scheme.is_single_failure(id, self.data_blocks, &avail)
         })
         .len() as u64
     }
@@ -426,13 +443,48 @@ impl SchemePlane {
         )
     }
 
+    /// [`SchemePlane::par_filter`] over missing positions, with `ask`
+    /// put to the scheme once per run of one repair group (module docs,
+    /// "Grouped planning"): each chunk remembers the last group it asked
+    /// about and the answer, and reuses it while the group stays the same.
+    /// Sound only because every position in `missing` is missing, which is
+    /// what [`RedundancyScheme::repair_group`] promises about.
+    fn filter_missing<P>(&self, missing: &[u32], ask: P) -> Vec<u32>
+    where
+        P: Fn(BlockId) -> bool + Send + Sync + Copy,
+    {
+        ae_api::par::par_chunks(
+            missing,
+            ae_api::repair_threads(),
+            PARALLEL_ROUND_MIN,
+            move |chunk| {
+                let mut last: Option<(u64, bool)> = None;
+                chunk
+                    .iter()
+                    .copied()
+                    .filter(|&k| {
+                        let id = self.id_at(k);
+                        let group = self.scheme.repair_group(&id, self.data_blocks);
+                        match (group, last) {
+                            (Some(g), Some((seen, answer))) if g == seen => answer,
+                            _ => {
+                                let answer = ask(id);
+                                last = group.map(|g| (g, answer));
+                                answer
+                            }
+                        }
+                    })
+                    .collect()
+            },
+        )
+    }
+
     /// The still-missing blocks of `candidates` that are repairable
     /// against the current snapshot.
     fn plan_repairable(&self, candidates: &[u32]) -> Vec<u32> {
-        self.par_filter(candidates, |k| {
+        self.filter_missing(candidates, |id| {
             let avail = |id: BlockId| self.available(&id);
-            self.scheme
-                .is_repairable(self.id_at(k), self.data_blocks, &avail)
+            self.scheme.is_repairable(id, self.data_blocks, &avail)
         })
     }
 
@@ -975,6 +1027,178 @@ mod tests {
             // round rebuilds every single failure.
             p.repair_rounds(None, Some(1));
             assert!(singles.iter().all(|&k| p.avail.get(k)), "{name}");
+        }
+    }
+
+    /// A scheme that forwards every method to `inner` but
+    /// [`RedundancyScheme::repair_group`], so it reports no groups and the
+    /// plane asks it about every candidate.
+    struct Ungrouped(Box<dyn RedundancyScheme>);
+
+    impl RedundancyScheme for Ungrouped {
+        fn scheme_name(&self) -> String {
+            self.0.scheme_name()
+        }
+        fn data_written(&self) -> u64 {
+            self.0.data_written()
+        }
+        fn repair_cost(&self) -> ae_api::RepairCost {
+            self.0.repair_cost()
+        }
+        fn encode_batch(
+            &self,
+            blocks: &[ae_blocks::Block],
+            sink: &dyn ae_api::BlockSink,
+        ) -> Result<ae_api::EncodeReport, ae_api::AeError> {
+            self.0.encode_batch(blocks, sink)
+        }
+        fn seal(&self, sink: &dyn ae_api::BlockSink) -> Result<Vec<BlockId>, ae_api::AeError> {
+            self.0.seal(sink)
+        }
+        fn frontier_snapshot(&self) -> Vec<u8> {
+            self.0.frontier_snapshot()
+        }
+        fn restore_frontier(
+            &self,
+            snapshot: &[u8],
+            source: &dyn ae_api::BlockSource,
+        ) -> Result<(), ae_api::AeError> {
+            self.0.restore_frontier(snapshot, source)
+        }
+        fn frontier_reads(&self, snapshot: &[u8]) -> Vec<BlockId> {
+            self.0.frontier_reads(snapshot)
+        }
+        fn repair_block(
+            &self,
+            source: &dyn ae_api::BlockSource,
+            id: BlockId,
+            data_blocks: u64,
+        ) -> Result<ae_blocks::Block, ae_api::RepairError> {
+            self.0.repair_block(source, id, data_blocks)
+        }
+        fn repair_missing(
+            &self,
+            repo: &dyn ae_api::BlockRepo,
+            targets: &[BlockId],
+            data_blocks: u64,
+        ) -> ae_api::RepairSummary {
+            self.0.repair_missing(repo, targets, data_blocks)
+        }
+        fn repair_missing_serial(
+            &self,
+            repo: &dyn ae_api::BlockRepo,
+            targets: &[BlockId],
+            data_blocks: u64,
+        ) -> ae_api::RepairSummary {
+            self.0.repair_missing_serial(repo, targets, data_blocks)
+        }
+        fn repair_traffic(&self, repaired: &[BlockId]) -> u64 {
+            self.0.repair_traffic(repaired)
+        }
+        fn is_repairable(
+            &self,
+            id: BlockId,
+            data_blocks: u64,
+            avail: &dyn Fn(BlockId) -> bool,
+        ) -> bool {
+            self.0.is_repairable(id, data_blocks, avail)
+        }
+        fn is_single_failure(
+            &self,
+            id: BlockId,
+            data_blocks: u64,
+            avail: &dyn Fn(BlockId) -> bool,
+        ) -> bool {
+            self.0.is_single_failure(id, data_blocks, avail)
+        }
+        fn maintenance_targets(&self, missing_data: &[BlockId], data_blocks: u64) -> Vec<BlockId> {
+            self.0.maintenance_targets(missing_data, data_blocks)
+        }
+        fn universe_len(&self, data_blocks: u64) -> u64 {
+            self.0.universe_len(data_blocks)
+        }
+        fn dense_index(&self, id: &BlockId, data_blocks: u64) -> Option<u32> {
+            self.0.dense_index(id, data_blocks)
+        }
+        fn block_at(&self, k: u32, data_blocks: u64) -> Option<BlockId> {
+            self.0.block_at(k, data_blocks)
+        }
+        fn block_ids(&self, data_blocks: u64) -> Vec<BlockId> {
+            self.0.block_ids(data_blocks)
+        }
+    }
+
+    /// What one of the five sweep failure models (the smoke grid's
+    /// settings, scaled to `p`'s locations) does to a plane, step by step:
+    /// each injection's counts with Fig 13's singles on the state it left,
+    /// each repair's outcome, then the missing counts at the end.
+    fn failure_model_trace(p: &mut SchemePlane, model: usize) -> String {
+        let mut trace = String::new();
+        let mut fail = |p: &mut SchemePlane, counts: (u64, u64)| {
+            trace += &format!("fail {counts:?} singles {}\n", p.single_failures());
+        };
+        let mut outcomes = Vec::new();
+        match model {
+            0 => {
+                let counts = p.inject_disaster(0.15, 42);
+                fail(p, counts);
+                outcomes.push(p.repair_full());
+            }
+            1 => {
+                let counts = p.inject_group_disaster(12, 0.25, 42);
+                fail(p, counts);
+                outcomes.push(p.repair_full());
+            }
+            2 => {
+                for wave in 0..6 {
+                    let counts = p.fail_locations(&upgrade_wave(p.locations, 6, wave));
+                    fail(p, counts);
+                    outcomes.push(p.repair_full());
+                }
+            }
+            3 => {
+                let counts = p.inject_bit_rot(0.02, 42);
+                fail(p, counts);
+                outcomes.push(p.repair_full());
+            }
+            _ => {
+                for epoch in 0..3 {
+                    let counts = p.inject_disaster(0.05, ae_api::mix64(epoch, 42));
+                    fail(p, counts);
+                    outcomes.push(p.repair_rounds(Some(40), Some(1)));
+                }
+                outcomes.push(p.repair_rounds(Some(40), None));
+            }
+        }
+        format!("{trace}{outcomes:?}\nmissing {:?}", p.missing_counts())
+    }
+
+    #[test]
+    fn grouped_planning_matches_asking_every_candidate() {
+        // 2 003 data blocks: a partial final stripe for every RS k.
+        let plane = |scheme| SchemePlane::new(scheme, 2_003, 36, SimPlacement::Random { seed: 8 });
+        for scheme in Scheme::extended_lineup() {
+            for model in 0..5 {
+                let mut grouped = plane(scheme.build(0));
+                let mut asked = plane(Box::new(Ungrouped(scheme.build(0))));
+                let want = failure_model_trace(&mut asked, model);
+                assert_eq!(
+                    failure_model_trace(&mut grouped, model),
+                    want,
+                    "{scheme}, model {model}"
+                );
+                assert!(
+                    want.contains("repaired: "),
+                    "{scheme}, model {model}: no repair"
+                );
+            }
+            // Minimal maintenance plans data and their wanted redundancy
+            // through the same filter.
+            let mut grouped = plane(scheme.build(0));
+            let mut asked = plane(Box::new(Ungrouped(scheme.build(0))));
+            grouped.inject_disaster(0.3, 5);
+            asked.inject_disaster(0.3, 5);
+            assert_eq!(grouped.repair_minimal(), asked.repair_minimal(), "{scheme}");
         }
     }
 

@@ -319,5 +319,94 @@ mod tests {
                 );
             }
         }
+
+        /// `RedundancyScheme::repair_group`'s contract on every roster
+        /// scheme, with a partial final stripe (`data_blocks` is never a
+        /// multiple of an RS `k`): under a random oracle, the missing
+        /// members of one group get the same `is_repairable` and the same
+        /// `is_single_failure` answer. Reed-Solomon groups exactly the ids
+        /// it stores, each by its stripe; padding past the extent, shards
+        /// past the last stripe and every other scheme's ids answer
+        /// `None`. Every other roster scheme answers `None` throughout.
+        #[test]
+        fn missing_members_of_a_repair_group_answer_alike(
+            pick in 0usize..13,
+            full_stripes in 0u64..12,
+            tail: u64,
+            seed: u64,
+            present_pct in 0u64..=100,
+        ) {
+            use ae_api::mix64;
+            use ae_blocks::{BlockId, NodeId, ShardId};
+            use proptest::{prop_assert, prop_assert_eq};
+            let roster = Scheme::extended_lineup()[pick];
+            let scheme = roster.build(0);
+            let (k, m) = match roster {
+                Scheme::Rs { k, m } => (u64::from(k), m as u16),
+                _ => (10, 4),
+            };
+            let data_blocks = full_stripes * k + 1 + tail % (k - 1);
+            let avail = |id: BlockId| {
+                scheme
+                    .dense_index(&id, data_blocks)
+                    .is_some_and(|q| mix64(u64::from(q), seed) % 100 < present_pct)
+            };
+            let mut answers = std::collections::HashMap::new();
+            for q in 0..scheme.universe_len(data_blocks) as u32 {
+                let id = scheme.block_at(q, data_blocks).expect("inside the universe");
+                let group = scheme.repair_group(&id, data_blocks);
+                let Scheme::Rs { .. } = roster else {
+                    prop_assert_eq!(group, None, "{}: {}", scheme.scheme_name(), id);
+                    continue;
+                };
+                let stripe = match id {
+                    BlockId::Data(NodeId(i)) => (i - 1) / k,
+                    BlockId::Shard(s) => s.stripe,
+                    _ => unreachable!("RS stores data and shards"),
+                };
+                prop_assert_eq!(group, Some(stripe), "{}: {}", scheme.scheme_name(), id);
+                if avail(id) {
+                    continue;
+                }
+                let answer = (
+                    scheme.is_repairable(id, data_blocks, &avail),
+                    scheme.is_single_failure(id, data_blocks, &avail),
+                );
+                let first = *answers.entry(stripe).or_insert(answer);
+                prop_assert_eq!(
+                    first,
+                    answer,
+                    "{}: {} in stripe {}",
+                    scheme.scheme_name(),
+                    id,
+                    stripe
+                );
+            }
+            // Ids the scheme does not store: the padding of the partial
+            // stripe, data position 0, shards past the last stripe or past
+            // `m`, and the universes of every roster scheme.
+            let stripes = data_blocks.div_ceil(k);
+            let mut unstored: Vec<BlockId> = (data_blocks + 1..=stripes * k)
+                .chain([0])
+                .map(|i| BlockId::Data(NodeId(i)))
+                .collect();
+            unstored.push(BlockId::Shard(ShardId { stripe: stripes, index: 0 }));
+            unstored.push(BlockId::Shard(ShardId { stripe: 0, index: m }));
+            for other in Scheme::extended_lineup() {
+                unstored.extend(other.build(0).block_ids(data_blocks));
+            }
+            for id in unstored {
+                if scheme.dense_index(&id, data_blocks).is_none() {
+                    prop_assert_eq!(
+                        scheme.repair_group(&id, data_blocks),
+                        None,
+                        "{}: {} is not stored",
+                        scheme.scheme_name(),
+                        id
+                    );
+                }
+            }
+            prop_assert!(!data_blocks.is_multiple_of(k));
+        }
     }
 }

@@ -10,8 +10,8 @@
 //! count is memoized per process, so the env override must be set before
 //! anything else calls into repair.
 //!
-//! For the same reason the last two tests rerun this binary as a child
-//! process per thread count: a `scrub` must end at the same virtual
+//! For the same reason the last three tests rerun this binary as a child
+//! process per thread count. A `scrub` must end at the same virtual
 //! timestamp, backend state and calls however many planner threads there
 //! are, over either kind of backend. The repairs made during the sweep
 //! are serial, and only what they leave is planned, in the closure
@@ -19,12 +19,17 @@
 //! and every batch, the rounds' fetches included, is issued in an order
 //! the code fixes. So the backend must end the same and see the same
 //! calls — the writes in the same order — at one planner thread and four.
+//! The availability plane asks about a Reed-Solomon stripe once per chunk
+//! of its round scan, so a stripe cut by a chunk boundary is asked twice:
+//! the plan must still be the one a single planner makes.
 
 use aecodes::aio::{Clock, LatencyStore, LinkSpec, Runtime};
 use aecodes::api::{BlockSink, BlockSource, RedundancyScheme, StoreError};
+use aecodes::baselines::ReedSolomon;
 use aecodes::blocks::{Block, BlockId};
 use aecodes::core::{BlockMap, Code};
 use aecodes::lattice::Config;
+use aecodes::sim::{SchemePlane, SimPlacement};
 use aecodes::store::archive::Archive;
 use aecodes::store::MemStore;
 use std::hash::{Hash, Hasher};
@@ -151,6 +156,44 @@ fn plain_scrub_probe() {
     );
 }
 
+/// A 30 % disaster on an RS(10,4) plane of 12 005 data blocks (a
+/// partial last stripe): prints Fig 13's singles, the repair outcome and
+/// what is left missing. Over 4 096 blocks go missing, so the round scan
+/// fans out, and a stripe's missing members straddle a boundary between
+/// the scan's chunks.
+#[test]
+#[ignore = "the child-process half of the test below"]
+fn rs_plane_probe() {
+    let n = 12_005;
+    let rs = ReedSolomon::new(10, 4).unwrap();
+    let ids = rs.block_ids(n);
+    let mut plane = SchemePlane::new(Box::new(rs), n, 50, SimPlacement::Random { seed: 3 });
+    plane.inject_disaster(0.3, 17);
+    let missing: Vec<BlockId> = ids
+        .into_iter()
+        .filter(|&id| !plane.is_available(id))
+        .collect();
+    assert!(missing.len() >= 4096, "must cross the fan-out threshold");
+    let threads = aecodes::api::repair_threads();
+    if threads > 1 {
+        // `par_chunks`' cut of the first round's scan.
+        let chunk = missing.len().div_ceil(threads);
+        let stripe = |id: &BlockId| plane.scheme().repair_group(id, n);
+        let straddles = missing
+            .chunks(chunk)
+            .zip(missing.chunks(chunk).skip(1))
+            .any(|(a, b)| stripe(&a[a.len() - 1]) == stripe(&b[0]));
+        assert!(straddles, "a stripe must straddle a chunk boundary");
+    }
+    let singles = plane.single_failures();
+    let outcome = plane.repair_full();
+    assert!(outcome.data_lost > 0 && outcome.data_repaired() > 0);
+    println!(
+        "timeline {singles} {:?} {outcome:?}",
+        plane.missing_counts()
+    );
+}
+
 /// A hash over every block `store` holds, in id order.
 fn fingerprint(store: &MemStore) -> u64 {
     let mut state = std::collections::hash_map::DefaultHasher::new();
@@ -243,5 +286,11 @@ fn a_scrub_a_network_away_ends_identically_at_one_planner_thread_and_four() {
 #[test]
 fn a_plain_scrub_ends_identically_at_one_planner_thread_and_four() {
     let probe = "plain_scrub_probe";
+    assert_eq!(timeline(probe, "1"), timeline(probe, "4"));
+}
+
+#[test]
+fn an_rs_plane_plans_identically_at_one_planner_thread_and_four() {
+    let probe = "rs_plane_probe";
     assert_eq!(timeline(probe, "1"), timeline(probe, "4"));
 }
