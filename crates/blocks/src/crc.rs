@@ -7,9 +7,12 @@
 //! anti-tampering property comes from redundancy propagation, not from the
 //! checksum — but it reliably catches accidental corruption.
 //!
-//! The state update is [`ae_kernels::crc32_update`]: PCLMULQDQ folding on
-//! x86-64, the ARMv8 CRC32 instructions on AArch64, slice-by-16 tables
-//! otherwise. This module keeps the protocol pieces — init/final inversion,
+//! The state update is [`ae_kernels::crc32_update`]: carry-less folding on
+//! x86-64 (four ZMM registers at a time by AVX-512 VPCLMULQDQ where the CPU
+//! has it, one 128-bit PCLMULQDQ lane at a time otherwise and below 256
+//! bytes), the ARMv8 CRC32 instructions on AArch64, slice-by-16 tables
+//! otherwise. Every body computes the same polynomial, so a checksum never
+//! depends on the host that wrote it. This module keeps the protocol pieces — init/final inversion,
 //! streaming, the XOR-linearity identity behind [`crc32_of_xor`] that lets
 //! `Block::xor` derive the parity checksum in O(1), and *combination*
 //! ([`Crc32Append`]): the checksum of a concatenation from the checksums

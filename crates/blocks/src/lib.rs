@@ -27,9 +27,10 @@
 //! exclusive-or operations" (§VII). The hot path is XORing two equal-length
 //! slices; the byte-moving loops behind [`xor`] and [`crc`] live in the
 //! [`ae_kernels`] crate, which detects the host CPU once at first use and
-//! installs the widest supported implementation (AVX2/SSE2 XOR and PCLMULQDQ
-//! CRC folding on x86-64, NEON and the ARMv8 CRC32 instructions on AArch64,
-//! an autovectorized portable fallback elsewhere). This crate stays
+//! installs the widest supported implementation (AVX2/SSE2 XOR and CRC
+//! folding by AVX-512 VPCLMULQDQ or PCLMULQDQ on x86-64, NEON and the ARMv8
+//! CRC32 instructions on AArch64, an autovectorized portable fallback
+//! elsewhere). This crate stays
 //! `forbid(unsafe_code)`; all `unsafe` is confined to the kernel crate.
 
 #![forbid(unsafe_code)]

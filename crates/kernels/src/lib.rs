@@ -15,10 +15,11 @@
 //!   table lookup (no per-byte `d != 0` branch), CRC32 is slice-by-16.
 //! * **Hardware kernels** — explicit SSE2/AVX2 XOR and SSSE3/AVX2
 //!   `PSHUFB` split-nibble GF multiply with `PCLMULQDQ`-folded CRC32 on
-//!   x86-64; NEON XOR, `TBL` GF multiply and the ARMv8 CRC32
-//!   instructions on AArch64. The multi-row GF product has a body of its
-//!   own in the scalar and AVX2 tiers; SSSE3 and NEON compose it from
-//!   their per-row multiply.
+//!   x86-64, the CRC folded four ZMM registers at a time by AVX-512
+//!   `VPCLMULQDQ` where the CPU has it; NEON XOR, `TBL` GF multiply and
+//!   the ARMv8 CRC32 instructions on AArch64. The multi-row GF product
+//!   has a body of its own in the scalar and AVX2 tiers; SSSE3 and NEON
+//!   compose it from their per-row multiply. There is no GFNI body.
 //!
 //! Beside the kernels sits one cache hint, [`prefetch`]: a verified read
 //! of a run of cold blocks loads the next ones while it checksums this
@@ -41,6 +42,14 @@
 //!    target is not dispatched, so NEON is selected only by
 //!    `AE_KERNEL=neon` — and [`supported_sets`] still lists it, so the
 //!    parity suite exercises it on any ARM host.
+//!
+//! Within a tier a slot whose instructions are an extension of their own
+//! is filled by detection and named truthfully in [`Kernels::describe`]:
+//! the `sse2` tier's GF slot needs SSSE3 and its CRC slot `PCLMULQDQ`
+//! and SSE4.1 (`crc=pclmul`), and the `avx2` tier's CRC slot takes the
+//! 512-bit body (`crc=vpclmul512`) where AVX-512F and `VPCLMULQDQ` are
+//! detected too. A slot whose extension is missing keeps the body below
+//! it, so no tier name depends on AVX-512.
 //!
 //! Every vectorized kernel is pinned byte-identical to the scalar
 //! reference by exhaustive proptests (all 256 GF constants, lengths
@@ -166,7 +175,8 @@ impl Kernels {
         (self.crc32_update)(state, data)
     }
 
-    /// One-line description, e.g. `avx2 (xor=avx2 gf=avx2 crc=pclmul)`.
+    /// One-line description, e.g. `avx2 (xor=avx2 gf=avx2-pshufb
+    /// crc=vpclmul512)`.
     pub fn describe(&self) -> String {
         format!(
             "{} (xor={} gf={} crc={})",
@@ -226,6 +236,16 @@ fn avx2_set() -> Option<Kernels> {
     k.mul_name = "avx2-pshufb";
     k.mul_slice_acc = x86::mul_slice_acc_avx2_entry;
     k.mul_rows = x86::mul_rows_avx2_entry;
+    // The 512-bit CRC body also needs the 128-bit one (inputs under 256
+    // bytes go there), so it is installed only where `sse2_set` put
+    // `pclmul`; otherwise the slot stays as `sse2_set` left it.
+    if k.crc_name == "pclmul"
+        && std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("vpclmulqdq")
+    {
+        k.crc_name = "vpclmul512";
+        k.crc32_update = x86::crc32_update_vpclmul512_entry;
+    }
     Some(k)
 }
 

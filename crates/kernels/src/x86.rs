@@ -1,6 +1,9 @@
 //! x86-64 kernels: SSE2/AVX2 XOR, SSSE3/AVX2 `PSHUFB` split-nibble
 //! GF(2^8) multiply and the AVX2 multi-row product built on it, and
-//! CRC32 via `PCLMULQDQ` folding.
+//! CRC32 by carry-less folding: one 128-bit `PCLMULQDQ` lane at a time,
+//! or, from 256 bytes on, four ZMM registers at a time with AVX-512
+//! `VPCLMULQDQ`, which reduces to one XMM and ends in the 128-bit body's
+//! tail and Barrett reduction.
 //!
 //! Every function here has a `*_entry` wrapper with a plain `fn` type so
 //! it can sit in the dispatch table; the wrappers are only ever installed
@@ -349,19 +352,26 @@ fn mul_row_step_avx2<const R: usize, const W: usize>(
     }
 }
 
-// ------------------------------------------------- CRC32 via PCLMULQDQ --
+// --------------------------------------------- CRC32 via (V)PCLMULQDQ --
 
 // Folding constants for the reflected IEEE 802.3 polynomial, from
 // Intel's "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ"
-// (the values used by the Linux kernel's crc32-pclmul and zlib):
-// `K(n) = x^n mod P(x)` in the reflected bit order the algorithm uses.
-const K1: i64 = 0x0001_5444_2bd4; // x^(4·128+32) mod P — fold 512 bits
-const K2: i64 = 0x0001_c6e4_1596; // x^(4·128-32) mod P
-const K3: i64 = 0x0001_7519_97d0; // x^(128+32) mod P — fold 128 bits
-const K4: i64 = 0x0000_ccaa_009e; // x^(128-32) mod P
-const K5: i64 = 0x0001_63cd_6124; // x^64 mod P — fold 64 → 32 bits
+// (the values used by the Linux kernel's crc32-pclmul and zlib). Each is
+// `k(n) = reflect32(x^n mod P) << 1`, and a fold over a distance of `d`
+// bits multiplies a lane's low qword by `k(d + 32)` and its high qword by
+// `k(d - 32)`.
+const K1: i64 = 0x0001_5444_2bd4; // k(512 + 32) — fold 512 bits
+const K2: i64 = 0x0001_c6e4_1596; // k(512 - 32)
+const K3: i64 = 0x0001_7519_97d0; // k(128 + 32) — fold 128 bits
+const K4: i64 = 0x0000_ccaa_009e; // k(128 - 32)
+const K5: i64 = 0x0001_63cd_6124; // k(64) — fold 64 → 32 bits
 const P_X: i64 = 0x0001_DB71_0641; // P(x), reflected, for Barrett reduction
 const U_PRIME: i64 = 0x0001_F701_1641; // floor(x^64 / P(x)), reflected
+
+// The 512-bit body's distances, each as `(k(d + 32), k(d - 32))`.
+const K2048: (i64, i64) = (0x0001_1542_778a, 0x0001_322d_1430); // fold 2048 bits
+const K384: (i64, i64) = (0x3db1_ecdc, 0x0001_7435_9406); // fold 384 bits
+const K256: (i64, i64) = (0xf1da_05aa, 0x0001_5a54_6366); // fold 256 bits
 
 /// Dispatch entry: raw-state CRC32 update via `PCLMULQDQ` folding.
 ///
@@ -378,6 +388,23 @@ pub fn crc32_update_pclmul_entry(state: u32, data: &[u8]) -> u32 {
     scalar::crc32_update(folded, &data[split..])
 }
 
+/// Dispatch entry: raw-state CRC32 update via `VPCLMULQDQ` folding of
+/// four ZMM registers, 256 bytes per iteration.
+///
+/// Buffers shorter than 256 bytes go through
+/// [`crc32_update_pclmul_entry`] (most journal records are that short),
+/// sub-16-byte tails through the scalar slice-by-16 kernel.
+pub fn crc32_update_vpclmul512_entry(state: u32, data: &[u8]) -> u32 {
+    if data.len() < 256 {
+        return crc32_update_pclmul_entry(state, data);
+    }
+    let split = data.len() & !15;
+    // Safety: installed only after detection of avx512f + vpclmulqdq
+    // (and of pclmulqdq + sse4.1, which the XMM tail uses).
+    let folded = unsafe { crc32_vpclmul512(state, &data[..split]) };
+    scalar::crc32_update(folded, &data[split..])
+}
+
 /// `data.len()` must be a multiple of 16 and at least 64.
 #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
 fn crc32_pclmul(state: u32, data: &[u8]) -> u32 {
@@ -386,7 +413,7 @@ fn crc32_pclmul(state: u32, data: &[u8]) -> u32 {
     // maintained by the chunk arithmetic.
     let mut p = data.as_ptr() as *const __m128i;
     let mut remaining = data.len();
-    unsafe {
+    let x = unsafe {
         let (mut x3, mut x2, mut x1, mut x0) = (
             _mm_loadu_si128(p),
             _mm_loadu_si128(p.add(1)),
@@ -410,29 +437,108 @@ fn crc32_pclmul(state: u32, data: &[u8]) -> u32 {
             remaining -= 64;
         }
 
-        // Fold the four lanes into one, then any remaining 16-byte blocks.
+        // Fold the four lanes into one.
         let k3k4 = _mm_set_epi64x(K4, K3);
-        let mut x = fold16(x3, x2, k3k4);
-        x = fold16(x, x1, k3k4);
-        x = fold16(x, x0, k3k4);
-        while remaining >= 16 {
-            x = fold16(x, _mm_loadu_si128(p), k3k4);
-            p = p.add(1);
-            remaining -= 16;
+        let x = fold16(x3, x2, k3k4);
+        let x = fold16(x, x1, k3k4);
+        fold16(x, x0, k3k4)
+    };
+    fold_tail_and_reduce(x, &data[data.len() - remaining..])
+}
+
+/// `data.len()` must be a multiple of 16 and at least 256.
+#[target_feature(
+    enable = "avx512f",
+    enable = "vpclmulqdq",
+    enable = "pclmulqdq",
+    enable = "sse4.1"
+)]
+fn crc32_vpclmul512(state: u32, data: &[u8]) -> u32 {
+    assert!(data.len() >= 256, "the 512-bit CRC body needs 256 bytes");
+    debug_assert!(data.len().is_multiple_of(16));
+    // Safety throughout: every 64-byte load below stays inside `data`,
+    // maintained by the length check above and the chunk arithmetic.
+    let mut p = data.as_ptr() as *const __m512i;
+    let mut remaining = data.len();
+    let x = unsafe {
+        let (mut z0, mut z1, mut z2, mut z3) = (
+            _mm512_loadu_si512(p),
+            _mm512_loadu_si512(p.add(1)),
+            _mm512_loadu_si512(p.add(2)),
+            _mm512_loadu_si512(p.add(3)),
+        );
+        p = p.add(4);
+        remaining -= 256;
+        // The running state enters as the low dword of the first lane.
+        z0 = _mm512_xor_si512(z0, _mm512_zextsi128_si512(_mm_cvtsi32_si128(state as i32)));
+
+        // Fold 256 bytes at a time: each 128-bit lane multiplied by
+        // x^(2048±32) lands exactly on the same lane of the next block.
+        let k2048 = _mm512_broadcast_i32x4(_mm_set_epi64x(K2048.1, K2048.0));
+        while remaining >= 256 {
+            z0 = fold64(z0, _mm512_loadu_si512(p), k2048);
+            z1 = fold64(z1, _mm512_loadu_si512(p.add(1)), k2048);
+            z2 = fold64(z2, _mm512_loadu_si512(p.add(2)), k2048);
+            z3 = fold64(z3, _mm512_loadu_si512(p.add(3)), k2048);
+            p = p.add(4);
+            remaining -= 256;
         }
 
-        // Reduce 128 → 64 bits, 64 → 32 bits, then Barrett-reduce.
-        let mask32 = _mm_set_epi32(0, 0, 0, !0);
-        x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
-        x = _mm_xor_si128(
-            _mm_clmulepi64_si128(_mm_and_si128(x, mask32), _mm_set_epi64x(0, K5), 0x00),
-            _mm_srli_si128(x, 4),
+        // Fold the four accumulators into one, then any 64-byte blocks
+        // left, each a 512-bit distance on.
+        let k512 = _mm512_broadcast_i32x4(_mm_set_epi64x(K2, K1));
+        let mut z = fold64(z0, z1, k512);
+        z = fold64(z, z2, k512);
+        z = fold64(z, z3, k512);
+        while remaining >= 64 {
+            z = fold64(z, _mm512_loadu_si512(p), k512);
+            p = p.add(1);
+            remaining -= 64;
+        }
+
+        // Fold the ZMM's four lanes into the last one: the first lies
+        // 384 bits before it, the second 256, the third 128.
+        let x = fold16(
+            _mm512_extracti32x4_epi32::<0>(z),
+            _mm512_extracti32x4_epi32::<3>(z),
+            _mm_set_epi64x(K384.1, K384.0),
         );
-        let pu = _mm_set_epi64x(U_PRIME, P_X);
-        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, mask32), pu, 0x10);
-        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, mask32), pu, 0x00);
-        _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32
+        let x = fold16(
+            _mm512_extracti32x4_epi32::<1>(z),
+            x,
+            _mm_set_epi64x(K256.1, K256.0),
+        );
+        fold16(_mm512_extracti32x4_epi32::<2>(z), x, _mm_set_epi64x(K4, K3))
+    };
+    fold_tail_and_reduce(x, &data[data.len() - remaining..])
+}
+
+/// Folds the 16-byte blocks of `tail` (a multiple of 16 bytes long) into
+/// `x`, 128 bits at a time, then reduces 128 → 64 → 32 bits and
+/// Barrett-reduces to the CRC state.
+#[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+fn fold_tail_and_reduce(mut x: __m128i, tail: &[u8]) -> u32 {
+    debug_assert!(tail.len().is_multiple_of(16));
+    let k3k4 = _mm_set_epi64x(K4, K3);
+    for block in tail.chunks_exact(16) {
+        // Safety: `block` is 16 bytes; the load is unaligned.
+        x = fold16(
+            x,
+            unsafe { _mm_loadu_si128(block.as_ptr() as *const __m128i) },
+            k3k4,
+        );
     }
+
+    let mask32 = _mm_set_epi32(0, 0, 0, !0);
+    x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+    x = _mm_xor_si128(
+        _mm_clmulepi64_si128(_mm_and_si128(x, mask32), _mm_set_epi64x(0, K5), 0x00),
+        _mm_srli_si128(x, 4),
+    );
+    let pu = _mm_set_epi64x(U_PRIME, P_X);
+    let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, mask32), pu, 0x10);
+    let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, mask32), pu, 0x00);
+    _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32
 }
 
 /// One folding step: `a · (K_hi, K_lo) ⊕ b` over GF(2)[x].
@@ -441,6 +547,15 @@ fn fold16(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
     let lo = _mm_clmulepi64_si128(a, keys, 0x00);
     let hi = _mm_clmulepi64_si128(a, keys, 0x11);
     _mm_xor_si128(b, _mm_xor_si128(lo, hi))
+}
+
+/// [`fold16`] on each of a ZMM's four 128-bit lanes, the three-way XOR
+/// in one ternary-logic op (`0x96` is `a ^ b ^ c`).
+#[target_feature(enable = "avx512f", enable = "vpclmulqdq")]
+fn fold64(a: __m512i, b: __m512i, keys: __m512i) -> __m512i {
+    let lo = _mm512_clmulepi64_epi128(a, keys, 0x00);
+    let hi = _mm512_clmulepi64_epi128(a, keys, 0x11);
+    _mm512_ternarylogic_epi64::<0x96>(lo, hi, b)
 }
 
 // ----------------------------------------------------------- prefetch --

@@ -39,9 +39,13 @@ fn buf(len: usize, seed: u64) -> Vec<u8> {
 }
 
 /// Lengths straddling the byte tail, the 8-byte lanes, one XMM, one YMM,
-/// the 64/128-byte unrolled bodies and the 64-byte PCLMUL threshold.
+/// the 64/128-byte unrolled bodies and the 64-byte PCLMUL threshold; then
+/// the paths of the 512-bit CRC body: its 256-byte threshold, one and
+/// three 64-byte ZMM tails (320, 448), one turn of the four-ZMM loop
+/// (512), XMM and scalar tails after each, and a 4 KiB block ± a byte.
 const EDGE_LENS: &[usize] = &[
-    0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 79, 127, 128, 129, 255, 256, 257, 1024, 4096,
+    0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 79, 127, 128, 129, 255, 256, 257, 319, 320,
+    383, 384, 447, 448, 511, 512, 513, 575, 576, 1024, 1088, 4095, 4096, 4097, 4160,
 ];
 
 #[test]
@@ -156,6 +160,34 @@ fn crc32_matches_bitwise_reference_at_edge_lengths_and_alignments() {
     }
 }
 
+/// Every CRC body the host can run sits in some supported set, so the
+/// tests here pin each against the bitwise reference: slice-by-16
+/// everywhere, the 128-bit `PCLMULQDQ` body in the `sse2` set and the
+/// 512-bit `VPCLMULQDQ` body wherever AVX-512 has it. Prints each set,
+/// so a run's log shows which bodies it exercised.
+#[test]
+fn every_crc_body_the_host_detects_is_in_a_supported_set() {
+    let sets = supported_sets();
+    for set in &sets {
+        println!("{}", set.describe());
+    }
+    let crc_of = |name: &str| sets.iter().find(|s| s.name == name).map(|s| s.crc_name);
+    assert_eq!(crc_of("scalar"), Some("slice16"));
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        if has!("pclmulqdq") && has!("sse4.1") {
+            assert_eq!(crc_of("sse2"), Some("pclmul"));
+            if has!("avx512f") && has!("vpclmulqdq") {
+                assert!(
+                    sets.iter().any(|s| s.crc_name == "vpclmul512"),
+                    "the host has AVX-512 VPCLMULQDQ but no set runs its CRC body"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -163,7 +195,7 @@ proptest! {
     /// agrees with ground truth on XOR, GF multiply and CRC at once.
     #[test]
     fn all_tiers_agree_with_reference(
-        len in 0usize..600,
+        len in 0usize..2600,
         offset in 0usize..32,
         c: u8,
         seed: u64,
@@ -204,7 +236,7 @@ proptest! {
     /// convention is identical across tiers, so a split fed through two
     /// different tiers still matches one-shot ground truth.
     #[test]
-    fn crc_state_composes_across_tiers(len in 0usize..600, split in 0usize..600, seed: u64) {
+    fn crc_state_composes_across_tiers(len in 0usize..2600, split in 0usize..2600, seed: u64) {
         let data = buf(len, seed);
         let split = split.min(len);
         let want = crc32_bitwise(0xFFFF_FFFF, &data);

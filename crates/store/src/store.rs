@@ -82,9 +82,9 @@ impl MemStore {
 }
 
 /// How far ahead of the block being verified a run of reads prefetches.
-/// On a sealed `ae_bulk` archive's scrub two ahead had the best median,
-/// one ahead was within noise of it and four ahead was slower (2-vCPU
-/// Xeon VM).
+/// On a sealed `ae_bulk` archive's scrub (2-vCPU Xeon VM) neither one
+/// nor four ahead beat two on every seed, with the 128-bit CRC body or
+/// the 512-bit one: one ahead was within noise of two, four slower.
 const READ_AHEAD: usize = 2;
 
 /// A stored block, once its checksum holds.

@@ -5,7 +5,8 @@
 //! planner produces summaries bit-identical to the reference sequential
 //! planner. And the availability plane, which plans on flags alone (and
 //! asks about a Reed-Solomon stripe once), repairs what the byte planner
-//! repairs: same losses, rounds and traffic after the same disaster.
+//! repairs: same losses, rounds and traffic after the same disaster,
+//! under i.i.d., whole-group and bit-rot failure models alike.
 
 use aecodes::api::RedundancyScheme;
 use aecodes::baselines::{ReedSolomon, Replication};
@@ -104,51 +105,85 @@ proptest! {
     }
 }
 
-/// Every roster scheme, i.i.d. disasters of 10, 30 and 50 % of 40
-/// locations over 600 data blocks, three seeds: the blocks the plane's
-/// `inject_disaster` marks missing are removed from an encoded
-/// `BlockMap`, and `repair_missing` must lose the same data and
-/// redundancy as the plane's `repair_full`, in the same rounds, reading
-/// as many blocks.
+/// A failure model of the availability plane: marks blocks missing at a
+/// fraction, under a seed.
+type Disaster = fn(&mut SchemePlane, f64, u64);
+
+/// Every roster scheme under three failure models over 600 data blocks
+/// on 40 locations, three seeds each: i.i.d. location disasters of 10,
+/// 30 and 50 %, whole-group knockouts of 10 and 30 % of 12 placement
+/// groups, and bit rot of 10 and 30 % of the blocks. The blocks the
+/// plane marks missing are removed from an encoded `BlockMap`, and
+/// `repair_missing` must lose the same data and redundancy as the
+/// plane's `repair_full`, in the same rounds, reading as many blocks.
 #[test]
 fn the_plane_repairs_what_the_bytes_repair() {
     let n = 600;
+    let models: [(&str, Disaster, &[f64]); 3] = [
+        (
+            "i.i.d.",
+            |plane, f, seed| {
+                plane.inject_disaster(f, seed);
+            },
+            &[0.1, 0.3, 0.5],
+        ),
+        (
+            "groups",
+            |plane, f, seed| {
+                plane.inject_group_disaster(12, f, seed);
+            },
+            &[0.1, 0.3],
+        ),
+        (
+            "bit rot",
+            |plane, f, seed| {
+                plane.inject_bit_rot(f, seed);
+            },
+            &[0.1, 0.3],
+        ),
+    ];
     for scheme in Scheme::extended_lineup() {
-        for fraction in [0.1, 0.3, 0.5] {
-            for seed in 1..=3 {
-                let case = format!("{scheme} at {fraction}, seed {seed}");
-                let mut plane =
-                    SchemePlane::new(scheme.build(0), n, 40, SimPlacement::Random { seed });
-                plane.inject_disaster(fraction, seed);
-                let coder = scheme.build(BLOCK);
-                let store = BlockMap::new();
-                coder
-                    .encode_batch(&payload(n, seed), &store)
-                    .expect("uniform sizes");
-                coder.seal(&store).expect("flush");
-                let lost: Vec<BlockId> = coder
-                    .block_ids(n)
-                    .into_iter()
-                    .filter(|&id| !plane.is_available(id))
-                    .collect();
-                for id in &lost {
-                    assert!(store.remove(id).is_some(), "{case}: {id} was stored");
+        for (model, inject, fractions) in models {
+            let mut failed = 0;
+            for &fraction in fractions {
+                for seed in 1..=3 {
+                    let case = format!("{scheme}, {model} at {fraction}, seed {seed}");
+                    let mut plane =
+                        SchemePlane::new(scheme.build(0), n, 40, SimPlacement::Random { seed });
+                    inject(&mut plane, fraction, seed);
+                    let coder = scheme.build(BLOCK);
+                    let store = BlockMap::new();
+                    coder
+                        .encode_batch(&payload(n, seed), &store)
+                        .expect("uniform sizes");
+                    coder.seal(&store).expect("flush");
+                    let lost: Vec<BlockId> = coder
+                        .block_ids(n)
+                        .into_iter()
+                        .filter(|&id| !plane.is_available(id))
+                        .collect();
+                    for id in &lost {
+                        assert!(store.remove(id).is_some(), "{case}: {id} was stored");
+                    }
+                    failed += lost.len();
+                    let bytes = coder.repair_missing(&store, &lost, n);
+                    let flags = plane.repair_full();
+                    let data_unrecovered =
+                        bytes.unrecovered.iter().filter(|id| id.is_data()).count();
+                    assert_eq!(
+                        flags.data_lost, data_unrecovered as u64,
+                        "{case}: data lost"
+                    );
+                    assert_eq!(
+                        flags.parity_lost,
+                        (bytes.unrecovered.len() - data_unrecovered) as u64,
+                        "{case}: redundancy lost"
+                    );
+                    assert_eq!(flags.rounds, bytes.rounds, "{case}: rounds");
+                    assert_eq!(flags.traffic, bytes.blocks_read, "{case}: traffic");
                 }
-                let bytes = coder.repair_missing(&store, &lost, n);
-                let flags = plane.repair_full();
-                let data_unrecovered = bytes.unrecovered.iter().filter(|id| id.is_data()).count();
-                assert_eq!(
-                    flags.data_lost, data_unrecovered as u64,
-                    "{case}: data lost"
-                );
-                assert_eq!(
-                    flags.parity_lost,
-                    (bytes.unrecovered.len() - data_unrecovered) as u64,
-                    "{case}: redundancy lost"
-                );
-                assert_eq!(flags.rounds, bytes.rounds, "{case}: rounds");
-                assert_eq!(flags.traffic, bytes.blocks_read, "{case}: traffic");
             }
+            assert!(failed > 0, "{scheme}: {model} failed no block");
         }
     }
 }
