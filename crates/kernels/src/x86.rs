@@ -484,17 +484,13 @@ fn crc32_vpclmul512(state: u32, data: &[u8]) -> u32 {
             remaining -= 256;
         }
 
-        // Fold the four accumulators into one, then any 64-byte blocks
-        // left, each a 512-bit distance on.
+        // Fold the four accumulators into one, each a 512-bit distance
+        // on. Whatever is left after the loop (under 256 bytes) is folded
+        // 16 bytes at a time by `fold_tail_and_reduce`.
         let k512 = _mm512_broadcast_i32x4(_mm_set_epi64x(K2, K1));
-        let mut z = fold64(z0, z1, k512);
-        z = fold64(z, z2, k512);
-        z = fold64(z, z3, k512);
-        while remaining >= 64 {
-            z = fold64(z, _mm512_loadu_si512(p), k512);
-            p = p.add(1);
-            remaining -= 64;
-        }
+        let z = fold64(z0, z1, k512);
+        let z = fold64(z, z2, k512);
+        let z = fold64(z, z3, k512);
 
         // Fold the ZMM's four lanes into the last one: the first lies
         // 384 bits before it, the second 256, the third 128.

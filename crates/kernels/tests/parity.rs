@@ -40,9 +40,10 @@ fn buf(len: usize, seed: u64) -> Vec<u8> {
 
 /// Lengths straddling the byte tail, the 8-byte lanes, one XMM, one YMM,
 /// the 64/128-byte unrolled bodies and the 64-byte PCLMUL threshold; then
-/// the paths of the 512-bit CRC body: its 256-byte threshold, one and
-/// three 64-byte ZMM tails (320, 448), one turn of the four-ZMM loop
-/// (512), XMM and scalar tails after each, and a 4 KiB block ± a byte.
+/// the paths of the 512-bit CRC body: its 256-byte threshold, 64 and 192
+/// bytes of XMM tail after the first 256 (320, 448), one turn of the
+/// four-ZMM loop (512), XMM and scalar tails after each, and a 4 KiB
+/// block ± a byte.
 const EDGE_LENS: &[usize] = &[
     0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 79, 127, 128, 129, 255, 256, 257, 319, 320,
     383, 384, 447, 448, 511, 512, 513, 575, 576, 1024, 1088, 4095, 4096, 4097, 4160,
@@ -188,6 +189,13 @@ fn every_crc_body_the_host_detects_is_in_a_supported_set() {
     }
 }
 
+/// Random lengths up to 2600: half below 600, where the XOR, GF and
+/// 128-bit CRC bodies have their thresholds and tails, half from 600 on,
+/// where the 512-bit CRC body runs its loop several turns.
+fn lens() -> impl Strategy<Value = usize> {
+    prop_oneof![0usize..600, 600usize..2600]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -195,7 +203,7 @@ proptest! {
     /// agrees with ground truth on XOR, GF multiply and CRC at once.
     #[test]
     fn all_tiers_agree_with_reference(
-        len in 0usize..2600,
+        len in lens(),
         offset in 0usize..32,
         c: u8,
         seed: u64,
@@ -236,9 +244,10 @@ proptest! {
     /// convention is identical across tiers, so a split fed through two
     /// different tiers still matches one-shot ground truth.
     #[test]
-    fn crc_state_composes_across_tiers(len in 0usize..2600, split in 0usize..2600, seed: u64) {
+    fn crc_state_composes_across_tiers(len in lens(), split in 0usize..2600, seed: u64) {
         let data = buf(len, seed);
-        let split = split.min(len);
+        // Anywhere in the buffer, ends included, whatever its length.
+        let split = split % (len + 1);
         let want = crc32_bitwise(0xFFFF_FFFF, &data);
         for first in supported_sets() {
             for second in supported_sets() {
