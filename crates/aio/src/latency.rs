@@ -112,12 +112,11 @@ impl Default for RetryPolicy {
     }
 }
 
-/// One link's mutable state: its spec (adjustable mid-run, so benchmarks
-/// can build an archive at zero RTT and then raise it before measuring)
-/// and its dead flag.
+/// One link: its spec and its dead flag, the one part that changes
+/// mid-run.
 #[derive(Debug)]
 struct LinkState {
-    spec: Mutex<LinkSpec>,
+    spec: LinkSpec,
     dead: AtomicBool,
 }
 
@@ -169,7 +168,7 @@ impl<S: BlockRepo + Send + ?Sized> LatencyStore<S> {
         let links: Vec<LinkState> = specs
             .into_iter()
             .map(|spec| LinkState {
-                spec: Mutex::new(spec),
+                spec,
                 dead: AtomicBool::new(false),
             })
             .collect();
@@ -209,12 +208,6 @@ impl<S: BlockRepo + Send + ?Sized> LatencyStore<S> {
     /// The runtime whose clock this store's operations run on.
     pub fn runtime(&self) -> &Runtime {
         &self.rt
-    }
-
-    /// Replaces a tier's link parameters mid-run. Benchmarks build
-    /// archives at zero RTT, then raise it before measuring.
-    pub fn set_link(&self, tier: Tier, spec: LinkSpec) {
-        *self.links[self.link_index(tier)].spec.lock() = spec;
     }
 
     /// Marks a tier dead (operations fail per [`RetryPolicy`]) or alive.
@@ -264,13 +257,13 @@ impl<S: BlockRepo + Send + ?Sized> LatencyStore<S> {
     /// under the bandwidth cap, and draw every attempt's jitter now so
     /// issue order alone fixes the random stream.
     fn plan(&self, id: BlockId, bytes: u64) -> (Plan, &LinkState) {
-        let link = &self.links[self.route(id)];
-        let spec = *link.spec.lock();
+        let li = self.route(id);
+        let link = &self.links[li];
+        let spec = link.spec;
         let rtt = spec.rtt.as_nanos() as u64;
         let jitter = spec.jitter.as_nanos() as u64;
         let mut st = self.state.lock();
         let now = self.rt.now();
-        let li = self.route(id);
         let slot = now.max(st.free[li]);
         let transfer = match spec.bytes_per_sec {
             Some(bps) if bps > 0 => bytes.saturating_mul(1_000_000_000) / bps,
@@ -455,6 +448,7 @@ impl<A: AsyncBlockRepo> BlockSink for BlockOn<A> {
 mod tests {
     use super::*;
     use crate::time::Clock;
+    use crate::{windowed, OpFactory};
     use ae_api::BlockMap;
     use ae_blocks::{MetaId, NodeId};
 
@@ -537,27 +531,28 @@ mod tests {
 
     #[test]
     fn reviving_the_link_mid_backoff_heals_the_operation() {
-        let net = Arc::new(seeded(LinkSpec::rtt(Duration::from_millis(1))).with_retry(
-            RetryPolicy {
-                attempts: 3,
-                timeout: Duration::from_millis(10),
-                backoff: Duration::from_millis(5),
-                multiplier: 2,
-            },
-        ));
+        let net = seeded(LinkSpec::rtt(Duration::from_millis(1))).with_retry(RetryPolicy {
+            attempts: 3,
+            timeout: Duration::from_millis(10),
+            backoff: Duration::from_millis(5),
+            multiplier: 2,
+        });
         net.inner().store(data(3), Block::from_vec(vec![5; 4]));
         net.set_dead(Tier::Local, true);
         let rt = net.runtime().clone();
-        let reviver = Arc::clone(&net);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
-            rt2.sleep(Duration::from_millis(12)).await;
-            reviver.set_dead(Tier::Local, false);
+        let read: OpFactory<'_, Option<Block>> =
+            Box::new(|| Box::pin(async { net.read_async(data(3)).await.ok() }));
+        let revive: OpFactory<'_, Option<Block>> = Box::new(|| {
+            Box::pin(async {
+                rt.sleep(Duration::from_millis(12)).await;
+                net.set_dead(Tier::Local, false);
+                None
+            })
         });
         // Attempt 0 dies at t=10ms; the reviver fires at t=12ms during
         // the 5 ms backoff; attempt 1 (t=15ms) finds the link alive.
-        let got = rt.block_on(net.read_async(data(3))).unwrap();
-        assert_eq!(got.as_slice(), &[5; 4]);
+        let got = rt.block_on(windowed(vec![read, revive], 2));
+        assert_eq!(got[0].as_ref().unwrap().as_slice(), &[5; 4]);
         assert!(rt.now() >= 15 * MS && rt.now() < 25 * MS, "t={}", rt.now());
     }
 

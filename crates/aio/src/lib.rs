@@ -10,11 +10,11 @@
 //! workspace):
 //!
 //! * **Executor + timer wheel** ([`Runtime`], [`Clock`], [`Sleep`]): a
-//!   minimal single- or multi-threaded executor whose time source is
-//!   either real (benchmarks) or virtual (tests). On the virtual clock
-//!   the runtime advances time *exactly* to the next timer deadline
-//!   whenever nothing is runnable and panics on a deadlocked future
-//!   instead of hanging.
+//!   minimal `block_on` executor that drives one future on the calling
+//!   thread, over a time source that is either real (benchmarks) or
+//!   virtual (tests). On the virtual clock the runtime advances time
+//!   *exactly* to the next timer deadline whenever nothing is runnable
+//!   and panics on a deadlocked future instead of hanging.
 //! * **Latency model** ([`LatencyStore`], [`LinkSpec`], [`Tiering`],
 //!   [`RetryPolicy`]): wraps any sync backend behind simulated per-tier
 //!   links — RTT, seeded jitter, bandwidth caps — with typed
@@ -94,7 +94,7 @@ mod latency;
 mod pipeline;
 mod time;
 
-pub use exec::{JoinHandle, Runtime};
+pub use exec::Runtime;
 pub use latency::{BlockOn, LatencyStore, LinkSpec, RetryPolicy, Tier, Tiering};
 pub use pipeline::{windowed, windowed_map, OpFactory, OrderedWindow};
 pub use time::{Clock, Sleep};

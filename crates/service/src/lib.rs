@@ -23,7 +23,7 @@
 //!   for its archives, fed by a bounded FIFO queue whose overflow answers
 //!   a typed [`ServiceError::Saturated`] instead of blocking. A run
 //!   yields a [`ServiceReport`]: per-op latency histograms (p50/p95/p99),
-//!   throughput, queue-depth highwaters, saturation counts.
+//!   completion counts, queue-depth highwaters, saturation counts.
 //! * [`Workload`] — the deterministic engine. A `(seed, config)` pair
 //!   materializes one exact operation sequence — op mix per phase,
 //!   open-loop arrival schedule, Zipf-skewed tenant and file popularity,
@@ -34,9 +34,10 @@
 //!   and tenants' id spaces are disjoint, so the final backend state is
 //!   independent of cross-tenant interleaving.
 //!
-//! [`ServiceConfig::serial`] runs the whole service as one in-line
-//! worker — the reference execution the parity suite compares the sharded
-//! pool against.
+//! [`ServiceConfig::serial`] is the reference configuration of the same
+//! service: one shard whose dispatch runs on the caller's thread. The
+//! parity suite checks it and the sharded pool alike against
+//! [`Workload::replay`].
 //!
 //! ```
 //! use ae_service::{ArchiveService, ServiceConfig, Workload, WorkloadConfig};

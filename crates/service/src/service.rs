@@ -40,6 +40,15 @@
 //! panic may have left half-mutated, answers that same error to every
 //! later operation. The other tenants of the shard keep completing.
 //!
+//! # In-line mode
+//!
+//! [`ServiceConfig::serial`] is the same service with one shard whose
+//! dispatch runs on the caller's thread: every client call builds the
+//! request a worker would have dequeued and executes it at once, over the
+//! shard's archives behind a lock, so its ticket is resolved before the
+//! call returns. Nothing else differs — routing, panic containment and
+//! the report are the pool's.
+//!
 //! # Determinism
 //!
 //! Because sharding is tenant-affine and queues are FIFO, each tenant's
@@ -47,8 +56,9 @@
 //! Tenants' id spaces are disjoint ([`TenantStore`]), so the final archive
 //! and backend state after a run is **byte-identical** to executing every
 //! tenant's subsequence serially — the property the parity suite pins by
-//! replaying seeded workloads with [`crate::Workload::replay`] against the
-//! in-line path ([`ServiceConfig::serial`]).
+//! comparing seeded workloads driven through both configurations, in-line
+//! and pooled, against [`crate::Workload::replay`], which drives the
+//! archives directly with no service in between.
 
 use crate::stats::{OpKind, ServiceReport, ShardStats};
 use crate::tenant::{SharedBackend, TenantId, TenantStore};
@@ -69,13 +79,15 @@ use std::time::{Duration, Instant};
 pub struct ServiceConfig {
     /// Worker shards; `None` resolves to [`ae_api::repair_threads`] (the
     /// `AE_REPAIR_THREADS` convention). Ignored in in-line mode, which is
-    /// always one worker.
+    /// always one shard.
     pub shards: Option<usize>,
     /// Bounded submission-queue capacity per shard; a full queue rejects
-    /// with [`ServiceError::Saturated`].
+    /// with [`ServiceError::Saturated`]. In-line mode queues nothing.
     pub queue_depth: usize,
-    /// Execute every operation on the submitting thread instead of a
-    /// worker pool — the reference serial path.
+    /// Run the one shard's dispatch on the submitting thread instead of a
+    /// worker thread: each operation executes, and resolves its ticket,
+    /// inside the client call that submits it — the reference serial
+    /// configuration, with no queue hop and no thread hand-off.
     pub inline: bool,
     /// Default metadata durability policy for new tenants: copy-set width,
     /// checkpoint cadence, checkpoint segment size. Per-tenant overrides
@@ -103,7 +115,7 @@ impl ServiceConfig {
         }
     }
 
-    /// The reference serial configuration: one in-line worker.
+    /// The reference serial configuration: one shard, run in-line.
     pub fn serial() -> Self {
         ServiceConfig {
             inline: true,
@@ -171,8 +183,9 @@ impl std::error::Error for ServiceError {
 
 /// A pending typed result for one submitted operation.
 ///
-/// The worker resolves the ticket when the operation completes; dropping
-/// an unwanted ticket is fine (the result is discarded).
+/// The operation resolves its ticket when it completes — on the shard's
+/// worker, or in in-line mode before the submitting call returns;
+/// dropping an unwanted ticket is fine (the result is discarded).
 #[derive(Debug)]
 pub struct Ticket<T> {
     rx: Receiver<Result<T, ServiceError>>,
@@ -201,33 +214,6 @@ impl<T> Ticket<T> {
     }
 }
 
-/// One queued operation (tenant resolved to its shard-local slot).
-enum Request {
-    Put {
-        local: usize,
-        name: String,
-        contents: Vec<u8>,
-        submitted: Instant,
-        reply: SyncSender<Result<Entry, ServiceError>>,
-    },
-    Get {
-        local: usize,
-        name: String,
-        submitted: Instant,
-        reply: SyncSender<Result<Vec<u8>, ServiceError>>,
-    },
-    Scrub {
-        local: usize,
-        submitted: Instant,
-        reply: SyncSender<Result<u64, ServiceError>>,
-    },
-    Seal {
-        local: usize,
-        submitted: Instant,
-        reply: SyncSender<Result<Vec<BlockId>, ServiceError>>,
-    },
-}
-
 /// A tenant's archive and, once an operation on it has panicked, the
 /// message of that panic.
 struct Tenant {
@@ -237,6 +223,18 @@ struct Tenant {
 
 /// A tenant paired with its service-wide tenant index.
 type Slot = (usize, Tenant);
+
+/// One shard's archives and accounting: a worker thread's own in pool
+/// mode, behind the client's lock in in-line mode.
+#[derive(Default)]
+struct Shard {
+    archives: Vec<Slot>,
+    stats: ShardStats,
+}
+
+/// One submitted operation, bound to its tenant's shard-local slot: run
+/// on the tenant's shard, it records its latency and resolves its ticket.
+type Request = Box<dyn FnOnce(&mut Shard) + Send>;
 
 /// Runs one operation on a tenant's archive, on whichever thread executes
 /// operations. A panic inside `op` is caught here, around the operation
@@ -271,50 +269,6 @@ fn run_op<T>(
     }
 }
 
-fn execute(archives: &mut [Slot], req: Request, stats: &mut ShardStats) {
-    match req {
-        Request::Put {
-            local,
-            name,
-            contents,
-            submitted,
-            reply,
-        } => {
-            let res = run_op(&mut archives[local], |ar| ar.put(&name, &contents));
-            stats.record(OpKind::Put, submitted.elapsed());
-            let _ = reply.send(res);
-        }
-        Request::Get {
-            local,
-            name,
-            submitted,
-            reply,
-        } => {
-            let res = run_op(&mut archives[local], |ar| ar.get(&name));
-            stats.record(OpKind::Get, submitted.elapsed());
-            let _ = reply.send(res);
-        }
-        Request::Scrub {
-            local,
-            submitted,
-            reply,
-        } => {
-            let res = run_op(&mut archives[local], |ar| Ok(ar.scrub()));
-            stats.record(OpKind::Scrub, submitted.elapsed());
-            let _ = reply.send(res);
-        }
-        Request::Seal {
-            local,
-            submitted,
-            reply,
-        } => {
-            let res = run_op(&mut archives[local], |ar| ar.seal());
-            stats.record(OpKind::Seal, submitted.elapsed());
-            let _ = reply.send(res);
-        }
-    }
-}
-
 /// Per-shard queue pressure gauges, shared between client and report.
 struct ShardQueue {
     depth: AtomicI64,
@@ -341,21 +295,12 @@ impl ShardQueue {
     }
 }
 
-/// In-line execution state: every tenant behind one lock, operations run
-/// on the submitting thread — the reference serial worker.
-struct InlineState {
-    archives: Vec<Slot>,
-    stats: ShardStats,
-}
-
-enum Mode<'a> {
-    Pool {
-        senders: Vec<SyncSender<Request>>,
-        queues: &'a [ShardQueue],
-    },
-    Inline {
-        state: &'a Mutex<InlineState>,
-    },
+/// Where a [`ServiceClient`] hands its requests.
+enum Dispatch<'a> {
+    /// Each shard's bounded queue, drained by the shard's worker thread.
+    Pool(Vec<SyncSender<Request>>),
+    /// The one shard, executed on the submitting thread.
+    Inline(&'a Mutex<Shard>),
 }
 
 /// The submission handle [`ArchiveService::run`] lends its driver closure.
@@ -363,53 +308,59 @@ enum Mode<'a> {
 /// Submission is non-blocking: each call routes the operation to the
 /// tenant's shard and answers a typed [`Ticket`] (or
 /// [`ServiceError::Saturated`] when the shard's bounded queue is full).
+/// In in-line mode the call runs the operation itself, so the ticket is
+/// already resolved when it comes back.
 pub struct ServiceClient<'a> {
-    mode: Mode<'a>,
+    dispatch: Dispatch<'a>,
+    queues: &'a [ShardQueue],
     /// tenant index → (shard, shard-local slot)
     route: &'a [(usize, usize)],
     saturated: &'a AtomicU64,
 }
 
 impl ServiceClient<'_> {
-    fn route(&self, tenant: TenantId) -> Result<(usize, usize), ServiceError> {
-        self.route
+    /// Builds the request for `op` on `tenant` and dispatches it: onto the
+    /// tenant's shard queue in pool mode, run on this thread in in-line
+    /// mode.
+    fn submit<T: Send + 'static>(
+        &self,
+        tenant: TenantId,
+        kind: OpKind,
+        op: impl FnOnce(&mut Archive<TenantStore>) -> Result<T, ArchiveError> + Send + 'static,
+    ) -> Result<Ticket<T>, ServiceError> {
+        let (shard, local) = self
+            .route
             .get(tenant.0 as usize)
             .copied()
-            .ok_or(ServiceError::UnknownTenant(tenant))
-    }
-
-    fn enqueue(&self, shard: usize, req: Request) -> Result<(), ServiceError> {
-        let Mode::Pool { senders, queues } = &self.mode else {
-            unreachable!("enqueue is only called in pool mode");
+            .ok_or(ServiceError::UnknownTenant(tenant))?;
+        let (reply, ticket) = Ticket::new();
+        let submitted = Instant::now();
+        let req: Request = Box::new(move |home: &mut Shard| {
+            let res = run_op(&mut home.archives[local], op);
+            home.stats.record(kind, submitted.elapsed());
+            let _ = reply.send(res);
+        });
+        let senders = match &self.dispatch {
+            Dispatch::Inline(one) => {
+                req(&mut one.lock());
+                return Ok(ticket);
+            }
+            Dispatch::Pool(senders) => senders,
         };
         match senders[shard].try_send(req) {
             Ok(()) => {
-                queues[shard].enqueued();
-                Ok(())
+                self.queues[shard].enqueued();
+                Ok(ticket)
             }
             Err(TrySendError::Full(_)) => {
                 self.saturated.fetch_add(1, Ordering::Relaxed);
                 Err(ServiceError::Saturated {
                     shard,
-                    capacity: queues[shard].capacity,
+                    capacity: self.queues[shard].capacity,
                 })
             }
             Err(TrySendError::Disconnected(_)) => Err(ServiceError::Shutdown),
         }
-    }
-
-    fn inline_run<T>(
-        state: &Mutex<InlineState>,
-        reply: SyncSender<Result<T, ServiceError>>,
-        kind: OpKind,
-        op: impl FnOnce(&mut Archive<TenantStore>) -> Result<T, ArchiveError>,
-        local: usize,
-    ) {
-        let mut st = state.lock();
-        let submitted = Instant::now();
-        let res = run_op(&mut st.archives[local], op);
-        st.stats.record(kind, submitted.elapsed());
-        let _ = reply.send(res);
     }
 
     /// Archives `contents` under `name` in `tenant`'s archive.
@@ -419,93 +370,28 @@ impl ServiceClient<'_> {
         name: &str,
         contents: &[u8],
     ) -> Result<Ticket<Entry>, ServiceError> {
-        let (shard, local) = self.route(tenant)?;
-        let (reply, ticket) = Ticket::new();
-        match &self.mode {
-            Mode::Pool { .. } => self.enqueue(
-                shard,
-                Request::Put {
-                    local,
-                    name: name.to_string(),
-                    contents: contents.to_vec(),
-                    submitted: Instant::now(),
-                    reply,
-                },
-            )?,
-            Mode::Inline { state } => Self::inline_run(
-                state,
-                reply,
-                OpKind::Put,
-                |ar| ar.put(name, contents),
-                local,
-            ),
-        }
-        Ok(ticket)
+        let (name, contents) = (name.to_owned(), contents.to_vec());
+        self.submit(tenant, OpKind::Put, move |ar| ar.put(&name, &contents))
     }
 
     /// Reads `name` back from `tenant`'s archive (degraded reads repair
     /// missing blocks on the fly, read-only).
     pub fn get(&self, tenant: TenantId, name: &str) -> Result<Ticket<Vec<u8>>, ServiceError> {
-        let (shard, local) = self.route(tenant)?;
-        let (reply, ticket) = Ticket::new();
-        match &self.mode {
-            Mode::Pool { .. } => self.enqueue(
-                shard,
-                Request::Get {
-                    local,
-                    name: name.to_string(),
-                    submitted: Instant::now(),
-                    reply,
-                },
-            )?,
-            Mode::Inline { state } => {
-                Self::inline_run(state, reply, OpKind::Get, |ar| ar.get(name), local)
-            }
-        }
-        Ok(ticket)
+        let name = name.to_owned();
+        self.submit(tenant, OpKind::Get, move |ar| ar.get(&name))
     }
 
     /// Scrubs `tenant`'s archive: repairs every block its backend view
     /// should hold but lost, journal records included. Resolves to the
     /// number of blocks restored.
     pub fn scrub(&self, tenant: TenantId) -> Result<Ticket<u64>, ServiceError> {
-        let (shard, local) = self.route(tenant)?;
-        let (reply, ticket) = Ticket::new();
-        match &self.mode {
-            Mode::Pool { .. } => self.enqueue(
-                shard,
-                Request::Scrub {
-                    local,
-                    submitted: Instant::now(),
-                    reply,
-                },
-            )?,
-            Mode::Inline { state } => {
-                Self::inline_run(state, reply, OpKind::Scrub, |ar| Ok(ar.scrub()), local)
-            }
-        }
-        Ok(ticket)
+        self.submit(tenant, OpKind::Scrub, |ar| Ok(ar.scrub()))
     }
 
     /// Seals `tenant`'s archive: flushes buffered redundancy and freezes
     /// it. Resolves to the ids the flush stored.
     pub fn seal(&self, tenant: TenantId) -> Result<Ticket<Vec<BlockId>>, ServiceError> {
-        let (shard, local) = self.route(tenant)?;
-        let (reply, ticket) = Ticket::new();
-        match &self.mode {
-            Mode::Pool { .. } => self.enqueue(
-                shard,
-                Request::Seal {
-                    local,
-                    submitted: Instant::now(),
-                    reply,
-                },
-            )?,
-            Mode::Inline { state } => {
-                Self::inline_run(state, reply, OpKind::Seal, |ar| ar.seal(), local)
-            }
-        }
-        Ok(ticket)
+        self.submit(tenant, OpKind::Seal, |ar| ar.seal())
     }
 }
 
@@ -711,111 +597,77 @@ impl ArchiveService {
     /// closure's result and the run's [`ServiceReport`].
     ///
     /// In in-line mode ([`ServiceConfig::serial`]) no threads are raised:
-    /// operations execute on the submitting thread in submission order.
+    /// the one shard's operations execute on the submitting thread in
+    /// submission order.
     pub fn run<R>(&mut self, f: impl FnOnce(&ServiceClient<'_>) -> R) -> (R, ServiceReport) {
-        let start = Instant::now();
-        let saturated = AtomicU64::new(0);
-        if self.is_inline() {
-            let route: Vec<(usize, usize)> = (0..self.tenants.len()).map(|i| (0, i)).collect();
-            let archives: Vec<Slot> = self
-                .tenants
-                .iter_mut()
-                .enumerate()
-                .map(|(i, slot)| (i, slot.take().expect("archives are home")))
-                .collect();
-            let state = Mutex::new(InlineState {
-                archives,
-                stats: ShardStats::new(),
-            });
-            let client = ServiceClient {
-                mode: Mode::Inline { state: &state },
-                route: &route,
-                saturated: &saturated,
-            };
-            let r = f(&client);
-            // The vendored parking_lot has no `into_inner`; swap the
-            // contents out under the (uncontended) lock instead.
-            let InlineState { archives, stats } = std::mem::replace(
-                &mut *state.lock(),
-                InlineState {
-                    archives: Vec::new(),
-                    stats: ShardStats::new(),
-                },
-            );
-            for (i, ar) in archives {
-                self.tenants[i] = Some(ar);
-            }
-            let report = ServiceReport {
-                wall: start.elapsed(),
-                latency: stats.latency.clone(),
-                shard_completed: vec![stats.total_completed()],
-                queue_highwater: vec![0],
-                saturated: saturated.load(Ordering::Relaxed),
-            };
-            return (r, report);
-        }
-
         let shards = self.shard_count();
+        let depth = self.config.queue_depth;
         let mut route = vec![(0usize, 0usize); self.tenants.len()];
-        let mut parts: Vec<Vec<Slot>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut parts: Vec<Shard> = (0..shards).map(|_| Shard::default()).collect();
         for (i, slot) in self.tenants.iter_mut().enumerate() {
             let shard = i % shards;
-            route[i] = (shard, parts[shard].len());
-            parts[shard].push((i, slot.take().expect("archives are home")));
+            route[i] = (shard, parts[shard].archives.len());
+            parts[shard]
+                .archives
+                .push((i, slot.take().expect("archives are home")));
         }
-        let queues: Vec<ShardQueue> = (0..shards)
-            .map(|_| ShardQueue::new(self.config.queue_depth))
-            .collect();
+        let queues: Vec<ShardQueue> = (0..shards).map(|_| ShardQueue::new(depth)).collect();
+        let saturated = AtomicU64::new(0);
+        let client = |dispatch| ServiceClient {
+            dispatch,
+            queues: &queues,
+            route: &route,
+            saturated: &saturated,
+        };
 
-        let (r, joined) = std::thread::scope(|scope| {
-            let mut senders = Vec::with_capacity(shards);
-            let mut handles = Vec::with_capacity(shards);
-            for (shard, mut part) in parts.into_iter().enumerate() {
-                let (tx, rx) = mpsc::sync_channel::<Request>(self.config.queue_depth);
-                senders.push(tx);
-                let queue = &queues[shard];
-                handles.push(scope.spawn(move || {
-                    let mut stats = ShardStats::new();
-                    while let Ok(req) = rx.recv() {
-                        queue.dequeued();
-                        execute(&mut part, req, &mut stats);
-                    }
-                    (part, stats)
-                }));
-            }
-            let client = ServiceClient {
-                mode: Mode::Pool {
-                    senders,
-                    queues: &queues,
-                },
-                route: &route,
-                saturated: &saturated,
-            };
-            let r = f(&client);
-            // Dropping the client drops the senders; workers drain their
-            // queues and exit, so joining here means every accepted
-            // operation has completed.
-            drop(client);
-            let joined: Vec<(Vec<Slot>, ShardStats)> = handles
-                .into_iter()
-                .map(|h| h.join().expect("service worker panicked"))
-                .collect();
-            (r, joined)
-        });
+        let (r, joined) = if self.is_inline() {
+            let one = Mutex::new(parts.pop().expect("in-line mode is one shard"));
+            let r = f(&client(Dispatch::Inline(&one)));
+            // The vendored parking_lot has no `into_inner`.
+            let shard = std::mem::take(&mut *one.lock());
+            (r, vec![shard])
+        } else {
+            std::thread::scope(|scope| {
+                let (senders, handles): (Vec<_>, Vec<_>) = parts
+                    .into_iter()
+                    .zip(&queues)
+                    .map(|(mut shard, queue)| {
+                        let (tx, rx) = mpsc::sync_channel::<Request>(depth);
+                        let worker = scope.spawn(move || {
+                            while let Ok(req) = rx.recv() {
+                                queue.dequeued();
+                                req(&mut shard);
+                            }
+                            shard
+                        });
+                        (tx, worker)
+                    })
+                    .unzip();
+                // The client, and with it every sender, is dropped at the
+                // end of this statement; workers drain their queues and
+                // exit, so joining them means every accepted operation
+                // has completed.
+                let r = f(&client(Dispatch::Pool(senders)));
+                let joined: Vec<Shard> = handles
+                    .into_iter()
+                    .map(|h| h.join().expect("service worker panicked"))
+                    .collect();
+                (r, joined)
+            })
+        };
 
         let mut latency = ShardStats::new().latency;
         let mut shard_completed = Vec::with_capacity(shards);
-        for (part, stats) in joined {
-            for (i, ar) in part {
-                self.tenants[i] = Some(ar);
+        for shard in joined {
+            for (i, tenant) in shard.archives {
+                self.tenants[i] = Some(tenant);
             }
-            for (merged, shard_hist) in latency.iter_mut().zip(&stats.latency) {
+            for (merged, shard_hist) in latency.iter_mut().zip(&shard.stats.latency) {
                 merged.merge(shard_hist);
             }
-            shard_completed.push(stats.total_completed());
+            shard_completed.push(shard.stats.total_completed());
         }
         let report = ServiceReport {
-            wall: start.elapsed(),
             latency,
             shard_completed,
             queue_highwater: queues
@@ -831,9 +683,12 @@ impl ArchiveService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ae_api::{BlockSink, BlockSource};
+    use ae_blocks::Block;
     use ae_core::Code;
     use ae_lattice::Config;
     use ae_store::MemStore;
+    use std::thread::ThreadId;
 
     fn ae_scheme() -> Arc<dyn RedundancyScheme> {
         Arc::new(Code::new(Config::new(3, 2, 5).unwrap(), 64))
@@ -935,20 +790,66 @@ mod tests {
         assert!(svc.archive(rs).is_sealed());
     }
 
-    #[test]
-    fn inline_mode_serves_identically_on_the_submitting_thread() {
-        let backend: SharedBackend = Arc::new(MemStore::new());
-        let mut svc = ArchiveService::new(backend, ServiceConfig::serial());
-        assert!(svc.is_inline());
-        assert_eq!(svc.shard_count(), 1);
+    /// A backend that notes which thread made each write.
+    struct WriterLog {
+        inner: MemStore,
+        writers: Mutex<Vec<ThreadId>>,
+    }
+
+    impl BlockSource for WriterLog {
+        fn fetch(&self, id: BlockId) -> Option<Block> {
+            self.inner.fetch(id)
+        }
+    }
+
+    impl BlockSink for WriterLog {
+        fn store(&self, id: BlockId, block: Block) {
+            self.writers.lock().push(std::thread::current().id());
+            self.inner.store(id, block);
+        }
+    }
+
+    /// Runs one put and one get under `config`; returns the get's bytes,
+    /// the run's report and the threads that made the put's writes.
+    fn put_and_get(config: ServiceConfig) -> (Vec<u8>, ServiceReport, Vec<ThreadId>) {
+        let log = Arc::new(WriterLog {
+            inner: MemStore::new(),
+            writers: Mutex::new(Vec::new()),
+        });
+        let mut svc = ArchiveService::new(Arc::clone(&log) as SharedBackend, config);
         let t = svc.add_tenant(ae_scheme(), 64);
+        // Creating the tenant journaled on this thread; only the run counts.
+        log.writers.lock().clear();
         let (bytes, report) = svc.run(|client| {
-            client.put(t, "f", b"inline").unwrap().wait().unwrap();
+            client.put(t, "f", b"where").unwrap().wait().unwrap();
             client.get(t, "f").unwrap().wait().unwrap()
         });
-        assert_eq!(bytes, b"inline");
+        let writers = std::mem::take(&mut *log.writers.lock());
+        assert!(!writers.is_empty());
+        (bytes, report, writers)
+    }
+
+    #[test]
+    fn inline_mode_serves_identically_on_the_submitting_thread() {
+        let svc = ArchiveService::new(Arc::new(MemStore::new()), ServiceConfig::serial());
+        assert!(svc.is_inline());
+        assert_eq!(svc.shard_count(), 1);
+        let (bytes, report, writers) = put_and_get(ServiceConfig::serial());
+        assert_eq!(bytes, b"where");
         assert_eq!(report.completed(), 2);
         assert_eq!(report.queue_highwater, vec![0]);
+        let me = std::thread::current().id();
+        assert!(writers.iter().all(|&w| w == me), "{writers:?} vs {me:?}");
+    }
+
+    #[test]
+    fn pool_mode_serves_on_a_worker_thread() {
+        let (bytes, report, writers) = put_and_get(ServiceConfig::with_shards(1));
+        assert_eq!(bytes, b"where");
+        assert_eq!(report.completed(), 2);
+        assert_eq!(report.shard_completed, vec![2]);
+        let me = std::thread::current().id();
+        assert!(writers.iter().all(|&w| w != me), "{writers:?} vs {me:?}");
     }
 
     #[test]

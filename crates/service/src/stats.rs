@@ -162,11 +162,9 @@ impl ShardStats {
 }
 
 /// What one [`crate::ArchiveService::run`] measured: merged latency
-/// histograms, throughput inputs, per-shard queue pressure.
+/// histograms, completion counts, per-shard queue pressure.
 #[derive(Debug, Clone)]
 pub struct ServiceReport {
-    /// Wall-clock time the driver closure held the service.
-    pub wall: Duration,
     /// Per-kind latency histograms merged across shards.
     pub latency: [LatencyHistogram; 4],
     /// Operations completed per shard.
@@ -186,27 +184,6 @@ impl ServiceReport {
     /// Total operations completed across all shards.
     pub fn completed(&self) -> u64 {
         self.shard_completed.iter().sum()
-    }
-
-    /// Aggregate throughput in operations per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.completed() as f64 / secs
-    }
-
-    /// One-line human summary (completed ops, throughput, worst queue).
-    pub fn summary(&self) -> String {
-        format!(
-            "{} ops in {:.1?} ({:.0} op/s), queue highwater {:?}, {} saturated",
-            self.completed(),
-            self.wall,
-            self.ops_per_sec(),
-            self.queue_highwater,
-            self.saturated
-        )
     }
 }
 
