@@ -8,16 +8,15 @@
 //!
 //! # Determinism contract
 //!
-//! Every operation's timing **plan** — queueing on the link, transfer
-//! time under the bandwidth cap, RTT, and one jitter draw per retry
-//! attempt from the seeded [SplitMix64] generator — is computed eagerly
-//! at *future creation*, under one lock. Two runs that create futures in
-//! the same order therefore draw identical jitter and reserve identical
-//! link slots, regardless of how the futures are later polled; combined
-//! with a virtual clock and single-threaded driving, whole simulated
-//! repair storms replay byte- and nanosecond-identically. Only the
-//! link's dead flag is read lazily, at each attempt's start, so a remote
-//! that comes back mid-backoff heals the operation.
+//! Every operation's timing **plan** — its RTT and one jitter draw per
+//! retry attempt from the seeded [SplitMix64] generator — is computed
+//! eagerly at *future creation*, under one lock. Two runs that create
+//! futures in the same order therefore draw identical jitter, regardless
+//! of how the futures are later polled; combined with a virtual clock and
+//! single-threaded driving, whole simulated repair storms replay byte-
+//! and nanosecond-identically. Only the link's dead flag is read lazily,
+//! at each attempt's start, so a remote that comes back mid-backoff heals
+//! the operation.
 //!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 
@@ -32,8 +31,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The link parameters of one tier: round-trip time, uniform jitter added
-/// on top of it, and an optional bandwidth cap that serializes transfers.
+/// The link parameters of one tier: round-trip time and uniform jitter
+/// added on top of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LinkSpec {
     /// Round-trip time every operation pays.
@@ -41,13 +40,10 @@ pub struct LinkSpec {
     /// Jitter bound: each attempt adds a seeded uniform draw from
     /// `[0, jitter]` to its completion time.
     pub jitter: Duration,
-    /// Bandwidth cap in bytes per second; `None` = infinite. Payload
-    /// transfers queue behind each other on the link when set.
-    pub bytes_per_sec: Option<u64>,
 }
 
 impl LinkSpec {
-    /// A jitter-free, uncapped link with the given round-trip time.
+    /// A jitter-free link with the given round-trip time.
     pub fn rtt(rtt: Duration) -> Self {
         LinkSpec {
             rtt,
@@ -120,19 +116,11 @@ struct LinkState {
     dead: AtomicBool,
 }
 
-/// The seeded state shared by every operation plan: the jitter generator
-/// and each link's earliest-free time under its bandwidth cap.
-#[derive(Debug)]
-struct NetState {
-    prng: SplitMix64,
-    free: Vec<u64>,
-}
-
 /// One operation's fully-precomputed timing plan.
 struct Plan {
     /// Clock reading at future creation — attempt 0 starts here.
     issue: u64,
-    /// Earliest possible completion: queue slot + transfer + RTT.
+    /// Earliest possible completion: issue + RTT.
     base: u64,
     /// One seeded jitter draw per attempt, fixed at creation.
     jitters: Vec<u64>,
@@ -153,7 +141,8 @@ pub struct LatencyStore<S: ?Sized> {
     /// Whether ids route by kind (two links) or uniformly (one link).
     data_local: bool,
     links: Vec<LinkState>,
-    state: Mutex<NetState>,
+    /// The jitter generator every operation plan draws from.
+    prng: Mutex<SplitMix64>,
     inner: Arc<S>,
 }
 
@@ -172,16 +161,12 @@ impl<S: BlockRepo + Send + ?Sized> LatencyStore<S> {
                 dead: AtomicBool::new(false),
             })
             .collect();
-        let free = vec![0; links.len()];
         LatencyStore {
             rt,
             retry: RetryPolicy::default(),
             data_local: links.len() == 2,
             links,
-            state: Mutex::new(NetState {
-                prng: SplitMix64::new(seed),
-                free,
-            }),
+            prng: Mutex::new(SplitMix64::new(seed)),
             inner,
         }
     }
@@ -252,27 +237,18 @@ impl<S: BlockRepo + Send + ?Sized> LatencyStore<S> {
         }
     }
 
-    /// Computes an operation's timing plan eagerly, under the shared
-    /// state lock: reserve a queue slot on the link, pay the transfer
-    /// under the bandwidth cap, and draw every attempt's jitter now so
-    /// issue order alone fixes the random stream.
-    fn plan(&self, id: BlockId, bytes: u64) -> (Plan, &LinkState) {
-        let li = self.route(id);
-        let link = &self.links[li];
-        let spec = link.spec;
-        let rtt = spec.rtt.as_nanos() as u64;
-        let jitter = spec.jitter.as_nanos() as u64;
-        let mut st = self.state.lock();
+    /// Computes an operation's timing plan eagerly, under the generator's
+    /// lock: draw every attempt's jitter now so issue order alone fixes
+    /// the random stream.
+    fn plan(&self, id: BlockId) -> (Plan, &LinkState) {
+        let link = &self.links[self.route(id)];
+        let rtt = link.spec.rtt.as_nanos() as u64;
+        let jitter = link.spec.jitter.as_nanos() as u64;
+        let mut prng = self.prng.lock();
         let now = self.rt.now();
-        let slot = now.max(st.free[li]);
-        let transfer = match spec.bytes_per_sec {
-            Some(bps) if bps > 0 => bytes.saturating_mul(1_000_000_000) / bps,
-            _ => 0,
-        };
-        st.free[li] = slot + transfer;
         let jitters = (0..self.retry.attempts.max(1))
             .map(|_| {
-                let draw = st.prng.next_u64();
+                let draw = prng.next_u64();
                 if jitter == 0 {
                     0
                 } else {
@@ -282,7 +258,7 @@ impl<S: BlockRepo + Send + ?Sized> LatencyStore<S> {
             .collect();
         let plan = Plan {
             issue: now,
-            base: slot + transfer + rtt,
+            base: now + rtt,
             jitters,
             timeout: self.retry.timeout.as_nanos() as u64,
             backoff: self.retry.backoff.as_nanos() as u64,
@@ -327,11 +303,9 @@ async fn transmit(rt: Runtime, dead: &AtomicBool, plan: Plan) -> bool {
 impl<S: BlockRepo + Send + ?Sized> AsyncBlockSource for LatencyStore<S> {
     fn fetch_async(&self, id: BlockId) -> BoxFuture<'_, Option<Block>> {
         // Read-side ops sample the inner backend eagerly (at creation):
-        // the plan needs the payload size for the bandwidth cap, and
         // creation order is what the determinism contract pins down.
         let result = self.inner.fetch(id);
-        let bytes = result.as_ref().map_or(0, |b| b.len() as u64);
-        let (plan, link) = self.plan(id, bytes);
+        let (plan, link) = self.plan(id);
         let rt = self.rt.clone();
         Box::pin(async move {
             if transmit(rt, &link.dead, plan).await {
@@ -344,15 +318,14 @@ impl<S: BlockRepo + Send + ?Sized> AsyncBlockSource for LatencyStore<S> {
 
     fn has_async(&self, id: BlockId) -> BoxFuture<'_, bool> {
         let result = self.inner.has(id);
-        let (plan, link) = self.plan(id, 0);
+        let (plan, link) = self.plan(id);
         let rt = self.rt.clone();
         Box::pin(async move { transmit(rt, &link.dead, plan).await && result })
     }
 
     fn read_async(&self, id: BlockId) -> BoxFuture<'_, Result<Block, StoreError>> {
         let result = self.inner.read(id);
-        let bytes = result.as_ref().map_or(0, |b| b.len() as u64);
-        let (plan, link) = self.plan(id, bytes);
+        let (plan, link) = self.plan(id);
         let rt = self.rt.clone();
         Box::pin(async move {
             if transmit(rt, &link.dead, plan).await {
@@ -369,7 +342,7 @@ impl<S: BlockRepo + Send + ?Sized> AsyncBlockSink for LatencyStore<S> {
         // Write-side ops apply to the inner backend only at completion —
         // a write to a dead remote is swallowed, not teleported past the
         // network.
-        let (plan, link) = self.plan(id, block.len() as u64);
+        let (plan, link) = self.plan(id);
         let rt = self.rt.clone();
         Box::pin(async move {
             if transmit(rt, &link.dead, plan).await {
@@ -379,7 +352,7 @@ impl<S: BlockRepo + Send + ?Sized> AsyncBlockSink for LatencyStore<S> {
     }
 
     fn remove_async(&self, id: BlockId) -> BoxFuture<'_, bool> {
-        let (plan, link) = self.plan(id, 0);
+        let (plan, link) = self.plan(id);
         let rt = self.rt.clone();
         Box::pin(async move { transmit(rt, &link.dead, plan).await && self.inner.remove(id) })
     }
@@ -388,8 +361,10 @@ impl<S: BlockRepo + Send + ?Sized> AsyncBlockSink for LatencyStore<S> {
 /// The sync adapter over a natively-async backend: implements the sync
 /// [`BlockSource`]/[`BlockSink`] family by driving each operation's
 /// future on its runtime, and answers [`BlockSource::as_async`] with the
-/// async interior so pipelined callers (the archive's degraded `get` and
-/// `scrub`) bypass the one-op-at-a-time sync surface entirely.
+/// async interior so the archive moves every batch it issues — the
+/// writes of `put`, `seal` and `checkpoint`, the probes of `open`, the
+/// reads of `get` and `scrub` — through the in-flight window instead of
+/// the one-op-at-a-time sync surface.
 #[derive(Debug)]
 pub struct BlockOn<A> {
     inner: A,
@@ -474,11 +449,10 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_cap_serializes_transfers_and_jitter_is_seeded() {
+    fn jitter_is_seeded_and_replays_identically() {
         let spec = LinkSpec {
             rtt: Duration::from_millis(1),
             jitter: Duration::from_micros(100),
-            bytes_per_sec: Some(1_000_000), // 1 MB/s -> 1 µs per byte
         };
         let run = || {
             let net = seeded(spec);
@@ -496,9 +470,9 @@ mod tests {
         };
         let (a, b) = (run(), run());
         assert_eq!(a, b, "seeded jitter + eager plans replay identically");
-        // Four 1000-byte transfers queue: the last completes no earlier
-        // than 4 ms of transfer + 1 ms RTT.
-        assert!(a >= 5 * MS, "bandwidth queueing observed (t={a})");
+        // The four fetches overlap: the last completes one RTT plus at
+        // most one jitter bound after they were issued.
+        assert!((MS..=MS + MS / 10).contains(&a), "t={a}");
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   and panics on a deadlocked future instead of hanging.
 //! * **Latency model** ([`LatencyStore`], [`LinkSpec`], [`Tiering`],
 //!   [`RetryPolicy`]): wraps any sync backend behind simulated per-tier
-//!   links — RTT, seeded jitter, bandwidth caps — with typed
-//!   timeout/retry/backoff so a dead remote degrades to
-//!   [`ae_api::StoreError::TimedOut`] (or `None`/`false`), never a hang.
+//!   links — RTT and seeded jitter — with typed timeout/retry/backoff so
+//!   a dead remote degrades to [`ae_api::StoreError::TimedOut`] (or
+//!   `None`/`false`), never a hang.
 //!   Composes with `ae_store::FaultyStore` for flaky *and* distant.
 //! * **Bounded-in-flight pipelining** ([`windowed`], [`windowed_map`],
 //!   [`OrderedWindow`]): at most [`in_flight_window`] operations in
@@ -47,12 +47,12 @@
 //! 2. **Single-threaded driving** ([`Runtime`] has no other mode): the
 //!    thread inside `block_on` interleaves all futures, so polling order
 //!    is a pure function of deadlines and issue order.
-//! 3. **Eager planning** (the latency model): every operation's queueing,
-//!    transfer and per-attempt jitter draws are fixed at *future
-//!    creation* from the seeded generator, so issue order alone pins the
-//!    random stream; planned read sets are issued in sorted-id order and
-//!    planners only ever see memory, so even the parallel repair
-//!    planner's thread interleaving cannot perturb issue order.
+//! 3. **Eager planning** (the latency model): every operation's RTT and
+//!    per-attempt jitter draws are fixed at *future creation* from the
+//!    seeded generator, so issue order alone pins the random stream;
+//!    planned read sets are issued in sorted-id order and planners only
+//!    ever see memory, so even the parallel repair planner's thread
+//!    interleaving cannot perturb issue order.
 //!
 //! Under the contract, a pipelined repair is byte-identical to its
 //! serial counterpart and every simulated timestamp replays exactly;

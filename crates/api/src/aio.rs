@@ -14,18 +14,15 @@
 //! * the three **async mirror traits**, object-safe via [`BoxFuture`], so
 //!   pipelines hold `&dyn AsyncBlockRepo` exactly as sync code holds
 //!   `&dyn BlockRepo`;
-//! * a **blanket sync→async adapter**: every `&S` where `S:
-//!   BlockSource`/`BlockSink` implements the async mirror with
-//!   ready-immediate futures (the operation runs at future-creation time
-//!   and the future resolves on first poll), so every existing backend —
-//!   Mem, Distributed, Tiered, Faulty — is usable in async pipelines
-//!   unchanged;
 //! * the **discovery hook** [`crate::BlockSource::as_async`] plus the
 //!   [`AsyncHandle`] / [`BlockOnDriver`] pair it returns: a sync-facing
 //!   wrapper around a natively-async backend (such as `ae_aio`'s
 //!   latency-injecting store) advertises its async interior here, and
-//!   sync callers (the archive's degraded `get` and `scrub`) switch to
-//!   the pipelined path when the hook answers `Some`.
+//!   the archive moves every batch it issues — the writes of `put`,
+//!   `seal` and `checkpoint`, the probes of `open`, the reads of `get`
+//!   and `scrub` — through the pipelined path when the hook answers
+//!   `Some`. A backend whose operations complete at call time answers
+//!   `None` and is called through the sync family directly.
 //!
 //! The driver indirection exists because executors live *above* this
 //! crate (vendored in `ae_aio`): a handle must carry not just the async
@@ -33,7 +30,6 @@
 //! that something is whatever runtime the wrapper owns.
 
 use crate::error::StoreError;
-use crate::io::{BlockSink, BlockSource};
 use ae_blocks::{Block, BlockId};
 use std::future::Future;
 use std::pin::Pin;
@@ -42,9 +38,9 @@ use std::pin::Pin;
 /// backend traits (the async analogue of returning `Box<dyn ...>`).
 pub type BoxFuture<'a, T> = Pin<Box<dyn Future<Output = T> + Send + 'a>>;
 
-/// The async mirror of [`BlockSource`]: something blocks can be read
-/// from, where each read is a future that may take (simulated or real)
-/// time to resolve.
+/// The async mirror of [`crate::BlockSource`]: something blocks can be
+/// read from, where each read is a future that may take (simulated or
+/// real) time to resolve.
 ///
 /// Semantics match the sync family method for method: `fetch_async`
 /// answers `None` for anything unavailable, `read_async` distinguishes
@@ -53,15 +49,15 @@ pub type BoxFuture<'a, T> = Pin<Box<dyn Future<Output = T> + Send + 'a>>;
 /// answering.
 pub trait AsyncBlockSource: Sync {
     /// Fetches a block if it is currently available (async mirror of
-    /// [`BlockSource::fetch`]). An unreachable or timed-out remote
+    /// [`crate::BlockSource::fetch`]). An unreachable or timed-out remote
     /// resolves to `None`, never hangs forever.
     fn fetch_async(&self, id: BlockId) -> BoxFuture<'_, Option<Block>>;
 
     /// Whether the block is currently available (async mirror of
-    /// [`BlockSource::has`]).
+    /// [`crate::BlockSource::has`]).
     fn has_async(&self, id: BlockId) -> BoxFuture<'_, bool>;
 
-    /// Error-typed read (async mirror of [`BlockSource::read`]):
+    /// Error-typed read (async mirror of [`crate::BlockSource::read`]):
     /// additionally reports [`StoreError::TimedOut`] when the backend
     /// gave up retrying a dead remote. The read contract is the sync
     /// one: a block that resolves `Ok` has a checksum equal to the CRC32
@@ -69,16 +65,17 @@ pub trait AsyncBlockSource: Sync {
     fn read_async(&self, id: BlockId) -> BoxFuture<'_, Result<Block, StoreError>>;
 }
 
-/// The async mirror of [`BlockSink`]: something blocks can be written to.
+/// The async mirror of [`crate::BlockSink`]: something blocks can be
+/// written to.
 pub trait AsyncBlockSink: Sync {
-    /// Stores a block (async mirror of [`BlockSink::store`]). A write to
-    /// a dead remote is swallowed once retries are exhausted — the sink
-    /// signature has no error channel, matching the sync family.
+    /// Stores a block (async mirror of [`crate::BlockSink::store`]). A
+    /// write to a dead remote is swallowed once retries are exhausted —
+    /// the sink signature has no error channel, matching the sync family.
     fn store_async(&self, id: BlockId, block: Block) -> BoxFuture<'_, ()>;
 
     /// Removes a block, resolving to whether it was present (async
-    /// mirror of [`BlockSink::remove`]); `false` when the remote timed
-    /// out.
+    /// mirror of [`crate::BlockSink::remove`]); `false` when the remote
+    /// timed out.
     fn remove_async(&self, id: BlockId) -> BoxFuture<'_, bool>;
 }
 
@@ -87,41 +84,6 @@ pub trait AsyncBlockSink: Sync {
 pub trait AsyncBlockRepo: AsyncBlockSource + AsyncBlockSink {}
 
 impl<T: AsyncBlockSource + AsyncBlockSink + ?Sized> AsyncBlockRepo for T {}
-
-// --- the blanket sync→async adapter --------------------------------------
-//
-// Implemented over `&S` (the family's natural shared handle) rather than
-// `S` itself so that natively-async backends downstream can implement the
-// mirror traits directly without colliding with the blanket impl —
-// coherence permits both because no concrete type is ever simultaneously
-// a `&S` and a downstream store.
-
-impl<S: BlockSource + ?Sized> AsyncBlockSource for &S {
-    /// Ready-immediate adapter: the sync fetch runs when the future is
-    /// created and the future resolves on first poll.
-    fn fetch_async(&self, id: BlockId) -> BoxFuture<'_, Option<Block>> {
-        Box::pin(std::future::ready((**self).fetch(id)))
-    }
-
-    fn has_async(&self, id: BlockId) -> BoxFuture<'_, bool> {
-        Box::pin(std::future::ready((**self).has(id)))
-    }
-
-    fn read_async(&self, id: BlockId) -> BoxFuture<'_, Result<Block, StoreError>> {
-        Box::pin(std::future::ready((**self).read(id)))
-    }
-}
-
-impl<S: BlockSink + Sync + ?Sized> AsyncBlockSink for &S {
-    fn store_async(&self, id: BlockId, block: Block) -> BoxFuture<'_, ()> {
-        (**self).store(id, block);
-        Box::pin(std::future::ready(()))
-    }
-
-    fn remove_async(&self, id: BlockId) -> BoxFuture<'_, bool> {
-        Box::pin(std::future::ready((**self).remove(id)))
-    }
-}
 
 /// Runs async-backend futures to completion on whatever executor the
 /// backend's wrapper owns.
@@ -171,54 +133,7 @@ impl std::fmt::Debug for AsyncHandle<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::io::BlockMap;
-    use ae_blocks::NodeId;
-    use std::task::{Context, Poll, Waker};
-
-    fn id(i: u64) -> BlockId {
-        BlockId::Data(NodeId(i))
-    }
-
-    /// Polls a future that must already be ready (the blanket adapter's
-    /// contract) without any executor.
-    fn now_or_never<T>(mut fut: BoxFuture<'_, T>) -> T {
-        let mut cx = Context::from_waker(Waker::noop());
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(v) => v,
-            Poll::Pending => panic!("blanket adapter futures must be ready-immediate"),
-        }
-    }
-
-    #[test]
-    fn blanket_adapter_mirrors_the_sync_family() {
-        let map = BlockMap::new();
-        let src = &map;
-        assert_eq!(now_or_never(src.fetch_async(id(1))), None);
-        assert!(!now_or_never(src.has_async(id(1))));
-        assert_eq!(
-            now_or_never(src.read_async(id(1))),
-            Err(StoreError::NotFound(id(1)))
-        );
-        now_or_never(src.store_async(id(1), Block::from_vec(vec![7])));
-        assert!(now_or_never(src.has_async(id(1))));
-        assert_eq!(
-            now_or_never(src.fetch_async(id(1))).unwrap().as_slice(),
-            &[7]
-        );
-        assert!(now_or_never(src.remove_async(id(1))));
-        assert!(!now_or_never(src.remove_async(id(1))));
-    }
-
-    #[test]
-    fn blanket_adapter_is_object_safe() {
-        let map = BlockMap::new();
-        map.store(id(2), Block::zero(4));
-        let by_ref = &map;
-        let repo: &dyn AsyncBlockRepo = &by_ref;
-        assert!(now_or_never(repo.has_async(id(2))));
-        assert_eq!(now_or_never(repo.fetch_async(id(2))).unwrap().len(), 4);
-    }
+    use crate::io::{BlockMap, BlockSource};
 
     #[test]
     fn sync_backends_advertise_no_native_async_interior() {

@@ -28,11 +28,10 @@
 //!   is no adapter layer between "repair-facing" and "store-facing" trait
 //!   families, because there is only one family.
 //! * [`AsyncBlockSource`] / [`AsyncBlockSink`] / [`AsyncBlockRepo`] — the
-//!   object-safe **async mirror** of the backend family, with a blanket
-//!   sync→async adapter (every `&S` of the sync family is a
-//!   ready-immediate async backend) and the [`BlockSource::as_async`]
-//!   discovery hook through which latency-aware wrappers expose their
-//!   native async interior to pipelined callers (see `ae_aio`).
+//!   object-safe **async mirror** of the backend family, with the
+//!   [`BlockSource::as_async`] discovery hook through which
+//!   latency-aware wrappers expose their native async interior to
+//!   pipelined callers (see `ae_aio`).
 //! * [`Placement`] — the canonical placement policies shared by the store
 //!   and simulation layers.
 //! * [`AeError`] / [`RepairError`] / [`StoreError`] — the error hierarchy.

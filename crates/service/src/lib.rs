@@ -26,13 +26,13 @@
 //!   completion counts, queue-depth highwaters, saturation counts.
 //! * [`Workload`] — the deterministic engine. A `(seed, config)` pair
 //!   materializes one exact operation sequence — op mix per phase,
-//!   open-loop arrival schedule, Zipf-skewed tenant and file popularity,
-//!   payload bytes — which can be **driven** through a sharded service
-//!   and **replayed** serially, and the two final states compared block
-//!   for block. Tenant-affine sharding makes that comparison meaningful:
-//!   each tenant's ops execute in submission order on every shard count,
-//!   and tenants' id spaces are disjoint, so the final backend state is
-//!   independent of cross-tenant interleaving.
+//!   Zipf-skewed tenant and file popularity, payload bytes — which can
+//!   be **driven** through a sharded service and **replayed** serially,
+//!   and the two final states compared block for block. Tenant-affine
+//!   sharding makes that comparison meaningful: each tenant's ops
+//!   execute in submission order on every shard count, and tenants' id
+//!   spaces are disjoint, so the final backend state is independent of
+//!   cross-tenant interleaving.
 //!
 //! [`ServiceConfig::serial`] is the reference configuration of the same
 //! service: one shard whose dispatch runs on the caller's thread. The

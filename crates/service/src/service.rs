@@ -507,8 +507,9 @@ impl ArchiveService {
     ///
     /// The caller supplies `previous` — the tenant id the archive had in
     /// the crashed process (namespaces are positional) — and gets back
-    /// the id it holds **now**, plus the reopened archive's degraded-read
-    /// report length for observability.
+    /// the id it holds **now**. What the open had to skip or truncate is
+    /// on the reopened archive ([`Archive::meta_damage`],
+    /// [`Archive::torn_tail`]).
     ///
     /// # Errors
     ///

@@ -1,23 +1,20 @@
-//! The deterministic workload engine: config-driven op mixes, open-loop
-//! arrival schedules and Zipf-skewed popularity, all derived from one
-//! seed.
+//! The deterministic workload engine: config-driven op mixes and
+//! Zipf-skewed popularity, all derived from one seed.
 //!
 //! [`Workload::generate`] expands a `(seed, WorkloadConfig)` pair into a
-//! concrete, fully materialized operation sequence — every payload byte,
-//! tenant choice and arrival offset pinned at generation time, so the
-//! *same* sequence can be driven through a sharded
-//! [`crate::ArchiveService`] ([`Workload::drive`]) and replayed serially
-//! against a second service ([`Workload::replay`]) and the two final
-//! states compared block for block. Warm/cold phases are op-mix +
-//! arrival-rate segments of one generator stream: generating phase *n*+1
-//! continues exactly where phase *n* stopped.
+//! concrete, fully materialized operation sequence — every payload byte
+//! and tenant choice pinned at generation time, so the *same* sequence
+//! can be driven through a sharded [`crate::ArchiveService`]
+//! ([`Workload::drive`]) and replayed serially against a second service
+//! ([`Workload::replay`]) and the two final states compared block for
+//! block. Warm/cold phases are op-mix segments of one generator stream:
+//! generating phase *n*+1 continues exactly where phase *n* stopped.
 
 use crate::rng::{SplitMix64, Zipf};
 use crate::service::{ArchiveService, ServiceClient, ServiceError, Ticket};
 use crate::tenant::TenantId;
 use ae_blocks::{crc32, BlockId};
 use ae_store::archive::{ArchiveError, Entry};
-use std::time::{Duration, Instant};
 
 /// Relative weights of the operations a phase issues.
 #[derive(Debug, Clone, Copy)]
@@ -54,17 +51,13 @@ impl OpMix {
     }
 }
 
-/// One segment of a workload: `ops` operations drawn from `mix`, arriving
-/// open-loop every `interarrival` (zero means as-fast-as-possible).
+/// One segment of a workload: `ops` operations drawn from `mix`.
 #[derive(Debug, Clone)]
 pub struct Phase {
     /// Operations this phase issues.
     pub ops: usize,
     /// Relative op weights.
     pub mix: OpMix,
-    /// Scheduled gap between consecutive arrivals; `ZERO` disables
-    /// pacing (max-rate mode, what the throughput bench uses).
-    pub interarrival: Duration,
 }
 
 /// Everything that determines a workload, besides the seed.
@@ -75,17 +68,12 @@ pub struct WorkloadConfig {
     pub tenants: u16,
     /// Warm/cold segments, generated back to back from one stream.
     pub phases: Vec<Phase>,
-    /// Zipf skew for tenant popularity; `None` is uniform.
-    pub tenant_skew: Option<f64>,
-    /// Zipf skew for file popularity within a tenant; `None` is uniform.
-    pub file_skew: Option<f64>,
+    /// Zipf skew for tenant popularity.
+    pub tenant_skew: f64,
+    /// Zipf skew for file popularity within a tenant.
+    pub file_skew: f64,
     /// Inclusive payload size range for puts, in bytes.
     pub payload: (usize, usize),
-    /// Pin every generated scrub to this tenant instead of the
-    /// popularity-sampled one — models an operator sweeping one tenant's
-    /// archive (a maintenance window) while serving traffic for all.
-    /// `None` lets scrubs follow tenant popularity.
-    pub scrub_tenant: Option<TenantId>,
     /// Append a deterministic seal of every tenant after the last phase.
     pub seal_tail: bool,
 }
@@ -98,18 +86,15 @@ impl Default for WorkloadConfig {
                 Phase {
                     ops: 64,
                     mix: OpMix::write_only(),
-                    interarrival: Duration::ZERO,
                 },
                 Phase {
                     ops: 192,
                     mix: OpMix::read_heavy(),
-                    interarrival: Duration::ZERO,
                 },
             ],
-            tenant_skew: Some(0.9),
-            file_skew: Some(0.9),
+            tenant_skew: 0.9,
+            file_skew: 0.9,
             payload: (64, 1024),
-            scrub_tenant: None,
             seal_tail: false,
         }
     }
@@ -138,11 +123,9 @@ pub enum WorkloadOp {
     Seal,
 }
 
-/// A [`WorkloadOp`] with its tenant and open-loop arrival offset.
+/// A [`WorkloadOp`] with its tenant.
 #[derive(Debug, Clone)]
 pub struct ScheduledOp {
-    /// Offset from workload start at which the op is submitted.
-    pub at: Duration,
     /// The tenant the op addresses.
     pub tenant: TenantId,
     /// The operation.
@@ -167,12 +150,11 @@ struct Generator {
     kind_rng: SplitMix64,
     file_rng: SplitMix64,
     payload_rng: SplitMix64,
-    tenant_zipf: Option<Zipf>,
-    file_zipf: Option<Zipf>,
+    tenant_zipf: Zipf,
+    file_zipf: Zipf,
     /// Per-tenant: how many files exist, and each file's generation-time
     /// CRC (index = file number).
     files: Vec<Vec<u32>>,
-    clock: Duration,
 }
 
 impl Generator {
@@ -187,8 +169,8 @@ impl Generator {
         let kind_rng = root.split();
         let file_rng = root.split();
         let payload_rng = root.split();
-        let tenant_zipf = cfg.tenant_skew.map(|t| Zipf::new(cfg.tenants as usize, t));
-        let file_zipf = cfg.file_skew.map(|t| Zipf::new(FILE_RANKS, t));
+        let tenant_zipf = Zipf::new(cfg.tenants as usize, cfg.tenant_skew);
+        let file_zipf = Zipf::new(FILE_RANKS, cfg.file_skew);
         let files = vec![Vec::new(); cfg.tenants as usize];
         Generator {
             cfg,
@@ -199,28 +181,21 @@ impl Generator {
             tenant_zipf,
             file_zipf,
             files,
-            clock: Duration::ZERO,
         }
     }
 
     fn pick_tenant(&mut self) -> TenantId {
-        let t = match &self.tenant_zipf {
-            Some(z) => z.sample(&mut self.tenant_rng),
-            None => self.tenant_rng.below(self.cfg.tenants as u64) as usize,
-        };
-        TenantId(t as u16)
+        TenantId(self.tenant_zipf.sample(&mut self.tenant_rng) as u16)
     }
 
     fn pick_file(&mut self, count: usize) -> usize {
         debug_assert!(count > 0);
-        if let Some(z) = &self.file_zipf {
-            // Bounded rejection keeps the draw deterministic; if the hot
-            // ranks keep missing (young tenant), fall through to uniform.
-            for _ in 0..16 {
-                let r = z.sample(&mut self.file_rng);
-                if r < count {
-                    return r;
-                }
+        // Bounded rejection keeps the draw deterministic; if the hot
+        // ranks keep missing (young tenant), fall through to uniform.
+        for _ in 0..16 {
+            let r = self.file_zipf.sample(&mut self.file_rng);
+            if r < count {
+                return r;
             }
         }
         self.file_rng.below(count as u64) as usize
@@ -239,7 +214,7 @@ impl Generator {
     }
 
     fn next_op(&mut self, mix: &OpMix) -> ScheduledOp {
-        let mut tenant = self.pick_tenant();
+        let tenant = self.pick_tenant();
         let count = self.files[tenant.0 as usize].len();
         let mut w = self.kind_rng.below(mix.total());
         let op = if w < mix.put as u64 || count == 0 {
@@ -259,32 +234,20 @@ impl Generator {
                     expect_crc: self.files[tenant.0 as usize][f],
                 }
             } else {
-                if let Some(victim) = self.cfg.scrub_tenant {
-                    tenant = victim;
-                }
                 WorkloadOp::Scrub
             }
         };
-        ScheduledOp {
-            at: self.clock,
-            tenant,
-            op,
-        }
+        ScheduledOp { tenant, op }
     }
 
     fn phase(&mut self, phase: &Phase) -> Workload {
-        let mut ops = Vec::with_capacity(phase.ops);
-        for _ in 0..phase.ops {
-            ops.push(self.next_op(&phase.mix));
-            self.clock += phase.interarrival;
-        }
-        Workload { ops }
+        let ops = (0..phase.ops).map(|_| self.next_op(&phase.mix));
+        Workload { ops: ops.collect() }
     }
 
     fn seal_tail(&mut self) -> Vec<ScheduledOp> {
         (0..self.cfg.tenants)
             .map(|t| ScheduledOp {
-                at: self.clock,
                 tenant: TenantId(t),
                 op: WorkloadOp::Seal,
             })
@@ -304,9 +267,6 @@ pub struct DriveOutcome {
     /// whose CRC differs from the generation-time CRC reports
     /// [`ArchiveError::ChecksumMismatch`].
     pub failures: Vec<(usize, ServiceError)>,
-    /// Times a submission bounced off a full queue and was retried —
-    /// the open-loop schedule degrades to closed-loop at saturation.
-    pub saturated_retries: u64,
 }
 
 impl DriveOutcome {
@@ -354,26 +314,17 @@ impl Workload {
         out
     }
 
-    /// Submits the whole schedule through `client` (open-loop: each op
-    /// waits for its arrival offset; saturation is retried and counted),
+    /// Submits the whole schedule through `client` as fast as the queues
+    /// accept it (a submission that bounces off a full queue is retried),
     /// then waits for every ticket. Reads are verified against their
     /// generation-time CRC.
     pub fn drive(&self, client: &ServiceClient<'_>) -> DriveOutcome {
-        let start = Instant::now();
         let mut outcome = DriveOutcome {
             submitted: self.ops.len(),
             ..DriveOutcome::default()
         };
         let mut pending = Vec::with_capacity(self.ops.len());
         for (i, sop) in self.ops.iter().enumerate() {
-            // Open-loop pacing: sleep up to the op's arrival offset.
-            loop {
-                let now = start.elapsed();
-                if now >= sop.at {
-                    break;
-                }
-                std::thread::sleep((sop.at - now).min(Duration::from_millis(1)));
-            }
             loop {
                 let submitted = match &sop.op {
                     WorkloadOp::Put { name, contents } => client
@@ -391,9 +342,8 @@ impl Workload {
                         break;
                     }
                     Err(ServiceError::Saturated { .. }) => {
-                        // Backpressure: yield and retry — the open-loop
-                        // schedule degrades to closed-loop at capacity.
-                        outcome.saturated_retries += 1;
+                        // Backpressure: yield and retry until the shard's
+                        // worker drains its queue.
                         std::thread::yield_now();
                     }
                     Err(e) => {
@@ -438,9 +388,7 @@ impl Workload {
 
     /// Executes the schedule serially, in generation order, directly
     /// against `svc`'s archives — the reference execution the parity
-    /// suite compares sharded runs to. Arrival offsets are ignored
-    /// (serial replay is about final state, not timing). Stops at the
-    /// first error.
+    /// suite compares sharded runs to. Stops at the first error.
     pub fn replay(&self, svc: &mut ArchiveService) -> Result<(), (usize, ArchiveError)> {
         for (i, sop) in self.ops.iter().enumerate() {
             let ar = svc.archive_mut(sop.tenant);
@@ -492,18 +440,15 @@ mod tests {
                 Phase {
                     ops: 20,
                     mix: OpMix::write_only(),
-                    interarrival: Duration::ZERO,
                 },
                 Phase {
                     ops: 60,
                     mix: OpMix::read_heavy(),
-                    interarrival: Duration::ZERO,
                 },
             ],
-            tenant_skew: Some(1.0),
-            file_skew: Some(1.0),
+            tenant_skew: 1.0,
+            file_skew: 1.0,
             payload: (16, 200),
-            scrub_tenant: None,
             seal_tail: false,
         }
     }
@@ -525,37 +470,12 @@ mod tests {
         for (x, y) in a.ops.iter().zip(&b.ops) {
             assert_eq!(x.tenant, y.tenant);
             assert_eq!(x.op, y.op);
-            assert_eq!(x.at, y.at);
         }
         let c = Workload::generate(43, small_cfg());
         assert!(
             a.ops.iter().zip(&c.ops).any(|(x, y)| x.op != y.op),
             "different seeds diverge"
         );
-    }
-
-    #[test]
-    fn scrubs_can_be_pinned_to_one_tenant() {
-        let mut cfg = small_cfg();
-        cfg.scrub_tenant = Some(TenantId(2));
-        let w = Workload::generate(7, cfg);
-        let scrubs: Vec<_> = w
-            .ops
-            .iter()
-            .filter(|o| matches!(o.op, WorkloadOp::Scrub))
-            .collect();
-        assert!(!scrubs.is_empty(), "read-heavy phase must emit scrubs");
-        assert!(scrubs.iter().all(|o| o.tenant == TenantId(2)));
-        // Pinning only reroutes scrubs; the rest of the sequence is
-        // untouched relative to the unpinned generation.
-        let free = Workload::generate(7, small_cfg());
-        assert_eq!(w.ops.len(), free.ops.len());
-        for (a, b) in w.ops.iter().zip(&free.ops) {
-            assert_eq!(a.op, b.op);
-            if !matches!(a.op, WorkloadOp::Scrub) {
-                assert_eq!(a.tenant, b.tenant);
-            }
-        }
     }
 
     #[test]
@@ -640,33 +560,6 @@ mod tests {
         assert_eq!(
             outcome.completed + outcome.failures.len(),
             outcome.submitted
-        );
-    }
-
-    #[test]
-    fn open_loop_pacing_respects_arrival_offsets() {
-        let cfg = WorkloadConfig {
-            tenants: 1,
-            phases: vec![Phase {
-                ops: 10,
-                mix: OpMix::write_only(),
-                interarrival: Duration::from_millis(2),
-            }],
-            tenant_skew: None,
-            file_skew: None,
-            payload: (8, 8),
-            scrub_tenant: None,
-            seal_tail: false,
-        };
-        let w = Workload::generate(3, cfg);
-        assert_eq!(w.ops.last().unwrap().at, Duration::from_millis(18));
-        let mut svc = service(1, 1);
-        let start = Instant::now();
-        let (outcome, _) = svc.run(|client| w.drive(client));
-        assert!(outcome.clean());
-        assert!(
-            start.elapsed() >= Duration::from_millis(18),
-            "schedule paced the submissions"
         );
     }
 }

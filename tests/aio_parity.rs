@@ -95,7 +95,6 @@ fn wrap<S: BlockRepo + Send + Sync + 'static>(inner: Arc<S>, seed: u64) -> Arc<N
     let spec = LinkSpec {
         rtt: Duration::from_millis(1),
         jitter: Duration::from_micros(50),
-        bytes_per_sec: None,
     };
     Arc::new(LatencyStore::uniform(inner, rt, spec, seed).into_sync())
 }
@@ -197,7 +196,6 @@ fn a_dead_remote_tier_during_put_swallows_the_same_writes_at_every_window() {
     let link = LinkSpec {
         rtt: Duration::from_millis(1),
         jitter: Duration::from_micros(50),
-        bytes_per_sec: None,
     };
     for s in Scheme::extended_lineup() {
         let mut serial: Option<Arc<MemStore>> = None;

@@ -614,7 +614,6 @@ fn power_cut_under_latency(s: &Scheme, every: u64) {
         let link = LinkSpec {
             rtt: Duration::from_millis(1),
             jitter: Duration::from_millis(1),
-            bytes_per_sec: None,
         };
         let rt = Runtime::new(Clock::virtual_time());
         let net = LatencyStore::uniform(Arc::clone(&pc), rt, link, cut ^ 0xC0DE);
@@ -815,7 +814,6 @@ fn power_cut_at_every_write_during_scrub_beneath_the_latency_wrapper() {
             let link = LinkSpec {
                 rtt: Duration::from_millis(1),
                 jitter: Duration::from_millis(1),
-                bytes_per_sec: None,
             };
             let rt = Runtime::new(Clock::virtual_time());
             Arc::new(LatencyStore::uniform(cut, rt, link, seed ^ 0xC0DE).into_sync())
@@ -1030,7 +1028,6 @@ fn orphan_sweep(s: &Scheme, cadence: u64, puts: u8, sweep_from: u8, jitter: bool
             let link = LinkSpec {
                 rtt: Duration::from_millis(1),
                 jitter: Duration::from_millis(1),
-                bytes_per_sec: None,
             };
             let rt = Runtime::new(Clock::virtual_time());
             let net = LatencyStore::uniform(Arc::clone(&pc), rt, link, cut ^ 0xC0DE);
