@@ -202,9 +202,12 @@ impl From<u8> for Gf256 {
 /// RS encoding and decoding (and of [`crate::Matrix::mul`]).
 ///
 /// Delegates to the runtime-dispatched [`ae_kernels::mul_rows`], which
-/// computes every output row in one pass over the sources (split-nibble
-/// `VPSHUFB` on AVX2 hosts, the per-row split-nibble multiply-accumulate
-/// elsewhere).
+/// computes up to four output rows in one pass over the sources: with
+/// GFNI's `GF2P8AFFINEQB` on ZMM where the host has GFNI, AVX-512F and
+/// AVX-512BW (each coefficient an 8×8 bit matrix mod `0x11D`; the AES
+/// `GF2P8MULB` would multiply mod `0x11B`), with split-nibble `VPSHUFB`
+/// on other AVX2 hosts, and with the per-row split-nibble
+/// multiply-accumulate elsewhere.
 ///
 /// # Panics
 ///

@@ -15,11 +15,13 @@
 //!   table lookup (no per-byte `d != 0` branch), CRC32 is slice-by-16.
 //! * **Hardware kernels** — explicit SSE2/AVX2 XOR and SSSE3/AVX2
 //!   `PSHUFB` split-nibble GF multiply with `PCLMULQDQ`-folded CRC32 on
-//!   x86-64, the CRC folded four ZMM registers at a time by AVX-512
-//!   `VPCLMULQDQ` where the CPU has it; NEON XOR, `TBL` GF multiply and
-//!   the ARMv8 CRC32 instructions on AArch64. The multi-row GF product
-//!   has a body of its own in the scalar and AVX2 tiers; SSSE3 and NEON
-//!   compose it from their per-row multiply. There is no GFNI body.
+//!   x86-64; where the CPU has AVX-512, the CRC folded four ZMM registers
+//!   at a time by `VPCLMULQDQ` and the GF multiply done by GFNI's
+//!   `GF2P8AFFINEQB` on ZMM, each constant an 8×8 bit matrix
+//!   ([`tables::GF_AFFINE`]); NEON XOR, `TBL` GF multiply and the ARMv8
+//!   CRC32 instructions on AArch64. The multi-row GF product has a body
+//!   of its own in the scalar, AVX2 and GFNI forms; SSSE3 and NEON
+//!   compose it from their per-row multiply.
 //!
 //! Beside the kernels sits one cache hint, [`prefetch`]: a verified read
 //! of a run of cold blocks loads the next ones while it checksums this
@@ -46,10 +48,19 @@
 //! Within a tier a slot whose instructions are an extension of their own
 //! is filled by detection and named truthfully in [`Kernels::describe`]:
 //! the `sse2` tier's GF slot needs SSSE3 and its CRC slot `PCLMULQDQ`
-//! and SSE4.1 (`crc=pclmul`), and the `avx2` tier's CRC slot takes the
+//! and SSE4.1 (`crc=pclmul`); the `avx2` tier's CRC slot takes the
 //! 512-bit body (`crc=vpclmul512`) where AVX-512F and `VPCLMULQDQ` are
-//! detected too. A slot whose extension is missing keeps the body below
-//! it, so no tier name depends on AVX-512.
+//! detected too, and its GF slot, both the multiply-accumulate and the
+//! multi-row product, the GFNI body (`gf=gfni512`) where GFNI, AVX-512F
+//! and AVX-512BW are. A slot whose extension is missing keeps the body
+//! below it, so no tier name depends on AVX-512 or GFNI.
+//!
+//! The GFNI body multiplies with the affine instruction, not with
+//! `GF2P8MULB`: the latter multiplies mod the AES polynomial `0x11B`,
+//! while Reed-Solomon here works mod `0x11D`
+//! ([`tables::GF_POLY`]). Multiplying by a constant is linear over GF(2)
+//! whatever the polynomial, so one bit matrix per constant gives the same
+//! bytes as the tables.
 //!
 //! Every vectorized kernel is pinned byte-identical to the scalar
 //! reference by exhaustive proptests (all 256 GF constants, lengths
@@ -175,7 +186,7 @@ impl Kernels {
         (self.crc32_update)(state, data)
     }
 
-    /// One-line description, e.g. `avx2 (xor=avx2 gf=avx2-pshufb
+    /// One-line description, e.g. `avx2 (xor=avx2 gf=gfni512
     /// crc=vpclmul512)`.
     pub fn describe(&self) -> String {
         format!(
@@ -236,6 +247,15 @@ fn avx2_set() -> Option<Kernels> {
     k.mul_name = "avx2-pshufb";
     k.mul_slice_acc = x86::mul_slice_acc_avx2_entry;
     k.mul_rows = x86::mul_rows_avx2_entry;
+    // The GF slot takes the affine body where GFNI can run on ZMM.
+    if std::arch::is_x86_feature_detected!("gfni")
+        && std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512bw")
+    {
+        k.mul_name = "gfni512";
+        k.mul_slice_acc = x86::mul_slice_acc_gfni512_entry;
+        k.mul_rows = x86::mul_rows_gfni512_entry;
+    }
     // The 512-bit CRC body also needs the 128-bit one (inputs under 256
     // bytes go there), so it is installed only where `sse2_set` put
     // `pclmul`; otherwise the slot stays as `sse2_set` left it.

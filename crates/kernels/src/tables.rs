@@ -61,6 +61,40 @@ const fn build_gf_nibble() -> [[u8; 32]; 256] {
     t
 }
 
+/// GF(2^8) multiplication by each constant as an 8×8 bit matrix, in the
+/// layout of GFNI's `GF2P8AFFINEQB`.
+///
+/// Multiplying by a constant `c` mod [`GF_POLY`] is linear over GF(2):
+/// bit `i` of `c · x` is the parity of `x` masked by the byte whose bit
+/// `j` is bit `i` of `c · 2^j`. `GF2P8AFFINEQB` reads that row for output
+/// bit `i` from byte `7 − i` of a 64-bit matrix, so `GF_AFFINE[c]` holds
+/// the row of output bit `i` in byte `7 − i`. (`GF2P8MULB` would need no
+/// table, but it multiplies mod the AES polynomial `0x11B`, not
+/// [`GF_POLY`].) 2 KiB total.
+pub static GF_AFFINE: [u64; 256] = build_gf_affine();
+
+const fn build_gf_affine() -> [u64; 256] {
+    let mut t = [0u64; 256];
+    let mut c = 0usize;
+    while c < 256 {
+        let mut m = 0u64;
+        let mut i = 0;
+        while i < 8 {
+            let mut row = 0u64;
+            let mut j = 0;
+            while j < 8 {
+                row |= ((gf_mul(c as u8, 1 << j) >> i) & 1) as u64 * (1 << j);
+                j += 1;
+            }
+            m |= row << (8 * (7 - i));
+            i += 1;
+        }
+        t[c] = m;
+        c += 1;
+    }
+    t
+}
+
 /// Slice-by-16 CRC32 tables: `CRC_TABLES[k][b]` is the CRC of byte `b`
 /// followed by `k` zero bytes, so sixteen lookups advance the state by
 /// sixteen input bytes at once (Intel's slicing construction).
@@ -121,6 +155,22 @@ mod tests {
             for d in 0..=255u8 {
                 let via_nibbles = t[(d & 0x0F) as usize] ^ t[16 + (d >> 4) as usize];
                 assert_eq!(via_nibbles, gf_mul(c, d), "c={c:#04x} d={d:#04x}");
+            }
+        }
+    }
+
+    #[test]
+    fn affine_matrices_multiply_as_gf2p8affineqb_reads_them() {
+        // Output bit i of `GF2P8AFFINEQB` is the parity of the matrix's
+        // byte 7 − i masked by the input byte: evaluated here bit by bit,
+        // so the table is pinned on every host, GFNI or not.
+        for c in 0..=255u8 {
+            let rows = GF_AFFINE[c as usize].to_le_bytes();
+            for x in 0..=255u8 {
+                let product = (0..8).fold(0u8, |p, i| {
+                    p | (((rows[7 - i] & x).count_ones() & 1) as u8) << i
+                });
+                assert_eq!(product, gf_mul(c, x), "c={c:#04x} x={x:#04x}");
             }
         }
     }

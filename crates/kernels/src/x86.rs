@@ -1,9 +1,12 @@
 //! x86-64 kernels: SSE2/AVX2 XOR, SSSE3/AVX2 `PSHUFB` split-nibble
-//! GF(2^8) multiply and the AVX2 multi-row product built on it, and
-//! CRC32 by carry-less folding: one 128-bit `PCLMULQDQ` lane at a time,
-//! or, from 256 bytes on, four ZMM registers at a time with AVX-512
-//! `VPCLMULQDQ`, which reduces to one XMM and ends in the 128-bit body's
-//! tail and Barrett reduction.
+//! GF(2^8) multiply and the AVX2 multi-row product built on it, the same
+//! two GF kernels with GFNI's `GF2P8AFFINEQB` on ZMM (each constant an
+//! 8×8 bit matrix over GF(2), since `GF2P8MULB` is fixed to the AES
+//! polynomial `0x11B` and this field is mod `0x11D`), and CRC32 by
+//! carry-less folding: one 128-bit `PCLMULQDQ` lane at a time, or, from
+//! 256 bytes on, four ZMM registers at a time with AVX-512 `VPCLMULQDQ`,
+//! which reduces to one XMM and ends in the 128-bit body's tail and
+//! Barrett reduction.
 //!
 //! Every function here has a `*_entry` wrapper with a plain `fn` type so
 //! it can sit in the dispatch table; the wrappers are only ever installed
@@ -13,7 +16,7 @@
 //! alignment is handled.
 
 use crate::scalar;
-use crate::tables::GF_NIBBLE;
+use crate::tables::{GF_AFFINE, GF_NIBBLE};
 use std::arch::x86_64::*;
 
 // ---------------------------------------------------------------- XOR --
@@ -258,20 +261,34 @@ const STEP: usize = 2;
 /// sub-32-byte tail goes through the scalar kernel.
 #[target_feature(enable = "avx2")]
 fn mul_rows_avx2(coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
-    let k = srcs.len();
-    let n = outs.first().map_or(0, |o| o.len()) & !31;
-    let mut r = 0;
-    while r < outs.len() {
-        let rows = (outs.len() - r).min(ROW_BLOCK);
-        let block = &mut outs[r..r + rows];
-        let coeffs = &coeffs[r * k..(r + rows) * k];
-        match rows {
+    mul_rows_in_blocks(coeffs, srcs, outs, 32, |coeffs, block, n| {
+        match block.len() {
             4 => mul_row_block_avx2::<4>(coeffs, srcs, block, n),
             3 => mul_row_block_avx2::<3>(coeffs, srcs, block, n),
             2 => mul_row_block_avx2::<2>(coeffs, srcs, block, n),
             _ => mul_row_block_avx2::<1>(coeffs, srcs, block, n),
         }
-        r += rows;
+    });
+}
+
+/// The multi-row product's row-block loop, shared by the vector bodies:
+/// the rows go to `block` in blocks of up to [`ROW_BLOCK`], with their
+/// coefficient rows and the length `n` — the rows' length rounded down
+/// to a multiple of `vector` bytes — that the block covers; the tail
+/// past `n` goes through the scalar kernel.
+fn mul_rows_in_blocks(
+    coeffs: &[u8],
+    srcs: &[&[u8]],
+    outs: &mut [&mut [u8]],
+    vector: usize,
+    block: impl Fn(&[u8], &mut [&mut [u8]], usize),
+) {
+    let k = srcs.len();
+    let len = outs.first().map_or(0, |o| o.len());
+    let n = len - len % vector;
+    for (b, rows) in outs.chunks_mut(ROW_BLOCK).enumerate() {
+        let at = b * ROW_BLOCK * k;
+        block(&coeffs[at..at + rows.len() * k], rows, n);
     }
     for (r, out) in outs.iter_mut().enumerate() {
         let tail = &mut out[n..];
@@ -348,6 +365,128 @@ fn mul_row_step_avx2<const R: usize, const W: usize>(
         for (w, v) in a.into_iter().enumerate() {
             // Safety: i + 32·W <= n <= out.len().
             unsafe { _mm256_storeu_si256(out.as_mut_ptr().add(i + 32 * w) as *mut __m256i, v) };
+        }
+    }
+}
+
+// ------------------------------------------ GF(2^8) GFNI affine multiply --
+
+/// Dispatch entry: `acc ^= c · data` with GFNI `VGF2P8AFFINEQB` on ZMM.
+pub fn mul_slice_acc_gfni512_entry(c: u8, data: &[u8], acc: &mut [u8]) {
+    // Safety: installed only after detection of gfni + avx512f + avx512bw.
+    unsafe { mul_slice_acc_gfni512(c, data, acc) }
+}
+
+/// Dispatch entry: the multi-row product with GFNI `VGF2P8AFFINEQB` on
+/// ZMM, up to [`ROW_BLOCK`] output rows per pass over the sources.
+pub fn mul_rows_gfni512_entry(coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
+    // Safety: installed only after detection of gfni + avx512f + avx512bw.
+    unsafe { mul_rows_gfni512(coeffs, srcs, outs) }
+}
+
+/// `c`'s bit matrix ([`GF_AFFINE`]) in every qword of a ZMM: the affine
+/// transform by it, with a zero constant, is `c · d` for each byte `d`.
+/// (`GF2P8MULB` would need no matrix, but it multiplies mod the AES
+/// polynomial `0x11B`, not `0x11D`.)
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn affine_matrix(c: u8) -> __m512i {
+    _mm512_set1_epi64(GF_AFFINE[c as usize] as i64)
+}
+
+/// One affine and one XOR per 64 bytes; the sub-64-byte tail goes
+/// through the scalar kernel.
+#[target_feature(enable = "gfni", enable = "avx512f", enable = "avx512bw")]
+fn mul_slice_acc_gfni512(c: u8, data: &[u8], acc: &mut [u8]) {
+    let matrix = affine_matrix(c);
+    let n = data.len() & !63;
+    let mut i = 0;
+    while i < n {
+        // Safety: i + 63 < data.len() == acc.len(); loads/stores unaligned.
+        unsafe {
+            let d = _mm512_loadu_si512(data.as_ptr().add(i) as *const __m512i);
+            let o = acc.as_mut_ptr().add(i) as *mut __m512i;
+            _mm512_storeu_si512(
+                o,
+                _mm512_xor_si512(
+                    _mm512_gf2p8affine_epi64_epi8::<0>(d, matrix),
+                    _mm512_loadu_si512(o),
+                ),
+            );
+        }
+        i += 64;
+    }
+    scalar::mul_slice_acc(c, &data[n..], &mut acc[n..]);
+}
+
+/// [`mul_rows_avx2`]'s shape on ZMM: the rows go in blocks of up to
+/// [`ROW_BLOCK`], each source vector is loaded once and multiplied into
+/// every row's accumulator, and each accumulator is stored once, without
+/// ever being loaded. The sub-64-byte tail goes through the scalar
+/// kernel.
+#[target_feature(enable = "gfni", enable = "avx512f", enable = "avx512bw")]
+fn mul_rows_gfni512(coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
+    mul_rows_in_blocks(coeffs, srcs, outs, 64, |coeffs, block, n| {
+        match block.len() {
+            4 => mul_row_block_gfni512::<4>(coeffs, srcs, block, n),
+            3 => mul_row_block_gfni512::<3>(coeffs, srcs, block, n),
+            2 => mul_row_block_gfni512::<2>(coeffs, srcs, block, n),
+            _ => mul_row_block_gfni512::<1>(coeffs, srcs, block, n),
+        }
+    });
+}
+
+/// One block of `R` rows over the first `n` bytes (a multiple of 64),
+/// [`STEP`] vectors of every row at a time, then one.
+#[target_feature(enable = "gfni", enable = "avx512f", enable = "avx512bw")]
+fn mul_row_block_gfni512<const R: usize>(
+    coeffs: &[u8],
+    srcs: &[&[u8]],
+    outs: &mut [&mut [u8]],
+    n: usize,
+) {
+    let wide = n - n % (64 * STEP);
+    let mut i = 0;
+    while i < wide {
+        mul_row_step_gfni512::<R, STEP>(coeffs, srcs, outs, i);
+        i += 64 * STEP;
+    }
+    while i < n {
+        mul_row_step_gfni512::<R, 1>(coeffs, srcs, outs, i);
+        i += 64;
+    }
+}
+
+/// Bytes `i..i + 64·W` of every row of a block; each row's matrix for a
+/// source is broadcast from [`GF_AFFINE`] as it is used.
+#[target_feature(enable = "gfni", enable = "avx512f", enable = "avx512bw")]
+#[inline]
+fn mul_row_step_gfni512<const R: usize, const W: usize>(
+    coeffs: &[u8],
+    srcs: &[&[u8]],
+    outs: &mut [&mut [u8]],
+    i: usize,
+) {
+    let k = srcs.len();
+    let mut acc = [[_mm512_setzero_si512(); W]; R];
+    for (c, src) in srcs.iter().enumerate() {
+        let mut d = [_mm512_setzero_si512(); W];
+        for (w, v) in d.iter_mut().enumerate() {
+            // Safety: i + 64·W <= n <= src.len(): `Kernels::mul_rows`
+            // checked that every source and output has one length.
+            *v = unsafe { _mm512_loadu_si512(src.as_ptr().add(i + 64 * w) as *const __m512i) };
+        }
+        for (r, a) in acc.iter_mut().enumerate() {
+            let matrix = affine_matrix(coeffs[r * k + c]);
+            for w in 0..W {
+                a[w] = _mm512_xor_si512(a[w], _mm512_gf2p8affine_epi64_epi8::<0>(d[w], matrix));
+            }
+        }
+    }
+    for (out, a) in outs.iter_mut().zip(acc) {
+        for (w, v) in a.into_iter().enumerate() {
+            // Safety: i + 64·W <= n <= out.len().
+            unsafe { _mm512_storeu_si512(out.as_mut_ptr().add(i + 64 * w) as *mut __m512i, v) };
         }
     }
 }

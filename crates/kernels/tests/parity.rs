@@ -39,14 +39,15 @@ fn buf(len: usize, seed: u64) -> Vec<u8> {
 }
 
 /// Lengths straddling the byte tail, the 8-byte lanes, one XMM, one YMM,
-/// the 64/128-byte unrolled bodies and the 64-byte PCLMUL threshold; then
-/// the paths of the 512-bit CRC body: its 256-byte threshold, 64 and 192
-/// bytes of XMM tail after the first 256 (320, 448), one turn of the
-/// four-ZMM loop (512), XMM and scalar tails after each, and a 4 KiB
-/// block ± a byte.
+/// the 64/128-byte unrolled bodies and the 64-byte PCLMUL threshold; the
+/// GFNI body's steps (191, 192, 193: one double step, one single step,
+/// then the scalar tail); then the paths of the 512-bit CRC body: its
+/// 256-byte threshold, 64 and 192 bytes of XMM tail after the first 256
+/// (320, 448), one turn of the four-ZMM loop (512), XMM and scalar tails
+/// after each, and a 4 KiB block ± a byte.
 const EDGE_LENS: &[usize] = &[
-    0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 79, 127, 128, 129, 255, 256, 257, 319, 320,
-    383, 384, 447, 448, 511, 512, 513, 575, 576, 1024, 1088, 4095, 4096, 4097, 4160,
+    0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 79, 127, 128, 129, 191, 192, 193, 255, 256,
+    257, 319, 320, 383, 384, 447, 448, 511, 512, 513, 575, 576, 1024, 1088, 4095, 4096, 4097, 4160,
 ];
 
 #[test]
@@ -97,9 +98,6 @@ fn multi_row_product_matches_reference_across_shapes_lengths_and_alignments() {
     // 1–5 rows cross the four-row register block; 1–12 sources; every
     // coefficient matrix holds 0 and 1 beside arbitrary constants; the
     // outputs start as garbage, since the product overwrites them.
-    let product: Vec<[u8; 256]> = (0..=255u8)
-        .map(|c| std::array::from_fn(|d| tables::gf_mul(c, d as u8)))
-        .collect();
     for rows in 1..=5usize {
         for k in 1..=12usize {
             let mut coeffs = buf(rows * k, (rows * 31 + k) as u64);
@@ -111,17 +109,7 @@ fn multi_row_product_matches_reference_across_shapes_lengths_and_alignments() {
                     .map(|c| buf(len + offset, (c * 131 + len) as u64))
                     .collect();
                 let srcs: Vec<&[u8]> = backing.iter().map(|b| &b[offset..]).collect();
-                let want: Vec<Vec<u8>> = (0..rows)
-                    .map(|r| {
-                        (0..len)
-                            .map(|at| {
-                                srcs.iter().enumerate().fold(0u8, |acc, (c, src)| {
-                                    acc ^ product[coeffs[r * k + c] as usize][src[at] as usize]
-                                })
-                            })
-                            .collect()
-                    })
-                    .collect();
+                let want = mul_rows_reference(&coeffs, &srcs, rows, len);
                 for set in supported_sets() {
                     let mut backing_out = vec![vec![0xEEu8; len + offset]; rows];
                     let mut outs: Vec<&mut [u8]> =
@@ -161,22 +149,35 @@ fn crc32_matches_bitwise_reference_at_edge_lengths_and_alignments() {
     }
 }
 
-/// Every CRC body the host can run sits in some supported set, so the
-/// tests here pin each against the bitwise reference: slice-by-16
+/// Every CRC and GF body the host can run sits in some supported set, so
+/// the tests here pin each against the reference: for the CRC slice-by-16
 /// everywhere, the 128-bit `PCLMULQDQ` body in the `sse2` set and the
-/// 512-bit `VPCLMULQDQ` body wherever AVX-512 has it. Prints each set,
-/// so a run's log shows which bodies it exercised.
+/// 512-bit `VPCLMULQDQ` body wherever AVX-512 has it; for GF the nibble
+/// tables everywhere, SSSE3 `PSHUFB` in the `sse2` set and the GFNI
+/// affine body wherever GFNI runs on ZMM. Prints each set, so a run's log
+/// shows which bodies it exercised.
 #[test]
-fn every_crc_body_the_host_detects_is_in_a_supported_set() {
+fn every_crc_and_gf_body_the_host_detects_is_in_a_supported_set() {
     let sets = supported_sets();
     for set in &sets {
         println!("{}", set.describe());
     }
     let crc_of = |name: &str| sets.iter().find(|s| s.name == name).map(|s| s.crc_name);
+    let gf_of = |name: &str| sets.iter().find(|s| s.name == name).map(|s| s.mul_name);
     assert_eq!(crc_of("scalar"), Some("slice16"));
+    assert_eq!(gf_of("scalar"), Some("scalar-nibble"));
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::is_x86_feature_detected as has;
+        if has!("ssse3") {
+            assert_eq!(gf_of("sse2"), Some("ssse3-pshufb"));
+        }
+        if has!("gfni") && has!("avx512f") && has!("avx512bw") {
+            assert!(
+                sets.iter().any(|s| s.mul_name == "gfni512"),
+                "the host has GFNI and AVX-512 but no set runs the affine GF body"
+            );
+        }
         if has!("pclmulqdq") && has!("sse4.1") {
             assert_eq!(crc_of("sse2"), Some("pclmul"));
             if has!("avx512f") && has!("vpclmulqdq") {
@@ -196,17 +197,43 @@ fn lens() -> impl Strategy<Value = usize> {
     prop_oneof![0usize..600, 600usize..2600]
 }
 
+/// `outs[r] = Σ_c coeffs[r·k + c] · srcs[c]`, byte by byte through a
+/// table of every carry-less product.
+fn mul_rows_reference(coeffs: &[u8], srcs: &[&[u8]], rows: usize, len: usize) -> Vec<Vec<u8>> {
+    static PRODUCT: std::sync::OnceLock<Vec<[u8; 256]>> = std::sync::OnceLock::new();
+    let product = PRODUCT.get_or_init(|| {
+        (0..=255u8)
+            .map(|c| std::array::from_fn(|d| tables::gf_mul(c, d as u8)))
+            .collect()
+    });
+    let k = srcs.len();
+    (0..rows)
+        .map(|r| {
+            (0..len)
+                .map(|at| {
+                    srcs.iter().enumerate().fold(0u8, |acc, (c, src)| {
+                        acc ^ product[coeffs[r * k + c] as usize][src[at] as usize]
+                    })
+                })
+                .collect()
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Random lengths, offsets and constants: every supported tier
-    /// agrees with ground truth on XOR, GF multiply and CRC at once.
+    /// agrees with ground truth on XOR, GF multiply (one row, and 1–5
+    /// rows over 1–12 sources) and CRC at once.
     #[test]
     fn all_tiers_agree_with_reference(
         len in lens(),
         offset in 0usize..32,
         c: u8,
         seed: u64,
+        rows in 1usize..=5,
+        k in 1usize..=12,
     ) {
         let a = buf(len + offset, seed);
         let b = buf(len + offset, seed ^ 0x5555_5555_5555_5555);
@@ -218,6 +245,12 @@ proptest! {
             .map(|(x, &d)| x ^ tables::gf_mul(c, d))
             .collect();
         let want_crc = crc32_bitwise(0xFFFF_FFFF, a);
+        let coeffs = buf(rows * k, seed ^ 0xC0EF);
+        let backing: Vec<Vec<u8>> = (0..k)
+            .map(|c| buf(len + offset, seed.wrapping_add(c as u64 + 1)))
+            .collect();
+        let srcs: Vec<&[u8]> = backing.iter().map(|b| &b[offset..]).collect();
+        let want_rows = mul_rows_reference(&coeffs, &srcs, rows, len);
         for set in supported_sets() {
             let mut dst = a.to_vec();
             set.xor_into(&mut dst, b);
@@ -230,6 +263,14 @@ proptest! {
             let mut acc = a.to_vec();
             set.mul_slice_acc(c, b, &mut acc);
             prop_assert_eq!(&acc, &want_mul, "{} mul_slice_acc", set.name);
+
+            let mut backing_out = vec![vec![0xEEu8; len + offset]; rows];
+            let mut outs: Vec<&mut [u8]> =
+                backing_out.iter_mut().map(|o| &mut o[offset..]).collect();
+            set.mul_rows(&coeffs, &srcs, &mut outs);
+            for (r, out) in outs.iter().enumerate() {
+                prop_assert_eq!(&out[..], &want_rows[r][..], "{} mul_rows row {}", set.name, r);
+            }
 
             prop_assert_eq!(
                 set.crc32_update(0xFFFF_FFFF, a),

@@ -6,18 +6,22 @@
 //! planner. And the availability plane, which plans on flags alone (and
 //! asks about a Reed-Solomon stripe once), repairs what the byte planner
 //! repairs: same losses, rounds and traffic after the same disaster,
-//! under i.i.d., whole-group and bit-rot failure models alike.
+//! under i.i.d., whole-group and bit-rot failure models alike, and after
+//! every wave of a rolling upgrade with repair between the waves.
 
-use aecodes::api::RedundancyScheme;
+use aecodes::api::{RedundancyScheme, RepairSummary};
 use aecodes::baselines::{ReedSolomon, Replication};
 use aecodes::blocks::{Block, BlockId};
 use aecodes::core::{BlockMap, Code};
 use aecodes::lattice::Config;
-use aecodes::sim::{Scheme, SchemePlane, SimPlacement};
+use aecodes::sim::{upgrade_wave, FullRepairOutcome, Scheme, SchemePlane, SimPlacement};
 use aecodes::store::{ChainMode, EntangledChain, GeoLattice};
 use proptest::prelude::*;
 
-const BLOCK: usize = 32;
+/// Block bytes: two 64-byte vectors, one more, then a byte of scalar
+/// tail, so Reed-Solomon repairs run every step of the dispatched GF
+/// body.
+const BLOCK: usize = 193;
 
 fn scheme_for(pick: u8) -> Box<dyn RedundancyScheme> {
     match pick % 10 {
@@ -109,13 +113,46 @@ proptest! {
 /// fraction, under a seed.
 type Disaster = fn(&mut SchemePlane, f64, u64);
 
-/// Every roster scheme under three failure models over 600 data blocks
+/// `scheme` over `n` data blocks of `seed`'s payload, sealed, in a fresh
+/// `BlockMap`.
+fn encoded(scheme: &Scheme, n: u64, seed: u64) -> (Box<dyn RedundancyScheme>, BlockMap) {
+    let coder = scheme.build(BLOCK);
+    let store = BlockMap::new();
+    coder
+        .encode_batch(&payload(n, seed), &store)
+        .expect("uniform sizes");
+    coder.seal(&store).expect("flush");
+    (coder, store)
+}
+
+/// The plane's `repair_full` and the bytes' `repair_missing` lost the
+/// same data and redundancy, in the same rounds, reading as many blocks.
+fn assert_same_repair(case: &str, flags: &FullRepairOutcome, bytes: &RepairSummary) {
+    let data_unrecovered = bytes.unrecovered.iter().filter(|id| id.is_data()).count();
+    assert_eq!(
+        flags.data_lost, data_unrecovered as u64,
+        "{case}: data lost"
+    );
+    assert_eq!(
+        flags.parity_lost,
+        (bytes.unrecovered.len() - data_unrecovered) as u64,
+        "{case}: redundancy lost"
+    );
+    assert_eq!(flags.rounds, bytes.rounds, "{case}: rounds");
+    assert_eq!(flags.traffic, bytes.blocks_read, "{case}: traffic");
+}
+
+/// Every roster scheme under four failure models over 600 data blocks
 /// on 40 locations, three seeds each: i.i.d. location disasters of 10,
 /// 30 and 50 %, whole-group knockouts of 10 and 30 % of 12 placement
-/// groups, and bit rot of 10 and 30 % of the blocks. The blocks the
-/// plane marks missing are removed from an encoded `BlockMap`, and
+/// groups, bit rot of 10 and 30 % of the blocks, and rolling upgrades
+/// of 4 and 6 waves with repair between them. The blocks the plane
+/// marks missing are removed from an encoded `BlockMap`, and
 /// `repair_missing` must lose the same data and redundancy as the
-/// plane's `repair_full`, in the same rounds, reading as many blocks.
+/// plane's `repair_full`, in the same rounds, reading as many blocks;
+/// under rolling upgrades after every wave, each wave removing only the
+/// blocks it newly marked missing from the bytes the earlier repairs
+/// left.
 #[test]
 fn the_plane_repairs_what_the_bytes_repair() {
     let n = 600;
@@ -151,12 +188,7 @@ fn the_plane_repairs_what_the_bytes_repair() {
                     let mut plane =
                         SchemePlane::new(scheme.build(0), n, 40, SimPlacement::Random { seed });
                     inject(&mut plane, fraction, seed);
-                    let coder = scheme.build(BLOCK);
-                    let store = BlockMap::new();
-                    coder
-                        .encode_batch(&payload(n, seed), &store)
-                        .expect("uniform sizes");
-                    coder.seal(&store).expect("flush");
+                    let (coder, store) = encoded(&scheme, n, seed);
                     let lost: Vec<BlockId> = coder
                         .block_ids(n)
                         .into_iter()
@@ -167,23 +199,41 @@ fn the_plane_repairs_what_the_bytes_repair() {
                     }
                     failed += lost.len();
                     let bytes = coder.repair_missing(&store, &lost, n);
-                    let flags = plane.repair_full();
-                    let data_unrecovered =
-                        bytes.unrecovered.iter().filter(|id| id.is_data()).count();
-                    assert_eq!(
-                        flags.data_lost, data_unrecovered as u64,
-                        "{case}: data lost"
-                    );
-                    assert_eq!(
-                        flags.parity_lost,
-                        (bytes.unrecovered.len() - data_unrecovered) as u64,
-                        "{case}: redundancy lost"
-                    );
-                    assert_eq!(flags.rounds, bytes.rounds, "{case}: rounds");
-                    assert_eq!(flags.traffic, bytes.blocks_read, "{case}: traffic");
+                    assert_same_repair(&case, &plane.repair_full(), &bytes);
                 }
             }
             assert!(failed > 0, "{scheme}: {model} failed no block");
         }
+        let mut failed = 0;
+        for waves in [4, 6] {
+            for seed in 1..=3 {
+                let mut plane =
+                    SchemePlane::new(scheme.build(0), n, 40, SimPlacement::Random { seed });
+                let (coder, store) = encoded(&scheme, n, seed);
+                let universe = coder.block_ids(n);
+                for wave in 0..waves {
+                    let case = format!("{scheme}, upgrade wave {wave} of {waves}, seed {seed}");
+                    let before: Vec<bool> =
+                        universe.iter().map(|&id| plane.is_available(id)).collect();
+                    plane.fail_locations(&upgrade_wave(40, waves, wave));
+                    let mut lost = Vec::new();
+                    for (&id, was_available) in universe.iter().zip(before) {
+                        if plane.is_available(id) {
+                            continue;
+                        }
+                        if was_available {
+                            assert!(store.remove(&id).is_some(), "{case}: {id} was stored");
+                            failed += 1;
+                        } else {
+                            assert!(store.get(&id).is_none(), "{case}: {id} was lost before");
+                        }
+                        lost.push(id);
+                    }
+                    let bytes = coder.repair_missing(&store, &lost, n);
+                    assert_same_repair(&case, &plane.repair_full(), &bytes);
+                }
+            }
+        }
+        assert!(failed > 0, "{scheme}: rolling upgrades failed no block");
     }
 }
